@@ -105,6 +105,11 @@ func run(addr, dir string, queueDepth, concurrency, shards_, workers int, execBi
 		return exitErr
 	}
 
+	// The handler is installed before the socket exists, so a signal
+	// sent as soon as fleetd answers (or announces its address) drains
+	// it instead of killing it with the default action.
+	sigC := make(chan os.Signal, 1)
+	signal.Notify(sigC, os.Interrupt, syscall.SIGTERM)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		logf("%v", err)
@@ -118,8 +123,6 @@ func run(addr, dir string, queueDepth, concurrency, shards_, workers int, execBi
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
-	sigC := make(chan os.Signal, 1)
-	signal.Notify(sigC, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigC:
 		logf("%v: draining — admission stopped, in-flight shards checkpointing", sig)

@@ -198,6 +198,21 @@ func TestInfeasibleWorkloadRejectedAtLoadTime(t *testing.T) {
 	}
 }
 
+// A policy that does not parse is an error on every path, including
+// the compile step that runs without Validate in front of it: never a
+// panic, never the profile's default policy.
+func TestUnparsedPolicyIsAnError(t *testing.T) {
+	camp := smokeCampaign()
+	camp.Scenarios[0].Policy = "bogus"
+	if _, err := Run(camp, Options{Workers: 1, Seed: 1}); err == nil ||
+		!strings.Contains(err.Error(), "bogus") {
+		t.Errorf("Run: want an error naming the policy, got %v", err)
+	}
+	if _, err := compileCampaign(camp, 1); err == nil || !strings.Contains(err.Error(), "bogus") {
+		t.Errorf("compileCampaign without Validate: want an error naming the policy, got %v", err)
+	}
+}
+
 // Non-positive replication counts and horizons must be rejected
 // explicitly — naming the field, the scenario and the offending value
 // — and before any profile resolution (an invalid profile must not

@@ -751,11 +751,15 @@ func compileCampaign(c Campaign, master uint64) ([]compiledScenario, error) {
 	comp := make([]compiledScenario, len(c.Scenarios))
 	for i := range c.Scenarios {
 		s := &c.Scenarios[i]
+		opts, err := s.options()
+		if err != nil {
+			return nil, err
+		}
 		prof, err := core.ProfileByName(s.Profile)
 		if err != nil {
 			return nil, err
 		}
-		resolved, topo, err := core.ResolveProfile(prof, s.options()...)
+		resolved, topo, err := core.ResolveProfile(prof, opts...)
 		if err != nil {
 			return nil, err
 		}

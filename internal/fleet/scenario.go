@@ -104,19 +104,15 @@ func (s Scenario) Validate() error {
 	if s.Horizon <= 0 {
 		return fmt.Errorf("fleet: scenario %q: horizon must be >= 1 tick (got %d)", s.Name, s.Horizon)
 	}
-	// The policy must parse before options() may assemble it (options
-	// panics on a bad policy precisely because Validate owns this
-	// error path).
-	if s.Policy != "" {
-		if _, err := sched.ParsePolicy(s.Policy); err != nil {
-			return fmt.Errorf("fleet: scenario %q: %w", s.Name, err)
-		}
+	opts, err := s.options()
+	if err != nil {
+		return fmt.Errorf("fleet: scenario %q: %w", s.Name, err)
 	}
 	prof, err := core.ProfileByName(s.Profile)
 	if err != nil {
 		return fmt.Errorf("fleet: scenario %q: %w", s.Name, err)
 	}
-	resolved, topo, err := core.ResolveProfile(prof, s.options()...)
+	resolved, topo, err := core.ResolveProfile(prof, opts...)
 	if err != nil {
 		return fmt.Errorf("fleet: scenario %q: %w", s.Name, err)
 	}
@@ -154,8 +150,9 @@ func (s Scenario) Validate() error {
 }
 
 // options assembles the core cluster-build options the scenario
-// describes.
-func (s Scenario) options() []core.Option {
+// describes. A policy that does not parse is an error, never the
+// profile's default policy.
+func (s Scenario) options() ([]core.Option, error) {
 	opts := []core.Option{core.WithTopology(s.topology())}
 	for _, name := range s.Ablate {
 		opts = append(opts, core.Without(name))
@@ -163,10 +160,7 @@ func (s Scenario) options() []core.Option {
 	if s.Policy != "" {
 		pol, err := sched.ParsePolicy(s.Policy)
 		if err != nil {
-			// Validate reports this case with context; reaching here
-			// without Validate must fail loudly, not silently run the
-			// profile's default policy.
-			panic(err)
+			return nil, err
 		}
 		opts = append(opts, core.WithMeasures(core.Measure{
 			Name:    "fleet-policy-" + s.Policy,
@@ -174,7 +168,7 @@ func (s Scenario) options() []core.Option {
 			Apply:   func(cfg *core.Config) { cfg.Policy = pol },
 		}))
 	}
-	return opts
+	return opts, nil
 }
 
 // TrialSeed derives the RNG seed of replication rep under the given

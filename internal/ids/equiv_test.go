@@ -258,6 +258,62 @@ func TestLazyEagerResetEquivalence(t *testing.T) {
 	}
 }
 
+// Running a trial, resetting, and running it again (twice) must leave
+// the registry observably identical to one that ran the trial once,
+// under either materialization schedule: the same users, UIDs, GIDs
+// and groups. The trial sizes cover one that fits the name index as
+// marked and ones that grow it once and many times over.
+func TestLazyEagerResetReregisterEquivalence(t *testing.T) {
+	trial := func(r *Registry, n int, eagerly bool) {
+		for i := 0; i < n; i++ {
+			if _, err := r.Register(fmt.Sprintf("trial%d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := r.AddUser("trial-active"); err != nil {
+			t.Fatal(err)
+		}
+		steward, err := r.UserByName("trial0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.AddProjectGroup("trial-proj", steward.UID); err != nil {
+			t.Fatal(err)
+		}
+		if eagerly {
+			touchAll(t, r)
+		}
+	}
+	for _, tc := range []struct {
+		n    int
+		grow bool
+	}{{4, false}, {60, true}, {200, true}} {
+		want := NewRegistry()
+		script(t, want, false)
+		want.MarkPristine()
+		trial(want, tc.n, false)
+		w := observe(t, want)
+
+		for _, eagerly := range []bool{true, false} {
+			r := NewRegistry()
+			script(t, r, eagerly)
+			r.MarkPristine()
+			marked := len(r.names.slots)
+			trial(r, tc.n, eagerly)
+			if grew := len(r.names.slots) != marked; grew != tc.grow {
+				t.Fatalf("n=%d eager=%v: trial grew the name index = %v, want %v", tc.n, eagerly, grew, tc.grow)
+			}
+			for k := 0; k < 2; k++ {
+				r.Reset()
+				trial(r, tc.n, eagerly)
+			}
+			if got := observe(t, r); !reflect.DeepEqual(got, w) {
+				t.Fatalf("n=%d eager=%v: re-registered trial diverges from a single run:\ngot:  %+v\nwant: %+v", tc.n, eagerly, got, w)
+			}
+		}
+	}
+}
+
 // TestLazyErrorIdentity pins the error classes the lazy fallbacks must
 // preserve: operations on a never-materialized private group behave
 // exactly like on a materialized one.

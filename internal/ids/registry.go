@@ -31,10 +31,10 @@ type Registry struct {
 	// primaries are strictly increasing and a GID→owner lookup is a
 	// binary search.
 	descs   []userDesc
+	names   nameIndex      // every user but root, eager: the duplicate-name check needs it
 	users   map[UID]*User  // root + materialized users (cache over descs)
-	byName  map[string]UID // every user, eager: the duplicate-name check needs it
 	groups  map[GID]*Group // root + project groups + materialized private groups
-	gByName map[string]GID // root + project groups (private names resolve via byName)
+	gByName map[string]GID // root + project groups (private names resolve via names)
 	// gen counts logical mutations — registrations and group changes,
 	// not cache materialization — so Reset on a registry whose state
 	// matches the pristine mark is O(1).
@@ -85,8 +85,8 @@ var (
 // root's group (gid 0).
 func NewRegistry() *Registry {
 	r := &Registry{
+		names:   newNameIndex(),
 		users:   make(map[UID]*User),
-		byName:  make(map[string]UID),
 		groups:  make(map[GID]*Group),
 		gByName: make(map[string]GID),
 	}
@@ -98,9 +98,9 @@ func NewRegistry() *Registry {
 // Caller holds r.mu (or owns the registry exclusively).
 func (r *Registry) resetToFreshLocked() {
 	r.nextUID, r.nextGID = uidBase, gidBase
-	r.descs = nil
+	r.descs = r.descs[:0]
+	r.names.reset(r.descs)
 	clear(r.users)
-	clear(r.byName)
 	clear(r.groups)
 	clear(r.gByName)
 	r.groups[RootGroup] = &Group{
@@ -109,7 +109,6 @@ func (r *Registry) resetToFreshLocked() {
 	}
 	r.gByName["root"] = RootGroup
 	r.users[Root] = &User{UID: Root, Name: "root", Primary: RootGroup, HomePath: "/root"}
-	r.byName["root"] = Root
 	r.gen = 0
 }
 
@@ -156,10 +155,13 @@ func (r *Registry) MarkPristine() {
 // Reset rewinds the registry to the MarkPristine state (or to the
 // NewRegistry state if no mark was taken): users and groups created
 // since are dropped, membership changes to pristine groups are rolled
-// back, and ID numbering restarts at the marked counters. The cost is
-// O(state touched since the mark); when nothing was logically mutated
-// (materializing cached views does not count) it returns immediately,
-// so pooled XXL trials pay nothing for untouched registries.
+// back, and ID numbering restarts at the marked counters. Dropping
+// users costs a memclr of the name index plus one reinsert per pristine
+// user, and allocates nothing, so the next trial's registrations reuse
+// the descriptor and name-index capacity. When nothing was logically
+// mutated (materializing cached views does not count) it returns
+// immediately, so pooled XXL trials pay nothing for untouched
+// registries.
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -175,10 +177,8 @@ func (r *Registry) Reset() {
 		// the meantime all describe pristine users, so they stay.
 		return
 	}
-	for _, d := range r.descs[m.descs:] {
-		delete(r.byName, d.name)
-	}
 	r.descs = r.descs[:m.descs]
+	r.names.reset(r.descs)
 	for uid := range r.users {
 		if uid >= m.nextUID {
 			delete(r.users, uid)
@@ -215,7 +215,9 @@ func (r *Registry) Register(name string) (UID, error) {
 }
 
 func (r *Registry) registerLocked(name string) (UID, error) {
-	if _, dup := r.byName[name]; dup {
+	// One probe serves as both the duplicate check and the insert slot.
+	slot, dup := r.names.find(r.descs, name)
+	if dup || name == "root" {
 		return NoUID, fmt.Errorf("%w: user %q", ErrExists, name)
 	}
 	if _, dup := r.gByName[name]; dup {
@@ -226,7 +228,7 @@ func (r *Registry) registerLocked(name string) (UID, error) {
 	r.nextUID++
 	r.nextGID++
 	r.descs = append(r.descs, userDesc{name: name, primary: gid})
-	r.byName[name] = uid
+	r.names.add(r.descs, slot)
 	r.gen++
 	return uid, nil
 }
@@ -261,6 +263,19 @@ func (r *Registry) ownerOf(gid GID) (UID, *userDesc, bool) {
 		return NoUID, nil, false
 	}
 	return uidBase + UID(i), &r.descs[i], true
+}
+
+// uidByName resolves a login name without materializing the user.
+// Caller holds r.mu in either mode.
+func (r *Registry) uidByName(name string) (UID, bool) {
+	if name == "root" {
+		return Root, true
+	}
+	slot, ok := r.names.find(r.descs, name)
+	if !ok {
+		return NoUID, false
+	}
+	return uidBase + UID(r.names.slots[slot]-1), true
 }
 
 // hasUser reports whether uid names an existing user, materialized or
@@ -325,7 +340,7 @@ func (r *Registry) AddProjectGroup(name string, stewards ...UID) (*Group, error)
 	}
 	// User-private groups share their owner's name, so a user name
 	// also blocks the group namespace.
-	if _, dup := r.byName[name]; dup {
+	if _, dup := r.uidByName(name); dup {
 		return nil, fmt.Errorf("%w: group %q", ErrExists, name)
 	}
 	for _, s := range stewards {
@@ -420,7 +435,7 @@ func (r *Registry) User(uid UID) (*User, error) {
 // UserByName resolves a login name.
 func (r *Registry) UserByName(name string) (*User, error) {
 	r.mu.RLock()
-	uid, ok := r.byName[name]
+	uid, ok := r.uidByName(name)
 	r.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchUser, name)
@@ -447,7 +462,7 @@ func (r *Registry) GroupByName(name string) (*Group, error) {
 	gid, ok := r.gByName[name]
 	if !ok {
 		// A user-private group carries its owner's name.
-		if uid, isUser := r.byName[name]; isUser {
+		if uid, isUser := r.uidByName(name); isUser {
 			if d, dok := r.descOf(uid); dok {
 				gid, ok = d.primary, true
 			}

@@ -106,7 +106,7 @@ func TestTrialSeedKeying(t *testing.T) {
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	for _, camp := range []Campaign{smokeCampaign(), e16AblationDrainCampaign()} {
 		var want []byte
-		for _, workers := range []int{1, 4, 8} {
+		for _, workers := range []int{1, 2, 4, 8} {
 			res, err := Run(camp, Options{Workers: workers, Seed: 7})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", camp.Name, workers, err)

@@ -25,7 +25,7 @@ func TestPoolingEquivalenceSweep(t *testing.T) {
 		t.Run(camp.Name, func(t *testing.T) {
 			var want []byte
 			for _, pooled := range []bool{false, true} {
-				for _, workers := range []int{1, 4} {
+				for _, workers := range []int{1, 2, 4} {
 					res, err := Run(camp, Options{Workers: workers, Seed: 7, DisablePooling: !pooled})
 					if err != nil {
 						t.Fatalf("pooled=%v workers=%d: %v", pooled, workers, err)

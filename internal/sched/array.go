@@ -27,20 +27,14 @@ func (s *Scheduler) SetUserLimit(limit int) {
 	s.gen++
 }
 
-// activeJobsLocked counts pending+running jobs of uid from the
-// incrementally maintained per-user counter — O(1), so submitting a
-// 10k-task array stays linear in the array size. Caller holds s.mu.
-func (s *Scheduler) activeJobsLocked(uid ids.UID) int {
-	return s.activeByUser[uid]
-}
-
 // checkUserLimitLocked validates a submission of extra jobs against
-// the cap. Caller holds s.mu.
+// the cap, in O(1) from the per-user active counter — so submitting a
+// 10k-task array stays linear in the array size. Caller holds s.mu.
 func (s *Scheduler) checkUserLimitLocked(uid ids.UID, extra int) error {
 	if s.userLimit <= 0 || uid == ids.Root {
 		return nil
 	}
-	if s.activeJobsLocked(uid)+extra > s.userLimit {
+	if s.activeByUser[uid]+extra > s.userLimit {
 		return fmt.Errorf("%w: uid %d limit %d", ErrUserLimit, uid, s.userLimit)
 	}
 	return nil
@@ -83,8 +77,9 @@ func (s *Scheduler) SubmitArray(cred ids.Credential, spec JobSpec, count int) ([
 			return nil, err
 		}
 		s.mu.Lock()
-		s.jobs[j.ID].ArrayID = arrayID
-		s.jobs[j.ID].ArrayIndex = i
+		if tj, err := s.lookup(j.ID); err == nil {
+			tj.ArrayID, tj.ArrayIndex = arrayID, i
+		}
 		j.ArrayID, j.ArrayIndex = arrayID, i
 		s.mu.Unlock()
 		jobs = append(jobs, j)
@@ -92,14 +87,14 @@ func (s *Scheduler) SubmitArray(cred ids.Credential, spec JobSpec, count int) ([
 	return jobs, nil
 }
 
-// CancelArray cancels every live task of an array owned by actor.
-// Returns how many tasks were cancelled.
+// CancelArray cancels every live task of an array owned by actor, in
+// job-ID order. Returns how many tasks were cancelled.
 func (s *Scheduler) CancelArray(actor ids.Credential, arrayID int) (int, error) {
 	s.mu.Lock()
 	var victims []int
-	for id, j := range s.jobs {
+	for _, j := range s.jobs {
 		if j.ArrayID == arrayID && (j.State == Pending || j.State == Running) {
-			victims = append(victims, id)
+			victims = append(victims, j.ID)
 		}
 	}
 	s.mu.Unlock()

@@ -79,6 +79,26 @@ func TestCancelArray(t *testing.T) {
 	if _, err := s.CancelArray(cred(1000), arrayID); !errors.Is(err, ErrNoSuchJob) {
 		t.Errorf("re-cancel err = %v", err)
 	}
+
+	// Tasks are cancelled in job-ID order, so the Sacct rows (and the
+	// epilog calls) come out identically on every run.
+	for run := 0; run < 10; run++ {
+		s := New(Config{}, computeNodes(2, 4, 1000), 0)
+		jobs, err := s.SubmitArray(cred(1000), spec(1, 50), 24)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Step() // 8 tasks start, 16 stay pending
+		if _, err := s.CancelArray(cred(1000), jobs[0].ArrayID); err != nil {
+			t.Fatal(err)
+		}
+		recs := s.Sacct(ids.RootCred())
+		for i := 1; i < len(recs); i++ {
+			if recs[i-1].JobID >= recs[i].JobID {
+				t.Fatalf("run %d: Sacct job IDs not ascending: %d before %d", run, recs[i-1].JobID, recs[i].JobID)
+			}
+		}
+	}
 }
 
 func TestUserLimitEnforced(t *testing.T) {

@@ -9,37 +9,6 @@ import (
 	"repro/internal/metrics"
 )
 
-// checkCalendar asserts the completion calendar and the running index
-// describe the same set of jobs, and every live entry is keyed at
-// Start+Duration.
-func checkCalendar(t *testing.T, s *Scheduler, when string) {
-	t.Helper()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	live := make(map[int]int64) // jobID -> due
-	for _, e := range s.calendar {
-		if e.job.State != Running {
-			continue // lazily deleted
-		}
-		if _, dup := live[e.job.ID]; dup {
-			t.Fatalf("%s: job %d twice in calendar", when, e.job.ID)
-		}
-		live[e.job.ID] = e.due
-	}
-	if len(live) != len(s.runningSorted) {
-		t.Fatalf("%s: calendar holds %d live jobs, running index %d", when, len(live), len(s.runningSorted))
-	}
-	for _, j := range s.runningSorted {
-		due, ok := live[j.ID]
-		if !ok {
-			t.Fatalf("%s: running job %d missing from calendar", when, j.ID)
-		}
-		if want := j.Start + j.Spec.Duration; due != want {
-			t.Fatalf("%s: job %d due %d, want Start+Duration %d", when, j.ID, due, want)
-		}
-	}
-}
-
 // TestCalendarHeapOrder: pops come out (due, ID)-ordered regardless
 // of push order.
 func TestCalendarHeapOrder(t *testing.T) {
@@ -89,10 +58,10 @@ func TestCalendarTracksRunning(t *testing.T) {
 		default:
 			s.Step()
 		}
-		checkCalendar(t, s, "mid-campaign")
+		checkIndexes(t, s, "mid-campaign")
 	}
 	s.RunAll(10000)
-	checkCalendar(t, s, "after drain")
+	checkIndexes(t, s, "after drain")
 	s.mu.Lock()
 	if _, ok := s.calendar.nextDue(); ok {
 		t.Error("nextDue reports an event on an idle cluster")
@@ -128,7 +97,8 @@ func TestRunAllFastForward(t *testing.T) {
 		slow.Step()
 		slowTicks = tick + 1
 		slow.mu.Lock()
-		idle := slow.queue.Len() == 0 && len(slow.runningSorted) == 0
+		_, running := slow.calendar.nextDue()
+		idle := !running && len(slow.pending) == 0
 		slow.mu.Unlock()
 		if idle {
 			break
@@ -213,6 +183,6 @@ func TestRunAllConcurrentObservers(t *testing.T) {
 	if n := s.PendingCount(); n != 0 {
 		t.Errorf("queue not drained: %d", n)
 	}
-	checkCalendar(t, s, "after concurrent drain")
+	checkIndexes(t, s, "after concurrent drain")
 	checkAggregates(t, s, "after concurrent drain")
 }

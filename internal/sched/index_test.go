@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/ids"
@@ -20,56 +22,72 @@ func idxCred(uid ids.UID) ids.Credential {
 	return ids.Credential{UID: uid, EGID: ids.GID(uid), Groups: []ids.GID{ids.GID(uid)}}
 }
 
+// checkIndexes recomputes every live index from the job table and
+// asserts the scheduler's copy matches: pending is exactly the Pending
+// jobs in ID order; the calendar's live entries are exactly the
+// Running jobs, each once and due at Start+Duration; each node's jobs
+// are ID-sorted and are the Running jobs placed there; and the
+// per-user active counter counts the Pending and Running jobs.
+func checkIndexes(t *testing.T, s *Scheduler, when string) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var pending []*Job
+	due := make(map[*Job]int64)
+	onNode := make(map[*nodeState][]*Job)
+	active := make(map[ids.UID]int)
+	for i, j := range s.jobs {
+		if j.ID != i+1 {
+			t.Fatalf("%s: job table slot %d holds job %d", when, i, j.ID)
+		}
+		switch j.State {
+		case Pending:
+			pending = append(pending, j)
+		case Running:
+			due[j] = j.Start + j.Spec.Duration
+			for _, name := range j.Nodes {
+				onNode[s.byName[name]] = append(onNode[s.byName[name]], j)
+			}
+		default:
+			continue
+		}
+		active[j.User]++
+	}
+	if !slices.Equal(s.pending, pending) {
+		t.Fatalf("%s: pending = %v, want the Pending jobs %v", when, s.pending, pending)
+	}
+	for _, e := range s.calendar {
+		if e.job.State != Running {
+			continue // stale: deleted lazily
+		}
+		want, ok := due[e.job]
+		if !ok {
+			t.Fatalf("%s: job %d twice in the calendar", when, e.job.ID)
+		}
+		if e.due != want {
+			t.Fatalf("%s: job %d due %d, want Start+Duration %d", when, e.job.ID, e.due, want)
+		}
+		delete(due, e.job)
+	}
+	if len(due) != 0 {
+		t.Fatalf("%s: %d Running jobs missing from the calendar", when, len(due))
+	}
+	for _, ns := range s.nodes {
+		if !slices.Equal(ns.jobs, onNode[ns]) {
+			t.Fatalf("%s: node %s jobs = %v, want %v", when, ns.node.Name, ns.jobs, onNode[ns])
+		}
+	}
+	if !maps.Equal(s.activeByUser, active) {
+		t.Fatalf("%s: active counter %v, recomputed %v", when, s.activeByUser, active)
+	}
+}
+
 // TestRunningIndexConsistency drives a mixed submit/cancel/run
-// lifecycle and checks the pending-queue and running indexes always
-// agree with the authoritative job states.
+// lifecycle and checks the live indexes always agree with the
+// authoritative job states.
 func TestRunningIndexConsistency(t *testing.T) {
 	s := indexCluster(t)
 	alice, bob := idxCred(1000), idxCred(2000)
-
-	check := func(when string) {
-		t.Helper()
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.queue.Len() != len(s.queueElem) {
-			t.Fatalf("%s: queue len %d != index %d", when, s.queue.Len(), len(s.queueElem))
-		}
-		for e := s.queue.Front(); e != nil; e = e.Next() {
-			j := e.Value.(*Job)
-			if j.State != Pending {
-				t.Fatalf("%s: job %d in queue with state %v", when, j.ID, j.State)
-			}
-		}
-		for i, j := range s.runningSorted {
-			if j.State != Running {
-				t.Fatalf("%s: job %d in running index with state %v", when, j.ID, j.State)
-			}
-			if i > 0 && s.runningSorted[i-1].ID >= j.ID {
-				t.Fatalf("%s: running index not ID-sorted", when)
-			}
-		}
-		nRunning := 0
-		active := make(map[ids.UID]int)
-		for _, j := range s.jobs {
-			if j.State == Running {
-				nRunning++
-			}
-			if j.State == Pending || j.State == Running {
-				active[j.User]++
-			}
-		}
-		if nRunning != len(s.runningSorted) {
-			t.Fatalf("%s: %d Running jobs but index holds %d", when, nRunning, len(s.runningSorted))
-		}
-		if len(active) != len(s.activeByUser) {
-			t.Fatalf("%s: active users %d != counter map %d", when, len(active), len(s.activeByUser))
-		}
-		for uid, n := range active {
-			if s.activeByUser[uid] != n {
-				t.Fatalf("%s: uid %d active %d, counter says %d", when, uid, n, s.activeByUser[uid])
-			}
-		}
-	}
 
 	var jobs []*Job
 	for i := 0; i < 6; i++ {
@@ -83,32 +101,27 @@ func TestRunningIndexConsistency(t *testing.T) {
 		}
 		jobs = append(jobs, j)
 	}
-	check("after submits")
+	checkIndexes(t, s, "after submits")
 
-	// Cancel a pending job from the middle of the queue: O(1) unlink
-	// must leave the rest intact.
+	// Cancel a pending job from the middle of the queue: the removal
+	// must leave the rest intact and in order.
 	if err := s.Cancel(bob, jobs[3].ID); err != nil {
 		t.Fatal(err)
 	}
-	check("after pending cancel")
+	checkIndexes(t, s, "after pending cancel")
 
 	s.Step()
-	check("after first step")
+	checkIndexes(t, s, "after first step")
 	if err := s.Cancel(alice, jobs[0].ID); err != nil { // running cancel
 		t.Fatal(err)
 	}
-	check("after running cancel")
+	checkIndexes(t, s, "after running cancel")
 
 	s.RunAll(100)
-	check("after drain")
+	checkIndexes(t, s, "after drain")
 	if s.PendingCount() != 0 {
 		t.Errorf("queue not drained: %d", s.PendingCount())
 	}
-	s.mu.Lock()
-	if len(s.runningSorted) != 0 {
-		t.Errorf("running index not empty after drain: %d", len(s.runningSorted))
-	}
-	s.mu.Unlock()
 }
 
 // TestSqueueMatchesJobStates: the index-backed Squeue must return

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"slices"
+
 	"repro/internal/ids"
 	"repro/internal/simos"
 )
@@ -201,10 +203,7 @@ func (s *Scheduler) applyPlace(ns *nodeState, j *Job, cores int) {
 	ns.usedCores += cores
 	ns.usedMem += j.Spec.MemB
 	ns.usedGPUs += j.Spec.GPUs
-	if ns.jobs == nil {
-		ns.jobs = make(map[int]*Job, 4)
-	}
-	ns.jobs[j.ID] = j
+	ns.jobs = slices.Insert(ns.jobs, searchID(ns.jobs, j.ID), j)
 	ns.addUser(j.User)
 	ns.memCommit += effMemB(j)
 	if j.Spec.ActualMemB > ns.node.MemB {
@@ -228,7 +227,8 @@ func (s *Scheduler) applyRelease(ns *nodeState, j *Job, cores int) {
 	ns.usedCores -= cores
 	ns.usedMem -= j.Spec.MemB
 	ns.usedGPUs -= j.Spec.GPUs
-	delete(ns.jobs, j.ID)
+	i := searchID(ns.jobs, j.ID)
+	ns.jobs = slices.Delete(ns.jobs, i, i+1)
 	ns.delUser(j.User)
 	ns.memCommit -= effMemB(j)
 	if j.Spec.ActualMemB > ns.node.MemB {

@@ -96,10 +96,12 @@ func checkAggregates(t *testing.T, s *Scheduler, when string) {
 		t.Fatalf("%s: armedNodes = %d, recomputed %d", when, s.armedNodes, armed)
 	}
 
-	// busyCores mirrors the running set.
+	// busyCores mirrors the running set: the calendar's live entries.
 	var busy int64
-	for _, j := range s.runningSorted {
-		busy += int64(j.Spec.Cores)
+	for _, e := range s.calendar {
+		if e.job.State == Running {
+			busy += int64(e.job.Spec.Cores)
+		}
 	}
 	if s.busyCores != busy {
 		t.Fatalf("%s: busyCores = %d, running sum %d", when, s.busyCores, busy)
@@ -171,9 +173,11 @@ func TestAggregateInvariants(t *testing.T) {
 					s.Step()
 				}
 				checkAggregates(t, s, "mid-campaign")
+				checkIndexes(t, s, "mid-campaign")
 			}
 			s.RunAll(10000)
 			checkAggregates(t, s, "after drain")
+			checkIndexes(t, s, "after drain")
 			if n := s.PendingCount(); n != 0 {
 				t.Errorf("queue not drained: %d", n)
 			}
@@ -204,8 +208,7 @@ func TestProbeNeverRejectsPlaceable(t *testing.T) {
 		}
 		for tick := 0; tick < 200; tick++ {
 			s.mu.Lock()
-			for e := s.queue.Front(); e != nil; e = e.Next() {
-				j := e.Value.(*Job)
+			for _, j := range s.pending {
 				part := s.partitionOf(j)
 				if s.fit(j) && !s.probe(j, s.scopeFor(part), s.effectivePolicy(j)) {
 					s.mu.Unlock()
@@ -235,7 +238,7 @@ func TestFitAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	j := s.jobs[blocked.ID]
+	j := s.jobs[blocked.ID-1]
 	s.mu.Unlock()
 	allocs := testing.AllocsPerRun(100, func() {
 		s.mu.Lock()
@@ -310,7 +313,7 @@ func TestPartitionScopeProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	j := s.jobs[blocked.ID]
+	j := s.jobs[blocked.ID-1]
 	if s.probe(j, s.scopeFor(s.partitionOf(j)), s.effectivePolicy(j)) {
 		s.mu.Unlock()
 		t.Fatal("probe admitted a job on a full partition")

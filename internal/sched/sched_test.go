@@ -113,8 +113,22 @@ func TestCancelPendingAndRunning(t *testing.T) {
 	if g1.State != Cancelled || g2.State != Cancelled {
 		t.Errorf("states = %v %v", g1.State, g2.State)
 	}
-	if err := s.Cancel(ids.RootCred(), 999); !errors.Is(err, ErrNoSuchJob) {
-		t.Errorf("missing job err = %v", err)
+	// Bad IDs: out of range either way, and an ID issued before a Reset
+	// that the rewound scheduler has not reissued yet.
+	s.Reset()
+	if _, err := s.Submit(cred(1000), spec(1, 10)); err != nil { // reissues ID 1 only
+		t.Fatal(err)
+	}
+	for _, id := range []int{0, -1, 999, j2.ID} {
+		for name, call := range map[string]func() error{
+			"Job":     func() error { _, err := s.Job(id); return err },
+			"JobView": func() error { _, err := s.JobView(ids.RootCred(), id); return err },
+			"Cancel":  func() error { return s.Cancel(ids.RootCred(), id) },
+		} {
+			if err := call(); !errors.Is(err, ErrNoSuchJob) {
+				t.Errorf("%s(%d) err = %v, want ErrNoSuchJob", name, id, err)
+			}
+		}
 	}
 }
 

@@ -1,9 +1,10 @@
 package sched
 
 import (
-	"container/list"
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -45,10 +46,8 @@ type nodeState struct {
 	usedMem   int64
 	usedGPUs  int
 	totalGPUs int
-	// jobs is allocated lazily on first placement so an untouched node
-	// costs no map at construction.
-	jobs  map[int]*Job
-	users []userCount // per-user #jobs on node, unordered
+	jobs      []*Job      // jobs placed on the node, ID-sorted
+	users     []userCount // per-user #jobs on node, unordered
 	// scopes are the capacity aggregates this node contributes to
 	// (the default scope plus any partitions containing it); nil for
 	// non-compute nodes.
@@ -109,36 +108,31 @@ func (ns *nodeState) userJobs(u ids.UID) int {
 
 // Scheduler is the cluster batch scheduler.
 //
+// Each job is stored once, in the job table, and referenced from the
+// one live index its state calls for: the pending slice while Pending,
+// the completion calendar (and the nodes it occupies) while Running.
 // The per-tick hot path is event-driven rather than scan-based (see
-// placement.go and calendar.go): pending jobs live in a linked list
-// with a jobID→element map, running jobs are indexed both ID-sorted
-// (for deterministic iteration) and in a completion calendar keyed by
-// their end tick, and capacity aggregates reject unplaceable jobs —
-// or skip the whole scheduling pass — without walking nodes. Step
-// never scans the full historical s.jobs map.
+// placement.go and calendar.go): the calendar pops exactly the due
+// jobs, and capacity aggregates reject unplaceable jobs — or skip the
+// whole scheduling pass — without walking nodes. Step never scans the
+// job table.
 type Scheduler struct {
 	Cfg Config
 
 	mu         sync.Mutex
 	now        int64
-	nextID     int
 	nodes      []*nodeState
 	byName     map[string]*nodeState
 	partitions map[string]*Partition
-	userLimit  int        // max active jobs per user; 0 = unlimited
-	nextArray  int        // next array id (starts at 1)
-	queue      *list.List // pending *Job, submit order
-	queueElem  map[int]*list.Element
-	jobs       map[int]*Job // every job ever submitted, by ID
-	// runningSorted indexes jobs in state Running, kept ID-sorted
-	// incrementally (inserted on start, removed on finish). It is the
-	// single authority on the running set — len() is the count, range
-	// is the deterministic iteration order (Squeue still sorts its
-	// small merged pending+running result: backfill interleaves the
-	// two ID sequences).
-	runningSorted []*Job
-	// calendar schedules completions by end tick, with lazy deletion;
-	// due is its reusable pop buffer.
+	userLimit  int // max active jobs per user; 0 = unlimited
+	nextArray  int // next array id (starts at 1)
+	// jobs is the job table: every job since New or Reset at index
+	// ID-1 (IDs are dense from 1, so the next ID is len(jobs)+1).
+	jobs    []*Job
+	pending []*Job // the Pending jobs in submit order, i.e. ID order
+	// calendar schedules completions by end tick and is the running
+	// set: each start pushes one entry, and entries whose job is no
+	// longer Running are stale. due is its reusable pop buffer.
 	calendar calendar
 	due      []*Job
 	// activeByUser counts each user's pending+running jobs (the QoS
@@ -205,12 +199,8 @@ var (
 func New(cfg Config, nodes []*simos.Node, gpusPerNode int) *Scheduler {
 	s := &Scheduler{
 		Cfg:          cfg,
-		nextID:       1,
 		nextArray:    1,
 		byName:       make(map[string]*nodeState),
-		queue:        list.New(),
-		queueElem:    make(map[int]*list.Element),
-		jobs:         make(map[int]*Job),
 		activeByUser: make(map[ids.UID]int),
 	}
 	for _, n := range nodes {
@@ -231,13 +221,22 @@ func New(cfg Config, nodes []*simos.Node, gpusPerNode int) *Scheduler {
 			n.AddPAMHook(s.pamSlurmHook())
 		}
 	}
+	// A job takes at least one core on each node it runs on, so a
+	// node's job list never outgrows its core count: carve every list
+	// out of one array here instead of growing each on the hot path.
+	lists := make([]*Job, s.computeCores)
+	for _, ns := range s.nodes {
+		if ns.node.Kind == simos.Compute {
+			ns.jobs, lists = lists[:0:ns.node.Cores], lists[ns.node.Cores:]
+		}
+	}
 	s.lastDown = make([]bool, len(s.nodes))
 	s.defaultScope = s.enrollScope(func(*nodeState) bool { return true })
 	return s
 }
 
 // Reset rewinds the scheduler to its freshly-constructed state: time
-// and job/array numbering restart, the pending queue, running index,
+// and job/array numbering restart, the job table, pending queue,
 // completion calendar, accounting records, per-user activity counts
 // and crash counters empty out, every node's allocations clear, and
 // the capacity aggregates are rebuilt over the (again empty) nodes.
@@ -260,13 +259,13 @@ func (s *Scheduler) Reset() {
 	}
 	s.gen = 0
 	s.now = 0
-	s.nextID = 1
 	s.nextArray = 1
 	s.userLimit = 0
-	s.queue.Init()
-	clear(s.queueElem)
 	clear(s.jobs)
-	s.runningSorted = s.runningSorted[:0]
+	s.jobs = s.jobs[:0]
+	clear(s.pending)
+	s.pending = s.pending[:0]
+	clear(s.calendar)
 	s.calendar = s.calendar[:0]
 	s.due = s.due[:0]
 	clear(s.activeByUser)
@@ -283,6 +282,7 @@ func (s *Scheduler) Reset() {
 	for _, ns := range s.nodes {
 		ns.usedCores, ns.usedMem, ns.usedGPUs = 0, 0, 0
 		clear(ns.jobs)
+		ns.jobs = ns.jobs[:0]
 		ns.users = ns.users[:0]
 		ns.memCommit, ns.overCount = 0, 0
 		ns.scopes = ns.scopes[:0]
@@ -354,7 +354,7 @@ func (s *Scheduler) Submit(cred ids.Credential, spec JobSpec) (*Job, error) {
 		return nil, fmt.Errorf("%w: %d gpus/node > node max %d", ErrUnsatisfiable, spec.GPUs, s.maxNodeGPUs)
 	}
 	j := &Job{
-		ID:     s.nextID,
+		ID:     len(s.jobs) + 1,
 		User:   cred.UID,
 		Cred:   cred.Clone(),
 		Spec:   spec,
@@ -362,10 +362,9 @@ func (s *Scheduler) Submit(cred ids.Credential, spec JobSpec) (*Job, error) {
 		Submit: s.now,
 		Tasks:  make(map[string]int),
 	}
-	s.nextID++
 	s.gen++
-	s.jobs[j.ID] = j
-	s.queueElem[j.ID] = s.queue.PushBack(j)
+	s.jobs = append(s.jobs, j)
+	s.pending = append(s.pending, j)
 	s.activeByUser[j.User]++
 	s.queueBlocked = false // a new job may fit holes the rest cannot
 	return j.Clone(), nil
@@ -377,9 +376,9 @@ func (s *Scheduler) Submit(cred ids.Credential, spec JobSpec) (*Job, error) {
 func (s *Scheduler) Cancel(actor ids.Credential, jobID int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[jobID]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoSuchJob, jobID)
+	j, err := s.lookup(jobID)
+	if err != nil {
+		return err
 	}
 	if !actor.IsRoot() && actor.UID != j.User {
 		return fmt.Errorf("%w: job %d", ErrNotOwner, jobID)
@@ -389,7 +388,8 @@ func (s *Scheduler) Cancel(actor ids.Credential, jobID int) error {
 		j.State = Cancelled
 		j.End = s.now
 		s.gen++
-		s.dequeue(j)
+		i := searchID(s.pending, j.ID)
+		s.pending = slices.Delete(s.pending, i, i+1)
 		s.decActiveLocked(j.User)
 		s.account(j)
 	case Running:
@@ -410,31 +410,20 @@ func (s *Scheduler) decActiveLocked(uid ids.UID) {
 	}
 }
 
-// dequeue removes a job from the pending queue in O(1) via the
-// jobID→element index. Caller holds s.mu.
-func (s *Scheduler) dequeue(j *Job) {
-	if e, ok := s.queueElem[j.ID]; ok {
-		s.queue.Remove(e)
-		delete(s.queueElem, j.ID)
-	}
-}
-
-// startRunningLocked indexes a job that just entered state Running.
-// Caller holds s.mu.
-func (s *Scheduler) startRunningLocked(j *Job) {
-	i := sort.Search(len(s.runningSorted), func(k int) bool { return s.runningSorted[k].ID >= j.ID })
-	s.runningSorted = append(s.runningSorted, nil)
-	copy(s.runningSorted[i+1:], s.runningSorted[i:])
-	s.runningSorted[i] = j
-}
-
-// stopRunningLocked drops a job that just left state Running. Caller
+// lookup returns the job with the given ID from the job table. Caller
 // holds s.mu.
-func (s *Scheduler) stopRunningLocked(j *Job) {
-	i := sort.Search(len(s.runningSorted), func(k int) bool { return s.runningSorted[k].ID >= j.ID })
-	if i < len(s.runningSorted) && s.runningSorted[i].ID == j.ID {
-		s.runningSorted = append(s.runningSorted[:i], s.runningSorted[i+1:]...)
+func (s *Scheduler) lookup(id int) (*Job, error) {
+	if id < 1 || id > len(s.jobs) {
+		return nil, fmt.Errorf("%w: %d", ErrNoSuchJob, id)
 	}
+	return s.jobs[id-1], nil
+}
+
+// searchID returns where job id sits, or would be inserted, in the
+// ID-sorted js.
+func searchID(js []*Job, id int) int {
+	i, _ := slices.BinarySearchFunc(js, id, func(j *Job, id int) int { return cmp.Compare(j.ID, id) })
+	return i
 }
 
 // Step advances logical time by one tick: finish jobs whose time is
@@ -478,10 +467,8 @@ func (s *Scheduler) stepLocked() int {
 				s.queueBlocked = false // restored capacity
 			}
 		}
-		if down && len(ns.jobs) > 0 {
-			for _, j := range jobsSorted(ns.jobs) {
-				s.finish(j, Failed)
-			}
+		for down && len(ns.jobs) > 0 { // finish drops the head, lowest ID first
+			s.finish(ns.jobs[0], Failed)
 		}
 	}
 	// 2b. OOM fault injection: jobs that exceed their request blow up
@@ -498,17 +485,20 @@ func (s *Scheduler) stepLocked() int {
 	// backfill holes). Skipped outright when nothing changed since
 	// the last failed pass (queueBlocked) or the cluster has no free
 	// core anywhere — the full-cluster steady state of a drain costs
-	// O(1). Iterating the linked list with a next-capture lets
-	// tryStart unlink the current element in place.
+	// O(1). The pass compacts the pending slice in place, keeping the
+	// jobs tryStart rejects in their order.
 	started := 0
-	if s.queue.Len() > 0 && !s.queueBlocked && s.defaultScope.freeCores > 0 {
-		for e := s.queue.Front(); e != nil; {
-			next := e.Next()
-			if s.tryStart(e.Value.(*Job)) {
+	if len(s.pending) > 0 && !s.queueBlocked && s.defaultScope.freeCores > 0 {
+		kept := s.pending[:0]
+		for _, j := range s.pending {
+			if s.tryStart(j) {
 				started++
+			} else {
+				kept = append(kept, j)
 			}
-			e = next
 		}
+		clear(s.pending[len(kept):])
+		s.pending = kept
 	}
 	// Capacity only shrinks during a pass, so jobs it left pending
 	// stay unplaceable until a release/submit/restore clears this.
@@ -523,15 +513,17 @@ func (s *Scheduler) stepLocked() int {
 // when several users misbehave on one node.
 func (s *Scheduler) crashNode(ns *nodeState) {
 	s.crashes++
-	sorted := jobsSorted(ns.jobs)
 	var atFault ids.UID = ids.NoUID
-	for _, j := range sorted {
+	for _, j := range ns.jobs {
 		if j.Spec.ActualMemB > j.Spec.MemB {
 			atFault = j.User
 			break
 		}
 	}
-	for _, j := range sorted {
+	// finish drops each job from ns.jobs, so take the head (lowest ID)
+	// until the node is empty.
+	for len(ns.jobs) > 0 {
+		j := ns.jobs[0]
 		if j.User != atFault && atFault != ids.NoUID {
 			s.cofailures++
 		}
@@ -539,15 +531,6 @@ func (s *Scheduler) crashNode(ns *nodeState) {
 	}
 	ns.node.Crash()
 	ns.node.Restore()
-}
-
-func jobsSorted(m map[int]*Job) []*Job {
-	out := make([]*Job, 0, len(m))
-	for _, j := range m {
-		out = append(out, j)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // finish releases a job's resources, runs epilogs, records
@@ -560,7 +543,6 @@ func (s *Scheduler) finish(j *Job, state JobState) {
 	}
 	j.State = state
 	j.End = s.now
-	s.stopRunningLocked(j)
 	s.decActiveLocked(j.User)
 	s.busyCores -= int64(j.Spec.Cores)
 	for _, nodeName := range j.Nodes {
@@ -619,8 +601,6 @@ func (s *Scheduler) tryStart(j *Job) bool {
 		}
 	}
 	sort.Strings(j.Nodes)
-	s.dequeue(j)
-	s.startRunningLocked(j)
 	s.calendar.push(j.Start+j.Spec.Duration, j)
 	s.busyCores += int64(j.Spec.Cores)
 	return true
@@ -659,7 +639,7 @@ func (s *Scheduler) Crashes() (int, int) {
 func (s *Scheduler) PendingCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.queue.Len()
+	return len(s.pending)
 }
 
 // Job returns the job by ID as the *scheduler* sees it (no privacy
@@ -667,9 +647,9 @@ func (s *Scheduler) PendingCount() int {
 func (s *Scheduler) Job(id int) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrNoSuchJob, id)
+	j, err := s.lookup(id)
+	if err != nil {
+		return nil, err
 	}
 	return j.Clone(), nil
 }
@@ -692,7 +672,7 @@ func (s *Scheduler) RunAll(maxTicks int) int {
 	for ticks < max {
 		s.stepLocked()
 		ticks++
-		if s.queue.Len() == 0 && len(s.runningSorted) == 0 {
+		if _, running := s.calendar.nextDue(); !running && len(s.pending) == 0 {
 			return int(ticks)
 		}
 		ticks += s.fastForwardLocked(max - ticks)
@@ -708,7 +688,7 @@ func (s *Scheduler) fastForwardLocked(budget int64) int64 {
 	if budget <= 0 || s.armedNodes > 0 {
 		return 0
 	}
-	if s.queue.Len() > 0 && !s.queueBlocked {
+	if len(s.pending) > 0 && !s.queueBlocked {
 		return 0
 	}
 	skip := budget

@@ -29,17 +29,17 @@ func (s *Scheduler) privileged(observer ids.Credential) bool {
 func (s *Scheduler) Squeue(observer ids.Credential) []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Live jobs come from the pending queue and the running index —
-	// never from the full historical jobs map.
+	// Live jobs come from the pending slice and the calendar's live
+	// entries — never from the full job table.
 	priv := !s.Cfg.PrivateData || s.privileged(observer)
-	out := make([]*Job, 0, s.queue.Len()+len(s.runningSorted))
-	for e := s.queue.Front(); e != nil; e = e.Next() {
-		if j := e.Value.(*Job); priv || j.User == observer.UID {
+	out := make([]*Job, 0, len(s.pending)+len(s.calendar))
+	for _, j := range s.pending {
+		if priv || j.User == observer.UID {
 			out = append(out, j.Clone())
 		}
 	}
-	for _, j := range s.runningSorted {
-		if priv || j.User == observer.UID {
+	for _, e := range s.calendar {
+		if j := e.job; j.State == Running && (priv || j.User == observer.UID) {
 			out = append(out, j.Clone())
 		}
 	}
@@ -53,9 +53,9 @@ func (s *Scheduler) Squeue(observer ids.Credential) []*Job {
 func (s *Scheduler) JobView(observer ids.Credential, jobID int) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[jobID]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrNoSuchJob, jobID)
+	j, err := s.lookup(jobID)
+	if err != nil {
+		return nil, err
 	}
 	if s.Cfg.PrivateData && !s.privileged(observer) && j.User != observer.UID {
 		return nil, fmt.Errorf("%w: %d", ErrNoSuchJob, jobID)

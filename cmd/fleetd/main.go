@@ -54,6 +54,16 @@ const (
 	exitInterrupted = 3
 )
 
+// HTTP server bounds: a request's header must arrive within
+// readHeaderTimeout and the whole request (a submission body is at
+// most 1 MiB) within readTimeout; a keep-alive connection idle for
+// idleTimeout is closed.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = time.Minute
+)
+
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8080", "listen address")
@@ -118,7 +128,16 @@ func run(addr, dir string, queueDepth, concurrency, shards_, workers int, execBi
 	// The resolved address goes to stdout so scripts binding :0 can
 	// find the port.
 	fmt.Printf("fleetd: listening on %s\n", ln.Addr())
-	srv := &http.Server{Handler: svc.Handler()}
+	// There is deliberately no WriteTimeout: GET /campaigns/{id}/stream
+	// holds its NDJSON response open until the campaign ends, however
+	// long that is. The read and idle bounds stop a client that sends a
+	// request slowly, or never, from holding a connection forever.
+	srv := &http.Server{
+		Handler:           svc.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()

@@ -126,6 +126,106 @@ func buildCheckpoint(c Campaign, hash, seed uint64, partials []*ScenarioResult, 
 	return ck
 }
 
+// MergeCheckpoints folds checkpoints into the campaign's result: the
+// one reduction every run ends in — Run over its own final checkpoint,
+// a resumed run over a checkpoint carrying restored partials, fleetd
+// over its shards' sidecars. Every checkpoint is validated against the
+// (campaign, seed) identity first, exactly like a resume. Per
+// scenario, single-trial partials merge in replication (= trial-index)
+// order, so for a complete trial set the JSON() bytes are the same
+// however the trials were split across processes and restarts.
+//
+// A replication present in more than one checkpoint is an error (shard
+// ranges are disjoint; overlap means the caller mixed sidecars from
+// different plans). A missing replication is an error unless degrade
+// is true, in which case it merges as DegradedTrialResult — the
+// terminal state of a shard that exhausted its supervisor retry budget.
+func MergeCheckpoints(c Campaign, seed uint64, cks []*Checkpoint, degrade bool) (*CampaignResult, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	for _, ck := range cks {
+		if err := ck.ValidateAgainst(c, seed); err != nil {
+			return nil, err
+		}
+	}
+	res := &CampaignResult{Campaign: c.Name, Seed: seed}
+	for si := range c.Scenarios {
+		agg, err := MergeScenario(c, cks, si, degrade)
+		if err != nil {
+			return nil, err
+		}
+		res.Scenarios = append(res.Scenarios, agg)
+	}
+	return res, nil
+}
+
+// MergeScenario is MergeCheckpoints for scenario si alone, on already
+// validated checkpoints (nil entries are skipped, so a caller can pass
+// live snapshots where some shards have not written a sidecar yet). The
+// partials fold in replication order into a deep copy of the first, so
+// the inputs are never mutated: one checkpoint set can be merged more
+// than once, and restored partials may alias a caller's ResumeFrom.
+func MergeScenario(c Campaign, cks []*Checkpoint, si int, degrade bool) (*ScenarioResult, error) {
+	partials, err := collectPartials(c, cks, si)
+	if err != nil {
+		return nil, err
+	}
+	spec := &c.Scenarios[si]
+	var agg *ScenarioResult
+	for rep, p := range partials {
+		if p == nil {
+			if !degrade {
+				return nil, fmt.Errorf("fleet: scenario %q replication %d missing from every checkpoint", spec.Name, rep)
+			}
+			p = DegradedTrialResult(spec)
+		}
+		if agg == nil {
+			agg = clonePartial(p)
+			continue
+		}
+		if err := agg.Merge(p); err != nil {
+			return nil, err
+		}
+	}
+	return agg, nil
+}
+
+// collectPartials gathers scenario si's single-trial partials from
+// every checkpoint, indexed by replication (nil = missing).
+func collectPartials(c Campaign, cks []*Checkpoint, si int) ([]*ScenarioResult, error) {
+	out := make([]*ScenarioResult, c.Scenarios[si].Replications)
+	for _, ck := range cks {
+		if ck == nil {
+			continue
+		}
+		sc := &ck.Scenarios[si]
+		for pi := range sc.Partials {
+			p := &sc.Partials[pi]
+			if out[p.Replication] != nil {
+				return nil, fmt.Errorf("fleet: scenario %q replication %d appears in more than one checkpoint (mixed shard plans?)",
+					c.Scenarios[si].Name, p.Replication)
+			}
+			out[p.Replication] = &p.Result
+		}
+	}
+	return out, nil
+}
+
+// clonePartial deep-copies a partial (the histogram's bucket slice and
+// the attack aggregate's maps are the reference fields) so the merge
+// target never aliases checkpoint-owned storage.
+func clonePartial(p *ScenarioResult) *ScenarioResult {
+	r := *p
+	h := *p.MakespanHist
+	h.Counts = append([]int64(nil), h.Counts...)
+	r.MakespanHist = &h
+	if r.Attack != nil {
+		r.Attack = r.Attack.Clone()
+	}
+	return &r
+}
+
 // ValidateAgainst rejects a checkpoint that cannot resume the given
 // (campaign, seed): identity mismatches (name, campaign hash, seed,
 // format) and internal inconsistencies (bitmap/partial disagreement,

@@ -160,8 +160,8 @@ type ScenarioResult struct {
 }
 
 // Merge folds another shard of the same scenario in. Merge order is
-// the caller's contract: Run always merges in replication order, so
-// floating-point accumulation is reproducible.
+// the caller's contract: MergeScenario always merges in replication
+// order, so floating-point accumulation is reproducible.
 func (r *ScenarioResult) Merge(o *ScenarioResult) error {
 	if r.Name != o.Name {
 		return fmt.Errorf("fleet: merging results of different scenarios (%q vs %q)", r.Name, o.Name)
@@ -262,7 +262,8 @@ func (r *CampaignResult) Table() *metrics.Table {
 }
 
 // Run executes every trial of the campaign across a pool of worker
-// goroutines and merges per-trial results in replication order.
+// goroutines and reduces the run's final checkpoint with
+// MergeCheckpoints, merging per-trial results in replication order.
 //
 // Determinism contract: for a fixed (campaign, seed) the result —
 // including its JSON() bytes — is identical for any worker count and
@@ -285,23 +286,19 @@ func Run(c Campaign, opt Options) (*CampaignResult, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	st, err := execute(c, opt, nil)
+	all := make([]RepRange, len(c.Scenarios))
+	for si, s := range c.Scenarios {
+		all[si] = RepRange{Hi: s.Replications}
+	}
+	st, err := execute(c, opt, all, nil)
 	if err != nil {
 		return nil, err
 	}
-	res := &CampaignResult{Campaign: c.Name, Seed: opt.Seed, CheckpointWriteFailures: st.writeFailures}
-	i := 0
-	for _, s := range c.Scenarios {
-		agg := st.partials[i]
-		i++
-		for rep := 1; rep < s.Replications; rep++ {
-			if err := agg.Merge(st.partials[i]); err != nil {
-				return nil, err
-			}
-			i++
-		}
-		res.Scenarios = append(res.Scenarios, agg)
+	res, err := MergeCheckpoints(c, opt.Seed, []*Checkpoint{st.ck}, false)
+	if err != nil {
+		return nil, err
 	}
+	res.CheckpointWriteFailures = st.writeFailures
 	res.TrialFailures = st.failures
 	if opt.Tracer != nil {
 		for _, g := range st.spans {
@@ -315,24 +312,6 @@ func Run(c Campaign, opt Options) (*CampaignResult, error) {
 	return res, nil
 }
 
-// runShard is RunShard past validation: the same executor restricted
-// to the shard's ranges, returning the final checkpoint — the
-// supervisor's merge input — instead of a reduced result.
-func runShard(c Campaign, opt Options, sh *ShardRun) (*Checkpoint, []TrialFailure, error) {
-	st, err := execute(c, opt, sh)
-	if err != nil {
-		var fails []TrialFailure
-		if st != nil {
-			fails = st.failures
-		}
-		return nil, fails, err
-	}
-	if st.finalCkErr != nil {
-		return nil, st.failures, fmt.Errorf("fleet: shard %d completed but its final checkpoint write failed: %w", sh.Index, st.finalCkErr)
-	}
-	return buildCheckpoint(c, st.hash, opt.Seed, st.partials, st.completed), st.failures, nil
-}
-
 // trialRef addresses one trial in the campaign's scenario-major
 // trial-index order.
 type trialRef struct {
@@ -340,13 +319,10 @@ type trialRef struct {
 	rep      int
 }
 
-// runState is what execute hands back to Run / runShard for their
-// respective reductions.
+// runState is what execute hands back to Run and RunShard.
 type runState struct {
-	partials      []*ScenarioResult
-	completed     Bitmap
+	ck            *Checkpoint    // the final checkpoint, built whether or not it was saved
 	failures      []TrialFailure // flattened, trial-index order
-	hash          uint64
 	writeFailures int
 	finalCkErr    error
 	spans         [][]obs.Span // per trial index; nil unless tracing
@@ -361,9 +337,11 @@ const (
 	stateWedged
 )
 
-// execute runs the campaign's trials — all of them (sh == nil), or a
-// shard's ranges — and leaves the reduction to the caller.
-func execute(c Campaign, opt Options, sh *ShardRun) (*runState, error) {
+// execute runs the campaign's trials in the per-scenario replication
+// ranges and ends in a checkpoint of every completed trial, restored
+// ones included; the caller reduces it. sh is the shard identity that
+// arms shard-level faults — nil under Run, which owns every range.
+func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runState, error) {
 	comp, err := compileCampaign(c, opt.Seed)
 	if err != nil {
 		return nil, err
@@ -386,22 +364,15 @@ func execute(c Campaign, opt Options, sh *ShardRun) (*runState, error) {
 			trials = append(trials, trialRef{scenario: si, rep: rep})
 		}
 	}
-	// target marks the trials this run owns: everything, or the
-	// shard's ranges. Out-of-target trials are never dispatched and
-	// never counted toward completion.
+	// target marks the trials this run owns. Out-of-target trials are
+	// never dispatched and never counted toward completion.
 	target := NewBitmap(len(trials))
-	if sh == nil {
-		for ti := range trials {
-			target.Set(ti)
+	base := 0
+	for si, s := range c.Scenarios {
+		for rep := ranges[si].Lo; rep < ranges[si].Hi; rep++ {
+			target.Set(base + rep)
 		}
-	} else {
-		base := 0
-		for si, s := range c.Scenarios {
-			for rep := sh.Ranges[si].Lo; rep < sh.Ranges[si].Hi; rep++ {
-				target.Set(base + rep)
-			}
-			base += s.Replications
-		}
+		base += s.Replications
 	}
 	targetN := target.Count()
 	if workers > targetN {
@@ -433,21 +404,15 @@ func execute(c Campaign, opt Options, sh *ShardRun) (*runState, error) {
 		if err := opt.ResumeFrom.ValidateAgainst(c, opt.Seed); err != nil {
 			return nil, err
 		}
-		base := 0
+		// Restored partials alias the caller's Checkpoint: nothing
+		// downstream mutates them (MergeCheckpoints folds into a clone),
+		// so one Checkpoint can seed any number of resumes.
+		base = 0
 		for si := range c.Scenarios {
-			for _, p := range opt.ResumeFrom.Scenarios[si].Partials {
-				// Deep-copy the aggregate: the reduction merges into
-				// the scenario's first partial in place, and sharing
-				// the histogram's bucket slice with the caller's
-				// Checkpoint would corrupt it for a second resume.
-				r := p.Result
-				h := *r.MakespanHist
-				h.Counts = append([]int64(nil), h.Counts...)
-				r.MakespanHist = &h
-				if r.Attack != nil {
-					r.Attack = r.Attack.Clone()
-				}
-				partials[base+p.Replication] = &r
+			sc := &opt.ResumeFrom.Scenarios[si]
+			for pi := range sc.Partials {
+				p := &sc.Partials[pi]
+				partials[base+p.Replication] = &p.Result
 				restored.Set(base + p.Replication)
 			}
 			base += c.Scenarios[si].Replications
@@ -509,19 +474,16 @@ func execute(c Campaign, opt Options, sh *ShardRun) (*runState, error) {
 	// happen in the checkpointer goroutine and, for the final write,
 	// in the main goroutine strictly after <-checkpointerDone.
 	var ckSpans []obs.Span
-	writeCheckpoint := func() error {
+	writeCheckpoint := func(ck *Checkpoint) error {
 		writes++
 		var wallFrom time.Time
 		if tracing {
 			wallFrom = time.Now()
 		}
-		err := func() error {
-			if err := inj.checkpointWriteErr(writes); err != nil {
-				return err
-			}
-			ck := buildCheckpoint(c, hash, opt.Seed, partials, completed)
-			return ck.Save(opt.CheckpointPath)
-		}()
+		err := inj.checkpointWriteErr(writes)
+		if err == nil {
+			err = ck.Save(opt.CheckpointPath)
+		}
 		m.ckWrites.Inc()
 		if err != nil {
 			writeFailures++
@@ -557,7 +519,7 @@ func execute(c Campaign, opt Options, sh *ShardRun) (*runState, error) {
 			// at the next interval: losing one checkpoint must not
 			// kill the campaign the checkpoint exists to protect.
 			if opt.CheckpointPath != "" && n%every == 0 {
-				_ = writeCheckpoint()
+				_ = writeCheckpoint(buildCheckpoint(c, hash, opt.Seed, partials, completed))
 			}
 			if opt.Progress != nil {
 				opt.Progress(completed.Count())
@@ -640,7 +602,7 @@ dispatch:
 	close(done)
 	<-checkpointerDone
 
-	st := &runState{partials: partials, completed: completed, hash: hash, writeFailures: writeFailures, spans: spanGroups}
+	st := &runState{writeFailures: writeFailures, spans: spanGroups}
 	for ti := range trials {
 		st.failures = append(st.failures, failures[ti]...)
 	}
@@ -663,9 +625,11 @@ dispatch:
 
 	// The final checkpoint covers every drained trial no matter how
 	// the run ends — complete, interrupted, or about to abort on a
-	// trial error — so completed work is never thrown away.
+	// trial error — so completed work is never thrown away. It is built
+	// even when nothing is saved: it is the input of the reduction.
+	st.ck = buildCheckpoint(c, hash, opt.Seed, partials, completed)
 	if opt.CheckpointPath != "" {
-		st.finalCkErr = writeCheckpoint()
+		st.finalCkErr = writeCheckpoint(st.ck)
 	}
 	st.ckSpans = ckSpans
 
@@ -848,7 +812,7 @@ func (w *trialWorker) runTrialIsolated(scenario, rep, attempts int) (*ScenarioRe
 	}
 	fails[len(fails)-1].Terminal = true
 	w.m.trialsDegraded.Inc()
-	return w.failedTrialResult(scenario), fails, nil
+	return DegradedTrialResult(w.comp[scenario].spec), fails, nil
 }
 
 // runTrialAttempt is one recover()-guarded execution of runTrial.
@@ -882,12 +846,6 @@ func (w *trialWorker) runTrialAttempt(scenario, rep, attempt int) (res *Scenario
 // must share for the trial-index-order merge to be defined.
 func histogramFor(s *Scenario, counts []int64) metrics.Histogram {
 	return metrics.Histogram{Lo: 0, Hi: float64(s.Horizon), Counts: counts}
-}
-
-// failedTrialResult is the degraded aggregate of a trial whose every
-// attempt panicked (see DegradedTrialResult).
-func (w *trialWorker) failedTrialResult(scenario int) *ScenarioResult {
-	return DegradedTrialResult(w.comp[scenario].spec)
 }
 
 // runTrial executes one (scenario, replication) trial: a cluster per

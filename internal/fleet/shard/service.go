@@ -22,6 +22,10 @@ import (
 const (
 	DefaultQueueDepth = 4
 	DefaultRetryAfter = 2 * time.Second
+	// maxSubmitBytes caps a POST /campaigns body; a larger one is
+	// answered 413 before it is buffered. The largest preset,
+	// e17-redteam, encodes to about 16 KB.
+	maxSubmitBytes = 1 << 20
 )
 
 // ServiceConfig configures the fleetd campaign service.
@@ -313,11 +317,16 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	var sub Submission
 	if err := dec.Decode(&sub); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, map[string]string{"error": err.Error()})
 		return
 	}
 	if len(sub.Campaign) == 0 {

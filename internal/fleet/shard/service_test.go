@@ -154,6 +154,11 @@ func TestServiceSubmitPollFetch(t *testing.T) {
 		&fleet.FaultPlan{Shards: []fleet.ShardFault{{Shard: 5, Mode: fleet.ShardKill, AfterTrials: 1}}})); code != http.StatusBadRequest {
 		t.Errorf("fault aimed past the shard count accepted: %d %v", code, out)
 	}
+	// A valid submission padded past the body cap is refused unread.
+	padded := append(bytes.Repeat([]byte(" "), maxSubmitBytes), submitBody(t, "smoke", 7, 2, nil)...)
+	if code, out, _ := postCampaign(t, ts.URL, padded); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("submission of %d bytes over the %d-byte cap: %d %v, want 413", len(padded), maxSubmitBytes, code, out)
+	}
 }
 
 // Backpressure: with a single busy worker and a one-deep queue, a

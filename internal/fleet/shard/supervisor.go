@@ -286,7 +286,7 @@ func (s *supervisor) run() (*fleet.CampaignResult, error) {
 			pending--
 		case <-tick.C:
 		}
-		next = s.advance(outcomes, merged, next, false)
+		next, _ = s.advance(outcomes, merged, next, false)
 	}
 
 	for _, out := range outcomes {
@@ -294,8 +294,8 @@ func (s *supervisor) run() (*fleet.CampaignResult, error) {
 			return nil, &DrainedError{Dir: s.opt.Dir}
 		}
 	}
-	if next = s.advance(outcomes, merged, next, true); next < len(s.c.Scenarios) {
-		return nil, fmt.Errorf("shard: scenario %q could not be merged from the shard sidecars", s.c.Scenarios[next].Name)
+	if next, err := s.advance(outcomes, merged, next, true); err != nil {
+		return nil, fmt.Errorf("shard: scenario %q could not be merged from the shard sidecars: %w", s.c.Scenarios[next].Name, err)
 	}
 
 	res := &fleet.CampaignResult{Campaign: s.c.Name, Seed: s.opt.Seed, Scenarios: merged}
@@ -303,13 +303,18 @@ func (s *supervisor) run() (*fleet.CampaignResult, error) {
 	return res, nil
 }
 
+// MergeCheckpoints is fleet.MergeCheckpoints, for callers that reach
+// the reduction through this package.
+var MergeCheckpoints = fleet.MergeCheckpoints
+
 // advance merges scenarios [next, …) whose replications are fully
 // covered — by terminal shards' final sidecars and live shards'
-// periodic ones — emitting each exactly once, in ascending order.
-// Degraded gap-filling is only allowed once every shard is terminal
-// (final=true, or all outcomes present): until then a missing
-// replication means "not yet", not "never".
-func (s *supervisor) advance(outcomes []*shardOutcome, merged []*fleet.ScenarioResult, next int, final bool) int {
+// periodic ones — emitting each exactly once, in ascending order, and
+// returns the first unmerged scenario with the reason it could not be
+// merged (nil once all are). Degraded gap-filling is only allowed once
+// every shard is terminal (final=true, or all outcomes present): until
+// then a missing replication means "not yet", not "never".
+func (s *supervisor) advance(outcomes []*shardOutcome, merged []*fleet.ScenarioResult, next int, final bool) (int, error) {
 	allDone := true
 	anyDegraded := false
 	cks := make([]*fleet.Checkpoint, 0, len(s.plan))
@@ -328,21 +333,16 @@ func (s *supervisor) advance(outcomes []*shardOutcome, merged []*fleet.ScenarioR
 	}
 	degrade := (final || allDone) && anyDegraded
 	for ; next < len(s.c.Scenarios); next++ {
-		partials, err := collectPartials(s.c, cks, next)
+		agg, err := fleet.MergeScenario(s.c, cks, next, degrade)
 		if err != nil {
-			s.opt.Logf("scenario %d: %v", next, err)
-			return next
-		}
-		agg, err := mergeScenario(&s.c.Scenarios[next], partials, degrade)
-		if err != nil {
-			return next // incomplete coverage: try again on the next wake
+			return next, err // incomplete coverage: try again on the next wake
 		}
 		merged[next] = agg
 		if s.opt.OnScenario != nil {
 			s.opt.OnScenario(next, agg)
 		}
 	}
-	return next
+	return next, nil
 }
 
 // superviseShard is one shard's attempt loop: launch, monitor, and on

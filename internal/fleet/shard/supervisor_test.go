@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -177,72 +176,6 @@ func TestStreamingScenarioOrder(t *testing.T) {
 		if !bytes.Equal(e.data, want) {
 			t.Errorf("streamed scenario %d differs from the final result", i)
 		}
-	}
-}
-
-// MergeCheckpoints unit contract: shard sidecars merge to the clean
-// bytes; a duplicated replication (mixed plans) and a missing one
-// (without degrade) are loud errors.
-func TestMergeCheckpoints(t *testing.T) {
-	camp := fleet.MustPreset("smoke")
-	clean := cleanJSON(t, camp, 7)
-	plan, err := Plan(camp, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	cks := make([]*fleet.Checkpoint, 2)
-	for i := range plan {
-		ck, _, err := fleet.RunShard(camp, fleet.Options{
-			Seed:           7,
-			CheckpointPath: filepath.Join(dir, "s.ck.json"),
-		}, fleet.ShardRun{Index: i, Count: 2, Ranges: plan[i].Ranges})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cks[i] = ck
-	}
-	res, err := MergeCheckpoints(camp, 7, cks, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := res.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, clean) {
-		t.Fatalf("merged shard checkpoints differ from the clean run:\n%s\nvs\n%s", data, clean)
-	}
-	// Merging twice from the same loaded sidecars must not corrupt
-	// them (the merge deep-copies its aggregate target).
-	res2, err := MergeCheckpoints(camp, 7, cks, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data2, _ := res2.JSON()
-	if !bytes.Equal(data2, clean) {
-		t.Fatal("second merge from the same checkpoints differs: merge mutated its inputs")
-	}
-
-	if _, err := MergeCheckpoints(camp, 7, []*fleet.Checkpoint{cks[0], cks[0]}, false); err == nil {
-		t.Error("duplicated replication across checkpoints accepted")
-	}
-	if _, err := MergeCheckpoints(camp, 7, cks[:1], false); err == nil {
-		t.Error("missing replications accepted without degrade")
-	}
-	degraded, err := MergeCheckpoints(camp, 7, cks[:1], true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range degraded.Scenarios {
-		missing := camp.Scenarios[i].Replications - plan[0].Ranges[i].Len()
-		if s.Failures != missing {
-			t.Errorf("scenario %d: %d failures, want %d (the absent shard's trials)", i, s.Failures, missing)
-		}
-	}
-	// Seed mismatch is rejected up front, like resume.
-	if _, err := MergeCheckpoints(camp, 8, cks, false); err == nil {
-		t.Error("checkpoints from another seed accepted")
 	}
 }
 

@@ -7,8 +7,8 @@ package fleet
 // replication sub-range — executed by the SAME engine as Run, under
 // the same determinism contract. Its result artifact is deliberately
 // not a CampaignResult but the PR-6 Checkpoint sidecar: per-trial
-// aggregates at global replication indices, so the supervisor's merge
-// re-enters the identical trial-index-order reduction Run uses and a
+// aggregates at global replication indices, which the supervisor
+// reduces with MergeCheckpoints — the same call Run ends in — so a
 // sharded campaign's merged JSON is byte-identical to a 1-process run
 // by construction. The same sidecar doubles as the shard's recovery
 // state: a killed or wedged shard worker resumes from it instead of
@@ -116,7 +116,17 @@ func RunShard(c Campaign, opt Options, sh ShardRun) (*Checkpoint, []TrialFailure
 	if err := sh.validate(c); err != nil {
 		return nil, nil, err
 	}
-	return runShard(c, opt, &sh)
+	st, err := execute(c, opt, sh.Ranges, &sh)
+	if err != nil {
+		if st == nil {
+			return nil, nil, err
+		}
+		return nil, st.failures, err
+	}
+	if st.finalCkErr != nil {
+		return nil, st.failures, fmt.Errorf("fleet: shard %d completed but its final checkpoint write failed: %w", sh.Index, st.finalCkErr)
+	}
+	return st.ck, st.failures, nil
 }
 
 // DegradedTrialResult is the aggregate a trial degrades to when it

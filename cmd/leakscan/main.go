@@ -92,7 +92,7 @@ func main() {
 		if diff := p.MustConfig().Diff(c.Cfg); len(diff) > 0 {
 			fmt.Printf("ablated vs %s:\n  %s\n\n", p.Name, strings.Join(diff, "\n  "))
 		}
-		rep, err := core.LeakScan(c)
+		rep, err := attack.LeakScan(c)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "leakscan: scan %s: %v\n", c.Cfg.Name, err)
 			os.Exit(2)

@@ -4,14 +4,19 @@
 // and squeue, /tmp name harvesting, portal-hop pivots, UBF probing,
 // container-escape attempts, GPU-residue harvesting, and the
 // abstract-socket/RDMA residual channels — composed from a registry
-// of named steps. Each step reuses the audit.Probe machinery (the
-// same attempt shape the LeakScan battery runs), but where LeakScan
-// executes a fixed battery against an idle cluster, a campaign
-// interleaves its steps with a live legitimate workload: the engine
-// (engine.go) paces steps with gaps drawn from the campaign's own
-// metrics.RNG stream and advances the shared cluster clock between
-// them, so the attacker runs *concurrently* with the mix and every
-// outcome is deterministic per (scenario, replication).
+// of named steps.
+//
+// Every attempt lives in one probe catalogue (catalogue.go), run
+// against one memoizing victim/attacker session (session.go). Three
+// consumers read it: LeakScan runs its entries in a fixed order
+// against an idle cluster, Reopened reports the E16 channel labels an
+// ablation reopens, and a campaign step is a catalogue entry plus
+// pacing. A campaign interleaves its steps with a live legitimate
+// workload: the engine (engine.go) paces steps with gaps drawn from
+// the campaign's own metrics.RNG stream and advances the shared
+// cluster clock between them, so the attacker runs *concurrently* with
+// the mix and every outcome is deterministic per (scenario,
+// replication).
 //
 // The paper's Results section argues qualitatively which cross-user
 // channels stay closed; campaigns turn that into measured

@@ -11,9 +11,9 @@ import (
 	"repro/internal/metrics"
 )
 
-// attackTopo mirrors the LeakScan test geometry: room for the
-// victim's eternal job, GPU jobs, and two login nodes so the attacker
-// works from a different login than the victim.
+// attackTopo is the test geometry for scans and campaigns: room for
+// the victim's eternal job, GPU jobs on both sides, and two login nodes
+// so the attacker works from a different login than the victim.
 func attackTopo() core.Topology {
 	return core.Topology{ComputeNodes: 4, LoginNodes: 2, CoresPerNode: 8, MemPerNode: 1 << 20, GPUsPerNode: 2}
 }

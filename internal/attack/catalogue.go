@@ -1,0 +1,529 @@
+package attack
+
+import (
+	"bytes"
+	"fmt"
+	"slices"
+	"strings"
+
+	"repro/internal/audit"
+	"repro/internal/container"
+	"repro/internal/core"
+	"repro/internal/netsim"
+	"repro/internal/sched"
+)
+
+// Entry is one attempt of the probe catalogue: a named cross-user
+// attack bound to the audit channel it exercises. The catalogue is the
+// only place an attempt is defined; LeakScan, the E16 ablation matrix
+// and the E17 campaigns each run a subset of it against one session.
+type Entry struct {
+	Name    string
+	Channel audit.Channel
+	// Residual marks the channels the paper concedes stay open under
+	// the enhanced configuration.
+	Residual bool
+	// Label is the E16 channel the entry reports under ("" = none). A
+	// label reopens when any entry carrying it leaks.
+	Label string
+	// Scan marks the entries of the LeakScan sweep.
+	Scan bool
+
+	attempt func(ss *session) (leaked bool, detail string)
+}
+
+// probe is the report row the entry fills under name.
+func (e *Entry) probe(name string) audit.Probe {
+	return audit.Probe{Channel: e.Channel, Name: name, Residual: e.Residual}
+}
+
+// run attempts the entry and records it under name.
+func (e *Entry) run(ss *session, name string) audit.Result {
+	leaked, detail := e.attempt(ss)
+	return audit.Result{
+		Probe:  e.probe(name),
+		Leaked: leaked, Detail: detail,
+	}
+}
+
+// E16 channel labels, keyed to the experiment that owns each channel.
+const (
+	labelE6Files = "E6 file-content"
+	labelE9GPU   = "E9 gpu-device"
+)
+
+// catalogue lists every attempt, grouped by the paper section whose
+// measure closes it; E16 reports its labels in this order.
+var catalogue = []Entry{
+	{Name: "ps-foreign-visible", Channel: audit.ChanProcess, Label: "E1 foreign-pids", Scan: true, attempt: (*session).psForeign},
+	{Name: "cmdline-secret-read", Channel: audit.ChanProcess, Scan: true, attempt: (*session).cmdlineRead},
+	{Name: "squeue-foreign-job", Channel: audit.ChanScheduler, Label: "E3 foreign-jobs", Scan: true, attempt: (*session).squeueForeign},
+	{Name: "ssh-roam-to-victim-node", Channel: audit.ChanScheduler, Label: "E5 ssh-roam", Scan: true, attempt: (*session).sshRoam},
+	{Name: "home-file-read", Channel: audit.ChanFS, Label: labelE6Files, Scan: true, attempt: (*session).homeRead},
+	{Name: "chmod-world-readable", Channel: audit.ChanFS, Label: labelE6Files, Scan: true, attempt: (*session).chmodRead},
+	{Name: "tmp-content-read", Channel: audit.ChanFS, Label: labelE6Files, Scan: true, attempt: (*session).tmpRead},
+	{Name: "acl-grant-to-stranger", Channel: audit.ChanFS, Scan: true, attempt: (*session).aclGrant},
+	{Name: "tmp-symlink-planting", Channel: audit.ChanFS, Scan: true, attempt: (*session).symlinkHarvest},
+	{Name: "symlink-plant", Channel: audit.ChanFS, Label: "E6 symlink-clobber", attempt: (*session).symlinkClobber},
+	{Name: "cross-user-dial", Channel: audit.ChanNetwork, Label: "E7 stranger-flow", Scan: true, attempt: (*session).crossDial},
+	{Name: "rdma-tcp-cm-qp", Channel: audit.ChanNetwork, Scan: true, attempt: (*session).rdmaTCP},
+	{Name: "gpu-device-open", Channel: audit.ChanGPU, Label: labelE9GPU, attempt: (*session).gpuDeviceOpen},
+	{Name: "gpu-residue", Channel: audit.ChanGPU, Label: labelE9GPU, attempt: (*session).gpuResidue},
+	{Name: "gpu-memory-residue", Channel: audit.ChanGPU, Scan: true, attempt: (*session).gpuHandover},
+	{Name: "portal-cross-user-forward", Channel: audit.ChanPortal, Label: "E11 portal-forward", Scan: true, attempt: (*session).portalForward},
+	{Name: "container-escape", Channel: audit.ChanContainer, Label: "E12 container-unapproved", attempt: (*session).containerEscape},
+	{Name: "container-home-read", Channel: audit.ChanContainer, Scan: true, attempt: (*session).containerHomeRead},
+	{Name: "tmp-filename-listing", Channel: audit.ChanTmpNames, Residual: true, Scan: true, attempt: (*session).tmpNames},
+	{Name: "abstract-socket-send", Channel: audit.ChanAbstract, Residual: true, Scan: true, attempt: (*session).abstractSend},
+	{Name: "rdma-native-cm-qp", Channel: audit.ChanRDMACM, Residual: true, Scan: true, attempt: (*session).rdmaNativeCM},
+}
+
+// entry resolves a catalogue entry by name; an unknown name is a
+// programming error in the step registry.
+func entry(name string) Entry {
+	for _, e := range catalogue {
+		if e.Name == name {
+			return e
+		}
+	}
+	panic("attack: no catalogue entry " + name)
+}
+
+// LeakScan runs the full attack-surface sweep of the paper's Results
+// section (§V) against a fresh cluster: it provisions a victim and an
+// attacker (who share no project group), has the victim do ordinary
+// work on every subsystem, then attempts every Scan entry in (channel,
+// name) order. The report's shape is the paper's evaluation: baseline
+// leaks everywhere; enhanced closes everything except the three
+// residual channels (file names in world-writable directories,
+// abstract-namespace unix sockets, direct IB-CM RDMA).
+func LeakScan(c *core.Cluster) (*audit.Report, error) {
+	ss, err := newSession(c)
+	if err != nil {
+		return nil, err
+	}
+	// The victim's activity comes first and in a fixed order, so the
+	// PIDs and job IDs the report prints depend on the topology alone.
+	ss.spawn()
+	for _, setup := range []func() error{ss.seedHome, ss.seedScratch, ss.seedTmp, ss.listen, ss.openSocket, ss.route} {
+		if err := setup(); err != nil {
+			return nil, err
+		}
+	}
+	var scan []*Entry
+	for i := range catalogue {
+		if catalogue[i].Scan {
+			scan = append(scan, &catalogue[i])
+		}
+	}
+	slices.SortFunc(scan, func(a, b *Entry) int { return audit.Compare(a.probe(a.Name), b.probe(b.Name)) })
+	rep := &audit.Report{ConfigName: c.Cfg.Name}
+	for _, e := range scan {
+		rep.Results = append(rep.Results, e.run(ss, e.Name))
+	}
+	return rep, nil
+}
+
+// Reopened runs every entry that carries an E16 label against one
+// session on c and returns the labels that reopened, each once, in
+// catalogue order.
+func Reopened(c *core.Cluster) ([]string, error) {
+	ss, err := newSession(c)
+	if err != nil {
+		return nil, err
+	}
+	var labels []string
+	for i := range catalogue {
+		e := &catalogue[i]
+		if e.Label != "" && e.run(ss, e.Name).Leaked && !slices.Contains(labels, e.Label) {
+			labels = append(labels, e.Label)
+		}
+	}
+	return labels, nil
+}
+
+func (ss *session) psForeign() (bool, string) {
+	ss.spawn()
+	// Match by PID, not credential: under hidepid=1 List returns
+	// redacted stubs whose Cred is zeroed, but the foreign pid
+	// appearing in readdir is itself the leak.
+	for _, p := range ss.c.Proc[ss.login.Name].List(ss.attacker.Cred) {
+		if p.PID == ss.vproc.PID {
+			return true, fmt.Sprintf("victim pid %d listed", p.PID)
+		}
+	}
+	return false, "no foreign pids in /proc listing"
+}
+
+func (ss *session) cmdlineRead() (bool, string) {
+	ss.spawn()
+	cl, err := ss.c.Proc[ss.login.Name].ReadCmdline(ss.attacker.Cred, ss.vproc.PID)
+	if err == nil && strings.Contains(cl, secretToken) {
+		return true, "read secret from /proc/<pid>/cmdline"
+	}
+	return false, fmt.Sprintf("cmdline read: %v", err)
+}
+
+func (ss *session) squeueForeign() (bool, string) {
+	if err := ss.victimJob(); err != nil {
+		return false, err.Error()
+	}
+	for _, j := range ss.c.Sched.Squeue(ss.attacker.Cred) {
+		if j.User == ss.victim.UID {
+			if strings.Contains(j.Spec.Command, secretToken) {
+				return true, fmt.Sprintf("job %d command visible", j.ID)
+			}
+			return true, fmt.Sprintf("foreign job %d visible", j.ID)
+		}
+	}
+	return false, "no foreign jobs in squeue"
+}
+
+func (ss *session) sshRoam() (bool, string) {
+	if err := ss.victimJob(); err != nil {
+		return false, err.Error()
+	}
+	if _, err := ss.c.LoginShell(ss.vjobNode, ss.attacker.Cred); err == nil {
+		return true, "ssh to victim's compute node succeeded"
+	}
+	return false, "pam denied compute-node ssh"
+}
+
+func (ss *session) homeRead() (bool, string) {
+	if err := ss.seedHome(); err != nil {
+		return false, err.Error()
+	}
+	if d, err := ss.c.SharedFS.ReadFile(ss.actx, ss.victim.HomePath+"/results.csv"); err == nil {
+		return true, fmt.Sprintf("read %d bytes from victim home", len(d))
+	}
+	return false, "home traversal denied"
+}
+
+func (ss *session) chmodRead() (bool, string) {
+	if err := ss.seedScratch(); err != nil {
+		return false, err.Error()
+	}
+	if d, err := ss.c.SharedFS.ReadFile(ss.actx, scratchFile); err == nil {
+		return true, fmt.Sprintf("read %d bytes via mistyped chmod", len(d))
+	}
+	return false, "smask stripped world bits"
+}
+
+func (ss *session) tmpRead() (bool, string) {
+	if err := ss.seedTmp(); err != nil {
+		return false, err.Error()
+	}
+	if d, err := ss.c.NS[ss.login.Name].ReadFile(ss.actx, tmpFile); err == nil {
+		return true, fmt.Sprintf("read %d bytes from victim tmp file", len(d))
+	}
+	return false, "tmp file content protected"
+}
+
+// aclGrant is the accidental-sharing scenario: the *victim* tries to
+// (mis)grant the attacker access to a scratch file.
+func (ss *session) aclGrant() (bool, string) {
+	if err := ss.seedScratch(); err != nil {
+		return false, err.Error()
+	}
+	if err := ss.c.SharedFS.SetfaclUser(ss.vctx, scratchFile, ss.attacker.UID, 0o4); err != nil {
+		return false, "acl grant rejected (no shared project group)"
+	}
+	if _, err := ss.c.SharedFS.ReadFile(ss.actx, scratchFile); err == nil {
+		return true, "read via stranger acl"
+	}
+	return false, "acl granted but read denied"
+}
+
+// symlinkHarvest pre-plants a symlink where the victim's job will
+// write, pointing at an attacker-readable file.
+func (ss *session) symlinkHarvest() (bool, string) {
+	localFS := ss.c.LocalFS[ss.login.Name]
+	if err := localFS.WriteFile(ss.actx, "/tmp/.harvest", nil, 0o666); err != nil {
+		return false, err.Error()
+	}
+	if err := localFS.Chmod(ss.actx, "/tmp/.harvest", 0o666); err != nil {
+		return false, err.Error()
+	}
+	if err := localFS.Symlink(ss.actx, "/tmp/.harvest", "/tmp/victim-checkpoint.tmp"); err != nil {
+		return false, err.Error()
+	}
+	// The victim's job writes its checkpoint "as usual".
+	if err := localFS.WriteFileFollow(ss.vctx, "/tmp/victim-checkpoint.tmp", []byte("checkpoint-secret"), 0o600); err != nil {
+		return false, fmt.Sprintf("victim write refused: %v", err)
+	}
+	if d, err := localFS.ReadFile(ss.actx, "/tmp/.harvest"); err == nil && strings.Contains(string(d), "checkpoint-secret") {
+		return true, "victim data harvested via planted symlink"
+	}
+	return false, "no data harvested"
+}
+
+// symlinkClobber is the sticky-dir clobber fs.protected_symlinks
+// exists for: the planted link points at the victim's OWN results
+// file, so smask cannot help (the victim has every permission on the
+// target) — if the victim's routine checkpoint write follows the link,
+// their results were corrupted on the attacker's say-so.
+func (ss *session) symlinkClobber() (bool, string) {
+	localFS := ss.c.LocalFS[ss.login.Name]
+	if err := localFS.WriteFile(ss.vctx, "/tmp/victim-results.dat", []byte("precious-"+secretToken), 0o600); err != nil {
+		return false, err.Error()
+	}
+	if err := localFS.Symlink(ss.actx, "/tmp/victim-results.dat", "/tmp/victim-checkpoint.tmp"); err != nil {
+		return false, err.Error()
+	}
+	if err := localFS.WriteFileFollow(ss.vctx, "/tmp/victim-checkpoint.tmp", []byte("CLOBBERED"), 0o600); err != nil {
+		return false, fmt.Sprintf("victim write refused: %v", err)
+	}
+	if d, err := localFS.ReadFile(ss.vctx, "/tmp/victim-results.dat"); err == nil && string(d) == "CLOBBERED" {
+		return true, "victim results clobbered via planted symlink"
+	}
+	return false, "victim write did not follow the planted link"
+}
+
+func (ss *session) crossDial() (bool, string) {
+	aHost, err := ss.attackerHost()
+	if err == nil {
+		err = ss.listen()
+	}
+	if err != nil {
+		return false, err.Error()
+	}
+	if conn, err := aHost.Dial(ss.attacker.Cred, netsim.TCP, ss.vjobNode, victimSvcPort); err == nil {
+		conn.Close()
+		return true, "connected to victim service"
+	}
+	return false, "UBF dropped cross-user connection"
+}
+
+func (ss *session) rdmaTCP() (bool, string) {
+	aHost, err := ss.attackerHost()
+	if err == nil {
+		err = ss.listen()
+	}
+	if err != nil {
+		return false, err.Error()
+	}
+	if qp, err := aHost.SetupQP(ss.attacker.Cred, netsim.QPViaTCP, ss.vjobNode, victimSvcPort); err == nil {
+		qp.Close()
+		return true, "QP control channel connected cross-user"
+	}
+	return false, "UBF dropped QP control channel"
+}
+
+func (ss *session) rdmaNativeCM() (bool, string) {
+	aHost, err := ss.attackerHost()
+	if err == nil {
+		err = ss.victimJob()
+	}
+	if err != nil {
+		return false, err.Error()
+	}
+	qp, err := aHost.SetupQP(ss.attacker.Cred, netsim.QPViaNativeCM, ss.vjobNode, 0)
+	if err != nil {
+		return false, err.Error()
+	}
+	_ = qp.Write([]byte("rdma"))
+	qp.Close()
+	return true, "QP established via native CM (firewall bypassed)"
+}
+
+func (ss *session) portalForward() (bool, string) {
+	if err := ss.route(); err != nil {
+		return false, err.Error()
+	}
+	tok, err := ss.c.Portal.Login(ss.attacker.Cred, attackerPassword)
+	if err != nil {
+		return false, err.Error()
+	}
+	if _, err := ss.c.Portal.Forward(tok, "/jupyter/victim", []byte("GET /")); err == nil {
+		return true, "reached victim's web app through portal"
+	}
+	return false, "portal forward denied end-to-end"
+}
+
+func (ss *session) tmpNames() (bool, string) {
+	if err := ss.seedTmp(); err != nil {
+		return false, err.Error()
+	}
+	names, err := ss.c.NS[ss.login.Name].ReadDir(ss.actx, "/tmp")
+	if err != nil {
+		return false, err.Error()
+	}
+	for _, n := range names {
+		if strings.Contains(n, "victim") {
+			return true, fmt.Sprintf("file name %q visible", n)
+		}
+	}
+	return false, "no victim names in /tmp"
+}
+
+func (ss *session) abstractSend() (bool, string) {
+	loginHost, err := ss.c.Host(ss.login.Name)
+	if err == nil {
+		err = ss.openSocket()
+	}
+	if err != nil {
+		return false, err.Error()
+	}
+	if err := loginHost.DialAbstract(ss.attacker.Cred, victimSocket, []byte("injected")); err != nil {
+		return false, err.Error()
+	}
+	if _, from, ok := ss.vsock.Recv(); ok && from == ss.attacker.UID {
+		return true, "datagram delivered cross-user"
+	}
+	return false, "no delivery"
+}
+
+// gpuDeviceOpen is the /dev permission half of §IV-F: can the attacker
+// open the device of the victim's running GPU job from outside? No
+// colocation is needed, so whole-node scheduling cannot mask it.
+func (ss *session) gpuDeviceOpen() (bool, string) {
+	if err := ss.gpuJob(); err != nil {
+		return false, err.Error()
+	}
+	for _, d := range ss.c.GPUs.Devices(ss.gjobNode) {
+		if _, err := d.Read(ss.attacker.Cred, 0, 1); err == nil {
+			return true, "opened the victim's GPU device"
+		}
+	}
+	return false, "device permissions denied"
+}
+
+// gpuResidue is the two-phase GPU handover on a live cluster: the
+// victim's GPU job writes a secret to device memory and completes; the
+// attacker then reads the same node's devices looking for the residue.
+// The read is blocked by the prolog's device-permission binding and
+// the residue itself is destroyed by the epilog clear — both halves of
+// the gpu measure — so the step reopens under the gpu ablation
+// regardless of scheduling policy.
+func (ss *session) gpuResidue() (bool, string) {
+	secret := []byte(secretToken + "-GPU-WEIGHTS")
+	vj, err := ss.c.Sched.Submit(ss.victim.Cred, sched.JobSpec{
+		Name: "gpu-train", Command: "train", Cores: 1, MemB: 1, GPUs: 1, Duration: 2,
+	})
+	if err != nil {
+		return false, fmt.Sprintf("victim gpu job rejected: %v", err)
+	}
+	node, err := ss.place(vj.ID, 32)
+	if err != nil {
+		return false, err.Error()
+	}
+	if node == "" {
+		_ = ss.c.Sched.Cancel(ss.victim.Cred, vj.ID)
+		return false, "victim gpu job never placed"
+	}
+	if err := ss.victimDevice(node).Write(ss.victim.Cred, 512, secret); err != nil {
+		return false, fmt.Sprintf("victim gpu write failed: %v", err)
+	}
+	// Let the victim's job run out (Duration 2) and its epilog fire.
+	for i := 0; i < 8; i++ {
+		if j, err := ss.c.Sched.Job(vj.ID); err == nil && j.State != sched.Running && j.State != sched.Pending {
+			break
+		}
+		ss.c.Step()
+	}
+	for _, d := range ss.c.GPUs.Devices(node) {
+		if data, err := d.Read(ss.attacker.Cred, 512, len(secret)); err == nil && bytes.Equal(data, secret) {
+			return true, "previous user's data read from GPU memory"
+		}
+	}
+	return false, "no residue readable (cleared or access denied)"
+}
+
+// gpuHandover is the idle-cluster form of the GPU handover: the
+// victim's GPU job ends and drains, then the attacker's own GPU job
+// starts on the same node pool and reads every device there.
+func (ss *session) gpuHandover() (bool, string) {
+	secret := []byte("VICTIM-GPU-WEIGHTS")
+	vj, err := ss.c.Sched.Submit(ss.victim.Cred, sched.JobSpec{
+		Name: "gpu-train", Command: "train", Cores: 1, MemB: 1, GPUs: 1, Duration: 2,
+	})
+	if err != nil {
+		return false, err.Error()
+	}
+	ss.c.Step()
+	job, err := ss.c.Sched.Job(vj.ID)
+	if err != nil || job.State != sched.Running {
+		return false, fmt.Sprintf("victim gpu job not running: %v", err)
+	}
+	if err := ss.victimDevice(job.Nodes[0]).Write(ss.victim.Cred, 512, secret); err != nil {
+		return false, fmt.Sprintf("victim gpu write failed: %v", err)
+	}
+	// Victim job ends; device is released (and cleared, if configured).
+	ss.c.RunAll(4)
+	aj, err := ss.c.Sched.Submit(ss.attacker.Cred, sched.JobSpec{
+		Name: "gpu-probe", Command: "probe", Cores: 1, MemB: 1, GPUs: 1, Duration: 8,
+	})
+	if err != nil {
+		return false, err.Error()
+	}
+	for i := 0; i < 10; i++ {
+		ss.c.Step()
+		if j, _ := ss.c.Sched.Job(aj.ID); j.State == sched.Running {
+			break
+		}
+	}
+	j, _ := ss.c.Sched.Job(aj.ID)
+	if j.State != sched.Running {
+		return false, "attacker gpu job never started"
+	}
+	// Read residue from every device on the attacker's node, then tear
+	// the probe job down so it does not grant the attacker a legitimate
+	// pam_slurm foothold for later attempts.
+	leaked := false
+	for _, d := range ss.c.GPUs.Devices(j.Nodes[0]) {
+		if data, err := d.Read(ss.attacker.Cred, 512, len(secret)); err == nil && bytes.Equal(data, secret) {
+			leaked = true
+		}
+	}
+	_ = ss.c.Sched.Cancel(ss.attacker.Cred, aj.ID)
+	if leaked {
+		return true, "previous user's data read from GPU memory"
+	}
+	return false, "no residue readable (cleared or access denied)"
+}
+
+// containerEscape runs a container the attacker was never approved
+// for: the Run itself succeeding is the admission-control escape.
+func (ss *session) containerEscape() (bool, string) {
+	node := ss.c.Compute[len(ss.c.Compute)-1]
+	nHost, err := ss.c.Host(node.Name)
+	if err != nil {
+		return false, err.Error()
+	}
+	ct, err := ss.c.Containers.Run(ss.attacker.Cred, node, ss.c.NS[node.Name], nHost,
+		container.RunSpec{Image: ss.image()})
+	if err != nil {
+		return false, "container admission denied"
+	}
+	if err := ss.seedHome(); err != nil {
+		return false, err.Error()
+	}
+	if _, err := ct.ReadFile(ss.victim.HomePath + "/results.csv"); err == nil {
+		return true, "unapproved container ran and read victim home from inside"
+	}
+	return true, "unapproved container ran (host FS controls still bound inside)"
+}
+
+// containerHomeRead runs an approved container and checks that the
+// host filesystem controls still bind inside it.
+func (ss *session) containerHomeRead() (bool, string) {
+	aHost, err := ss.attackerHost()
+	if err == nil {
+		err = ss.seedHome()
+	}
+	if err != nil {
+		return false, err.Error()
+	}
+	image := ss.image()
+	ss.c.Containers.Allow(ss.attacker.UID)
+	node := ss.c.Compute[len(ss.c.Compute)-1]
+	ct, err := ss.c.Containers.Run(ss.attacker.Cred, node, ss.c.NS[node.Name], aHost,
+		container.RunSpec{Image: image})
+	if err != nil {
+		return false, err.Error()
+	}
+	if _, err := ct.ReadFile(ss.victim.HomePath + "/results.csv"); err == nil {
+		return true, "read victim home from inside container"
+	}
+	return false, "host FS controls bound inside container"
+}

@@ -84,15 +84,14 @@ func (cs *Compiled) Execute(c *core.Cluster, rng *metrics.RNG, maxTicks int) (*O
 		for g := 0; g < gap && c.Now()-start < int64(maxTicks); g++ {
 			c.Step()
 		}
-		p := st.Probe(ss)
-		leaked, detail := p.Attempt()
-		rep.Results = append(rep.Results, audit.Result{Probe: p, Leaked: leaked, Detail: detail})
+		res := st.run(ss, st.Name)
+		rep.Results = append(rep.Results, res)
 		log.Record(audit.Event{
 			Tick: c.Now(), Step: st.Name, Channel: st.Channel,
-			Residual: st.Residual, Leaked: leaked, Detail: detail,
+			Residual: st.Residual, Leaked: res.Leaked, Detail: res.Detail,
 		})
 		out.Steps++
-		if leaked {
+		if res.Leaked {
 			out.Leaks++
 			out.ChannelLeaks[string(st.Channel)]++
 			if st.Residual {

@@ -1,17 +1,16 @@
-package core
+package attack
 
 import (
+	"os"
+	"path/filepath"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/audit"
+	"repro/internal/core"
 	"repro/internal/sched"
 )
-
-// scanTopo gives the scan room for the victim's eternal job plus GPU
-// jobs on both sides.
-func scanTopo() Topology {
-	return Topology{ComputeNodes: 4, LoginNodes: 2, CoresPerNode: 8, MemPerNode: 1 << 20, GPUsPerNode: 2}
-}
 
 func resultsByName(rep *audit.Report) map[string]audit.Result {
 	out := make(map[string]audit.Result, len(rep.Results))
@@ -24,7 +23,7 @@ func resultsByName(rep *audit.Report) map[string]audit.Result {
 func TestLeakScanBaselineLeaksEverywhere(t *testing.T) {
 	// The paper's "before" picture: every channel in §IV is open on a
 	// stock system.
-	c := MustNew(Baseline(), scanTopo())
+	c := core.MustNew(core.Baseline(), attackTopo())
 	rep, err := LeakScan(c)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +59,7 @@ func TestLeakScanEnhancedClosesAllButResidual(t *testing.T) {
 	// The paper's headline result (§V): under the enhanced
 	// configuration every cross-user channel is closed except the
 	// three acknowledged residuals.
-	c := MustNew(Enhanced(), scanTopo())
+	c := core.MustNew(core.Enhanced(), attackTopo())
 	rep, err := LeakScan(c)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +81,7 @@ func TestLeakScanEnhancedClosesAllButResidual(t *testing.T) {
 }
 
 func TestLeakScanProbeCountStable(t *testing.T) {
-	c := MustNew(Enhanced(), scanTopo())
+	c := core.MustNew(core.Enhanced(), attackTopo())
 	rep, err := LeakScan(c)
 	if err != nil {
 		t.Fatal(err)
@@ -100,19 +99,19 @@ func TestLeakScanAblations(t *testing.T) {
 	// and must still pass Validate.
 	cases := []struct {
 		name     string
-		ablate   []string      // measures dropped via Without
-		mutate   func(*Config) // finer-grained coherent field flips
+		ablate   []string           // measures dropped via Without
+		mutate   func(*core.Config) // finer-grained coherent field flips
 		reopened []string
 	}{
 		{name: "no-hidepid", ablate: []string{"hidepid"},
 			reopened: []string{"ps-foreign-visible", "cmdline-secret-read"}},
 		{name: "no-privatedata", ablate: []string{"privatedata"},
 			reopened: []string{"squeue-foreign-job"}},
-		{name: "no-pam", mutate: func(cfg *Config) { cfg.PamSlurm = false },
+		{name: "no-pam", mutate: func(cfg *core.Config) { cfg.PamSlurm = false },
 			reopened: []string{"ssh-roam-to-victim-node"}},
 		// Dropping the smask patch alone (ACLs + hardened homes stay)
 		// reopens only the world-bit paths...
-		{name: "no-smask-patch", mutate: func(cfg *Config) {
+		{name: "no-smask-patch", mutate: func(cfg *core.Config) {
 			cfg.SmaskEnabled = false
 			cfg.Smask = 0
 		}, reopened: []string{"chmod-world-readable", "tmp-content-read"}},
@@ -134,7 +133,7 @@ func TestLeakScanAblations(t *testing.T) {
 		// user-wholenode the attacker never colocates with the
 		// victim's GPU, so whole-node scheduling masks the missing
 		// epilog clear — defense in depth working as the paper says.
-		{name: "no-gpu-clear", mutate: func(cfg *Config) {
+		{name: "no-gpu-clear", mutate: func(cfg *core.Config) {
 			cfg.GPUClear = false
 			cfg.GPUAssignPerms = false
 			cfg.Policy = sched.PolicyShared
@@ -142,11 +141,11 @@ func TestLeakScanAblations(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := []Option{WithName(tc.name)}
+			opts := []core.Option{core.WithName(tc.name)}
 			for _, m := range tc.ablate {
-				opts = append(opts, Without(m))
+				opts = append(opts, core.Without(m))
 			}
-			resolved, _, err := ResolveProfile(EnhancedProfile(), opts...)
+			resolved, _, err := core.ResolveProfile(core.EnhancedProfile(), opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +156,7 @@ func TestLeakScanAblations(t *testing.T) {
 			if tc.mutate != nil {
 				tc.mutate(&cfg)
 			}
-			c, err := New(cfg, scanTopo())
+			c, err := core.New(cfg, attackTopo())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,6 +179,77 @@ func TestLeakScanAblations(t *testing.T) {
 				if r.Leaked && !r.Probe.Residual && !expected[r.Probe.Name] {
 					t.Errorf("%s: unexpected extra leak %q (%s)", tc.name, r.Probe.Name, r.Detail)
 				}
+			}
+		})
+	}
+}
+
+// TestLeakScanOrder: the report runs exactly the catalogue's Scan
+// entries, ordered by (channel, name) whatever the catalogue's own
+// order, so the rendered table is stable.
+func TestLeakScanOrder(t *testing.T) {
+	rep, err := LeakScan(core.MustNew(core.Enhanced(), attackTopo()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, e := range catalogue {
+		if e.Scan {
+			want = append(want, e.Name)
+		}
+	}
+	if len(rep.Results) != len(want) {
+		t.Fatalf("report has %d rows, want the %d Scan entries", len(rep.Results), len(want))
+	}
+	if !slices.IsSortedFunc(rep.Results, func(a, b audit.Result) int { return audit.Compare(a.Probe, b.Probe) }) {
+		t.Errorf("report rows are not in (channel, name) order:\n%s", rep.Table().Render())
+	}
+	got := make([]string, 0, len(rep.Results))
+	for _, r := range rep.Results {
+		got = append(got, r.Probe.Name)
+	}
+	sort.Strings(got)
+	sort.Strings(want)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("report rows %v, want the Scan entries %v", got, want)
+		}
+	}
+}
+
+// TestLeakScanGolden pins cmd/leakscan's rendered reports byte for
+// byte on its default topology: baseline, enhanced, and enhanced minus
+// each registry measure. The goldens in testdata/leakscan were
+// recorded before the scan moved onto the shared probe catalogue.
+func TestLeakScanGolden(t *testing.T) {
+	type golden struct {
+		name    string
+		profile core.Profile
+		opts    []core.Option
+	}
+	cases := []golden{
+		{"baseline", core.BaselineProfile(), nil},
+		{"enhanced", core.EnhancedProfile(), nil},
+	}
+	for _, m := range core.Measures() {
+		cases = append(cases, golden{"enhanced-minus-" + m.Name, core.EnhancedProfile(), []core.Option{core.Without(m.Name)}})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := core.NewWithProfile(tc.profile, append([]core.Option{core.WithTopology(core.DefaultTopology())}, tc.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := LeakScan(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", "leakscan", tc.name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rep.Table().Render(); got != string(want) {
+				t.Errorf("report drifted from the golden:\n got:\n%s\nwant:\n%s", got, want)
 			}
 		})
 	}

@@ -1,0 +1,263 @@
+package attack
+
+import (
+	"fmt"
+
+	"repro/internal/core"
+	"repro/internal/gpu"
+	"repro/internal/netsim"
+	"repro/internal/portal"
+	"repro/internal/sched"
+	"repro/internal/simos"
+	"repro/internal/vfs"
+)
+
+// secretToken is the marker every victim secret carries; an attempt
+// leaks when the attacker can observe it (or the access control that
+// should have hidden it admits the attempt).
+const secretToken = "VICTIM-SECRET-42"
+
+// The victim's fixed scenery: service ports (disjoint per subsystem),
+// file paths, socket name, and the attacker's portal password.
+const (
+	victimSvcPort    = 5000
+	victimAppPort    = 8888
+	scratchFile      = "/scratch/shared/victim-output.dat"
+	tmpFile          = "/tmp/victim-projectX-run7.tmp"
+	victimSocket     = "victim-coordinator"
+	probeImage       = "probe-img"
+	attackerPassword = "attacker-pw"
+)
+
+// session is one victim/attacker pair on a cluster: the provisioned
+// accounts and the victim's lazily-materialized activity. Attempts set
+// up exactly the victim state they target, each piece once, on first
+// use — so a kill chain's later steps reuse the recon steps' scenery,
+// each attempt stays meaningful standalone, and the cluster work (hence
+// a trial's determinism-relevant event sequence) is a pure function of
+// which attempts ran in which order.
+type session struct {
+	c        *core.Cluster
+	victim   *core.User
+	attacker *core.User
+	login    *simos.Node
+	vctx     vfs.Context
+	actx     vfs.Context
+
+	vproc    *simos.Process // victim login process with a secret argv
+	vjobID   int            // long-running victim batch job (0 = not yet)
+	vjobNode string
+	gjobNode string // long-running victim GPU job's node ("" = not yet)
+	vsock    *netsim.AbstractSocket
+
+	listening, routed, imported          bool
+	homeSeeded, scratchSeeded, tmpSeeded bool
+}
+
+// newSession provisions the victim and attacker accounts on the
+// cluster. The names are distinct from the mix's "u<N>" scheme, so an
+// attack rides alongside any legitimate workload.
+func newSession(c *core.Cluster) (*session, error) {
+	victim, err := c.AddUser("victim", "victim-pw")
+	if err != nil {
+		return nil, err
+	}
+	attacker, err := c.AddUser("attacker", attackerPassword)
+	if err != nil {
+		return nil, err
+	}
+	return &session{
+		c: c, victim: victim, attacker: attacker,
+		login: c.Logins[0],
+		vctx:  vfs.Ctx(victim.Cred), actx: vfs.Ctx(attacker.Cred),
+	}, nil
+}
+
+// close cancels the victim's open-ended job so an attacked trial's
+// drain measures the mix, not a sentinel job parked at the horizon.
+func (ss *session) close() {
+	if ss.vjobID != 0 {
+		_ = ss.c.Sched.Cancel(ss.victim.Cred, ss.vjobID)
+	}
+}
+
+// once runs setup unless done is set, and sets done when it succeeds.
+func once(done *bool, setup func() error) error {
+	if *done {
+		return nil
+	}
+	if err := setup(); err != nil {
+		return err
+	}
+	*done = true
+	return nil
+}
+
+// spawn starts the victim's login process, whose argv carries a secret.
+func (ss *session) spawn() {
+	if ss.vproc == nil {
+		ss.vproc = ss.login.Procs.Spawn(ss.victim.Cred, 1, "analyze", "--token="+secretToken)
+	}
+}
+
+func (ss *session) seedHome() error {
+	return once(&ss.homeSeeded, func() error {
+		return ss.c.SharedFS.WriteFile(ss.vctx, ss.victim.HomePath+"/results.csv", []byte("victim-home-data"), 0o644)
+	})
+}
+
+// seedScratch writes a scratch file the victim then opens to the world
+// with a mistyped chmod.
+func (ss *session) seedScratch() error {
+	return once(&ss.scratchSeeded, func() error {
+		if err := ss.c.SharedFS.WriteFile(ss.vctx, scratchFile, []byte("victim-scratch-data"), 0o600); err != nil {
+			return err
+		}
+		return ss.c.SharedFS.Chmod(ss.vctx, scratchFile, 0o644)
+	})
+}
+
+// seedTmp drops a victim working file into the login node's /tmp.
+func (ss *session) seedTmp() error {
+	return once(&ss.tmpSeeded, func() error {
+		return ss.c.NS[ss.login.Name].WriteFile(ss.vctx, tmpFile, []byte("victim-tmp-data"), 0o644)
+	})
+}
+
+// place steps the live cluster, mix and all, until the job runs, for
+// at most tries ticks, and returns its first node ("" = never placed).
+func (ss *session) place(jobID, tries int) (string, error) {
+	for i := 0; i < tries; i++ {
+		j, err := ss.c.Sched.Job(jobID)
+		if err != nil {
+			return "", err
+		}
+		if j.State == sched.Running {
+			return j.Nodes[0], nil
+		}
+		ss.c.Step()
+	}
+	return "", nil
+}
+
+// victimJob submits the victim's long-running batch job (its command
+// line carries a secret) and waits until it places.
+func (ss *session) victimJob() error {
+	if ss.vjobID != 0 {
+		return nil
+	}
+	vj, err := ss.c.Sched.Submit(ss.victim.Cred, sched.JobSpec{
+		Name: "victim-sim", Command: "simulate --token=" + secretToken,
+		Cores: 1, MemB: 1, Duration: 1 << 30,
+	})
+	if err != nil {
+		return fmt.Errorf("victim job rejected: %v", err)
+	}
+	node, err := ss.place(vj.ID, 64)
+	if err != nil {
+		return err
+	}
+	if node == "" {
+		_ = ss.c.Sched.Cancel(ss.victim.Cred, vj.ID)
+		return fmt.Errorf("victim job never placed (cluster saturated)")
+	}
+	ss.vjobID, ss.vjobNode = vj.ID, node
+	return nil
+}
+
+// gpuJob submits a long-running victim GPU job and waits until it
+// places.
+func (ss *session) gpuJob() error {
+	if ss.gjobNode != "" {
+		return nil
+	}
+	gj, err := ss.c.Sched.Submit(ss.victim.Cred, sched.JobSpec{
+		Name: "train", Command: "train", Cores: 1, MemB: 1, GPUs: 1, Duration: 1 << 30,
+	})
+	if err != nil {
+		return fmt.Errorf("victim gpu job rejected: %v", err)
+	}
+	node, err := ss.place(gj.ID, 64)
+	if err == nil && node == "" {
+		err = fmt.Errorf("victim gpu job never placed")
+	}
+	ss.gjobNode = node
+	return err
+}
+
+// victimDevice is the GPU the victim's job writes to on node: the one
+// the prolog assigned to the victim, or (with no permission binding)
+// the node's first device.
+func (ss *session) victimDevice(node string) *gpu.Device {
+	devs := ss.c.GPUs.Devices(node)
+	dev := devs[0]
+	for _, d := range devs {
+		if d.Assigned() == ss.victim.UID {
+			dev = d
+		}
+	}
+	return dev
+}
+
+// listen starts the victim's TCP service on its job node.
+func (ss *session) listen() error {
+	return once(&ss.listening, func() error {
+		if err := ss.victimJob(); err != nil {
+			return err
+		}
+		vHost, err := ss.c.Host(ss.vjobNode)
+		if err != nil {
+			return err
+		}
+		_, err = vHost.Listen(ss.victim.Cred, netsim.TCP, victimSvcPort)
+		return err
+	})
+}
+
+// route serves the victim's web app on its job node and registers it
+// with the portal.
+func (ss *session) route() error {
+	return once(&ss.routed, func() error {
+		if err := ss.victimJob(); err != nil {
+			return err
+		}
+		vHost, err := ss.c.Host(ss.vjobNode)
+		if err != nil {
+			return err
+		}
+		if _, err := portal.Serve(vHost, ss.victim.Cred, victimAppPort); err != nil {
+			return err
+		}
+		_, err = ss.c.Portal.Register(ss.victim.Cred, "/jupyter/victim", ss.vjobNode, victimAppPort)
+		return err
+	})
+}
+
+// openSocket binds the victim's abstract-namespace socket on the
+// login node.
+func (ss *session) openSocket() error {
+	if ss.vsock != nil {
+		return nil
+	}
+	loginHost, err := ss.c.Host(ss.login.Name)
+	if err != nil {
+		return err
+	}
+	ss.vsock, err = loginHost.ListenAbstract(ss.victim.Cred, victimSocket)
+	return err
+}
+
+// image imports the container image attempts run, once.
+func (ss *session) image() string {
+	if !ss.imported {
+		ss.c.Containers.ImportImage(probeImage, nil)
+		ss.imported = true
+	}
+	return probeImage
+}
+
+// attackerHost is the host the attacker works from: the last login
+// node, away from the victim's login0.
+func (ss *session) attackerHost() (*netsim.Host, error) {
+	return ss.c.Host(ss.c.Logins[len(ss.c.Logins)-1].Name)
+}

@@ -1,120 +1,51 @@
 package attack
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"strings"
-
-	"repro/internal/audit"
-	"repro/internal/container"
-	"repro/internal/core"
-	"repro/internal/netsim"
-	"repro/internal/portal"
-	"repro/internal/sched"
-	"repro/internal/simos"
-	"repro/internal/vfs"
 )
 
-// Step is one registry entry: a named attack technique bound to the
-// audit channel it exercises. The attempt closure runs against a
-// campaign session; its (leaked, detail) shape is exactly
-// audit.Probe's, and the engine wraps each step in a Probe so a
-// campaign's results render through the same Report machinery as the
-// LeakScan battery.
+// Step is one registry entry: a catalogue entry under the name
+// campaigns reference in Spec.Steps. The engine adds the pacing; the
+// attempt, channel, residual flag and E16 label are the entry's.
 type Step struct {
-	// Name is the registry key campaigns reference in Spec.Steps.
+	// Name is the registry key; it shadows the catalogue entry's name,
+	// which stays reachable as Entry.Name.
 	Name string
-	// Channel is the audit channel the step attacks.
-	Channel audit.Channel
-	// Residual marks the channels the paper concedes stay open under
-	// the enhanced configuration; residual leaks never count toward
-	// campaign success.
-	Residual bool
 	// Summary is a one-line description for CLI listings.
 	Summary string
-
-	attempt func(ss *session) (leaked bool, detail string)
+	Entry
 }
-
-// Probe binds the step to a session as an audit.Probe — the bridge
-// between the campaign engine and the audit machinery.
-func (st Step) Probe(ss *session) audit.Probe {
-	return audit.Probe{
-		Channel: st.Channel, Name: st.Name, Residual: st.Residual,
-		Attempt: func() (bool, string) { return st.attempt(ss) },
-	}
-}
-
-// secretToken is the marker every victim secret carries; a step
-// leaks when the attacker can observe it (or the access control that
-// should have hidden it admits the attempt).
-const secretToken = "VICTIM-SECRET-E17"
 
 // stepRegistry holds every known attack step. Listing order is
 // alphabetical by name (enforced by Steps' sort and pinned by test)
 // so CLI output is stable; execution order is the campaign's.
 var stepRegistry = []Step{
-	{
-		Name: "recon-proc", Channel: audit.ChanProcess,
-		Summary: "list /proc on the victim's login node and read foreign cmdlines",
-		attempt: (*session).reconProc,
-	},
-	{
-		Name: "recon-squeue", Channel: audit.ChanScheduler,
-		Summary: "enumerate foreign jobs (and their command lines) via squeue",
-		attempt: (*session).reconSqueue,
-	},
-	{
-		Name: "tmp-harvest", Channel: audit.ChanTmpNames, Residual: true,
-		Summary: "harvest victim file names from the world-writable /tmp listing",
-		attempt: (*session).tmpHarvest,
-	},
-	{
-		Name: "node-roam", Channel: audit.ChanScheduler,
-		Summary: "ssh to the victim's compute node without holding a job there",
-		attempt: (*session).nodeRoam,
-	},
-	{
-		Name: "home-probe", Channel: audit.ChanFS,
-		Summary: "read a results file out of the victim's home directory",
-		attempt: (*session).homeProbe,
-	},
-	{
-		Name: "symlink-plant", Channel: audit.ChanFS,
-		Summary: "plant a /tmp symlink where the victim's job writes, clobbering their results",
-		attempt: (*session).symlinkPlant,
-	},
-	{
-		Name: "ubf-probe", Channel: audit.ChanNetwork,
-		Summary: "dial the victim's network service on its compute node cross-user",
-		attempt: (*session).ubfProbe,
-	},
-	{
-		Name: "portal-pivot", Channel: audit.ChanPortal,
-		Summary: "authenticate to the web portal and forward into the victim's app",
-		attempt: (*session).portalPivot,
-	},
-	{
-		Name: "abstract-probe", Channel: audit.ChanAbstract, Residual: true,
-		Summary: "inject a datagram into the victim's abstract-namespace socket",
-		attempt: (*session).abstractProbe,
-	},
-	{
-		Name: "rdma-pivot", Channel: audit.ChanRDMACM, Residual: true,
-		Summary: "establish an RDMA QP to the victim's node via native CM, under the firewall",
-		attempt: (*session).rdmaPivot,
-	},
-	{
-		Name: "gpu-residue", Channel: audit.ChanGPU,
-		Summary: "read the previous GPU job's device memory after the victim's job ends",
-		attempt: (*session).gpuResidue,
-	},
-	{
-		Name: "container-escape", Channel: audit.ChanContainer,
-		Summary: "run a container without approval and read the victim's home from inside",
-		attempt: (*session).containerEscape,
-	},
+	{Name: "recon-proc", Entry: entry("ps-foreign-visible"),
+		Summary: "list /proc on the victim's login node for foreign pids"},
+	{Name: "recon-squeue", Entry: entry("squeue-foreign-job"),
+		Summary: "enumerate foreign jobs (and their command lines) via squeue"},
+	{Name: "tmp-harvest", Entry: entry("tmp-filename-listing"),
+		Summary: "harvest victim file names from the world-writable /tmp listing"},
+	{Name: "node-roam", Entry: entry("ssh-roam-to-victim-node"),
+		Summary: "ssh to the victim's compute node without holding a job there"},
+	{Name: "home-probe", Entry: entry("home-file-read"),
+		Summary: "read a results file out of the victim's home directory"},
+	{Name: "symlink-plant", Entry: entry("symlink-plant"),
+		Summary: "plant a /tmp symlink where the victim's job writes, clobbering their results"},
+	{Name: "ubf-probe", Entry: entry("cross-user-dial"),
+		Summary: "dial the victim's network service on its compute node cross-user"},
+	{Name: "portal-pivot", Entry: entry("portal-cross-user-forward"),
+		Summary: "authenticate to the web portal and forward into the victim's app"},
+	{Name: "abstract-probe", Entry: entry("abstract-socket-send"),
+		Summary: "inject a datagram into the victim's abstract-namespace socket"},
+	{Name: "rdma-pivot", Entry: entry("rdma-native-cm-qp"),
+		Summary: "establish an RDMA QP to the victim's node via native CM, under the firewall"},
+	{Name: "gpu-residue", Entry: entry("gpu-residue"),
+		Summary: "read the previous GPU job's device memory after the victim's job ends"},
+	{Name: "container-escape", Entry: entry("container-escape"),
+		Summary: "run a container without approval and read the victim's home from inside"},
 }
 
 // Steps returns the registry sorted by name. The slice is a copy.
@@ -143,376 +74,4 @@ func StepNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// session is one campaign's execution state: the cluster under
-// attack, the provisioned victim and attacker accounts, and the
-// victim's lazily-materialized activity. Steps set up exactly the
-// victim state they target (memoized, so a kill chain's later steps
-// reuse the recon steps' scenery), which keeps each step meaningful
-// standalone AND keeps the cluster work — hence the trial's
-// determinism-relevant event sequence — a pure function of the
-// campaign's step list.
-type session struct {
-	c        *core.Cluster
-	victim   *core.User
-	attacker *core.User
-	login    *simos.Node
-	vctx     vfs.Context
-	actx     vfs.Context
-
-	vproc      *simos.Process // victim login process with a secret argv
-	vjobID     int            // long-running victim batch job (0 = not yet)
-	vjobNode   string
-	vlistening bool // victim TCP service on vjobNode:victimSvcPort
-	vsock      *netsim.AbstractSocket
-	vrouted    bool // victim web app + portal route registered
-	homeSeeded bool
-	tmpSeeded  bool
-	imported   bool // container image imported
-}
-
-// Victim service ports, disjoint per subsystem like the LeakScan
-// scenario's.
-const (
-	victimSvcPort = 5000
-	victimAppPort = 8888
-)
-
-// newSession provisions the campaign's two extra accounts on the
-// trial's cluster. The names are distinct from the mix's "u<N>"
-// scheme, so an attack rides alongside any legitimate workload.
-func newSession(c *core.Cluster) (*session, error) {
-	victim, err := c.AddUser("victim", "victim-pw")
-	if err != nil {
-		return nil, err
-	}
-	attacker, err := c.AddUser("adv", "adv-pw")
-	if err != nil {
-		return nil, err
-	}
-	return &session{
-		c: c, victim: victim, attacker: attacker,
-		login: c.Logins[0],
-		vctx:  vfs.Ctx(victim.Cred), actx: vfs.Ctx(attacker.Cred),
-	}, nil
-}
-
-// close cancels the victim's open-ended job so an attacked trial's
-// drain measures the mix, not a sentinel job parked at the horizon.
-func (ss *session) close() {
-	if ss.vjobID != 0 {
-		_ = ss.c.Sched.Cancel(ss.victim.Cred, ss.vjobID)
-	}
-}
-
-// victimJob lazily submits the victim's long-running batch job (its
-// command line carries a secret) and waits — stepping the live
-// cluster, mix and all — until it places. Returns the job's node.
-func (ss *session) victimJob() (string, error) {
-	if ss.vjobID != 0 {
-		return ss.vjobNode, nil
-	}
-	vj, err := ss.c.Sched.Submit(ss.victim.Cred, sched.JobSpec{
-		Name: "victim-sim", Command: "simulate --token=" + secretToken,
-		Cores: 1, MemB: 1, Duration: 1 << 30,
-	})
-	if err != nil {
-		return "", fmt.Errorf("victim job rejected: %v", err)
-	}
-	for i := 0; i < 64; i++ {
-		j, err := ss.c.Sched.Job(vj.ID)
-		if err != nil {
-			return "", err
-		}
-		if j.State == sched.Running {
-			ss.vjobID = vj.ID
-			ss.vjobNode = j.Nodes[0]
-			return ss.vjobNode, nil
-		}
-		ss.c.Step()
-	}
-	_ = ss.c.Sched.Cancel(ss.victim.Cred, vj.ID)
-	return "", fmt.Errorf("victim job never placed (cluster saturated)")
-}
-
-// attackerHost is the host the attacker works from: the last login
-// node, away from the victim's login0.
-func (ss *session) attackerHost() (*netsim.Host, error) {
-	return ss.c.Host(ss.c.Logins[len(ss.c.Logins)-1].Name)
-}
-
-func (ss *session) reconProc() (bool, string) {
-	if ss.vproc == nil {
-		ss.vproc = ss.login.Procs.Spawn(ss.victim.Cred, 1, "analyze", "--token="+secretToken)
-	}
-	view := ss.c.Proc[ss.login.Name]
-	// The foreign pid appearing in readdir is itself the leak (under
-	// hidepid=1 List returns redacted stubs, so match by PID).
-	for _, p := range view.List(ss.attacker.Cred) {
-		if p.PID != ss.vproc.PID {
-			continue
-		}
-		if cl, err := view.ReadCmdline(ss.attacker.Cred, ss.vproc.PID); err == nil && strings.Contains(cl, secretToken) {
-			return true, "victim pid listed and secret cmdline read"
-		}
-		return true, fmt.Sprintf("victim pid %d listed", ss.vproc.PID)
-	}
-	return false, "no foreign pids in /proc listing"
-}
-
-func (ss *session) reconSqueue() (bool, string) {
-	if _, err := ss.victimJob(); err != nil {
-		return false, err.Error()
-	}
-	for _, j := range ss.c.Sched.Squeue(ss.attacker.Cred) {
-		if j.User == ss.victim.UID {
-			if strings.Contains(j.Spec.Command, secretToken) {
-				return true, fmt.Sprintf("job %d visible with secret command line", j.ID)
-			}
-			return true, fmt.Sprintf("foreign job %d visible", j.ID)
-		}
-	}
-	return false, "no foreign jobs in squeue"
-}
-
-func (ss *session) tmpHarvest() (bool, string) {
-	if !ss.tmpSeeded {
-		if err := ss.c.NS[ss.login.Name].WriteFile(ss.vctx, "/tmp/victim-campaign-run1.tmp", []byte("victim-tmp-data"), 0o644); err != nil {
-			return false, err.Error()
-		}
-		ss.tmpSeeded = true
-	}
-	names, err := ss.c.NS[ss.login.Name].ReadDir(ss.actx, "/tmp")
-	if err != nil {
-		return false, err.Error()
-	}
-	for _, n := range names {
-		if strings.Contains(n, "victim") {
-			return true, fmt.Sprintf("file name %q visible", n)
-		}
-	}
-	return false, "no victim names in /tmp"
-}
-
-func (ss *session) nodeRoam() (bool, string) {
-	node, err := ss.victimJob()
-	if err != nil {
-		return false, err.Error()
-	}
-	if _, err := ss.c.LoginShell(node, ss.attacker.Cred); err == nil {
-		return true, "ssh to victim's compute node succeeded"
-	}
-	return false, "pam denied compute-node ssh"
-}
-
-func (ss *session) homeProbe() (bool, string) {
-	if !ss.homeSeeded {
-		if err := ss.c.SharedFS.WriteFile(ss.vctx, ss.victim.HomePath+"/results.csv", []byte("victim-home-data"), 0o644); err != nil {
-			return false, err.Error()
-		}
-		ss.homeSeeded = true
-	}
-	if d, err := ss.c.SharedFS.ReadFile(ss.actx, ss.victim.HomePath+"/results.csv"); err == nil {
-		return true, fmt.Sprintf("read %d bytes from victim home", len(d))
-	}
-	return false, "home traversal denied"
-}
-
-// symlinkPlant is the sticky-dir clobber fs.protected_symlinks exists
-// for: the planted link points at the victim's OWN results file, so
-// smask cannot help (the victim has every permission on the target) —
-// if the victim's routine checkpoint write follows the link, their
-// results were corrupted on the attacker's say-so.
-func (ss *session) symlinkPlant() (bool, string) {
-	localFS := ss.c.LocalFS[ss.login.Name]
-	if err := localFS.WriteFile(ss.vctx, "/tmp/victim-results.dat", []byte("precious-"+secretToken), 0o600); err != nil {
-		return false, err.Error()
-	}
-	if err := localFS.Symlink(ss.actx, "/tmp/victim-results.dat", "/tmp/victim-checkpoint.tmp"); err != nil {
-		return false, err.Error()
-	}
-	// The victim's job writes its checkpoint "as usual".
-	if err := localFS.WriteFileFollow(ss.vctx, "/tmp/victim-checkpoint.tmp", []byte("CLOBBERED"), 0o600); err != nil {
-		return false, fmt.Sprintf("victim write refused: %v", err)
-	}
-	if d, err := localFS.ReadFile(ss.vctx, "/tmp/victim-results.dat"); err == nil && string(d) == "CLOBBERED" {
-		return true, "victim results clobbered via planted symlink"
-	}
-	return false, "victim write did not follow the planted link"
-}
-
-func (ss *session) ubfProbe() (bool, string) {
-	node, err := ss.victimJob()
-	if err != nil {
-		return false, err.Error()
-	}
-	if !ss.vlistening {
-		vHost, err := ss.c.Host(node)
-		if err != nil {
-			return false, err.Error()
-		}
-		if _, err := vHost.Listen(ss.victim.Cred, netsim.TCP, victimSvcPort); err != nil {
-			return false, err.Error()
-		}
-		ss.vlistening = true
-	}
-	aHost, err := ss.attackerHost()
-	if err != nil {
-		return false, err.Error()
-	}
-	if conn, err := aHost.Dial(ss.attacker.Cred, netsim.TCP, node, victimSvcPort); err == nil {
-		conn.Close()
-		return true, "connected to victim service"
-	}
-	return false, "UBF dropped cross-user connection"
-}
-
-func (ss *session) portalPivot() (bool, string) {
-	node, err := ss.victimJob()
-	if err != nil {
-		return false, err.Error()
-	}
-	if !ss.vrouted {
-		vHost, err := ss.c.Host(node)
-		if err != nil {
-			return false, err.Error()
-		}
-		if _, err := portal.Serve(vHost, ss.victim.Cred, victimAppPort); err != nil {
-			return false, err.Error()
-		}
-		if _, err := ss.c.Portal.Register(ss.victim.Cred, "/jupyter/victim", node, victimAppPort); err != nil {
-			return false, err.Error()
-		}
-		ss.vrouted = true
-	}
-	tok, err := ss.c.Portal.Login(ss.attacker.Cred, "adv-pw")
-	if err != nil {
-		return false, err.Error()
-	}
-	if _, err := ss.c.Portal.Forward(tok, "/jupyter/victim", []byte("GET /")); err == nil {
-		return true, "reached victim's web app through portal"
-	}
-	return false, "portal forward denied end-to-end"
-}
-
-func (ss *session) abstractProbe() (bool, string) {
-	loginHost, err := ss.c.Host(ss.login.Name)
-	if err != nil {
-		return false, err.Error()
-	}
-	if ss.vsock == nil {
-		if ss.vsock, err = loginHost.ListenAbstract(ss.victim.Cred, "victim-coordinator"); err != nil {
-			return false, err.Error()
-		}
-	}
-	if err := loginHost.DialAbstract(ss.attacker.Cred, "victim-coordinator", []byte("injected")); err != nil {
-		return false, err.Error()
-	}
-	if _, from, ok := ss.vsock.Recv(); ok && from == ss.attacker.UID {
-		return true, "datagram delivered cross-user"
-	}
-	return false, "no delivery"
-}
-
-func (ss *session) rdmaPivot() (bool, string) {
-	node, err := ss.victimJob()
-	if err != nil {
-		return false, err.Error()
-	}
-	aHost, err := ss.attackerHost()
-	if err != nil {
-		return false, err.Error()
-	}
-	qp, err := aHost.SetupQP(ss.attacker.Cred, netsim.QPViaNativeCM, node, 0)
-	if err != nil {
-		return false, err.Error()
-	}
-	_ = qp.Write([]byte("rdma"))
-	qp.Close()
-	return true, "QP established via native CM (firewall bypassed)"
-}
-
-// gpuResidue is the two-phase GPU handover: the victim's GPU job
-// writes a secret to device memory and completes; the attacker then
-// reads the same node's devices looking for the residue. The read is
-// blocked by the prolog's device-permission binding and the residue
-// itself is destroyed by the epilog clear — both halves of the gpu
-// measure — so the step reopens under the gpu ablation regardless of
-// scheduling policy.
-func (ss *session) gpuResidue() (bool, string) {
-	secret := []byte(secretToken + "-GPU-WEIGHTS")
-	vj, err := ss.c.Sched.Submit(ss.victim.Cred, sched.JobSpec{
-		Name: "gpu-train", Command: "train", Cores: 1, MemB: 1, GPUs: 1, Duration: 2,
-	})
-	if err != nil {
-		return false, fmt.Sprintf("victim gpu job rejected: %v", err)
-	}
-	var node string
-	for i := 0; i < 32 && node == ""; i++ {
-		j, err := ss.c.Sched.Job(vj.ID)
-		if err != nil {
-			return false, err.Error()
-		}
-		if j.State == sched.Running {
-			node = j.Nodes[0]
-			break
-		}
-		ss.c.Step()
-	}
-	if node == "" {
-		_ = ss.c.Sched.Cancel(ss.victim.Cred, vj.ID)
-		return false, "victim gpu job never placed"
-	}
-	dev := ss.c.GPUs.Devices(node)[0]
-	for _, d := range ss.c.GPUs.Devices(node) {
-		if d.Assigned() == ss.victim.UID {
-			dev = d
-		}
-	}
-	if err := dev.Write(ss.victim.Cred, 512, secret); err != nil {
-		return false, fmt.Sprintf("victim gpu write failed: %v", err)
-	}
-	// Let the victim's job run out (Duration 2) and its epilog fire.
-	for i := 0; i < 8; i++ {
-		if j, err := ss.c.Sched.Job(vj.ID); err == nil && j.State != sched.Running && j.State != sched.Pending {
-			break
-		}
-		ss.c.Step()
-	}
-	for _, d := range ss.c.GPUs.Devices(node) {
-		if data, err := d.Read(ss.attacker.Cred, 512, len(secret)); err == nil && bytes.Equal(data, secret) {
-			return true, "previous user's data read from GPU memory"
-		}
-	}
-	return false, "no residue readable (cleared or access denied)"
-}
-
-func (ss *session) containerEscape() (bool, string) {
-	if !ss.imported {
-		ss.c.Containers.ImportImage("attack-img", nil)
-		ss.imported = true
-	}
-	// Deliberately unapproved: the attacker was never Allow()ed, so
-	// the Run itself succeeding is the admission-control escape.
-	node := ss.c.Compute[len(ss.c.Compute)-1]
-	nHost, err := ss.c.Host(node.Name)
-	if err != nil {
-		return false, err.Error()
-	}
-	ct, err := ss.c.Containers.Run(ss.attacker.Cred, node, ss.c.NS[node.Name], nHost,
-		container.RunSpec{Image: "attack-img"})
-	if err != nil {
-		return false, "container admission denied"
-	}
-	if !ss.homeSeeded {
-		if err := ss.c.SharedFS.WriteFile(ss.vctx, ss.victim.HomePath+"/results.csv", []byte("victim-home-data"), 0o644); err != nil {
-			return false, err.Error()
-		}
-		ss.homeSeeded = true
-	}
-	if _, err := ct.ReadFile(ss.victim.HomePath + "/results.csv"); err == nil {
-		return true, "unapproved container ran and read victim home from inside"
-	}
-	return true, "unapproved container ran (host FS controls still bound inside)"
 }

@@ -1,16 +1,16 @@
-// Package audit implements the leak scanner: an attacker harness that
-// *attempts* every cross-user channel the paper discusses and records
-// which attempts succeed. The paper's Results section (§V) is, in
-// effect, a claim about which rows of this report read "closed" under
-// the enhanced configuration — and which three stay "open" (file
-// names in world-writable directories, abstract-namespace unix
-// sockets, direct IB-CM RDMA).
+// Package audit records cross-user attack attempts: a Report holds
+// one Result per attempted channel (the leak scan's table), a Log the
+// tick-stamped Events of a campaign. The attempts themselves live in
+// internal/attack's catalogue. The paper's Results section (§V) is, in
+// effect, a claim about which rows of a report read "closed" under the
+// enhanced configuration — and which three stay "open" (file names in
+// world-writable directories, abstract-namespace unix sockets, direct
+// IB-CM RDMA).
 package audit
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/metrics"
 )
@@ -32,19 +32,23 @@ const (
 	ChanRDMACM    Channel = "rdma-cm"
 )
 
-// Probe is one attack attempt.
+// Probe names one attack attempt: the row a Result reports on.
 type Probe struct {
 	Channel Channel
 	Name    string
 	// Residual marks channels the paper concedes stay open even under
 	// the enhanced configuration.
 	Residual bool
-	// Attempt performs the attack and reports whether information
-	// leaked (or access succeeded) across users.
-	Attempt func() (leaked bool, detail string)
 }
 
-// Result is one executed probe.
+// Compare orders probes by (channel, name): the row order of every
+// report, whatever order the probes were registered in.
+func Compare(a, b Probe) int {
+	return cmp.Or(cmp.Compare(a.Channel, b.Channel), cmp.Compare(a.Name, b.Name))
+}
+
+// Result is one executed attempt: whether information leaked (or
+// access succeeded) across users.
 type Result struct {
 	Probe  Probe
 	Leaked bool
@@ -55,59 +59,6 @@ type Result struct {
 type Report struct {
 	ConfigName string
 	Results    []Result
-}
-
-// Scanner runs probes.
-type Scanner struct {
-	mu     sync.Mutex
-	probes []Probe
-}
-
-// NewScanner creates an empty scanner.
-func NewScanner() *Scanner { return &Scanner{} }
-
-// Add registers a probe.
-func (s *Scanner) Add(p Probe) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.probes = append(s.probes, p)
-}
-
-// Len returns the number of registered probes.
-func (s *Scanner) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.probes)
-}
-
-// Reset empties the scanner for reuse across pooled trials: the
-// probe closures bind cluster state that a core.Cluster.Reset just
-// rewound, so a pooled trial re-registers its battery instead of
-// re-running stale captures.
-func (s *Scanner) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.probes = s.probes[:0]
-}
-
-// Run executes every probe and returns the report, ordered by
-// (channel, name) for stable output.
-func (s *Scanner) Run(configName string) *Report {
-	s.mu.Lock()
-	probes := append([]Probe(nil), s.probes...)
-	s.mu.Unlock()
-	sort.Slice(probes, func(i, j int) bool {
-		if probes[i].Channel != probes[j].Channel {
-			return probes[i].Channel < probes[j].Channel
-		}
-		return probes[i].Name < probes[j].Name
-	})
-	rep := &Report{ConfigName: configName}
-	for _, p := range probes {
-		leaked, detail := p.Attempt()
-		rep.Results = append(rep.Results, Result{Probe: p, Leaked: leaked, Detail: detail})
-	}
-	return rep
 }
 
 // Leaks returns how many probes leaked, split into unexpected leaks

@@ -1,28 +1,35 @@
 package audit
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
 
-func fixedProbe(ch Channel, name string, residual, leak bool) Probe {
-	return Probe{
-		Channel:  ch,
-		Name:     name,
-		Residual: residual,
-		Attempt:  func() (bool, string) { return leak, "detail-" + name },
+// report builds a Report whose results' details are "detail-<name>".
+func report(config string, results ...Result) *Report {
+	for i := range results {
+		results[i].Detail = "detail-" + results[i].Probe.Name
 	}
+	return &Report{ConfigName: config, Results: results}
+}
+
+func result(ch Channel, name string, residual, leak bool) Result {
+	return Result{Probe: Probe{Channel: ch, Name: name, Residual: residual}, Leaked: leak}
+}
+
+// sorted returns the results in Compare order, as a scan reports them.
+func sorted(results ...Result) []Result {
+	slices.SortFunc(results, func(a, b Result) int { return Compare(a.Probe, b.Probe) })
+	return results
 }
 
 func TestScannerRunOrdering(t *testing.T) {
-	s := NewScanner()
-	s.Add(fixedProbe(ChanNetwork, "b", false, false))
-	s.Add(fixedProbe(ChanFS, "z", false, true))
-	s.Add(fixedProbe(ChanFS, "a", false, false))
-	if s.Len() != 3 {
-		t.Fatalf("len = %d", s.Len())
-	}
-	rep := s.Run("test")
+	rep := report("test", sorted(
+		result(ChanNetwork, "b", false, false),
+		result(ChanFS, "z", false, true),
+		result(ChanFS, "a", false, false))...)
 	if len(rep.Results) != 3 {
 		t.Fatalf("results = %d", len(rep.Results))
 	}
@@ -35,12 +42,46 @@ func TestScannerRunOrdering(t *testing.T) {
 	}
 }
 
+// TestScannerRunOrderPinned: the report's row order is (channel,
+// name) regardless of registration order — the rendering-determinism
+// half of the report contract. Every permutation of the same probe
+// set must render byte-identical tables.
+func TestScannerRunOrderPinned(t *testing.T) {
+	results := []Result{
+		result(ChanNetwork, "dial", false, false),
+		result(ChanFS, "home", false, true),
+		result(ChanFS, "chmod", false, false),
+		result(ChanAbstract, "dgram", true, true),
+		result(ChanProcess, "ps", false, false),
+		result(ChanGPU, "residue", false, true),
+	}
+	var want string
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 20; trial++ {
+		shuffled := append([]Result(nil), results...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		rep := report("pin", sorted(shuffled...)...)
+		got := rep.Table().Render()
+		if trial == 0 {
+			want = got
+			for i, name := range []string{"dgram", "chmod", "home", "residue", "dial", "ps"} {
+				if rep.Results[i].Probe.Name != name {
+					t.Fatalf("result[%d] = %q, want %q", i, rep.Results[i].Probe.Name, name)
+				}
+			}
+			continue
+		}
+		if got != want {
+			t.Fatalf("registration order %d changed the rendered report:\n%s\nvs\n%s", trial, got, want)
+		}
+	}
+}
+
 func TestReportCounts(t *testing.T) {
-	s := NewScanner()
-	s.Add(fixedProbe(ChanFS, "blocked", false, false))
-	s.Add(fixedProbe(ChanFS, "leak", false, true))
-	s.Add(fixedProbe(ChanTmpNames, "residual", true, true))
-	rep := s.Run("enhanced")
+	rep := report("enhanced",
+		result(ChanFS, "blocked", false, false),
+		result(ChanFS, "leak", false, true),
+		result(ChanTmpNames, "residual", true, true))
 	u, r := rep.Leaks()
 	if u != 1 || r != 1 {
 		t.Errorf("leaks = %d,%d want 1,1", u, r)
@@ -51,11 +92,10 @@ func TestReportCounts(t *testing.T) {
 }
 
 func TestReportTableRendering(t *testing.T) {
-	s := NewScanner()
-	s.Add(fixedProbe(ChanFS, "chmod-world", false, true))
-	s.Add(fixedProbe(ChanAbstract, "abstract-dgram", true, true))
-	s.Add(fixedProbe(ChanNetwork, "cross-dial", false, false))
-	out := s.Run("baseline").Table().Render()
+	out := report("baseline",
+		result(ChanFS, "chmod-world", false, true),
+		result(ChanAbstract, "abstract-dgram", true, true),
+		result(ChanNetwork, "cross-dial", false, false)).Table().Render()
 	for _, want := range []string{"LEAK", "open (residual)", "closed", "leak scan — baseline", "1 unexpected leaks"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q:\n%s", want, out)
@@ -64,10 +104,8 @@ func TestReportTableRendering(t *testing.T) {
 }
 
 func TestProbeDetailPropagates(t *testing.T) {
-	s := NewScanner()
-	s.Add(fixedProbe(ChanGPU, "residue", false, true))
-	rep := s.Run("x")
-	if rep.Results[0].Detail != "detail-residue" {
-		t.Errorf("detail = %q", rep.Results[0].Detail)
+	out := report("x", result(ChanGPU, "residue", false, true)).Table().Render()
+	if !strings.Contains(out, "detail-residue") {
+		t.Errorf("rendered report lost the detail:\n%s", out)
 	}
 }

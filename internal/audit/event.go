@@ -23,8 +23,8 @@ type Event struct {
 }
 
 // Log is an append-only, concurrency-safe event stream. Events keep
-// their append order (the campaign timeline), unlike Scanner.Run's
-// sorted battery — ordering by tick would lose the intra-tick
+// their append order (the campaign timeline), unlike a leak scan's
+// sorted report — ordering by tick would lose the intra-tick
 // sequence of a multi-step campaign.
 type Log struct {
 	mu     sync.Mutex

@@ -2,93 +2,10 @@ package audit
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 )
-
-// TestScannerRunOrderPinned: the report's row order is (channel,
-// name) regardless of registration order — the rendering-determinism
-// half of the Scanner contract. Every permutation of the same probe
-// set must render byte-identical tables.
-func TestScannerRunOrderPinned(t *testing.T) {
-	probes := []Probe{
-		fixedProbe(ChanNetwork, "dial", false, false),
-		fixedProbe(ChanFS, "home", false, true),
-		fixedProbe(ChanFS, "chmod", false, false),
-		fixedProbe(ChanAbstract, "dgram", true, true),
-		fixedProbe(ChanProcess, "ps", false, false),
-		fixedProbe(ChanGPU, "residue", false, true),
-	}
-	var want string
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 20; trial++ {
-		shuffled := append([]Probe(nil), probes...)
-		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		s := NewScanner()
-		for _, p := range shuffled {
-			s.Add(p)
-		}
-		got := s.Run("pin").Table().Render()
-		if trial == 0 {
-			want = got
-			for i, name := range []string{"dgram", "chmod", "home", "residue", "dial", "ps"} {
-				rep := s.Run("pin")
-				if rep.Results[i].Probe.Name != name {
-					t.Fatalf("result[%d] = %q, want %q", i, rep.Results[i].Probe.Name, name)
-				}
-			}
-			continue
-		}
-		if got != want {
-			t.Fatalf("registration order %d changed the rendered report:\n%s\nvs\n%s", trial, got, want)
-		}
-	}
-}
-
-// TestScannerPooledReuseRace is the pooled-trial lifecycle under
-// -race: each goroutine is a worker running Reset → Add battery → Run
-// over a shared Scanner-per-worker is the real topology, but the
-// Scanner must ALSO survive being shared (Add/Run/Len/Reset are
-// mutex-guarded), so the stress deliberately shares one.
-func TestScannerPooledReuseRace(t *testing.T) {
-	s := NewScanner()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for trial := 0; trial < 50; trial++ {
-				s.Reset()
-				for i := 0; i < 4; i++ {
-					s.Add(fixedProbe(ChanFS, fmt.Sprintf("w%d-p%d", worker, i), false, i%2 == 0))
-				}
-				rep := s.Run("race")
-				_ = rep.Table().Render()
-				_, _ = rep.Leaks()
-				_ = s.Len()
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-func TestScannerReset(t *testing.T) {
-	s := NewScanner()
-	s.Add(fixedProbe(ChanFS, "a", false, true))
-	s.Add(fixedProbe(ChanFS, "b", false, true))
-	if s.Len() != 2 {
-		t.Fatalf("len = %d", s.Len())
-	}
-	s.Reset()
-	if s.Len() != 0 {
-		t.Fatalf("len after Reset = %d", s.Len())
-	}
-	if rep := s.Run("empty"); len(rep.Results) != 0 {
-		t.Fatalf("reset scanner still ran %d probes", len(rep.Results))
-	}
-}
 
 func TestLogTimelineOrder(t *testing.T) {
 	l := NewLog()

@@ -5,8 +5,9 @@ package experiments
 // of individually deployable measures; E16 makes the coordination
 // visible by building "enhanced minus one measure" for every entry
 // of the core registry and probing which cross-user channels reopen
-// (the E1/E3/E5/E6/E7/E9/E11/E12 separation probes) plus what the
-// ablation does to utilization and OOM blast radius (the E4 drain).
+// (the E1/E3/E5/E6/E7/E9/E11/E12 labels of internal/attack's probe
+// catalogue) plus what the ablation does to utilization and OOM blast
+// radius (the E4 drain).
 // The expected shape is a diagonal: each measure reopens exactly the
 // channels its paper section claims to close.
 
@@ -14,13 +15,10 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/container"
+	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
-	"repro/internal/sched"
-	"repro/internal/vfs"
 	"repro/internal/workload"
 )
 
@@ -36,184 +34,14 @@ type AblationRow struct {
 	Cofailures int
 }
 
-// Channel labels, keyed to the experiment that owns each probe.
-const (
-	chanE1Pids     = "E1 foreign-pids"
-	chanE3Jobs     = "E3 foreign-jobs"
-	chanE5SSH      = "E5 ssh-roam"
-	chanE6Files    = "E6 file-content"
-	chanE6Symlink  = "E6 symlink-clobber"
-	chanE7Flow     = "E7 stranger-flow"
-	chanE9GPU      = "E9 gpu-device"
-	chanE11Portal  = "E11 portal-forward"
-	chanE12Runtime = "E12 container-unapproved"
-)
-
-// separationProbes builds a victim/attacker scenario on a fresh
-// cluster under cfg and returns the labels of every channel that
-// reopened. The battery is deliberately one probe per experiment
-// family so the E16 rows read as "which paper section failed".
-func separationProbes(cfg core.Config) ([]string, error) {
+// reopenedChannels builds a fresh cluster under cfg and returns the
+// E16 labels its probe catalogue entries reopened.
+func reopenedChannels(cfg core.Config) ([]string, error) {
 	c, err := core.New(cfg, topo())
 	if err != nil {
 		return nil, err
 	}
-	victim, err := c.AddUser("victim", "victim-pw")
-	if err != nil {
-		return nil, err
-	}
-	attacker, err := c.AddUser("attacker", "attacker-pw")
-	if err != nil {
-		return nil, err
-	}
-	login := c.Logins[0]
-	var reopened []string
-	leak := func(label string, open bool) {
-		if open {
-			reopened = append(reopened, label)
-		}
-	}
-
-	// E1: a victim process with a secret-bearing command line; does
-	// the attacker's `ps` show the foreign pid?
-	vp := login.Procs.Spawn(victim.Cred, 1, "analyze", "--token=VICTIM-SECRET")
-	seen := false
-	for _, p := range c.Proc[login.Name].List(attacker.Cred) {
-		if p.PID == vp.PID {
-			seen = true
-		}
-	}
-	leak(chanE1Pids, seen)
-
-	// E3: a long-running victim job; does the attacker's squeue list it?
-	vjob, err := c.Sched.Submit(victim.Cred, sched.JobSpec{
-		Name: "victim-sim", Command: "simulate", Cores: 2, MemB: 1, Duration: 1 << 30,
-	})
-	if err != nil {
-		return nil, err
-	}
-	c.Step()
-	foreignRows := 0
-	for _, j := range c.Sched.Squeue(attacker.Cred) {
-		if j.User == victim.UID {
-			foreignRows++
-		}
-	}
-	leak(chanE3Jobs, foreignRows > 0)
-
-	// E5: ssh to the victim's compute node without a job there.
-	running, err := c.Sched.Job(vjob.ID)
-	if err != nil || len(running.Nodes) == 0 {
-		return nil, fmt.Errorf("victim job not running: %v", err)
-	}
-	vnode := running.Nodes[0]
-	_, sshErr := c.LoginShell(vnode, attacker.Cred)
-	leak(chanE5SSH, sshErr == nil)
-
-	// E6 content: the victim's home file, a mistyped chmod o+r in
-	// shared scratch, and a /tmp working file — can the attacker read
-	// ANY of the contents?
-	vctx, actx := vfs.Ctx(victim.Cred), vfs.Ctx(attacker.Cred)
-	if err := c.SharedFS.WriteFile(vctx, victim.HomePath+"/results.csv", []byte("home"), 0o644); err != nil {
-		return nil, err
-	}
-	if err := c.SharedFS.WriteFile(vctx, "/scratch/shared/victim.dat", []byte("scratch"), 0o600); err != nil {
-		return nil, err
-	}
-	if err := c.SharedFS.Chmod(vctx, "/scratch/shared/victim.dat", 0o644); err != nil {
-		return nil, err
-	}
-	ns := c.NS[login.Name]
-	if err := ns.WriteFile(vctx, "/tmp/victim-run7.tmp", []byte("tmp"), 0o644); err != nil {
-		return nil, err
-	}
-	_, errHome := c.SharedFS.ReadFile(actx, victim.HomePath+"/results.csv")
-	_, errChmod := c.SharedFS.ReadFile(actx, "/scratch/shared/victim.dat")
-	_, errTmp := ns.ReadFile(actx, "/tmp/victim-run7.tmp")
-	leak(chanE6Files, errHome == nil || errChmod == nil || errTmp == nil)
-
-	// E6 symlinks: the attacker plants a symlink in /tmp where the
-	// victim's job will write its checkpoint, pointing at the
-	// victim's OWN results file — the classic sticky-dir clobber that
-	// fs.protected_symlinks exists for (smask cannot help: the victim
-	// has every permission on the target). If the victim's write
-	// lands, their results were corrupted on the attacker's say-so.
-	localFS := c.LocalFS[login.Name]
-	if err := localFS.WriteFile(vctx, "/tmp/victim-results.dat", []byte("precious"), 0o600); err != nil {
-		return nil, err
-	}
-	if err := localFS.Symlink(actx, "/tmp/victim-results.dat", "/tmp/victim-ckpt.tmp"); err == nil {
-		_ = localFS.WriteFileFollow(vctx, "/tmp/victim-ckpt.tmp", []byte("CLOBBERED"), 0o600)
-		d, err := localFS.ReadFile(vctx, "/tmp/victim-results.dat")
-		leak(chanE6Symlink, err == nil && string(d) == "CLOBBERED")
-	}
-
-	// E7: a victim listener on its job node; can a stranger connect?
-	vHost, err := c.Host(vnode)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := vHost.Listen(victim.Cred, netsim.TCP, 5000); err != nil {
-		return nil, err
-	}
-	aHost, err := c.Host(c.Logins[len(c.Logins)-1].Name)
-	if err != nil {
-		return nil, err
-	}
-	_, dialErr := aHost.Dial(attacker.Cred, netsim.TCP, vnode, 5000)
-	leak(chanE7Flow, dialErr == nil)
-
-	// E9: a victim GPU job; can the attacker open the victim's
-	// device from the outside? (No colocation needed — this is the
-	// /dev permission half of §IV-F, which whole-node scheduling
-	// cannot mask.)
-	gjob, err := c.Sched.Submit(victim.Cred, sched.JobSpec{
-		Name: "train", Command: "train", Cores: 1, MemB: 1, GPUs: 1, Duration: 1 << 30,
-	})
-	if err != nil {
-		return nil, err
-	}
-	c.Step()
-	gj, err := c.Sched.Job(gjob.ID)
-	if err != nil || gj.State != sched.Running {
-		return nil, fmt.Errorf("victim gpu job not running: %v", err)
-	}
-	opened := false
-	for _, d := range c.GPUs.Devices(gj.Nodes[0]) {
-		if _, err := d.Read(attacker.Cred, 0, 1); err == nil {
-			opened = true
-		}
-	}
-	leak(chanE9GPU, opened)
-
-	// E11: the victim's registered web app; does an authenticated
-	// stranger's forward get through?
-	if _, err := vHost.Listen(victim.Cred, netsim.TCP, 8888); err != nil {
-		return nil, err
-	}
-	if _, err := c.Portal.Register(victim.Cred, "/jupyter/victim", vnode, 8888); err != nil {
-		return nil, err
-	}
-	tok, err := c.Portal.Login(attacker.Cred, "attacker-pw")
-	if err != nil {
-		return nil, err
-	}
-	_, fwdErr := c.Portal.Forward(tok, "/jupyter/victim", []byte("GET /"))
-	leak(chanE11Portal, fwdErr == nil)
-
-	// E12: a user who was never granted container privileges runs a
-	// container.
-	c.Containers.ImportImage("probe-img", nil)
-	node := c.Compute[len(c.Compute)-1]
-	nHost, err := c.Host(node.Name)
-	if err != nil {
-		return nil, err
-	}
-	_, runErr := c.Containers.Run(attacker.Cred, node, c.NS[node.Name], nHost,
-		container.RunSpec{Image: "probe-img"})
-	leak(chanE12Runtime, runErr == nil)
-
-	return reopened, nil
+	return attack.Reopened(c)
 }
 
 // utilizationDrain runs a deterministic E4-style short-job campaign
@@ -246,7 +74,7 @@ func AblationSweep() ([]AblationRow, error) {
 	control := AblationRow{Measure: "(none)", Section: "—"}
 	enhanced := core.Enhanced()
 	var err error
-	if control.Reopened, err = separationProbes(enhanced); err != nil {
+	if control.Reopened, err = reopenedChannels(enhanced); err != nil {
 		return nil, fmt.Errorf("control probes: %w", err)
 	}
 	if control.Util, control.Cofailures, err = utilizationDrain(enhanced); err != nil {
@@ -264,7 +92,7 @@ func AblationSweep() ([]AblationRow, error) {
 			return nil, err
 		}
 		row := AblationRow{Measure: m.Name, Section: m.Section}
-		if row.Reopened, err = separationProbes(cfg); err != nil {
+		if row.Reopened, err = reopenedChannels(cfg); err != nil {
 			return nil, fmt.Errorf("ablate %s: %w", m.Name, err)
 		}
 		if row.Util, row.Cofailures, err = utilizationDrain(cfg); err != nil {

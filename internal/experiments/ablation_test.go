@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/attack"
 	"repro/internal/core"
+	"repro/internal/metrics"
 )
 
 // TestAblationSweepDiagonal pins the E16 matrix: every ablated
@@ -16,17 +19,17 @@ import (
 func TestAblationSweepDiagonal(t *testing.T) {
 	want := map[string][]string{
 		"(none)":             nil,
-		"hidepid":            {chanE1Pids},
-		"privatedata":        {chanE3Jobs},
-		"wholenode":          {chanE5SSH},
-		"smask":              {chanE6Files},
-		"protected-symlinks": {chanE6Symlink},
+		"hidepid":            {"E1 foreign-pids"},
+		"privatedata":        {"E3 foreign-jobs"},
+		"wholenode":          {"E5 ssh-roam"},
+		"smask":              {"E6 file-content"},
+		"protected-symlinks": {"E6 symlink-clobber"},
 		// Without the UBF the portal's forwarded hop is unguarded
 		// too, so the network ablation reopens both network channels.
-		"ubf":       {chanE7Flow, chanE11Portal},
-		"portal":    {chanE11Portal},
-		"gpu":       {chanE9GPU},
-		"container": {chanE12Runtime},
+		"ubf":       {"E7 stranger-flow", "E11 portal-forward"},
+		"portal":    {"E11 portal-forward"},
+		"gpu":       {"E9 gpu-device"},
+		"container": {"E12 container-unapproved"},
 	}
 	rows, err := AblationSweep()
 	if err != nil {
@@ -87,6 +90,58 @@ func TestE16TableShape(t *testing.T) {
 	for _, frag := range []string{"E16", "hidepid", "§IV-G", "E7 stranger-flow"} {
 		if !strings.Contains(render, frag) {
 			t.Errorf("E16 render missing %q:\n%s", frag, render)
+		}
+	}
+}
+
+// TestE16AgreesWithKillChain cross-checks the two diagonals: for the
+// control and every single-measure ablation, the E16 labels the sweep
+// reports reopened equal the labels of the catalogue entries behind the
+// kill chain's non-residual step leaks under the same profile. Both
+// batteries read the one probe catalogue, so neither can drift alone.
+func TestE16AgreesWithKillChain(t *testing.T) {
+	rows, err := AblationSweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := attack.ModelByName("kill-chain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := spec.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		opts := []core.Option{core.WithTopology(topo())}
+		if r.Measure != "(none)" {
+			opts = append(opts, core.Without(r.Measure))
+		}
+		c, err := core.NewWithProfile(core.EnhancedProfile(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rng metrics.RNG
+		rng.Reseed(11)
+		out, _, err := chain.Execute(c, &rng, 4000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fromChain []string
+		for name := range out.StepLeaks {
+			st, err := attack.StepByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Contains(fromChain, st.Label) {
+				fromChain = append(fromChain, st.Label)
+			}
+		}
+		fromSweep := append([]string(nil), r.Reopened...)
+		sort.Strings(fromChain)
+		sort.Strings(fromSweep)
+		if !reflect.DeepEqual(fromChain, fromSweep) {
+			t.Errorf("ablating %s: E16 reopened %v, kill chain's step leaks carry %v", r.Measure, fromSweep, fromChain)
 		}
 	}
 }

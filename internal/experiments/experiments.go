@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/attack"
 	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/fleet"
@@ -488,7 +489,7 @@ func E10ResidualChannels() *metrics.Table {
 	t := metrics.NewTable("E10: residual channels under the enhanced config",
 		"channel", "open", "detail")
 	c := core.MustNew(core.Enhanced(), topo())
-	rep, err := core.LeakScan(c)
+	rep, err := attack.LeakScan(c)
 	if err != nil {
 		panic(err)
 	}

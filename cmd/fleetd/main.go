@@ -2,7 +2,7 @@
 // that accepts campaign submissions, plans each into replication-range
 // shards, executes the shards as supervised workers — in-process
 // goroutines by default, or re-exec'd fleetrun processes with -exec —
-// with heartbeats, deadlines and bounded retry-with-backoff, and
+// with liveness checks, deadlines and bounded retry-with-backoff, and
 // serves the merged result (internal/fleet/shard).
 //
 //	go run ./cmd/fleetd -addr 127.0.0.1:8080 -dir /tmp/fleetd
@@ -23,8 +23,9 @@
 //	                               supervision counters, fleet_* trial counters
 //	GET  /debug/pprof/             runtime profiles; mounted only with -pprof
 //
-// A dead or wedged shard (no heartbeat progress) is killed and
-// relaunched from its own checkpoint sidecar with exponential
+// A shard's heartbeat is its checkpoint journal growing. A dead or
+// wedged shard (a journal that stops growing for -heartbeat-timeout)
+// is killed and relaunched from its own journal with exponential
 // backoff; when the retry budget is spent the shard's missing trials
 // degrade to counted per-scenario failures instead of failing the
 // campaign. SIGTERM/SIGINT drains gracefully: admission stops (503),
@@ -67,14 +68,14 @@ const (
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8080", "listen address")
-		dir         = flag.String("dir", "", "working root for per-campaign sidecars and heartbeats (default: a temp dir)")
+		dir         = flag.String("dir", "", "working root for per-campaign shard checkpoint journals (default: a temp dir)")
 		queueDepth  = flag.Int("queue", shard.DefaultQueueDepth, "campaign queue bound; a full queue answers 429 + Retry-After")
 		concurrency = flag.Int("concurrency", 1, "campaigns run at once (shards within a campaign always run concurrently)")
 		shards      = flag.Int("shards", shard.DefaultShards, "default shard count for submissions that do not set one")
 		workers     = flag.Int("workers", 0, "fleet worker goroutines per shard attempt (0 = GOMAXPROCS)")
 		execBin     = flag.String("exec", "", "run shards as re-exec'd worker processes using this fleetrun binary (default: in-process)")
 		every       = flag.Int("every", 0, "shard checkpoint cadence in completed trials (0 = every trial)")
-		hbTimeout   = flag.Duration("heartbeat-timeout", shard.DefaultHeartbeatTimeout, "kill and retry a shard whose heartbeat stalls this long")
+		hbTimeout   = flag.Duration("heartbeat-timeout", shard.DefaultHeartbeatTimeout, "kill and retry a shard whose checkpoint journal stops growing this long (must cover one -every batch)")
 		deadline    = flag.Duration("deadline", 0, "per-attempt wall-clock bound (0 = unbounded)")
 		retries     = flag.Int("retries", shard.DefaultShardRetries, "shard relaunch budget before its missing trials degrade to counted failures")
 		drainGrace  = flag.Duration("drain-grace", 30*time.Second, "how long a SIGTERM drain waits for in-flight shards to checkpoint")
@@ -161,7 +162,7 @@ func run(addr, dir string, queueDepth, concurrency, shards_, workers int, execBi
 		logf("shutdown: %v", err)
 	}
 	if svc.Interrupted() {
-		logf("drained with admitted campaigns interrupted (their shard sidecars are preserved)")
+		logf("drained with admitted campaigns interrupted (their shard journals are preserved)")
 		return exitInterrupted
 	}
 	logf("drained clean")

@@ -14,11 +14,12 @@
 // diffing worker counts and pooling modes.
 //
 // Campaigns are fault-tolerant. With -checkpoint, a resumable
-// sidecar is written atomically every -every completed trials and on
-// exit, so a killed run loses at most one interval of work; -resume
-// validates the sidecar against the campaign and seed, skips the
-// completed trials, and produces byte-identical final output to a
-// never-interrupted run (CI kills a run mid-campaign and cmps):
+// append-only journal is created atomically at the start and appended
+// (one write, one fsync) every -every completed trials and on exit, so
+// a killed run loses at most one interval of work; -resume validates
+// the journal against the campaign and seed, drops a torn final line,
+// skips the completed trials, and produces byte-identical final output
+// to a never-interrupted run (CI kills a run mid-campaign and cmps):
 //
 //	go run ./cmd/fleetrun -preset e16-ablation-drain -checkpoint ck.json -every 1 -json > out.json
 //	go run ./cmd/fleetrun -preset e16-ablation-drain -resume ck.json -json > out.json
@@ -29,9 +30,9 @@
 // failure instead of aborting (stderr reports each panic). -chaos
 // loads a fleet.FaultPlan JSON that injects panics, checkpoint-write
 // failures, worker delays and a deterministic mid-run kill — the
-// harness CI uses to gate the failure paths. -out and checkpoint
-// writes are atomic (temp + rename): an interrupted run never leaves
-// a truncated artifact.
+// harness CI uses to gate the failure paths. -out is written
+// atomically (temp + rename): an interrupted run never leaves a
+// truncated artifact.
 //
 // Campaign hot spots are measurable without a custom harness:
 //
@@ -60,11 +61,11 @@
 // Shard mode (-shard i/n) is how fleetd re-execs fleetrun as a
 // supervised worker: the process runs only shard i of the campaign's
 // n-shard plan (internal/fleet/shard.Plan — both sides compute the
-// same split), writes its checkpoint sidecar as the result artifact
-// (-checkpoint is required; there is no stdout result), and beats a
-// -heartbeat file after every completed trial. A ShardKill chaos
-// fault makes the process SIGKILL itself — real abrupt death, which
-// is the point.
+// same split) and leaves its checkpoint journal as the result
+// artifact (-checkpoint is required; there is no stdout result). The
+// journal's growth is the worker's heartbeat: the supervisor watches
+// it, so the worker writes nothing else. A ShardKill chaos fault makes
+// the process SIGKILL itself — real abrupt death, which is the point.
 package main
 
 import (
@@ -119,7 +120,6 @@ type cliConfig struct {
 	failures     string
 	shard        string
 	shardAttempt int
-	heartbeat    string
 }
 
 func main() {
@@ -139,15 +139,14 @@ func main() {
 	flag.StringVar(&cfg.mutexprofile, "mutexprofile", "", "write a mutex contention profile of the campaign run to this path")
 	flag.StringVar(&cfg.trace, "trace", "", "write the deterministic trial-phase trace (NDJSON spans) to this path and print the phase cost table")
 	flag.StringVar(&cfg.metricsOut, "metrics", "", "write the campaign metrics registry (counters, gauges, histograms) as JSON to this path")
-	flag.StringVar(&cfg.checkpoint, "checkpoint", "", "write a resumable checkpoint sidecar to this path every -every trials and on exit")
+	flag.StringVar(&cfg.checkpoint, "checkpoint", "", "append a resumable checkpoint journal at this path every -every trials and on exit")
 	flag.IntVar(&cfg.every, "every", 0, fmt.Sprintf("completed-trial cadence of periodic checkpoint writes (0 = %d)", fleet.DefaultCheckpointEvery))
-	flag.StringVar(&cfg.resume, "resume", "", "resume from this checkpoint sidecar (must match the campaign and -seed; completed trials are skipped)")
+	flag.StringVar(&cfg.resume, "resume", "", "resume from this checkpoint journal (must match the campaign and -seed; completed trials are skipped)")
 	flag.StringVar(&cfg.chaos, "chaos", "", "inject faults from this fleet.FaultPlan JSON file (testing the failure paths; never use for perf records)")
 	flag.DurationVar(&cfg.timeout, "timeout", 0, fmt.Sprintf("bound the campaign: after this duration, checkpoint and exit with code %d (0 = no bound)", exitTimeout))
 	flag.StringVar(&cfg.failures, "failures", "", "write the structured trial-failure ledger to this JSON path (stable fields only; stacks remain stderr-only)")
 	flag.StringVar(&cfg.shard, "shard", "", "run as shard i of an n-shard plan, as \"i/n\" (fleetd worker mode; requires -checkpoint)")
 	flag.IntVar(&cfg.shardAttempt, "shard-attempt", 1, "supervisor attempt number in shard mode (keys shard-level chaos faults)")
-	flag.StringVar(&cfg.heartbeat, "heartbeat", "", "write a liveness heartbeat to this path after every completed trial (shard mode)")
 	flag.Parse()
 
 	code, err := run(cfg)
@@ -257,7 +256,7 @@ func run(cfg cliConfig) (int, error) {
 	}()
 
 	// Shard mode executes the worker's slice and leaves its result in
-	// the checkpoint sidecar; the profile/output plumbing below is for
+	// the checkpoint journal; the profile/output plumbing below is for
 	// whole-campaign runs only.
 	if cfg.shard != "" {
 		return runShardMode(cfg, camp, faults, resumeFrom, interrupt, &cause)
@@ -447,16 +446,16 @@ func reportFailures(fails []fleet.TrialFailure) {
 }
 
 // runShardMode is the fleetd worker: execute shard i of the n-shard
-// plan, leave the result in the checkpoint sidecar, beat a heartbeat
-// file, and — under a ShardKill fault — SIGKILL ourselves so the
-// supervisor sees a genuinely abrupt death.
+// plan, leave the result in the checkpoint journal, and — under a
+// ShardKill fault — SIGKILL ourselves so the supervisor sees a
+// genuinely abrupt death.
 func runShardMode(cfg cliConfig, camp fleet.Campaign, faults *fleet.FaultPlan, resumeFrom *fleet.Checkpoint, interrupt <-chan struct{}, cause *atomic.Int32) (int, error) {
 	var idx, n int
 	if _, err := fmt.Sscanf(cfg.shard, "%d/%d", &idx, &n); err != nil {
 		return exitErr, fmt.Errorf("-shard wants \"i/n\", got %q", cfg.shard)
 	}
 	if cfg.checkpoint == "" {
-		return exitErr, fmt.Errorf("-shard requires -checkpoint (the sidecar is the shard's result artifact)")
+		return exitErr, fmt.Errorf("-shard requires -checkpoint (the journal is the shard's result artifact)")
 	}
 	// Both sides of the re-exec compute the same plan from (campaign,
 	// n); the worker needs only its index.
@@ -467,18 +466,6 @@ func runShardMode(cfg cliConfig, camp fleet.Campaign, faults *fleet.FaultPlan, r
 	if idx < 0 || idx >= n {
 		return exitErr, fmt.Errorf("-shard index %d outside [0, %d)", idx, n)
 	}
-	var progress func(int)
-	if cfg.heartbeat != "" {
-		seq := 0
-		progress = func(completed int) {
-			seq++
-			if err := shard.WriteHeartbeat(cfg.heartbeat, shard.Heartbeat{
-				Shard: idx, Attempt: cfg.shardAttempt, Completed: completed, Seq: seq,
-			}); err != nil {
-				fmt.Fprintf(os.Stderr, "fleetrun: heartbeat write failed: %v\n", err)
-			}
-		}
-	}
 	ck, fails, err := fleet.RunShard(camp, fleet.Options{
 		Workers:         cfg.workers,
 		Seed:            cfg.seed,
@@ -488,7 +475,6 @@ func runShardMode(cfg cliConfig, camp fleet.Campaign, faults *fleet.FaultPlan, r
 		ResumeFrom:      resumeFrom,
 		Interrupt:       interrupt,
 		Faults:          faults,
-		Progress:        progress,
 	}, fleet.ShardRun{
 		Index: idx, Count: n, Attempt: cfg.shardAttempt, Ranges: plan[idx].Ranges,
 		Die: func() {
@@ -518,6 +504,6 @@ func runShardMode(cfg cliConfig, camp fleet.Campaign, faults *fleet.FaultPlan, r
 		}
 		return exitErr, err
 	}
-	fmt.Fprintf(os.Stderr, "fleetrun: shard %d/%d complete: %d trials in sidecar %s\n", idx, n, ck.Completed, cfg.checkpoint)
+	fmt.Fprintf(os.Stderr, "fleetrun: shard %d/%d complete: %d trials in journal %s\n", idx, n, ck.Completed, cfg.checkpoint)
 	return 0, nil
 }

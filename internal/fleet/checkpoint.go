@@ -1,6 +1,6 @@
 package fleet
 
-// Checkpoint/resume: the crash-recovery sidecar of a campaign run.
+// Checkpoint/resume: the crash-recovery state of a campaign run.
 //
 // The executor's determinism contract (trial RNG streams keyed by
 // (scenario name, replication index), fixed-size per-trial
@@ -13,13 +13,13 @@ package fleet
 // was never interrupted. (Float fidelity holds because encoding/json
 // emits the shortest decimal that round-trips a float64 exactly.)
 //
-// Checkpoints are written atomically — bytes land in a temp file in
-// the destination directory and are renamed over the target — so a
-// writer SIGKILLed mid-write leaves either the previous checkpoint or
-// the new one, never a torn sidecar.
+// On disk a checkpoint is an append-only journal (journal.go): a run
+// creates it atomically once and then appends each batch of completed
+// trials with one write and one fsync, so a writer SIGKILLed
+// mid-append leaves at most a torn final line, which LoadCheckpoint
+// drops.
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math/bits"
@@ -27,9 +27,9 @@ import (
 	"path/filepath"
 )
 
-// CheckpointFormat versions the sidecar layout; ValidateAgainst
-// rejects checkpoints written by a different format.
-const CheckpointFormat = 1
+// CheckpointFormat versions the journal layout; LoadCheckpoint and
+// ValidateAgainst reject checkpoints written by a different format.
+const CheckpointFormat = 2
 
 // Checkpoint is the resumable state of a partially-executed campaign:
 // identity (campaign name + canonical-encoding hash + master seed)
@@ -47,11 +47,12 @@ type Checkpoint struct {
 // ScenarioCheckpoint is one scenario's recovery state. Done and
 // Partials are redundant by construction (one partial per set bit);
 // ValidateAgainst cross-checks them so a hand-edited or corrupted
-// sidecar fails loudly instead of silently skewing the resume.
+// journal fails loudly instead of silently skewing the resume.
 type ScenarioCheckpoint struct {
-	Name     string         `json:"name"`
-	Done     Bitmap         `json:"done"`
-	Partials []TrialPartial `json:"partials"`
+	Name         string         `json:"name"`
+	Replications int            `json:"replications"`
+	Done         Bitmap         `json:"done"`
+	Partials     []TrialPartial `json:"partials"`
 }
 
 // TrialPartial is one completed trial's aggregate. Result holds
@@ -103,7 +104,7 @@ func CampaignHash(c Campaign) (uint64, error) {
 	return h.Sum64(), nil
 }
 
-// buildCheckpoint assembles the sidecar from the executor's state:
+// buildCheckpoint assembles the checkpoint from the executor's state:
 // the global completed bitmap laid out scenario-major, sliced into
 // per-scenario bitmaps, with each completed trial's partial embedded
 // in replication order.
@@ -111,7 +112,7 @@ func buildCheckpoint(c Campaign, hash, seed uint64, partials []*ScenarioResult, 
 	ck := &Checkpoint{Format: CheckpointFormat, Campaign: c.Name, CampaignHash: hash, Seed: seed}
 	base := 0
 	for _, s := range c.Scenarios {
-		sc := ScenarioCheckpoint{Name: s.Name, Done: NewBitmap(s.Replications)}
+		sc := ScenarioCheckpoint{Name: s.Name, Replications: s.Replications, Done: NewBitmap(s.Replications)}
 		for rep := 0; rep < s.Replications; rep++ {
 			if !completed.Get(base + rep) {
 				continue
@@ -129,14 +130,14 @@ func buildCheckpoint(c Campaign, hash, seed uint64, partials []*ScenarioResult, 
 // MergeCheckpoints folds checkpoints into the campaign's result: the
 // one reduction every run ends in — Run over its own final checkpoint,
 // a resumed run over a checkpoint carrying restored partials, fleetd
-// over its shards' sidecars. Every checkpoint is validated against the
+// over its shards' journals. Every checkpoint is validated against the
 // (campaign, seed) identity first, exactly like a resume. Per
 // scenario, single-trial partials merge in replication (= trial-index)
 // order, so for a complete trial set the JSON() bytes are the same
 // however the trials were split across processes and restarts.
 //
 // A replication present in more than one checkpoint is an error (shard
-// ranges are disjoint; overlap means the caller mixed sidecars from
+// ranges are disjoint; overlap means the caller mixed journals from
 // different plans). A missing replication is an error unless degrade
 // is true, in which case it merges as DegradedTrialResult — the
 // terminal state of a shard that exhausted its supervisor retry budget.
@@ -162,7 +163,8 @@ func MergeCheckpoints(c Campaign, seed uint64, cks []*Checkpoint, degrade bool) 
 
 // MergeScenario is MergeCheckpoints for scenario si alone, on already
 // validated checkpoints (nil entries are skipped, so a caller can pass
-// live snapshots where some shards have not written a sidecar yet). The
+// live snapshots where some shards have not written a journal yet).
+// Partials may be in any order within a scenario. The
 // partials fold in replication order into a deep copy of the first, so
 // the inputs are never mutated: one checkpoint set can be merged more
 // than once, and restored partials may alias a caller's ResumeFrom.
@@ -258,6 +260,9 @@ func (ck *Checkpoint) ValidateAgainst(c Campaign, seed uint64) error {
 		if sc.Name != spec.Name {
 			return fmt.Errorf("fleet: checkpoint scenario %d is %q, campaign has %q", i, sc.Name, spec.Name)
 		}
+		if sc.Replications != spec.Replications {
+			return fmt.Errorf("fleet: checkpoint scenario %q has %d replications, campaign has %d", sc.Name, sc.Replications, spec.Replications)
+		}
 		if len(sc.Done) != len(NewBitmap(spec.Replications)) {
 			return fmt.Errorf("fleet: checkpoint scenario %q: bitmap has %d words, %d replications need %d",
 				sc.Name, len(sc.Done), spec.Replications, len(NewBitmap(spec.Replications)))
@@ -271,9 +276,10 @@ func (ck *Checkpoint) ValidateAgainst(c Campaign, seed uint64) error {
 			return fmt.Errorf("fleet: checkpoint scenario %q: bitmap marks %d trials done but %d partials are present", sc.Name, n, len(sc.Partials))
 		}
 		prev := -1
-		for _, p := range sc.Partials {
-			if p.Replication < 0 || p.Replication >= spec.Replications {
-				return fmt.Errorf("fleet: checkpoint scenario %q: partial for replication %d outside [0, %d)", sc.Name, p.Replication, spec.Replications)
+		for pi := range sc.Partials {
+			p := &sc.Partials[pi]
+			if err := validatePartial(spec, p); err != nil {
+				return err
 			}
 			if p.Replication <= prev {
 				return fmt.Errorf("fleet: checkpoint scenario %q: partials out of replication order (%d after %d)", sc.Name, p.Replication, prev)
@@ -281,30 +287,6 @@ func (ck *Checkpoint) ValidateAgainst(c Campaign, seed uint64) error {
 			prev = p.Replication
 			if !sc.Done.Get(p.Replication) {
 				return fmt.Errorf("fleet: checkpoint scenario %q: partial for replication %d not marked done", sc.Name, p.Replication)
-			}
-			r := &p.Result
-			if r.Name != spec.Name {
-				return fmt.Errorf("fleet: checkpoint scenario %q: partial carries result for %q", sc.Name, r.Name)
-			}
-			if r.Replications+r.Failures != 1 {
-				return fmt.Errorf("fleet: checkpoint scenario %q replication %d: a partial must hold exactly one trial (replications %d + failures %d)",
-					sc.Name, p.Replication, r.Replications, r.Failures)
-			}
-			if h := r.MakespanHist; h == nil || h.Lo != 0 || h.Hi != float64(spec.Horizon) || len(h.Counts) != makespanBuckets {
-				return fmt.Errorf("fleet: checkpoint scenario %q replication %d: histogram layout does not match the scenario's horizon %d",
-					sc.Name, p.Replication, spec.Horizon)
-			}
-			// Attack presence must track the spec: a partial with an
-			// aggregate for an unattacked scenario (or vice versa) could
-			// not have come from this campaign's trials, and would also
-			// poison every later Merge in the reduction.
-			if (spec.Attack != nil) != (r.Attack != nil) {
-				return fmt.Errorf("fleet: checkpoint scenario %q replication %d: attack aggregate presence does not match the scenario spec",
-					sc.Name, p.Replication)
-			}
-			if r.Attack != nil && r.Attack.Trials != r.Replications {
-				return fmt.Errorf("fleet: checkpoint scenario %q replication %d: attack aggregate holds %d trials, partial holds %d",
-					sc.Name, p.Replication, r.Attack.Trials, r.Replications)
 			}
 		}
 		total += len(sc.Partials)
@@ -315,36 +297,44 @@ func (ck *Checkpoint) ValidateAgainst(c Campaign, seed uint64) error {
 	return nil
 }
 
-// Save writes the checkpoint sidecar atomically (temp + rename).
-func (ck *Checkpoint) Save(path string) error {
-	data, err := json.MarshalIndent(ck, "", "  ")
-	if err != nil {
-		return err
+// validatePartial rejects a partial that could not have come from one
+// of spec's trials: a replication out of range, another scenario's
+// result, more or less than one trial, a foreign histogram layout, or
+// attack presence that disagrees with the spec.
+func validatePartial(spec *Scenario, p *TrialPartial) error {
+	if p.Replication < 0 || p.Replication >= spec.Replications {
+		return fmt.Errorf("fleet: checkpoint scenario %q: partial for replication %d outside [0, %d)", spec.Name, p.Replication, spec.Replications)
 	}
-	return WriteFileAtomic(path, append(data, '\n'))
-}
-
-// LoadCheckpoint reads a checkpoint sidecar. Unknown fields are an
-// error, like campaign files: a sidecar from a future format fails
-// loudly instead of resuming with silently-dropped state.
-func LoadCheckpoint(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+	r := &p.Result
+	if r.Name != spec.Name {
+		return fmt.Errorf("fleet: checkpoint scenario %q: partial carries result for %q", spec.Name, r.Name)
 	}
-	defer f.Close()
-	dec := json.NewDecoder(f)
-	dec.DisallowUnknownFields()
-	var ck Checkpoint
-	if err := dec.Decode(&ck); err != nil {
-		return nil, fmt.Errorf("fleet: decoding checkpoint %s: %w", path, err)
+	if r.Replications+r.Failures != 1 {
+		return fmt.Errorf("fleet: checkpoint scenario %q replication %d: a partial must hold exactly one trial (replications %d + failures %d)",
+			spec.Name, p.Replication, r.Replications, r.Failures)
 	}
-	return &ck, nil
+	if h := r.MakespanHist; h == nil || h.Lo != 0 || h.Hi != float64(spec.Horizon) || len(h.Counts) != makespanBuckets {
+		return fmt.Errorf("fleet: checkpoint scenario %q replication %d: histogram layout does not match the scenario's horizon %d",
+			spec.Name, p.Replication, spec.Horizon)
+	}
+	// Attack presence must track the spec: a partial with an aggregate
+	// for an unattacked scenario (or vice versa) could not have come
+	// from this campaign's trials, and would also poison every later
+	// Merge in the reduction.
+	if (spec.Attack != nil) != (r.Attack != nil) {
+		return fmt.Errorf("fleet: checkpoint scenario %q replication %d: attack aggregate presence does not match the scenario spec",
+			spec.Name, p.Replication)
+	}
+	if r.Attack != nil && r.Attack.Trials != r.Replications {
+		return fmt.Errorf("fleet: checkpoint scenario %q replication %d: attack aggregate holds %d trials, partial holds %d",
+			spec.Name, p.Replication, r.Attack.Trials, r.Replications)
+	}
+	return nil
 }
 
 // WriteFileAtomic is the temp+rename discipline every persisted
-// artifact goes through (checkpoints here, result and failure JSON in
-// cmd/fleetrun, shard sidecars under fleetd): the bytes are written
+// artifact goes through (journal creation here, result and failure
+// JSON in cmd/fleetrun, campaign inputs under fleetd): the bytes are written
 // to a temp file in the target's directory, synced, renamed over the
 // destination, and the directory itself is then fsynced — so an
 // interrupted writer leaves either the old contents or the new,

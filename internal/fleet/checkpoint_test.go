@@ -6,8 +6,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // runJSON runs the campaign and returns its canonical bytes.
@@ -272,8 +275,10 @@ func TestResumeValidationRejects(t *testing.T) {
 	}
 }
 
-// Checkpoint writes are atomic: saving over an existing sidecar
-// leaves no temp droppings and the destination always parses.
+// Save writes a complete format-2 journal atomically: saving over an
+// existing journal leaves no temp droppings, the destination is a
+// header line plus one line per trial, and it loads back to the same
+// checkpoint.
 func TestCheckpointSaveAtomicOverwrite(t *testing.T) {
 	camp := smokeCampaign()
 	dir := t.TempDir()
@@ -295,8 +300,19 @@ func TestCheckpointSaveAtomicOverwrite(t *testing.T) {
 		}
 		t.Fatalf("directory holds %v, want exactly [ckpt.json] (temp files must not leak)", names)
 	}
-	if _, err := LoadCheckpoint(path); err != nil {
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(data, []byte(`{"format":2,`)) || bytes.Count(data, []byte("\n")) != 1+ck.Completed {
+		t.Fatalf("Save wrote no format-2 journal with one line per trial:\n%s", data)
+	}
+	loaded, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(loaded, ck) {
+		t.Fatalf("journal round trip changed the checkpoint:\n%+v\nvs\n%+v", loaded, ck)
 	}
 }
 
@@ -395,15 +411,214 @@ func TestFailuresArtifactRoundTrip(t *testing.T) {
 	}
 }
 
-// LoadCheckpoint must reject unknown fields like campaign files do.
+// LoadCheckpoint must reject unknown fields like campaign files do, in
+// the header and in a trial line alike.
 func TestLoadCheckpointRejectsUnknownFields(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ck.json")
-	if err := os.WriteFile(path, []byte(`{"format":1,"campain":"x"}`), 0o644); err != nil {
+	journal := smokeJournal(t)
+	header, trials, _ := bytes.Cut(journal, []byte("\n"))
+	for name, data := range map[string][]byte{
+		"header": append([]byte(`{"format":2,"campain":"x"}`+"\n"), trials...),
+		"trial":  append(append(header, '\n'), bytes.Replace(trials, []byte(`"replication"`), []byte(`"campain":1,"replication"`), 1)...),
+	} {
+		path := filepath.Join(t.TempDir(), "ck.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadCheckpoint(path); err == nil || !strings.Contains(err.Error(), "campain") {
+			t.Errorf("%s: typo field accepted: %v", name, err)
+		}
+	}
+}
+
+// smokeJournal runs the smoke campaign on one worker with an append
+// after every trial and returns its journal: a header and six trial
+// lines, written by the append path rather than by Save.
+func smokeJournal(t testing.TB) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "ckpt.json")
+	if _, err := Run(smokeCampaign(), Options{Workers: 1, Seed: 7, CheckpointPath: path, CheckpointEvery: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadCheckpoint(path); err == nil || !strings.Contains(err.Error(), "campain") {
-		t.Errorf("typo field accepted: %v", err)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return data
+}
+
+// loadJournal writes data to a fresh file and loads it.
+func loadJournal(t *testing.T, data []byte) (*Checkpoint, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "ckpt.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return LoadCheckpoint(path)
+}
+
+// A writer killed mid-append leaves a torn final line. Whatever byte
+// the cut lands on inside the last line, the journal loads the trials
+// before it, and resuming re-runs the torn trial to the clean bytes.
+func TestJournalTornTail(t *testing.T) {
+	camp := smokeCampaign()
+	clean := runJSON(t, camp, Options{Workers: 2, Seed: 7})
+	journal := smokeJournal(t)
+	last := bytes.LastIndexByte(journal[:len(journal)-1], '\n') + 1
+	want, err := loadJournal(t, journal[:last])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Completed != camp.Trials()-1 {
+		t.Fatalf("journal without its last line holds %d trials, want %d", want.Completed, camp.Trials()-1)
+	}
+	for cut := last; cut < len(journal); cut++ {
+		ck, err := loadJournal(t, journal[:cut])
+		if err != nil {
+			t.Fatalf("cut at byte %d: %v", cut, err)
+		}
+		if !reflect.DeepEqual(ck, want) {
+			t.Fatalf("cut at byte %d loads %d trials, not the %d before the torn line", cut, ck.Completed, want.Completed)
+		}
+	}
+	// Every cut loads the same checkpoint, so one resume covers them all.
+	if got := runJSON(t, camp, Options{Workers: 2, Seed: 7, ResumeFrom: want}); !bytes.Equal(got, clean) {
+		t.Fatal("resume from a torn journal differs from the uninterrupted run")
+	}
+}
+
+// Only the final line may be torn: a defect anywhere else is an error.
+func TestJournalCorruptLineFails(t *testing.T) {
+	journal := smokeJournal(t)
+	second := bytes.IndexByte(journal, '\n') + 1
+	for name, data := range map[string][]byte{
+		"garbage line":   append(append(append([]byte{}, journal[:second]...), "not json\n"...), journal[second:]...),
+		"empty line":     append(append(append([]byte{}, journal[:second]...), '\n'), journal[second:]...),
+		"truncated line": append(append([]byte{}, journal[:second+10]...), journal[bytes.IndexByte(journal[second:], '\n')+second:]...),
+		"no header":      journal[second:],
+		"torn header":    journal[:second-1],
+	} {
+		if _, err := loadJournal(t, data); err == nil {
+			t.Errorf("%s: corrupt journal loaded", name)
+		}
+	}
+}
+
+// A format-1 sidecar (one indented JSON object) is named, not resumed.
+func TestLoadCheckpointRejectsFormat1(t *testing.T) {
+	_, err := loadJournal(t, []byte(format1Sidecar))
+	if err == nil || !strings.Contains(err.Error(), "format 1 is a whole-file sidecar") {
+		t.Fatalf("format-1 sidecar: want the format-1 error, got %v", err)
+	}
+}
+
+const format1Sidecar = `{
+  "format": 1,
+  "campaign": "smoke",
+  "campaign_hash": 1,
+  "seed": 7,
+  "completed_trials": 0,
+  "scenarios": []
+}
+`
+
+// LoadCheckpoint keeps a duplicated trial line, and ValidateAgainst
+// rejects it: a replication may complete only once.
+func TestJournalDuplicateLineFailsValidation(t *testing.T) {
+	journal := smokeJournal(t)
+	second := bytes.IndexByte(journal, '\n') + 1
+	third := bytes.IndexByte(journal[second:], '\n') + second + 1
+	dup := append(append([]byte{}, journal[:third]...), journal[second:]...)
+	ck, err := loadJournal(t, dup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.ValidateAgainst(smokeCampaign(), 7); err == nil {
+		t.Fatal("a duplicated replication line passed validation")
+	}
+}
+
+// A failed append is rolled back: the journal is truncated to its last
+// good length, so it still loads, and the resume re-runs only the
+// trials whose appends failed.
+func TestJournalFailedAppendStillLoads(t *testing.T) {
+	camp := smokeCampaign()
+	clean := runJSON(t, camp, Options{Workers: 2, Seed: 7})
+	path := filepath.Join(t.TempDir(), "ckpt.json")
+	// Six trials, an append after each: writes 6 (periodic) and 7
+	// (final) both try to append the sixth trial's line, and both fail.
+	res, err := Run(camp, Options{Workers: 2, Seed: 7, CheckpointPath: path, CheckpointEvery: 1,
+		Faults: &FaultPlan{CheckpointWrites: []int{6, 7}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CheckpointWriteFailures != 2 {
+		t.Fatalf("CheckpointWriteFailures = %d, want 2", res.CheckpointWriteFailures)
+	}
+	ck, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatalf("journal after failed appends: %v", err)
+	}
+	if err := ck.ValidateAgainst(camp, 7); err != nil {
+		t.Fatal(err)
+	}
+	if ck.Completed != camp.Trials()-1 {
+		t.Fatalf("journal holds %d trials, want the %d appended before the failures", ck.Completed, camp.Trials()-1)
+	}
+	if got := runJSON(t, camp, Options{Workers: 2, Seed: 7, ResumeFrom: ck}); !bytes.Equal(got, clean) {
+		t.Fatal("resume after failed appends differs from the uninterrupted run")
+	}
+}
+
+// Each journal byte is written once: after a clean shard run with an
+// append after every trial, fleet_checkpoint_bytes_total is exactly
+// the journal's size, and the write count is one per trial plus the
+// final write.
+func TestCheckpointBytesCounter(t *testing.T) {
+	camp := smokeCampaign()
+	path := filepath.Join(t.TempDir(), "shard.json")
+	reg := obs.NewRegistry()
+	sh := ShardRun{Index: 0, Count: 2, Ranges: []RepRange{{Lo: 0, Hi: 2}, {Lo: 0, Hi: 2}}}
+	if _, _, err := RunShard(camp, Options{Workers: 2, Seed: 7, CheckpointPath: path, CheckpointEvery: 1, Metrics: reg}, sh); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	if got := counterValue(snap, "fleet_checkpoint_bytes_total"); got != fi.Size() {
+		t.Errorf("fleet_checkpoint_bytes_total = %d, journal is %d bytes", got, fi.Size())
+	}
+	if got, want := counterValue(snap, "fleet_checkpoint_writes_total"), int64(sh.Trials()+1); got != want {
+		t.Errorf("fleet_checkpoint_writes_total = %d, want %d", got, want)
+	}
+}
+
+// FuzzLoadCheckpoint: no input makes LoadCheckpoint panic, and a
+// checkpoint that passes ValidateAgainst merges without error.
+func FuzzLoadCheckpoint(f *testing.F) {
+	camp := smokeCampaign()
+	journal := smokeJournal(f)
+	f.Add(journal)
+	for _, cut := range []int{1, 5, len(journal) / 2, len(journal) - 1} {
+		f.Add(journal[:len(journal)-cut])
+	}
+	f.Add([]byte(format1Sidecar))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ck, err := loadJournal(t, data)
+		if err != nil {
+			return
+		}
+		if ck == nil {
+			t.Fatal("LoadCheckpoint returned neither a checkpoint nor an error")
+		}
+		if ck.ValidateAgainst(camp, 7) != nil {
+			return
+		}
+		if _, err := MergeCheckpoints(camp, 7, []*Checkpoint{ck}, true); err != nil {
+			t.Fatalf("a validated checkpoint failed to merge: %v", err)
+		}
+	})
 }
 
 // An interrupted run with no checkpoint path still drains and

@@ -65,13 +65,13 @@ const (
 	// returns ErrShardKilled.
 	ShardKill = "kill"
 	// ShardBlackhole wedges the shard after AfterTrials new
-	// completions: heartbeats and checkpoint writes stop cold but the
+	// completions: its checkpoint journal stops growing but the
 	// process stays alive and silent until killed — the supervisor
 	// must detect it by heartbeat deadline, not by exit.
 	ShardBlackhole = "blackhole"
 	// ShardSlow sleeps every worker DelayMS per trial — wall-clock
-	// only, never results. A slow-but-heartbeating shard must NOT be
-	// declared dead; this mode exists to prove that.
+	// only, never results. A slow shard whose journal still grows must
+	// NOT be declared dead; this mode exists to prove that.
 	ShardSlow = "slow"
 )
 

@@ -1,0 +1,330 @@
+package fleet
+
+// The checkpoint journal (CheckpointFormat 2): an append-only NDJSON
+// file.
+//
+// Line 1 is the header: format, campaign name, campaign hash, seed,
+// and each scenario's name and replication count. Every later line is
+// one completed trial, {"scenario": index, "replication": r,
+// "result": …}, encoded compactly. A run creates the journal once, with
+// WriteFileAtomic (header plus any restored trials), and then appends
+// each batch of completed trials with one write and one fsync. There
+// is no rename and no directory fsync per batch, and a batch costs
+// bytes proportional to its own trials, not to the whole checkpoint.
+//
+// A line counts only once its newline is on disk. A writer killed
+// mid-append leaves at most one torn final line, which LoadCheckpoint
+// drops: that trial is simply re-run on resume, under its unchanged
+// stream seed. Any other defect is an error.
+
+import (
+	"bytes"
+	"cmp"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"os"
+	"slices"
+
+	"repro/internal/obs"
+)
+
+// journalHeader is a journal's first line.
+type journalHeader struct {
+	Format       int               `json:"format"`
+	Campaign     string            `json:"campaign"`
+	CampaignHash uint64            `json:"campaign_hash"`
+	Seed         uint64            `json:"seed"`
+	Scenarios    []journalScenario `json:"scenarios"`
+}
+
+type journalScenario struct {
+	Name         string `json:"name"`
+	Replications int    `json:"replications"`
+}
+
+// journalTrial is one completed trial's line. Scenario indexes the
+// header's scenario list.
+type journalTrial struct {
+	Scenario    int             `json:"scenario"`
+	Replication int             `json:"replication"`
+	Result      *ScenarioResult `json:"result"`
+}
+
+// maxJournalTrials bounds the replications a header may declare, so
+// that a corrupt header cannot make the loader allocate an enormous
+// bitmap. The executor itself holds a slot per trial, so a campaign
+// this large could not run either.
+const maxJournalTrials = 1 << 24
+
+// appendTrialLine encodes one completed trial's line onto buf.
+func appendTrialLine(buf []byte, si, rep int, r *ScenarioResult) ([]byte, error) {
+	data, err := json.Marshal(journalTrial{Scenario: si, Replication: rep, Result: r})
+	if err != nil {
+		return buf, err
+	}
+	return append(append(buf, data...), '\n'), nil
+}
+
+// journal encodes the checkpoint as a complete journal: the header,
+// then every partial in trial order.
+func (ck *Checkpoint) journal() ([]byte, error) {
+	h := journalHeader{Format: CheckpointFormat, Campaign: ck.Campaign, CampaignHash: ck.CampaignHash, Seed: ck.Seed}
+	for _, sc := range ck.Scenarios {
+		h.Scenarios = append(h.Scenarios, journalScenario{Name: sc.Name, Replications: sc.Replications})
+	}
+	buf, err := json.Marshal(h)
+	if err != nil {
+		return nil, err
+	}
+	buf = append(buf, '\n')
+	for si := range ck.Scenarios {
+		for pi := range ck.Scenarios[si].Partials {
+			p := &ck.Scenarios[si].Partials[pi]
+			if buf, err = appendTrialLine(buf, si, p.Replication, &p.Result); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return buf, nil
+}
+
+// Save writes the checkpoint as a complete journal, atomically (temp +
+// rename).
+func (ck *Checkpoint) Save(path string) error {
+	data, err := ck.journal()
+	if err != nil {
+		return err
+	}
+	return WriteFileAtomic(path, data)
+}
+
+// LoadCheckpoint reads a checkpoint journal. Partials come back sorted
+// by replication, so the result is ready for ValidateAgainst. A torn
+// final line is dropped; any other defect, an unknown field included,
+// is an error.
+func LoadCheckpoint(path string) (*Checkpoint, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	ck, err := decodeJournal(data)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: decoding checkpoint %s: %w", path, err)
+	}
+	return ck, nil
+}
+
+func decodeJournal(data []byte) (*Checkpoint, error) {
+	// A format-1 sidecar is one indented JSON object whose first line is
+	// "{": name its format rather than fail on that line.
+	var probe struct {
+		Format int `json:"format"`
+	}
+	if json.NewDecoder(bytes.NewReader(data)).Decode(&probe) == nil && probe.Format != CheckpointFormat {
+		return nil, formatError(probe.Format)
+	}
+	header, rest, ok := bytes.Cut(data, []byte{'\n'})
+	if !ok {
+		return nil, errors.New("no complete header line")
+	}
+	ck, err := decodeHeader(header)
+	if err != nil {
+		return nil, err
+	}
+	for n := 2; ; n++ {
+		line, next, ok := bytes.Cut(rest, []byte{'\n'})
+		if !ok {
+			break // empty, or a torn final line whose append never completed
+		}
+		si, p, err := ck.decodeTrial(line)
+		if err != nil {
+			return nil, fmt.Errorf("line %d: %w", n, err)
+		}
+		ck.add(si, p)
+		rest = next
+	}
+	for si := range ck.Scenarios {
+		slices.SortStableFunc(ck.Scenarios[si].Partials, func(a, b TrialPartial) int {
+			return cmp.Compare(a.Replication, b.Replication)
+		})
+	}
+	return ck, nil
+}
+
+func formatError(format int) error {
+	if format == 1 {
+		return errors.New("checkpoint format 1 is a whole-file sidecar from an older build; this build reads only format-2 journals (sidecars are transient: rerun the campaign instead of resuming)")
+	}
+	return fmt.Errorf("checkpoint format %d; this build reads format %d", format, CheckpointFormat)
+}
+
+// DecodeJournalHeader decodes a journal's first line into a checkpoint
+// that holds no trials yet; AddJournalLine then adds the trial lines.
+// Together they let a reader follow a journal as it grows.
+func DecodeJournalHeader(line []byte) (*Checkpoint, error) {
+	ck, err := decodeHeader(line)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: checkpoint journal header: %w", err)
+	}
+	return ck, nil
+}
+
+func decodeHeader(line []byte) (*Checkpoint, error) {
+	var h journalHeader
+	if err := decodeStrict(line, &h); err != nil {
+		return nil, fmt.Errorf("header: %w", err)
+	}
+	if h.Format != CheckpointFormat {
+		return nil, formatError(h.Format)
+	}
+	ck := &Checkpoint{Format: h.Format, Campaign: h.Campaign, CampaignHash: h.CampaignHash, Seed: h.Seed}
+	total := 0
+	for _, s := range h.Scenarios {
+		if s.Replications < 0 || s.Replications > maxJournalTrials-total {
+			return nil, fmt.Errorf("header: scenario %q declares %d replications (a journal holds at most %d trials)", s.Name, s.Replications, maxJournalTrials)
+		}
+		total += s.Replications
+		ck.Scenarios = append(ck.Scenarios, ScenarioCheckpoint{Name: s.Name, Replications: s.Replications, Done: NewBitmap(s.Replications)})
+	}
+	return ck, nil
+}
+
+// decodeTrial decodes one complete trial line, checking it against the
+// header only.
+func (ck *Checkpoint) decodeTrial(line []byte) (int, TrialPartial, error) {
+	var t journalTrial
+	if err := decodeStrict(line, &t); err != nil {
+		return 0, TrialPartial{}, err
+	}
+	if t.Scenario < 0 || t.Scenario >= len(ck.Scenarios) {
+		return 0, TrialPartial{}, fmt.Errorf("scenario index %d outside [0, %d)", t.Scenario, len(ck.Scenarios))
+	}
+	if n := ck.Scenarios[t.Scenario].Replications; t.Replication < 0 || t.Replication >= n {
+		return 0, TrialPartial{}, fmt.Errorf("scenario %q: replication %d outside [0, %d)", ck.Scenarios[t.Scenario].Name, t.Replication, n)
+	}
+	if t.Result == nil {
+		return 0, TrialPartial{}, fmt.Errorf("scenario %q replication %d: no result", ck.Scenarios[t.Scenario].Name, t.Replication)
+	}
+	return t.Scenario, TrialPartial{Replication: t.Replication, Result: *t.Result}, nil
+}
+
+// add records one partial. A duplicate replication is kept, so that
+// ValidateAgainst reports it.
+func (ck *Checkpoint) add(si int, p TrialPartial) {
+	sc := &ck.Scenarios[si]
+	sc.Done.Set(p.Replication)
+	sc.Partials = append(sc.Partials, p)
+	ck.Completed++
+}
+
+// AddJournalLine decodes one complete trial line into ck, a checkpoint
+// from DecodeJournalHeader that has passed ValidateAgainst for c. The
+// line is held to the checks ValidateAgainst applies to each partial,
+// and a replication already present is an error, so ck stays valid for
+// MergeScenario after every call. Partials keep line order.
+func (ck *Checkpoint) AddJournalLine(c Campaign, line []byte) error {
+	si, p, err := ck.decodeTrial(line)
+	if err != nil {
+		return fmt.Errorf("fleet: checkpoint journal: %w", err)
+	}
+	if ck.Scenarios[si].Done.Get(p.Replication) {
+		return fmt.Errorf("fleet: checkpoint journal: scenario %q replication %d appears twice", ck.Scenarios[si].Name, p.Replication)
+	}
+	if err := validatePartial(&c.Scenarios[si], &p); err != nil {
+		return err
+	}
+	ck.add(si, p)
+	return nil
+}
+
+// decodeStrict decodes exactly one JSON value, rejecting unknown fields
+// and trailing data.
+func decodeStrict(line []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
+}
+
+// journalWriter is the append side of a run's checkpoint journal. The
+// checkpointer goroutine owns it; the main goroutine takes over for the
+// final flush, after the checkpointer is done.
+type journalWriter struct {
+	path string
+	f    *os.File // open for appends once the journal exists
+	size int64    // durable length
+	// pending holds the bytes not yet durable: until the journal exists,
+	// its opening bytes (header and restored trials) and every line
+	// since; afterwards, the lines since the last append.
+	pending []byte
+	encErr  error // a trial that could not be encoded fails every flush
+	written *obs.Counter
+}
+
+// add buffers one completed trial's line.
+func (j *journalWriter) add(si, rep int, r *ScenarioResult) {
+	var err error
+	if j.pending, err = appendTrialLine(j.pending, si, rep, r); err != nil && j.encErr == nil {
+		j.encErr = err
+	}
+}
+
+// flush makes the pending bytes durable. The first flush creates the
+// journal atomically and opens it for appends; every later one is one
+// write and one fsync. fault, when non-nil, is an injected failure:
+// it fails a create before it starts, and takes an append's fsync's
+// place. A failed append truncates the file back to its durable length
+// and keeps the lines for the next flush; should the truncate fail
+// too, the next append overwrites the same range, since it starts at
+// the durable length and carries at least the same lines.
+func (j *journalWriter) flush(fault error) error {
+	if j.encErr != nil {
+		return j.encErr
+	}
+	if j.f == nil {
+		if fault != nil {
+			return fault
+		}
+		if err := WriteFileAtomic(j.path, j.pending); err != nil {
+			return err
+		}
+		j.written.Add(int64(len(j.pending)))
+		f, err := os.OpenFile(j.path, os.O_WRONLY, 0)
+		if err != nil {
+			return err
+		}
+		j.f, j.size, j.pending = f, int64(len(j.pending)), j.pending[:0]
+		return nil
+	}
+	if len(j.pending) == 0 {
+		return fault
+	}
+	n, err := j.f.WriteAt(j.pending, j.size)
+	j.written.Add(int64(n))
+	if err == nil {
+		err = fault
+	}
+	if err == nil {
+		err = j.f.Sync()
+	}
+	if err != nil {
+		_ = j.f.Truncate(j.size)
+		return err
+	}
+	j.size += int64(n)
+	j.pending = j.pending[:0]
+	return nil
+}
+
+func (j *journalWriter) close() {
+	if j.f != nil {
+		j.f.Close()
+	}
+}

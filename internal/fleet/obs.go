@@ -33,6 +33,7 @@ type runMetrics struct {
 	poolBuilds         *obs.Counter // trials that built a cluster from scratch
 	ckWrites           *obs.Counter // checkpoint write attempts (periodic + final)
 	ckWriteFailures    *obs.Counter // checkpoint writes that failed (tolerated)
+	ckBytes            *obs.Counter // bytes of every journal create and append
 	schedSteps         *obs.Counter // real scheduler ticks executed across trials
 	schedFastForwarded *obs.Counter // event-free ticks the analytic fast-forward skipped
 	attackSteps        *obs.Counter // adversary campaign steps executed
@@ -53,8 +54,9 @@ func newRunMetrics(r *obs.Registry) runMetrics {
 		trialsDegraded:     r.Counter("fleet_trials_degraded_total", "trials that exhausted the retry budget and degraded to counted failures"),
 		poolHits:           r.Counter("fleet_pool_hits_total", "trials served by a pooled per-worker cluster via Reset"),
 		poolBuilds:         r.Counter("fleet_pool_builds_total", "trials that built a cluster from scratch"),
-		ckWrites:           r.Counter("fleet_checkpoint_writes_total", "checkpoint sidecar write attempts (periodic and final)"),
+		ckWrites:           r.Counter("fleet_checkpoint_writes_total", "checkpoint journal write attempts (periodic and final)"),
 		ckWriteFailures:    r.Counter("fleet_checkpoint_write_failures_total", "checkpoint writes that failed and were retried at the next interval"),
+		ckBytes:            r.Counter("fleet_checkpoint_bytes_total", "bytes written to checkpoint journals, creates and appends"),
 		schedSteps:         r.Counter("fleet_sched_steps_total", "real scheduler ticks executed inside trials"),
 		schedFastForwarded: r.Counter("fleet_sched_fastforwarded_ticks_total", "event-free ticks the scheduler's analytic fast-forward skipped inside trials"),
 		attackSteps:        r.Counter("fleet_attack_steps_total", "adversary campaign steps executed inside attacked trials"),

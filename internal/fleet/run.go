@@ -43,7 +43,8 @@ type Options struct {
 	// determinism gates that prove the equivalence.
 	DisablePooling bool
 	// CheckpointPath, when non-empty, makes Run persist a resumable
-	// Checkpoint sidecar (atomically: temp + rename) every
+	// checkpoint journal (journal.go): created atomically when the run
+	// starts, then appended with one write and one fsync every
 	// CheckpointEvery completed trials and once more when the run
 	// drains — normally, on Interrupt, or before aborting on a trial
 	// error — so a SIGKILLed campaign loses at most the trials since
@@ -75,11 +76,10 @@ type Options struct {
 	Faults *FaultPlan
 	// Progress, when non-nil, is called after every completed trial
 	// (and its checkpoint write, if due) with the cumulative
-	// completed-trial count, restored trials included. Shard workers
-	// hang their heartbeats here; a blackhole fault freezes these
-	// calls along with the checkpoint writes. Called from the
-	// checkpointer goroutine — keep it fast and do not call back into
-	// the run.
+	// completed-trial count, restored trials included. A blackhole
+	// fault freezes these calls along with the checkpoint writes.
+	// Called from the checkpointer goroutine — keep it fast and do not
+	// call back into the run.
 	Progress func(completed int)
 	// Metrics, when non-nil, receives the run's fleet_* instrument
 	// catalogue (obs.go). Observability is strictly one-way: metrics
@@ -454,6 +454,20 @@ func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runStat
 		}()
 	}
 
+	// The journal opens with the header and the restored trials. A
+	// failed create is tolerated like a failed periodic write: the next
+	// write creates it.
+	var jw *journalWriter
+	if opt.CheckpointPath != "" {
+		head, err := buildCheckpoint(c, hash, opt.Seed, partials, restored).journal()
+		if err != nil {
+			return nil, err
+		}
+		jw = &journalWriter{path: opt.CheckpointPath, pending: head, written: m.ckBytes}
+		_ = jw.flush(nil)
+		defer jw.close()
+	}
+
 	// The checkpointer consumes completion announcements. Workers
 	// send a trial's index only after recording its result, so the
 	// channel receive lets this goroutine read that slot while the
@@ -469,21 +483,18 @@ func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runStat
 	// Checkpoint spans live outside the per-trial groups: their Seq is
 	// the 1-based write ordinal and their scenario is empty. The WRITE
 	// COUNT is deterministic (every `every`-th completion plus the
-	// final write) even though which trials each sidecar contains is
+	// final write) even though which trials each append carries is
 	// not — so the span stream stays comparable across runs. Appends
 	// happen in the checkpointer goroutine and, for the final write,
 	// in the main goroutine strictly after <-checkpointerDone.
 	var ckSpans []obs.Span
-	writeCheckpoint := func(ck *Checkpoint) error {
+	writeCheckpoint := func() error {
 		writes++
 		var wallFrom time.Time
 		if tracing {
 			wallFrom = time.Now()
 		}
-		err := inj.checkpointWriteErr(writes)
-		if err == nil {
-			err = ck.Save(opt.CheckpointPath)
-		}
+		err := jw.flush(inj.checkpointWriteErr(writes))
 		m.ckWrites.Inc()
 		if err != nil {
 			writeFailures++
@@ -506,26 +517,29 @@ func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runStat
 		for ti := range done {
 			// A killed or wedged shard records nothing further: the
 			// channel still drains (workers must not block) but the
-			// bitmap, the sidecar and the heartbeats are frozen at
-			// the fault point, which is what makes retry-from-
-			// checkpoint deterministic.
+			// bitmap and the journal are frozen at the fault point,
+			// which is what makes retry-from-checkpoint deterministic.
 			if dead != stateAlive {
 				continue
 			}
 			completed.Set(ti)
 			m.trialsCompleted.Inc()
 			n++
-			// A failed periodic write is tolerated — counted, retried
-			// at the next interval: losing one checkpoint must not
-			// kill the campaign the checkpoint exists to protect.
-			if opt.CheckpointPath != "" && n%every == 0 {
-				_ = writeCheckpoint(buildCheckpoint(c, hash, opt.Seed, partials, completed))
+			// A failed periodic write is tolerated — counted, its
+			// lines kept and retried at the next interval: losing one
+			// checkpoint must not kill the campaign the checkpoint
+			// exists to protect.
+			if jw != nil {
+				jw.add(trials[ti].scenario, trials[ti].rep, partials[ti])
+				if n%every == 0 {
+					_ = writeCheckpoint()
+				}
 			}
 			if opt.Progress != nil {
 				opt.Progress(completed.Count())
 			}
 			// Shard faults fire on the n-th NEW completion, after its
-			// checkpoint write, so the sidecar holds exactly n trials
+			// checkpoint write, so the journal holds exactly n trials
 			// when the shard dies.
 			switch inj.shardFaultAt(n) {
 			case ShardKill:
@@ -602,19 +616,19 @@ dispatch:
 	close(done)
 	<-checkpointerDone
 
-	st := &runState{writeFailures: writeFailures, spans: spanGroups}
+	st := &runState{spans: spanGroups}
 	for ti := range trials {
 		st.failures = append(st.failures, failures[ti]...)
 	}
 
 	// An abruptly-dead or wedged shard writes NO final checkpoint:
-	// the sidecar stays frozen at the fault point, exactly what a
+	// the journal stays frozen at the fault point, exactly what a
 	// SIGKILLed process would leave behind.
 	switch dead {
 	case stateKilled:
 		return st, ErrShardKilled
 	case stateWedged:
-		// Linger silently — alive, no heartbeats, no exit — until the
+		// Linger silently — alive, journal frozen, no exit — until the
 		// supervisor gives up on the heartbeat deadline and kills us
 		// (exec mode) or trips Interrupt (in-process mode).
 		if opt.Interrupt != nil {
@@ -628,9 +642,10 @@ dispatch:
 	// trial error — so completed work is never thrown away. It is built
 	// even when nothing is saved: it is the input of the reduction.
 	st.ck = buildCheckpoint(c, hash, opt.Seed, partials, completed)
-	if opt.CheckpointPath != "" {
-		st.finalCkErr = writeCheckpoint(st.ck)
+	if jw != nil {
+		st.finalCkErr = writeCheckpoint()
 	}
+	st.writeFailures = writeFailures // the final write's failure included, as documented on CheckpointWriteFailures
 	st.ckSpans = ckSpans
 
 	for ti, err := range errs {
@@ -649,7 +664,7 @@ dispatch:
 	// nothing: with every owned trial done the full result stands.
 	// Completion is counted over the run's target — a shard cares
 	// only about its own ranges, however many restored out-of-range
-	// partials a sidecar carried in.
+	// partials a journal carried in.
 	doneN := 0
 	for ti := range trials {
 		if target.Get(ti) && completed.Get(ti) {

@@ -10,8 +10,8 @@
 // order: `fleetrun -workers 1` and `-workers 8` produce the same
 // bytes. The same contract makes campaigns fault-tolerant rather
 // than merely restartable: runs checkpoint per-trial aggregates to
-// an atomically-written sidecar and resume byte-identically
-// (checkpoint.go), panicking trials are isolated, retried under
+// an append-only journal and resume byte-identically
+// (checkpoint.go, journal.go), panicking trials are isolated, retried under
 // their unchanged stream seed and degraded to counted failures
 // instead of killing the campaign (run.go), and a deterministic
 // chaos injector exercises all of it (faults.go). Built-in presets

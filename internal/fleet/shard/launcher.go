@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"sync"
 	"syscall"
-	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/obs"
@@ -28,15 +27,13 @@ type AttemptSpec struct {
 	Shards  int
 	Attempt int // 1-based supervisor attempt; keys shard faults
 
-	// CheckpointPath is the shard's sidecar: its periodic recovery
-	// state AND its final result artifact.
-	CheckpointPath string
-	// HeartbeatPath is where an exec worker writes Heartbeat records;
-	// in-process workers beat through memory and ignore it.
-	HeartbeatPath   string
+	// CheckpointPath is the shard's checkpoint journal: its periodic
+	// recovery state, its final result artifact, and — by growing —
+	// its heartbeat.
+	CheckpointPath  string
 	CheckpointEvery int
 	// Resume, when non-nil, restores the previous attempt's completed
-	// trials (exec workers are passed the sidecar path instead and
+	// trials (exec workers are passed the journal path instead and
 	// load it themselves).
 	Resume *fleet.Checkpoint
 
@@ -55,14 +52,11 @@ type AttemptSpec struct {
 }
 
 // Attempt is one running shard attempt under supervision. Err and
-// Failures are valid only after Done is closed.
+// Failures are valid only after Done is closed. Liveness is not part
+// of the interface: the supervisor watches the attempt's journal grow.
 type Attempt interface {
 	Done() <-chan struct{}
 	Err() error
-	// Heartbeat reports the attempt's last observed progress: the
-	// completed-trial count and when it was observed. A wedged worker
-	// is exactly one whose time stops advancing.
-	Heartbeat() (completed int, last time.Time)
 	Failures() []fleet.TrialFailure
 	// Kill stops the attempt abruptly (SIGKILL for exec workers): no
 	// final checkpoint beyond what periodic writes already persisted.
@@ -74,8 +68,9 @@ type Attempt interface {
 
 // Launcher starts shard attempts. InProc runs them as goroutines in
 // this process; Exec re-execs the fleetrun binary in shard mode. Both
-// satisfy the same supervision contract: heartbeats while alive, a
-// checkpoint sidecar as the result, Kill/Drain semantics as above.
+// satisfy the same supervision contract: a checkpoint journal that
+// grows while the attempt is alive and is its result, Kill/Drain
+// semantics as above.
 type Launcher interface {
 	Launch(spec AttemptSpec) (Attempt, error)
 }
@@ -91,22 +86,15 @@ type inprocAttempt struct {
 	err   error
 	fails []fleet.TrialFailure
 
-	mu        sync.Mutex
-	completed int
-	last      time.Time
-
 	stop     chan struct{}
 	stopOnce sync.Once
 }
 
-// Launch starts the attempt goroutine. The launch instant counts as
-// the first heartbeat: a shard is allowed a full heartbeat window to
-// produce its first completed trial before it looks wedged.
+// Launch starts the attempt goroutine.
 func (InProc) Launch(spec AttemptSpec) (Attempt, error) {
 	a := &inprocAttempt{
 		done: make(chan struct{}),
 		stop: make(chan struct{}),
-		last: time.Now(),
 	}
 	go func() {
 		defer close(a.done)
@@ -118,7 +106,6 @@ func (InProc) Launch(spec AttemptSpec) (Attempt, error) {
 			ResumeFrom:      spec.Resume,
 			Interrupt:       a.stop,
 			Faults:          spec.Faults,
-			Progress:        a.beat,
 			Metrics:         spec.Metrics,
 		}, fleet.ShardRun{
 			Index:   spec.Shard.Shard,
@@ -131,19 +118,8 @@ func (InProc) Launch(spec AttemptSpec) (Attempt, error) {
 	return a, nil
 }
 
-func (a *inprocAttempt) beat(completed int) {
-	a.mu.Lock()
-	a.completed, a.last = completed, time.Now()
-	a.mu.Unlock()
-}
-
-func (a *inprocAttempt) Done() <-chan struct{} { return a.done }
-func (a *inprocAttempt) Err() error            { return a.err }
-func (a *inprocAttempt) Heartbeat() (int, time.Time) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.completed, a.last
-}
+func (a *inprocAttempt) Done() <-chan struct{}          { return a.done }
+func (a *inprocAttempt) Err() error                     { return a.err }
 func (a *inprocAttempt) Failures() []fleet.TrialFailure { return a.fails }
 
 // Kill and Drain are the same mechanism in process: trip Interrupt.
@@ -154,8 +130,7 @@ func (a *inprocAttempt) Kill()  { a.stopOnce.Do(func() { close(a.stop) }) }
 func (a *inprocAttempt) Drain() { a.Kill() }
 
 // Exec re-execs the fleetrun binary in shard mode (-shard i/n), the
-// production shape: a real process whose SIGKILL is abrupt death and
-// whose heartbeats cross a file, not a mutex.
+// production shape: a real process whose SIGKILL is abrupt death.
 type Exec struct {
 	// Bin is the fleetrun binary path.
 	Bin string
@@ -164,23 +139,13 @@ type Exec struct {
 }
 
 type execAttempt struct {
-	cmd  *exec.Cmd
-	done chan struct{}
-	err  error
-
-	mu        sync.Mutex
-	completed int
-	last      time.Time
-	lastSeq   int
-
-	hbPath    string
-	failsPath string
-	fails     []fleet.TrialFailure
+	cmd   *exec.Cmd
+	done  chan struct{}
+	err   error
+	fails []fleet.TrialFailure
 }
 
-// Launch starts the worker process and a heartbeat poller. The poller
-// trusts only Heartbeat.Seq changes, never file mtimes, and stops
-// when the process exits.
+// Launch starts the worker process.
 func (e Exec) Launch(spec AttemptSpec) (Attempt, error) {
 	if spec.CampaignPath == "" {
 		return nil, fmt.Errorf("shard: exec launcher needs AttemptSpec.CampaignPath")
@@ -191,7 +156,6 @@ func (e Exec) Launch(spec AttemptSpec) (Attempt, error) {
 		"-shard", fmt.Sprintf("%d/%d", spec.Shard.Shard, spec.Shards),
 		"-shard-attempt", strconv.Itoa(spec.Attempt),
 		"-checkpoint", spec.CheckpointPath,
-		"-heartbeat", spec.HeartbeatPath,
 	}
 	if spec.CheckpointEvery > 0 {
 		args = append(args, "-every", strconv.Itoa(spec.CheckpointEvery))
@@ -200,7 +164,7 @@ func (e Exec) Launch(spec AttemptSpec) (Attempt, error) {
 		args = append(args, "-workers", strconv.Itoa(spec.Workers))
 	}
 	if spec.Resume != nil {
-		// The worker reloads its own sidecar; Resume's presence just
+		// The worker reloads its own journal; Resume's presence just
 		// says "it exists and validated".
 		args = append(args, "-resume", spec.CheckpointPath)
 	}
@@ -218,21 +182,12 @@ func (e Exec) Launch(spec AttemptSpec) (Attempt, error) {
 	if err := cmd.Start(); err != nil {
 		return nil, err
 	}
-	a := &execAttempt{
-		cmd:       cmd,
-		done:      make(chan struct{}),
-		last:      time.Now(),
-		lastSeq:   -1,
-		hbPath:    spec.HeartbeatPath,
-		failsPath: spec.FailuresPath,
-	}
-	go a.poll()
+	a := &execAttempt{cmd: cmd, done: make(chan struct{})}
 	go func() {
 		defer close(a.done)
-		err := cmd.Wait()
-		a.err = execExitError(err)
-		if a.err == nil && a.failsPath != "" {
-			a.fails = loadFailures(a.failsPath)
+		a.err = execExitError(cmd.Wait())
+		if a.err == nil && spec.FailuresPath != "" {
+			a.fails = loadFailures(spec.FailuresPath)
 		}
 	}()
 	return a, nil
@@ -240,7 +195,7 @@ func (e Exec) Launch(spec AttemptSpec) (Attempt, error) {
 
 // execExitError maps the worker's exit to the supervision contract:
 // 0 is success, the PR-6 interrupted/timeout codes mean "checkpointed
-// and stopped" (retryable from the sidecar), anything else — including
+// and stopped" (retryable from the journal), anything else — including
 // a SIGKILL death — is a plain failure.
 func execExitError(err error) error {
 	if err == nil {
@@ -253,29 +208,6 @@ func execExitError(err error) error {
 		}
 	}
 	return fmt.Errorf("shard worker died: %w", err)
-}
-
-func (a *execAttempt) poll() {
-	t := time.NewTicker(50 * time.Millisecond)
-	defer t.Stop()
-	for {
-		select {
-		case <-a.done:
-			return
-		case <-t.C:
-			hb, err := ReadHeartbeat(a.hbPath)
-			if err != nil {
-				continue // no beat yet, or a race with the writer's rename
-			}
-			a.mu.Lock()
-			if hb.Seq != a.lastSeq {
-				a.lastSeq = hb.Seq
-				a.completed = hb.Completed
-				a.last = time.Now()
-			}
-			a.mu.Unlock()
-		}
-	}
 }
 
 // loadFailures reads the worker's failure artifact; a missing or
@@ -294,13 +226,8 @@ func loadFailures(path string) []fleet.TrialFailure {
 	return art.Failures
 }
 
-func (a *execAttempt) Done() <-chan struct{} { return a.done }
-func (a *execAttempt) Err() error            { return a.err }
-func (a *execAttempt) Heartbeat() (int, time.Time) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.completed, a.last
-}
+func (a *execAttempt) Done() <-chan struct{}          { return a.done }
+func (a *execAttempt) Err() error                     { return a.err }
 func (a *execAttempt) Failures() []fleet.TrialFailure { return a.fails }
 func (a *execAttempt) Kill()                          { _ = a.cmd.Process.Kill() }
 func (a *execAttempt) Drain()                         { _ = a.cmd.Process.Signal(syscall.SIGTERM) }

@@ -14,7 +14,7 @@ import (
 type shardMetrics struct {
 	attempts        *obs.Counter // shard attempts launched (first runs + retries)
 	backoffs        *obs.Counter // retry backoffs entered after a failed attempt
-	heartbeatStalls *obs.Counter // attempts killed for a stalled heartbeat
+	heartbeatStalls *obs.Counter // attempts killed because their journal stopped growing
 	deadlineKills   *obs.Counter // attempts killed for overrunning the deadline
 	degraded        *obs.Counter // shards that exhausted the retry budget
 }
@@ -26,7 +26,7 @@ func newShardMetrics(r *obs.Registry) shardMetrics {
 	return shardMetrics{
 		attempts:        r.Counter("shard_attempts_total", "shard attempts launched, retries included"),
 		backoffs:        r.Counter("shard_backoffs_total", "exponential backoffs entered after failed shard attempts"),
-		heartbeatStalls: r.Counter("shard_heartbeat_stalls_total", "shard attempts killed because their heartbeat stopped advancing"),
+		heartbeatStalls: r.Counter("shard_heartbeat_stalls_total", "shard attempts killed because their checkpoint journal stopped growing"),
 		deadlineKills:   r.Counter("shard_deadline_kills_total", "shard attempts killed for exceeding the attempt deadline"),
 		degraded:        r.Counter("shard_degraded_total", "shards that exhausted their retry budget and degraded to counted failures"),
 	}

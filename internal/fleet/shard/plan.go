@@ -2,17 +2,18 @@
 // executor into a service: it plans a campaign into per-scenario
 // replication-range shards, runs each shard as a supervised worker
 // (in-process, or a re-exec'd fleetrun — same interface) with
-// heartbeats, deadlines and bounded retry-with-exponential-backoff,
-// and merges the shards' checkpoint sidecars back into a campaign
-// result whose JSON is byte-identical to a 1-process fleet.Run.
+// liveness checks, deadlines and bounded retry-with-exponential-
+// backoff, and merges the shards' checkpoint journals back into a
+// campaign result whose JSON is byte-identical to a 1-process
+// fleet.Run. A shard's liveness is its journal growing.
 //
 // The byte-identity argument is inherited, not re-proven: a shard's
-// artifact is the PR-6 checkpoint — per-trial aggregates at global
+// artifact is its checkpoint — per-trial aggregates at global
 // replication indices — so the merge re-enters the identical
 // trial-index-order reduction Run uses, trial RNG streams are keyed
 // by (scenario, replication) and never by shard, and float64 values
-// survive the sidecar's JSON round-trip exactly. A dead or wedged
-// shard resumes from its own sidecar instead of recomputing; a shard
+// survive the journal's JSON round-trip exactly. A dead or wedged
+// shard resumes from its own journal instead of recomputing; a shard
 // that exhausts its retry budget degrades to counted per-scenario
 // failures rather than failing the campaign.
 package shard

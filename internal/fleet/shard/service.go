@@ -42,7 +42,7 @@ type ServiceConfig struct {
 	// Workers is each shard attempt's fleet worker count.
 	Workers int
 	// Dir is the working root: each campaign gets Dir/<id>/ for its
-	// sidecars and heartbeats. "" means a fresh temp directory.
+	// shard journals. "" means a fresh temp directory.
 	Dir string
 	// Launcher runs shard attempts (nil = InProc{}); fleetd -exec
 	// installs the re-exec launcher here.

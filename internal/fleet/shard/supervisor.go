@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/fleet"
@@ -15,8 +16,9 @@ import (
 )
 
 // Supervision defaults. The heartbeat timeout is deliberately lax:
-// a slow shard that still beats is making progress and must NOT be
-// killed (the slow-shard fault pins this); only a silent one is dead.
+// a slow shard whose journal still grows is making progress and must
+// NOT be killed (the slow-shard fault pins this); only a silent one is
+// dead.
 const (
 	DefaultShards           = 2
 	DefaultHeartbeatTimeout = 10 * time.Second
@@ -35,9 +37,9 @@ type Options struct {
 	// (0 = GOMAXPROCS) — wall-clock only, like everywhere else.
 	Workers int
 	// Dir holds the campaign's working set: campaign.json and
-	// chaos.json for exec workers, and per-shard sidecars and
-	// heartbeat files. Required; the sidecars ARE the crash-recovery
-	// state, so the caller chooses where they live.
+	// chaos.json for exec workers, and the per-shard checkpoint
+	// journals. Required; the journals ARE the crash-recovery state,
+	// so the caller chooses where they live.
 	Dir string
 	// Launcher runs shard attempts; nil means InProc{}.
 	Launcher Launcher
@@ -45,19 +47,19 @@ type Options struct {
 	// Campaign-level faults fire in whichever shard owns the target
 	// trial; shard-level faults arm against each worker's own index.
 	Faults *fleet.FaultPlan
-	// CheckpointEvery is the shard workers' periodic-write cadence;
-	// <= 0 means 1 (every trial) — a supervised shard's sidecar is its
-	// recovery state, so the default trades write traffic for losing
-	// at most nothing on a kill.
+	// CheckpointEvery is the shard workers' append cadence; <= 0 means
+	// 1 (every trial) — a supervised shard's journal is its recovery
+	// state and its heartbeat, so the default loses nothing on a kill
+	// and shows progress after every trial.
 	CheckpointEvery int
-	// HeartbeatTimeout: a shard whose heartbeat does not advance for
-	// this long is declared wedged, killed, and retried. 0 means
-	// DefaultHeartbeatTimeout.
+	// HeartbeatTimeout: a shard whose journal does not grow for this
+	// long is declared wedged, killed, and retried. It must cover one
+	// CheckpointEvery batch of trials. 0 means DefaultHeartbeatTimeout.
 	HeartbeatTimeout time.Duration
 	// AttemptDeadline bounds one attempt's wall clock; 0 = unbounded.
 	AttemptDeadline time.Duration
 	// MaxShardRetries is how many times a dead/wedged shard is
-	// relaunched (resuming from its sidecar) before it degrades to
+	// relaunched (resuming from its journal) before it degrades to
 	// counted failures. 0 means DefaultShardRetries; negative disables
 	// retries.
 	MaxShardRetries int
@@ -127,14 +129,14 @@ func (st *Status) Snapshot() []ShardStatus {
 }
 
 // DrainedError reports a campaign stopped by Options.Drain: every
-// running shard checkpointed and stopped, and the sidecars in Dir can
+// running shard checkpointed and stopped, and the journals in Dir can
 // seed a future resubmission.
 type DrainedError struct {
 	Dir string
 }
 
 func (e *DrainedError) Error() string {
-	return fmt.Sprintf("shard: campaign drained before completion (shard sidecars preserved in %s)", e.Dir)
+	return fmt.Sprintf("shard: campaign drained before completion (shard journals preserved in %s)", e.Dir)
 }
 
 // errDrained flows from the monitor to the shard loop; it never
@@ -143,7 +145,7 @@ var errDrained = errors.New("drained")
 
 // shardOutcome is one shard's terminal state.
 type shardOutcome struct {
-	ck       *fleet.Checkpoint // final sidecar; best-effort (possibly nil) when degraded/drained
+	ck       *fleet.Checkpoint // final journal; best-effort (possibly nil) when degraded/drained
 	degraded bool
 	drained  bool
 	fails    []fleet.TrialFailure
@@ -159,15 +161,21 @@ type supervisor struct {
 
 	campPath   string
 	faultsPath string
+
+	// tails follow the shards' journals. Only run's goroutine reads
+	// them; it stamps each shard's growth (UnixNano) in live for the
+	// monitors.
+	tails []journalTail
+	live  []atomic.Int64
 }
 
 // Supervise runs the campaign as opt.Shards supervised shard workers
 // and returns the merged result.
 //
 // Failure model: a shard whose attempt dies (process death, soft
-// kill), wedges (heartbeat stops advancing), or overruns its deadline
+// kill), wedges (its journal stops growing), or overruns its deadline
 // is relaunched with exponential backoff, resuming from its own
-// checkpoint sidecar — completed trials are never recomputed, and
+// checkpoint journal — completed trials are never recomputed, and
 // because restored aggregates re-enter the reduction at their own
 // trial indices the merged bytes are unchanged by any number of
 // retries. A shard that exhausts its retry budget degrades: its
@@ -179,7 +187,7 @@ func Supervise(c fleet.Campaign, opt Options) (*fleet.CampaignResult, error) {
 		return nil, err
 	}
 	if opt.Dir == "" {
-		return nil, fmt.Errorf("shard: Options.Dir is required (shard sidecars and heartbeats live there)")
+		return nil, fmt.Errorf("shard: Options.Dir is required (shard journals live there)")
 	}
 	if opt.Shards <= 0 {
 		opt.Shards = DefaultShards
@@ -216,7 +224,8 @@ func Supervise(c fleet.Campaign, opt Options) (*fleet.CampaignResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &supervisor{c: c, opt: opt, plan: plan, drain: opt.Drain, m: newShardMetrics(opt.Metrics)}
+	s := &supervisor{c: c, opt: opt, plan: plan, drain: opt.Drain, m: newShardMetrics(opt.Metrics),
+		tails: make([]journalTail, len(plan)), live: make([]atomic.Int64, len(plan))}
 	if s.drain == nil {
 		s.drain = make(chan struct{}) // never closes
 	}
@@ -231,7 +240,7 @@ func Supervise(c fleet.Campaign, opt Options) (*fleet.CampaignResult, error) {
 
 // writeInputs persists the campaign (and fault plan) to Dir so exec
 // workers load byte-identical definitions — the campaign hash in
-// every sidecar then matches by construction.
+// every journal then matches by construction.
 func (s *supervisor) writeInputs() error {
 	data, err := fleet.EncodeCampaign(s.c)
 	if err != nil {
@@ -275,18 +284,23 @@ func (s *supervisor) run() (*fleet.CampaignResult, error) {
 	next := 0
 	pending := len(s.plan)
 	// The scanner wakes on every shard completion and on a slow tick:
-	// periodic sidecar writes let a scenario's coverage complete long
-	// before any shard exits, and the tick picks that up.
+	// periodic appends let a scenario's coverage complete long before
+	// any shard exits, and the tick picks them up.
 	tick := time.NewTicker(100 * time.Millisecond)
 	defer tick.Stop()
 	for pending > 0 {
+		changed := false
 		select {
 		case r := <-results:
 			outcomes[r.i] = &r.out
+			s.tails[r.i] = journalTail{} // the outcome's checkpoint supersedes it
 			pending--
+			changed = true
 		case <-tick.C:
 		}
-		next, _ = s.advance(outcomes, merged, next, false)
+		if s.poll(outcomes) || changed {
+			next, _ = s.advance(outcomes, merged, next, false)
+		}
 	}
 
 	for _, out := range outcomes {
@@ -295,7 +309,7 @@ func (s *supervisor) run() (*fleet.CampaignResult, error) {
 		}
 	}
 	if next, err := s.advance(outcomes, merged, next, true); err != nil {
-		return nil, fmt.Errorf("shard: scenario %q could not be merged from the shard sidecars: %w", s.c.Scenarios[next].Name, err)
+		return nil, fmt.Errorf("shard: scenario %q could not be merged from the shard journals: %w", s.c.Scenarios[next].Name, err)
 	}
 
 	res := &fleet.CampaignResult{Campaign: s.c.Name, Seed: s.opt.Seed, Scenarios: merged}
@@ -307,9 +321,25 @@ func (s *supervisor) run() (*fleet.CampaignResult, error) {
 // the reduction through this package.
 var MergeCheckpoints = fleet.MergeCheckpoints
 
+// poll reads what every running shard's journal gained since the
+// last call and stamps the growth for the monitors; true when any grew.
+func (s *supervisor) poll(outcomes []*shardOutcome) bool {
+	grew := false
+	for i := range s.tails {
+		if outcomes[i] != nil || !s.readJournal(i) {
+			continue
+		}
+		grew = true
+		s.live[i].Store(time.Now().UnixNano())
+		n := s.tails[i].ck.Completed
+		s.opt.Status.set(i, func(st *ShardStatus) { st.Completed = n })
+	}
+	return grew
+}
+
 // advance merges scenarios [next, …) whose replications are fully
-// covered — by terminal shards' final sidecars and live shards'
-// periodic ones — emitting each exactly once, in ascending order, and
+// covered — by terminal shards' final journals and live shards'
+// growing ones — emitting each exactly once, in ascending order, and
 // returns the first unmerged scenario with the reason it could not be
 // merged (nil once all are). Degraded gap-filling is only allowed once
 // every shard is terminal (final=true, or all outcomes present): until
@@ -321,7 +351,7 @@ func (s *supervisor) advance(outcomes []*shardOutcome, merged []*fleet.ScenarioR
 	for i, out := range outcomes {
 		if out == nil {
 			allDone = false
-			if ck := s.loadSidecar(i); ck != nil {
+			if ck := s.tails[i].ck; ck != nil {
 				cks = append(cks, ck)
 			}
 			continue
@@ -346,7 +376,7 @@ func (s *supervisor) advance(outcomes []*shardOutcome, merged []*fleet.ScenarioR
 }
 
 // superviseShard is one shard's attempt loop: launch, monitor, and on
-// failure resume from the sidecar with exponential backoff until the
+// failure resume from the journal with exponential backoff until the
 // retry budget is spent.
 func (s *supervisor) superviseShard(i int) shardOutcome {
 	maxAttempts := s.opt.MaxShardRetries + 1
@@ -379,7 +409,6 @@ func (s *supervisor) superviseShard(i int) shardOutcome {
 			Shards:          len(s.plan),
 			Attempt:         attempt,
 			CheckpointPath:  s.sidecarPath(i),
-			HeartbeatPath:   filepath.Join(s.opt.Dir, fmt.Sprintf("shard-%d.hb.json", i)),
 			CheckpointEvery: s.opt.CheckpointEvery,
 			Resume:          resume,
 			Faults:          s.opt.Faults,
@@ -406,7 +435,7 @@ func (s *supervisor) superviseShard(i int) shardOutcome {
 			}
 			// A clean exit without full coverage is a worker bug, but
 			// the supervisor treats it like any other failure: retry.
-			attErr = fmt.Errorf("exited cleanly but the sidecar does not cover the shard's ranges")
+			attErr = fmt.Errorf("exited cleanly but the journal does not cover the shard's ranges")
 		}
 		s.opt.Logf("shard %d attempt %d failed: %v", i, attempt, attErr)
 		if attempt < maxAttempts {
@@ -427,9 +456,11 @@ func (s *supervisor) superviseShard(i int) shardOutcome {
 	return shardOutcome{ck: s.loadSidecar(i), degraded: true, fails: fails}
 }
 
-// monitor watches one attempt: completion, heartbeat staleness,
-// deadline, drain. On staleness or deadline the attempt is killed and
-// the error reported for retry.
+// monitor watches one attempt: completion, journal staleness,
+// deadline, drain. The launch instant counts as growth, so an attempt
+// gets a full heartbeat window to create its journal and finish its
+// first batch. On staleness or deadline the attempt is killed and the
+// error reported for retry.
 func (s *supervisor) monitor(i int, att Attempt) error {
 	start := time.Now()
 	tick := time.NewTicker(25 * time.Millisecond)
@@ -444,14 +475,16 @@ func (s *supervisor) monitor(i int, att Attempt) error {
 			<-att.Done()
 			return errDrained
 		case <-tick.C:
-			completed, last := att.Heartbeat()
-			s.opt.Status.set(i, func(st *ShardStatus) { st.Completed = completed })
+			last := start
+			if t := time.Unix(0, s.live[i].Load()); t.After(last) {
+				last = t
+			}
 			if stale := time.Since(last); stale > s.opt.HeartbeatTimeout {
-				s.opt.Logf("shard %d: no heartbeat for %v; killing", i, stale.Round(time.Millisecond))
+				s.opt.Logf("shard %d: journal silent for %v; killing", i, stale.Round(time.Millisecond))
 				s.m.heartbeatStalls.Inc()
 				att.Kill()
 				<-att.Done()
-				return fmt.Errorf("heartbeat stalled for %v (wedged)", stale.Round(time.Millisecond))
+				return fmt.Errorf("journal stalled for %v (wedged)", stale.Round(time.Millisecond))
 			}
 			if s.opt.AttemptDeadline > 0 && time.Since(start) > s.opt.AttemptDeadline {
 				s.opt.Logf("shard %d: attempt deadline %v exceeded; killing", i, s.opt.AttemptDeadline)
@@ -479,26 +512,26 @@ func (s *supervisor) backoff(attempt int) bool {
 	}
 }
 
-// loadSidecar reads shard i's checkpoint, returning nil for a missing
-// or invalid file — "nothing to resume", never fatal: the worst case
-// is recomputing trials, which is deterministic anyway.
+// loadSidecar reads shard i's checkpoint journal, returning nil for a
+// missing or invalid file — "nothing to resume", never fatal: the
+// worst case is recomputing trials, which is deterministic anyway.
 func (s *supervisor) loadSidecar(i int) *fleet.Checkpoint {
 	ck, err := fleet.LoadCheckpoint(s.sidecarPath(i))
 	if err != nil {
 		if !os.IsNotExist(err) {
-			s.opt.Logf("shard %d: ignoring unreadable sidecar: %v", i, err)
+			s.opt.Logf("shard %d: ignoring unreadable journal: %v", i, err)
 		}
 		return nil
 	}
 	if err := ck.ValidateAgainst(s.c, s.opt.Seed); err != nil {
-		s.opt.Logf("shard %d: ignoring stale sidecar: %v", i, err)
+		s.opt.Logf("shard %d: ignoring stale journal: %v", i, err)
 		return nil
 	}
 	return ck
 }
 
-// covers reports whether the sidecar completed every trial in shard
-// i's assignment.
+// covers reports whether the checkpoint completed every trial in
+// shard i's assignment.
 func (s *supervisor) covers(ck *fleet.Checkpoint, i int) bool {
 	for si, r := range s.plan[i].Ranges {
 		for rep := r.Lo; rep < r.Hi; rep++ {

@@ -109,10 +109,12 @@ func TestShardRetryExhaustionDegrades(t *testing.T) {
 	// 2 shards over 2 scenarios × 3 reps: shard 0 owns replication 0
 	// of each scenario. Kill after its first completion on every
 	// attempt, no retries → scenario 0's rep 0 is checkpointed,
-	// scenario 1's rep 0 never runs.
+	// scenario 1's rep 0 never runs. One worker per shard makes that
+	// first completion scenario 0's: with more, shard 0's two trials
+	// race to finish first.
 	var status Status
 	res, err := Supervise(camp, Options{
-		Shards: 2, Seed: 7, Dir: t.TempDir(),
+		Shards: 2, Seed: 7, Workers: 1, Dir: t.TempDir(),
 		Faults:          &fleet.FaultPlan{Shards: []fleet.ShardFault{{Shard: 0, Mode: fleet.ShardKill, AfterTrials: 1, Attempts: 99}}},
 		MaxShardRetries: -1,
 		Logf:            t.Logf,

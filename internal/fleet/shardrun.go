@@ -6,13 +6,14 @@ package fleet
 // A shard is a slice of a campaign — per scenario, a half-open
 // replication sub-range — executed by the SAME engine as Run, under
 // the same determinism contract. Its result artifact is deliberately
-// not a CampaignResult but the PR-6 Checkpoint sidecar: per-trial
+// not a CampaignResult but its checkpoint journal: per-trial
 // aggregates at global replication indices, which the supervisor
 // reduces with MergeCheckpoints — the same call Run ends in — so a
 // sharded campaign's merged JSON is byte-identical to a 1-process run
-// by construction. The same sidecar doubles as the shard's recovery
-// state: a killed or wedged shard worker resumes from it instead of
-// recomputing, exactly like an interrupted fleetrun.
+// by construction. The same journal doubles as the shard's recovery
+// state — a killed or wedged shard worker resumes from it instead of
+// recomputing, exactly like an interrupted fleetrun — and its growth
+// is the shard's liveness signal.
 
 import (
 	"errors"
@@ -23,15 +24,15 @@ import (
 
 // ErrShardKilled reports a shard run that died abruptly to an armed
 // ShardKill fault without a Die hook: recording stopped at the fault
-// point, no final checkpoint was written, and the sidecar on disk
+// point, no final checkpoint was written, and the journal on disk
 // holds exactly the trials checkpointed before the kill.
 var ErrShardKilled = errors.New("fleet: shard killed by fault plan (checkpoint frozen at the kill point)")
 
 // ErrShardWedged reports a shard run that was blackholed: it silently
-// completed or abandoned its remaining work with heartbeats and
-// checkpoint writes frozen, lingered until Options.Interrupt fired,
-// and wrote no final checkpoint.
-var ErrShardWedged = errors.New("fleet: shard wedged by blackhole fault (heartbeats and checkpoints frozen)")
+// completed or abandoned its remaining work with its journal frozen,
+// lingered until Options.Interrupt fired, and wrote no final
+// checkpoint.
+var ErrShardWedged = errors.New("fleet: shard wedged by blackhole fault (checkpoint journal frozen)")
 
 // RepRange is a half-open replication sub-range [Lo, Hi) of one
 // scenario. An empty range (Lo == Hi) is valid: a shard may have no
@@ -100,15 +101,15 @@ func (sh *ShardRun) Trials() int {
 // RunShard executes the shard's slice of the campaign and returns the
 // final checkpoint — per-trial aggregates at global replication
 // indices, the artifact the supervisor merges — plus the structured
-// failure ledger. Options.CheckpointPath is required: the sidecar IS
-// the shard's durable result, written periodically for recovery and
+// failure ledger. Options.CheckpointPath is required: the journal IS
+// the shard's durable result, appended periodically for recovery and
 // once more on success. Resume, panic isolation, interrupt drain and
 // campaign-level chaos all behave exactly as under Run; shard-level
 // FaultPlan faults (kill, blackhole, slow) additionally arm against
 // sh's (Index, Attempt).
 func RunShard(c Campaign, opt Options, sh ShardRun) (*Checkpoint, []TrialFailure, error) {
 	if opt.CheckpointPath == "" {
-		return nil, nil, fmt.Errorf("fleet: RunShard requires Options.CheckpointPath (the sidecar is the shard's result artifact)")
+		return nil, nil, fmt.Errorf("fleet: RunShard requires Options.CheckpointPath (the journal is the shard's result artifact)")
 	}
 	if err := c.Validate(); err != nil {
 		return nil, nil, err

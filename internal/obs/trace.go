@@ -29,7 +29,7 @@ const (
 	PhaseAttack     = "attack"     // adversary campaign execution (attacked scenarios)
 	PhaseDrain      = "drain"      // scheduler drain to the horizon
 	PhaseAggregate  = "aggregate"  // one-trial aggregate construction
-	PhaseCheckpoint = "checkpoint" // one sidecar write (periodic or final)
+	PhaseCheckpoint = "checkpoint" // one checkpoint journal write (periodic or final)
 )
 
 // Phases lists the phase names in canonical order, for renderers that

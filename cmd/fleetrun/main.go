@@ -504,6 +504,6 @@ func runShardMode(cfg cliConfig, camp fleet.Campaign, faults *fleet.FaultPlan, r
 		}
 		return exitErr, err
 	}
-	fmt.Fprintf(os.Stderr, "fleetrun: shard %d/%d complete: %d trials in journal %s\n", idx, n, ck.Completed, cfg.checkpoint)
+	fmt.Fprintf(os.Stderr, "fleetrun: shard %d/%d complete: %d trials in journal %s\n", idx, n, ck.Completed(), cfg.checkpoint)
 	return 0, nil
 }

@@ -22,72 +22,59 @@ package fleet
 import (
 	"fmt"
 	"hash/fnv"
-	"math/bits"
 	"os"
 	"path/filepath"
 )
 
-// CheckpointFormat versions the journal layout; LoadCheckpoint and
-// ValidateAgainst reject checkpoints written by a different format.
+// CheckpointFormat versions the journal layout; the loader rejects a
+// journal whose header names any other format.
 const CheckpointFormat = 2
 
 // Checkpoint is the resumable state of a partially-executed campaign:
 // identity (campaign name + canonical-encoding hash + master seed)
-// plus, per scenario, a completed-replication bitmap and the
-// completed trials' serialized aggregates.
+// plus, per scenario, one slot per replication holding that trial's
+// own aggregate, nil while the trial is not done. The executor fills
+// the slots in place, so a run's final checkpoint is its trial table.
 type Checkpoint struct {
-	Format       int                  `json:"format"`
-	Campaign     string               `json:"campaign"`
-	CampaignHash uint64               `json:"campaign_hash"`
-	Seed         uint64               `json:"seed"`
-	Completed    int                  `json:"completed_trials"`
-	Scenarios    []ScenarioCheckpoint `json:"scenarios"`
+	Campaign     string
+	CampaignHash uint64
+	Seed         uint64
+	Scenarios    []ScenarioCheckpoint
 }
 
-// ScenarioCheckpoint is one scenario's recovery state. Done and
-// Partials are redundant by construction (one partial per set bit);
-// ValidateAgainst cross-checks them so a hand-edited or corrupted
-// journal fails loudly instead of silently skewing the resume.
+// ScenarioCheckpoint is one scenario's recovery state. Trials is
+// indexed by replication; an aggregate holds exactly one trial
+// (Replications 1 for a success, Failures 1 for a trial that exhausted
+// its panic-retry budget and degraded). The loader allocates Trials on
+// the scenario's first trial line, so it may be shorter than
+// Replications: read it through Checkpoint.Trial.
 type ScenarioCheckpoint struct {
-	Name         string         `json:"name"`
-	Replications int            `json:"replications"`
-	Done         Bitmap         `json:"done"`
-	Partials     []TrialPartial `json:"partials"`
+	Name         string
+	Replications int
+	Trials       []*ScenarioResult
 }
 
-// TrialPartial is one completed trial's aggregate. Result holds
-// exactly one trial: Replications 1 for a success, Failures 1 for a
-// trial that exhausted its panic-retry budget and degraded.
-type TrialPartial struct {
-	Replication int            `json:"replication"`
-	Result      ScenarioResult `json:"result"`
+// Trial returns scenario si's aggregate for replication rep, or nil if
+// that trial is not done.
+func (ck *Checkpoint) Trial(si, rep int) *ScenarioResult {
+	if t := ck.Scenarios[si].Trials; rep < len(t) {
+		return t[rep]
+	}
+	return nil
 }
 
-// Bitmap is a fixed-capacity bitset serialized as its uint64 words
-// (Go's encoding/json round-trips uint64 exactly). Bit i of word
-// i/64 marks replication i complete.
-type Bitmap []uint64
-
-// NewBitmap returns a bitmap with capacity for n bits, all clear.
-func NewBitmap(n int) Bitmap { return make(Bitmap, (n+63)/64) }
-
-// Get reports whether bit i is set.
-func (b Bitmap) Get(i int) bool { return b[i>>6]&(1<<uint(i&63)) != 0 }
-
-// Set sets bit i.
-func (b Bitmap) Set(i int) { b[i>>6] |= 1 << uint(i&63) }
-
-// Count returns the number of set bits.
-func (b Bitmap) Count() int {
+// Completed returns the number of done trials.
+func (ck *Checkpoint) Completed() int {
 	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
+	for _, sc := range ck.Scenarios {
+		for _, r := range sc.Trials {
+			if r != nil {
+				n++
+			}
+		}
 	}
 	return n
 }
-
-// Clone returns an independent copy.
-func (b Bitmap) Clone() Bitmap { return append(Bitmap(nil), b...) }
 
 // CampaignHash fingerprints a campaign via the FNV-1a 64 hash of its
 // canonical JSON encoding, so a checkpoint binds to the exact
@@ -104,25 +91,16 @@ func CampaignHash(c Campaign) (uint64, error) {
 	return h.Sum64(), nil
 }
 
-// buildCheckpoint assembles the checkpoint from the executor's state:
-// the global completed bitmap laid out scenario-major, sliced into
-// per-scenario bitmaps, with each completed trial's partial embedded
-// in replication order.
-func buildCheckpoint(c Campaign, hash, seed uint64, partials []*ScenarioResult, completed Bitmap) *Checkpoint {
-	ck := &Checkpoint{Format: CheckpointFormat, Campaign: c.Name, CampaignHash: hash, Seed: seed}
-	base := 0
-	for _, s := range c.Scenarios {
-		sc := ScenarioCheckpoint{Name: s.Name, Replications: s.Replications, Done: NewBitmap(s.Replications)}
-		for rep := 0; rep < s.Replications; rep++ {
-			if !completed.Get(base + rep) {
-				continue
-			}
-			sc.Done.Set(rep)
-			sc.Partials = append(sc.Partials, TrialPartial{Replication: rep, Result: *partials[base+rep]})
-			ck.Completed++
-		}
-		ck.Scenarios = append(ck.Scenarios, sc)
-		base += s.Replications
+// newCheckpoint returns the campaign's empty trial table: one
+// allocation in trial-index order, sliced per scenario. The executor
+// fills it in place, and it is the input of the reduction.
+func newCheckpoint(c Campaign, hash, seed uint64) *Checkpoint {
+	ck := &Checkpoint{Campaign: c.Name, CampaignHash: hash, Seed: seed, Scenarios: make([]ScenarioCheckpoint, len(c.Scenarios))}
+	table := make([]*ScenarioResult, c.Trials())
+	for si, s := range c.Scenarios {
+		n := s.Replications
+		ck.Scenarios[si] = ScenarioCheckpoint{Name: s.Name, Replications: n, Trials: table[:n:n]}
+		table = table[n:]
 	}
 	return ck
 }
@@ -164,18 +142,27 @@ func MergeCheckpoints(c Campaign, seed uint64, cks []*Checkpoint, degrade bool) 
 // MergeScenario is MergeCheckpoints for scenario si alone, on already
 // validated checkpoints (nil entries are skipped, so a caller can pass
 // live snapshots where some shards have not written a journal yet).
-// Partials may be in any order within a scenario. The
-// partials fold in replication order into a deep copy of the first, so
-// the inputs are never mutated: one checkpoint set can be merged more
-// than once, and restored partials may alias a caller's ResumeFrom.
+// Each replication's partial comes from the one checkpoint whose slot
+// is filled, and the partials fold in replication order into a deep
+// copy of the first, so the inputs are never mutated: one checkpoint
+// set can be merged more than once, and restored partials may alias a
+// caller's ResumeFrom.
 func MergeScenario(c Campaign, cks []*Checkpoint, si int, degrade bool) (*ScenarioResult, error) {
-	partials, err := collectPartials(c, cks, si)
-	if err != nil {
-		return nil, err
-	}
 	spec := &c.Scenarios[si]
 	var agg *ScenarioResult
-	for rep, p := range partials {
+	for rep := 0; rep < spec.Replications; rep++ {
+		var p *ScenarioResult
+		for _, ck := range cks {
+			if ck == nil {
+				continue
+			}
+			if q := ck.Trial(si, rep); q != nil {
+				if p != nil {
+					return nil, fmt.Errorf("fleet: scenario %q replication %d appears in more than one checkpoint (mixed shard plans?)", spec.Name, rep)
+				}
+				p = q
+			}
+		}
 		if p == nil {
 			if !degrade {
 				return nil, fmt.Errorf("fleet: scenario %q replication %d missing from every checkpoint", spec.Name, rep)
@@ -191,27 +178,6 @@ func MergeScenario(c Campaign, cks []*Checkpoint, si int, degrade bool) (*Scenar
 		}
 	}
 	return agg, nil
-}
-
-// collectPartials gathers scenario si's single-trial partials from
-// every checkpoint, indexed by replication (nil = missing).
-func collectPartials(c Campaign, cks []*Checkpoint, si int) ([]*ScenarioResult, error) {
-	out := make([]*ScenarioResult, c.Scenarios[si].Replications)
-	for _, ck := range cks {
-		if ck == nil {
-			continue
-		}
-		sc := &ck.Scenarios[si]
-		for pi := range sc.Partials {
-			p := &sc.Partials[pi]
-			if out[p.Replication] != nil {
-				return nil, fmt.Errorf("fleet: scenario %q replication %d appears in more than one checkpoint (mixed shard plans?)",
-					c.Scenarios[si].Name, p.Replication)
-			}
-			out[p.Replication] = &p.Result
-		}
-	}
-	return out, nil
 }
 
 // clonePartial deep-copies a partial (the histogram's bucket slice and
@@ -230,13 +196,9 @@ func clonePartial(p *ScenarioResult) *ScenarioResult {
 
 // ValidateAgainst rejects a checkpoint that cannot resume the given
 // (campaign, seed): identity mismatches (name, campaign hash, seed,
-// format) and internal inconsistencies (bitmap/partial disagreement,
-// out-of-range or out-of-order replications, aggregates whose shape
-// could not have come from this campaign's trials).
+// scenario names and replication counts) and filled slots whose
+// aggregates could not have come from this campaign's trials.
 func (ck *Checkpoint) ValidateAgainst(c Campaign, seed uint64) error {
-	if ck.Format != CheckpointFormat {
-		return fmt.Errorf("fleet: checkpoint format %d; this build reads format %d", ck.Format, CheckpointFormat)
-	}
 	if ck.Campaign != c.Name {
 		return fmt.Errorf("fleet: checkpoint is for campaign %q, not %q", ck.Campaign, c.Name)
 	}
@@ -253,7 +215,6 @@ func (ck *Checkpoint) ValidateAgainst(c Campaign, seed uint64) error {
 	if len(ck.Scenarios) != len(c.Scenarios) {
 		return fmt.Errorf("fleet: checkpoint has %d scenarios, campaign has %d", len(ck.Scenarios), len(c.Scenarios))
 	}
-	total := 0
 	for i := range ck.Scenarios {
 		sc := &ck.Scenarios[i]
 		spec := &c.Scenarios[i]
@@ -263,36 +224,14 @@ func (ck *Checkpoint) ValidateAgainst(c Campaign, seed uint64) error {
 		if sc.Replications != spec.Replications {
 			return fmt.Errorf("fleet: checkpoint scenario %q has %d replications, campaign has %d", sc.Name, sc.Replications, spec.Replications)
 		}
-		if len(sc.Done) != len(NewBitmap(spec.Replications)) {
-			return fmt.Errorf("fleet: checkpoint scenario %q: bitmap has %d words, %d replications need %d",
-				sc.Name, len(sc.Done), spec.Replications, len(NewBitmap(spec.Replications)))
-		}
-		for rep := spec.Replications; rep < len(sc.Done)*64; rep++ {
-			if sc.Done.Get(rep) {
-				return fmt.Errorf("fleet: checkpoint scenario %q: completed replication %d outside [0, %d)", sc.Name, rep, spec.Replications)
+		for rep, r := range sc.Trials {
+			if r == nil {
+				continue
+			}
+			if err := validatePartial(spec, rep, r); err != nil {
+				return fmt.Errorf("fleet: %w", err)
 			}
 		}
-		if n := sc.Done.Count(); n != len(sc.Partials) {
-			return fmt.Errorf("fleet: checkpoint scenario %q: bitmap marks %d trials done but %d partials are present", sc.Name, n, len(sc.Partials))
-		}
-		prev := -1
-		for pi := range sc.Partials {
-			p := &sc.Partials[pi]
-			if err := validatePartial(spec, p); err != nil {
-				return err
-			}
-			if p.Replication <= prev {
-				return fmt.Errorf("fleet: checkpoint scenario %q: partials out of replication order (%d after %d)", sc.Name, p.Replication, prev)
-			}
-			prev = p.Replication
-			if !sc.Done.Get(p.Replication) {
-				return fmt.Errorf("fleet: checkpoint scenario %q: partial for replication %d not marked done", sc.Name, p.Replication)
-			}
-		}
-		total += len(sc.Partials)
-	}
-	if ck.Completed != total {
-		return fmt.Errorf("fleet: checkpoint claims %d completed trials but carries %d partials", ck.Completed, total)
 	}
 	return nil
 }
@@ -301,33 +240,32 @@ func (ck *Checkpoint) ValidateAgainst(c Campaign, seed uint64) error {
 // of spec's trials: a replication out of range, another scenario's
 // result, more or less than one trial, a foreign histogram layout, or
 // attack presence that disagrees with the spec.
-func validatePartial(spec *Scenario, p *TrialPartial) error {
-	if p.Replication < 0 || p.Replication >= spec.Replications {
-		return fmt.Errorf("fleet: checkpoint scenario %q: partial for replication %d outside [0, %d)", spec.Name, p.Replication, spec.Replications)
+func validatePartial(spec *Scenario, rep int, r *ScenarioResult) error {
+	if rep < 0 || rep >= spec.Replications {
+		return fmt.Errorf("checkpoint scenario %q: partial for replication %d outside [0, %d)", spec.Name, rep, spec.Replications)
 	}
-	r := &p.Result
 	if r.Name != spec.Name {
-		return fmt.Errorf("fleet: checkpoint scenario %q: partial carries result for %q", spec.Name, r.Name)
+		return fmt.Errorf("checkpoint scenario %q: partial carries result for %q", spec.Name, r.Name)
 	}
 	if r.Replications+r.Failures != 1 {
-		return fmt.Errorf("fleet: checkpoint scenario %q replication %d: a partial must hold exactly one trial (replications %d + failures %d)",
-			spec.Name, p.Replication, r.Replications, r.Failures)
+		return fmt.Errorf("checkpoint scenario %q replication %d: a partial must hold exactly one trial (replications %d + failures %d)",
+			spec.Name, rep, r.Replications, r.Failures)
 	}
 	if h := r.MakespanHist; h == nil || h.Lo != 0 || h.Hi != float64(spec.Horizon) || len(h.Counts) != makespanBuckets {
-		return fmt.Errorf("fleet: checkpoint scenario %q replication %d: histogram layout does not match the scenario's horizon %d",
-			spec.Name, p.Replication, spec.Horizon)
+		return fmt.Errorf("checkpoint scenario %q replication %d: histogram layout does not match the scenario's horizon %d",
+			spec.Name, rep, spec.Horizon)
 	}
 	// Attack presence must track the spec: a partial with an aggregate
 	// for an unattacked scenario (or vice versa) could not have come
 	// from this campaign's trials, and would also poison every later
 	// Merge in the reduction.
 	if (spec.Attack != nil) != (r.Attack != nil) {
-		return fmt.Errorf("fleet: checkpoint scenario %q replication %d: attack aggregate presence does not match the scenario spec",
-			spec.Name, p.Replication)
+		return fmt.Errorf("checkpoint scenario %q replication %d: attack aggregate presence does not match the scenario spec",
+			spec.Name, rep)
 	}
 	if r.Attack != nil && r.Attack.Trials != r.Replications {
-		return fmt.Errorf("fleet: checkpoint scenario %q replication %d: attack aggregate holds %d trials, partial holds %d",
-			spec.Name, p.Replication, r.Attack.Trials, r.Replications)
+		return fmt.Errorf("checkpoint scenario %q replication %d: attack aggregate holds %d trials, partial holds %d",
+			spec.Name, rep, r.Attack.Trials, r.Replications)
 	}
 	return nil
 }

@@ -2,11 +2,11 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -51,37 +51,40 @@ func interruptedCheckpoint(t *testing.T, c Campaign, opt Options, after int) *Ch
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.Completed != ie.Completed {
-		t.Fatalf("checkpoint records %d completed trials, InterruptedError says %d", ck.Completed, ie.Completed)
+	if ck.Completed() != ie.Completed {
+		t.Fatalf("checkpoint records %d completed trials, InterruptedError says %d", ck.Completed(), ie.Completed)
 	}
 	return ck
 }
 
-func TestBitmap(t *testing.T) {
-	b := NewBitmap(130)
-	if len(b) != 3 {
-		t.Fatalf("130 bits need 3 words, got %d", len(b))
+// cloneCheckpoint deep-copies ck through its journal: Save, then
+// LoadCheckpoint.
+func cloneCheckpoint(t *testing.T, ck *Checkpoint) *Checkpoint {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "clone.json")
+	if err := ck.Save(path); err != nil {
+		t.Fatal(err)
 	}
-	for _, i := range []int{0, 63, 64, 129} {
-		if b.Get(i) {
-			t.Errorf("fresh bitmap has bit %d set", i)
+	fresh, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fresh
+}
+
+// firstTrial returns the checkpoint's first done trial in trial-index
+// order.
+func firstTrial(t *testing.T, ck *Checkpoint) *ScenarioResult {
+	t.Helper()
+	for si, sc := range ck.Scenarios {
+		for rep := range sc.Replications {
+			if r := ck.Trial(si, rep); r != nil {
+				return r
+			}
 		}
-		b.Set(i)
-		if !b.Get(i) {
-			t.Errorf("bit %d not set after Set", i)
-		}
 	}
-	if got := b.Count(); got != 4 {
-		t.Errorf("count = %d, want 4", got)
-	}
-	if b.Get(1) || b.Get(65) {
-		t.Error("Set leaked into neighboring bits")
-	}
-	c := b.Clone()
-	c.Set(1)
-	if b.Get(1) {
-		t.Error("Clone shares storage with the original")
-	}
+	t.Fatal("checkpoint has no done trial")
+	return nil
 }
 
 // The checkpoint's identity binding: the hash is stable for a fixed
@@ -140,11 +143,11 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			clean := runJSON(t, tc.camp, Options{Workers: tc.workers, Seed: 7})
 			ck := interruptedCheckpoint(t, tc.camp, Options{Workers: tc.workers, Seed: 7}, tc.killAfter)
-			if ck.Completed != tc.killAfter {
-				t.Fatalf("kill after %d dispatches completed %d trials", tc.killAfter, ck.Completed)
+			if ck.Completed() != tc.killAfter {
+				t.Fatalf("kill after %d dispatches completed %d trials", tc.killAfter, ck.Completed())
 			}
-			if ck.Completed >= tc.camp.Trials() {
-				t.Fatalf("nothing left to resume: %d of %d trials completed", ck.Completed, tc.camp.Trials())
+			if ck.Completed() >= tc.camp.Trials() {
+				t.Fatalf("nothing left to resume: %d of %d trials completed", ck.Completed(), tc.camp.Trials())
 			}
 			resumed := runJSON(t, tc.camp, Options{Workers: tc.workers, Seed: 7, ResumeFrom: ck})
 			if !bytes.Equal(resumed, clean) {
@@ -169,8 +172,8 @@ func TestResumeChainByteIdentical(t *testing.T) {
 	clean := runJSON(t, camp, Options{Workers: 2, Seed: 7})
 	ck1 := interruptedCheckpoint(t, camp, Options{Workers: 2, Seed: 7}, 1)
 	ck2 := interruptedCheckpoint(t, camp, Options{Workers: 2, Seed: 7, ResumeFrom: ck1}, 2)
-	if ck2.Completed != ck1.Completed+2 {
-		t.Fatalf("second leg completed %d trials, want %d", ck2.Completed, ck1.Completed+2)
+	if ck2.Completed() != ck1.Completed()+2 {
+		t.Fatalf("second leg completed %d trials, want %d", ck2.Completed(), ck1.Completed()+2)
 	}
 	final := runJSON(t, camp, Options{Workers: 2, Seed: 7, ResumeFrom: ck2})
 	if !bytes.Equal(final, clean) {
@@ -189,8 +192,8 @@ func TestResumeFromCompleteCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.Completed != camp.Trials() {
-		t.Fatalf("final checkpoint records %d trials, want all %d", ck.Completed, camp.Trials())
+	if ck.Completed() != camp.Trials() {
+		t.Fatalf("final checkpoint records %d trials, want all %d", ck.Completed(), camp.Trials())
 	}
 	resumed := runJSON(t, camp, Options{Workers: 2, Seed: 7, ResumeFrom: ck})
 	if !bytes.Equal(resumed, clean) {
@@ -206,15 +209,7 @@ func TestResumeValidationRejects(t *testing.T) {
 	ck := interruptedCheckpoint(t, camp, Options{Workers: 2, Seed: 7}, 2)
 
 	reload := func(mutate func(*Checkpoint)) *Checkpoint {
-		// Round-trip through JSON for an independent deep copy.
-		buf, err := json.Marshal(ck)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh := new(Checkpoint)
-		if err := json.Unmarshal(buf, fresh); err != nil {
-			t.Fatal(err)
-		}
+		fresh := cloneCheckpoint(t, ck)
 		mutate(fresh)
 		return fresh
 	}
@@ -224,39 +219,11 @@ func TestResumeValidationRejects(t *testing.T) {
 		ck   *Checkpoint
 		want string
 	}{
-		"seed mismatch":    {Options{Seed: 8}, reload(func(*Checkpoint) {}), "seed"},
-		"format mismatch":  {Options{Seed: 7}, reload(func(c *Checkpoint) { c.Format = 99 }), "format"},
-		"campaign renamed": {Options{Seed: 7}, reload(func(c *Checkpoint) { c.Campaign = "other" }), "campaign"},
-		"hash mismatch":    {Options{Seed: 7}, reload(func(c *Checkpoint) { c.CampaignHash++ }), "hash"},
-		"count mismatch":   {Options{Seed: 7}, reload(func(c *Checkpoint) { c.Completed++ }), "completed"},
-		"bitmap/partials disagree": {Options{Seed: 7}, reload(func(c *Checkpoint) {
-			for i := range c.Scenarios {
-				if len(c.Scenarios[i].Partials) > 0 {
-					c.Scenarios[i].Partials = c.Scenarios[i].Partials[:len(c.Scenarios[i].Partials)-1]
-					c.Completed--
-					return
-				}
-			}
-		}), "bitmap"},
-		"out-of-range bit": {Options{Seed: 7}, reload(func(c *Checkpoint) {
-			c.Scenarios[0].Done.Set(len(c.Scenarios[0].Done)*64 - 1) // beyond Replications=3
-		}), "outside"},
-		"wrong result name": {Options{Seed: 7}, reload(func(c *Checkpoint) {
-			for i := range c.Scenarios {
-				if len(c.Scenarios[i].Partials) > 0 {
-					c.Scenarios[i].Partials[0].Result.Name = "bogus"
-					return
-				}
-			}
-		}), "carries result"},
-		"histogram layout": {Options{Seed: 7}, reload(func(c *Checkpoint) {
-			for i := range c.Scenarios {
-				if len(c.Scenarios[i].Partials) > 0 {
-					c.Scenarios[i].Partials[0].Result.MakespanHist.Hi++
-					return
-				}
-			}
-		}), "histogram"},
+		"seed mismatch":     {Options{Seed: 8}, reload(func(*Checkpoint) {}), "seed"},
+		"campaign renamed":  {Options{Seed: 7}, reload(func(c *Checkpoint) { c.Campaign = "other" }), "campaign"},
+		"hash mismatch":     {Options{Seed: 7}, reload(func(c *Checkpoint) { c.CampaignHash++ }), "hash"},
+		"wrong result name": {Options{Seed: 7}, reload(func(c *Checkpoint) { firstTrial(t, c).Name = "bogus" }), "carries result"},
+		"histogram layout":  {Options{Seed: 7}, reload(func(c *Checkpoint) { firstTrial(t, c).MakespanHist.Hi++ }), "histogram"},
 	} {
 		opt := tc.opt
 		opt.ResumeFrom = tc.ck
@@ -304,7 +271,7 @@ func TestCheckpointSaveAtomicOverwrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(data, []byte(`{"format":2,`)) || bytes.Count(data, []byte("\n")) != 1+ck.Completed {
+	if !bytes.HasPrefix(data, []byte(`{"format":2,`)) || bytes.Count(data, []byte("\n")) != 1+ck.Completed() {
 		t.Fatalf("Save wrote no format-2 journal with one line per trial:\n%s", data)
 	}
 	loaded, err := LoadCheckpoint(path)
@@ -446,6 +413,42 @@ func smokeJournal(t testing.TB) []byte {
 	return data
 }
 
+// goldenJournal is the journal that
+// `fleetrun -preset smoke -seed 7 -workers 1 -checkpoint PATH -every 1`
+// writes; goldenTornJournal is the same file without its last 5 bytes,
+// as a writer killed mid-append leaves it.
+const (
+	goldenJournal     = "testdata/smoke-seed7.journal"
+	goldenTornJournal = "testdata/smoke-seed7-torn.journal"
+)
+
+// The journal format is pinned: the run writes the golden journal byte
+// for byte, and the golden journal and its torn copy both resume to the
+// uninterrupted run's bytes.
+func TestJournalGolden(t *testing.T) {
+	golden, err := os.ReadFile(goldenJournal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := smokeJournal(t); !bytes.Equal(got, golden) {
+		t.Fatalf("the smoke run's journal differs from %s:\n%s\nvs\n%s", goldenJournal, got, golden)
+	}
+	camp := smokeCampaign()
+	clean := runJSON(t, camp, Options{Workers: 1, Seed: 7})
+	for path, trials := range map[string]int{goldenJournal: camp.Trials(), goldenTornJournal: camp.Trials() - 1} {
+		ck, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ck.Completed() != trials {
+			t.Fatalf("%s holds %d trials, want %d", path, ck.Completed(), trials)
+		}
+		if got := runJSON(t, camp, Options{Workers: 1, Seed: 7, ResumeFrom: ck}); !bytes.Equal(got, clean) {
+			t.Fatalf("resume from %s differs from the uninterrupted run", path)
+		}
+	}
+}
+
 // loadJournal writes data to a fresh file and loads it.
 func loadJournal(t *testing.T, data []byte) (*Checkpoint, error) {
 	t.Helper()
@@ -468,8 +471,8 @@ func TestJournalTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.Completed != camp.Trials()-1 {
-		t.Fatalf("journal without its last line holds %d trials, want %d", want.Completed, camp.Trials()-1)
+	if want.Completed() != camp.Trials()-1 {
+		t.Fatalf("journal without its last line holds %d trials, want %d", want.Completed(), camp.Trials()-1)
 	}
 	for cut := last; cut < len(journal); cut++ {
 		ck, err := loadJournal(t, journal[:cut])
@@ -477,7 +480,7 @@ func TestJournalTornTail(t *testing.T) {
 			t.Fatalf("cut at byte %d: %v", cut, err)
 		}
 		if !reflect.DeepEqual(ck, want) {
-			t.Fatalf("cut at byte %d loads %d trials, not the %d before the torn line", cut, ck.Completed, want.Completed)
+			t.Fatalf("cut at byte %d loads %d trials, not the %d before the torn line", cut, ck.Completed(), want.Completed())
 		}
 	}
 	// Every cut loads the same checkpoint, so one resume covers them all.
@@ -511,6 +514,42 @@ func TestLoadCheckpointRejectsFormat1(t *testing.T) {
 	}
 }
 
+// A journal from any other format is rejected by its header, the only
+// place the format lives.
+func TestLoadCheckpointRejectsOtherFormat(t *testing.T) {
+	journal := smokeJournal(t)
+	other := bytes.Replace(journal, []byte(`{"format":2,`), []byte(`{"format":3,`), 1)
+	if _, err := loadJournal(t, other); err == nil || !strings.Contains(err.Error(), "checkpoint format 3; this build reads format 2") {
+		t.Fatalf("format-3 journal: want the format error, got %v", err)
+	}
+}
+
+// A header's cost does not grow with the replications it declares: the
+// slots of a scenario are allocated on its first trial line.
+func TestJournalHeaderAllocationBounded(t *testing.T) {
+	header := []byte(`{"format":2,"campaign":"huge","campaign_hash":1,"seed":7,"scenarios":[{"name":"huge/a","replications":16777216}]}`)
+	path := filepath.Join(t.TempDir(), "ckpt.json")
+	if err := os.WriteFile(path, append(header, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	loaded, lerr := LoadCheckpoint(path)
+	decoded, derr := DecodeJournalHeader(header)
+	runtime.ReadMemStats(&after)
+	if lerr != nil || derr != nil {
+		t.Fatalf("LoadCheckpoint: %v; DecodeJournalHeader: %v", lerr, derr)
+	}
+	for _, ck := range []*Checkpoint{loaded, decoded} {
+		if ck.Scenarios[0].Replications != maxJournalTrials || ck.Completed() != 0 {
+			t.Fatalf("header decoded to %+v", ck.Scenarios)
+		}
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {
+		t.Fatalf("decoding a %d-replication header allocated %d bytes, want < 64 KiB", maxJournalTrials, grew)
+	}
+}
+
 const format1Sidecar = `{
   "format": 1,
   "campaign": "smoke",
@@ -521,19 +560,15 @@ const format1Sidecar = `{
 }
 `
 
-// LoadCheckpoint keeps a duplicated trial line, and ValidateAgainst
-// rejects it: a replication may complete only once.
-func TestJournalDuplicateLineFailsValidation(t *testing.T) {
+// LoadCheckpoint rejects a duplicated trial line the moment it reads
+// it: a replication may complete only once.
+func TestJournalDuplicateLineFailsLoad(t *testing.T) {
 	journal := smokeJournal(t)
 	second := bytes.IndexByte(journal, '\n') + 1
 	third := bytes.IndexByte(journal[second:], '\n') + second + 1
 	dup := append(append([]byte{}, journal[:third]...), journal[second:]...)
-	ck, err := loadJournal(t, dup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ck.ValidateAgainst(smokeCampaign(), 7); err == nil {
-		t.Fatal("a duplicated replication line passed validation")
+	if _, err := loadJournal(t, dup); err == nil || !strings.Contains(err.Error(), "line 3: scenario \"smoke/enhanced\" replication 0 appears twice") {
+		t.Fatalf("a duplicated replication line: want the appears-twice error, got %v", err)
 	}
 }
 
@@ -561,8 +596,8 @@ func TestJournalFailedAppendStillLoads(t *testing.T) {
 	if err := ck.ValidateAgainst(camp, 7); err != nil {
 		t.Fatal(err)
 	}
-	if ck.Completed != camp.Trials()-1 {
-		t.Fatalf("journal holds %d trials, want the %d appended before the failures", ck.Completed, camp.Trials()-1)
+	if ck.Completed() != camp.Trials()-1 {
+		t.Fatalf("journal holds %d trials, want the %d appended before the failures", ck.Completed(), camp.Trials()-1)
 	}
 	if got := runJSON(t, camp, Options{Workers: 2, Seed: 7, ResumeFrom: ck}); !bytes.Equal(got, clean) {
 		t.Fatal("resume after failed appends differs from the uninterrupted run")
@@ -594,8 +629,10 @@ func TestCheckpointBytesCounter(t *testing.T) {
 	}
 }
 
-// FuzzLoadCheckpoint: no input makes LoadCheckpoint panic, and a
-// checkpoint that passes ValidateAgainst merges without error.
+// FuzzLoadCheckpoint: no input makes LoadCheckpoint panic; whatever
+// loads has one canonical journal (Save, LoadCheckpoint and Save again
+// give the same bytes and the same trial count); and a checkpoint that
+// passes ValidateAgainst merges without error.
 func FuzzLoadCheckpoint(f *testing.F) {
 	camp := smokeCampaign()
 	journal := smokeJournal(f)
@@ -604,6 +641,11 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		f.Add(journal[:len(journal)-cut])
 	}
 	f.Add([]byte(format1Sidecar))
+	golden, err := os.ReadFile(goldenJournal)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := loadJournal(t, data)
 		if err != nil {
@@ -611,6 +653,23 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		}
 		if ck == nil {
 			t.Fatal("LoadCheckpoint returned neither a checkpoint nor an error")
+		}
+		dir := t.TempDir()
+		first, second := filepath.Join(dir, "first"), filepath.Join(dir, "second")
+		if err := ck.Save(first); err != nil {
+			t.Fatal(err)
+		}
+		again, err := LoadCheckpoint(first)
+		if err != nil {
+			t.Fatalf("a saved checkpoint does not load: %v", err)
+		}
+		if err := again.Save(second); err != nil {
+			t.Fatal(err)
+		}
+		a, _ := os.ReadFile(first)
+		b, _ := os.ReadFile(second)
+		if !bytes.Equal(a, b) || again.Completed() != ck.Completed() {
+			t.Fatalf("Save/LoadCheckpoint/Save is not canonical: %d vs %d trials\n%s\nvs\n%s", ck.Completed(), again.Completed(), a, b)
 		}
 		if ck.ValidateAgainst(camp, 7) != nil {
 			return

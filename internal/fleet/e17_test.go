@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -116,8 +115,8 @@ func TestE17KillAndResumeByteIdentical(t *testing.T) {
 	camp := e17RedTeamCampaign()
 	clean := runJSON(t, camp, Options{Workers: 4, Seed: 7})
 	ck := interruptedCheckpoint(t, camp, Options{Workers: 4, Seed: 7}, 5)
-	if ck.Completed >= camp.Trials() {
-		t.Fatalf("nothing left to resume: %d of %d trials completed", ck.Completed, camp.Trials())
+	if ck.Completed() >= camp.Trials() {
+		t.Fatalf("nothing left to resume: %d of %d trials completed", ck.Completed(), camp.Trials())
 	}
 	resumed := runJSON(t, camp, Options{Workers: 4, Seed: 7, ResumeFrom: ck})
 	if !bytes.Equal(resumed, clean) {
@@ -136,37 +135,19 @@ func TestCheckpointAttackShapeValidation(t *testing.T) {
 	camp := miniAttackCampaign(t)
 	ck := interruptedCheckpoint(t, camp, Options{Workers: 2, Seed: 7}, 2)
 
-	reload := func(mutate func(*Checkpoint)) *Checkpoint {
-		buf, err := json.Marshal(ck)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh := new(Checkpoint)
-		if err := json.Unmarshal(buf, fresh); err != nil {
-			t.Fatal(err)
-		}
-		mutate(fresh)
+	mutateFirstPartial := func(f func(*ScenarioResult)) *Checkpoint {
+		fresh := cloneCheckpoint(t, ck)
+		f(firstTrial(t, fresh))
 		return fresh
-	}
-	mutateFirstPartial := func(f func(*ScenarioResult)) func(*Checkpoint) {
-		return func(c *Checkpoint) {
-			for i := range c.Scenarios {
-				if len(c.Scenarios[i].Partials) > 0 {
-					f(&c.Scenarios[i].Partials[0].Result)
-					return
-				}
-			}
-			t.Fatal("checkpoint has no partials to mutate")
-		}
 	}
 
 	for name, tc := range map[string]struct {
 		ck   *Checkpoint
 		want string
 	}{
-		"aggregate dropped": {reload(mutateFirstPartial(func(r *ScenarioResult) { r.Attack = nil })),
+		"aggregate dropped": {mutateFirstPartial(func(r *ScenarioResult) { r.Attack = nil }),
 			"attack aggregate presence"},
-		"trial count skew": {reload(mutateFirstPartial(func(r *ScenarioResult) { r.Attack.Trials = 5 })),
+		"trial count skew": {mutateFirstPartial(func(r *ScenarioResult) { r.Attack.Trials = 5 }),
 			"attack aggregate holds"},
 	} {
 		if _, err := Run(camp, Options{Workers: 2, Seed: 7, ResumeFrom: tc.ck}); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -180,20 +161,8 @@ func TestCheckpointAttackShapeValidation(t *testing.T) {
 	// trips it).
 	plain := smokeCampaign()
 	ckPlain := interruptedCheckpoint(t, plain, Options{Workers: 2, Seed: 7}, 2)
-	bad := func() *Checkpoint {
-		buf, _ := json.Marshal(ckPlain)
-		fresh := new(Checkpoint)
-		if err := json.Unmarshal(buf, fresh); err != nil {
-			t.Fatal(err)
-		}
-		for i := range fresh.Scenarios {
-			if len(fresh.Scenarios[i].Partials) > 0 {
-				fresh.Scenarios[i].Partials[0].Result.Attack = attack.NewAgg()
-				break
-			}
-		}
-		return fresh
-	}()
+	bad := cloneCheckpoint(t, ckPlain)
+	firstTrial(t, bad).Attack = attack.NewAgg()
 	if _, err := Run(plain, Options{Workers: 2, Seed: 7, ResumeFrom: bad}); err == nil || !strings.Contains(err.Error(), "attack aggregate presence") {
 		t.Errorf("unattacked campaign accepted a partial with an attack aggregate: %v", err)
 	}

@@ -248,8 +248,8 @@ func TestCheckpointWriteFailureTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("final checkpoint unreadable: %v", err)
 	}
-	if ck.Completed != camp.Trials() {
-		t.Errorf("final checkpoint records %d trials, want all %d", ck.Completed, camp.Trials())
+	if ck.Completed() != camp.Trials() {
+		t.Errorf("final checkpoint records %d trials, want all %d", ck.Completed(), camp.Trials())
 	}
 	if err := ck.ValidateAgainst(camp, 7); err != nil {
 		t.Errorf("final checkpoint invalid: %v", err)

@@ -19,13 +19,11 @@ package fleet
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"slices"
 
 	"repro/internal/obs"
 )
@@ -52,10 +50,11 @@ type journalTrial struct {
 	Result      *ScenarioResult `json:"result"`
 }
 
-// maxJournalTrials bounds the replications a header may declare, so
-// that a corrupt header cannot make the loader allocate an enormous
-// bitmap. The executor itself holds a slot per trial, so a campaign
-// this large could not run either.
+// maxJournalTrials bounds the replications a header may declare. The
+// loader allocates a scenario's slots on its first trial line, so a
+// header alone costs O(scenarios), and a journal under the cap costs at
+// most 8 B × 2²⁴ = 128 MiB of slots, the table the executor itself
+// holds for a campaign that size.
 const maxJournalTrials = 1 << 24
 
 // appendTrialLine encodes one completed trial's line onto buf.
@@ -68,7 +67,7 @@ func appendTrialLine(buf []byte, si, rep int, r *ScenarioResult) ([]byte, error)
 }
 
 // journal encodes the checkpoint as a complete journal: the header,
-// then every partial in trial order.
+// then every done trial in trial-index order.
 func (ck *Checkpoint) journal() ([]byte, error) {
 	h := journalHeader{Format: CheckpointFormat, Campaign: ck.Campaign, CampaignHash: ck.CampaignHash, Seed: ck.Seed}
 	for _, sc := range ck.Scenarios {
@@ -79,10 +78,12 @@ func (ck *Checkpoint) journal() ([]byte, error) {
 		return nil, err
 	}
 	buf = append(buf, '\n')
-	for si := range ck.Scenarios {
-		for pi := range ck.Scenarios[si].Partials {
-			p := &ck.Scenarios[si].Partials[pi]
-			if buf, err = appendTrialLine(buf, si, p.Replication, &p.Result); err != nil {
+	for si, sc := range ck.Scenarios {
+		for rep, r := range sc.Trials {
+			if r == nil {
+				continue
+			}
+			if buf, err = appendTrialLine(buf, si, rep, r); err != nil {
 				return nil, err
 			}
 		}
@@ -100,10 +101,10 @@ func (ck *Checkpoint) Save(path string) error {
 	return WriteFileAtomic(path, data)
 }
 
-// LoadCheckpoint reads a checkpoint journal. Partials come back sorted
-// by replication, so the result is ready for ValidateAgainst. A torn
-// final line is dropped; any other defect, an unknown field included,
-// is an error.
+// LoadCheckpoint reads a checkpoint journal into its trial table,
+// ready for ValidateAgainst. A torn final line is dropped; any other
+// defect, a replication that appears twice and an unknown field
+// included, is an error.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -138,17 +139,10 @@ func decodeJournal(data []byte) (*Checkpoint, error) {
 		if !ok {
 			break // empty, or a torn final line whose append never completed
 		}
-		si, p, err := ck.decodeTrial(line)
-		if err != nil {
+		if err := ck.addLine(line, nil); err != nil {
 			return nil, fmt.Errorf("line %d: %w", n, err)
 		}
-		ck.add(si, p)
 		rest = next
-	}
-	for si := range ck.Scenarios {
-		slices.SortStableFunc(ck.Scenarios[si].Partials, func(a, b TrialPartial) int {
-			return cmp.Compare(a.Replication, b.Replication)
-		})
 	}
 	return ck, nil
 }
@@ -179,63 +173,60 @@ func decodeHeader(line []byte) (*Checkpoint, error) {
 	if h.Format != CheckpointFormat {
 		return nil, formatError(h.Format)
 	}
-	ck := &Checkpoint{Format: h.Format, Campaign: h.Campaign, CampaignHash: h.CampaignHash, Seed: h.Seed}
+	ck := &Checkpoint{Campaign: h.Campaign, CampaignHash: h.CampaignHash, Seed: h.Seed}
 	total := 0
 	for _, s := range h.Scenarios {
 		if s.Replications < 0 || s.Replications > maxJournalTrials-total {
 			return nil, fmt.Errorf("header: scenario %q declares %d replications (a journal holds at most %d trials)", s.Name, s.Replications, maxJournalTrials)
 		}
 		total += s.Replications
-		ck.Scenarios = append(ck.Scenarios, ScenarioCheckpoint{Name: s.Name, Replications: s.Replications, Done: NewBitmap(s.Replications)})
+		ck.Scenarios = append(ck.Scenarios, ScenarioCheckpoint{Name: s.Name, Replications: s.Replications})
 	}
 	return ck, nil
 }
 
-// decodeTrial decodes one complete trial line, checking it against the
-// header only.
-func (ck *Checkpoint) decodeTrial(line []byte) (int, TrialPartial, error) {
+// addLine decodes one complete trial line, checks it against the
+// header and, when c is non-nil, against c's scenario, then fills its
+// slot. A slot already filled is an error.
+func (ck *Checkpoint) addLine(line []byte, c *Campaign) error {
 	var t journalTrial
 	if err := decodeStrict(line, &t); err != nil {
-		return 0, TrialPartial{}, err
+		return err
 	}
 	if t.Scenario < 0 || t.Scenario >= len(ck.Scenarios) {
-		return 0, TrialPartial{}, fmt.Errorf("scenario index %d outside [0, %d)", t.Scenario, len(ck.Scenarios))
+		return fmt.Errorf("scenario index %d outside [0, %d)", t.Scenario, len(ck.Scenarios))
 	}
-	if n := ck.Scenarios[t.Scenario].Replications; t.Replication < 0 || t.Replication >= n {
-		return 0, TrialPartial{}, fmt.Errorf("scenario %q: replication %d outside [0, %d)", ck.Scenarios[t.Scenario].Name, t.Replication, n)
+	sc := &ck.Scenarios[t.Scenario]
+	if t.Replication < 0 || t.Replication >= sc.Replications {
+		return fmt.Errorf("scenario %q: replication %d outside [0, %d)", sc.Name, t.Replication, sc.Replications)
 	}
 	if t.Result == nil {
-		return 0, TrialPartial{}, fmt.Errorf("scenario %q replication %d: no result", ck.Scenarios[t.Scenario].Name, t.Replication)
+		return fmt.Errorf("scenario %q replication %d: no result", sc.Name, t.Replication)
 	}
-	return t.Scenario, TrialPartial{Replication: t.Replication, Result: *t.Result}, nil
-}
-
-// add records one partial. A duplicate replication is kept, so that
-// ValidateAgainst reports it.
-func (ck *Checkpoint) add(si int, p TrialPartial) {
-	sc := &ck.Scenarios[si]
-	sc.Done.Set(p.Replication)
-	sc.Partials = append(sc.Partials, p)
-	ck.Completed++
+	if sc.Trials == nil {
+		sc.Trials = make([]*ScenarioResult, sc.Replications)
+	}
+	if sc.Trials[t.Replication] != nil {
+		return fmt.Errorf("scenario %q replication %d appears twice", sc.Name, t.Replication)
+	}
+	if c != nil {
+		if err := validatePartial(&c.Scenarios[t.Scenario], t.Replication, t.Result); err != nil {
+			return err
+		}
+	}
+	sc.Trials[t.Replication] = t.Result
+	return nil
 }
 
 // AddJournalLine decodes one complete trial line into ck, a checkpoint
 // from DecodeJournalHeader that has passed ValidateAgainst for c. The
 // line is held to the checks ValidateAgainst applies to each partial,
 // and a replication already present is an error, so ck stays valid for
-// MergeScenario after every call. Partials keep line order.
+// MergeScenario after every call.
 func (ck *Checkpoint) AddJournalLine(c Campaign, line []byte) error {
-	si, p, err := ck.decodeTrial(line)
-	if err != nil {
+	if err := ck.addLine(line, &c); err != nil {
 		return fmt.Errorf("fleet: checkpoint journal: %w", err)
 	}
-	if ck.Scenarios[si].Done.Get(p.Replication) {
-		return fmt.Errorf("fleet: checkpoint journal: scenario %q replication %d appears twice", ck.Scenarios[si].Name, p.Replication)
-	}
-	if err := validatePartial(&c.Scenarios[si], &p); err != nil {
-		return err
-	}
-	ck.add(si, p)
 	return nil
 }
 

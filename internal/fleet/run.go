@@ -110,7 +110,7 @@ type Options struct {
 type TrialFailure struct {
 	Scenario    string `json:"scenario"`
 	Replication int    `json:"replication"`
-	Attempt     int    `json:"attempt"` // 1-based
+	Attempt     int    `json:"attempt"`  // 1-based
 	Terminal    bool   `json:"terminal"` // the retry budget is exhausted; the trial degraded to a counted failure
 	Panic       string `json:"panic"`
 	Stack       string `json:"-"`
@@ -325,7 +325,7 @@ type runState struct {
 	failures      []TrialFailure // flattened, trial-index order
 	writeFailures int
 	finalCkErr    error
-	spans         [][]obs.Span // per trial index; nil unless tracing
+	spans         [][]obs.Span // per dispatched trial, trial-index order; nil unless tracing
 	ckSpans       []obs.Span   // checkpoint-write spans, write order
 }
 
@@ -354,71 +354,62 @@ func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runStat
 	if err != nil {
 		return nil, err
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	trials := make([]trialRef, 0, c.Trials())
-	for si, s := range c.Scenarios {
-		for rep := 0; rep < s.Replications; rep++ {
-			trials = append(trials, trialRef{scenario: si, rep: rep})
-		}
-	}
-	// target marks the trials this run owns. Out-of-target trials are
-	// never dispatched and never counted toward completion.
-	target := NewBitmap(len(trials))
-	base := 0
-	for si, s := range c.Scenarios {
-		for rep := ranges[si].Lo; rep < ranges[si].Hi; rep++ {
-			target.Set(base + rep)
-		}
-		base += s.Replications
-	}
-	targetN := target.Count()
-	if workers > targetN {
-		workers = targetN
-	}
 	// Observability handles resolve once per run, never per trial; the
 	// all-nil bundle (Metrics unset) makes every update below a
 	// nil-check no-op.
 	m := newRunMetrics(opt.Metrics)
-	tracing := opt.Tracer != nil
-	var spanGroups [][]obs.Span
-	if tracing {
-		spanGroups = make([][]obs.Span, len(trials))
-	}
 
-	// Each worker writes only its own trial's slots, so the slices
-	// need no lock; the per-trial send on done (and finally wg.Wait)
-	// is the happens-before edge to the checkpointer and the reducer.
-	// Cluster pooling is strictly per worker (each goroutine owns its
-	// pool; pooled clusters are never handed across goroutines), so
-	// trials stay share-nothing and the determinism argument is
-	// untouched by which worker runs which trial.
-	partials := make([]*ScenarioResult, len(trials))
-	errs := make([]error, len(trials))
-	failures := make([][]TrialFailure, len(trials))
-
-	restored := NewBitmap(len(trials))
+	// ck is the run's trial table. Restored partials alias the caller's
+	// Checkpoint: nothing downstream mutates them (MergeCheckpoints folds
+	// into a clone), so one Checkpoint can seed any number of resumes.
+	ck := newCheckpoint(c, hash, opt.Seed)
+	restored := 0
 	if opt.ResumeFrom != nil {
 		if err := opt.ResumeFrom.ValidateAgainst(c, opt.Seed); err != nil {
 			return nil, err
 		}
-		// Restored partials alias the caller's Checkpoint: nothing
-		// downstream mutates them (MergeCheckpoints folds into a clone),
-		// so one Checkpoint can seed any number of resumes.
-		base = 0
-		for si := range c.Scenarios {
-			sc := &opt.ResumeFrom.Scenarios[si]
-			for pi := range sc.Partials {
-				p := &sc.Partials[pi]
-				partials[base+p.Replication] = &p.Result
-				restored.Set(base + p.Replication)
-			}
-			base += c.Scenarios[si].Replications
+		for si := range ck.Scenarios {
+			copy(ck.Scenarios[si].Trials, opt.ResumeFrom.Scenarios[si].Trials)
 		}
-		m.trialsRestored.Add(int64(restored.Count()))
+		restored = ck.Completed()
+		m.trialsRestored.Add(int64(restored))
 	}
+	// todo lists, in trial-index order, the trials this run owns that
+	// were not restored: the only trials it dispatches. Out-of-range
+	// trials are never dispatched and never counted toward completion.
+	var todo []trialRef
+	owned := 0
+	for si, r := range ranges {
+		owned += r.Len()
+		for rep := r.Lo; rep < r.Hi; rep++ {
+			if ck.Trial(si, rep) == nil {
+				todo = append(todo, trialRef{scenario: si, rep: rep})
+			}
+		}
+	}
+	workers := opt.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > owned {
+		workers = owned
+	}
+	tracing := opt.Tracer != nil
+	var spanGroups [][]obs.Span
+	if tracing {
+		spanGroups = make([][]obs.Span, len(todo))
+	}
+
+	// Each worker writes only its own trial's slots, so the table and
+	// the slices (indexed like todo) need no lock; the per-trial send on
+	// done (and finally wg.Wait) is the happens-before edge to the
+	// checkpointer and the reducer. Cluster pooling is strictly per
+	// worker (each goroutine owns its pool; pooled clusters are never
+	// handed across goroutines), so trials stay share-nothing and the
+	// determinism argument is untouched by which worker runs which
+	// trial.
+	errs := make([]error, len(todo))
+	failures := make([][]TrialFailure, len(todo))
 
 	attempts := opt.MaxTrialRetries + 1
 	switch {
@@ -459,7 +450,7 @@ func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runStat
 	// write creates it.
 	var jw *journalWriter
 	if opt.CheckpointPath != "" {
-		head, err := buildCheckpoint(c, hash, opt.Seed, partials, restored).journal()
+		head, err := ck.journal()
 		if err != nil {
 			return nil, err
 		}
@@ -469,11 +460,12 @@ func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runStat
 	}
 
 	// The checkpointer consumes completion announcements. Workers
-	// send a trial's index only after recording its result, so the
+	// send a trial's todo index only after recording its result, so the
 	// channel receive lets this goroutine read that slot while the
-	// run is still going.
-	done := make(chan int, len(trials))
-	completed := restored.Clone()
+	// run is still going. completed counts the new completions it
+	// recorded; the main goroutine reads it after <-checkpointerDone.
+	done := make(chan int, len(todo))
+	completed := 0
 	every := opt.CheckpointEvery
 	if every <= 0 {
 		every = DefaultCheckpointEvery
@@ -513,35 +505,34 @@ func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runStat
 	dead := stateAlive
 	go func() {
 		defer close(checkpointerDone)
-		n := 0
-		for ti := range done {
+		for k := range done {
 			// A killed or wedged shard records nothing further: the
 			// channel still drains (workers must not block) but the
-			// bitmap and the journal are frozen at the fault point,
+			// count and the journal are frozen at the fault point,
 			// which is what makes retry-from-checkpoint deterministic.
 			if dead != stateAlive {
 				continue
 			}
-			completed.Set(ti)
 			m.trialsCompleted.Inc()
-			n++
+			completed++
 			// A failed periodic write is tolerated — counted, its
 			// lines kept and retried at the next interval: losing one
 			// checkpoint must not kill the campaign the checkpoint
 			// exists to protect.
 			if jw != nil {
-				jw.add(trials[ti].scenario, trials[ti].rep, partials[ti])
-				if n%every == 0 {
+				ref := todo[k]
+				jw.add(ref.scenario, ref.rep, ck.Trial(ref.scenario, ref.rep))
+				if completed%every == 0 {
 					_ = writeCheckpoint()
 				}
 			}
 			if opt.Progress != nil {
-				opt.Progress(completed.Count())
+				opt.Progress(restored + completed)
 			}
 			// Shard faults fire on the n-th NEW completion, after its
 			// checkpoint write, so the journal holds exactly n trials
 			// when the shard dies.
-			switch inj.shardFaultAt(n) {
+			switch inj.shardFaultAt(completed) {
 			case ShardKill:
 				if sh != nil && sh.Die != nil {
 					sh.Die() // exec workers self-SIGKILL here and never return
@@ -566,29 +557,26 @@ func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runStat
 			if tracing {
 				tw.rec = &obs.Recorder{}
 			}
-			for ti := range work {
+			for k := range work {
 				inj.delayWorker(worker)
 				inj.delayShardTrial()
-				ref := trials[ti]
-				partials[ti], failures[ti], errs[ti] = tw.runTrialIsolated(ref.scenario, ref.rep, attempts)
+				ref := todo[k]
+				ck.Scenarios[ref.scenario].Trials[ref.rep], failures[k], errs[k] = tw.runTrialIsolated(ref.scenario, ref.rep, attempts)
 				if tracing {
-					// Like partials: each worker writes only its own
+					// Like the table: each worker writes only its own
 					// trial's slot, so the groups need no lock and the
 					// flush can order them by trial index.
-					spanGroups[ti] = tw.rec.Take()
+					spanGroups[k] = tw.rec.Take()
 				}
-				if errs[ti] == nil {
-					done <- ti
+				if errs[k] == nil {
+					done <- k
 				}
 			}
 		}(w)
 	}
 	dispatched := 0
 dispatch:
-	for ti := range trials {
-		if !target.Get(ti) || restored.Get(ti) {
-			continue
-		}
+	for k := range todo {
 		// The chaos kill counts dispatches synchronously right here,
 		// so exactly KillAfterTrials new trials run — deterministic
 		// where counting asynchronous completions would race fast
@@ -605,7 +593,7 @@ dispatch:
 		default:
 		}
 		select {
-		case work <- ti:
+		case work <- k:
 			dispatched++
 		case <-interrupt:
 			break dispatch
@@ -617,8 +605,8 @@ dispatch:
 	<-checkpointerDone
 
 	st := &runState{spans: spanGroups}
-	for ti := range trials {
-		st.failures = append(st.failures, failures[ti]...)
+	for _, f := range failures {
+		st.failures = append(st.failures, f...)
 	}
 
 	// An abruptly-dead or wedged shard writes NO final checkpoint:
@@ -639,18 +627,21 @@ dispatch:
 
 	// The final checkpoint covers every drained trial no matter how
 	// the run ends — complete, interrupted, or about to abort on a
-	// trial error — so completed work is never thrown away. It is built
-	// even when nothing is saved: it is the input of the reduction.
-	st.ck = buildCheckpoint(c, hash, opt.Seed, partials, completed)
+	// trial error — so completed work is never thrown away. It is the
+	// trial table itself, whose filled slots are exactly the restored
+	// and the completed trials (a trial that errors leaves its slot
+	// nil), and it is the input of the reduction whether or not it is
+	// saved.
+	st.ck = ck
 	if jw != nil {
 		st.finalCkErr = writeCheckpoint()
 	}
 	st.writeFailures = writeFailures // the final write's failure included, as documented on CheckpointWriteFailures
 	st.ckSpans = ckSpans
 
-	for ti, err := range errs {
+	for k, err := range errs {
 		if err != nil {
-			ref := trials[ti]
+			ref := todo[k]
 			return st, fmt.Errorf("fleet: scenario %q replication %d: %w", c.Scenarios[ref.scenario].Name, ref.rep, err)
 		}
 	}
@@ -662,21 +653,16 @@ dispatch:
 	}
 	// An interrupt that raced the last completion interrupted
 	// nothing: with every owned trial done the full result stands.
-	// Completion is counted over the run's target — a shard cares
-	// only about its own ranges, however many restored out-of-range
-	// partials a journal carried in.
-	doneN := 0
-	for ti := range trials {
-		if target.Get(ti) && completed.Get(ti) {
-			doneN++
-		}
-	}
-	if interrupted && doneN < targetN {
+	// Completion is counted over the run's ranges — a shard cares
+	// only about its own, however many restored out-of-range partials
+	// a journal carried in.
+	doneN := owned - len(todo) + completed
+	if interrupted && doneN < owned {
 		if st.finalCkErr != nil {
 			return st, fmt.Errorf("fleet: interrupted after %d/%d trials and the final checkpoint write failed: %w",
-				doneN, targetN, st.finalCkErr)
+				doneN, owned, st.finalCkErr)
 		}
-		return st, &InterruptedError{Completed: doneN, Total: targetN, Checkpoint: opt.CheckpointPath}
+		return st, &InterruptedError{Completed: doneN, Total: owned, Checkpoint: opt.CheckpointPath}
 	}
 	return st, nil
 }

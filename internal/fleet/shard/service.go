@@ -415,15 +415,15 @@ func (s *Service) lookup(id string) *job {
 // from the supervisor's live per-shard status, so a watcher needs no
 // other endpoint to see how far along a campaign is.
 type jobStatus struct {
-	ID            string        `json:"id"`
-	State         string        `json:"state"`
-	Campaign      string        `json:"campaign"`
-	Seed          uint64        `json:"seed"`
-	Shards        int           `json:"shards"`
-	ScenariosDone int           `json:"scenarios_done"`
-	ScenarioCount int           `json:"scenario_count"`
-	TrialsDone    int           `json:"trials_done"`
-	TrialsTotal   int           `json:"trials_total"`
+	ID            string `json:"id"`
+	State         string `json:"state"`
+	Campaign      string `json:"campaign"`
+	Seed          uint64 `json:"seed"`
+	Shards        int    `json:"shards"`
+	ScenariosDone int    `json:"scenarios_done"`
+	ScenarioCount int    `json:"scenario_count"`
+	TrialsDone    int    `json:"trials_done"`
+	TrialsTotal   int    `json:"trials_total"`
 	// Retries counts shard attempts past each shard's first (restored
 	// trials are never recomputed, so retries cost backoff + the lost
 	// tail, not full recomputation).

@@ -331,7 +331,7 @@ func (s *supervisor) poll(outcomes []*shardOutcome) bool {
 		}
 		grew = true
 		s.live[i].Store(time.Now().UnixNano())
-		n := s.tails[i].ck.Completed
+		n := s.tails[i].ck.Completed()
 		s.opt.Status.set(i, func(st *ShardStatus) { st.Completed = n })
 	}
 	return grew
@@ -397,7 +397,7 @@ func (s *supervisor) superviseShard(i int) shardOutcome {
 		s.opt.Status.set(i, func(st *ShardStatus) { st.State, st.Attempt = "running", attempt })
 		resume := s.loadSidecar(i)
 		if resume != nil {
-			s.opt.Logf("shard %d attempt %d: resuming from sidecar (%d trials done)", i, attempt, resume.Completed)
+			s.opt.Logf("shard %d attempt %d: resuming from sidecar (%d trials done)", i, attempt, resume.Completed())
 		}
 		s.m.attempts.Inc()
 		att, err := s.opt.Launcher.Launch(AttemptSpec{
@@ -430,7 +430,7 @@ func (s *supervisor) superviseShard(i int) shardOutcome {
 		if attErr == nil {
 			ck := s.loadSidecar(i)
 			if ck != nil && s.covers(ck, i) {
-				s.opt.Status.set(i, func(st *ShardStatus) { st.State, st.Completed = "done", ck.Completed })
+				s.opt.Status.set(i, func(st *ShardStatus) { st.State, st.Completed = "done", ck.Completed() })
 				return shardOutcome{ck: ck, fails: fails}
 			}
 			// A clean exit without full coverage is a worker bug, but
@@ -535,7 +535,7 @@ func (s *supervisor) loadSidecar(i int) *fleet.Checkpoint {
 func (s *supervisor) covers(ck *fleet.Checkpoint, i int) bool {
 	for si, r := range s.plan[i].Ranges {
 		for rep := r.Lo; rep < r.Hi; rep++ {
-			if !ck.Scenarios[si].Done.Get(rep) {
+			if ck.Trial(si, rep) == nil {
 				return false
 			}
 		}

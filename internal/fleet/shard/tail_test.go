@@ -10,7 +10,8 @@ import (
 
 // The journal tail consumes complete lines only, resumes from its
 // offset, starts over when the file is replaced, and ignores a journal
-// with a defect until it is replaced.
+// with a defect (a duplicated trial line included) until it is
+// replaced.
 func TestJournalTail(t *testing.T) {
 	camp := fleet.MustPreset("smoke")
 	dir := t.TempDir()
@@ -42,7 +43,7 @@ func TestJournalTail(t *testing.T) {
 		if got := s.readJournal(0); got != grows {
 			t.Fatalf("%s: read grew %v, want %v", name, got, grows)
 		}
-		if got := tail.ck; completed < 0 && got != nil || completed >= 0 && (got == nil || got.Completed != completed) {
+		if got := tail.ck; completed < 0 && got != nil || completed >= 0 && (got == nil || got.Completed() != completed) {
 			t.Fatalf("%s: tail holds %+v, want %d trials", name, got, completed)
 		}
 	}
@@ -58,8 +59,8 @@ func TestJournalTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if !s.readJournal(0) || tail.ck.Completed != 4 || tail.off != int64(ends[4]) || off != int64(ends[2]) {
-		t.Fatalf("append in place: tail at offset %d with %d trials, want %d and 4", tail.off, tail.ck.Completed, ends[4])
+	if !s.readJournal(0) || tail.ck.Completed() != 4 || tail.off != int64(ends[4]) || off != int64(ends[2]) {
+		t.Fatalf("append in place: tail at offset %d with %d trials, want %d and 4", tail.off, tail.ck.Completed(), ends[4])
 	}
 	if s.readJournal(0) {
 		t.Fatal("an unchanged journal grew")
@@ -68,12 +69,17 @@ func TestJournalTail(t *testing.T) {
 	if err := os.Truncate(path, int64(ends[2])); err != nil {
 		t.Fatal(err)
 	}
-	if !s.readJournal(0) || tail.ck.Completed != 2 {
-		t.Fatalf("shrunk in place: tail holds %d trials, want 2", tail.ck.Completed)
+	if !s.readJournal(0) || tail.ck.Completed() != 2 {
+		t.Fatalf("shrunk in place: tail holds %d trials, want 2", tail.ck.Completed())
 	}
 	step("replaced by a new attempt's journal", journal[:ends[1]], true, 1)
 	bad := append(append([]byte{}, journal[:ends[1]]...), "not json\n"...)
 	step("a defect", append(bad, journal[ends[1]:ends[3]]...), false, -1)
+	dup := append(append([]byte{}, journal[:ends[2]]...), journal[ends[1]:ends[2]]...)
+	step("a duplicated trial line", dup, false, -1)
+	if !tail.bad {
+		t.Fatal("a duplicated trial line did not mark the journal bad")
+	}
 	step("replaced again", journal, true, camp.Trials())
 	if tail.off != int64(len(journal)) {
 		t.Fatalf("tail consumed %d of the journal's %d bytes", tail.off, len(journal))

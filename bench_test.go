@@ -347,7 +347,7 @@ func BenchmarkE9GPUResidue(b *testing.B) {
 		}
 		c.Step() // start (prolog: assign)
 		c.Step() // finish (epilog: clear + revoke)
-		if jj, _ := c.Sched.Job(j.ID); jj.State != sched.Completed {
+		if jj, _ := c.Sched.Job(j); jj.State != sched.Completed {
 			c.RunAll(4)
 		}
 	}

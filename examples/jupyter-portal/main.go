@@ -32,7 +32,7 @@ func main() {
 	}
 
 	// 1. Batch job hosting the notebook server.
-	job, err := c.Sched.Submit(researcher.Cred, sched.JobSpec{
+	jobID, err := c.Sched.Submit(researcher.Cred, sched.JobSpec{
 		Name:    "jupyter",
 		Command: "jupyter lab --no-browser --port=8888",
 		Cores:   4, MemB: 1 << 20, GPUs: 1, Duration: 1000,
@@ -41,9 +41,9 @@ func main() {
 		log.Fatal(err)
 	}
 	c.Step()
-	running, _ := c.Sched.Job(job.ID)
+	running, _ := c.Sched.Job(jobID)
 	node := running.Nodes[0]
-	fmt.Printf("notebook job %d landed on %s (scheduler's choice — any node works)\n", job.ID, node)
+	fmt.Printf("notebook job %d landed on %s (scheduler's choice — any node works)\n", jobID, node)
 
 	// 2. The server binds on that node, as the researcher.
 	host, _ := c.Host(node)

@@ -39,7 +39,7 @@ func demo(p core.Profile) {
 	}
 
 	// Alice runs a job whose command line carries a secret.
-	job, err := c.Sched.Submit(alice.Cred, sched.JobSpec{
+	jobID, err := c.Sched.Submit(alice.Cred, sched.JobSpec{
 		Name:    "train-model",
 		Command: "python train.py --api-key=SECRET123",
 		Cores:   4, MemB: 1 << 20, Duration: 100,
@@ -59,7 +59,7 @@ func demo(p core.Profile) {
 	fmt.Printf("bob sees alice's jobs in squeue:        %d\n", visible)
 
 	// 2. Can bob read alice's process command line on the job node?
-	running, _ := c.Sched.Job(job.ID)
+	running, _ := c.Sched.Job(jobID)
 	view := c.Proc[running.Nodes[0]]
 	leaked := 0
 	for _, p := range view.Readable(bob.Cred) {

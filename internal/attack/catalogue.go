@@ -403,12 +403,12 @@ func (ss *session) gpuResidue() (bool, string) {
 	if err != nil {
 		return false, fmt.Sprintf("victim gpu job rejected: %v", err)
 	}
-	node, err := ss.place(vj.ID, 32)
+	node, err := ss.place(vj, 32)
 	if err != nil {
 		return false, err.Error()
 	}
 	if node == "" {
-		_ = ss.c.Sched.Cancel(ss.victim.Cred, vj.ID)
+		_ = ss.c.Sched.Cancel(ss.victim.Cred, vj)
 		return false, "victim gpu job never placed"
 	}
 	if err := ss.victimDevice(node).Write(ss.victim.Cred, 512, secret); err != nil {
@@ -416,7 +416,7 @@ func (ss *session) gpuResidue() (bool, string) {
 	}
 	// Let the victim's job run out (Duration 2) and its epilog fire.
 	for i := 0; i < 8; i++ {
-		if j, err := ss.c.Sched.Job(vj.ID); err == nil && j.State != sched.Running && j.State != sched.Pending {
+		if j, err := ss.c.Sched.Job(vj); err == nil && j.State != sched.Running && j.State != sched.Pending {
 			break
 		}
 		ss.c.Step()
@@ -441,7 +441,7 @@ func (ss *session) gpuHandover() (bool, string) {
 		return false, err.Error()
 	}
 	ss.c.Step()
-	job, err := ss.c.Sched.Job(vj.ID)
+	job, err := ss.c.Sched.Job(vj)
 	if err != nil || job.State != sched.Running {
 		return false, fmt.Sprintf("victim gpu job not running: %v", err)
 	}
@@ -458,11 +458,11 @@ func (ss *session) gpuHandover() (bool, string) {
 	}
 	for i := 0; i < 10; i++ {
 		ss.c.Step()
-		if j, _ := ss.c.Sched.Job(aj.ID); j.State == sched.Running {
+		if j, _ := ss.c.Sched.Job(aj); j.State == sched.Running {
 			break
 		}
 	}
-	j, _ := ss.c.Sched.Job(aj.ID)
+	j, _ := ss.c.Sched.Job(aj)
 	if j.State != sched.Running {
 		return false, "attacker gpu job never started"
 	}
@@ -475,7 +475,7 @@ func (ss *session) gpuHandover() (bool, string) {
 			leaked = true
 		}
 	}
-	_ = ss.c.Sched.Cancel(ss.attacker.Cred, aj.ID)
+	_ = ss.c.Sched.Cancel(ss.attacker.Cred, aj)
 	if leaked {
 		return true, "previous user's data read from GPU memory"
 	}

@@ -153,15 +153,15 @@ func (ss *session) victimJob() error {
 	if err != nil {
 		return fmt.Errorf("victim job rejected: %v", err)
 	}
-	node, err := ss.place(vj.ID, 64)
+	node, err := ss.place(vj, 64)
 	if err != nil {
 		return err
 	}
 	if node == "" {
-		_ = ss.c.Sched.Cancel(ss.victim.Cred, vj.ID)
+		_ = ss.c.Sched.Cancel(ss.victim.Cred, vj)
 		return fmt.Errorf("victim job never placed (cluster saturated)")
 	}
-	ss.vjobID, ss.vjobNode = vj.ID, node
+	ss.vjobID, ss.vjobNode = vj, node
 	return nil
 }
 
@@ -177,7 +177,7 @@ func (ss *session) gpuJob() error {
 	if err != nil {
 		return fmt.Errorf("victim gpu job rejected: %v", err)
 	}
-	node, err := ss.place(gj.ID, 64)
+	node, err := ss.place(gj, 64)
 	if err == nil && node == "" {
 		err = fmt.Errorf("victim gpu job never placed")
 	}

@@ -188,7 +188,7 @@ func TestClusterStepAdvancesClock(t *testing.T) {
 		t.Errorf("clock did not advance")
 	}
 	c.RunAll(10)
-	got, _ := c.Sched.Job(j.ID)
+	got, _ := c.Sched.Job(j)
 	if got.State != sched.Completed {
 		t.Errorf("job state %v", got.State)
 	}
@@ -204,7 +204,7 @@ func TestEnhancedEndToEndJobWithNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Step()
-	job, _ := c.Sched.Job(j.ID)
+	job, _ := c.Sched.Job(j)
 	if job.State != sched.Running || len(job.Nodes) < 2 {
 		t.Fatalf("job %v on %v", job.State, job.Nodes)
 	}

@@ -69,8 +69,8 @@ func TestProjectCollaborationEndToEnd(t *testing.T) {
 	jl, _ := c.Sched.Submit(lead.Cred, sched.JobSpec{Name: "solve", Command: "solve", Cores: 4, MemB: 1, Duration: 5})
 	jm, _ := c.Sched.Submit(member.Cred, sched.JobSpec{Name: "post", Command: "post", Cores: 4, MemB: 1, Duration: 5})
 	c.Step()
-	gl, _ := c.Sched.Job(jl.ID)
-	gm, _ := c.Sched.Job(jm.ID)
+	gl, _ := c.Sched.Job(jl)
+	gm, _ := c.Sched.Job(jm)
 	if gl.State != sched.Running || gm.State != sched.Running {
 		t.Fatalf("jobs %v %v", gl.State, gm.State)
 	}
@@ -123,18 +123,18 @@ func TestExternalNodeCrashFailsJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Step()
-	running, _ := c.Sched.Job(j.ID)
+	running, _ := c.Sched.Job(j)
 	node, _ := c.Node(running.Nodes[0])
 	node.Crash()
 	c.Step()
-	failed, _ := c.Sched.Job(j.ID)
+	failed, _ := c.Sched.Job(j)
 	if failed.State != sched.Failed {
 		t.Fatalf("job state after crash = %v, want Failed", failed.State)
 	}
 	// New work schedules around the dead node.
 	j2, _ := c.Sched.Submit(u.Cred, sched.JobSpec{Name: "retry", Command: "x", Cores: 2, MemB: 1, Duration: 2})
 	c.Step()
-	r2, _ := c.Sched.Job(j2.ID)
+	r2, _ := c.Sched.Job(j2)
 	if r2.State != sched.Running {
 		t.Fatalf("retry state %v", r2.State)
 	}
@@ -143,7 +143,7 @@ func TestExternalNodeCrashFailsJobs(t *testing.T) {
 	}
 	node.Restore()
 	c.RunAll(20)
-	done, _ := c.Sched.Job(j2.ID)
+	done, _ := c.Sched.Job(j2)
 	if done.State != sched.Completed {
 		t.Errorf("retry final state %v", done.State)
 	}
@@ -250,7 +250,7 @@ func TestMPICampaignThroughEnhancedCluster(t *testing.T) {
 	for i := range users {
 		users[i], _ = c.AddUser(fmt.Sprintf("user%d", i), "pw")
 	}
-	var jobs []*sched.Job
+	var jobs []int
 	for i, u := range users {
 		j, err := c.Sched.Submit(u.Cred, sched.JobSpec{
 			Name: fmt.Sprintf("mpi%d", i), Command: "xhpl",
@@ -262,22 +262,22 @@ func TestMPICampaignThroughEnhancedCluster(t *testing.T) {
 		jobs = append(jobs, j)
 	}
 	c.Step()
-	for i, j := range jobs {
-		running, _ := c.Sched.Job(j.ID)
+	for i, id := range jobs {
+		running, _ := c.Sched.Job(id)
 		if running.State != sched.Running {
-			t.Fatalf("job %d state %v", j.ID, running.State)
+			t.Fatalf("job %d state %v", id, running.State)
 		}
 		res, err := workload.RunMPI(running, c.Net, 11000+i, []byte("halo"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Dropped != 0 || res.Connected != len(running.Nodes)-1 {
-			t.Errorf("job %d: %+v", j.ID, res)
+			t.Errorf("job %d: %+v", id, res)
 		}
 	}
 	// The two jobs' node sets are disjoint (user-wholenode).
-	j0, _ := c.Sched.Job(jobs[0].ID)
-	j1, _ := c.Sched.Job(jobs[1].ID)
+	j0, _ := c.Sched.Job(jobs[0])
+	j1, _ := c.Sched.Job(jobs[1])
 	for _, a := range j0.Nodes {
 		for _, b := range j1.Nodes {
 			if a == b {

@@ -169,7 +169,7 @@ func TestClusterResetGPUState(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Step()
-	jj, err := c.Sched.Job(j.ID)
+	jj, err := c.Sched.Job(j)
 	if err != nil {
 		t.Fatal(err)
 	}

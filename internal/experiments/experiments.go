@@ -203,12 +203,12 @@ func E5SSHGate() *metrics.Table {
 		c := core.MustNew(cfg, topo())
 		alice, _ := c.AddUser("alice", "pw")
 		bob, _ := c.AddUser("bob", "pw")
-		j, err := c.Sched.Submit(alice.Cred, sched.JobSpec{Name: "j", Command: "x", Cores: 2, MemB: 1, Duration: 100})
+		jobID, err := c.Sched.Submit(alice.Cred, sched.JobSpec{Name: "j", Command: "x", Cores: 2, MemB: 1, Duration: 100})
 		if err != nil {
 			panic(err)
 		}
 		c.Step()
-		job, _ := c.Sched.Job(j.ID)
+		job, _ := c.Sched.Job(jobID)
 		jobNode := job.Nodes[0]
 		other := ""
 		for _, n := range c.Compute {
@@ -451,12 +451,12 @@ func E9GPUResidue() *metrics.Table {
 		victim, _ := c.AddUser("victim", "pw")
 		attacker, _ := c.AddUser("attacker", "pw")
 		// Victim trains, writing weights to GPU memory.
-		j, err := c.Sched.Submit(victim.Cred, sched.JobSpec{Name: "train", Command: "train", Cores: 1, MemB: 1, GPUs: 1, Duration: 2})
+		jobID, err := c.Sched.Submit(victim.Cred, sched.JobSpec{Name: "train", Command: "train", Cores: 1, MemB: 1, GPUs: 1, Duration: 2})
 		if err != nil {
 			panic(err)
 		}
 		c.Step()
-		job, _ := c.Sched.Job(j.ID)
+		job, _ := c.Sched.Job(jobID)
 		dev := c.GPUs.Devices(job.Nodes[0])[0]
 		secret := []byte("victim-weights")
 		_ = dev.Write(victim.Cred, 0, secret)
@@ -470,7 +470,7 @@ func E9GPUResidue() *metrics.Table {
 			panic(err)
 		}
 		c.Step()
-		ajob, _ := c.Sched.Job(aj.ID)
+		ajob, _ := c.Sched.Job(aj)
 		leak := false
 		for _, d := range c.GPUs.Devices(ajob.Nodes[0]) {
 			if data, err := d.Read(attacker.Cred, 0, len(secret)); err == nil && string(data) == string(secret) {

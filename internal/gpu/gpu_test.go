@@ -46,7 +46,7 @@ func TestPrologAssignsEpilogRevokes(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Step()
-	got, _ := s.Job(j.ID)
+	got, _ := s.Job(j)
 	if got.State != sched.Running {
 		t.Fatalf("job state %v", got.State)
 	}
@@ -90,7 +90,7 @@ func TestResidueWithoutClear(t *testing.T) {
 	secret := []byte("alice-model-weights")
 	ja, _ := s.Submit(alice, gpuJob(alice.UID, 2))
 	s.Step()
-	got, _ := s.Job(ja.ID)
+	got, _ := s.Job(ja)
 	node := got.Nodes[0]
 	dev := m.Devices(node)[0]
 	if err := dev.Write(alice, 100, secret); err != nil {
@@ -100,7 +100,7 @@ func TestResidueWithoutClear(t *testing.T) {
 
 	jb, _ := s.Submit(bob, gpuJob(bob.UID, 2))
 	s.Step()
-	gb, _ := s.Job(jb.ID)
+	gb, _ := s.Job(jb)
 	if gb.State != sched.Running {
 		t.Fatalf("bob's job not running")
 	}
@@ -122,7 +122,7 @@ func TestNoResidueWithClear(t *testing.T) {
 	secret := []byte("alice-model-weights")
 	ja, _ := s.Submit(alice, gpuJob(alice.UID, 2))
 	s.Step()
-	got, _ := s.Job(ja.ID)
+	got, _ := s.Job(ja)
 	dev := m.Devices(got.Nodes[0])[0]
 	if err := dev.Write(alice, 100, secret); err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestNoResidueWithClear(t *testing.T) {
 
 	jb, _ := s.Submit(bob, gpuJob(bob.UID, 2))
 	s.RunAll(3)
-	gb, _ := s.Job(jb.ID)
+	gb, _ := s.Job(jb)
 	if gb.State == sched.Pending {
 		t.Fatalf("bob's job pending")
 	}
@@ -181,8 +181,8 @@ func TestTwoGPUsSameNodeTwoJobsSameUser(t *testing.T) {
 	j1, _ := s.Submit(alice, gpuJob(alice.UID, 5))
 	j2, _ := s.Submit(alice, gpuJob(alice.UID, 5))
 	s.Step()
-	g1, _ := s.Job(j1.ID)
-	g2, _ := s.Job(j2.ID)
+	g1, _ := s.Job(j1)
+	g2, _ := s.Job(j2)
 	if g1.State != sched.Running || g2.State != sched.Running {
 		t.Fatalf("states %v %v (user-wholenode allows same-user packing)", g1.State, g2.State)
 	}

@@ -42,9 +42,10 @@ func (s *Scheduler) checkUserLimitLocked(uid ids.UID, extra int) error {
 
 // SubmitArray submits an sbatch-style job array: count tasks sharing
 // one array ID, each with "--task=<index>" appended to the command
-// and "[i]" to the name. The whole array is admitted or rejected
-// atomically against the user limit.
-func (s *Scheduler) SubmitArray(cred ids.Credential, spec JobSpec, count int) ([]*Job, error) {
+// and "[i]" to the name. It returns the tasks' job IDs in index
+// order. The whole array is admitted or rejected atomically against
+// the user limit.
+func (s *Scheduler) SubmitArray(cred ids.Credential, spec JobSpec, count int) ([]int, error) {
 	if count <= 0 {
 		return nil, fmt.Errorf("%w: array count %d", ErrBadSpec, count)
 	}
@@ -58,7 +59,7 @@ func (s *Scheduler) SubmitArray(cred ids.Credential, spec JobSpec, count int) ([
 	s.gen++
 	s.mu.Unlock()
 
-	jobs := make([]*Job, 0, count)
+	jobs := make([]int, 0, count)
 	for i := 0; i < count; i++ {
 		ts := spec
 		ts.Name = fmt.Sprintf("%s[%d]", spec.Name, i)
@@ -67,22 +68,21 @@ func (s *Scheduler) SubmitArray(cred ids.Credential, spec JobSpec, count int) ([
 			sep = ""
 		}
 		ts.Command = fmt.Sprintf("%s%s--task=%d", spec.Command, sep, i)
-		j, err := s.Submit(cred, ts)
+		id, err := s.Submit(cred, ts)
 		if err != nil {
 			// Roll back what we already queued to keep the array
 			// all-or-nothing.
 			for _, q := range jobs {
-				_ = s.Cancel(cred, q.ID)
+				_ = s.Cancel(cred, q)
 			}
 			return nil, err
 		}
 		s.mu.Lock()
-		if tj, err := s.lookup(j.ID); err == nil {
+		if tj, err := s.lookup(id); err == nil {
 			tj.ArrayID, tj.ArrayIndex = arrayID, i
 		}
-		j.ArrayID, j.ArrayIndex = arrayID, i
 		s.mu.Unlock()
-		jobs = append(jobs, j)
+		jobs = append(jobs, id)
 	}
 	return jobs, nil
 }

@@ -17,11 +17,13 @@ func TestSubmitArrayBasics(t *testing.T) {
 	if len(jobs) != 10 {
 		t.Fatalf("array tasks = %d", len(jobs))
 	}
-	arrayID := jobs[0].ArrayID
+	first, _ := s.Job(jobs[0])
+	arrayID := first.ArrayID
 	if arrayID == 0 {
 		t.Fatalf("array id not assigned")
 	}
-	for i, j := range jobs {
+	for i, id := range jobs {
+		j, _ := s.Job(id)
 		if j.ArrayID != arrayID || j.ArrayIndex != i {
 			t.Errorf("task %d: array=%d index=%d", i, j.ArrayID, j.ArrayIndex)
 		}
@@ -60,7 +62,8 @@ func TestCancelArray(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Step() // some start
-	arrayID := jobs[0].ArrayID
+	first, _ := s.Job(jobs[0])
+	arrayID := first.ArrayID
 	// Stranger cannot cancel.
 	if _, err := s.CancelArray(cred(2000), arrayID); err == nil {
 		t.Errorf("stranger cancelled array")
@@ -89,7 +92,8 @@ func TestCancelArray(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Step() // 8 tasks start, 16 stay pending
-		if _, err := s.CancelArray(cred(1000), jobs[0].ArrayID); err != nil {
+		first, _ := s.Job(jobs[0])
+		if _, err := s.CancelArray(cred(1000), first.ArrayID); err != nil {
 			t.Fatal(err)
 		}
 		recs := s.Sacct(ids.RootCred())
@@ -143,7 +147,8 @@ func TestArrayStatePrivacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arrayID := jobs[0].ArrayID
+	first, _ := s.Job(jobs[0])
+	arrayID := first.ArrayID
 	// The owner sees counts; a stranger sees an empty map.
 	if got := s.ArrayState(cred(1000), arrayID); got[Pending]+got[Running] != 4 {
 		t.Errorf("owner array state = %v", got)

@@ -48,7 +48,7 @@ func TestCalendarTracksRunning(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			live = append(live, j.ID)
+			live = append(live, j)
 		case 2:
 			if len(live) > 0 {
 				k := rng.Intn(len(live))

@@ -146,7 +146,7 @@ func TestCrashBlamesLowestJobID(t *testing.T) {
 		// Blame belongs to j1's user (lowest job ID): the other hog
 		// and the bystander are cofailures — every trial.
 		if cofail != 2 {
-			t.Fatalf("trial %d: cofailures = %d, want 2 (stable blame on job %d)", trial, cofail, j1.ID)
+			t.Fatalf("trial %d: cofailures = %d, want 2 (stable blame on job %d)", trial, cofail, j1)
 		}
 	}
 }

@@ -89,7 +89,7 @@ func TestRunningIndexConsistency(t *testing.T) {
 	s := indexCluster(t)
 	alice, bob := idxCred(1000), idxCred(2000)
 
-	var jobs []*Job
+	var jobs []int
 	for i := 0; i < 6; i++ {
 		cred := alice
 		if i%2 == 1 {
@@ -105,14 +105,14 @@ func TestRunningIndexConsistency(t *testing.T) {
 
 	// Cancel a pending job from the middle of the queue: the removal
 	// must leave the rest intact and in order.
-	if err := s.Cancel(bob, jobs[3].ID); err != nil {
+	if err := s.Cancel(bob, jobs[3]); err != nil {
 		t.Fatal(err)
 	}
 	checkIndexes(t, s, "after pending cancel")
 
 	s.Step()
 	checkIndexes(t, s, "after first step")
-	if err := s.Cancel(alice, jobs[0].ID); err != nil { // running cancel
+	if err := s.Cancel(alice, jobs[0]); err != nil { // running cancel
 		t.Fatal(err)
 	}
 	checkIndexes(t, s, "after running cancel")

@@ -17,6 +17,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ids"
 )
@@ -123,23 +124,28 @@ type Job struct {
 	Submit int64
 	Start  int64
 	End    int64
-	Nodes  []string       // node names allocated
-	Tasks  map[string]int // node -> cores allocated there
+	// Nodes are the allocated node names, sorted; Cores[i] is the
+	// number of cores allocated on Nodes[i]. Both are fixed once the
+	// job starts.
+	Nodes []string
+	Cores []int
 	// ArrayID/ArrayIndex identify sbatch-style array membership
 	// (ArrayID 0 = not part of an array).
 	ArrayID    int
 	ArrayIndex int
+	// pids[i] is the job's task process on Nodes[i]; finish removes
+	// exactly these entries.
+	pids []ids.PID
 }
 
-// Clone returns a copy safe to hand to observers.
+// Clone returns a copy safe to hand to observers. The task PIDs are
+// the scheduler's own bookkeeping and are not copied.
 func (j *Job) Clone() *Job {
 	nj := *j
 	nj.Cred = j.Cred.Clone()
-	nj.Nodes = append([]string(nil), j.Nodes...)
-	nj.Tasks = make(map[string]int, len(j.Tasks))
-	for k, v := range j.Tasks {
-		nj.Tasks[k] = v
-	}
+	nj.Nodes = slices.Clone(j.Nodes)
+	nj.Cores = slices.Clone(j.Cores)
+	nj.pids = nil
 	return &nj
 }
 

@@ -44,8 +44,8 @@ func TestPartitionPlacementConfined(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Step()
-	gb, _ := s.Job(j.ID)
-	gd, _ := s.Job(d.ID)
+	gb, _ := s.Job(j)
+	gd, _ := s.Job(d)
 	if gb.State != Running || gd.State != Running {
 		t.Fatalf("states %v %v", gb.State, gd.State)
 	}
@@ -82,8 +82,8 @@ func TestPartitionPolicyOverride(t *testing.T) {
 	a, _ := s.Submit(cred(1000), JobSpec{Name: "a", Command: "x", Partition: "debug", Cores: 2, MemB: 1, Duration: 4})
 	b, _ := s.Submit(cred(2000), JobSpec{Name: "b", Command: "x", Partition: "debug", Cores: 2, MemB: 1, Duration: 4})
 	s.Step()
-	ga, _ := s.Job(a.ID)
-	gb, _ := s.Job(b.ID)
+	ga, _ := s.Job(a)
+	gb, _ := s.Job(b)
 	if ga.State != Running || gb.State != Running {
 		t.Fatalf("states %v %v", ga.State, gb.State)
 	}
@@ -94,8 +94,8 @@ func TestPartitionPolicyOverride(t *testing.T) {
 	ba, _ := s.Submit(cred(1000), JobSpec{Name: "ba", Command: "x", Partition: "batch", Cores: 2, MemB: 1, Duration: 4})
 	bb, _ := s.Submit(cred(2000), JobSpec{Name: "bb", Command: "x", Partition: "batch", Cores: 2, MemB: 1, Duration: 4})
 	s.Step()
-	gba, _ := s.Job(ba.ID)
-	gbb, _ := s.Job(bb.ID)
+	gba, _ := s.Job(ba)
+	gbb, _ := s.Job(bb)
 	if gba.Nodes[0] == gbb.Nodes[0] {
 		t.Errorf("batch jobs of two users share node %s", gba.Nodes[0])
 	}
@@ -119,7 +119,7 @@ func TestDefaultPartitionUsesAllComputeNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Step()
-	g, _ := s.Job(j.ID)
+	g, _ := s.Job(j)
 	if g.State != Running || len(g.Nodes) != 6 {
 		t.Errorf("wide job %v on %v", g.State, g.Nodes)
 	}

@@ -108,10 +108,53 @@ func checkAggregates(t *testing.T, s *Scheduler, when string) {
 	}
 }
 
+// checkTaskProcesses asserts the scheduler and the node process
+// tables agree: every running job has exactly one task process on each
+// node it occupies — slurmstepd running its command as its user,
+// tagged with its ID and pinning max(MemB, ActualMemB) — and no
+// process anywhere carries the ID of a job that is not running.
+func checkTaskProcesses(t *testing.T, s *Scheduler, when string) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, ns := range s.nodes {
+		seen := make(map[int]int)
+		for _, p := range ns.node.Procs.All() {
+			if p.JobID == 0 {
+				continue
+			}
+			if p.JobID < 1 || p.JobID > len(s.jobs) {
+				t.Fatalf("%s: node %s pid %d carries unknown job %d", when, ns.node.Name, p.PID, p.JobID)
+			}
+			j := s.jobs[p.JobID-1]
+			if j.State != Running {
+				t.Fatalf("%s: node %s pid %d carries job %d in state %v", when, ns.node.Name, p.PID, j.ID, j.State)
+			}
+			seen[j.ID]++
+			if p.Comm != "slurmstepd" || len(p.Cmdline) != 2 || p.Cmdline[0] != "slurmstepd" || p.Cmdline[1] != j.Spec.Command {
+				t.Fatalf("%s: job %d task on %s runs %q %q", when, j.ID, ns.node.Name, p.Comm, p.Cmdline)
+			}
+			if p.Cred.UID != j.User || p.PPID != 1 || p.RSS != effMemB(j) {
+				t.Fatalf("%s: job %d task on %s has uid %d ppid %d rss %d, want %d 1 %d",
+					when, j.ID, ns.node.Name, p.Cred.UID, p.PPID, p.RSS, j.User, effMemB(j))
+			}
+		}
+		for _, j := range ns.jobs {
+			if seen[j.ID] != 1 {
+				t.Fatalf("%s: running job %d has %d task processes on %s, want 1", when, j.ID, seen[j.ID], ns.node.Name)
+			}
+		}
+		if len(seen) != len(ns.jobs) {
+			t.Fatalf("%s: node %s has tasks of %d jobs but runs %d", when, ns.node.Name, len(seen), len(ns.jobs))
+		}
+	}
+}
+
 // TestAggregateInvariants drives a randomized submit/step/cancel/OOM
 // mix — including GPU jobs, a policy-override partition, and an
 // external node crash+restore — asserting after every event batch
-// that the aggregates match a from-scratch recomputation.
+// that the aggregates match a from-scratch recomputation and that the
+// node process tables hold exactly the running jobs' task processes.
 func TestAggregateInvariants(t *testing.T) {
 	for _, pol := range []SharingPolicy{PolicyShared, PolicyExclusive, PolicyUserWholeNode} {
 		t.Run(pol.String(), func(t *testing.T) {
@@ -154,7 +197,7 @@ func TestAggregateInvariants(t *testing.T) {
 					if err != nil {
 						t.Fatalf("round %d: submit: %v", round, err)
 					}
-					live = append(live, j.ID)
+					live = append(live, j)
 				case 2: // cancel a random live job (pending or running)
 					if len(live) > 0 {
 						k := rng.Intn(len(live))
@@ -174,10 +217,12 @@ func TestAggregateInvariants(t *testing.T) {
 				}
 				checkAggregates(t, s, "mid-campaign")
 				checkIndexes(t, s, "mid-campaign")
+				checkTaskProcesses(t, s, "mid-campaign")
 			}
 			s.RunAll(10000)
 			checkAggregates(t, s, "after drain")
 			checkIndexes(t, s, "after drain")
+			checkTaskProcesses(t, s, "after drain")
 			if n := s.PendingCount(); n != 0 {
 				t.Errorf("queue not drained: %d", n)
 			}
@@ -238,7 +283,7 @@ func TestFitAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	j := s.jobs[blocked.ID-1]
+	j := s.jobs[blocked-1]
 	s.mu.Unlock()
 	allocs := testing.AllocsPerRun(100, func() {
 		s.mu.Lock()
@@ -305,7 +350,7 @@ func TestPartitionScopeProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Step()
-	if got, _ := s.Job(hog.ID); got.State != Running {
+	if got, _ := s.Job(hog); got.State != Running {
 		t.Fatalf("debug hog not running: %v", got.State)
 	}
 	blocked, err := s.Submit(cred(2000), JobSpec{Name: "b", Command: "x", Partition: "debug", Cores: 2, MemB: 1, Duration: 1})
@@ -313,7 +358,7 @@ func TestPartitionScopeProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	j := s.jobs[blocked.ID-1]
+	j := s.jobs[blocked-1]
 	if s.probe(j, s.scopeFor(s.partitionOf(j)), s.effectivePolicy(j)) {
 		s.mu.Unlock()
 		t.Fatal("probe admitted a job on a full partition")

@@ -31,7 +31,7 @@ func replayTrace(t *testing.T, s *Scheduler) []AccountingRecord {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Cancel(u1, j.ID); err != nil {
+	if err := s.Cancel(u1, j); err != nil {
 		t.Fatal(err)
 	}
 	s.RunAll(1000)
@@ -110,14 +110,14 @@ func TestSchedulerResetAfterNodeCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Step()
-	got, err := s.Job(j.ID)
+	got, err := s.Job(j)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.State != Running {
 		t.Errorf("full-cluster job is %v after reset, want Running", got.State)
 	}
-	if j.ID != 1 {
-		t.Errorf("job numbering did not rewind: first post-reset ID %d", j.ID)
+	if j != 1 {
+		t.Errorf("job numbering did not rewind: first post-reset ID %d", j)
 	}
 }

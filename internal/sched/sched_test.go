@@ -47,11 +47,11 @@ func TestJobLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.State != Pending {
-		t.Fatalf("state after submit = %v", j.State)
+	if got, _ := s.Job(j); got.State != Pending {
+		t.Fatalf("state after submit = %v", got.State)
 	}
 	s.Step() // starts
-	got, _ := s.Job(j.ID)
+	got, _ := s.Job(j)
 	if got.State != Running || got.Start != 1 {
 		t.Fatalf("after step: state=%v start=%d", got.State, got.Start)
 	}
@@ -61,7 +61,7 @@ func TestJobLifecycle(t *testing.T) {
 	s.Step()
 	s.Step()
 	s.Step() // duration 3 elapsed
-	got, _ = s.Job(j.ID)
+	got, _ = s.Job(j)
 	if got.State != Completed {
 		t.Errorf("state after 4 steps = %v", got.State)
 	}
@@ -79,8 +79,8 @@ func TestJobSpawnsProcessesWithCommand(t *testing.T) {
 	if len(procs) != 1 {
 		t.Fatalf("job spawned %d procs, want 1", len(procs))
 	}
-	if procs[0].JobID != j.ID {
-		t.Errorf("proc job = %d, want %d", procs[0].JobID, j.ID)
+	if procs[0].JobID != j {
+		t.Errorf("proc job = %d, want %d", procs[0].JobID, j)
 	}
 	if procs[0].Cmdline[1] != "simulate --token=SECRET" {
 		t.Errorf("cmdline = %v", procs[0].Cmdline)
@@ -99,17 +99,17 @@ func TestCancelPendingAndRunning(t *testing.T) {
 	j2, _ := s.Submit(cred(1000), spec(2, 10)) // queued behind j1
 	s.Step()
 	// Stranger cannot cancel.
-	if err := s.Cancel(cred(2000), j1.ID); !errors.Is(err, ErrNotOwner) {
+	if err := s.Cancel(cred(2000), j1); !errors.Is(err, ErrNotOwner) {
 		t.Errorf("stranger cancel err = %v", err)
 	}
-	if err := s.Cancel(cred(1000), j2.ID); err != nil {
+	if err := s.Cancel(cred(1000), j2); err != nil {
 		t.Fatalf("cancel pending: %v", err)
 	}
-	if err := s.Cancel(cred(1000), j1.ID); err != nil {
+	if err := s.Cancel(cred(1000), j1); err != nil {
 		t.Fatalf("cancel running: %v", err)
 	}
-	g1, _ := s.Job(j1.ID)
-	g2, _ := s.Job(j2.ID)
+	g1, _ := s.Job(j1)
+	g2, _ := s.Job(j2)
 	if g1.State != Cancelled || g2.State != Cancelled {
 		t.Errorf("states = %v %v", g1.State, g2.State)
 	}
@@ -119,7 +119,7 @@ func TestCancelPendingAndRunning(t *testing.T) {
 	if _, err := s.Submit(cred(1000), spec(1, 10)); err != nil { // reissues ID 1 only
 		t.Fatal(err)
 	}
-	for _, id := range []int{0, -1, 999, j2.ID} {
+	for _, id := range []int{0, -1, 999, j2} {
 		for name, call := range map[string]func() error{
 			"Job":     func() error { _, err := s.Job(id); return err },
 			"JobView": func() error { _, err := s.JobView(ids.RootCred(), id); return err },
@@ -136,16 +136,16 @@ func TestMultiNodeSpanning(t *testing.T) {
 	s := New(Config{}, computeNodes(3, 4, 100), 0)
 	j, _ := s.Submit(cred(1000), spec(10, 2))
 	s.Step()
-	got, _ := s.Job(j.ID)
+	got, _ := s.Job(j)
 	if got.State != Running {
 		t.Fatalf("10-core job did not start: %v", got.State)
 	}
 	total := 0
-	for _, c := range got.Tasks {
+	for _, c := range got.Cores {
 		total += c
 	}
-	if total != 10 || len(got.Nodes) != 3 {
-		t.Errorf("placement = %v (total %d)", got.Tasks, total)
+	if total != 10 || len(got.Nodes) != 3 || len(got.Cores) != 3 {
+		t.Errorf("placement = %v %v (total %d)", got.Nodes, got.Cores, total)
 	}
 }
 
@@ -155,12 +155,12 @@ func TestFIFOWithBackfill(t *testing.T) {
 	blocked, _ := s.Submit(cred(1000), spec(4, 1)) // cannot start until big ends
 	small, _ := s.Submit(cred(2000), spec(1, 1))   // would fit alongside? no: node full
 	s.Step()
-	gb, _ := s.Job(big.ID)
+	gb, _ := s.Job(big)
 	if gb.State != Running {
 		t.Fatalf("big not running")
 	}
-	gbl, _ := s.Job(blocked.ID)
-	gs, _ := s.Job(small.ID)
+	gbl, _ := s.Job(blocked)
+	gs, _ := s.Job(small)
 	if gbl.State != Pending || gs.State != Pending {
 		t.Errorf("blocked=%v small=%v, both should wait (node full)", gbl.State, gs.State)
 	}
@@ -175,9 +175,9 @@ func TestBackfillFillsHoles(t *testing.T) {
 	b, _ := s.Submit(cred(1000), spec(2, 5)) // doesn't fit (3+2>4)
 	c, _ := s.Submit(cred(1000), spec(1, 5)) // backfills the hole
 	s.Step()
-	ga, _ := s.Job(a.ID)
-	gb, _ := s.Job(b.ID)
-	gc, _ := s.Job(c.ID)
+	ga, _ := s.Job(a)
+	gb, _ := s.Job(b)
+	gc, _ := s.Job(c)
 	if ga.State != Running || gc.State != Running || gb.State != Pending {
 		t.Errorf("a=%v b=%v c=%v, want R PD R", ga.State, gb.State, gc.State)
 	}
@@ -204,8 +204,8 @@ func TestOOMCrashSharedBlastRadius(t *testing.T) {
 	victim, _ := s.Submit(cred(2000), JobSpec{Name: "v", Command: "y", Cores: 2, MemB: 10, Duration: 10})
 	s.Step() // both start
 	s.Step() // OOM detected
-	gh, _ := s.Job(hog.ID)
-	gv, _ := s.Job(victim.ID)
+	gh, _ := s.Job(hog)
+	gv, _ := s.Job(victim)
 	if gh.State != Failed || gv.State != Failed {
 		t.Fatalf("hog=%v victim=%v, want both Failed", gh.State, gv.State)
 	}
@@ -224,7 +224,7 @@ func TestOOMCrashUserWholeNodeNoCofailure(t *testing.T) {
 	}
 	victim, _ := s.Submit(cred(2000), JobSpec{Name: "v", Command: "y", Cores: 2, MemB: 10, Duration: 3})
 	s.RunAll(20)
-	gv, _ := s.Job(victim.ID)
+	gv, _ := s.Job(victim)
 	if gv.State != Completed {
 		t.Fatalf("victim state = %v, want Completed", gv.State)
 	}
@@ -240,7 +240,7 @@ func TestPamSlurmGatesSSH(t *testing.T) {
 	alice, bob := cred(1000), cred(2000)
 	j, _ := s.Submit(alice, spec(2, 5))
 	s.Step()
-	got, _ := s.Job(j.ID)
+	got, _ := s.Job(j)
 	jobNode := nodes[0]
 	if got.Nodes[0] != jobNode.Name {
 		t.Fatalf("unexpected placement %v", got.Nodes)
@@ -299,7 +299,7 @@ func TestDownNodeSkipped(t *testing.T) {
 	nodes[0].Crash()
 	j, _ := s.Submit(cred(1000), spec(4, 1))
 	s.Step()
-	got, _ := s.Job(j.ID)
+	got, _ := s.Job(j)
 	if got.State != Running || got.Nodes[0] != "c01" {
 		t.Errorf("job on down node: %v %v", got.State, got.Nodes)
 	}
@@ -310,8 +310,8 @@ func TestGPUAllocationLimits(t *testing.T) {
 	a, _ := s.Submit(cred(1000), JobSpec{Name: "g1", Command: "x", Cores: 1, MemB: 1, GPUs: 2, Duration: 5})
 	b, _ := s.Submit(cred(1000), JobSpec{Name: "g2", Command: "x", Cores: 1, MemB: 1, GPUs: 1, Duration: 5})
 	s.Step()
-	ga, _ := s.Job(a.ID)
-	gb, _ := s.Job(b.ID)
+	ga, _ := s.Job(a)
+	gb, _ := s.Job(b)
 	if ga.State != Running {
 		t.Fatalf("gpu job a not running")
 	}

@@ -332,26 +332,27 @@ func (s *Scheduler) Now() int64 {
 	return s.now
 }
 
-// Submit enqueues a job for cred. It validates that the request fits
+// Submit enqueues a job for cred and returns its ID, what sbatch
+// prints; Job reads the job back. It validates that the request fits
 // the cluster at all.
-func (s *Scheduler) Submit(cred ids.Credential, spec JobSpec) (*Job, error) {
+func (s *Scheduler) Submit(cred ids.Credential, spec JobSpec) (int, error) {
 	if spec.Cores <= 0 || spec.Duration <= 0 {
-		return nil, fmt.Errorf("%w: cores=%d duration=%d", ErrBadSpec, spec.Cores, spec.Duration)
+		return 0, fmt.Errorf("%w: cores=%d duration=%d", ErrBadSpec, spec.Cores, spec.Duration)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.validatePartition(spec); err != nil {
-		return nil, err
+		return 0, err
 	}
 	if err := s.checkUserLimitLocked(cred.UID, 1); err != nil {
-		return nil, err
+		return 0, err
 	}
 	if int64(spec.Cores) > s.computeCores {
-		return nil, fmt.Errorf("%w: %d cores > cluster %d", ErrUnsatisfiable, spec.Cores, s.computeCores)
+		return 0, fmt.Errorf("%w: %d cores > cluster %d", ErrUnsatisfiable, spec.Cores, s.computeCores)
 	}
 	// The GPU request is per node, so it must fit a single node.
 	if spec.GPUs > s.maxNodeGPUs {
-		return nil, fmt.Errorf("%w: %d gpus/node > node max %d", ErrUnsatisfiable, spec.GPUs, s.maxNodeGPUs)
+		return 0, fmt.Errorf("%w: %d gpus/node > node max %d", ErrUnsatisfiable, spec.GPUs, s.maxNodeGPUs)
 	}
 	j := &Job{
 		ID:     len(s.jobs) + 1,
@@ -360,14 +361,13 @@ func (s *Scheduler) Submit(cred ids.Credential, spec JobSpec) (*Job, error) {
 		Spec:   spec,
 		State:  Pending,
 		Submit: s.now,
-		Tasks:  make(map[string]int),
 	}
 	s.gen++
 	s.jobs = append(s.jobs, j)
 	s.pending = append(s.pending, j)
 	s.activeByUser[j.User]++
 	s.queueBlocked = false // a new job may fit holes the rest cannot
-	return j.Clone(), nil
+	return j.ID, nil
 }
 
 // Cancel removes a pending job or kills a running one. Only the owner
@@ -545,10 +545,10 @@ func (s *Scheduler) finish(j *Job, state JobState) {
 	j.End = s.now
 	s.decActiveLocked(j.User)
 	s.busyCores -= int64(j.Spec.Cores)
-	for _, nodeName := range j.Nodes {
+	for k, nodeName := range j.Nodes {
 		ns := s.byName[nodeName]
-		s.applyRelease(ns, j, j.Tasks[nodeName])
-		ns.node.Procs.KillJob(j.ID)
+		s.applyRelease(ns, j, j.Cores[k])
+		ns.node.Procs.ExitJob(j.pids[k], j.ID)
 		for _, h := range s.epilogs {
 			_ = h(j, ns.node) // epilog failures are logged, not fatal, in Slurm
 		}
@@ -565,7 +565,9 @@ func (s *Scheduler) account(j *Job) {
 	s.records = append(s.records, AccountingRecord{
 		JobID: j.ID, User: j.User, Name: j.Spec.Name, State: j.State,
 		Submit: j.Submit, Start: j.Start, End: j.End,
-		CoreTicks: ct, NodeList: append([]string(nil), j.Nodes...),
+		// Nodes is fixed once the job starts, so the record shares it;
+		// Sacct copies it for observers.
+		CoreTicks: ct, NodeList: j.Nodes,
 	})
 }
 
@@ -578,32 +580,38 @@ func (s *Scheduler) tryStart(j *Job) bool {
 	}
 	j.State = Running
 	j.Start = s.now
-	j.Tasks = make(map[string]int, len(s.scratch.nodes))
-	j.Nodes = j.Nodes[:0]
+	n := len(s.scratch.nodes)
+	j.Nodes = make([]string, n)
+	j.Cores = make([]int, n)
+	j.pids = make([]ids.PID, n)
+	rss := effMemB(j)
 	for k, ni := range s.scratch.nodes {
 		ns := s.nodes[ni]
 		cores := s.scratch.cores[k]
-		name := ns.node.Name
-		j.Tasks[name] = cores
-		j.Nodes = append(j.Nodes, name)
+		j.Nodes[k], j.Cores[k] = ns.node.Name, cores
 		s.applyPlace(ns, j, cores)
-		// Spawn one task process per node, carrying the command line
-		// (the thing hidepid protects).
-		p := ns.node.Procs.Spawn(j.Cred, 1, "slurmstepd", j.Spec.Command)
-		_ = ns.node.Procs.SetJob(p.PID, j.ID)
-		rss := j.Spec.MemB
-		if j.Spec.ActualMemB > rss {
-			rss = j.Spec.ActualMemB
-		}
-		_ = ns.node.Procs.SetRSS(p.PID, rss)
+		// One task process per node, carrying the command line (the
+		// thing hidepid protects).
+		j.pids[k] = ns.node.Procs.SpawnJob(j.Cred, j.ID, rss, "slurmstepd", j.Spec.Command)
 		for _, h := range s.prologs {
 			_ = h(j, ns.node)
 		}
 	}
-	sort.Strings(j.Nodes)
+	sort.Sort((*byNode)(j))
 	s.calendar.push(j.Start+j.Spec.Duration, j)
 	s.busyCores += int64(j.Spec.Cores)
 	return true
+}
+
+// byNode sorts a job's per-node slices together by node name.
+type byNode Job
+
+func (b *byNode) Len() int           { return len(b.Nodes) }
+func (b *byNode) Less(i, k int) bool { return b.Nodes[i] < b.Nodes[k] }
+func (b *byNode) Swap(i, k int) {
+	b.Nodes[i], b.Nodes[k] = b.Nodes[k], b.Nodes[i]
+	b.Cores[i], b.Cores[k] = b.Cores[k], b.Cores[i]
+	b.pids[i], b.pids[k] = b.pids[k], b.pids[i]
 }
 
 // HasJobOn reports whether uid has a running job on the named node —

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/ids"
@@ -101,7 +102,8 @@ func (s *Scheduler) Sinfo(observer ids.Credential) []NodeInfo {
 		info := NodeInfo{Name: ns.node.Name, Cores: ns.node.Cores, UsedCores: ns.usedCores}
 		for _, j := range ns.jobs {
 			if j.User == observer.UID {
-				info.OwnCores += j.Tasks[ns.node.Name]
+				i, _ := slices.BinarySearch(j.Nodes, ns.node.Name)
+				info.OwnCores += j.Cores[i]
 			}
 		}
 		if s.Cfg.PrivateData && !s.privileged(observer) {

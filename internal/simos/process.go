@@ -71,11 +71,12 @@ func (p *Process) Clone() *Process {
 // Table is a node's process table. All methods are safe for
 // concurrent use.
 //
-// Entries stored in the table are immutable once published: mutating
-// operations (SetJob, SetRSS) replace the entry with a fresh copy
-// rather than writing through the shared pointer. That lets the table
-// publish one generation-counted, copy-on-write snapshot — a cached
-// sorted []*Process — that every reader of All/Visit shares with zero
+// Entries stored in the table are immutable once published: the only
+// mutations are Spawn/SpawnDaemon/SpawnJob, which publish a fresh
+// entry, and Exit/ExitJob/Kill/KillUser, which delete one; nothing
+// writes through a published pointer. That lets the table publish one
+// generation-counted, copy-on-write snapshot — a cached sorted
+// []*Process — that every reader of All/Visit shares with zero
 // per-call cloning. Values returned by All and Visit are therefore
 // shared and MUST be treated as read-only; use Clone (or Get, which
 // clones) before modifying one.
@@ -94,7 +95,7 @@ type Table struct {
 	// published pointers stay stable; a chunk is reclaimed when nothing
 	// references it anymore. At 10k-node scale the construction daemons
 	// alone are 30k entries, so this is a residency win — but ONLY the
-	// daemon path uses it: trial-time Spawn/SetJob/SetRSS allocate
+	// daemon path uses it: trial-time Spawn/SpawnJob allocate
 	// individually, because initializing a slot inside an existing heap
 	// chunk pays bulk pointer write barriers on every spawn and keeps
 	// dead transient entries alive until their whole chunk dies, both
@@ -102,9 +103,9 @@ type Table struct {
 	arena []Process
 	// Pristine mark for the trial-lifecycle Reset contract: the entry
 	// set, PID counter and generation recorded by MarkPristine. Because
-	// published entries are immutable (mutations are copy-on-write),
-	// the mark can share *Process pointers with the live map — pointer
-	// equality at Reset time proves an entry is untouched.
+	// published entries are immutable (mutations only insert and delete
+	// entries), the mark can share *Process pointers with the live map
+	// — pointer equality at Reset time proves an entry is untouched.
 	pristine    map[ids.PID]*Process
 	pristinePID ids.PID
 	pristineGen uint64
@@ -270,6 +271,15 @@ func (t *Table) rebuildLocked() []*Process {
 	return out
 }
 
+// cmdline returns the argv of a new process, comm followed by argv, in
+// one allocation.
+func cmdline(comm string, argv []string) []string {
+	c := make([]string, 1+len(argv))
+	c[0] = comm
+	copy(c[1:], argv)
+	return c
+}
+
 // Spawn creates a process owned by cred. ppid 0 means "init".
 func (t *Table) Spawn(cred ids.Credential, ppid ids.PID, comm string, argv ...string) *Process {
 	t.mu.Lock()
@@ -279,7 +289,7 @@ func (t *Table) Spawn(cred ids.Credential, ppid ids.PID, comm string, argv ...st
 		PPID:    ppid,
 		Cred:    cred.Clone(),
 		Comm:    comm,
-		Cmdline: append([]string{comm}, argv...),
+		Cmdline: cmdline(comm, argv),
 		State:   StateRunning,
 		Start:   t.clock(),
 	}
@@ -287,6 +297,32 @@ func (t *Table) Spawn(cred ids.Credential, ppid ids.PID, comm string, argv ...st
 	t.procs[p.PID] = p
 	t.dirtyLocked()
 	return p.Clone()
+}
+
+// SpawnJob publishes the task process of scheduler job jobID: a child
+// of init that already carries the job and its resident memory, so a
+// job start costs one entry, one lock and one generation bump per
+// node. The entry shares cred.Groups instead of cloning it: the caller
+// must never mutate it afterwards (the scheduler passes its job's
+// private credential, which nothing writes after Submit).
+func (t *Table) SpawnJob(cred ids.Credential, jobID int, rss int64, comm string, argv ...string) ids.PID {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	p := &Process{
+		PID:     t.nextPID,
+		PPID:    1,
+		Cred:    cred,
+		Comm:    comm,
+		Cmdline: cmdline(comm, argv),
+		State:   StateRunning,
+		Start:   t.clock(),
+		RSS:     rss,
+		JobID:   jobID,
+	}
+	t.nextPID++
+	t.procs[p.PID] = p
+	t.dirtyLocked()
+	return p.PID
 }
 
 // SpawnDaemon creates a system daemon process (root-owned unless a
@@ -361,6 +397,21 @@ func (t *Table) Exit(pid ids.PID) error {
 	return nil
 }
 
+// ExitJob removes the task process pid of scheduler job jobID. It is
+// a no-op, reporting false, when pid is gone or no longer that job's:
+// a node crash may already have removed it.
+func (t *Table) ExitJob(pid ids.PID, jobID int) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	p, ok := t.procs[pid]
+	if !ok || p.JobID != jobID || jobID == 0 {
+		return false
+	}
+	delete(t.procs, pid)
+	t.dirtyLocked()
+	return true
+}
+
 // Kill terminates a process on behalf of actor. Classic Unix rule:
 // only the owner or root may signal a process.
 func (t *Table) Kill(actor ids.Credential, pid ids.PID) error {
@@ -376,25 +427,6 @@ func (t *Table) Kill(actor ids.Credential, pid ids.PID) error {
 	delete(t.procs, pid)
 	t.dirtyLocked()
 	return nil
-}
-
-// KillJob terminates every process belonging to the given scheduler
-// job. Used by the scheduler's job-teardown and the OOM blast-radius
-// experiment (E4).
-func (t *Table) KillJob(jobID int) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for pid, p := range t.procs {
-		if p.JobID == jobID && jobID != 0 {
-			delete(t.procs, pid)
-			n++
-		}
-	}
-	if n > 0 {
-		t.dirtyLocked()
-	}
-	return n
 }
 
 // KillUser terminates every non-daemon process of uid (node failure /
@@ -445,41 +477,6 @@ func (t *Table) ByUser(uid ids.UID) []*Process {
 		}
 	}
 	return out
-}
-
-// SetJob associates a process with a scheduler job id. The published
-// entry is replaced copy-on-write; snapshots taken earlier keep the
-// old association.
-func (t *Table) SetJob(pid ids.PID, jobID int) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p, ok := t.procs[pid]
-	if !ok {
-		return fmt.Errorf("%w: pid %d", ErrNoSuchProcess, pid)
-	}
-	np := new(Process)
-	*np = *p
-	np.JobID = jobID
-	t.procs[pid] = np
-	t.dirtyLocked()
-	return nil
-}
-
-// SetRSS records memory usage for OOM modelling (copy-on-write, like
-// SetJob).
-func (t *Table) SetRSS(pid ids.PID, rss int64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p, ok := t.procs[pid]
-	if !ok {
-		return fmt.Errorf("%w: pid %d", ErrNoSuchProcess, pid)
-	}
-	np := new(Process)
-	*np = *p
-	np.RSS = rss
-	t.procs[pid] = np
-	t.dirtyLocked()
-	return nil
 }
 
 // TotalRSS sums resident memory across all live processes.

@@ -19,9 +19,7 @@ func TestTableResetRewindsToMark(t *testing.T) {
 
 	u := ids.Credential{UID: 1000, EGID: 1000, Groups: []ids.GID{1000}}
 	p := tab.Spawn(u, 1, "work", "--secret")
-	if err := tab.SetRSS(p.PID, 1<<20); err != nil {
-		t.Fatal(err)
-	}
+	tab.SpawnJob(u, 7, 1<<20, "slurmstepd", "work")
 	if err := tab.Exit(d2.PID); err != nil {
 		t.Fatal(err)
 	}

@@ -58,31 +58,56 @@ func TestKillPermissions(t *testing.T) {
 	}
 }
 
-func TestKillJobAndKillUser(t *testing.T) {
+func TestSpawnJobExitJobAndKillUser(t *testing.T) {
 	tb := NewTable(nil)
+	var pids []ids.PID
 	for i := 0; i < 5; i++ {
-		p := tb.Spawn(testCred(1000), 0, "rank")
-		if err := tb.SetJob(p.PID, 42); err != nil {
-			t.Fatal(err)
-		}
+		pids = append(pids, tb.SpawnJob(testCred(1000), 42, 777, "slurmstepd", "rank --secret"))
 	}
 	other := tb.Spawn(testCred(1000), 0, "shell") // no job
-	if n := tb.KillJob(42); n != 5 {
-		t.Errorf("KillJob killed %d, want 5", n)
+	p, ok := tb.Lookup(pids[0])
+	if !ok {
+		t.Fatal("SpawnJob entry not published")
+	}
+	if p.PPID != 1 || p.JobID != 42 || p.RSS != 777 || p.Cred.UID != 1000 || p.State != StateRunning {
+		t.Errorf("SpawnJob entry = %+v", p)
+	}
+	if p.Comm != "slurmstepd" || len(p.Cmdline) != 2 || p.Cmdline[1] != "rank --secret" {
+		t.Errorf("SpawnJob cmdline = %q %v", p.Comm, p.Cmdline)
+	}
+	// Only the owning job's ID removes the entry.
+	if tb.ExitJob(pids[0], 41) {
+		t.Error("ExitJob removed another job's process")
+	}
+	if tb.ExitJob(other.PID, 42) {
+		t.Error("ExitJob removed a process outside the job")
+	}
+	for _, pid := range pids {
+		if !tb.ExitJob(pid, 42) {
+			t.Errorf("ExitJob(%d) removed nothing", pid)
+		}
+	}
+	// Already gone (a crash got there first): a no-op.
+	if tb.ExitJob(pids[0], 42) {
+		t.Error("ExitJob removed an exited process twice")
 	}
 	if _, err := tb.Get(other.PID); err != nil {
-		t.Errorf("KillJob killed a non-member: %v", err)
+		t.Errorf("ExitJob killed a non-member: %v", err)
 	}
 	if n := tb.KillUser(1000); n != 1 {
 		t.Errorf("KillUser killed %d, want 1", n)
 	}
 }
 
-func TestKillJobZeroIsNoop(t *testing.T) {
+func TestExitJobZeroIsNoop(t *testing.T) {
 	tb := NewTable(nil)
-	tb.Spawn(testCred(1000), 0, "shell")
-	if n := tb.KillJob(0); n != 0 {
-		t.Errorf("KillJob(0) killed %d daemon-less procs, want 0", n)
+	p := tb.Spawn(testCred(1000), 0, "shell")
+	gen := tb.Generation()
+	if tb.ExitJob(p.PID, 0) {
+		t.Error("ExitJob(pid, 0) removed a job-less process")
+	}
+	if tb.Generation() != gen {
+		t.Error("a no-op ExitJob bumped the generation")
 	}
 }
 
@@ -102,16 +127,11 @@ func TestByUserFiltersAndSorts(t *testing.T) {
 
 func TestTotalRSSAndOOM(t *testing.T) {
 	n := NewNode("c1", Compute, 8, 1000, nil)
-	p := n.Procs.Spawn(testCred(1000), 0, "hog")
-	if err := n.Procs.SetRSS(p.PID, 900); err != nil {
-		t.Fatal(err)
-	}
+	n.Procs.SpawnJob(testCred(1000), 1, 900, "hog")
 	if crashed, _ := n.CheckOOM(); crashed {
 		t.Fatalf("node crashed below capacity")
 	}
-	if err := n.Procs.SetRSS(p.PID, 1100); err != nil {
-		t.Fatal(err)
-	}
+	n.Procs.SpawnJob(testCred(1000), 2, 200, "hog")
 	crashed, killed := n.CheckOOM()
 	if !crashed {
 		t.Fatalf("node did not crash above capacity")
@@ -292,6 +312,21 @@ func TestNodeKindString(t *testing.T) {
 	for k, want := range cases {
 		if k.String() != want {
 			t.Errorf("kind %d = %q, want %q", k, k.String(), want)
+		}
+	}
+}
+
+// BenchmarkSpawnJobExit measures one task process's life in a node's
+// table: SpawnJob publishes the entry, ExitJob removes it.
+func BenchmarkSpawnJobExit(b *testing.B) {
+	tb := NewNode("c1", Compute, 8, 1<<30, nil).Procs
+	c := testCred(1000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pid := tb.SpawnJob(c, 1+i, 1<<20, "slurmstepd", "a.out --secret")
+		if !tb.ExitJob(pid, 1+i) {
+			b.Fatal("ExitJob removed nothing")
 		}
 	}
 }

@@ -33,27 +33,25 @@ func TestSnapshotGenerationInvalidation(t *testing.T) {
 
 	// Every mutating operation must bump the generation and serve a
 	// fresh snapshot reflecting the change.
-	if err := tb.SetJob(p1.PID, 7); err != nil {
-		t.Fatal(err)
-	}
+	pj := tb.SpawnJob(testCred(1000), 7, 1234, "slurmstepd", "x")
 	if tb.Generation() == gen {
-		t.Fatalf("SetJob did not bump generation")
+		t.Fatalf("SpawnJob did not bump generation")
 	}
 	s3 := tb.All()
-	if s3[0].JobID != 7 {
-		t.Errorf("stale snapshot served after SetJob: JobID = %d", s3[0].JobID)
+	if len(s3) != 3 || s3[2].JobID != 7 || s3[2].RSS != 1234 {
+		t.Errorf("stale snapshot served after SpawnJob: %v", s3)
 	}
-	// The earlier snapshot is immutable: it must still show the old
-	// JobID (copy-on-write replaced the entry, not mutated it).
-	if s1[0].JobID != 0 {
-		t.Errorf("published snapshot entry mutated in place: JobID = %d", s1[0].JobID)
+	// Spawning publishes a new entry and leaves the others alone: the
+	// earlier snapshot's entries are still the live ones.
+	if q, _ := tb.Lookup(p1.PID); q != s1[0] {
+		t.Errorf("SpawnJob replaced an unrelated entry")
 	}
-
-	if err := tb.SetRSS(p2.PID, 1234); err != nil {
-		t.Fatal(err)
+	gen = tb.Generation()
+	if !tb.ExitJob(pj, 7) || tb.Generation() == gen {
+		t.Fatalf("ExitJob did not remove the entry and bump generation")
 	}
-	if got := tb.All()[1].RSS; got != 1234 {
-		t.Errorf("stale snapshot after SetRSS: RSS = %d", got)
+	if got := tb.All(); len(got) != 2 {
+		t.Errorf("stale snapshot after ExitJob: len = %d", len(got))
 	}
 
 	if err := tb.Exit(p1.PID); err != nil {
@@ -62,8 +60,8 @@ func TestSnapshotGenerationInvalidation(t *testing.T) {
 	if got := tb.All(); len(got) != 1 || got[0].PID != p2.PID {
 		t.Errorf("stale snapshot after Exit: %v", got)
 	}
-	// And the pre-exit snapshot still lists both processes.
-	if len(s3) != 2 {
+	// And the pre-exit snapshot still lists every process.
+	if len(s3) != 3 {
 		t.Errorf("old snapshot shrank after Exit: len = %d", len(s3))
 	}
 
@@ -115,7 +113,7 @@ func TestVisitReentrancy(t *testing.T) {
 }
 
 // TestSnapshotRaceStress hammers the table with concurrent writers
-// (Spawn/Exit/KillJob/SetRSS) and snapshot readers (All/Visit/ByUser/
+// (Spawn/SpawnJob/Exit/ExitJob) and snapshot readers (All/Visit/ByUser/
 // Get). Run under -race this proves readers share immutable snapshots
 // without torn reads; without -race it still asserts snapshots are
 // internally consistent (PID-sorted, no duplicates).
@@ -132,17 +130,16 @@ func TestSnapshotRaceStress(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				switch i % 4 {
 				case 0, 1:
-					p := tb.Spawn(testCred(uid), 0, "w")
-					_ = tb.SetJob(p.PID, int(uid))
-					mine = append(mine, p.PID)
+					mine = append(mine, tb.SpawnJob(testCred(uid), int(uid), int64(i), "w"))
 				case 2:
 					if len(mine) > 0 {
-						_ = tb.SetRSS(mine[len(mine)-1], int64(i))
 						_ = tb.Exit(mine[len(mine)-1])
 						mine = mine[:len(mine)-1]
 					}
 				case 3:
-					tb.KillJob(int(uid))
+					for _, pid := range mine {
+						tb.ExitJob(pid, int(uid))
+					}
 					mine = mine[:0]
 				}
 			}

@@ -262,11 +262,11 @@ func WithOOM(subs []Submission, every int, actualMemB int64) []Submission {
 func SubmitAll(s *sched.Scheduler, subs []Submission) ([]int, error) {
 	idsOut := make([]int, 0, len(subs))
 	for _, sub := range subs {
-		j, err := s.Submit(sub.Cred, sub.Spec)
+		id, err := s.Submit(sub.Cred, sub.Spec)
 		if err != nil {
 			return idsOut, err
 		}
-		idsOut = append(idsOut, j.ID)
+		idsOut = append(idsOut, id)
 	}
 	return idsOut, nil
 }

@@ -194,7 +194,7 @@ func TestRunMPISameUserAllowedThroughUBF(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Step()
-	job, _ := s.Job(j.ID)
+	job, _ := s.Job(j)
 	if job.State != sched.Running || len(job.Nodes) != 3 {
 		t.Fatalf("job %v nodes %v", job.State, job.Nodes)
 	}

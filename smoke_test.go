@@ -27,7 +27,7 @@ func TestREADMEQuickstart(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.RunAll(1000)
-	got, err := c.Sched.Job(job.ID)
+	got, err := c.Sched.Job(job)
 	if err != nil || got.State != sched.Completed {
 		t.Fatalf("quickstart job: %v %v", got, err)
 	}

@@ -61,7 +61,6 @@ func TestExecLauncherChaos(t *testing.T) {
 				Launcher:         shard.Exec{Bin: os.Args[0], Stderr: logWriter{t}},
 				Faults:           &fleet.FaultPlan{Shards: []fleet.ShardFault{tc.fault}},
 				HeartbeatTimeout: 1500 * time.Millisecond,
-				BackoffBase:      time.Millisecond,
 				Metrics:          reg,
 				Logf:             t.Logf,
 			})

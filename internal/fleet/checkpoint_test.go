@@ -528,17 +528,18 @@ func TestLoadCheckpointRejectsOtherFormat(t *testing.T) {
 // slots of a scenario are allocated on its first trial line.
 func TestJournalHeaderAllocationBounded(t *testing.T) {
 	header := []byte(`{"format":2,"campaign":"huge","campaign_hash":1,"seed":7,"scenarios":[{"name":"huge/a","replications":16777216}]}`)
+	line := append(header, '\n')
 	path := filepath.Join(t.TempDir(), "ckpt.json")
-	if err := os.WriteFile(path, append(header, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(path, line, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	loaded, lerr := LoadCheckpoint(path)
-	decoded, derr := DecodeJournalHeader(header)
+	decoded, _, derr := DecodeJournal(nil, line, nil, 0)
 	runtime.ReadMemStats(&after)
 	if lerr != nil || derr != nil {
-		t.Fatalf("LoadCheckpoint: %v; DecodeJournalHeader: %v", lerr, derr)
+		t.Fatalf("LoadCheckpoint: %v; DecodeJournal: %v", lerr, derr)
 	}
 	for _, ck := range []*Checkpoint{loaded, decoded} {
 		if ck.Scenarios[0].Replications != maxJournalTrials || ck.Completed() != 0 {
@@ -547,6 +548,58 @@ func TestJournalHeaderAllocationBounded(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {
 		t.Fatalf("decoding a %d-replication header allocated %d bytes, want < 64 KiB", maxJournalTrials, grew)
+	}
+}
+
+// DecodeJournal consumes complete lines only, so a journal fed to it in
+// pieces, as a reader following a growing file sees it, decodes to the
+// checkpoint LoadCheckpoint reads from the whole file. Given the
+// campaign, it rejects another seed's header, and a trial line whose
+// result belongs to another scenario, naming that line; LoadCheckpoint
+// checks neither.
+func TestDecodeJournalIncremental(t *testing.T) {
+	camp := smokeCampaign()
+	journal := smokeJournal(t)
+	want, err := loadJournal(t, journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []int{1, 7, 100, len(journal)} {
+		var ck *Checkpoint
+		off := 0
+		for end := 0; end < len(journal); {
+			end = min(end+step, len(journal))
+			var used int
+			if ck, used, err = DecodeJournal(ck, journal[off:end], &camp, 7); err != nil {
+				t.Fatalf("%d-byte pieces: %v", step, err)
+			}
+			off += used
+		}
+		if off != len(journal) || !reflect.DeepEqual(ck, want) {
+			t.Fatalf("%d-byte pieces: consumed %d of %d bytes into a different checkpoint", step, off, len(journal))
+		}
+	}
+	if _, _, err := DecodeJournal(nil, journal, &camp, 8); err == nil || !strings.Contains(err.Error(), "seed 7 does not match master seed 8") {
+		t.Fatalf("another seed's journal: want the seed error, got %v", err)
+	}
+	// Lines 1-3, the third moved to scenario 1: its result still names
+	// scenario 0.
+	var ends []int // ends[k] is the length of the header and k trial lines
+	for i, b := range journal {
+		if b == '\n' {
+			ends = append(ends, i+1)
+		}
+	}
+	moved := append(journal[:ends[1]:ends[1]], bytes.Replace(journal[ends[1]:ends[2]], []byte(`{"scenario":0,`), []byte(`{"scenario":1,`), 1)...)
+	if _, err := loadJournal(t, moved); err != nil {
+		t.Fatalf("LoadCheckpoint checks no campaign, yet: %v", err)
+	}
+	ck, used, err := DecodeJournal(nil, moved[:ends[1]], &camp, 7)
+	if err != nil || used != ends[1] {
+		t.Fatalf("lines 1-2: consumed %d of %d bytes: %v", used, ends[1], err)
+	}
+	if _, _, err := DecodeJournal(ck, moved[ends[1]:], &camp, 7); err == nil || !strings.Contains(err.Error(), "line 3: checkpoint scenario \"smoke/") {
+		t.Fatalf("a line moved to another scenario: want a line-3 error, got %v", err)
 	}
 }
 

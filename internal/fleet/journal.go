@@ -110,41 +110,46 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	ck, err := decodeJournal(data)
+	ck, _, err := DecodeJournal(nil, data, nil, 0)
+	if err == nil && ck == nil {
+		err = errors.New("no complete header line")
+	}
 	if err != nil {
 		return nil, fmt.Errorf("fleet: decoding checkpoint %s: %w", path, err)
 	}
 	return ck, nil
 }
 
-func decodeJournal(data []byte) (*Checkpoint, error) {
-	// A format-1 sidecar is one indented JSON object whose first line is
-	// "{": name its format rather than fail on that line.
-	var probe struct {
-		Format int `json:"format"`
-	}
-	if json.NewDecoder(bytes.NewReader(data)).Decode(&probe) == nil && probe.Format != CheckpointFormat {
-		return nil, formatError(probe.Format)
-	}
-	header, rest, ok := bytes.Cut(data, []byte{'\n'})
-	if !ok {
-		return nil, errors.New("no complete header line")
-	}
-	ck, err := decodeHeader(header)
-	if err != nil {
-		return nil, err
-	}
-	for n := 2; ; n++ {
-		line, next, ok := bytes.Cut(rest, []byte{'\n'})
+// DecodeJournal consumes the complete lines at the start of data into
+// ck and returns the checkpoint and the number of bytes consumed. With
+// a nil ck, data starts at the journal's first byte and the header line
+// comes first; otherwise data starts where an earlier call stopped. A
+// final line without its newline is left unconsumed: it is torn, or
+// still being appended. When c is non-nil, the header must match
+// (c, seed) and every trial line must be a partial of c's scenario, so
+// the checkpoint is ready for MergeScenario after every call. On error
+// the checkpoint is nil.
+func DecodeJournal(ck *Checkpoint, data []byte, c *Campaign, seed uint64) (*Checkpoint, int, error) {
+	off := 0
+	for {
+		line, _, ok := bytes.Cut(data[off:], []byte{'\n'})
 		if !ok {
-			break // empty, or a torn final line whose append never completed
+			return ck, off, nil
 		}
-		if err := ck.addLine(line, nil); err != nil {
-			return nil, fmt.Errorf("line %d: %w", n, err)
+		var err error
+		if ck == nil {
+			if ck, err = decodeHeader(line, data); err == nil && c != nil {
+				err = ck.ValidateAgainst(*c, seed)
+			}
+		} else if err = ck.addLine(line, c); err != nil {
+			// Each line before this one added one trial.
+			err = fmt.Errorf("line %d: %w", ck.Completed()+2, err)
 		}
-		rest = next
+		if err != nil {
+			return nil, off, err
+		}
+		off += len(line) + 1
 	}
-	return ck, nil
 }
 
 func formatError(format int) error {
@@ -154,20 +159,18 @@ func formatError(format int) error {
 	return fmt.Errorf("checkpoint format %d; this build reads format %d", format, CheckpointFormat)
 }
 
-// DecodeJournalHeader decodes a journal's first line into a checkpoint
-// that holds no trials yet; AddJournalLine then adds the trial lines.
-// Together they let a reader follow a journal as it grows.
-func DecodeJournalHeader(line []byte) (*Checkpoint, error) {
-	ck, err := decodeHeader(line)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: checkpoint journal header: %w", err)
-	}
-	return ck, nil
-}
-
-func decodeHeader(line []byte) (*Checkpoint, error) {
+// decodeHeader decodes a journal's first line, the start of data.
+func decodeHeader(line, data []byte) (*Checkpoint, error) {
 	var h journalHeader
 	if err := decodeStrict(line, &h); err != nil {
+		// A format-1 sidecar is one indented JSON object whose first
+		// line is "{": name its format rather than fail on that line.
+		var probe struct {
+			Format int `json:"format"`
+		}
+		if json.NewDecoder(bytes.NewReader(data)).Decode(&probe) == nil && probe.Format != CheckpointFormat {
+			return nil, formatError(probe.Format)
+		}
 		return nil, fmt.Errorf("header: %w", err)
 	}
 	if h.Format != CheckpointFormat {
@@ -215,18 +218,6 @@ func (ck *Checkpoint) addLine(line []byte, c *Campaign) error {
 		}
 	}
 	sc.Trials[t.Replication] = t.Result
-	return nil
-}
-
-// AddJournalLine decodes one complete trial line into ck, a checkpoint
-// from DecodeJournalHeader that has passed ValidateAgainst for c. The
-// line is held to the checks ValidateAgainst applies to each partial,
-// and a replication already present is an error, so ck stays valid for
-// MergeScenario after every call.
-func (ck *Checkpoint) AddJournalLine(c Campaign, line []byte) error {
-	if err := ck.addLine(line, &c); err != nil {
-		return fmt.Errorf("fleet: checkpoint journal: %w", err)
-	}
 	return nil
 }
 

@@ -21,7 +21,8 @@ import (
 // Service defaults.
 const (
 	DefaultQueueDepth = 4
-	DefaultRetryAfter = 2 * time.Second
+	// retryAfter is the hint sent with 429 responses.
+	retryAfter = 2 * time.Second
 	// maxSubmitBytes caps a POST /campaigns body; a larger one is
 	// answered 413 before it is buffered. The largest preset,
 	// e17-redteam, encodes to about 16 KB.
@@ -52,11 +53,6 @@ type ServiceConfig struct {
 	HeartbeatTimeout time.Duration
 	AttemptDeadline  time.Duration
 	MaxShardRetries  int
-	BackoffBase      time.Duration
-	BackoffMax       time.Duration
-	// RetryAfter is the hint sent with 429 responses; <= 0 means
-	// DefaultRetryAfter.
-	RetryAfter time.Duration
 	// EnablePprof mounts net/http/pprof under /debug/pprof/. Opt-in:
 	// profiles expose internals, so a production fleetd keeps them off
 	// unless explicitly asked (fleetd -pprof).
@@ -143,9 +139,6 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	if cfg.DefaultShards <= 0 {
 		cfg.DefaultShards = DefaultShards
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = DefaultRetryAfter
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -215,8 +208,6 @@ func (s *Service) runJob(jb *job) {
 		HeartbeatTimeout: s.cfg.HeartbeatTimeout,
 		AttemptDeadline:  s.cfg.AttemptDeadline,
 		MaxShardRetries:  s.cfg.MaxShardRetries,
-		BackoffBase:      s.cfg.BackoffBase,
-		BackoffMax:       s.cfg.BackoffMax,
 		Drain:            s.drainC,
 		Status:           jb.status,
 		Metrics:          s.reg,
@@ -342,18 +333,9 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if shards <= 0 {
 		shards = s.cfg.DefaultShards
 	}
-	if sub.Faults != nil {
-		if err := sub.Faults.Validate(c); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-			return
-		}
-		for _, sf := range sub.Faults.Shards {
-			if sf.Shard >= shards {
-				writeJSON(w, http.StatusBadRequest, map[string]string{
-					"error": fmt.Sprintf("fault targets shard %d but the campaign runs %d shards", sf.Shard, shards)})
-				return
-			}
-		}
+	if err := checkFaults(sub.Faults, c, shards); err != nil {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		return
 	}
 
 	// Admission happens under the service lock so draining and a full
@@ -384,11 +366,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Queue full: backpressure, with a hint. The id was burned;
 		// ids are cheap.
 		s.mu.Unlock()
-		secs := int(s.cfg.RetryAfter / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
 		writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": "campaign queue is full; retry later"})
 		return
 	}

@@ -54,7 +54,7 @@ func metricValue(t *testing.T, scrape, name string) float64 {
 // Prometheus text form, and campaign counters increase monotonically
 // across campaigns — the contract the CI scrape gate curls for.
 func TestServiceMetricsEndpoint(t *testing.T) {
-	svc, err := NewService(ServiceConfig{Dir: t.TempDir(), BackoffBase: time.Millisecond, Logf: t.Logf})
+	svc, err := NewService(ServiceConfig{Dir: t.TempDir(), Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestServiceMetricsEndpoint(t *testing.T) {
 		t.Errorf("fleetd_queue_depth = %v, want 0 at idle", got)
 	}
 	trials := float64(fleet.MustPreset("smoke").Trials())
-	// The killed shard's completed trial is restored from its sidecar,
+	// The killed shard's completed trial is restored from its journal,
 	// not re-executed, so completed-by-this-process still equals the
 	// campaign's trial count.
 	if got := metricValue(t, body, "fleet_trials_completed_total"); got != trials {

@@ -76,9 +76,8 @@ func pollDone(t *testing.T, url, id string) string {
 // plan, and the fetched bytes equal a clean 1-process run's.
 func TestServiceSubmitPollFetch(t *testing.T) {
 	svc, err := NewService(ServiceConfig{
-		Dir:         t.TempDir(),
-		BackoffBase: time.Millisecond,
-		Logf:        t.Logf,
+		Dir:  t.TempDir(),
+		Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +169,6 @@ func TestServiceBackpressureAndDrain(t *testing.T) {
 		QueueDepth:  1,
 		Concurrency: 1,
 		Dir:         t.TempDir(),
-		RetryAfter:  3 * time.Second,
 		Logf:        t.Logf,
 	})
 	if err != nil {
@@ -197,8 +195,8 @@ func TestServiceBackpressureAndDrain(t *testing.T) {
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("third submit: %d %v, want 429", code, out)
 	}
-	if ra := hdr.Get("Retry-After"); ra != "3" {
-		t.Errorf("Retry-After = %q, want \"3\"", ra)
+	if ra := hdr.Get("Retry-After"); ra != "2" {
+		t.Errorf("Retry-After = %q, want the default \"2\"", ra)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)

@@ -2,13 +2,10 @@ package shard
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/fleet"
@@ -23,8 +20,16 @@ const (
 	DefaultShards           = 2
 	DefaultHeartbeatTimeout = 10 * time.Second
 	DefaultShardRetries     = 2
-	DefaultBackoffBase      = 100 * time.Millisecond
-	DefaultBackoffMax       = 5 * time.Second
+)
+
+const (
+	// Failed attempt k is retried after min(backoffBase·2^(k-1),
+	// backoffMax).
+	backoffBase = 100 * time.Millisecond
+	backoffMax  = 5 * time.Second
+	// wakeEvery is the supervision loop's tick: the journals' read
+	// cadence, and the resolution of heartbeats, deadlines and backoffs.
+	wakeEvery = 25 * time.Millisecond
 )
 
 // Options configures Supervise.
@@ -63,10 +68,6 @@ type Options struct {
 	// counted failures. 0 means DefaultShardRetries; negative disables
 	// retries.
 	MaxShardRetries int
-	// BackoffBase/BackoffMax shape the exponential retry backoff:
-	// attempt k sleeps min(BackoffBase·2^(k-1), BackoffMax).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// Drain, when closed, gracefully stops the campaign: running
 	// attempts are drained (they checkpoint), no retries launch, and
 	// Supervise returns *DrainedError.
@@ -139,38 +140,51 @@ func (e *DrainedError) Error() string {
 	return fmt.Sprintf("shard: campaign drained before completion (shard journals preserved in %s)", e.Dir)
 }
 
-// errDrained flows from the monitor to the shard loop; it never
-// escapes Supervise (it becomes *DrainedError).
-var errDrained = errors.New("drained")
+// shardState is one shard's supervision state. Only run's goroutine
+// touches it.
+type shardState struct {
+	state   string    // as in ShardStatus.State; "" until the first launch
+	attempt int       // attempts launched so far
+	att     Attempt   // the live attempt; nil between attempts
+	start   time.Time // when att launched
+	grew    time.Time // the journal's last growth; the launch instant counts
+	killed  error     // why the supervisor killed att, if it did
+	retryAt time.Time // when a shard in backoff may launch again
+	fails   []fleet.TrialFailure
+	tail    journalTail
+}
 
-// shardOutcome is one shard's terminal state.
-type shardOutcome struct {
-	ck       *fleet.Checkpoint // final journal; best-effort (possibly nil) when degraded/drained
-	degraded bool
-	drained  bool
-	fails    []fleet.TrialFailure
+// settled reports whether the shard has reached a terminal state.
+func (sh *shardState) settled() bool {
+	return sh.state == "done" || sh.state == "degraded" || sh.state == "drained"
 }
 
 // supervisor carries Supervise's per-campaign state.
 type supervisor struct {
-	c     fleet.Campaign
-	opt   Options
-	plan  []Assignment
-	drain <-chan struct{}
-	m     shardMetrics
+	c        fleet.Campaign
+	opt      Options
+	plan     []Assignment
+	m        shardMetrics
+	shards   []shardState
+	draining bool
+	// exited receives a shard's index when its attempt ends. A shard
+	// has at most one live attempt, so a buffer of one per shard means
+	// an exit forwarder never blocks.
+	exited chan int
 
 	campPath   string
 	faultsPath string
-
-	// tails follow the shards' journals. Only run's goroutine reads
-	// them; it stamps each shard's growth (UnixNano) in live for the
-	// monitors.
-	tails []journalTail
-	live  []atomic.Int64
 }
 
 // Supervise runs the campaign as opt.Shards supervised shard workers
 // and returns the merged result.
+//
+// One goroutine supervises every shard. It launches the attempts, then
+// wakes on an attempt's exit, on Drain and every 25 ms. On each wake it
+// reads what every live journal gained, kills an attempt whose journal
+// has been silent past HeartbeatTimeout or that is past
+// AttemptDeadline, relaunches shards whose backoff has run out, and
+// streams the scenarios that are now covered.
 //
 // Failure model: a shard whose attempt dies (process death, soft
 // kill), wedges (its journal stops growing), or overruns its deadline
@@ -198,11 +212,8 @@ func Supervise(c fleet.Campaign, opt Options) (*fleet.CampaignResult, error) {
 	if opt.HeartbeatTimeout <= 0 {
 		opt.HeartbeatTimeout = DefaultHeartbeatTimeout
 	}
-	if opt.BackoffBase <= 0 {
-		opt.BackoffBase = DefaultBackoffBase
-	}
-	if opt.BackoffMax <= 0 {
-		opt.BackoffMax = DefaultBackoffMax
+	if opt.MaxShardRetries == 0 {
+		opt.MaxShardRetries = DefaultShardRetries
 	}
 	if opt.Launcher == nil {
 		opt.Launcher = InProc{}
@@ -210,25 +221,14 @@ func Supervise(c fleet.Campaign, opt Options) (*fleet.CampaignResult, error) {
 	if opt.Logf == nil {
 		opt.Logf = func(string, ...any) {}
 	}
-	if opt.Faults != nil {
-		if err := opt.Faults.Validate(c); err != nil {
-			return nil, err
-		}
-		for _, sf := range opt.Faults.Shards {
-			if sf.Shard >= opt.Shards {
-				return nil, fmt.Errorf("shard: fault targets shard %d but the campaign runs %d shards", sf.Shard, opt.Shards)
-			}
-		}
+	if err := checkFaults(opt.Faults, c, opt.Shards); err != nil {
+		return nil, err
 	}
 	plan, err := Plan(c, opt.Shards)
 	if err != nil {
 		return nil, err
 	}
-	s := &supervisor{c: c, opt: opt, plan: plan, drain: opt.Drain, m: newShardMetrics(opt.Metrics),
-		tails: make([]journalTail, len(plan)), live: make([]atomic.Int64, len(plan))}
-	if s.drain == nil {
-		s.drain = make(chan struct{}) // never closes
-	}
+	s := &supervisor{c: c, opt: opt, plan: plan, m: newShardMetrics(opt.Metrics), shards: make([]shardState, len(plan))}
 	if opt.Status != nil {
 		opt.Status.init(opt.Shards)
 	}
@@ -236,6 +236,23 @@ func Supervise(c fleet.Campaign, opt Options) (*fleet.CampaignResult, error) {
 		return nil, err
 	}
 	return s.run()
+}
+
+// checkFaults rejects a fault plan that does not fit the campaign or
+// targets a shard past the count it runs under.
+func checkFaults(p *fleet.FaultPlan, c fleet.Campaign, shards int) error {
+	if p == nil {
+		return nil
+	}
+	if err := p.Validate(c); err != nil {
+		return err
+	}
+	for _, sf := range p.Shards {
+		if sf.Shard >= shards {
+			return fmt.Errorf("shard: fault targets shard %d but the campaign runs %d shards", sf.Shard, shards)
+		}
+	}
+	return nil
 }
 
 // writeInputs persists the campaign (and fault plan) to Dir so exec
@@ -263,57 +280,56 @@ func (s *supervisor) writeInputs() error {
 	return nil
 }
 
-func (s *supervisor) sidecarPath(i int) string {
+func (s *supervisor) journalPath(i int) string {
 	return filepath.Join(s.opt.Dir, fmt.Sprintf("shard-%d.ck.json", i))
 }
 
-// run launches the shard loops and streams merged scenarios as
-// coverage completes.
+// run is the supervision loop. It returns once every shard is done,
+// degraded or drained; by then every attempt's exit has been received,
+// so no goroutine outlives it.
 func (s *supervisor) run() (*fleet.CampaignResult, error) {
-	type shardDone struct {
-		i   int
-		out shardOutcome
+	s.exited = make(chan int, len(s.shards))
+	drain := s.opt.Drain
+	select {
+	case <-drain: // a drain that fired before launch launches nothing
+		drain = nil
+		s.beginDrain()
+	default:
 	}
-	results := make(chan shardDone, len(s.plan))
-	for i := range s.plan {
-		go func(i int) { results <- shardDone{i, s.superviseShard(i)} }(i)
-	}
-
-	outcomes := make([]*shardOutcome, len(s.plan))
+	tick := time.NewTicker(wakeEvery)
+	defer tick.Stop()
 	merged := make([]*fleet.ScenarioResult, len(s.c.Scenarios))
 	next := 0
-	pending := len(s.plan)
-	// The scanner wakes on every shard completion and on a slow tick:
-	// periodic appends let a scenario's coverage complete long before
-	// any shard exits, and the tick picks them up.
-	tick := time.NewTicker(100 * time.Millisecond)
-	defer tick.Stop()
-	for pending > 0 {
-		changed := false
-		select {
-		case r := <-results:
-			outcomes[r.i] = &r.out
-			s.tails[r.i] = journalTail{} // the outcome's checkpoint supersedes it
-			pending--
-			changed = true
-		case <-tick.C:
+	changed := false
+	for {
+		if s.poll() || changed {
+			next, _ = s.advance(merged, next)
+			changed = false
 		}
-		if s.poll(outcomes) || changed {
-			next, _ = s.advance(outcomes, merged, next, false)
+		if s.settled() {
+			break
+		}
+		select {
+		case i := <-s.exited:
+			s.exit(i)
+			changed = true
+		case <-drain:
+			drain = nil
+			s.beginDrain()
+		case <-tick.C:
 		}
 	}
 
-	for _, out := range outcomes {
-		if out.drained {
+	for i := range s.shards {
+		if s.shards[i].state == "drained" {
 			return nil, &DrainedError{Dir: s.opt.Dir}
 		}
 	}
-	if next, err := s.advance(outcomes, merged, next, true); err != nil {
+	if next, err := s.advance(merged, next); err != nil {
 		return nil, fmt.Errorf("shard: scenario %q could not be merged from the shard journals: %w", s.c.Scenarios[next].Name, err)
 	}
-
 	res := &fleet.CampaignResult{Campaign: s.c.Name, Seed: s.opt.Seed, Scenarios: merged}
-	res.TrialFailures = gatherFailures(s.c, outcomes)
+	res.TrialFailures = gatherFailures(s.c, s.shards)
 	return res, nil
 }
 
@@ -321,47 +337,185 @@ func (s *supervisor) run() (*fleet.CampaignResult, error) {
 // the reduction through this package.
 var MergeCheckpoints = fleet.MergeCheckpoints
 
-// poll reads what every running shard's journal gained since the
-// last call and stamps the growth for the monitors; true when any grew.
-func (s *supervisor) poll(outcomes []*shardOutcome) bool {
-	grew := false
-	for i := range s.tails {
-		if outcomes[i] != nil || !s.readJournal(i) {
-			continue
+// settled reports whether every shard has reached a terminal state.
+func (s *supervisor) settled() bool {
+	for i := range s.shards {
+		if !s.shards[i].settled() {
+			return false
 		}
-		grew = true
-		s.live[i].Store(time.Now().UnixNano())
-		n := s.tails[i].ck.Completed()
-		s.opt.Status.set(i, func(st *ShardStatus) { st.Completed = n })
+	}
+	return true
+}
+
+// setState records shard i's state, for the loop and for Status.
+func (s *supervisor) setState(i int, state string) {
+	sh := &s.shards[i]
+	sh.state = state
+	s.opt.Status.set(i, func(st *ShardStatus) { st.State, st.Attempt = state, sh.attempt })
+}
+
+// poll reads what every live journal gained, stamps the growth, kills
+// the attempts that are wedged or past their deadline, and launches
+// every shard that is due; true when a journal grew.
+func (s *supervisor) poll() bool {
+	now := time.Now()
+	grew := false
+	for i := range s.shards {
+		sh := &s.shards[i]
+		switch {
+		case sh.att != nil:
+			if s.readJournal(i) {
+				sh.grew, grew = now, true
+			}
+			s.watch(i, now)
+		case !sh.settled() && !now.Before(sh.retryAt):
+			s.launch(i)
+		}
 	}
 	return grew
 }
 
-// advance merges scenarios [next, …) whose replications are fully
-// covered — by terminal shards' final journals and live shards'
-// growing ones — emitting each exactly once, in ascending order, and
-// returns the first unmerged scenario with the reason it could not be
-// merged (nil once all are). Degraded gap-filling is only allowed once
-// every shard is terminal (final=true, or all outcomes present): until
-// then a missing replication means "not yet", not "never".
-func (s *supervisor) advance(outcomes []*shardOutcome, merged []*fleet.ScenarioResult, next int, final bool) (int, error) {
-	allDone := true
-	anyDegraded := false
-	cks := make([]*fleet.Checkpoint, 0, len(s.plan))
-	for i, out := range outcomes {
-		if out == nil {
-			allDone = false
-			if ck := s.tails[i].ck; ck != nil {
-				cks = append(cks, ck)
-			}
-			continue
+// watch kills shard i's attempt when its journal has been silent for
+// HeartbeatTimeout or it has overrun AttemptDeadline. A slow attempt
+// whose journal still grows is left alone, and so is one draining.
+func (s *supervisor) watch(i int, now time.Time) {
+	sh := &s.shards[i]
+	if sh.killed != nil || s.draining {
+		return
+	}
+	switch stale := now.Sub(sh.grew); {
+	case stale > s.opt.HeartbeatTimeout:
+		s.opt.Logf("shard %d: journal silent for %v; killing", i, stale.Round(time.Millisecond))
+		s.m.heartbeatStalls.Inc()
+		sh.killed = fmt.Errorf("journal stalled for %v (wedged)", stale.Round(time.Millisecond))
+	case s.opt.AttemptDeadline > 0 && now.Sub(sh.start) > s.opt.AttemptDeadline:
+		s.opt.Logf("shard %d: attempt deadline %v exceeded; killing", i, s.opt.AttemptDeadline)
+		s.m.deadlineKills.Inc()
+		sh.killed = fmt.Errorf("attempt deadline %v exceeded", s.opt.AttemptDeadline)
+	default:
+		return
+	}
+	sh.att.Kill()
+}
+
+// launch starts shard i's next attempt, resuming from its journal.
+func (s *supervisor) launch(i int) {
+	sh := &s.shards[i]
+	sh.attempt++
+	s.setState(i, "running")
+	// On attempt 1 this picks up a journal already in Dir. The tail's
+	// checkpoint is the attempt's resume state, and it is never mutated
+	// again: the attempt replaces the journal, a new inode, so the tail
+	// starts a fresh checkpoint.
+	s.readJournal(i)
+	resume := sh.tail.ck
+	if resume != nil {
+		s.opt.Logf("shard %d attempt %d: resuming from journal (%d trials done)", i, sh.attempt, resume.Completed())
+	}
+	s.m.attempts.Inc()
+	att, err := s.opt.Launcher.Launch(AttemptSpec{
+		Campaign:        s.c,
+		CampaignPath:    s.campPath,
+		Seed:            s.opt.Seed,
+		Workers:         s.opt.Workers,
+		Shard:           s.plan[i],
+		Shards:          len(s.plan),
+		Attempt:         sh.attempt,
+		CheckpointPath:  s.journalPath(i),
+		CheckpointEvery: s.opt.CheckpointEvery,
+		Resume:          resume,
+		Faults:          s.opt.Faults,
+		FaultsPath:      s.faultsPath,
+		FailuresPath:    filepath.Join(s.opt.Dir, fmt.Sprintf("shard-%d.failures.json", i)),
+		Metrics:         s.opt.Metrics,
+	})
+	if err != nil {
+		s.fail(i, fmt.Errorf("launch: %w", err))
+		return
+	}
+	now := time.Now()
+	sh.att, sh.start, sh.grew, sh.killed = att, now, now, nil
+	go func() { <-att.Done(); s.exited <- i }()
+}
+
+// exit settles shard i's attempt once it has ended. A clean exit counts
+// as success only if the journal covers the shard's ranges.
+func (s *supervisor) exit(i int) {
+	sh := &s.shards[i]
+	att := sh.att
+	sh.att = nil
+	sh.fails = append(sh.fails, att.Failures()...)
+	s.readJournal(i) // the attempt's last lines
+	err := sh.killed
+	if err == nil {
+		err = att.Err()
+	}
+	switch {
+	case s.draining:
+		s.setState(i, "drained")
+	case err != nil:
+		s.fail(i, err)
+	case !s.covers(i):
+		// A clean exit without full coverage is a worker bug, but the
+		// supervisor treats it like any other failure: retry.
+		s.fail(i, fmt.Errorf("exited cleanly but the journal does not cover the shard's ranges"))
+	default:
+		s.setState(i, "done")
+	}
+}
+
+// fail schedules shard i's next attempt after its backoff or, once the
+// retry budget is spent, degrades the shard to counted failures: the
+// sibling scenarios and every trial it DID checkpoint are kept, and
+// only its still-missing trials become failures.
+func (s *supervisor) fail(i int, err error) {
+	sh := &s.shards[i]
+	s.opt.Logf("shard %d attempt %d failed: %v", i, sh.attempt, err)
+	if sh.attempt <= s.opt.MaxShardRetries {
+		d := backoffBase << uint(sh.attempt-1)
+		if d > backoffMax || d <= 0 {
+			d = backoffMax
 		}
-		anyDegraded = anyDegraded || out.degraded
-		if out.ck != nil {
-			cks = append(cks, out.ck)
+		sh.retryAt = time.Now().Add(d)
+		s.m.backoffs.Inc()
+		s.setState(i, "backoff")
+		return
+	}
+	s.opt.Logf("shard %d: retry budget exhausted; degrading missing trials to counted failures", i)
+	s.m.degraded.Inc()
+	s.setState(i, "degraded")
+}
+
+// beginDrain drains every live attempt and marks every shard not
+// running drained: no attempt launches after a drain.
+func (s *supervisor) beginDrain() {
+	s.draining = true
+	for i := range s.shards {
+		sh := &s.shards[i]
+		switch {
+		case sh.att != nil:
+			s.opt.Logf("shard %d: draining", i)
+			sh.att.Drain()
+		case !sh.settled():
+			s.setState(i, "drained")
 		}
 	}
-	degrade := (final || allDone) && anyDegraded
+}
+
+// advance merges scenarios [next, …) whose replications are fully
+// covered by the shards' journals, emitting each exactly once, in
+// ascending order, and returns the first unmerged scenario with the
+// reason it could not be merged (nil once all are). Degraded
+// gap-filling is only allowed once every shard is settled: until then
+// a missing replication means "not yet", not "never".
+func (s *supervisor) advance(merged []*fleet.ScenarioResult, next int) (int, error) {
+	cks := make([]*fleet.Checkpoint, len(s.shards))
+	degrade := false
+	for i := range s.shards {
+		cks[i] = s.shards[i].tail.ck
+		degrade = degrade || s.shards[i].state == "degraded"
+	}
+	degrade = degrade && s.settled()
 	for ; next < len(s.c.Scenarios); next++ {
 		agg, err := fleet.MergeScenario(s.c, cks, next, degrade)
 		if err != nil {
@@ -375,164 +529,13 @@ func (s *supervisor) advance(outcomes []*shardOutcome, merged []*fleet.ScenarioR
 	return next, nil
 }
 
-// superviseShard is one shard's attempt loop: launch, monitor, and on
-// failure resume from the journal with exponential backoff until the
-// retry budget is spent.
-func (s *supervisor) superviseShard(i int) shardOutcome {
-	maxAttempts := s.opt.MaxShardRetries + 1
-	switch {
-	case s.opt.MaxShardRetries == 0:
-		maxAttempts = DefaultShardRetries + 1
-	case s.opt.MaxShardRetries < 0:
-		maxAttempts = 1
-	}
-	var fails []fleet.TrialFailure
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		select {
-		case <-s.drain:
-			s.opt.Status.set(i, func(st *ShardStatus) { st.State = "drained" })
-			return shardOutcome{ck: s.loadSidecar(i), drained: true, fails: fails}
-		default:
-		}
-		s.opt.Status.set(i, func(st *ShardStatus) { st.State, st.Attempt = "running", attempt })
-		resume := s.loadSidecar(i)
-		if resume != nil {
-			s.opt.Logf("shard %d attempt %d: resuming from sidecar (%d trials done)", i, attempt, resume.Completed())
-		}
-		s.m.attempts.Inc()
-		att, err := s.opt.Launcher.Launch(AttemptSpec{
-			Campaign:        s.c,
-			CampaignPath:    s.campPath,
-			Seed:            s.opt.Seed,
-			Workers:         s.opt.Workers,
-			Shard:           s.plan[i],
-			Shards:          len(s.plan),
-			Attempt:         attempt,
-			CheckpointPath:  s.sidecarPath(i),
-			CheckpointEvery: s.opt.CheckpointEvery,
-			Resume:          resume,
-			Faults:          s.opt.Faults,
-			FaultsPath:      s.faultsPath,
-			FailuresPath:    filepath.Join(s.opt.Dir, fmt.Sprintf("shard-%d.failures.json", i)),
-			Metrics:         s.opt.Metrics,
-		})
-		var attErr error
-		if err != nil {
-			attErr = fmt.Errorf("launch: %w", err)
-		} else {
-			attErr = s.monitor(i, att)
-			fails = append(fails, att.Failures()...)
-			if errors.Is(attErr, errDrained) {
-				s.opt.Status.set(i, func(st *ShardStatus) { st.State = "drained" })
-				return shardOutcome{ck: s.loadSidecar(i), drained: true, fails: fails}
-			}
-		}
-		if attErr == nil {
-			ck := s.loadSidecar(i)
-			if ck != nil && s.covers(ck, i) {
-				s.opt.Status.set(i, func(st *ShardStatus) { st.State, st.Completed = "done", ck.Completed() })
-				return shardOutcome{ck: ck, fails: fails}
-			}
-			// A clean exit without full coverage is a worker bug, but
-			// the supervisor treats it like any other failure: retry.
-			attErr = fmt.Errorf("exited cleanly but the journal does not cover the shard's ranges")
-		}
-		s.opt.Logf("shard %d attempt %d failed: %v", i, attempt, attErr)
-		if attempt < maxAttempts {
-			s.opt.Status.set(i, func(st *ShardStatus) { st.State = "backoff" })
-			s.m.backoffs.Inc()
-			if !s.backoff(attempt) {
-				s.opt.Status.set(i, func(st *ShardStatus) { st.State = "drained" })
-				return shardOutcome{ck: s.loadSidecar(i), drained: true, fails: fails}
-			}
-		}
-	}
-	// Retry budget spent: degrade to counted failures. The sibling
-	// scenarios and every trial this shard DID checkpoint are kept —
-	// only the still-missing trials become failures.
-	s.opt.Logf("shard %d: retry budget exhausted; degrading missing trials to counted failures", i)
-	s.m.degraded.Inc()
-	s.opt.Status.set(i, func(st *ShardStatus) { st.State = "degraded" })
-	return shardOutcome{ck: s.loadSidecar(i), degraded: true, fails: fails}
-}
-
-// monitor watches one attempt: completion, journal staleness,
-// deadline, drain. The launch instant counts as growth, so an attempt
-// gets a full heartbeat window to create its journal and finish its
-// first batch. On staleness or deadline the attempt is killed and the
-// error reported for retry.
-func (s *supervisor) monitor(i int, att Attempt) error {
-	start := time.Now()
-	tick := time.NewTicker(25 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-att.Done():
-			return att.Err()
-		case <-s.drain:
-			s.opt.Logf("shard %d: draining", i)
-			att.Drain()
-			<-att.Done()
-			return errDrained
-		case <-tick.C:
-			last := start
-			if t := time.Unix(0, s.live[i].Load()); t.After(last) {
-				last = t
-			}
-			if stale := time.Since(last); stale > s.opt.HeartbeatTimeout {
-				s.opt.Logf("shard %d: journal silent for %v; killing", i, stale.Round(time.Millisecond))
-				s.m.heartbeatStalls.Inc()
-				att.Kill()
-				<-att.Done()
-				return fmt.Errorf("journal stalled for %v (wedged)", stale.Round(time.Millisecond))
-			}
-			if s.opt.AttemptDeadline > 0 && time.Since(start) > s.opt.AttemptDeadline {
-				s.opt.Logf("shard %d: attempt deadline %v exceeded; killing", i, s.opt.AttemptDeadline)
-				s.m.deadlineKills.Inc()
-				att.Kill()
-				<-att.Done()
-				return fmt.Errorf("attempt deadline %v exceeded", s.opt.AttemptDeadline)
-			}
-		}
-	}
-}
-
-// backoff sleeps min(base·2^(attempt-1), max); false means the drain
-// fired instead.
-func (s *supervisor) backoff(attempt int) bool {
-	d := s.opt.BackoffBase << uint(attempt-1)
-	if d > s.opt.BackoffMax || d <= 0 {
-		d = s.opt.BackoffMax
-	}
-	select {
-	case <-time.After(d):
-		return true
-	case <-s.drain:
+// covers reports whether shard i's journal holds every trial in its
+// assignment.
+func (s *supervisor) covers(i int) bool {
+	ck := s.shards[i].tail.ck
+	if ck == nil {
 		return false
 	}
-}
-
-// loadSidecar reads shard i's checkpoint journal, returning nil for a
-// missing or invalid file — "nothing to resume", never fatal: the
-// worst case is recomputing trials, which is deterministic anyway.
-func (s *supervisor) loadSidecar(i int) *fleet.Checkpoint {
-	ck, err := fleet.LoadCheckpoint(s.sidecarPath(i))
-	if err != nil {
-		if !os.IsNotExist(err) {
-			s.opt.Logf("shard %d: ignoring unreadable journal: %v", i, err)
-		}
-		return nil
-	}
-	if err := ck.ValidateAgainst(s.c, s.opt.Seed); err != nil {
-		s.opt.Logf("shard %d: ignoring stale journal: %v", i, err)
-		return nil
-	}
-	return ck
-}
-
-// covers reports whether the checkpoint completed every trial in
-// shard i's assignment.
-func (s *supervisor) covers(ck *fleet.Checkpoint, i int) bool {
 	for si, r := range s.plan[i].Ranges {
 		for rep := r.Lo; rep < r.Hi; rep++ {
 			if ck.Trial(si, rep) == nil {
@@ -546,16 +549,14 @@ func (s *supervisor) covers(ck *fleet.Checkpoint, i int) bool {
 // gatherFailures flattens the shards' failure ledgers back into the
 // campaign's canonical trial-index order (then attempt order), so the
 // merged ledger is identical to a 1-process run's ordering.
-func gatherFailures(c fleet.Campaign, outcomes []*shardOutcome) []fleet.TrialFailure {
+func gatherFailures(c fleet.Campaign, shards []shardState) []fleet.TrialFailure {
 	idx := make(map[string]int, len(c.Scenarios))
 	for i, sc := range c.Scenarios {
 		idx[sc.Name] = i
 	}
 	var all []fleet.TrialFailure
-	for _, out := range outcomes {
-		if out != nil {
-			all = append(all, out.fails...)
-		}
+	for i := range shards {
+		all = append(all, shards[i].fails...)
 	}
 	sort.SliceStable(all, func(a, b int) bool {
 		if idx[all[a].Scenario] != idx[all[b].Scenario] {

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/obs"
 )
 
 // cleanJSON is the 1-process fleet.Run baseline every supervised run
@@ -42,7 +46,7 @@ func superviseJSON(t *testing.T, c fleet.Campaign, opt Options) []byte {
 // campaign under an active shard-level fault plan — abrupt kill,
 // heartbeat blackhole, slow shard — produces merged JSON
 // byte-identical to a clean 1-process run. Kill and blackhole force a
-// retry that resumes from the shard's own sidecar; slow proves a
+// retry that resumes from the shard's own journal; slow proves a
 // shard that still heartbeats is left alone.
 func TestSupervisedByteIdenticalUnderChaos(t *testing.T) {
 	camp := fleet.MustPreset("smoke")
@@ -62,7 +66,6 @@ func TestSupervisedByteIdenticalUnderChaos(t *testing.T) {
 				Shards: 2, Seed: 7, Dir: t.TempDir(),
 				Faults:           plan,
 				HeartbeatTimeout: 1500 * time.Millisecond,
-				BackoffBase:      time.Millisecond,
 				Status:           &status,
 				Logf:             t.Logf,
 			})
@@ -134,7 +137,7 @@ func TestShardRetryExhaustionDegrades(t *testing.T) {
 		}
 	}
 	// Scenario 0: all three reps really ran (rep 0 from the killed
-	// shard's sidecar) — bit-for-bit the clean aggregate.
+	// shard's journal) — bit-for-bit the clean aggregate.
 	got0, _ := json.Marshal(res.Scenarios[0])
 	want0, _ := json.Marshal(cleanRes.Scenarios[0])
 	if !bytes.Equal(got0, want0) {
@@ -182,7 +185,7 @@ func TestStreamingScenarioOrder(t *testing.T) {
 }
 
 // Drain stops a running campaign gracefully: shards checkpoint, the
-// supervisor reports *DrainedError, and the sidecars in Dir carry the
+// supervisor reports *DrainedError, and the journals in Dir carry the
 // completed trials.
 func TestSuperviseDrain(t *testing.T) {
 	camp := fleet.MustPreset("smoke")
@@ -213,5 +216,132 @@ func TestSuperviseDrain(t *testing.T) {
 	}
 	if de.Dir != dir {
 		t.Errorf("DrainedError names %q, want %q", de.Dir, dir)
+	}
+}
+
+// A journal already in Dir when the campaign starts is read before
+// attempt 1: a valid one for this campaign resumes, so the shard runs
+// fewer new trials than it owns; one from another seed, or garbage, is
+// ignored and the shard starts fresh. Every case merges to the clean
+// bytes on first attempts only.
+func TestSuperviseExistingJournals(t *testing.T) {
+	camp := fleet.MustPreset("smoke")
+	clean := cleanJSON(t, camp, 7)
+	plan, err := Plan(camp, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// shardJournal is shard 0's complete journal at the given seed.
+	shardJournal := func(seed uint64) []byte {
+		path := filepath.Join(t.TempDir(), "shard-0.ck.json")
+		sh := fleet.ShardRun{Index: 0, Count: 2, Ranges: plan[0].Ranges}
+		if _, _, err := fleet.RunShard(camp, fleet.Options{Workers: 1, Seed: seed, CheckpointPath: path, CheckpointEvery: 1}, sh); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	own := shardJournal(7)
+	header := bytes.IndexByte(own, '\n') + 1
+	oneTrial := own[:header+bytes.IndexByte(own[header:], '\n')+1]
+	for name, tc := range map[string]struct {
+		journal  []byte
+		restored int
+	}{
+		"same campaign": {oneTrial, 1},
+		"another seed":  {shardJournal(8), 0},
+		"garbage":       {[]byte("not json\n"), 0},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "shard-0.ck.json"), tc.journal, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			var status Status
+			got := superviseJSON(t, camp, Options{Shards: 2, Seed: 7, Dir: dir, Metrics: reg, Status: &status, Logf: t.Logf})
+			if !bytes.Equal(got, clean) {
+				t.Fatalf("supervised bytes differ from the clean 1-process run:\n%s\nvs\n%s", got, clean)
+			}
+			for _, st := range status.Snapshot() {
+				if st.State != "done" || st.Attempt != 1 {
+					t.Errorf("shard %d ended %q on attempt %d, want done on attempt 1", st.Shard, st.State, st.Attempt)
+				}
+			}
+			if n := reg.Counter("fleet_trials_restored_total", "").Value(); n != int64(tc.restored) {
+				t.Errorf("fleet_trials_restored_total = %d, want %d", n, tc.restored)
+			}
+			if n := reg.Counter("fleet_trials_completed_total", "").Value(); n != int64(camp.Trials()-tc.restored) {
+				t.Errorf("fleet_trials_completed_total = %d, want %d", n, camp.Trials()-tc.restored)
+			}
+		})
+	}
+}
+
+// A drain that fired before Supervise starts launches nothing: no
+// attempt is counted and every shard ends drained.
+func TestSuperviseDrainBeforeStart(t *testing.T) {
+	drain := make(chan struct{})
+	close(drain)
+	reg := obs.NewRegistry()
+	var status Status
+	_, err := Supervise(fleet.MustPreset("smoke"), Options{Shards: 2, Seed: 7, Dir: t.TempDir(), Drain: drain, Metrics: reg, Status: &status})
+	var de *DrainedError
+	if !errors.As(err, &de) {
+		t.Fatalf("want DrainedError, got %v", err)
+	}
+	if n := reg.Counter("shard_attempts_total", "").Value(); n != 0 {
+		t.Errorf("shard_attempts_total = %d, want 0", n)
+	}
+	for _, st := range status.Snapshot() {
+		if st.State != "drained" {
+			t.Errorf("shard %d ended %q, want drained", st.Shard, st.State)
+		}
+	}
+}
+
+// Supervise leaves no goroutine behind, whether the campaign
+// completes, degrades or drains.
+func TestSuperviseLeaksNoGoroutine(t *testing.T) {
+	camp := fleet.MustPreset("smoke")
+	slow := &fleet.FaultPlan{Shards: []fleet.ShardFault{
+		{Shard: 0, Mode: fleet.ShardSlow, DelayMS: 40},
+		{Shard: 1, Mode: fleet.ShardSlow, DelayMS: 40},
+	}}
+	for name, opt := range map[string]Options{
+		"complete": {},
+		"degrade": {
+			Faults:          &fleet.FaultPlan{Shards: []fleet.ShardFault{{Shard: 0, Mode: fleet.ShardKill, AfterTrials: 1, Attempts: 99}}},
+			MaxShardRetries: -1,
+		},
+		"drain": {Faults: slow},
+	} {
+		t.Run(name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			opt.Shards, opt.Seed, opt.Dir, opt.Logf = 2, 7, t.TempDir(), t.Logf
+			if opt.Faults == slow {
+				drain := make(chan struct{})
+				opt.Drain = drain
+				time.AfterFunc(50*time.Millisecond, func() { close(drain) })
+			}
+			if _, err := Supervise(camp, opt); err != nil {
+				var de *DrainedError
+				if !errors.As(err, &de) {
+					t.Fatal(err)
+				}
+			}
+			// Attempt goroutines close Done just before they return.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > base {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("%d goroutines after Supervise, %d before:\n%s", n, base, buf[:runtime.Stack(buf, true)])
+			}
+		})
 	}
 }

@@ -1,20 +1,19 @@
 package shard
 
 import (
-	"bytes"
 	"os"
 
 	"repro/internal/fleet"
 )
 
-// journalTail is the supervisor's reader of one shard's checkpoint
+// journalTail is the supervisor's one reader of a shard's checkpoint
 // journal. It resumes from the byte offset it last consumed, so a read
 // costs only what the shard appended since, and it consumes complete
 // lines only: a batch caught mid-append is picked up whole by a later
 // read. When a new attempt has replaced the file — a different inode,
-// or a file shorter than what was consumed — it starts over from byte
-// 0. Every line is validated against the campaign as it is consumed,
-// so ck is always ready for fleet.MergeScenario.
+// or a file shorter than what was consumed — it starts a fresh
+// checkpoint from byte 0. Every line is validated against the campaign
+// as it is consumed, so ck is always ready for fleet.MergeScenario.
 type journalTail struct {
 	fi  os.FileInfo       // the file being followed; nil before the first read
 	off int64             // bytes consumed, complete lines only
@@ -26,8 +25,8 @@ type journalTail struct {
 // since the last call and reports whether there were any: the
 // journal's growth is the shard's liveness.
 func (s *supervisor) readJournal(i int) bool {
-	t := &s.tails[i]
-	f, err := os.Open(s.sidecarPath(i))
+	t := &s.shards[i].tail
+	f, err := os.Open(s.journalPath(i))
 	if err != nil {
 		return false // not created yet
 	}
@@ -44,22 +43,16 @@ func (s *supervisor) readJournal(i int) bool {
 	}
 	buf := make([]byte, fi.Size()-t.off)
 	n, _ := f.ReadAt(buf, t.off) // a short read leaves the rest for the next call
-	grew := false
-	for line, rest, ok := bytes.Cut(buf[:n], []byte{'\n'}); ok; line, rest, ok = bytes.Cut(rest, []byte{'\n'}) {
-		if t.ck == nil {
-			if t.ck, err = fleet.DecodeJournalHeader(line); err == nil {
-				err = t.ck.ValidateAgainst(s.c, s.opt.Seed)
-			}
-		} else {
-			err = t.ck.AddJournalLine(s.c, line)
-		}
-		if err != nil {
-			s.opt.Logf("shard %d: ignoring invalid journal: %v", i, err)
-			*t = journalTail{fi: fi, bad: true}
-			return false
-		}
-		t.off += int64(len(line)) + 1
-		grew = true
+	ck, used, err := fleet.DecodeJournal(t.ck, buf[:n], &s.c, s.opt.Seed)
+	if err != nil {
+		s.opt.Logf("shard %d: ignoring invalid journal: %v", i, err)
+		*t = journalTail{fi: fi, bad: true}
+		return false
 	}
-	return grew
+	t.ck, t.off = ck, t.off+int64(used)
+	if used == 0 {
+		return false
+	}
+	s.opt.Status.set(i, func(st *ShardStatus) { st.Completed = ck.Completed() })
+	return true
 }

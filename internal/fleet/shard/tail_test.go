@@ -30,8 +30,8 @@ func TestJournalTail(t *testing.T) {
 			ends = append(ends, i+1)
 		}
 	}
-	s := &supervisor{c: camp, opt: Options{Seed: 7, Dir: dir, Logf: t.Logf}, tails: make([]journalTail, 1)}
-	path, tail := s.sidecarPath(0), &s.tails[0]
+	s := &supervisor{c: camp, opt: Options{Seed: 7, Dir: dir, Logf: t.Logf}, shards: make([]shardState, 1)}
+	path, tail := s.journalPath(0), &s.shards[0].tail
 	if s.readJournal(0) {
 		t.Fatal("a missing journal grew")
 	}

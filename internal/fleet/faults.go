@@ -108,10 +108,9 @@ type FaultPlan struct {
 	// against its shard count.
 	Shards []ShardFault `json:"shards,omitempty"`
 	// KillAfterTrials interrupts the run — exactly like
-	// Options.Interrupt firing — once this many trials have been
-	// dispatched in this run. The count is enforced synchronously in
-	// the dispatch loop and in-flight trials drain, so exactly this
-	// many new trials complete: the deterministic stand-in for a
+	// Options.Interrupt firing — after this many new trials: only
+	// that many are queued, so exactly that many complete, and the
+	// run ends interrupted. The deterministic stand-in for a
 	// mid-campaign kill in the resume gates. 0 means never; a value
 	// >= the remaining trial count never fires.
 	KillAfterTrials int `json:"kill_after_trials,omitempty"`

@@ -3,8 +3,10 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -22,30 +24,36 @@ func TestDecodeFaultPlanRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// invalidFaultPlans are plans the smoke campaign must reject, each
+// with a fragment of the error it must give.
+var invalidFaultPlans = map[string]struct {
+	plan FaultPlan
+	want string
+}{
+	"unknown scenario":      {FaultPlan{Panics: []PanicFault{{Scenario: "nope", Replication: 0}}}, "unknown scenario"},
+	"replication range":     {FaultPlan{Panics: []PanicFault{{Scenario: "smoke/enhanced", Replication: 3}}}, "outside"},
+	"negative attempts":     {FaultPlan{Panics: []PanicFault{{Scenario: "smoke/enhanced", Attempts: -1}}}, "attempts"},
+	"unknown point":         {FaultPlan{Panics: []PanicFault{{Scenario: "smoke/enhanced", Point: "middle"}}}, "point"},
+	"zero-based ckpt write": {FaultPlan{CheckpointWrites: []int{0}}, "1-based"},
+	"negative delay":        {FaultPlan{Delays: []WorkerDelay{{Worker: 0, PerTrialMS: -5}}}, "negative"},
+	"negative kill":         {FaultPlan{KillAfterTrials: -1}, "kill_after_trials"},
+}
+
+// validFaultPlan is a plan the smoke campaign must accept.
+var validFaultPlan = FaultPlan{
+	Panics:           []PanicFault{{Scenario: "smoke/enhanced", Replication: 2, Attempts: 2, Point: PointBegin}},
+	CheckpointWrites: []int{1},
+	Delays:           []WorkerDelay{{Worker: 1, PerTrialMS: 1}},
+}
+
 func TestFaultPlanValidate(t *testing.T) {
 	camp := smokeCampaign()
-	for name, tc := range map[string]struct {
-		plan FaultPlan
-		want string
-	}{
-		"unknown scenario":      {FaultPlan{Panics: []PanicFault{{Scenario: "nope", Replication: 0}}}, "unknown scenario"},
-		"replication range":     {FaultPlan{Panics: []PanicFault{{Scenario: "smoke/enhanced", Replication: 3}}}, "outside"},
-		"negative attempts":     {FaultPlan{Panics: []PanicFault{{Scenario: "smoke/enhanced", Attempts: -1}}}, "attempts"},
-		"unknown point":         {FaultPlan{Panics: []PanicFault{{Scenario: "smoke/enhanced", Point: "middle"}}}, "point"},
-		"zero-based ckpt write": {FaultPlan{CheckpointWrites: []int{0}}, "1-based"},
-		"negative delay":        {FaultPlan{Delays: []WorkerDelay{{Worker: 0, PerTrialMS: -5}}}, "negative"},
-		"negative kill":         {FaultPlan{KillAfterTrials: -1}, "kill_after_trials"},
-	} {
+	for name, tc := range invalidFaultPlans {
 		if err := tc.plan.Validate(camp); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: want error containing %q, got %v", name, tc.want, err)
 		}
 	}
-	ok := FaultPlan{
-		Panics:           []PanicFault{{Scenario: "smoke/enhanced", Replication: 2, Attempts: 2, Point: PointBegin}},
-		CheckpointWrites: []int{1},
-		Delays:           []WorkerDelay{{Worker: 1, PerTrialMS: 1}},
-	}
-	if err := ok.Validate(camp); err != nil {
+	if err := validFaultPlan.Validate(camp); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
 	}
 	// Run must reject an invalid plan up front, not inject nothing.
@@ -115,7 +123,7 @@ func TestInjectedPanicTerminalDegradation(t *testing.T) {
 		t.Fatalf("a terminal trial failure must degrade, not abort: %v", err)
 	}
 
-	wantAttempts := DefaultTrialRetries + 1
+	wantAttempts := trialAttempts
 	if len(res.TrialFailures) != wantAttempts {
 		t.Fatalf("want %d recorded attempts, got %d", wantAttempts, len(res.TrialFailures))
 	}
@@ -152,18 +160,6 @@ func TestInjectedPanicTerminalDegradation(t *testing.T) {
 			t.Errorf("scenario %q perturbed by another scenario's terminal failure:\n%+v\nvs\n%+v",
 				s.Name, got, cleanRes.Scenarios[i])
 		}
-	}
-
-	// MaxTrialRetries < 0 disables retries: one attempt, immediately
-	// terminal.
-	res, err = Run(camp, Options{Workers: 1, Seed: 7, MaxTrialRetries: -1, Faults: &FaultPlan{
-		Panics: []PanicFault{{Scenario: "smoke/baseline", Replication: 0}},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.TrialFailures) != 1 || !res.TrialFailures[0].Terminal {
-		t.Errorf("retries disabled: want 1 terminal failure, got %+v", res.TrialFailures)
 	}
 }
 
@@ -267,4 +263,47 @@ func TestWorkerDelayWallClockOnly(t *testing.T) {
 	if !bytes.Equal(delayed, clean) {
 		t.Fatal("a worker delay changed the result bytes")
 	}
+}
+
+// FuzzDecodeFaultPlan: no input makes DecodeFaultPlan, Validate or
+// compileFaults panic. Whatever decodes is a plan, and a plan the
+// smoke campaign validates also compiles, for Run and for a shard. The
+// corpus is seeded from this file's plans and CI's stretch plan.
+func FuzzDecodeFaultPlan(f *testing.F) {
+	plans := []FaultPlan{validFaultPlan,
+		{KillAfterTrials: 2},
+		{CheckpointWrites: []int{2, 3}},
+		{Panics: []PanicFault{{Scenario: "smoke/baseline", Replication: 0, Attempts: 99}}},
+		{Shards: []ShardFault{{Shard: 0, Mode: ShardKill, AfterTrials: 1}, {Shard: 0, Mode: ShardBlackhole, AfterTrials: 2}, {Shard: 1, Mode: ShardSlow, DelayMS: 40, Attempts: 2}}},
+	}
+	for _, name := range slices.Sorted(maps.Keys(invalidFaultPlans)) {
+		plans = append(plans, invalidFaultPlans[name].plan)
+	}
+	for _, p := range plans {
+		data, err := json.Marshal(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"panics":[{"scenario":"smoke/enhanced","replication":1,"point":"begin"}],"kill_after_trials":3}`))
+	f.Add([]byte(`{"delays":[{"worker":0,"per_trial_ms":300},{"worker":1,"per_trial_ms":300}]}`))
+	camp := smokeCampaign()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := DecodeFaultPlan(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if p == nil {
+			t.Fatal("DecodeFaultPlan returned neither a plan nor an error")
+		}
+		if p.Validate(camp) != nil {
+			return
+		}
+		for _, sh := range []*ShardRun{nil, {Index: 0, Count: 1, Attempt: 1}} {
+			if _, err := compileFaults(p, camp, sh); err != nil {
+				t.Fatalf("a validated plan does not compile: %v\n%s", err, data)
+			}
+		}
+	})
 }

@@ -235,9 +235,9 @@ func decodeStrict(line []byte, v any) error {
 	return nil
 }
 
-// journalWriter is the append side of a run's checkpoint journal. The
-// checkpointer goroutine owns it; the main goroutine takes over for the
-// final flush, after the checkpointer is done.
+// journalWriter is the append side of a run's checkpoint journal. Only
+// execute's recording loop, on the goroutine that called Run or
+// RunShard, touches it, so it needs no lock.
 type journalWriter struct {
 	path string
 	f    *os.File // open for appends once the journal exists

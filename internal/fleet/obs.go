@@ -13,7 +13,10 @@ import (
 // BenchmarkTrialLifecycle's allocs/trial stay flat whether or not a
 // registry is wired (the obs package pins the handles' zero-alloc
 // guarantee; TestObsNeutralByteIdentity pins that enabling them
-// changes no output byte).
+// changes no output byte). Workers update the per-trial counters
+// (pool, panics, sched, attack, trial ticks) as they run; execute's
+// recording loop updates the completion and checkpoint ones. The
+// handles are atomic, so neither side takes a lock.
 
 // TrialTickBuckets is the fixed bucket layout of the
 // fleet_trial_ticks histogram: makespan in simulation ticks. Fixed at

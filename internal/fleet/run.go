@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"repro/internal/attack"
@@ -20,10 +19,9 @@ import (
 // checkpoint writes when Options.CheckpointEvery is unset.
 const DefaultCheckpointEvery = 8
 
-// DefaultTrialRetries is how many times a panicking trial is re-run
-// before it degrades to a counted failure, when Options.MaxTrialRetries
-// is unset.
-const DefaultTrialRetries = 2
+// trialAttempts is how many times a panicking trial runs — the first
+// attempt and two retries — before it degrades to a counted failure.
+const trialAttempts = 3
 
 // Options configures a campaign run.
 type Options struct {
@@ -61,16 +59,12 @@ type Options struct {
 	// trial-index order, so the final result is byte-identical to an
 	// uninterrupted run (see checkpoint.go for why).
 	ResumeFrom *Checkpoint
-	// Interrupt, when readable (closed or sent on), stops dispatching
-	// new trials: in-flight trials drain, a final checkpoint is
-	// written if CheckpointPath is set, and Run returns
-	// *InterruptedError instead of a result.
+	// Interrupt, when readable (closed or sent on), drops every queued
+	// trial: no new trial starts, in-flight trials drain, a final
+	// checkpoint is written if CheckpointPath is set, and Run returns
+	// *InterruptedError instead of a result. One that is readable
+	// before the run starts runs no trial.
 	Interrupt <-chan struct{}
-	// MaxTrialRetries bounds how many times a panicking trial is
-	// re-run — same (scenario, replication) stream seed, freshly
-	// built cluster — before it degrades to an explicit failure.
-	// 0 means DefaultTrialRetries; negative disables retries.
-	MaxTrialRetries int
 	// Faults is the chaos-injection plan (faults.go); nil injects
 	// nothing.
 	Faults *FaultPlan
@@ -78,8 +72,8 @@ type Options struct {
 	// (and its checkpoint write, if due) with the cumulative
 	// completed-trial count, restored trials included. A blackhole
 	// fault freezes these calls along with the checkpoint writes.
-	// Called from the checkpointer goroutine — keep it fast and do not
-	// call back into the run.
+	// Called from the goroutine that called Run or RunShard, between
+	// completions — keep it fast and do not call back into the run.
 	Progress func(completed int)
 	// Metrics, when non-nil, receives the run's fleet_* instrument
 	// catalogue (obs.go). Observability is strictly one-way: metrics
@@ -278,7 +272,7 @@ func (r *CampaignResult) Table() *metrics.Table {
 // under the identical stream seed on a quarantined-then-rebuilt
 // cluster up to the retry budget, then degrades to a counted failure;
 // a genuine error (infeasible submit, broken config) still aborts the
-// campaign; Interrupt stops dispatch, drains in-flight trials,
+// campaign; Interrupt drops the queued trials, drains in-flight ones,
 // checkpoints and returns *InterruptedError. Because restored
 // aggregates re-enter the reduction at their own trial index, a
 // resumed run's bytes equal an uninterrupted run's.
@@ -325,12 +319,12 @@ type runState struct {
 	failures      []TrialFailure // flattened, trial-index order
 	writeFailures int
 	finalCkErr    error
-	spans         [][]obs.Span // per dispatched trial, trial-index order; nil unless tracing
+	spans         [][]obs.Span // per todo trial, trial-index order; nil unless tracing
 	ckSpans       []obs.Span   // checkpoint-write spans, write order
 }
 
-// Shard death states, owned by the checkpointer goroutine; the main
-// goroutine reads them only after <-checkpointerDone.
+// Shard death states, set by execute's recording loop when a shard
+// fault fires.
 const (
 	stateAlive = iota
 	stateKilled
@@ -341,6 +335,12 @@ const (
 // ranges and ends in a checkpoint of every completed trial, restored
 // ones included; the caller reduces it. sh is the shard identity that
 // arms shard-level faults — nil under Run, which owns every range.
+//
+// Workers pull trials from a queue filled and closed before they
+// start, and announce each finished trial on done. Everything else —
+// the journal, Progress, the shard faults, the interrupt — happens on
+// the calling goroutine, in one loop that records completions until
+// every queued trial is accounted for.
 func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runState, error) {
 	comp, err := compileCampaign(c, opt.Seed)
 	if err != nil {
@@ -375,8 +375,8 @@ func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runStat
 		m.trialsRestored.Add(int64(restored))
 	}
 	// todo lists, in trial-index order, the trials this run owns that
-	// were not restored: the only trials it dispatches. Out-of-range
-	// trials are never dispatched and never counted toward completion.
+	// were not restored: the only trials it may queue. Out-of-range
+	// trials are never queued and never counted toward completion.
 	var todo []trialRef
 	owned := 0
 	for si, r := range ranges {
@@ -387,62 +387,36 @@ func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runStat
 			}
 		}
 	}
+
+	// The queue holds the todo indices this run starts: none if the
+	// interrupt already fired, the first KillAfterTrials if that fault
+	// is set, otherwise all. A run that queues fewer than todo is
+	// interrupted from the start.
+	queued := len(todo)
+	select {
+	case <-opt.Interrupt:
+		queued = 0
+	default:
+	}
+	if k := inj.killAfterTrials(); k > 0 && k < queued {
+		queued = k
+	}
+	interrupted := queued < len(todo)
+	queue := make(chan int, queued)
+	for k := range queued {
+		queue <- k
+	}
+	close(queue)
+
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > owned {
-		workers = owned
-	}
+	workers = min(workers, queued)
 	tracing := opt.Tracer != nil
 	var spanGroups [][]obs.Span
 	if tracing {
 		spanGroups = make([][]obs.Span, len(todo))
-	}
-
-	// Each worker writes only its own trial's slots, so the table and
-	// the slices (indexed like todo) need no lock; the per-trial send on
-	// done (and finally wg.Wait) is the happens-before edge to the
-	// checkpointer and the reducer. Cluster pooling is strictly per
-	// worker (each goroutine owns its pool; pooled clusters are never
-	// handed across goroutines), so trials stay share-nothing and the
-	// determinism argument is untouched by which worker runs which
-	// trial.
-	errs := make([]error, len(todo))
-	failures := make([][]TrialFailure, len(todo))
-
-	attempts := opt.MaxTrialRetries + 1
-	switch {
-	case opt.MaxTrialRetries == 0:
-		attempts = DefaultTrialRetries + 1
-	case opt.MaxTrialRetries < 0:
-		attempts = 1
-	}
-
-	// interrupt trips at most once — from Options.Interrupt or from a
-	// chaos kill-after fault — and stops the dispatch loop; in-flight
-	// trials always drain normally.
-	interrupt := make(chan struct{})
-	var tripOnce sync.Once
-	trip := func() { tripOnce.Do(func() { close(interrupt) }) }
-	runDone := make(chan struct{})
-	defer close(runDone)
-	if opt.Interrupt != nil {
-		// An interrupt that fired before the run started must stop it
-		// before any dispatch — checked synchronously here because the
-		// forwarder goroutine below races a fast campaign.
-		select {
-		case <-opt.Interrupt:
-			trip()
-		default:
-		}
-		go func() {
-			select {
-			case <-opt.Interrupt:
-				trip()
-			case <-runDone:
-			}
-		}()
 	}
 
 	// The journal opens with the header and the restored trials. A
@@ -459,13 +433,6 @@ func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runStat
 		defer jw.close()
 	}
 
-	// The checkpointer consumes completion announcements. Workers
-	// send a trial's todo index only after recording its result, so the
-	// channel receive lets this goroutine read that slot while the
-	// run is still going. completed counts the new completions it
-	// recorded; the main goroutine reads it after <-checkpointerDone.
-	done := make(chan int, len(todo))
-	completed := 0
 	every := opt.CheckpointEvery
 	if every <= 0 {
 		every = DefaultCheckpointEvery
@@ -476,9 +443,7 @@ func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runStat
 	// the 1-based write ordinal and their scenario is empty. The WRITE
 	// COUNT is deterministic (every `every`-th completion plus the
 	// final write) even though which trials each append carries is
-	// not — so the span stream stays comparable across runs. Appends
-	// happen in the checkpointer goroutine and, for the final write,
-	// in the main goroutine strictly after <-checkpointerDone.
+	// not — so the span stream stays comparable across runs.
 	var ckSpans []obs.Span
 	writeCheckpoint := func() error {
 		writes++
@@ -501,108 +466,109 @@ func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runStat
 		}
 		return err
 	}
-	checkpointerDone := make(chan struct{})
-	dead := stateAlive
-	go func() {
-		defer close(checkpointerDone)
-		for k := range done {
-			// A killed or wedged shard records nothing further: the
-			// channel still drains (workers must not block) but the
-			// count and the journal are frozen at the fault point,
-			// which is what makes retry-from-checkpoint deterministic.
-			if dead != stateAlive {
-				continue
-			}
-			m.trialsCompleted.Inc()
-			completed++
-			// A failed periodic write is tolerated — counted, its
-			// lines kept and retried at the next interval: losing one
-			// checkpoint must not kill the campaign the checkpoint
-			// exists to protect.
-			if jw != nil {
-				ref := todo[k]
-				jw.add(ref.scenario, ref.rep, ck.Trial(ref.scenario, ref.rep))
-				if completed%every == 0 {
-					_ = writeCheckpoint()
-				}
-			}
-			if opt.Progress != nil {
-				opt.Progress(restored + completed)
-			}
-			// Shard faults fire on the n-th NEW completion, after its
-			// checkpoint write, so the journal holds exactly n trials
-			// when the shard dies.
-			switch inj.shardFaultAt(completed) {
-			case ShardKill:
-				if sh != nil && sh.Die != nil {
-					sh.Die() // exec workers self-SIGKILL here and never return
-				}
-				dead = stateKilled
-				trip() // stop dispatch; in-flight trials drain unrecorded
-			case ShardBlackhole:
-				dead = stateWedged // keep running, silently
-			}
-		}
-	}()
 
-	work := make(chan int)
-	var wg sync.WaitGroup
+	// Each worker writes only its own trial's slots, so the table and
+	// the slices (indexed like todo) need no lock; the send of k on done
+	// is the happens-before edge to the loop below, which reads them.
+	// Cluster pooling is strictly per worker (each goroutine owns its
+	// pool; pooled clusters are never handed across goroutines), so
+	// trials stay share-nothing and the determinism argument is
+	// untouched by which worker runs which trial. done holds every
+	// queued trial, so no worker ever waits on the loop.
+	errs := make([]error, len(todo))
+	failures := make([][]TrialFailure, len(todo))
+	done := make(chan int, queued)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func(worker int) {
-			defer wg.Done()
 			tw := newTrialWorker(comp, !opt.DisablePooling)
 			tw.faults = inj
 			tw.m = m
 			if tracing {
 				tw.rec = &obs.Recorder{}
 			}
-			for k := range work {
+			for k := range queue {
 				inj.delayWorker(worker)
 				inj.delayShardTrial()
 				ref := todo[k]
-				ck.Scenarios[ref.scenario].Trials[ref.rep], failures[k], errs[k] = tw.runTrialIsolated(ref.scenario, ref.rep, attempts)
+				ck.Scenarios[ref.scenario].Trials[ref.rep], failures[k], errs[k] = tw.runTrialIsolated(ref.scenario, ref.rep, trialAttempts)
 				if tracing {
-					// Like the table: each worker writes only its own
-					// trial's slot, so the groups need no lock and the
-					// flush can order them by trial index.
 					spanGroups[k] = tw.rec.Take()
 				}
-				if errs[k] == nil {
-					done <- k
-				}
+				done <- k
 			}
 		}(w)
 	}
-	dispatched := 0
-dispatch:
-	for k := range todo {
-		// The chaos kill counts dispatches synchronously right here,
-		// so exactly KillAfterTrials new trials run — deterministic
-		// where counting asynchronous completions would race fast
-		// campaigns to the finish before the kill ever fired.
-		if k := inj.killAfterTrials(); k > 0 && dispatched >= k {
-			trip()
-			break dispatch
-		}
-		// Prefer the interrupt when both are ready, so "stop now"
-		// stops dispatch at the first opportunity.
-		select {
-		case <-interrupt:
-			break dispatch
-		default:
-		}
-		select {
-		case work <- k:
-			dispatched++
-		case <-interrupt:
-			break dispatch
+
+	// running counts the queued trials not yet accounted for: each
+	// leaves it by finishing (a receive on done) or by being dropped
+	// from the queue before a worker took it. Emptying the queue races
+	// the workers' receives, but every index goes to exactly one side,
+	// so the loop ends exactly when the last started trial finishes.
+	running := queued
+	drop := func() {
+		for range queue {
+			running--
 		}
 	}
-	close(work)
-	wg.Wait()
-	close(done)
-	<-checkpointerDone
+	stop := opt.Interrupt
+	completed := 0 // new completions recorded
+	dead := stateAlive
+	for running > 0 {
+		// The interrupt is checked before waiting, so "stop now" wins
+		// over a completion that is already waiting. k < 0 means it
+		// fired.
+		k := -1
+		select {
+		case <-stop:
+		default:
+			select {
+			case <-stop:
+			case k = <-done:
+			}
+		}
+		if k < 0 {
+			stop, interrupted = nil, true
+			drop()
+			continue
+		}
+		running--
+		// A trial that errored records nothing; the error is reported
+		// after the final checkpoint. A killed or wedged shard records
+		// nothing further: the count and the journal stay frozen at the
+		// fault point, which is what makes retry-from-checkpoint
+		// deterministic.
+		if errs[k] != nil || dead != stateAlive {
+			continue
+		}
+		m.trialsCompleted.Inc()
+		completed++
+		// A failed periodic write is tolerated — counted, its lines kept
+		// and retried at the next interval: losing one checkpoint must
+		// not kill the campaign the checkpoint exists to protect.
+		if jw != nil {
+			ref := todo[k]
+			jw.add(ref.scenario, ref.rep, ck.Trial(ref.scenario, ref.rep))
+			if completed%every == 0 {
+				_ = writeCheckpoint()
+			}
+		}
+		if opt.Progress != nil {
+			opt.Progress(restored + completed)
+		}
+		// Shard faults fire on the n-th NEW completion, after its
+		// checkpoint write, so the journal holds exactly n trials when
+		// the shard dies.
+		switch inj.shardFaultAt(completed) {
+		case ShardKill:
+			if sh != nil && sh.Die != nil {
+				sh.Die() // exec workers self-SIGKILL here and never return
+			}
+			dead = stateKilled
+			drop() // in-flight trials drain unrecorded
+		case ShardBlackhole:
+			dead = stateWedged // keep running, silently
+		}
+	}
 
 	st := &runState{spans: spanGroups}
 	for _, f := range failures {
@@ -644,12 +610,6 @@ dispatch:
 			ref := todo[k]
 			return st, fmt.Errorf("fleet: scenario %q replication %d: %w", c.Scenarios[ref.scenario].Name, ref.rep, err)
 		}
-	}
-	interrupted := false
-	select {
-	case <-interrupt:
-		interrupted = true
-	default:
 	}
 	// An interrupt that raced the last completion interrupted
 	// nothing: with every owned trial done the full result stands.

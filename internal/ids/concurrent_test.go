@@ -1,0 +1,71 @@
+package ids
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+)
+
+// Goroutines sharing one registry mix registrations with the reads and
+// group changes a cluster's login and sharing checks make. Run under
+// -race it checks the one mutex covers every path; afterwards every
+// name resolves to the UID its Register returned.
+func TestRegistryConcurrentUse(t *testing.T) {
+	const workers, perWorker = 8, 300
+	r := NewRegistry()
+	proj, err := r.AddProjectGroup("proj", Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uids := make([][]UID, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perWorker {
+				name := fmt.Sprintf("w%d-%d", w, i)
+				uid, err := r.Register(name)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				uids[w] = append(uids[w], uid)
+				if u, err := r.User(uid); err != nil || u.Name != name {
+					t.Errorf("User(%d) = %v, %v; want %q", uid, u, err, name)
+				}
+				if u, err := r.UserByName(name); err != nil || u.UID != uid {
+					t.Errorf("UserByName(%q) = %v, %v; want uid %d", name, u, err, uid)
+				}
+				if i%3 == 0 {
+					if err := r.AddToGroup(Root, proj.GID, uid); err != nil {
+						t.Error(err)
+					}
+				}
+				c, err := r.LoginCredential(uid)
+				if err != nil || c.UID != uid || c.InGroup(proj.GID) != (i%3 == 0) {
+					t.Errorf("LoginCredential(%d) = %+v, %v", uid, c, err)
+				}
+				// Root stewards proj, so it shares a group with its members.
+				if got, want := r.SharedGroup(Root, uid), i%3 == 0; got != want {
+					t.Errorf("SharedGroup(root, %d) = %v, want %v", uid, got, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for w := range workers {
+		for i, uid := range uids[w] {
+			name := fmt.Sprintf("w%d-%d", w, i)
+			if u, err := r.UserByName(name); err != nil || u.UID != uid {
+				t.Fatalf("UserByName(%q) = %v, %v; want uid %d", name, u, err, uid)
+			}
+		}
+	}
+	if got, want := len(r.Users()), 1+workers*perWorker; got != want {
+		t.Errorf("Users() has %d entries, want %d", got, want)
+	}
+}

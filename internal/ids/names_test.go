@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -167,6 +168,96 @@ func TestNameIndexGrowth(t *testing.T) {
 	}
 }
 
+// Names whose hashes agree on the home slot and the tag force a probe
+// past a slot whose tag matches, so the name compare must decide. Both
+// registered names resolve to their own UIDs, a third with the same
+// home slot and tag stays unknown, and the layout after Reset and
+// re-registration is the one inserting the descriptors in order gives.
+func TestNameIndexTagCollision(t *testing.T) {
+	r := NewRegistry()
+	r.MarkPristine()
+	mask := uint64(len(r.names.slots) - 1)
+	buckets := make(map[uint64][]string)
+	var same []string
+	for i := 0; same == nil; i++ {
+		name := fmt.Sprintf("c%d", i)
+		h := r.names.hash(name)
+		key := h&mask | uint64(hashTag(h))<<32
+		buckets[key] = append(buckets[key], name)
+		if len(buckets[key]) == 3 {
+			same = buckets[key]
+		}
+	}
+	uids := registerAll(t, r, same[:2])
+	if len(r.names.slots) != int(mask+1) {
+		t.Fatalf("index grew to %d slots; the names no longer share a home slot", len(r.names.slots))
+	}
+	home := r.names.hash(same[0]) & mask
+	first, second := r.names.slots[home], r.names.slots[(home+1)&mask]
+	if slotTag(first) != slotTag(second) || slotPos(first) != 1 || slotPos(second) != 2 {
+		t.Fatalf("slots %#x, %#x: want positions 1 and 2 under one tag", first, second)
+	}
+	check := func() {
+		t.Helper()
+		for i, name := range same[:2] {
+			if u, err := r.UserByName(name); err != nil || u.UID != uids[i] {
+				t.Errorf("UserByName(%q) = %v, %v; want uid %d", name, u, err, uids[i])
+			}
+			if _, err := r.Register(name); !errors.Is(err, ErrExists) {
+				t.Errorf("re-register %q: err %v, want ErrExists", name, err)
+			}
+		}
+		if _, err := r.UserByName(same[2]); !errors.Is(err, ErrNoSuchUser) {
+			t.Errorf("UserByName(%q) of an unregistered colliding name: err %v, want ErrNoSuchUser", same[2], err)
+		}
+	}
+	check()
+	r.Reset()
+	if got := registerAll(t, r, same[:2]); !slices.Equal(got, uids) {
+		t.Fatalf("re-registered uids %v, want %v", got, uids)
+	}
+	check()
+	ref := nameIndex{seed: r.names.seed, slots: make([]uint32, len(r.names.slots))}
+	ref.fill(r.descs)
+	if !slices.Equal(r.names.slots, ref.slots) {
+		t.Errorf("layout after Reset and re-registration %#x, want %#x", r.names.slots, ref.slots)
+	}
+}
+
+// A slot holds positions 1 through 2^24-1 under any tag and is never
+// the empty marker; Register refuses the user past the 24-bit cap
+// before touching any table.
+func TestNameIndexSlotBounds(t *testing.T) {
+	for _, pos := range []int{1, posMask} {
+		for _, tag := range []uint8{0, 255} {
+			v := packSlot(pos, tag)
+			if v == 0 || slotPos(v) != pos || slotTag(v) != tag {
+				t.Errorf("packSlot(%d, %d) = %#x: position %d, tag %d", pos, tag, v, slotPos(v), slotTag(v))
+			}
+		}
+	}
+	if maxUsers > posMask {
+		t.Fatalf("maxUsers %d exceeds the largest slot position %d", maxUsers, posMask)
+	}
+
+	r := NewRegistry()
+	registerAll(t, r, []string{"a"})
+	// The UID counter is where a registry that held maxUsers users
+	// would stand; building one would take 16M descriptors.
+	r.nextUID = uidBase + maxUsers
+	slots, gen := slices.Clone(r.names.slots), r.gen
+	_, err := r.Register("b")
+	if !errors.Is(err, ErrRegistryFull) || !strings.Contains(err.Error(), "16777214") {
+		t.Fatalf("Register past the cap: err %v, want ErrRegistryFull naming 16777214", err)
+	}
+	if len(r.descs) != 1 || r.gen != gen || !slices.Equal(r.names.slots, slots) {
+		t.Error("a refused Register changed the registry")
+	}
+	if _, err := r.Register("a"); !errors.Is(err, ErrExists) {
+		t.Errorf("duplicate at the cap: err %v, want ErrExists", err)
+	}
+}
+
 // Once the descriptor table and the index have grown, a trial cycle —
 // Reset, then registering the same population — allocates nothing.
 func TestResetReregisterAllocFree(t *testing.T) {
@@ -193,26 +284,34 @@ func TestResetReregisterAllocFree(t *testing.T) {
 
 // BenchmarkRegistryRegister registers n names into a Reset registry,
 // the bulk-provisioning step of an XXL trial; the Reset between
-// iterations is not timed.
+// iterations is not timed. At 100k names the 1 MB index fits in cache;
+// at 1M it is 8 MB, and each probe pays the random slot load an XXL
+// trial pays.
 func BenchmarkRegistryRegister(b *testing.B) {
-	const n = 100000
-	names := testNames("u", n)
-	r := NewRegistry()
-	r.MarkPristine()
-	registerAll(b, r, names) // grow the tables once, as a pooled cluster has
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		r.Reset()
-		b.StartTimer()
-		for _, name := range names {
-			if _, err := r.Register(name); err != nil {
-				b.Fatal(err)
+	for _, bc := range []struct {
+		name string
+		n    int
+	}{{"100k", 100000}, {"1M", 1000000}} {
+		b.Run(bc.name, func(b *testing.B) {
+			names := testNames("u", bc.n)
+			r := NewRegistry()
+			r.MarkPristine()
+			registerAll(b, r, names) // grow the tables once, as a pooled cluster has
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				r.Reset()
+				b.StartTimer()
+				for _, name := range names {
+					if _, err := r.Register(name); err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
-		}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bc.n), "ns/name")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/name")
 }
 
 // BenchmarkRegistryResetAfterRegister times Reset after a trial's

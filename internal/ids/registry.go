@@ -20,8 +20,15 @@ import (
 // this sound: a private group's name, membership and immutability are
 // fully determined by its owner's descriptor, so nothing about it
 // needs to exist until somebody looks at it.
+//
+// A registry holds at most 2^24-2 users besides root; Register refuses
+// the next with ErrRegistryFull. It is safe for concurrent use under
+// one plain mutex: a cluster's registry is driven by the one goroutine
+// that owns the cluster, so a lock is almost never contended, and
+// every method, reader or writer, takes it exactly once. Most readers
+// materialize cached views, so they write anyway.
 type Registry struct {
-	mu      sync.RWMutex
+	mu      sync.Mutex
 	nextUID UID
 	nextGID GID
 	// descs[i] describes the user with UID uidBase+i. Registrations
@@ -79,6 +86,7 @@ var (
 	ErrNotSteward    = errors.New("ids: caller is not a data steward of the group")
 	ErrNotMember     = errors.New("ids: user is not a member of the group")
 	ErrAlreadyMember = errors.New("ids: user is already a member of the group")
+	ErrRegistryFull  = errors.New("ids: registry is full")
 )
 
 // NewRegistry returns a registry pre-populated with root (uid 0) and
@@ -207,7 +215,9 @@ func (r *Registry) Reset() {
 // without materializing any per-user state: one descriptor append and
 // one name-index insert. This is the bulk-provisioning path XXL
 // campaigns use to stand up millions of users; AddUser layers the
-// eager *User view on top for callers that want it right away.
+// eager *User view on top for callers that want it right away. A name
+// already taken fails with ErrExists, and a user past the 2^24-2 cap
+// with ErrRegistryFull.
 func (r *Registry) Register(name string) (UID, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -215,20 +225,25 @@ func (r *Registry) Register(name string) (UID, error) {
 }
 
 func (r *Registry) registerLocked(name string) (UID, error) {
-	// One probe serves as both the duplicate check and the insert slot.
-	slot, dup := r.names.find(r.descs, name)
+	// One hash and one probe serve as both the duplicate check and the
+	// insert slot.
+	h := r.names.hash(name)
+	slot, dup := r.names.find(r.descs, name, h)
 	if dup || name == "root" {
 		return NoUID, fmt.Errorf("%w: user %q", ErrExists, name)
 	}
 	if _, dup := r.gByName[name]; dup {
 		return NoUID, fmt.Errorf("%w: group %q", ErrExists, name)
 	}
+	if r.nextUID-uidBase >= maxUsers {
+		return NoUID, fmt.Errorf("%w: %d users is the cap, user %q refused", ErrRegistryFull, maxUsers, name)
+	}
 	uid := r.nextUID
 	gid := r.nextGID
 	r.nextUID++
 	r.nextGID++
 	r.descs = append(r.descs, userDesc{name: name, primary: gid})
-	r.names.add(r.descs, slot)
+	r.names.add(r.descs, slot, h)
 	r.gen++
 	return uid, nil
 }
@@ -246,7 +261,7 @@ func (r *Registry) AddUser(name string) (*User, error) {
 }
 
 // descOf returns the descriptor backing uid, if uid is a registered
-// (non-root) user. Caller holds r.mu in either mode.
+// (non-root) user. Caller holds r.mu.
 func (r *Registry) descOf(uid UID) (*userDesc, bool) {
 	if uid < uidBase || int(uid-uidBase) >= len(r.descs) {
 		return nil, false
@@ -256,7 +271,7 @@ func (r *Registry) descOf(uid UID) (*userDesc, bool) {
 
 // ownerOf finds the user whose private group is gid. Private GIDs are
 // handed out in ascending UID order, so this is a binary search over
-// the descriptor primaries. Caller holds r.mu in either mode.
+// the descriptor primaries. Caller holds r.mu.
 func (r *Registry) ownerOf(gid GID) (UID, *userDesc, bool) {
 	i := sort.Search(len(r.descs), func(k int) bool { return r.descs[k].primary >= gid })
 	if i == len(r.descs) || r.descs[i].primary != gid {
@@ -266,20 +281,20 @@ func (r *Registry) ownerOf(gid GID) (UID, *userDesc, bool) {
 }
 
 // uidByName resolves a login name without materializing the user.
-// Caller holds r.mu in either mode.
+// Caller holds r.mu.
 func (r *Registry) uidByName(name string) (UID, bool) {
 	if name == "root" {
 		return Root, true
 	}
-	slot, ok := r.names.find(r.descs, name)
+	i, ok := r.names.lookup(r.descs, name)
 	if !ok {
 		return NoUID, false
 	}
-	return uidBase + UID(r.names.slots[slot]-1), true
+	return uidBase + UID(i), true
 }
 
 // hasUser reports whether uid names an existing user, materialized or
-// not. Caller holds r.mu in either mode.
+// not. Caller holds r.mu.
 func (r *Registry) hasUser(uid UID) bool {
 	if _, ok := r.users[uid]; ok {
 		return true
@@ -289,7 +304,7 @@ func (r *Registry) hasUser(uid UID) bool {
 }
 
 // primaryOf returns uid's primary GID without materializing the user.
-// Caller holds r.mu in either mode.
+// Caller holds r.mu.
 func (r *Registry) primaryOf(uid UID) (GID, bool) {
 	if u, ok := r.users[uid]; ok {
 		return u.Primary, true
@@ -301,7 +316,7 @@ func (r *Registry) primaryOf(uid UID) (GID, bool) {
 }
 
 // userLocked materializes (or returns the cached) *User view of uid.
-// Caller holds r.mu for writing.
+// Caller holds r.mu.
 func (r *Registry) userLocked(uid UID) (*User, error) {
 	if u, ok := r.users[uid]; ok {
 		return u, nil
@@ -316,7 +331,7 @@ func (r *Registry) userLocked(uid UID) (*User, error) {
 }
 
 // groupLocked materializes (or returns the cached) *Group view of
-// gid. Caller holds r.mu for writing.
+// gid. Caller holds r.mu.
 func (r *Registry) groupLocked(gid GID) (*Group, error) {
 	if g, ok := r.groups[gid]; ok {
 		return g, nil
@@ -421,12 +436,6 @@ func (r *Registry) RemoveFromGroup(actor UID, gid GID, uid UID) error {
 
 // User returns the user with the given UID.
 func (r *Registry) User(uid UID) (*User, error) {
-	r.mu.RLock()
-	u, ok := r.users[uid]
-	r.mu.RUnlock()
-	if ok {
-		return u, nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.userLocked(uid)
@@ -434,23 +443,17 @@ func (r *Registry) User(uid UID) (*User, error) {
 
 // UserByName resolves a login name.
 func (r *Registry) UserByName(name string) (*User, error) {
-	r.mu.RLock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	uid, ok := r.uidByName(name)
-	r.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchUser, name)
 	}
-	return r.User(uid)
+	return r.userLocked(uid)
 }
 
 // Group returns the group with the given GID.
 func (r *Registry) Group(gid GID) (*Group, error) {
-	r.mu.RLock()
-	g, ok := r.groups[gid]
-	r.mu.RUnlock()
-	if ok {
-		return g, nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.groupLocked(gid)
@@ -458,7 +461,8 @@ func (r *Registry) Group(gid GID) (*Group, error) {
 
 // GroupByName resolves a group name.
 func (r *Registry) GroupByName(name string) (*Group, error) {
-	r.mu.RLock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	gid, ok := r.gByName[name]
 	if !ok {
 		// A user-private group carries its owner's name.
@@ -468,11 +472,10 @@ func (r *Registry) GroupByName(name string) (*Group, error) {
 			}
 		}
 	}
-	r.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchGroup, name)
 	}
-	return r.Group(gid)
+	return r.groupLocked(gid)
 }
 
 // GroupsOf returns the GIDs the user belongs to (primary first, the
@@ -481,8 +484,8 @@ func (r *Registry) GroupByName(name string) (*Group, error) {
 // private group has exactly its owner as member, so it can never
 // contribute to another user's supplemental set.
 func (r *Registry) GroupsOf(uid UID) ([]GID, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	primary, ok := r.primaryOf(uid)
 	if !ok {
 		return nil, fmt.Errorf("%w: uid %d", ErrNoSuchUser, uid)
@@ -513,7 +516,7 @@ func (r *Registry) LoginCredential(uid UID) (Credential, error) {
 // This is the opt-in step that lets a listener accept project-group
 // peers through the UBF (paper §IV-D).
 func (r *Registry) SwitchGroup(c Credential, gid GID) (Credential, error) {
-	r.mu.RLock()
+	r.mu.Lock()
 	g, ok := r.groups[gid]
 	owner := NoUID
 	if !ok {
@@ -521,7 +524,7 @@ func (r *Registry) SwitchGroup(c Credential, gid GID) (Credential, error) {
 			owner, ok = uid, true
 		}
 	}
-	r.mu.RUnlock()
+	r.mu.Unlock()
 	if !ok {
 		return c, fmt.Errorf("%w: gid %d", ErrNoSuchGroup, gid)
 	}
@@ -540,8 +543,8 @@ func (r *Registry) SwitchGroup(c Credential, gid GID) (Credential, error) {
 // Private groups (materialized or not) never qualify, so scanning the
 // materialized/project tables is exhaustive.
 func (r *Registry) SharedGroup(a, b UID) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	for _, g := range r.groups {
 		if !g.Private && g.members[a] && g.members[b] {
 			return true
@@ -552,8 +555,8 @@ func (r *Registry) SharedGroup(a, b UID) bool {
 
 // Users returns all UIDs sorted ascending.
 func (r *Registry) Users() []UID {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	out := make([]UID, 0, len(r.descs)+1)
 	out = append(out, Root)
 	for i := range r.descs {
@@ -564,8 +567,8 @@ func (r *Registry) Users() []UID {
 
 // Groups returns all GIDs sorted ascending.
 func (r *Registry) Groups() []GID {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	out := make([]GID, 0, len(r.groups)+len(r.descs))
 	for gid := range r.groups {
 		// Materialized private groups are already counted via their

@@ -115,6 +115,12 @@ type JobSpec struct {
 }
 
 // Job is a scheduled unit of work.
+//
+// The scheduler recycles its own Job storage, and the Nodes, Cores and
+// task-PID slices, at Reset: they live in slabs reused by the next
+// trial. Every outward surface (Scheduler.Job, JobView, Squeue, Sacct)
+// therefore hands out copies, and a Hook must not retain the *Job it
+// is given past the call.
 type Job struct {
 	ID     int
 	User   ids.UID

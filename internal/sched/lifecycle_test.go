@@ -3,6 +3,8 @@ package sched
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/ids"
 )
 
 var lifecycleCred = cred(1000)
@@ -43,19 +45,21 @@ func BenchmarkJobLifecycle(b *testing.B) {
 	}
 }
 
-// TestJobLifecycleAllocs pins what one job costs the allocator: the
-// Job and its credential at submit; Nodes, Cores and the task PIDs at
-// start, plus one process entry and its argv per node. Finish
-// allocates nothing. The scheduler is warmed and Reset first, so the
-// job table, pending queue, calendar and accounting records already
-// have the capacity the measured jobs need.
+// TestJobLifecycleAllocs pins what one job costs the allocator: one
+// task-process entry per node it runs on, with its argv inline, and
+// nothing else. Submit takes the Job and its credential's groups from
+// the scheduler's slabs; start carves Nodes, Cores and the task PIDs
+// from the placement slabs; finish allocates nothing.
+// The scheduler is warmed and Reset first, so the slabs, job table,
+// pending queue, calendar and accounting records already have the
+// capacity the measured jobs need.
 func TestJobLifecycleAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		nodes int
 		want  float64
 	}{
-		{1, 7},
-		{8, 21},
+		{1, 1},
+		{8, 8},
 	} {
 		s := New(Config{}, computeNodes(8, 4, 1<<30), 0)
 		for i := 0; i < 256; i++ {
@@ -65,5 +69,63 @@ func TestJobLifecycleAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(100, func() { lifecycle(t, s, 4*tc.nodes) }); got != tc.want {
 			t.Errorf("%d-node job lifecycle allocates %.0f objects, want %.0f", tc.nodes, got, tc.want)
 		}
+	}
+}
+
+// drainMix is an E4-shaped workload, built inline: 6 users × 50 jobs
+// interleaved round-robin, 1–8 cores and 1–4 ticks each, and every
+// 60th job using twice a node's memory.
+func drainMix() []JobSpec {
+	const users, perUser = 6, 50
+	specs := make([]JobSpec, 0, users*perUser)
+	for i := 0; i < perUser; i++ {
+		for u := 0; u < users; u++ {
+			sp := JobSpec{
+				Name:     fmt.Sprintf("mc-%d", i),
+				Command:  fmt.Sprintf("montecarlo --seed=%d", 1000*u+i),
+				Cores:    1 + (7*u+3*i)%8,
+				MemB:     1 << 20,
+				Duration: int64(1 + (u+i)%4),
+			}
+			if len(specs)%60 == 59 {
+				sp.ActualMemB = 2 << 30
+			}
+			specs = append(specs, sp)
+		}
+	}
+	return specs
+}
+
+// BenchmarkSchedDrain is the per-layer row for the scheduler: submit
+// the E4-shaped mix and drain it on 8 × 16-core nodes, under each
+// sharing policy, with the nodes and the scheduler Reset between
+// iterations as a pooled trial does.
+func BenchmarkSchedDrain(b *testing.B) {
+	specs := drainMix()
+	var users [6]ids.Credential
+	for u := range users {
+		users[u] = cred(ids.UID(1000 + u))
+	}
+	for _, policy := range []SharingPolicy{PolicyShared, PolicyExclusive, PolicyUserWholeNode} {
+		b.Run(policy.String(), func(b *testing.B) {
+			nodes := computeNodes(8, 16, 1<<30)
+			s := New(Config{Policy: policy, PrivateData: true}, nodes, 0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, n := range nodes {
+					n.Reset()
+				}
+				s.Reset()
+				for k, sp := range specs {
+					if _, err := s.Submit(users[k%len(users)], sp); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if s.RunAll(5000) >= 5000 {
+					b.Fatal("drain did not finish")
+				}
+			}
+		})
 	}
 }

@@ -28,7 +28,7 @@ func (s *Scheduler) fit(j *Job) bool {
 		if remaining == 0 {
 			break
 		}
-		if ns.node.Kind != simos.Compute || ns.node.Down() {
+		if ns.node.Kind != simos.Compute || s.lastDown[i] {
 			continue
 		}
 		if !inPartition(part, i) {

@@ -26,7 +26,8 @@ type Config struct {
 }
 
 // Hook runs at job start (prolog) or end (epilog) on each node of the
-// job. The GPU substrate registers both.
+// job. The GPU substrate registers both. The job is the scheduler's
+// own, recycled at Reset: a hook reads it and must not keep it.
 type Hook func(job *Job, node *simos.Node) error
 
 // userCount is one entry of a node's per-user job tally. Nodes host a
@@ -140,8 +141,16 @@ type Scheduler struct {
 	// per-submit limit check is O(1).
 	activeByUser map[ids.UID]int
 	records      []AccountingRecord
-	prologs      []Hook
-	epilogs      []Hook
+	// jobSlab backs every Job in the table and gidSlab its credential's
+	// groups; nodeSlab, coreSlab and pidSlab back the per-node slices
+	// tryStart fills. All five are rewound by Reset (slab.go).
+	jobSlab  slab[Job]
+	gidSlab  slab[ids.GID]
+	nodeSlab slab[string]
+	coreSlab slab[int]
+	pidSlab  slab[ids.PID]
+	prologs  []Hook
+	epilogs  []Hook
 	// defaultScope aggregates capacity over all compute nodes;
 	// scratch is the allocation-free placement buffer (placement.go).
 	defaultScope *capScope
@@ -156,7 +165,8 @@ type Scheduler struct {
 	queueBlocked bool
 	// lastDown mirrors each node's Down() state so the per-tick walk
 	// detects external crash/restore transitions and re-opens the
-	// queue gate on restores.
+	// queue gate on restores. The walk refreshes it before every
+	// scheduling pass, so fit reads the mirror instead of the node.
 	lastDown []bool
 	// computeCores/maxNodeGPUs are fixed at New: total compute cores
 	// (the per-tick totalCoreTicks increment and the Submit
@@ -246,9 +256,11 @@ func New(cfg Config, nodes []*simos.Node, gpusPerNode int) *Scheduler {
 // Cluster-assembly wiring survives: the pam_slurm node hooks New
 // installs and the prolog/epilog hooks registered while the cluster
 // was assembled (the GPU manager's) stay in place. The method
-// reuses every existing allocation (maps are cleared, slices
-// truncated), so a Reset on a drained scheduler allocates nothing
-// beyond the rebuilt default scope membership.
+// reuses every existing allocation: maps are cleared, slices are
+// cleared and truncated, and the job, groups and placement slabs keep
+// their chunks, zeroed, for the next trial. A Reset on a drained scheduler
+// therefore allocates nothing beyond the rebuilt default scope
+// membership, and retains no job, name or credential of the old trial.
 // An untouched scheduler (no submit, cancel, step, partition or limit
 // change since construction or the last Reset) returns immediately.
 func (s *Scheduler) Reset() {
@@ -267,9 +279,16 @@ func (s *Scheduler) Reset() {
 	s.pending = s.pending[:0]
 	clear(s.calendar)
 	s.calendar = s.calendar[:0]
+	clear(s.due)
 	s.due = s.due[:0]
 	clear(s.activeByUser)
+	clear(s.records)
 	s.records = s.records[:0]
+	s.jobSlab.reset()
+	s.gidSlab.reset()
+	s.nodeSlab.reset()
+	s.coreSlab.reset()
+	s.pidSlab.reset()
 	s.partitions = nil
 	s.queueBlocked = false
 	s.armedNodes = 0
@@ -354,10 +373,20 @@ func (s *Scheduler) Submit(cred ids.Credential, spec JobSpec) (int, error) {
 	if spec.GPUs > s.maxNodeGPUs {
 		return 0, fmt.Errorf("%w: %d gpus/node > node max %d", ErrUnsatisfiable, spec.GPUs, s.maxNodeGPUs)
 	}
-	j := &Job{
+	// The job's private credential: nothing writes to it after Submit,
+	// so its task processes share it. Nil or empty groups stay nil, as
+	// Credential.Clone leaves them.
+	c := cred
+	c.Groups = nil
+	if n := len(cred.Groups); n > 0 {
+		c.Groups = s.gidSlab.take(n)
+		copy(c.Groups, cred.Groups)
+	}
+	j := &s.jobSlab.take(1)[0]
+	*j = Job{
 		ID:     len(s.jobs) + 1,
 		User:   cred.UID,
-		Cred:   cred.Clone(),
+		Cred:   c,
 		Spec:   spec,
 		State:  Pending,
 		Submit: s.now,
@@ -581,9 +610,9 @@ func (s *Scheduler) tryStart(j *Job) bool {
 	j.State = Running
 	j.Start = s.now
 	n := len(s.scratch.nodes)
-	j.Nodes = make([]string, n)
-	j.Cores = make([]int, n)
-	j.pids = make([]ids.PID, n)
+	j.Nodes = s.nodeSlab.take(n)
+	j.Cores = s.coreSlab.take(n)
+	j.pids = s.pidSlab.take(n)
 	rss := effMemB(j)
 	for k, ni := range s.scratch.nodes {
 		ns := s.nodes[ni]

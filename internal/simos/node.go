@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ids"
 )
@@ -50,16 +51,17 @@ type DevNode struct {
 // Node is one machine in the cluster: its process table, its /dev
 // namespace, its memory capacity, and its PAM access hooks.
 type Node struct {
-	Name   string
-	Kind   NodeKind
-	Cores  int
-	MemB   int64 // physical memory, bytes
-	Procs  *Table
-	mu     sync.RWMutex
-	dev    map[string]*DevNode
-	pam    []PAMHook
-	downAt int64 // nonzero once the node has crashed
-	clock  func() int64
+	Name  string
+	Kind  NodeKind
+	Cores int
+	MemB  int64 // physical memory, bytes
+	Procs *Table
+	mu    sync.RWMutex
+	dev   map[string]*DevNode
+	pam   []PAMHook
+	// down is set by Crash and cleared by Restore and Reset. It is an
+	// atomic so the scheduler's per-tick walk reads it without a lock.
+	down atomic.Bool
 }
 
 // Node errors.
@@ -77,9 +79,6 @@ type PAMHook func(node *Node, uid ids.UID) error
 // NewNode creates a node with the given geometry. clock supplies
 // logical time (may be nil).
 func NewNode(name string, kind NodeKind, cores int, memB int64, clock func() int64) *Node {
-	if clock == nil {
-		clock = func() int64 { return 0 }
-	}
 	n := &Node{
 		Name:  name,
 		Kind:  kind,
@@ -87,7 +86,6 @@ func NewNode(name string, kind NodeKind, cores int, memB int64, clock func() int
 		MemB:  memB,
 		Procs: NewTable(clock),
 		dev:   make(map[string]*DevNode),
-		clock: clock,
 	}
 	n.spawnBaseDaemons()
 	// The pristine mark is the three base daemons (PIDs 1..3): Reset
@@ -111,9 +109,7 @@ func (n *Node) spawnBaseDaemons() {
 // construction) and /dev nodes stay present — their ownership is
 // restored by the GPU manager's Reset, which knows the pristine modes.
 func (n *Node) Reset() {
-	n.mu.Lock()
-	n.downAt = 0
-	n.mu.Unlock()
+	n.down.Store(false)
 	n.Procs.Reset()
 }
 
@@ -220,9 +216,7 @@ func (n *Node) VisibleDevs(cred ids.Credential) []string {
 // Crash marks the node down (e.g. after an OOM cascade) and kills all
 // processes. Returns the number of processes that died.
 func (n *Node) Crash() int {
-	n.mu.Lock()
-	n.downAt = n.clock() + 1
-	n.mu.Unlock()
+	n.down.Store(true)
 	killed := 0
 	for _, p := range n.Procs.All() {
 		if err := n.Procs.Exit(p.PID); err == nil {
@@ -234,17 +228,13 @@ func (n *Node) Crash() int {
 
 // Restore brings a crashed node back (fresh daemons).
 func (n *Node) Restore() {
-	n.mu.Lock()
-	n.downAt = 0
-	n.mu.Unlock()
+	n.down.Store(false)
 	n.spawnBaseDaemons()
 }
 
 // Down reports whether the node has crashed.
 func (n *Node) Down() bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.downAt != 0
+	return n.down.Load()
 }
 
 // CheckOOM inspects total RSS against physical memory. If usage

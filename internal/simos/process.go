@@ -11,6 +11,7 @@ package simos
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -99,7 +100,9 @@ type Table struct {
 	// individually, because initializing a slot inside an existing heap
 	// chunk pays bulk pointer write barriers on every spawn and keeps
 	// dead transient entries alive until their whole chunk dies, both
-	// measurable losses on the E4 drain benchmarks.
+	// measurable losses on the E4 drain benchmarks. A SpawnJob entry is
+	// one fresh heap object that holds its argv inline (jobProcess);
+	// it is never reused, so a stale snapshot keeps showing it intact.
 	arena []Process
 	// Pristine mark for the trial-lifecycle Reset contract: the entry
 	// set, PID counter and generation recorded by MarkPristine. Because
@@ -299,26 +302,37 @@ func (t *Table) Spawn(cred ids.Credential, ppid ids.PID, comm string, argv ...st
 	return p.Clone()
 }
 
+// jobProcess is a task entry with its argv inline, so that a task
+// with at most one argument costs one allocation.
+type jobProcess struct {
+	Process
+	argv [2]string
+}
+
 // SpawnJob publishes the task process of scheduler job jobID: a child
 // of init that already carries the job and its resident memory, so a
 // job start costs one entry, one lock and one generation bump per
 // node. The entry shares cred.Groups instead of cloning it: the caller
-// must never mutate it afterwards (the scheduler passes its job's
-// private credential, which nothing writes after Submit).
+// must never mutate it afterwards (the scheduler passes its private
+// job credential, which nothing writes after Submit). With at most
+// one argument, the entry and its argv are one allocation.
 func (t *Table) SpawnJob(cred ids.Credential, jobID int, rss int64, comm string, argv ...string) ids.PID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	p := &Process{
-		PID:     t.nextPID,
-		PPID:    1,
-		Cred:    cred,
-		Comm:    comm,
-		Cmdline: cmdline(comm, argv),
-		State:   StateRunning,
-		Start:   t.clock(),
-		RSS:     rss,
-		JobID:   jobID,
-	}
+	e := &jobProcess{Process: Process{
+		PID:   t.nextPID,
+		PPID:  1,
+		Cred:  cred,
+		Comm:  comm,
+		State: StateRunning,
+		Start: t.clock(),
+		RSS:   rss,
+		JobID: jobID,
+	}}
+	// Clip so that a reader's append cannot write into the inline array;
+	// past one argument, append moves the argv to the heap by itself.
+	e.Cmdline = slices.Clip(append(append(e.argv[:0], comm), argv...))
+	p := &e.Process
 	t.nextPID++
 	t.procs[p.PID] = p
 	t.dirtyLocked()

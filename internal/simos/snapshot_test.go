@@ -1,6 +1,7 @@
 package simos
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -68,6 +69,47 @@ func TestSnapshotGenerationInvalidation(t *testing.T) {
 	tb.Spawn(testCred(1000), 0, "c")
 	if got := tb.All(); len(got) != 2 {
 		t.Errorf("stale snapshot after Spawn: len = %d", len(got))
+	}
+}
+
+// TestStaleSnapshotKeepsExitedTask checks that a task entry is never
+// recycled: a snapshot taken before ExitJob still shows the exited
+// task, argv included, after later spawns on the same table.
+func TestStaleSnapshotKeepsExitedTask(t *testing.T) {
+	tb := NewTable(nil)
+	pid := tb.SpawnJob(testCred(1000), 7, 1, "slurmstepd", "a.out --token=7")
+	stale := tb.All()
+	if !tb.ExitJob(pid, 7) {
+		t.Fatal("ExitJob did not remove the task")
+	}
+	for i := 0; i < 64; i++ {
+		tb.SpawnJob(testCred(2000), 8+i, 1, "slurmstepd", "b.out --token=other")
+		tb.Spawn(testCred(2000), 0, "bash", "-c", "other")
+	}
+	if len(stale) != 1 {
+		t.Fatalf("stale snapshot has %d entries, want 1", len(stale))
+	}
+	p := stale[0]
+	want := []string{"slurmstepd", "a.out --token=7"}
+	if p.PID != pid || p.JobID != 7 || p.Cred.UID != 1000 || !slices.Equal(p.Cmdline, want) {
+		t.Errorf("stale snapshot entry = pid %d job %d uid %d %q, want pid %d job 7 uid 1000 %q",
+			p.PID, p.JobID, p.Cred.UID, p.Cmdline, pid, want)
+	}
+}
+
+// TestSpawnJobCmdline checks a task's argv for zero to three
+// arguments, within and past the inline array.
+func TestSpawnJobCmdline(t *testing.T) {
+	tb := NewTable(nil)
+	for _, argv := range [][]string{nil, {"a"}, {"a", "b"}, {"a", "b", "c"}} {
+		pid := tb.SpawnJob(testCred(1000), 1, 1, "w", argv...)
+		p, err := tb.Get(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := append([]string{"w"}, argv...); !slices.Equal(p.Cmdline, want) {
+			t.Errorf("SpawnJob(%q) Cmdline = %q, want %q", argv, p.Cmdline, want)
+		}
 	}
 }
 

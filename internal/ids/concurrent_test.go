@@ -1,6 +1,7 @@
 package ids
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -68,4 +69,65 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	if got, want := len(r.Users()), 1+workers*perWorker; got != want {
 		t.Errorf("Users() has %d entries, want %d", got, want)
 	}
+}
+
+// SwitchGroup decides membership while other goroutines add users to
+// and remove them from the same project group. Run under -race it
+// checks the member map is read under the registry's lock; every call
+// either switches the effective GID or fails with ErrNotMember, and a
+// user always switches to their own private group.
+func TestRegistrySwitchGroupConcurrent(t *testing.T) {
+	const users, rounds = 8, 300
+	r := NewRegistry()
+	proj, err := r.AddProjectGroup("proj", Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	creds := make([]Credential, users)
+	for i := range creds {
+		uid, err := r.Register(fmt.Sprintf("s%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if creds[i], err = r.LoginCredential(uid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k := range rounds {
+			for _, c := range creds {
+				var err error
+				if k%2 == 0 {
+					err = r.AddToGroup(Root, proj.GID, c.UID)
+				} else {
+					err = r.RemoveFromGroup(Root, proj.GID, c.UID)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	for _, c := range creds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				got, err := r.SwitchGroup(c, proj.GID)
+				if err == nil && got.EGID != proj.GID || err != nil && !errors.Is(err, ErrNotMember) {
+					t.Errorf("SwitchGroup(uid %d, proj) = %+v, %v", c.UID, got, err)
+					return
+				}
+				if got, err := r.SwitchGroup(c, c.EGID); err != nil || got.EGID != c.EGID {
+					t.Errorf("SwitchGroup(uid %d, own private group) = %+v, %v", c.UID, got, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

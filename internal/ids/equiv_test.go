@@ -3,7 +3,9 @@ package ids
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -345,4 +347,182 @@ func TestLazyErrorIdentity(t *testing.T) {
 	if _, err := r.AddProjectGroup("ghost", Root); !errors.Is(err, ErrExists) {
 		t.Fatalf("AddProjectGroup colliding with a lazy private name: got %v, want ErrExists", err)
 	}
+}
+
+// replayOp is one registry call of a replay script: 'r' Register, 'g'
+// AddProjectGroup with root as steward, 'u' UserByName, 'n'
+// GroupByName, 'm' MarkPristine.
+type replayOp struct {
+	kind byte
+	name string
+}
+
+// apply runs op on r and returns its result, error text included.
+func (op replayOp) apply(r *Registry) string {
+	var id any
+	var err error
+	switch op.kind {
+	case 'r':
+		id, err = r.Register(op.name)
+	case 'g':
+		var g *Group
+		if g, err = r.AddProjectGroup(op.name, Root); err == nil {
+			id = g.GID
+		}
+	case 'u':
+		var u *User
+		if u, err = r.UserByName(op.name); err == nil {
+			id = u.UID
+		}
+	case 'n':
+		var g *Group
+		if g, err = r.GroupByName(op.name); err == nil {
+			id = g.GID
+		}
+	case 'm':
+		r.MarkPristine()
+	}
+	return fmt.Sprint(id, err)
+}
+
+// replayScript returns one trial's calls. Its registrations replay
+// prev, the names the next Reset drops, identically, as a prefix or
+// with two swapped, and may go on with new names. Between them it
+// re-registers names it already registered, names a project group
+// after the next name, looks up names it has not registered yet, and
+// may mark the registry pristine.
+func replayScript(rng *rand.Rand, prev []string, fresh func() string, mark bool) (string, []replayOp) {
+	mode, names := "identical", slices.Clone(prev)
+	switch rng.IntN(3) {
+	case 1:
+		mode, names = "prefix", names[:rng.IntN(len(names)+1)]
+	case 2:
+		if len(names) >= 2 {
+			i, j := rng.IntN(len(names)-1), len(names)-1
+			mode, names[i], names[j] = "reordered", names[j], names[i]
+		}
+	}
+	for k := 10 * rng.IntN(3); k > 0; k-- {
+		names = append(names, fresh())
+	}
+	markAt := -1
+	if mark && rng.IntN(2) == 0 {
+		markAt = rng.IntN(len(names) + 1)
+	}
+	var ops []replayOp
+	for i, name := range names {
+		if i == markAt {
+			ops = append(ops, replayOp{'m', ""})
+		}
+		if i > 0 && rng.IntN(8) == 0 {
+			ops = append(ops, replayOp{'r', names[rng.IntN(i)]})
+		}
+		if rng.IntN(12) == 0 {
+			ops = append(ops, replayOp{'g', name})
+		}
+		if rng.IntN(5) == 0 {
+			later := names[i+rng.IntN(len(names)-i)]
+			ops = append(ops, replayOp{'u', later}, replayOp{'n', later})
+		}
+		ops = append(ops, replayOp{'r', name})
+	}
+	if markAt == len(names) {
+		ops = append(ops, replayOp{'m', ""})
+	}
+	return mode, ops
+}
+
+// A registry that replays the last trial's names after Reset must be
+// observably identical to one that never replayed: a fresh registry
+// given the calls that built the state Reset rewound to, then the same
+// trial. Seeded scripts run several Reset cycles, with and without a
+// pristine mark, and every call's result and every cycle's observation
+// must match. The test also counts the situations the replay path must
+// get right and fails if the scripts missed one.
+func TestRegistryReplayEquivalence(t *testing.T) {
+	seen := map[string]int{}
+	for _, mark := range []bool{true, false} {
+		for seed := uint64(1); seed <= 12; seed++ {
+			rng := rand.New(rand.NewPCG(seed, 26))
+			next := 0
+			fresh := func() string { next++; return fmt.Sprintf("n%d", next) }
+			r := NewRegistry()
+			// hist holds the calls a fresh registry needs to reach r's
+			// state; Reset cuts it back to the calls up to the mark.
+			hist := []replayOp{{'r', "staff0"}, {'g', "proj"}, {'r', "staff1"}}
+			for range 10 {
+				hist = append(hist, replayOp{'r', fresh()})
+			}
+			markLen := 0
+			if mark {
+				hist = append(hist, replayOp{'m', ""})
+				markLen = len(hist)
+			}
+			for _, op := range hist {
+				op.apply(r)
+			}
+			for cycle := range 5 {
+				from := 0
+				if r.mark != nil {
+					from = r.mark.descs
+				}
+				var prev []string
+				for _, d := range r.descs[from:] {
+					prev = append(prev, d.name)
+				}
+				r.Reset()
+				hist = hist[:markLen]
+				ref := NewRegistry()
+				for _, op := range hist {
+					op.apply(ref)
+				}
+				mode, ops := replayScript(rng, prev, fresh, mark)
+				seen[mode]++
+				if !mark {
+					seen["reset without a mark"]++
+				}
+				for _, op := range ops {
+					n := len(r.descs)
+					replaying := n < r.names.kept
+					keptAhead := replaying && slices.ContainsFunc(r.descs[n:r.names.kept], func(d userDesc) bool { return d.name == op.name })
+					switch {
+					case op.kind == 'r' && keptAhead && r.descs[:n+1][n].name == op.name:
+						seen["replay"]++
+						if _, clash := r.gByName[op.name]; clash {
+							seen["replay of a name a project group took"]++
+						}
+					case op.kind == 'r' && replaying && !keptAhead && slices.ContainsFunc(r.descs[from:], func(d userDesc) bool { return d.name == op.name }):
+						seen["re-register during a replay"]++
+					case (op.kind == 'u' || op.kind == 'n') && keptAhead:
+						seen["lookup of a kept name"]++
+					case op.kind == 'g' && keptAhead:
+						seen["project group named after a kept name"]++
+					case op.kind == 'm' && replaying:
+						seen["mark during a replay"]++
+					}
+					got, want := op.apply(r), op.apply(ref)
+					if got != want {
+						t.Fatalf("mark=%v seed %d cycle %d (%s): %c %q = %s, want %s as a registry that never replayed", mark, seed, cycle, mode, op.kind, op.name, got, want)
+					}
+					hist = append(hist, op)
+					if op.kind == 'm' {
+						markLen = len(hist)
+					}
+				}
+				if got, want := observe(t, r), observe(t, ref); !reflect.DeepEqual(got, want) {
+					t.Fatalf("mark=%v seed %d cycle %d (%s): observation diverges from a registry that never replayed:\ngot:  %+v\nwant: %+v", mark, seed, cycle, mode, got, want)
+				}
+			}
+		}
+	}
+	for _, k := range []string{
+		"identical", "prefix", "reordered", "reset without a mark", "replay",
+		"replay of a name a project group took", "re-register during a replay",
+		"lookup of a kept name", "project group named after a kept name", "mark during a replay",
+	} {
+		if seen[k] == 0 {
+			t.Errorf("no script covered: %s", k)
+		}
+	}
+	t.Logf("covered: %v", seen)
 }

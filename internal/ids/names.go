@@ -16,12 +16,19 @@ import "hash/maphash"
 // 24 position bits cap a registry at maxUsers registered users, which
 // Register enforces with ErrRegistryFull.
 //
-// Registrations only append, and Reset drops the newest ones, so the
-// index never deletes an arbitrary entry: rewinding it is clearing the
-// table and reinserting the descriptors that remain.
+// The table indexes descs[:kept], where kept ≥ len(descs). Registrations
+// only append, and Reset truncates descs without touching the table, so
+// the descriptors Reset dropped stay indexed, and a lookup that lands
+// on one reports the name absent. A pooled trial re-registers the
+// previous trial's names in the same order; replay lets each such
+// registration reuse the next kept descriptor and its slot instead of
+// hashing and probing. The first name that differs drops the kept
+// descriptors and rebuilds the table from the live ones, which leaves
+// the layout inserting them in order would have, with no tombstones.
 type nameIndex struct {
 	seed  maphash.Seed
 	slots []uint32 // len is a power of two
+	kept  int      // the table indexes descs[:kept]
 }
 
 // minNameSlots is the size of an empty registry's table.
@@ -74,19 +81,44 @@ func (x *nameIndex) find(descs []userDesc, name string, h uint64) (slot int, fou
 	}
 }
 
-// lookup returns the index of name's descriptor.
+// lookup returns the index of name's descriptor among the live descs.
+// A name whose descriptor Reset dropped is absent.
 func (x *nameIndex) lookup(descs []userDesc, name string) (int, bool) {
-	slot, ok := x.find(descs, name, x.hash(name))
+	slot, ok := x.find(descs[:x.kept], name, x.hash(name))
 	if !ok {
 		return 0, false
 	}
-	return slotPos(x.slots[slot]) - 1, true
+	i := slotPos(x.slots[slot]) - 1
+	return i, i < len(descs)
+}
+
+// replay reports whether registering name can reuse descs[len(descs)],
+// the next kept descriptor, and the slot that already indexes it. The
+// kept descriptors were all live at once, so their names are distinct:
+// a name equal to the next one cannot be live. Any other name drops
+// the kept descriptors and rebuilds the table from descs, after which
+// find and add serve the registration.
+func (x *nameIndex) replay(descs []userDesc, name string) bool {
+	n := len(descs)
+	if n == x.kept {
+		return false
+	}
+	if descs[:n+1][n].name == name {
+		return true
+	}
+	clear(descs[n:x.kept])
+	x.kept = n
+	clear(x.slots)
+	x.fill(descs)
+	return false
 }
 
 // add indexes the last descriptor, whose name hashes to h and which
-// find placed at slot. An insert that would take the table past half
-// full doubles it instead.
+// find placed at slot; the table indexed descs up to it and keeps none
+// past it. An insert that would take the table past half full doubles
+// it instead.
 func (x *nameIndex) add(descs []userDesc, slot int, h uint64) {
+	x.kept = len(descs)
 	if 2*len(descs) > len(x.slots) {
 		x.slots = make([]uint32, 2*len(x.slots))
 		x.fill(descs)
@@ -103,13 +135,4 @@ func (x *nameIndex) fill(descs []userDesc) {
 		slot, _ := x.find(descs, descs[i].name, h)
 		x.slots[slot] = packSlot(i+1, hashTag(h))
 	}
-}
-
-// reset empties the table and indexes descs again. The table keeps its
-// size, so reset never allocates and the next trial's registrations
-// reuse it; it costs one memclr of the table plus one insert per
-// remaining descriptor.
-func (x *nameIndex) reset(descs []userDesc) {
-	clear(x.slots)
-	x.fill(descs)
 }

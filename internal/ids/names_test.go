@@ -32,9 +32,12 @@ func registerAll(tb testing.TB, r *Registry, names []string) []UID {
 	return uids
 }
 
-// Reset must leave the index exactly as if only the pristine users
-// had ever been inserted, whether the trial added a few users or grew
-// the table many times over.
+// Reset leaves the index as inserting every descriptor up to kept in
+// order would, the dropped trial users included, while lookups report
+// those users absent. The first registration that does not replay
+// rebuilds it as inserting only the live descriptors would. The cases
+// cover a trial that added a few users and one that grew the table
+// many times over.
 func TestNameIndexReset(t *testing.T) {
 	for _, tc := range []struct {
 		name            string
@@ -49,29 +52,46 @@ func TestNameIndexReset(t *testing.T) {
 			r := NewRegistry()
 			pristine := registerAll(t, r, testNames("p", tc.pristine))
 			r.MarkPristine()
-			before := slices.Clone(r.names.slots)
-			registerAll(t, r, testNames("t", tc.trial))
-			grew := len(r.names.slots) != len(before)
+			trial := testNames("t", tc.trial)
+			registerAll(t, r, trial)
 			r.Reset()
 
-			if !grew && !slices.Equal(r.names.slots, before) {
-				t.Error("index layout after Reset differs from the layout at the mark")
+			layoutOf := func(descs []userDesc) []uint32 {
+				ref := nameIndex{seed: r.names.seed, slots: make([]uint32, len(r.names.slots))}
+				ref.fill(descs)
+				return ref.slots
 			}
-			ref := nameIndex{seed: r.names.seed, slots: make([]uint32, len(r.names.slots))}
-			ref.fill(r.descs)
-			if !slices.Equal(r.names.slots, ref.slots) {
-				t.Error("index layout after Reset differs from inserting the pristine users in order")
+			if want := tc.pristine + tc.trial; r.names.kept != want || len(r.descs) != tc.pristine {
+				t.Fatalf("after Reset: %d live descriptors, %d kept; want %d, %d", len(r.descs), r.names.kept, tc.pristine, want)
 			}
-			for i, name := range testNames("p", tc.pristine) {
-				if u, err := r.UserByName(name); err != nil || u.UID != pristine[i] {
-					t.Fatalf("pristine %q after Reset = %v, %v; want uid %d", name, u, err, pristine[i])
+			if !slices.Equal(r.names.slots, layoutOf(r.descs[:r.names.kept])) {
+				t.Error("index layout after Reset differs from inserting the kept descriptors in order")
+			}
+			check := func(when string) {
+				t.Helper()
+				for i, name := range testNames("p", tc.pristine) {
+					if u, err := r.UserByName(name); err != nil || u.UID != pristine[i] {
+						t.Fatalf("pristine %q %s = %v, %v; want uid %d", name, when, u, err, pristine[i])
+					}
+				}
+				for _, name := range trial {
+					if _, err := r.UserByName(name); !errors.Is(err, ErrNoSuchUser) {
+						t.Fatalf("trial user %q %s: err %v, want ErrNoSuchUser", name, when, err)
+					}
 				}
 			}
-			for _, name := range testNames("t", tc.trial) {
-				if _, err := r.UserByName(name); !errors.Is(err, ErrNoSuchUser) {
-					t.Fatalf("trial user %q after Reset: err %v, want ErrNoSuchUser", name, err)
-				}
+			check("after Reset")
+
+			if _, err := r.Register("diverge"); err != nil {
+				t.Fatal(err)
 			}
+			if r.names.kept != len(r.descs) {
+				t.Errorf("after a diverging registration: %d kept, want the %d live descriptors", r.names.kept, len(r.descs))
+			}
+			if !slices.Equal(r.names.slots, layoutOf(r.descs)) {
+				t.Error("index layout after a diverging registration differs from inserting the live descriptors in order")
+			}
+			check("after a diverging registration")
 		})
 	}
 }
@@ -259,7 +279,11 @@ func TestNameIndexSlotBounds(t *testing.T) {
 }
 
 // Once the descriptor table and the index have grown, a trial cycle —
-// Reset, then registering the same population — allocates nothing.
+// Reset, then registering the same population — allocates nothing, and
+// it replays: every registration reuses a kept descriptor, so the kept
+// count never drops, and the index slots stay byte for byte what they
+// were before the Reset. A fallback to probing rebuilds the table on
+// its first registration and fails the first check.
 func TestResetReregisterAllocFree(t *testing.T) {
 	r := NewRegistry()
 	registerAll(t, r, testNames("staff", 100))
@@ -267,6 +291,7 @@ func TestResetReregisterAllocFree(t *testing.T) {
 	for _, n := range []int{3000, 10} {
 		names := testNames("u", n)
 		registerAll(t, r, names)
+		before, kept := slices.Clone(r.names.slots), r.names.kept
 		allocs := testing.AllocsPerRun(10, func() {
 			r.Reset()
 			for _, name := range names {
@@ -279,29 +304,51 @@ func TestResetReregisterAllocFree(t *testing.T) {
 			t.Errorf("%d users: Reset + re-register allocates %.1f times per cycle, want 0", n, allocs)
 		}
 		r.Reset()
+		for _, name := range names {
+			if _, err := r.Register(name); err != nil {
+				t.Fatal(err)
+			}
+			if r.names.kept != kept {
+				t.Fatalf("%d users: registering %q after Reset dropped the kept descriptors (%d kept, want %d)", n, name, r.names.kept, kept)
+			}
+		}
+		if !slices.Equal(r.names.slots, before) {
+			t.Errorf("%d users: index slots changed across Reset + re-register", n)
+		}
+		r.Reset()
 	}
 }
 
 // BenchmarkRegistryRegister registers n names into a Reset registry,
 // the bulk-provisioning step of an XXL trial; the Reset between
-// iterations is not timed. At 100k names the 1 MB index fits in cache;
-// at 1M it is 8 MB, and each probe pays the random slot load an XXL
-// trial pays.
+// iterations is not timed. The 100k and 1M rows register the names the
+// previous iteration registered, in the same order, as every pooled
+// trial does, so they time the replay path: no hash and no probe. The
+// 1M-diverge row alternates two disjoint sets of 1M names, so every
+// iteration pays the index rebuild on its first name and one probe
+// and insert per name, the cost of a trial whose names differ from the
+// last. At 1M the index is 8 MB, and each probe pays the random slot
+// load.
 func BenchmarkRegistryRegister(b *testing.B) {
 	for _, bc := range []struct {
-		name string
-		n    int
-	}{{"100k", 100000}, {"1M", 1000000}} {
+		name    string
+		n       int
+		diverge bool
+	}{{"100k", 100000, false}, {"1M", 1000000, false}, {"1M-diverge", 1000000, true}} {
 		b.Run(bc.name, func(b *testing.B) {
-			names := testNames("u", bc.n)
+			sets := [][]string{testNames("u", bc.n)}
+			if bc.diverge {
+				sets = append(sets, testNames("v", bc.n))
+			}
 			r := NewRegistry()
 			r.MarkPristine()
-			registerAll(b, r, names) // grow the tables once, as a pooled cluster has
+			registerAll(b, r, sets[0]) // grow the tables once, as a pooled cluster has
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				r.Reset()
+				names := sets[(i+1)%len(sets)]
 				b.StartTimer()
 				for _, name := range names {
 					if _, err := r.Register(name); err != nil {

@@ -27,6 +27,10 @@ import (
 // that owns the cluster, so a lock is almost never contended, and
 // every method, reader or writer, takes it exactly once. Most readers
 // materialize cached views, so they write anyway.
+//
+// Reset leaves the name index untouched: a pooled trial re-registers
+// the previous trial's names in order, and each replayed registration
+// skips the hash and the probe (see nameIndex).
 type Registry struct {
 	mu      sync.Mutex
 	nextUID UID
@@ -36,7 +40,8 @@ type Registry struct {
 	// built on demand and cached in users/groups. Private GIDs are
 	// handed out in the same monotonic order as UIDs, so descriptor
 	// primaries are strictly increasing and a GID→owner lookup is a
-	// binary search.
+	// binary search. Past len, up to names.kept, the array still holds
+	// the users the last Reset dropped, for the next trial to replay.
 	descs   []userDesc
 	names   nameIndex      // every user but root, eager: the duplicate-name check needs it
 	users   map[UID]*User  // root + materialized users (cache over descs)
@@ -107,7 +112,6 @@ func NewRegistry() *Registry {
 func (r *Registry) resetToFreshLocked() {
 	r.nextUID, r.nextGID = uidBase, gidBase
 	r.descs = r.descs[:0]
-	r.names.reset(r.descs)
 	clear(r.users)
 	clear(r.groups)
 	clear(r.gByName)
@@ -164,11 +168,11 @@ func (r *Registry) MarkPristine() {
 // NewRegistry state if no mark was taken): users and groups created
 // since are dropped, membership changes to pristine groups are rolled
 // back, and ID numbering restarts at the marked counters. Dropping
-// users costs a memclr of the name index plus one reinsert per pristine
-// user, and allocates nothing, so the next trial's registrations reuse
-// the descriptor and name-index capacity. When nothing was logically
-// mutated (materializing cached views does not count) it returns
-// immediately, so pooled XXL trials pay nothing for untouched
+// users truncates the descriptors and leaves the name index as it is,
+// so a next trial that registers the same names in the same order
+// replays them (see nameIndex) and allocates nothing. When nothing was
+// logically mutated (materializing cached views does not count) it
+// returns immediately, so pooled XXL trials pay nothing for untouched
 // registries.
 func (r *Registry) Reset() {
 	r.mu.Lock()
@@ -186,7 +190,6 @@ func (r *Registry) Reset() {
 		return
 	}
 	r.descs = r.descs[:m.descs]
-	r.names.reset(r.descs)
 	for uid := range r.users {
 		if uid >= m.nextUID {
 			delete(r.users, uid)
@@ -213,11 +216,12 @@ func (r *Registry) Reset() {
 
 // Register records a user plus their user-private group (same name)
 // without materializing any per-user state: one descriptor append and
-// one name-index insert. This is the bulk-provisioning path XXL
-// campaigns use to stand up millions of users; AddUser layers the
-// eager *User view on top for callers that want it right away. A name
-// already taken fails with ErrExists, and a user past the 2^24-2 cap
-// with ErrRegistryFull.
+// one name-index insert, or neither when it replays the name the
+// previous trial registered at this position. This is the
+// bulk-provisioning path XXL campaigns use to stand up millions of
+// users; AddUser layers the eager *User view on top for callers that
+// want it right away. A name already taken fails with ErrExists, and a
+// user past the 2^24-2 cap with ErrRegistryFull.
 func (r *Registry) Register(name string) (UID, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -225,11 +229,19 @@ func (r *Registry) Register(name string) (UID, error) {
 }
 
 func (r *Registry) registerLocked(name string) (UID, error) {
-	// One hash and one probe serve as both the duplicate check and the
-	// insert slot.
-	h := r.names.hash(name)
-	slot, dup := r.names.find(r.descs, name, h)
-	if dup || name == "root" {
+	// A replayed name cannot be live; otherwise one hash and one probe
+	// serve as both the duplicate check and the insert slot.
+	replay := r.names.replay(r.descs, name)
+	var h uint64
+	var slot int
+	if !replay {
+		h = r.names.hash(name)
+		var dup bool
+		if slot, dup = r.names.find(r.descs, name, h); dup {
+			return NoUID, fmt.Errorf("%w: user %q", ErrExists, name)
+		}
+	}
+	if name == "root" {
 		return NoUID, fmt.Errorf("%w: user %q", ErrExists, name)
 	}
 	if _, dup := r.gByName[name]; dup {
@@ -242,8 +254,13 @@ func (r *Registry) registerLocked(name string) (UID, error) {
 	gid := r.nextGID
 	r.nextUID++
 	r.nextGID++
-	r.descs = append(r.descs, userDesc{name: name, primary: gid})
-	r.names.add(r.descs, slot, h)
+	if replay {
+		r.descs = r.descs[:len(r.descs)+1]
+		r.descs[len(r.descs)-1].primary = gid
+	} else {
+		r.descs = append(r.descs, userDesc{name: name, primary: gid})
+		r.names.add(r.descs, slot, h)
+	}
 	r.gen++
 	return uid, nil
 }
@@ -517,20 +534,18 @@ func (r *Registry) LoginCredential(uid UID) (Credential, error) {
 // peers through the UBF (paper §IV-D).
 func (r *Registry) SwitchGroup(c Credential, gid GID) (Credential, error) {
 	r.mu.Lock()
+	var member bool
 	g, ok := r.groups[gid]
-	owner := NoUID
-	if !ok {
-		if uid, _, found := r.ownerOf(gid); found {
-			owner, ok = uid, true
-		}
+	if ok {
+		member = g.Has(c.UID)
+	} else {
+		var owner UID
+		owner, _, ok = r.ownerOf(gid)
+		member = ok && owner == c.UID
 	}
 	r.mu.Unlock()
 	if !ok {
 		return c, fmt.Errorf("%w: gid %d", ErrNoSuchGroup, gid)
-	}
-	member := owner == c.UID
-	if g != nil {
-		member = g.Has(c.UID)
 	}
 	if !member && !c.IsRoot() {
 		return c, fmt.Errorf("%w: uid %d not in gid %d", ErrNotMember, c.UID, gid)

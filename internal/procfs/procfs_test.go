@@ -2,6 +2,8 @@ package procfs
 
 import (
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -248,5 +250,51 @@ func TestHidePIDString(t *testing.T) {
 		if got := h.String(); got != want {
 			t.Errorf("HidePID(%d).String() = %q, want %q", int(h), got, want)
 		}
+	}
+}
+
+// TestResultsOutliveReset checks that List, Readable and Stat hand out
+// private copies: a cluster Reset recycles the process table's task
+// entries, so results kept from trial 1 must still read the same after
+// Reset and a different trial 2 has reused that storage. It fails if
+// procfs ever returns a shared table entry.
+func TestResultsOutliveReset(t *testing.T) {
+	tb := simos.NewNode("c1", simos.Compute, 8, 1<<30, nil).Procs
+	var pids []ids.PID
+	for i, uid := range []ids.UID{1000, 2000, 1000, 2000} {
+		pids = append(pids, tb.SpawnJob(cred(uid), 1+i, 1<<20, "slurmstepd", "a.out --token=trial1-"+string(rune('a'+i))))
+	}
+	var got [][]*simos.Process
+	for _, hide := range []HidePID{HidePIDOff, HidePIDNoRead, HidePIDInvis} {
+		m := NewMount(tb, hide, supportGID)
+		for _, obs := range []ids.Credential{cred(1000), ids.RootCred()} {
+			got = append(got, m.List(obs), m.Readable(obs))
+			for _, pid := range pids {
+				if p, err := m.Stat(obs, pid); err == nil {
+					got = append(got, []*simos.Process{p})
+				}
+			}
+		}
+	}
+	snapshot := func() [][]simos.Process {
+		out := make([][]simos.Process, len(got))
+		for i, ps := range got {
+			for _, p := range ps {
+				c := *p
+				c.Cred.Groups = slices.Clone(p.Cred.Groups)
+				c.Cmdline = slices.Clone(p.Cmdline)
+				out[i] = append(out[i], c)
+			}
+		}
+		return out
+	}
+	want := snapshot()
+
+	tb.Reset()
+	for i := 0; i < 8; i++ {
+		tb.SpawnJob(cred(3000), 100+i, 2<<20, "mpirun", "b.out --token=trial2")
+	}
+	if after := snapshot(); !reflect.DeepEqual(after, want) {
+		t.Errorf("trial 1 results changed after Reset and trial 2:\n got %+v\nwant %+v", after, want)
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/simos"
+	"repro/internal/slab"
 )
 
 // Config is the scheduler's separation-relevant configuration.
@@ -143,12 +144,12 @@ type Scheduler struct {
 	records      []AccountingRecord
 	// jobSlab backs every Job in the table and gidSlab its credential's
 	// groups; nodeSlab, coreSlab and pidSlab back the per-node slices
-	// tryStart fills. All five are rewound by Reset (slab.go).
-	jobSlab  slab[Job]
-	gidSlab  slab[ids.GID]
-	nodeSlab slab[string]
-	coreSlab slab[int]
-	pidSlab  slab[ids.PID]
+	// tryStart fills. All five are rewound by Reset (package slab).
+	jobSlab  slab.Slab[Job]
+	gidSlab  slab.Slab[ids.GID]
+	nodeSlab slab.Slab[string]
+	coreSlab slab.Slab[int]
+	pidSlab  slab.Slab[ids.PID]
 	prologs  []Hook
 	epilogs  []Hook
 	// defaultScope aggregates capacity over all compute nodes;
@@ -284,11 +285,11 @@ func (s *Scheduler) Reset() {
 	clear(s.activeByUser)
 	clear(s.records)
 	s.records = s.records[:0]
-	s.jobSlab.reset()
-	s.gidSlab.reset()
-	s.nodeSlab.reset()
-	s.coreSlab.reset()
-	s.pidSlab.reset()
+	s.jobSlab.Reset()
+	s.gidSlab.Reset()
+	s.nodeSlab.Reset()
+	s.coreSlab.Reset()
+	s.pidSlab.Reset()
 	s.partitions = nil
 	s.queueBlocked = false
 	s.armedNodes = 0
@@ -379,10 +380,10 @@ func (s *Scheduler) Submit(cred ids.Credential, spec JobSpec) (int, error) {
 	c := cred
 	c.Groups = nil
 	if n := len(cred.Groups); n > 0 {
-		c.Groups = s.gidSlab.take(n)
+		c.Groups = s.gidSlab.Take(n)
 		copy(c.Groups, cred.Groups)
 	}
-	j := &s.jobSlab.take(1)[0]
+	j := &s.jobSlab.Take(1)[0]
 	*j = Job{
 		ID:     len(s.jobs) + 1,
 		User:   cred.UID,
@@ -610,9 +611,9 @@ func (s *Scheduler) tryStart(j *Job) bool {
 	j.State = Running
 	j.Start = s.now
 	n := len(s.scratch.nodes)
-	j.Nodes = s.nodeSlab.take(n)
-	j.Cores = s.coreSlab.take(n)
-	j.pids = s.pidSlab.take(n)
+	j.Nodes = s.nodeSlab.Take(n)
+	j.Cores = s.coreSlab.Take(n)
+	j.pids = s.pidSlab.Take(n)
 	rss := effMemB(j)
 	for k, ni := range s.scratch.nodes {
 		ns := s.nodes[ni]

@@ -16,6 +16,7 @@ import (
 	"sync"
 
 	"repro/internal/ids"
+	"repro/internal/slab"
 )
 
 // ProcState is the lifecycle state of a simulated process.
@@ -72,15 +73,18 @@ func (p *Process) Clone() *Process {
 // Table is a node's process table. All methods are safe for
 // concurrent use.
 //
-// Entries stored in the table are immutable once published: the only
+// Entries stored in the table are immutable until Reset: the only
 // mutations are Spawn/SpawnDaemon/SpawnJob, which publish a fresh
 // entry, and Exit/ExitJob/Kill/KillUser, which delete one; nothing
-// writes through a published pointer. That lets the table publish one
+// writes through a published pointer, and no entry's storage is
+// reused before the next Reset. That lets the table publish one
 // generation-counted, copy-on-write snapshot — a cached sorted
 // []*Process — that every reader of All/Visit shares with zero
-// per-call cloning. Values returned by All and Visit are therefore
-// shared and MUST be treated as read-only; use Clone (or Get, which
-// clones) before modifying one.
+// per-call cloning. Values returned by All, Visit and Lookup are
+// therefore shared and MUST be treated as read-only; use Clone (or
+// Get, which clones) before modifying one. They also MUST NOT be kept
+// across Reset, which recycles the storage of every task entry
+// spawned since the pristine mark: clone what must outlive the trial.
 type Table struct {
 	mu      sync.RWMutex
 	nextPID ids.PID
@@ -89,20 +93,23 @@ type Table struct {
 	gen     uint64     // bumped on every mutation
 	snap    []*Process // cached PID-sorted snapshot, shared with readers
 	snapGen uint64     // generation snap was built at; valid iff == gen
+	// jobs holds every SpawnJob entry, with its argv inline. Within a
+	// trial an entry is never reused, even after ExitJob, so a stale
+	// snapshot keeps showing it intact. Reset zeroes the entries carved
+	// since the pristine mark and rewinds to it, so a pooled trial's
+	// job starts reuse the previous trial's storage and allocate
+	// nothing once the chunks cover the busiest trial.
+	jobs slab.Slab[jobProcess]
 	// arena is the current allocation chunk for the long-lived daemon
 	// population: daemon *Process entries point into such a chunk
 	// instead of being individual heap objects. Entries are handed out
 	// append-only and a full chunk is replaced (never grown), so
 	// published pointers stay stable; a chunk is reclaimed when nothing
 	// references it anymore. At 10k-node scale the construction daemons
-	// alone are 30k entries, so this is a residency win — but ONLY the
-	// daemon path uses it: trial-time Spawn/SpawnJob allocate
-	// individually, because initializing a slot inside an existing heap
-	// chunk pays bulk pointer write barriers on every spawn and keeps
-	// dead transient entries alive until their whole chunk dies, both
-	// measurable losses on the E4 drain benchmarks. A SpawnJob entry is
-	// one fresh heap object that holds its argv inline (jobProcess);
-	// it is never reused, so a stale snapshot keeps showing it intact.
+	// alone are 30k entries, and a node's three share one 4-entry chunk.
+	// It is not a slab.Slab: a slab's header and chunk list cost each of
+	// 10k tables about 56 bytes more than this one slice, and daemons
+	// respawned mid-trial (Node.Restore) would need rewinding too.
 	arena []Process
 	// Pristine mark for the trial-lifecycle Reset contract: the entry
 	// set, PID counter and generation recorded by MarkPristine. Because
@@ -166,10 +173,12 @@ var daemonCmdlines sync.Map // string key → []string
 // MarkPristine records the table's current state as the target of
 // Reset. Entries are shared by pointer with the live map: the table's
 // copy-on-write contract (published entries are immutable) makes the
-// shared mark exact without cloning anything.
+// shared mark exact without cloning anything. Task entries spawned
+// before the mark are never recycled.
 func (t *Table) MarkPristine() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.jobs.Mark()
 	t.pristine = make(map[ids.PID]*Process, len(t.procs))
 	for pid, p := range t.procs {
 		t.pristine[pid] = p
@@ -184,9 +193,11 @@ func (t *Table) MarkPristine() {
 // fresh table would hand out, and the generation drops back to the
 // mark so the table is indistinguishable from a newly constructed one.
 // The fast path — nothing spawned, exited or mutated since the mark —
-// is a pointer-equality sweep that allocates nothing. Snapshots handed
-// out before the Reset stay valid (immutably stale), like snapshots
-// taken before any other mutation.
+// returns at once. Reset allocates nothing: it zeroes the task entries
+// spawned since the mark and rewinds their storage for the next trial.
+// Snapshots and entries handed out before the Reset are therefore no
+// longer valid: a task entry they share may be zeroed or reused by a
+// later SpawnJob. Entries present at the mark stay intact.
 func (t *Table) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -207,6 +218,7 @@ func (t *Table) Reset() {
 			}
 		}
 		if same {
+			t.jobs.Reset()
 			t.nextPID = t.pristinePID
 			if t.nextPID == 0 {
 				t.nextPID = 1
@@ -221,6 +233,7 @@ func (t *Table) Reset() {
 		}
 	}
 	clear(t.procs)
+	t.jobs.Reset()
 	for pid, p := range t.pristine {
 		t.procs[pid] = p
 	}
@@ -303,7 +316,7 @@ func (t *Table) Spawn(cred ids.Credential, ppid ids.PID, comm string, argv ...st
 }
 
 // jobProcess is a task entry with its argv inline, so that a task
-// with at most one argument costs one allocation.
+// with at most one argument needs no storage beyond its slab slot.
 type jobProcess struct {
 	Process
 	argv [2]string
@@ -314,21 +327,24 @@ type jobProcess struct {
 // job start costs one entry, one lock and one generation bump per
 // node. The entry shares cred.Groups instead of cloning it: the caller
 // must never mutate it afterwards (the scheduler passes its private
-// job credential, which nothing writes after Submit). With at most
-// one argument, the entry and its argv are one allocation.
+// job credential, which nothing writes after Submit). The entry is
+// carved from the table's job slab, so with at most one argument a
+// job start allocates nothing once a previous trial has sized the
+// slab; the entry stays intact after ExitJob until the next Reset.
 func (t *Table) SpawnJob(cred ids.Credential, jobID int, rss int64, comm string, argv ...string) ids.PID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e := &jobProcess{Process: Process{
-		PID:   t.nextPID,
-		PPID:  1,
-		Cred:  cred,
-		Comm:  comm,
-		State: StateRunning,
-		Start: t.clock(),
-		RSS:   rss,
-		JobID: jobID,
-	}}
+	// The slot comes zeroed, so fields are stored one by one: a
+	// whole-struct store would pay a bulk write barrier and a block copy.
+	e := &t.jobs.Take(1)[0]
+	e.PID = t.nextPID
+	e.PPID = 1
+	e.Cred = cred
+	e.Comm = comm
+	e.State = StateRunning
+	e.Start = t.clock()
+	e.RSS = rss
+	e.JobID = jobID
 	// Clip so that a reader's append cannot write into the inline array;
 	// past one argument, append moves the argv to the heap by itself.
 	e.Cmdline = slices.Clip(append(append(e.argv[:0], comm), argv...))

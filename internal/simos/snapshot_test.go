@@ -73,8 +73,9 @@ func TestSnapshotGenerationInvalidation(t *testing.T) {
 }
 
 // TestStaleSnapshotKeepsExitedTask checks that a task entry is never
-// recycled: a snapshot taken before ExitJob still shows the exited
-// task, argv included, after later spawns on the same table.
+// recycled before Reset: a snapshot taken before ExitJob still shows
+// the exited task, argv included, after later spawns on the same
+// table.
 func TestStaleSnapshotKeepsExitedTask(t *testing.T) {
 	tb := NewTable(nil)
 	pid := tb.SpawnJob(testCred(1000), 7, 1, "slurmstepd", "a.out --token=7")
@@ -158,10 +159,17 @@ func TestVisitReentrancy(t *testing.T) {
 // (Spawn/SpawnJob/Exit/ExitJob) and snapshot readers (All/Visit/ByUser/
 // Get). Run under -race this proves readers share immutable snapshots
 // without torn reads; without -race it still asserts snapshots are
-// internally consistent (PID-sorted, no duplicates).
+// internally consistent (PID-sorted, no duplicates). A warm-up trial
+// and a Reset come first, so the writers' task entries reuse storage
+// that earlier entries occupied, as in a pooled trial.
 func TestSnapshotRaceStress(t *testing.T) {
 	tb := NewTable(nil)
 	const writers, readers, iters = 4, 4, 300
+	for i := 0; i < writers*iters; i++ {
+		tb.SpawnJob(testCred(999), 1, 1, "warm", "up")
+	}
+	tb.All()
+	tb.Reset()
 
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {

@@ -1,109 +1,31 @@
 // Command benchharness regenerates every table of the paper's
 // evaluation (experiments E1..E15 in DESIGN.md, the E16
-// measure-ablation matrix, and the E17 red-team campaign matrix) and
-// records the repo's performance trajectory as BENCH_*.json files.
-//
-// Table mode (default) prints the experiment tables:
+// measure-ablation matrix, and the E17 red-team campaign matrix):
 //
 //	go run ./cmd/benchharness
 //	go run ./cmd/benchharness -only E16
 //	go run ./cmd/benchharness -only E17       # attacker-model × config campaigns
 //	go run ./cmd/benchharness -only E4FLEET   # replicated fleet campaigns
 //
-// Bench mode runs the E1..E16 and Fleet Go benchmarks (bench_test.go) with
-// -benchmem, parses ns/op, B/op and allocs/op per experiment ×
-// configuration, and writes a JSON record. When a previous record is
-// given (or auto-discovered as the newest other BENCH_*.json in the
-// module root), each entry carries the previous numbers and deltas,
-// so every PR has a regression gate over the whole perf trajectory:
-//
-//	go run ./cmd/benchharness -bench -out BENCH_PR1.json
-//	go run ./cmd/benchharness -bench -out BENCH_PR2.json -prev BENCH_PR1.json -gate 25
-//
-// With -gate P the exit status is 1 if any benchmark's ns/op
-// regressed by more than P percent against the previous record.
+// The tables are deterministic: two runs print the same bytes. The
+// cost of each experiment's hot path is measured by the Go
+// benchmarks in bench_test.go, whose allocation counts are pinned
+// exactly by TestAllocPins.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
-	"path/filepath"
-	"regexp"
-	"runtime"
-	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 )
 
-// Bench is one parsed benchmark measurement. Experiment is the E-id
-// ("E1".."E16"), or the benchmark family name for non-E rows (e.g.
-// "FleetCampaign"); Config the sub-benchmark path (e.g. "enhanced",
-// "setup-ubf-cache"), empty for single-variant benchmarks.
-type Bench struct {
-	Name        string  `json:"name"` // full name minus "Benchmark" and -cpu suffix
-	Experiment  string  `json:"experiment"`
-	Config      string  `json:"config,omitempty"`
-	Iterations  int64   `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	// HeapBytes is the benchmark's self-reported post-run live heap
-	// (b.ReportMetric(..., "heap-bytes") after runtime.GC()), the
-	// XXL memory-ceiling observable. Zero when the benchmark does not
-	// report it — old records decode compatibly.
-	HeapBytes float64 `json:"heap_bytes,omitempty"`
-
-	// Previous-record numbers and deltas, present when a prior
-	// BENCH_*.json was diffed in.
-	PrevNsPerOp     *float64 `json:"prev_ns_per_op,omitempty"`
-	PrevBytesPerOp  *int64   `json:"prev_bytes_per_op,omitempty"`
-	PrevAllocsPerOp *int64   `json:"prev_allocs_per_op,omitempty"`
-	PrevHeapBytes   *float64 `json:"prev_heap_bytes,omitempty"`
-	NsDeltaPct      *float64 `json:"ns_delta_pct,omitempty"`
-	BytesDeltaPct   *float64 `json:"bytes_delta_pct,omitempty"`
-	AllocsDeltaPct  *float64 `json:"allocs_delta_pct,omitempty"`
-	HeapDeltaPct    *float64 `json:"heap_delta_pct,omitempty"`
-}
-
-// Record is the on-disk BENCH_*.json shape.
-type Record struct {
-	Label     string  `json:"label"`
-	GOOS      string  `json:"goos"`
-	GOARCH    string  `json:"goarch"`
-	CPU       string  `json:"cpu,omitempty"`
-	Benchtime string  `json:"benchtime"`
-	Count     int     `json:"count,omitempty"`    // best-of-N suite runs (-count)
-	Previous  string  `json:"previous,omitempty"` // label of the diffed-in record
-	Benches   []Bench `json:"benchmarks"`
-}
-
 func main() {
 	only := flag.String("only", "", "run a single experiment table, e.g. E4")
-	bench := flag.Bool("bench", false, "run the Go benchmarks and emit a JSON record instead of tables")
-	out := flag.String("out", "", "bench mode: output JSON path (e.g. BENCH_PR1.json)")
-	prev := flag.String("prev", "", "bench mode: previous BENCH_*.json to diff against; relative paths anchor to the module root (default: newest-mtime other BENCH_*.json there — unreliable in fresh clones, pin explicitly when several exist)")
-	label := flag.String("label", "", "bench mode: record label (default: output filename stem)")
-	pattern := flag.String("pattern", "^Benchmark(E[0-9]+|Fleet|Trial|XXL)", "bench mode: -bench regex passed to go test")
-	benchtime := flag.String("benchtime", "200ms", "bench mode: -benchtime passed to go test")
-	count := flag.Int("count", 1, "bench mode: run the whole benchmark suite N times and keep each benchmark's best (lowest ns/op) run — tames oscillating-container noise when recording a trajectory point (see EXPERIMENTS.md)")
-	gate := flag.Float64("gate", 0, "bench mode: fail if any ns/op regresses more than this percent vs previous (0 = report only)")
-	allocgate := flag.Float64("allocgate", 0, "bench mode: fail if any allocs/op regresses more than this percent vs previous, or a zero-alloc row becomes nonzero (0 = report only); allocs are deterministic, so tight gates are safe")
-	heapgate := flag.Float64("heapgate", 0, "bench mode: fail if any heap-bytes-reporting benchmark regresses more than this percent vs previous (0 = report only)")
 	flag.Parse()
-
-	if *bench {
-		if err := runBench(*out, *prev, *label, *pattern, *benchtime, *count, *gate, *allocgate, *heapgate); err != nil {
-			fmt.Fprintf(os.Stderr, "benchharness: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	all := map[string]func() *metrics.Table{
 		"E1":  experiments.E1ProcessVisibility,
@@ -138,323 +60,5 @@ func main() {
 	}
 	for _, t := range experiments.All() {
 		fmt.Println(t.Render())
-	}
-}
-
-// moduleRoot walks upward from the working directory to the directory
-// holding go.mod, so benchharness works from any subdirectory.
-func moduleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("no go.mod above working directory")
-		}
-		dir = parent
-	}
-}
-
-func runBench(out, prev, label, pattern, benchtime string, count int, gate, allocgate, heapgate float64) error {
-	if out == "" {
-		return fmt.Errorf("-bench requires -out <BENCH_*.json>")
-	}
-	if count < 1 {
-		count = 1
-	}
-	root, err := moduleRoot()
-	if err != nil {
-		return err
-	}
-	// Anchor the output next to the trajectory: relative -out paths
-	// resolve against the module root (where previous records are
-	// discovered), not the process CWD.
-	if !filepath.IsAbs(out) {
-		out = filepath.Join(root, out)
-	}
-	if label == "" {
-		label = strings.TrimSuffix(filepath.Base(out), ".json")
-		label = strings.TrimPrefix(label, "BENCH_")
-	}
-
-	rec := &Record{
-		Label: label, GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
-		Benchtime: benchtime, Count: count,
-	}
-	// Best-of-N: the recording container's clock speed oscillates (see
-	// EXPERIMENTS.md), so a single run can land on a slow phase and
-	// poison the trajectory for every later gate. Each full-suite run
-	// is parsed separately and each benchmark keeps its lowest-ns/op
-	// measurement — the closest observable to the machine's true cost.
-	// Allocations are deterministic and identical across runs.
-	for n := 0; n < count; n++ {
-		cmd := exec.Command("go", "test", "-run", "^$", "-bench", pattern,
-			"-benchmem", "-benchtime", benchtime, ".")
-		cmd.Dir = root
-		raw, err := cmd.CombinedOutput()
-		if err != nil {
-			return fmt.Errorf("go test -bench (run %d/%d): %v\n%s", n+1, count, err, raw)
-		}
-		cpu, benches := parseBenchOutput(string(raw))
-		if len(benches) == 0 {
-			return fmt.Errorf("no benchmark lines parsed from go test output (run %d/%d):\n%s", n+1, count, raw)
-		}
-		rec.CPU = cpu
-		rec.Benches = keepBest(rec.Benches, benches)
-	}
-
-	prevRec, err := loadPrevious(root, prev, out)
-	if err != nil {
-		return err
-	}
-	var regressions []string
-	if prevRec != nil {
-		rec.Previous = prevRec.Label
-		regressions = diff(rec, prevRec, gate, allocgate, heapgate)
-	}
-
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		return err
-	}
-	printSummary(rec)
-	if len(regressions) > 0 {
-		return fmt.Errorf("regression gate (ns +%.0f%%, allocs +%.0f%%): %s", gate, allocgate, strings.Join(regressions, ", "))
-	}
-	return nil
-}
-
-// keepBest merges a fresh suite run into the accumulated best-of-N:
-// rows are matched by name, and the lower ns/op measurement wins (its
-// B/op and allocs/op ride along so every row stays one coherent run).
-// Rows appearing in only one side are kept as-is.
-func keepBest(acc, fresh []Bench) []Bench {
-	if acc == nil {
-		return fresh
-	}
-	byName := make(map[string]int, len(acc))
-	for i := range acc {
-		byName[acc[i].Name] = i
-	}
-	for _, b := range fresh {
-		if i, ok := byName[b.Name]; ok {
-			if b.NsPerOp < acc[i].NsPerOp {
-				acc[i] = b
-			}
-		} else {
-			acc = append(acc, b)
-		}
-	}
-	return acc
-}
-
-var (
-	// Extra b.ReportMetric units print between ns/op (and any MB/s)
-	// and the -benchmem pair, sorted by unit name — "heap-bytes" is the
-	// only extra the suite emits (BenchmarkXXLTrial).
-	benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([\d.]+) ns/op(?:\s+[\d.]+ \S+/s)?(?:\s+([\d.e+]+) heap-bytes)?\s+(\d+) B/op\s+(\d+) allocs/op`)
-	cpuLine   = regexp.MustCompile(`^cpu: (.+)$`)
-	expPrefix = regexp.MustCompile(`^E\d+`)
-	cpuSuffix = regexp.MustCompile(`-\d+$`)
-)
-
-// parseBenchOutput extracts the cpu tag and every `-benchmem` result
-// line from `go test -bench` text output.
-func parseBenchOutput(s string) (cpu string, benches []Bench) {
-	for _, line := range strings.Split(s, "\n") {
-		line = strings.TrimSpace(line)
-		if m := cpuLine.FindStringSubmatch(line); m != nil {
-			cpu = m[1]
-			continue
-		}
-		m := benchLine.FindStringSubmatch(line)
-		if m == nil {
-			continue
-		}
-		name := cpuSuffix.ReplaceAllString(strings.TrimPrefix(m[1], "Benchmark"), "")
-		iters, _ := strconv.ParseInt(m[2], 10, 64)
-		ns, _ := strconv.ParseFloat(m[3], 64)
-		var heap float64
-		if m[4] != "" {
-			heap, _ = strconv.ParseFloat(m[4], 64)
-		}
-		bytesOp, _ := strconv.ParseInt(m[5], 10, 64)
-		allocs, _ := strconv.ParseInt(m[6], 10, 64)
-		b := Bench{
-			Name: name, Experiment: expPrefix.FindString(name),
-			Iterations: iters, NsPerOp: ns, BytesPerOp: bytesOp, AllocsPerOp: allocs,
-			HeapBytes: heap,
-		}
-		if i := strings.IndexByte(name, '/'); i >= 0 {
-			b.Config = name[i+1:]
-		}
-		if b.Experiment == "" {
-			// Non-E benchmarks (FleetCampaign) group by family name so
-			// the experiment field is never empty.
-			b.Experiment = name
-			if i := strings.IndexByte(name, '/'); i >= 0 {
-				b.Experiment = name[:i]
-			}
-		}
-		benches = append(benches, b)
-	}
-	return cpu, benches
-}
-
-// loadPrevious resolves the record to diff against: an explicit -prev
-// path (relative paths anchor to the module root, like -out), else
-// the newest BENCH_*.json in the module root other than the output
-// file, else nil (first record of the trajectory).
-func loadPrevious(root, prev, out string) (*Record, error) {
-	if prev != "" && !filepath.IsAbs(prev) {
-		prev = filepath.Join(root, prev)
-	}
-	if prev == "" {
-		matches, _ := filepath.Glob(filepath.Join(root, "BENCH_*.json"))
-		outAbs, _ := filepath.Abs(out)
-		var newest string
-		var newestMod int64
-		for _, m := range matches {
-			abs, _ := filepath.Abs(m)
-			if abs == outAbs {
-				continue
-			}
-			fi, err := os.Stat(m)
-			if err != nil {
-				continue
-			}
-			if t := fi.ModTime().UnixNano(); newest == "" || t > newestMod {
-				newest, newestMod = m, t
-			}
-		}
-		if newest == "" {
-			return nil, nil
-		}
-		// mtime picks the most recent record on the machine that ran
-		// the benchmarks; in a fresh clone mtimes collapse to checkout
-		// time, so name the choice and how to pin it.
-		fmt.Fprintf(os.Stderr, "benchharness: auto-discovered previous record %s (newest mtime; pass -prev to pin)\n", filepath.Base(newest))
-		prev = newest
-	}
-	data, err := os.ReadFile(prev)
-	if err != nil {
-		return nil, fmt.Errorf("previous record: %v", err)
-	}
-	var rec Record
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return nil, fmt.Errorf("previous record %s: %v", prev, err)
-	}
-	return &rec, nil
-}
-
-// diff annotates rec's benches with prevRec's numbers and returns the
-// names whose ns/op regressed beyond the gate percentage or whose
-// allocs/op regressed beyond the allocgate percentage (including a
-// zero-alloc row growing allocations, which has no finite percent).
-func diff(rec, prevRec *Record, gate, allocgate, heapgate float64) []string {
-	byName := make(map[string]*Bench, len(prevRec.Benches))
-	for i := range prevRec.Benches {
-		byName[prevRec.Benches[i].Name] = &prevRec.Benches[i]
-	}
-	var regressions []string
-	for i := range rec.Benches {
-		b := &rec.Benches[i]
-		p, ok := byName[b.Name]
-		if !ok {
-			continue
-		}
-		pn, pb, pa := p.NsPerOp, p.BytesPerOp, p.AllocsPerOp
-		b.PrevNsPerOp, b.PrevBytesPerOp, b.PrevAllocsPerOp = &pn, &pb, &pa
-		if pn > 0 {
-			d := (b.NsPerOp - pn) / pn * 100
-			b.NsDeltaPct = &d
-			if gate > 0 && d > gate {
-				regressions = append(regressions, fmt.Sprintf("%s +%.0f%%", b.Name, d))
-			}
-		}
-		switch {
-		case pa > 0:
-			d := (float64(b.AllocsPerOp) - float64(pa)) / float64(pa) * 100
-			b.AllocsDeltaPct = &d
-			if allocgate > 0 && d > allocgate {
-				regressions = append(regressions, fmt.Sprintf("%s allocs +%.0f%%", b.Name, d))
-			}
-		case b.AllocsPerOp == 0:
-			// 0 → 0: flat, and the zero-alloc claim held.
-			zero := 0.0
-			b.AllocsDeltaPct = &zero
-		default:
-			// 0 → N: a zero-alloc path was lost. No finite percentage;
-			// under an alloc gate that is always a failure.
-			if allocgate > 0 {
-				regressions = append(regressions, fmt.Sprintf("%s allocs 0->%d", b.Name, b.AllocsPerOp))
-			}
-		}
-		switch {
-		case pb > 0:
-			d := (float64(b.BytesPerOp) - float64(pb)) / float64(pb) * 100
-			b.BytesDeltaPct = &d
-		case b.BytesPerOp == 0:
-			zero := 0.0
-			b.BytesDeltaPct = &zero
-		}
-		// Heap diffs only apply where both sides reported the metric.
-		if ph := p.HeapBytes; ph > 0 && b.HeapBytes > 0 {
-			b.PrevHeapBytes = &ph
-			d := (b.HeapBytes - ph) / ph * 100
-			b.HeapDeltaPct = &d
-			if heapgate > 0 && d > heapgate {
-				regressions = append(regressions, fmt.Sprintf("%s heap +%.0f%%", b.Name, d))
-			}
-		}
-		// For 0→N, AllocsDeltaPct stays nil and printSummary flags the
-		// row as a 0→N regression, so losing a zero-alloc path is never
-		// silent even without -allocgate.
-	}
-	return regressions
-}
-
-// printSummary renders the record (and deltas, when present) as a
-// human-readable table on stdout.
-func printSummary(rec *Record) {
-	sorted := append([]Bench(nil), rec.Benches...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
-	fmt.Printf("benchharness: %s (%s/%s, benchtime=%s)\n", rec.Label, rec.GOOS, rec.GOARCH, rec.Benchtime)
-	if rec.Previous != "" {
-		fmt.Printf("diffed against: %s\n", rec.Previous)
-	}
-	for _, b := range sorted {
-		line := fmt.Sprintf("  %-40s %12.0f ns/op %10d B/op %8d allocs/op", b.Name, b.NsPerOp, b.BytesPerOp, b.AllocsPerOp)
-		if b.HeapBytes > 0 {
-			line += fmt.Sprintf(" %11.0f heap-bytes", b.HeapBytes)
-			if b.HeapDeltaPct != nil {
-				line += fmt.Sprintf(" (%+.1f%%)", *b.HeapDeltaPct)
-			}
-		}
-		if b.NsDeltaPct != nil {
-			line += fmt.Sprintf("   ns %+.1f%%", *b.NsDeltaPct)
-		}
-		switch {
-		case b.BytesDeltaPct != nil:
-			line += fmt.Sprintf(" B %+.1f%%", *b.BytesDeltaPct)
-		case b.PrevBytesPerOp != nil && *b.PrevBytesPerOp == 0 && b.BytesPerOp > 0:
-			line += fmt.Sprintf(" B 0->%d REGRESSED", b.BytesPerOp)
-		}
-		switch {
-		case b.AllocsDeltaPct != nil:
-			line += fmt.Sprintf(" allocs %+.1f%%", *b.AllocsDeltaPct)
-		case b.PrevAllocsPerOp != nil && *b.PrevAllocsPerOp == 0 && b.AllocsPerOp > 0:
-			line += fmt.Sprintf(" allocs 0->%d REGRESSED", b.AllocsPerOp)
-		}
-		fmt.Println(line)
 	}
 }

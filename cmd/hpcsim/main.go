@@ -34,7 +34,6 @@ import (
 
 func main() {
 	profileName := flag.String("profile", "enhanced", "separation profile: baseline or enhanced")
-	cfgName := flag.String("config", "", "deprecated alias for -profile")
 	ablate := flag.String("ablate", "", "comma-separated measures to drop from the profile (see -measures)")
 	listMeasures := flag.Bool("measures", false, "list the separation-measure registry and exit")
 	users := flag.Int("users", 4, "number of users")
@@ -62,17 +61,6 @@ func main() {
 		return
 	}
 
-	// The deprecated -config alias applies only when -profile was not
-	// given explicitly; setting both to different values is an error.
-	profileSet := false
-	flag.Visit(func(f *flag.Flag) { profileSet = profileSet || f.Name == "profile" })
-	if *cfgName != "" {
-		if profileSet && *cfgName != *profileName {
-			fmt.Fprintf(os.Stderr, "hpcsim: -config %q conflicts with -profile %q (drop the deprecated -config)\n", *cfgName, *profileName)
-			os.Exit(2)
-		}
-		*profileName = *cfgName
-	}
 	profile, err := core.ProfileByName(*profileName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hpcsim: %v\n", err)

@@ -103,36 +103,3 @@ func TestResetAfterAbandonedTrial(t *testing.T) {
 		t.Fatalf("abandoned-trial state leaked through Reset:\n%s\nvs\n%s", gotJSON, wantJSON)
 	}
 }
-
-// Pooled replications must cost a small fraction of fresh-construction
-// replications in allocations — the allocs half of the lifecycle
-// acceptance criterion, pinned here deterministically (allocation
-// counts don't suffer benchmark-container noise; the ns half lives in
-// BenchmarkTrialLifecycle / BENCH_PR5.json).
-func TestPooledTrialAllocsReduction(t *testing.T) {
-	camp := LifecycleCampaign(8)
-	comp, err := compileCampaign(camp, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	measure := func(pooling bool) float64 {
-		w := newTrialWorker(comp, pooling)
-		if _, err := w.runTrial(0, 0); err != nil { // warm the pool + scratch
-			t.Fatal(err)
-		}
-		rep := 0
-		return testing.AllocsPerRun(10, func() {
-			rep++
-			if _, err := w.runTrial(0, rep%camp.Scenarios[0].Replications); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	fresh := measure(false)
-	pooled := measure(true)
-	t.Logf("allocs/trial: fresh %.0f, pooled %.0f (-%.1f%%)", fresh, pooled, 100*(1-pooled/fresh))
-	if pooled > fresh*0.40 {
-		t.Errorf("pooled trial allocates %.0f vs fresh %.0f: reduction %.1f%% < required 60%%",
-			pooled, fresh, 100*(1-pooled/fresh))
-	}
-}

@@ -29,7 +29,7 @@ func TestPooledTrialAllocsReduction(t *testing.T) {
 		pooling bool
 		want    float64
 	}{
-		{"TrialLifecycle/fresh", false, 1174},
+		{"TrialLifecycle/fresh", false, 1156},
 		{"TrialLifecycle/pooled", true, 83},
 	} {
 		w := newTrialWorker(comp, tc.pooling)

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"maps"
 	"slices"
 	"testing"
 
@@ -26,8 +25,7 @@ func idxCred(uid ids.UID) ids.Credential {
 // asserts the scheduler's copy matches: pending is exactly the Pending
 // jobs in ID order; the calendar's live entries are exactly the
 // Running jobs, each once and due at Start+Duration; each node's jobs
-// are ID-sorted and are the Running jobs placed there; and the
-// per-user active counter counts the Pending and Running jobs.
+// are ID-sorted and are the Running jobs placed there.
 func checkIndexes(t *testing.T, s *Scheduler, when string) {
 	t.Helper()
 	s.mu.Lock()
@@ -35,7 +33,6 @@ func checkIndexes(t *testing.T, s *Scheduler, when string) {
 	var pending []*Job
 	due := make(map[*Job]int64)
 	onNode := make(map[*nodeState][]*Job)
-	active := make(map[ids.UID]int)
 	for i, j := range s.jobs {
 		if j.ID != i+1 {
 			t.Fatalf("%s: job table slot %d holds job %d", when, i, j.ID)
@@ -48,10 +45,7 @@ func checkIndexes(t *testing.T, s *Scheduler, when string) {
 			for _, name := range j.Nodes {
 				onNode[s.byName[name]] = append(onNode[s.byName[name]], j)
 			}
-		default:
-			continue
 		}
-		active[j.User]++
 	}
 	if !slices.Equal(s.pending, pending) {
 		t.Fatalf("%s: pending = %v, want the Pending jobs %v", when, s.pending, pending)
@@ -76,9 +70,6 @@ func checkIndexes(t *testing.T, s *Scheduler, when string) {
 		if !slices.Equal(ns.jobs, onNode[ns]) {
 			t.Fatalf("%s: node %s jobs = %v, want %v", when, ns.node.Name, ns.jobs, onNode[ns])
 		}
-	}
-	if !maps.Equal(s.activeByUser, active) {
-		t.Fatalf("%s: active counter %v, recomputed %v", when, s.activeByUser, active)
 	}
 }
 

@@ -100,12 +100,9 @@ type JobSpec struct {
 	Name    string
 	Command string // full command line; may embed secrets (E2)
 	WorkDir string
-	// Partition targets a registered partition; empty means the
-	// default placement over all compute nodes.
-	Partition string
-	Cores     int   // total cores, may span nodes
-	MemB      int64 // memory per allocated node share
-	GPUs      int   // GPUs per node
+	Cores   int   // total cores, may span nodes
+	MemB    int64 // memory per allocated node share
+	GPUs    int   // GPUs per node
 	// Duration is how many ticks the job runs once started.
 	Duration int64
 	// ActualMemB, when larger than MemB, models a job that exceeds
@@ -135,10 +132,6 @@ type Job struct {
 	// job starts.
 	Nodes []string
 	Cores []int
-	// ArrayID/ArrayIndex identify sbatch-style array membership
-	// (ArrayID 0 = not part of an array).
-	ArrayID    int
-	ArrayIndex int
 	// pids[i] is the job's task process on Nodes[i]; finish removes
 	// exactly these entries.
 	pids []ids.PID
@@ -153,20 +146,6 @@ func (j *Job) Clone() *Job {
 	nj.Cores = slices.Clone(j.Cores)
 	nj.pids = nil
 	return &nj
-}
-
-// Redacted returns the privacy-preserving view of a foreign job under
-// PrivateData: the slot is visible as occupied, but username, name,
-// command and paths are hidden (paper §IV-B: "many job properties
-// could contain private information including username, jobname,
-// command, working directory path").
-func (j *Job) Redacted() *Job {
-	return &Job{
-		ID:    j.ID,
-		User:  ids.NoUID,
-		State: j.State,
-		Spec:  JobSpec{Name: "(private)", Cores: j.Spec.Cores},
-	}
 }
 
 func (j *Job) String() string {

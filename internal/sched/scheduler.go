@@ -43,17 +43,12 @@ type userCount struct {
 // nodeState tracks allocations on one node.
 type nodeState struct {
 	node      *simos.Node
-	index     int // position in s.nodes; partition bitsets key on it
 	usedCores int
 	usedMem   int64
 	usedGPUs  int
 	totalGPUs int
 	jobs      []*Job      // jobs placed on the node, ID-sorted
 	users     []userCount // per-user #jobs on node, unordered
-	// scopes are the capacity aggregates this node contributes to
-	// (the default scope plus any partitions containing it); nil for
-	// non-compute nodes.
-	scopes []*capScope
 	// memCommit sums max(request, actual) memory over resident jobs;
 	// overCount counts resident jobs whose actual usage exceeds the
 	// node outright. Together they decide oomArmed without a scan.
@@ -121,13 +116,10 @@ func (ns *nodeState) userJobs(u ids.UID) int {
 type Scheduler struct {
 	Cfg Config
 
-	mu         sync.Mutex
-	now        int64
-	nodes      []*nodeState
-	byName     map[string]*nodeState
-	partitions map[string]*Partition
-	userLimit  int // max active jobs per user; 0 = unlimited
-	nextArray  int // next array id (starts at 1)
+	mu     sync.Mutex
+	now    int64
+	nodes  []*nodeState
+	byName map[string]*nodeState
 	// jobs is the job table: every job since New or Reset at index
 	// ID-1 (IDs are dense from 1, so the next ID is len(jobs)+1).
 	jobs    []*Job
@@ -137,11 +129,7 @@ type Scheduler struct {
 	// longer Running are stale. due is its reusable pop buffer.
 	calendar calendar
 	due      []*Job
-	// activeByUser counts each user's pending+running jobs (the QoS
-	// denominator), maintained on enqueue / cancel / finish so the
-	// per-submit limit check is O(1).
-	activeByUser map[ids.UID]int
-	records      []AccountingRecord
+	records  []AccountingRecord
 	// jobSlab backs every Job in the table and gidSlab its credential's
 	// groups; nodeSlab, coreSlab and pidSlab back the per-node slices
 	// tryStart fills. All five are rewound by Reset (package slab).
@@ -209,17 +197,11 @@ var (
 // many GPU slots each compute node exposes (0 for CPU-only clusters).
 func New(cfg Config, nodes []*simos.Node, gpusPerNode int) *Scheduler {
 	s := &Scheduler{
-		Cfg:          cfg,
-		nextArray:    1,
-		byName:       make(map[string]*nodeState),
-		activeByUser: make(map[ids.UID]int),
+		Cfg:    cfg,
+		byName: make(map[string]*nodeState),
 	}
 	for _, n := range nodes {
-		st := &nodeState{
-			node:      n,
-			index:     len(s.nodes),
-			totalGPUs: gpusPerNode,
-		}
+		st := &nodeState{node: n, totalGPUs: gpusPerNode}
 		s.nodes = append(s.nodes, st)
 		s.byName[n.Name] = st
 		if n.Kind == simos.Compute {
@@ -236,34 +218,31 @@ func New(cfg Config, nodes []*simos.Node, gpusPerNode int) *Scheduler {
 	// node's job list never outgrows its core count: carve every list
 	// out of one array here instead of growing each on the hot path.
 	lists := make([]*Job, s.computeCores)
+	s.defaultScope = newCapScope(s.maxNodeGPUs)
 	for _, ns := range s.nodes {
 		if ns.node.Kind == simos.Compute {
 			ns.jobs, lists = lists[:0:ns.node.Cores], lists[ns.node.Cores:]
+			s.defaultScope.enroll(ns)
 		}
 	}
 	s.lastDown = make([]bool, len(s.nodes))
-	s.defaultScope = s.enrollScope(func(*nodeState) bool { return true })
 	return s
 }
 
 // Reset rewinds the scheduler to its freshly-constructed state: time
-// and job/array numbering restart, the job table, pending queue,
-// completion calendar, accounting records, per-user activity counts
-// and crash counters empty out, every node's allocations clear, and
-// the capacity aggregates are rebuilt over the (again empty) nodes.
-// Post-construction configuration is part of the state being rewound:
-// partitions registered via AddPartition and the SetUserLimit cap are
-// dropped, exactly as if the scheduler had just come out of New.
-// Cluster-assembly wiring survives: the pam_slurm node hooks New
-// installs and the prolog/epilog hooks registered while the cluster
-// was assembled (the GPU manager's) stay in place. The method
-// reuses every existing allocation: maps are cleared, slices are
-// cleared and truncated, and the job, groups and placement slabs keep
-// their chunks, zeroed, for the next trial. A Reset on a drained scheduler
-// therefore allocates nothing beyond the rebuilt default scope
-// membership, and retains no job, name or credential of the old trial.
-// An untouched scheduler (no submit, cancel, step, partition or limit
-// change since construction or the last Reset) returns immediately.
+// and job numbering restart, the job table, pending queue, completion
+// calendar, accounting records and crash counters empty out, every
+// node's allocations clear, and the capacity scope is rebuilt over the
+// (again empty) compute nodes. Cluster-assembly wiring survives: the
+// pam_slurm node hooks New installs and the prolog/epilog hooks
+// registered while the cluster was assembled (the GPU manager's) stay
+// in place. The method reuses every existing allocation: maps are
+// cleared, slices are cleared and truncated, and the job, groups and
+// placement slabs keep their chunks, zeroed, for the next trial. A
+// Reset on a drained scheduler therefore allocates nothing, and
+// retains no job, name or credential of the old trial. An untouched
+// scheduler (no submit, cancel or step since construction or the last
+// Reset) returns immediately.
 func (s *Scheduler) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -272,8 +251,6 @@ func (s *Scheduler) Reset() {
 	}
 	s.gen = 0
 	s.now = 0
-	s.nextArray = 1
-	s.userLimit = 0
 	clear(s.jobs)
 	s.jobs = s.jobs[:0]
 	clear(s.pending)
@@ -282,7 +259,6 @@ func (s *Scheduler) Reset() {
 	s.calendar = s.calendar[:0]
 	clear(s.due)
 	s.due = s.due[:0]
-	clear(s.activeByUser)
 	clear(s.records)
 	s.records = s.records[:0]
 	s.jobSlab.Reset()
@@ -290,7 +266,6 @@ func (s *Scheduler) Reset() {
 	s.nodeSlab.Reset()
 	s.coreSlab.Reset()
 	s.pidSlab.Reset()
-	s.partitions = nil
 	s.queueBlocked = false
 	s.armedNodes = 0
 	for i := range s.lastDown {
@@ -299,21 +274,16 @@ func (s *Scheduler) Reset() {
 	s.busyCores, s.busyCoreTicks, s.totalCoreTicks = 0, 0, 0
 	s.crashes, s.cofailures = 0, 0
 	s.stepCount, s.ffTicks = 0, 0
+	s.defaultScope.reset()
 	for _, ns := range s.nodes {
 		ns.usedCores, ns.usedMem, ns.usedGPUs = 0, 0, 0
 		clear(ns.jobs)
 		ns.jobs = ns.jobs[:0]
 		ns.users = ns.users[:0]
 		ns.memCommit, ns.overCount = 0, 0
-		ns.scopes = ns.scopes[:0]
-	}
-	s.defaultScope.reset()
-	for _, ns := range s.nodes {
-		if ns.node.Kind != simos.Compute {
-			continue
+		if ns.node.Kind == simos.Compute {
+			s.defaultScope.enroll(ns)
 		}
-		s.defaultScope.enroll(ns)
-		ns.scopes = append(ns.scopes, s.defaultScope)
 	}
 }
 
@@ -361,12 +331,6 @@ func (s *Scheduler) Submit(cred ids.Credential, spec JobSpec) (int, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.validatePartition(spec); err != nil {
-		return 0, err
-	}
-	if err := s.checkUserLimitLocked(cred.UID, 1); err != nil {
-		return 0, err
-	}
 	if int64(spec.Cores) > s.computeCores {
 		return 0, fmt.Errorf("%w: %d cores > cluster %d", ErrUnsatisfiable, spec.Cores, s.computeCores)
 	}
@@ -395,7 +359,6 @@ func (s *Scheduler) Submit(cred ids.Credential, spec JobSpec) (int, error) {
 	s.gen++
 	s.jobs = append(s.jobs, j)
 	s.pending = append(s.pending, j)
-	s.activeByUser[j.User]++
 	s.queueBlocked = false // a new job may fit holes the rest cannot
 	return j.ID, nil
 }
@@ -420,24 +383,12 @@ func (s *Scheduler) Cancel(actor ids.Credential, jobID int) error {
 		s.gen++
 		i := searchID(s.pending, j.ID)
 		s.pending = slices.Delete(s.pending, i, i+1)
-		s.decActiveLocked(j.User)
 		s.account(j)
 	case Running:
 		s.gen++
 		s.finish(j, Cancelled)
 	}
 	return nil
-}
-
-// decActiveLocked drops one from a user's pending+running count,
-// deleting the entry at zero so the map tracks only active users.
-// Caller holds s.mu.
-func (s *Scheduler) decActiveLocked(uid ids.UID) {
-	if n := s.activeByUser[uid] - 1; n > 0 {
-		s.activeByUser[uid] = n
-	} else {
-		delete(s.activeByUser, uid)
-	}
 }
 
 // lookup returns the job with the given ID from the job table. Caller
@@ -573,7 +524,6 @@ func (s *Scheduler) finish(j *Job, state JobState) {
 	}
 	j.State = state
 	j.End = s.now
-	s.decActiveLocked(j.User)
 	s.busyCores -= int64(j.Spec.Cores)
 	for k, nodeName := range j.Nodes {
 		ns := s.byName[nodeName]

@@ -140,17 +140,6 @@ func TestSinfoAttributionHidden(t *testing.T) {
 	}
 }
 
-func TestRedactedJob(t *testing.T) {
-	j := &Job{ID: 7, User: 1000, Spec: JobSpec{Name: "secret-name", Command: "cmd --pw=x", Cores: 4}}
-	r := j.Redacted()
-	if r.User != ids.NoUID || r.Spec.Command != "" || r.Spec.Name != "(private)" {
-		t.Errorf("Redacted leaked: %+v", r)
-	}
-	if r.ID != 7 || r.Spec.Cores != 4 {
-		t.Errorf("Redacted lost occupancy info: %+v", r)
-	}
-}
-
 // Property: under PrivateData, for any observer uid, every squeue row
 // belongs to that uid, and the row count equals the unfiltered count
 // restricted to that uid.

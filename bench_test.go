@@ -448,7 +448,7 @@ func e13Dial(tb testing.TB, useUBF bool) func() {
 	n := netsim.NewNetwork()
 	h1, h2 := n.AddHost("a"), n.AddHost("b")
 	if useUBF {
-		ubf.New(ubf.Config{AllowGroupPeers: true, CacheVerdicts: true}).InstallOn(h2)
+		ubf.New(ubf.Config{CacheVerdicts: true}).InstallOn(h2)
 	} else {
 		fw := ppsfw.New()
 		fw.Approve("user-ports", netsim.TCP, 1024, 65535)
@@ -483,7 +483,7 @@ func e14Datapath(tb testing.TB, encrypted bool) func() {
 	n := netsim.NewNetwork()
 	h1, h2 := n.AddHost("a"), n.AddHost("b")
 	if !encrypted {
-		ubf.New(ubf.Config{AllowGroupPeers: true}).InstallOn(h2)
+		ubf.New(ubf.Config{}).InstallOn(h2)
 	}
 	l, err := h2.Listen(alice, netsim.TCP, 9000)
 	if err != nil {

@@ -31,7 +31,7 @@ func world(t *testing.T) (*Runtime, *simos.Node, *vfs.Namespace, *netsim.Host, *
 	}
 	n := netsim.NewNetwork()
 	h1, h2 := n.AddHost("c00"), n.AddHost("c01")
-	d := ubf.New(ubf.Config{AllowGroupPeers: true})
+	d := ubf.New(ubf.Config{})
 	d.InstallOn(h1)
 	d.InstallOn(h2)
 	rt := NewRuntime(false)

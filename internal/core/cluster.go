@@ -196,10 +196,7 @@ func New(cfg Config, topo Topology) (*Cluster, error) {
 	c.GPUs.Register(c.Sched)
 
 	// User-based firewall.
-	c.UBF = ubf.New(ubf.Config{
-		AllowGroupPeers: cfg.UBFGroupPeers,
-		CacheVerdicts:   cfg.UBFCacheVerdicts,
-	})
+	c.UBF = ubf.New(ubf.Config{CacheVerdicts: cfg.UBFCacheVerdicts})
 	if cfg.UBFEnabled {
 		for _, name := range c.Net.Hosts() {
 			h, err := c.Net.Host(name)

@@ -69,7 +69,6 @@ type Config struct {
 
 	// Network (§IV-D).
 	UBFEnabled       bool
-	UBFGroupPeers    bool
 	UBFCacheVerdicts bool
 
 	// Portal (§IV-E). PortalUserForward makes the gateway dial each
@@ -139,7 +138,6 @@ func (c Config) Diff(other Config) []string {
 	add("HardenedHomes", c.HardenedHomes, other.HardenedHomes)
 	add("ProtectedSymlinks", c.ProtectedSymlinks, other.ProtectedSymlinks)
 	add("UBFEnabled", c.UBFEnabled, other.UBFEnabled)
-	add("UBFGroupPeers", c.UBFGroupPeers, other.UBFGroupPeers)
 	add("UBFCacheVerdicts", c.UBFCacheVerdicts, other.UBFCacheVerdicts)
 	add("PortalUserForward", c.PortalUserForward, other.PortalUserForward)
 	add("GPUAssignPerms", c.GPUAssignPerms, other.GPUAssignPerms)

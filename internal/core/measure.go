@@ -99,7 +99,6 @@ var registry = []Measure{
 		Summary: "user-based firewall: ident-backed NEW-connection verdicts + verdict cache",
 		Apply: func(cfg *Config) {
 			cfg.UBFEnabled = true
-			cfg.UBFGroupPeers = true
 			cfg.UBFCacheVerdicts = true
 		},
 	},

@@ -27,7 +27,6 @@ func legacyEnhanced() Config {
 		HardenedHomes:     true,
 		ProtectedSymlinks: true,
 		UBFEnabled:        true,
-		UBFGroupPeers:     true,
 		UBFCacheVerdicts:  true,
 		PortalUserForward: true,
 		GPUAssignPerms:    true,

@@ -59,7 +59,7 @@ func E13PPSComparison() *metrics.Table {
 	t.AddRow("PPS, open user-port range", yesNo(ok), yesNo(blocked), "yes (once)")
 
 	ok, blocked = run(func(h *netsim.Host) {
-		d := ubf.New(ubf.Config{AllowGroupPeers: true})
+		d := ubf.New(ubf.Config{})
 		d.InstallOn(h)
 	})
 	t.AddRow("user-based firewall", yesNo(ok), yesNo(blocked), "no")
@@ -83,7 +83,7 @@ func E14CryptoMPIComparison() *metrics.Table {
 	{
 		n := netsim.NewNetwork()
 		h1, h2 := n.AddHost("a"), n.AddHost("b")
-		d := ubf.New(ubf.Config{AllowGroupPeers: true})
+		d := ubf.New(ubf.Config{})
 		d.InstallOn(h1)
 		d.InstallOn(h2)
 		alice := ids.Credential{UID: 1000, EGID: 1000, Groups: []ids.GID{1000}}

@@ -50,12 +50,6 @@ func (l *Listener) Close() {
 	l.mu.Unlock()
 }
 
-// Port returns the bound port.
-func (l *Listener) Port() int { return l.port }
-
-// Cred returns the owning credential (a copy).
-func (l *Listener) Cred() ids.Credential { return l.cred.Clone() }
-
 // Accept returns the next established inbound connection, if any.
 func (l *Listener) Accept() (*Conn, bool) {
 	l.mu.Lock()
@@ -74,16 +68,13 @@ func (l *Listener) enqueue(c *Conn) {
 	l.backlog = append(l.backlog, c)
 }
 
-// Conn is an established flow. Both directions share the struct; the
-// dialer holds the same *Conn the acceptor sees.
+// Conn is an established flow. The dialer holds the same *Conn the
+// acceptor sees; data moves from the dialer to the acceptor.
 type Conn struct {
-	Tuple   FlowTuple
-	SrcCred ids.Credential
-	DstCred ids.Credential
+	Tuple FlowTuple
 
 	mu      sync.Mutex
 	toDst   [][]byte // data sent by the dialer
-	toSrc   [][]byte // data sent by the acceptor
 	closed  bool
 	net     *Network
 	srcHost *Host
@@ -127,13 +118,7 @@ func (h *Host) Dial(cred ids.Credential, proto Proto, dstHost string, dstPort in
 	}
 	h.net.NewConnAccepted.Add(1)
 
-	c := &Conn{
-		Tuple:   flow,
-		SrcCred: cred.Clone(),
-		DstCred: l.cred.Clone(),
-		net:     h.net,
-		srcHost: h,
-	}
+	c := &Conn{Tuple: flow, net: h.net, srcHost: h}
 	// conntrack entries on both hosts cover both directions.
 	dst.touch()
 	dst.conntrack.add(flow)
@@ -147,15 +132,6 @@ func (h *Host) Dial(cred ids.Credential, proto Proto, dstHost string, dstPort in
 // Send transmits a payload from the dialer side. Established flows
 // are validated against conntrack only — the per-packet fast path.
 func (c *Conn) Send(data []byte) error {
-	return c.send(data, true)
-}
-
-// SendReply transmits a payload from the acceptor side.
-func (c *Conn) SendReply(data []byte) error {
-	return c.send(data, false)
-}
-
-func (c *Conn) send(data []byte, fromSrc bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -170,12 +146,7 @@ func (c *Conn) send(data []byte, fromSrc bool) error {
 		return fmt.Errorf("%w: %s not in conntrack", ErrConnClosed, c.Tuple)
 	}
 	c.net.PacketsDelivered.Add(1)
-	buf := append([]byte(nil), data...)
-	if fromSrc {
-		c.toDst = append(c.toDst, buf)
-	} else {
-		c.toSrc = append(c.toSrc, buf)
-	}
+	c.toDst = append(c.toDst, append([]byte(nil), data...))
 	return nil
 }
 
@@ -188,18 +159,6 @@ func (c *Conn) Recv() ([]byte, bool) {
 	}
 	d := c.toDst[0]
 	c.toDst = c.toDst[1:]
-	return d, true
-}
-
-// RecvReply pops the next payload on the dialer side.
-func (c *Conn) RecvReply() ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.toSrc) == 0 {
-		return nil, false
-	}
-	d := c.toSrc[0]
-	c.toSrc = c.toSrc[1:]
 	return d, true
 }
 
@@ -253,9 +212,4 @@ func (ct *conntrack) established(f FlowTuple) bool {
 	ct.mu.RLock()
 	defer ct.mu.RUnlock()
 	return ct.flows[f]
-}
-
-// Established reports whether the flow is in this host's conntrack.
-func (h *Host) Established(f FlowTuple) bool {
-	return h.conntrack.established(f)
 }

@@ -1,10 +1,11 @@
 // Package netsim implements the simulated cluster network: TCP/UDP
 // sockets bound to node-local processes, a NetFilter-style firewall
 // hook invoked for NEW connections only (nfqueue + conntrack,
-// paper §IV-D), an RFC1413-style ident responder per host, abstract-
-// namespace unix domain sockets (a residual channel, §V), and RDMA
-// queue-pair setup via either a TCP control channel (UBF-controlled)
-// or the native IB connection manager (not controlled, §V).
+// paper §IV-D), an ident-style socket-owner query (Network.Ident),
+// abstract-namespace unix domain sockets (a residual channel, §V), and
+// RDMA queue-pair setup via either a TCP control channel
+// (UBF-controlled) or the native IB connection manager (not
+// controlled, §V).
 package netsim
 
 import (
@@ -80,7 +81,6 @@ var (
 	ErrAddrInUse        = errors.New("netsim: address already in use")
 	ErrConnClosed       = errors.New("netsim: connection closed")
 	ErrNoEphemeral      = errors.New("netsim: ephemeral ports exhausted")
-	ErrNotListening     = errors.New("netsim: not listening")
 	ErrIdentUnavailable = errors.New("netsim: ident query failed")
 )
 
@@ -255,14 +255,6 @@ func (h *Host) Reset() {
 	h.nextEphem = 32768
 	clear(h.ephemeral)
 	clear(h.abstract)
-}
-
-// ClearFirewall removes the hook (baseline configuration).
-func (h *Host) ClearFirewall() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.hook = nil
-	h.hookPorts = nil
 }
 
 // identLocal resolves the credential owning a local socket.

@@ -20,9 +20,7 @@ import (
 // pathname sockets there is no inode, hence no permission check: any
 // local process can connect to any name. That is the leak.
 type AbstractSocket struct {
-	Name  string
-	Owner ids.Credential
-	host  *Host
+	host *Host
 
 	msgs [][]byte
 	from []ids.UID
@@ -38,7 +36,7 @@ func (h *Host) ListenAbstract(cred ids.Credential, name string) (*AbstractSocket
 	if _, dup := h.abstract[name]; dup {
 		return nil, fmt.Errorf("%w: @%s", ErrAddrInUse, name)
 	}
-	s := &AbstractSocket{Name: name, Owner: cred.Clone(), host: h}
+	s := &AbstractSocket{host: h}
 	h.abstract[name] = s
 	h.touch()
 	return s, nil
@@ -49,26 +47,14 @@ func (h *Host) ListenAbstract(cred ids.Credential, name string) (*AbstractSocket
 // abstract namespace, which is why it remains a residual channel.
 func (h *Host) DialAbstract(cred ids.Credential, name string, data []byte) error {
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	s, ok := h.abstract[name]
-	h.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: @%s", ErrNoAbstract, name)
 	}
 	s.msgs = append(s.msgs, append([]byte(nil), data...))
 	s.from = append(s.from, cred.UID)
 	return nil
-}
-
-// AbstractNames lists bound abstract names — visible to every local
-// user (another facet of the leak: the names themselves).
-func (h *Host) AbstractNames() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]string, 0, len(h.abstract))
-	for n := range h.abstract {
-		out = append(out, n)
-	}
-	return out
 }
 
 // Recv pops the next datagram and its sender UID.
@@ -81,13 +67,6 @@ func (s *AbstractSocket) Recv() ([]byte, ids.UID, bool) {
 	d, u := s.msgs[0], s.from[0]
 	s.msgs, s.from = s.msgs[1:], s.from[1:]
 	return d, u, true
-}
-
-// CloseAbstract unbinds the name.
-func (h *Host) CloseAbstract(name string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	delete(h.abstract, name)
 }
 
 // --- RDMA ---
@@ -115,11 +94,7 @@ func (m QPSetupMode) String() string {
 
 // QueuePair is an established RDMA connection.
 type QueuePair struct {
-	Mode    QPSetupMode
-	Local   string
-	Remote  string
-	SrcCred ids.Credential
-	ctrl    *Conn // non-nil for QPViaTCP
+	ctrl *Conn // non-nil for QPViaTCP
 }
 
 // SetupQP establishes an RDMA queue pair from this host to a peer.
@@ -132,13 +107,13 @@ func (h *Host) SetupQP(cred ids.Credential, mode QPSetupMode, remote string, ctr
 		if _, err := h.net.Host(remote); err != nil {
 			return nil, err
 		}
-		return &QueuePair{Mode: mode, Local: h.name, Remote: remote, SrcCred: cred.Clone()}, nil
+		return &QueuePair{}, nil
 	}
 	c, err := h.Dial(cred, TCP, remote, ctrlPort)
 	if err != nil {
 		return nil, fmt.Errorf("rdma qp setup via tcp: %w", err)
 	}
-	return &QueuePair{Mode: mode, Local: h.name, Remote: remote, SrcCred: cred.Clone(), ctrl: c}, nil
+	return &QueuePair{ctrl: c}, nil
 }
 
 // Write performs an RDMA write over the established QP. Once a QP

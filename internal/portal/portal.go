@@ -16,7 +16,6 @@ package portal
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/ids"
@@ -115,53 +114,20 @@ func (p *Portal) Login(cred ids.Credential, password string) (string, error) {
 	return tok, nil
 }
 
-// Logout invalidates a session.
-func (p *Portal) Logout(token string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.sessions, token)
-}
-
 // Register adds an application route. The owner is whoever launched
 // the web app; routes are per-user and may point at ANY compute node
-// (the paper's "not restricted to a small partition").
+// (the paper's "not restricted to a small partition"). A path held by
+// another user can be re-pointed only by root: otherwise any user
+// could hijack someone else's /jupyter/<name>.
 func (p *Portal) Register(owner ids.Credential, path, node string, port int) (*Route, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if old, ok := p.routes[path]; ok && old.Owner != owner.UID && !owner.IsRoot() {
+		return nil, fmt.Errorf("%w: %s", ErrForbidden, path)
+	}
 	r := &Route{Path: path, Owner: owner.UID, Node: node, Port: port}
 	p.routes[path] = r
 	return r, nil
-}
-
-// Unregister removes a route (owner or root).
-func (p *Portal) Unregister(actor ids.Credential, path string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	r, ok := p.routes[path]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoRoute, path)
-	}
-	if !actor.IsRoot() && actor.UID != r.Owner {
-		return fmt.Errorf("%w: %s", ErrForbidden, path)
-	}
-	delete(p.routes, path)
-	return nil
-}
-
-// Routes lists routes visible to the observer: their own (plus all,
-// for root) — route paths of other users are private too.
-func (p *Portal) Routes(observer ids.Credential) []*Route {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out []*Route
-	for _, r := range p.routes {
-		if observer.IsRoot() || r.Owner == observer.UID {
-			cp := *r
-			out = append(out, &cp)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
 }
 
 // Forward handles one authenticated request: resolve the session,
@@ -204,13 +170,9 @@ func (p *Portal) Forward(token, path string, payload []byte) ([]byte, error) {
 }
 
 // AppServer is a minimal web application (a Jupyter stand-in) bound
-// on a compute node. It records requests so tests can verify
-// delivery.
+// on a compute node.
 type AppServer struct {
 	Listener *netsim.Listener
-
-	mu       sync.Mutex
-	requests [][]byte
 }
 
 // Serve launches an app server for cred on host:port.
@@ -222,8 +184,8 @@ func Serve(host *netsim.Host, cred ids.Credential, port int) (*AppServer, error)
 	return &AppServer{Listener: l}, nil
 }
 
-// Drain pulls all pending connections' payloads into the request log
-// and returns how many requests arrived.
+// Drain consumes all pending connections' payloads and returns how
+// many requests arrived.
 func (a *AppServer) Drain() int {
 	n := 0
 	for {
@@ -232,21 +194,10 @@ func (a *AppServer) Drain() int {
 			return n
 		}
 		for {
-			d, ok := c.Recv()
-			if !ok {
+			if _, ok := c.Recv(); !ok {
 				break
 			}
-			a.mu.Lock()
-			a.requests = append(a.requests, d)
-			a.mu.Unlock()
 			n++
 		}
 	}
-}
-
-// Requests returns the received payloads.
-func (a *AppServer) Requests() [][]byte {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([][]byte(nil), a.requests...)
 }

@@ -18,7 +18,6 @@ package ppsfw
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/netsim"
@@ -45,11 +44,6 @@ func (r Rule) String() string {
 type Firewall struct {
 	mu    sync.RWMutex
 	rules []Rule
-
-	// Decisions/Allowed/Denied are running counters.
-	Decisions int64
-	Allowed   int64
-	Denied    int64
 }
 
 // New creates an empty (default-deny) firewall.
@@ -63,48 +57,18 @@ func (fw *Firewall) Approve(name string, proto netsim.Proto, low, high int) {
 	fw.rules = append(fw.rules, Rule{Name: name, Proto: proto, PortLow: low, PortHigh: high})
 }
 
-// Revoke removes every rule with the given name.
-func (fw *Firewall) Revoke(name string) {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	out := fw.rules[:0]
-	for _, r := range fw.rules {
-		if r.Name != name {
-			out = append(out, r)
-		}
-	}
-	fw.rules = out
-}
-
-// Rules lists rules sorted by name (copies).
-func (fw *Firewall) Rules() []Rule {
-	fw.mu.RLock()
-	defer fw.mu.RUnlock()
-	out := append([]Rule(nil), fw.rules...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // Hook returns the nfqueue decision function. Note what it does NOT
 // look at: who owns either socket.
 func (fw *Firewall) Hook() netsim.HookFunc {
 	return func(_ *netsim.Network, flow netsim.FlowTuple) netsim.Verdict {
-		fw.mu.Lock()
-		fw.Decisions++
-		var verdict netsim.Verdict = netsim.Drop
+		fw.mu.RLock()
+		defer fw.mu.RUnlock()
 		for _, r := range fw.rules {
 			if r.Matches(flow) {
-				verdict = netsim.Accept
-				break
+				return netsim.Accept
 			}
 		}
-		if verdict == netsim.Accept {
-			fw.Allowed++
-		} else {
-			fw.Denied++
-		}
-		fw.mu.Unlock()
-		return verdict
+		return netsim.Drop
 	}
 }
 

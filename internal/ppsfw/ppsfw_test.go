@@ -24,9 +24,6 @@ func TestDefaultDeny(t *testing.T) {
 	if _, err := h1.Dial(cred(1000), netsim.TCP, "b", 5000); !errors.Is(err, netsim.ErrConnDropped) {
 		t.Errorf("default-deny dial err = %v", err)
 	}
-	if fw.Denied != 1 {
-		t.Errorf("denied = %d", fw.Denied)
-	}
 }
 
 func TestApprovedServiceFlows(t *testing.T) {
@@ -47,17 +44,6 @@ func TestApprovedServiceFlows(t *testing.T) {
 	}
 	if _, err := h1.Dial(cred(1000), netsim.UDP, "b", 8080); !errors.Is(err, netsim.ErrConnDropped) {
 		t.Errorf("wrong-proto dial err = %v", err)
-	}
-}
-
-func TestRevoke(t *testing.T) {
-	fw := New()
-	fw.Approve("x", netsim.TCP, 1, 10)
-	fw.Approve("y", netsim.TCP, 20, 30)
-	fw.Revoke("x")
-	rules := fw.Rules()
-	if len(rules) != 1 || rules[0].Name != "y" {
-		t.Errorf("rules after revoke = %v", rules)
 	}
 }
 
@@ -106,7 +92,7 @@ func TestVersionZeroDilemma(t *testing.T) {
 	// zero pre-approval needed.
 	{
 		_, h1, h2 := newWorld()
-		d := ubf.New(ubf.Config{AllowGroupPeers: true})
+		d := ubf.New(ubf.Config{})
 		d.InstallOn(h2)
 		if _, err := h2.Listen(owner, netsim.TCP, novelPort); err != nil {
 			t.Fatal(err)

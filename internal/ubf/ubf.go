@@ -15,7 +15,10 @@
 //
 // The listener's primary group is its *effective* GID, switchable
 // with newgrp/sg — that is the opt-in lever for project-group
-// services.
+// services. Both ident queries go through netsim's Network.Ident,
+// which returns the socket owner's full credential, supplementary
+// groups included, so the group rule sees every group the connector
+// belongs to.
 package ubf
 
 import (
@@ -26,49 +29,29 @@ import (
 	"repro/internal/netsim"
 )
 
-// Decision records one verdict for audit/inspection.
-type Decision struct {
-	Flow    netsim.FlowTuple
-	SrcUID  ids.UID
-	DstUID  ids.UID
-	DstEGID ids.GID
-	Verdict netsim.Verdict
-	Reason  string
-	Cached  bool
-}
-
 // Config tunes the daemon.
 type Config struct {
-	// AllowGroupPeers enables the egid rule ("or the connector is a
-	// member of the primary group of the listener process"). The
-	// paper's deployment has it on; turning it off is the strictest
-	// same-user-only mode.
-	AllowGroupPeers bool
 	// CacheVerdicts memoizes (srcUID, dstUID, dstEGID) decisions, the
 	// way the production daemon avoids re-running ident for repeat
 	// peers. Ablated in experiment E8.
 	CacheVerdicts bool
-	// FailOpen decides what to do when an ident query fails. The
-	// paper's security posture is fail-closed (default false).
-	FailOpen bool
 }
 
 // Daemon is the UBF userspace decision engine. One daemon can serve
 // every host's hook (it is stateless apart from the cache), matching
 // the paper's per-node daemons that share identical configuration.
+// It fails closed: a flow whose ident query fails is dropped.
 type Daemon struct {
 	cfg Config
 
 	mu    sync.RWMutex
-	cache map[cacheKey]cacheVal
+	cache map[cacheKey]netsim.Verdict
 
 	// Counters for the overhead experiment (E8).
-	Decisions   atomic.Int64
-	CacheHits   atomic.Int64
-	Allowed     atomic.Int64
-	Denied      atomic.Int64
-	trail       []Decision
-	trailEnable bool
+	Decisions atomic.Int64
+	CacheHits atomic.Int64
+	Allowed   atomic.Int64
+	Denied    atomic.Int64
 }
 
 type cacheKey struct {
@@ -78,29 +61,9 @@ type cacheKey struct {
 	srcInGroup bool
 }
 
-type cacheVal struct {
-	verdict netsim.Verdict
-	reason  string
-}
-
 // New creates a daemon.
 func New(cfg Config) *Daemon {
-	return &Daemon{cfg: cfg, cache: make(map[cacheKey]cacheVal)}
-}
-
-// EnableAudit records every decision for later inspection (tests and
-// the leak scanner use this).
-func (d *Daemon) EnableAudit() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.trailEnable = true
-}
-
-// Audit returns a copy of the decision trail.
-func (d *Daemon) Audit() []Decision {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return append([]Decision(nil), d.trail...)
+	return &Daemon{cfg: cfg, cache: make(map[cacheKey]netsim.Verdict)}
 }
 
 // Hook returns the netsim.HookFunc to install on each host's
@@ -115,48 +78,38 @@ func (d *Daemon) Hook() netsim.HookFunc {
 		// connector side.
 		srcCred, errSrc := net.Ident(flow.SrcHost, flow.Proto, flow.SrcPort)
 		if errDst != nil || errSrc != nil {
-			v := netsim.Drop
-			if d.cfg.FailOpen {
-				v = netsim.Accept
-			}
-			d.record(flow, ids.NoUID, ids.NoUID, ids.NoGID, v, "ident unavailable", false)
-			return v
+			return netsim.Drop
 		}
 
 		key := cacheKey{src: srcCred.UID, dst: dstCred.UID, egid: dstCred.EGID, srcInGroup: srcCred.InGroup(dstCred.EGID)}
 		if d.cfg.CacheVerdicts {
 			d.mu.RLock()
-			cv, hit := d.cache[key]
+			v, hit := d.cache[key]
 			d.mu.RUnlock()
 			if hit {
 				d.CacheHits.Add(1)
-				d.count(cv.verdict)
-				d.record(flow, srcCred.UID, dstCred.UID, dstCred.EGID, cv.verdict, cv.reason, true)
-				return cv.verdict
+				d.count(v)
+				return v
 			}
 		}
 
-		verdict, reason := d.decide(srcCred, dstCred)
+		verdict := decide(srcCred, dstCred)
 		if d.cfg.CacheVerdicts {
 			d.mu.Lock()
-			d.cache[key] = cacheVal{verdict, reason}
+			d.cache[key] = verdict
 			d.mu.Unlock()
 		}
 		d.count(verdict)
-		d.record(flow, srcCred.UID, dstCred.UID, dstCred.EGID, verdict, reason, false)
 		return verdict
 	}
 }
 
 // decide applies the paper's rule.
-func (d *Daemon) decide(src, dst ids.Credential) (netsim.Verdict, string) {
-	if src.UID == dst.UID {
-		return netsim.Accept, "same user"
+func decide(src, dst ids.Credential) netsim.Verdict {
+	if src.UID == dst.UID || src.InGroup(dst.EGID) {
+		return netsim.Accept
 	}
-	if d.cfg.AllowGroupPeers && src.InGroup(dst.EGID) {
-		return netsim.Accept, "connector in listener primary group"
-	}
-	return netsim.Drop, "different user"
+	return netsim.Drop
 }
 
 func (d *Daemon) count(v netsim.Verdict) {
@@ -167,38 +120,19 @@ func (d *Daemon) count(v netsim.Verdict) {
 	}
 }
 
-func (d *Daemon) record(f netsim.FlowTuple, src, dst ids.UID, egid ids.GID, v netsim.Verdict, reason string, cached bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.trailEnable {
-		d.trail = append(d.trail, Decision{Flow: f, SrcUID: src, DstUID: dst, DstEGID: egid, Verdict: v, Reason: reason, Cached: cached})
-	}
-}
-
 // Reset rewinds the daemon to its freshly-constructed state: the
-// verdict cache, all counters and the audit trail (including the
-// enable flag — EnableAudit is post-construction state) are cleared.
-// The configuration and any hooks already installed on hosts survive:
-// the hook closure reads the daemon's live state, so a reset daemon
-// keeps filtering with empty caches, exactly like a fresh one.
+// verdict cache and all counters are cleared. The configuration and
+// any hooks already installed on hosts survive: the hook closure reads
+// the daemon's live state, so a reset daemon keeps filtering with an
+// empty cache, exactly like a fresh one.
 func (d *Daemon) Reset() {
 	d.mu.Lock()
 	clear(d.cache)
-	d.trail = nil
-	d.trailEnable = false
 	d.mu.Unlock()
 	d.Decisions.Store(0)
 	d.CacheHits.Store(0)
 	d.Allowed.Store(0)
 	d.Denied.Store(0)
-}
-
-// FlushCache clears the verdict cache (e.g. after group-membership
-// changes; the production daemon uses a TTL).
-func (d *Daemon) FlushCache() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.cache = make(map[cacheKey]cacheVal)
 }
 
 // InstallOn wires the daemon onto a host with the paper's standard

@@ -184,7 +184,7 @@ func TestRunMPISameUserAllowedThroughUBF(t *testing.T) {
 	ns := nodes(3, 2)
 	s := sched.New(sched.Config{Policy: sched.PolicyUserWholeNode}, ns, 0)
 	net := netsim.NewNetwork()
-	d := ubf.New(ubf.Config{AllowGroupPeers: true})
+	d := ubf.New(ubf.Config{})
 	for _, n := range ns {
 		d.InstallOn(net.AddHost(n.Name))
 	}

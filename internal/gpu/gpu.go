@@ -257,8 +257,14 @@ func (m *Manager) Prolog(job *sched.Job, node *simos.Node) error {
 }
 
 // Epilog is the scheduler job-end hook: optionally clear memory, then
-// return devices to the unassigned (invisible) state.
+// return devices to the unassigned (invisible) state. It mirrors
+// Prolog's zero-GPU return: only Prolog assigns a device, and only to
+// a job that asks for one (Reset drops every assignment whenever a
+// Prolog ran), so a job with no GPU owns nothing to release.
 func (m *Manager) Epilog(job *sched.Job, node *simos.Node) error {
+	if job.Spec.GPUs == 0 {
+		return nil
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, d := range m.byNode[node.Name] {

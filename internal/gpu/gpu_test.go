@@ -199,3 +199,53 @@ func TestTwoGPUsSameNodeTwoJobsSameUser(t *testing.T) {
 		}
 	}
 }
+
+// TestCPUJobEpilogLeavesGPUAssigned: under PolicyShared a CPU-only job
+// ends on a node where another user's GPU job runs. Its epilog must
+// not touch the device: the GPU stays assigned to its owner, visible
+// to the owner alone and writable by the owner. The GPU job's own end
+// still revokes it. This is the Prolog/Epilog pairing Epilog's
+// zero-GPU return stands on: only a job that asked for a GPU owns one.
+func TestCPUJobEpilogLeavesGPUAssigned(t *testing.T) {
+	node := simos.NewNode("g00", simos.Compute, 8, 1000, nil)
+	s := sched.New(sched.Config{Policy: sched.PolicyShared}, []*simos.Node{node}, 2)
+	m := NewManager([]*simos.Node{node}, 2, true, true)
+	m.Register(s)
+	alice, bob := cred(1000), cred(2000)
+	ja, err := s.Submit(alice, gpuJob(alice.UID, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jb, err := s.Submit(bob, sched.JobSpec{Name: "cpu", Command: "solve", Cores: 1, MemB: 1, Duration: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Step() // both start on the one node
+	s.Step() // bob's CPU job ends and its epilog runs
+	if got, _ := s.Job(jb); got.State != sched.Completed {
+		t.Fatalf("cpu job state %v, want completed", got.State)
+	}
+	if got, _ := s.Job(ja); got.State != sched.Running {
+		t.Fatalf("gpu job state %v, want running", got.State)
+	}
+	dev := m.Devices(node.Name)[0]
+	if dev.Assigned() != alice.UID {
+		t.Fatalf("device assigned to %d after the cpu job ended, want alice", dev.Assigned())
+	}
+	if len(node.VisibleDevs(alice)) != 1 {
+		t.Errorf("owner sees %v, want the one device", node.VisibleDevs(alice))
+	}
+	if devs := node.VisibleDevs(bob); len(devs) != 0 {
+		t.Errorf("device visible to bob: %v", devs)
+	}
+	if err := dev.Write(alice, 0, []byte("weights")); err != nil {
+		t.Errorf("owner write after the cpu job ended: %v", err)
+	}
+	s.RunAll(20) // alice's GPU job ends
+	if dev.Assigned() != ids.NoUID {
+		t.Errorf("device still assigned to %d after the gpu job ended", dev.Assigned())
+	}
+	if err := dev.Write(alice, 0, []byte("x")); !errors.Is(err, ErrNotAssigned) {
+		t.Errorf("post-job write err = %v, want ErrNotAssigned", err)
+	}
+}

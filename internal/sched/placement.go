@@ -16,7 +16,8 @@ import (
 //     empty-node capacity, per-user whole-node capacity, GPU
 //     availability) that let fit reject an unplaceable job in O(1)
 //     without touching a single node — and let Step skip the whole
-//     queue scan when the cluster is full;
+//     queue scan when the cluster is full, or end it once a start
+//     fills the cluster;
 //   - placeScratch: reusable slice-based placement (node index +
 //     cores) so the scan phase allocates nothing, successful or not;
 //   - applyPlace/applyRelease: the single mutation path for node

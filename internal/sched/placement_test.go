@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/ids"
@@ -131,17 +133,44 @@ func checkTaskProcesses(t *testing.T, s *Scheduler, when string) {
 	}
 }
 
+// checkPassComplete asserts the guarantee the queue gate stands on:
+// while queueBlocked is set, which every Step leaves it, no pending
+// job fits. A pass that stops while a queued job could still start, or
+// a gate left closed over an event that freed capacity, fails here.
+// Skipping the pass (Step) and skipping ticks (fastForwardLocked) are
+// exact only because of it. fit writes nothing but the placement
+// scratch, so the check leaves the scheduler as it found it.
+func checkPassComplete(t *testing.T, s *Scheduler, when string) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.queueBlocked {
+		return
+	}
+	for _, j := range s.pending {
+		if s.fit(j) {
+			t.Fatalf("%s: queue gate closed, but pending job %d (%d cores, user %d) fits now",
+				when, j.ID, j.Spec.Cores, j.User)
+		}
+	}
+}
+
 // TestAggregateInvariants drives a randomized submit/step/cancel/OOM
 // mix — including GPU jobs and an external node crash+restore —
 // asserting after every event batch
 // that the aggregates match a from-scratch recomputation and that the
-// node process tables hold exactly the running jobs' task processes.
+// node process tables hold exactly the running jobs' task processes,
+// and after every Step that the pass left no job that fits queued.
 func TestAggregateInvariants(t *testing.T) {
 	for _, pol := range []SharingPolicy{PolicyShared, PolicyExclusive, PolicyUserWholeNode} {
 		t.Run(pol.String(), func(t *testing.T) {
 			nodes := computeNodes(6, 8, 1<<20)
 			s := New(Config{Policy: pol}, nodes, 2)
 			rng := metrics.NewRNG(uint64(17 + pol))
+			step := func() {
+				s.Step()
+				checkPassComplete(t, s, "after Step")
+			}
 			var live []int
 			for round := 0; round < 120; round++ {
 				switch rng.Intn(5) {
@@ -175,12 +204,12 @@ func TestAggregateInvariants(t *testing.T) {
 					if rng.Intn(3) == 0 {
 						n := nodes[rng.Intn(len(nodes))]
 						n.Crash()
-						s.Step()
+						step()
 						n.Restore()
 					}
-					s.Step()
+					step()
 				default:
-					s.Step()
+					step()
 				}
 				checkAggregates(t, s, "mid-campaign")
 				checkIndexes(t, s, "mid-campaign")
@@ -199,40 +228,44 @@ func TestAggregateInvariants(t *testing.T) {
 
 // TestProbeNeverRejectsPlaceable: for every pending job each tick,
 // a fit() success implies the probe said yes — i.e. the O(1) bound is
-// conservative, never optimistic.
+// conservative, never optimistic — and no job that fits outlives a
+// pass.
 func TestProbeNeverRejectsPlaceable(t *testing.T) {
 	for _, pol := range []SharingPolicy{PolicyShared, PolicyExclusive, PolicyUserWholeNode} {
-		s := New(Config{Policy: pol}, computeNodes(4, 8, 1<<20), 2)
-		rng := metrics.NewRNG(uint64(99 + pol))
-		for i := 0; i < 80; i++ {
-			spec := JobSpec{
-				Name: "p", Command: "x",
-				Cores:    1 + rng.Intn(12),
-				MemB:     1 + int64(rng.Intn(1<<18)),
-				Duration: 1 + int64(rng.Intn(4)),
-			}
-			if rng.Intn(3) == 0 {
-				spec.GPUs = 1 + rng.Intn(2)
-			}
-			if _, err := s.Submit(cred(ids.UID(1000+rng.Intn(3))), spec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for tick := 0; tick < 200; tick++ {
-			s.mu.Lock()
-			for _, j := range s.pending {
-				if s.fit(j) && !s.probe(j) {
-					s.mu.Unlock()
-					t.Fatalf("%v: probe rejected job %d but fit placed it", pol, j.ID)
+		t.Run(pol.String(), func(t *testing.T) {
+			s := New(Config{Policy: pol}, computeNodes(4, 8, 1<<20), 2)
+			rng := metrics.NewRNG(uint64(99 + pol))
+			for i := 0; i < 80; i++ {
+				spec := JobSpec{
+					Name: "p", Command: "x",
+					Cores:    1 + rng.Intn(12),
+					MemB:     1 + int64(rng.Intn(1<<18)),
+					Duration: 1 + int64(rng.Intn(4)),
+				}
+				if rng.Intn(3) == 0 {
+					spec.GPUs = 1 + rng.Intn(2)
+				}
+				if _, err := s.Submit(cred(ids.UID(1000+rng.Intn(3))), spec); err != nil {
+					t.Fatal(err)
 				}
 			}
-			s.mu.Unlock()
-			s.Step()
-			if s.PendingCount() == 0 {
-				break
+			for tick := 0; tick < 200; tick++ {
+				s.mu.Lock()
+				for _, j := range s.pending {
+					if s.fit(j) && !s.probe(j) {
+						s.mu.Unlock()
+						t.Fatalf("probe rejected job %d but fit placed it", j.ID)
+					}
+				}
+				s.mu.Unlock()
+				s.Step()
+				checkPassComplete(t, s, fmt.Sprintf("tick %d", tick))
+				if s.PendingCount() == 0 {
+					break
+				}
 			}
-		}
-		s.RunAll(1000)
+			s.RunAll(1000)
+		})
 	}
 }
 
@@ -296,5 +329,80 @@ func TestStepSkipsQueueWhenFull(t *testing.T) {
 	}
 	if n := s.PendingCount(); n != 50 {
 		t.Fatalf("pending = %d, want 50", n)
+	}
+}
+
+// TestPassStopsAtZeroFreeCores: a pass that fills the cluster mid-queue
+// stops there. On an 8-core cluster with 2 cores free, three 4-core
+// blockers are rejected, two of forty 1-core jobs start, and the pass
+// ends with the other 38 unscanned. The queue stays ID-ordered
+// as the rejected prefix followed by the unscanned tail, no job goes
+// missing, and the pass allocates nothing once a first trial has sized
+// the scheduler's storage.
+func TestPassStopsAtZeroFreeCores(t *testing.T) {
+	nodes := computeNodes(2, 4, 1<<20)
+	s := New(Config{Policy: PolicyShared}, nodes, 0)
+	const blockers, small = 3, 40
+	setup := func() {
+		if _, err := s.Submit(cred(1000), spec(6, 1000)); err != nil {
+			t.Fatal(err)
+		}
+		s.Step() // the 6-core filler starts: 2 cores stay free
+		for i := 0; i < blockers; i++ {
+			if _, err := s.Submit(cred(1001), spec(4, 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < small; i++ {
+			if _, err := s.Submit(cred(ids.UID(1002+i%3)), spec(1, 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Each tick the two 1-core jobs of the last one finish and two more
+	// start; AllocsPerRun makes runs+1 such ticks.
+	const runs = 10
+	setup()
+	for i := 0; i <= runs; i++ {
+		s.Step()
+	}
+	s.RunAll(10000)
+	for _, n := range nodes {
+		n.Reset()
+	}
+	s.Reset()
+	setup()
+	if allocs := testing.AllocsPerRun(runs, func() { s.Step() }); allocs != 0 {
+		t.Errorf("a pass that runs out of cores mid-queue allocates %.1f objects, want 0", allocs)
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.defaultScope.freeCores != 0 {
+		t.Fatalf("freeCores = %d after the pass, want 0", s.defaultScope.freeCores)
+	}
+	// Job 1 is the filler, 2..4 the blockers, 5.. the 1-core jobs; each
+	// of the runs+1 ticks started two of those.
+	started := 2 * (runs + 1)
+	want := []int{2, 3, 4}
+	for id := 5 + started; id <= 1+blockers+small; id++ {
+		want = append(want, id)
+	}
+	got := make([]int, len(s.pending))
+	for i, j := range s.pending {
+		got[i] = j.ID
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("pending = %v, want the blockers then the unscanned tail %v", got, want)
+	}
+	running := 0
+	for _, e := range s.calendar {
+		if e.job.State == Running {
+			running++
+		}
+	}
+	if n := len(s.pending) + running + len(s.records); n != len(s.jobs) {
+		t.Fatalf("pending %d + running %d + finished %d = %d, submitted %d",
+			len(s.pending), running, len(s.records), n, len(s.jobs))
 	}
 }

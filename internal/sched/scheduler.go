@@ -111,8 +111,8 @@ func (ns *nodeState) userJobs(u ids.UID) int {
 // The per-tick hot path is event-driven rather than scan-based (see
 // placement.go and calendar.go): the calendar pops exactly the due
 // jobs, and capacity aggregates reject unplaceable jobs — or skip the
-// whole scheduling pass — without walking nodes. Step never scans the
-// job table.
+// whole scheduling pass, or end it once the cluster fills — without
+// walking nodes. Step never scans the job table.
 type Scheduler struct {
 	Cfg Config
 
@@ -468,14 +468,25 @@ func (s *Scheduler) stepLocked() int {
 	// core anywhere — the full-cluster steady state of a drain costs
 	// O(1). The pass compacts the pending slice in place, keeping the
 	// jobs tryStart rejects in their order.
+	//
+	// The pass also ends as soon as a start leaves no free core. Every
+	// job asks for at least one core (Submit), and under every policy
+	// probe's bound is at most freeCores (emptyCores and
+	// emptyCores+userFree[u] count free cores only), so each job left
+	// would fail probe with no side effect: the unscanned tail moves
+	// down behind the rejected prefix unprobed.
 	started := 0
 	if len(s.pending) > 0 && !s.queueBlocked && s.defaultScope.freeCores > 0 {
 		kept := s.pending[:0]
-		for _, j := range s.pending {
-			if s.tryStart(j) {
-				started++
-			} else {
+		for i, j := range s.pending {
+			if !s.tryStart(j) {
 				kept = append(kept, j)
+				continue
+			}
+			started++
+			if s.defaultScope.freeCores == 0 {
+				kept = append(kept, s.pending[i+1:]...)
+				break
 			}
 		}
 		clear(s.pending[len(kept):])

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/sched"
 )
 
@@ -42,15 +43,11 @@ func perDrain(build func(testing.TB, sched.SharingPolicy) *core.Cluster, pol sch
 // TestPooledTrialAllocsReduction pins the TrialLifecycle rows per
 // trial.
 //
-// Rows whose count does not repeat stay report-only. Those are the
-// drains that pack several jobs per node under the shared and
-// user-wholenode policies (E4Policies and E4XLCampaign under those
-// two, E16Ablation, FleetCampaign/1w, E17Campaign/1w): a node's
-// process table and the scheduler's per-user capacity map then insert
-// and delete entries, and when a Go map rehashes depends on its random
-// hash seed, so the count moves by a few allocations from run to run.
-// The multi-worker rows are report-only too: their allocations depend
-// on which worker's cluster pool each trial lands in.
+// Every single-worker row is pinned. The job path of a trial keeps
+// its process tables and per-user capacity in slices, not Go maps, so
+// its allocations no longer follow each map's random hash seed. The
+// multi-worker rows stay report-only: their allocations depend on
+// which worker's cluster pool each trial lands in.
 var allocPins = []struct {
 	row    string
 	allocs func(testing.TB) float64
@@ -61,8 +58,12 @@ var allocPins = []struct {
 	{"E2CVEProbe", perOp(e2CVEProbe), 0},
 	{"E3Squeue/baseline", perOp(func(tb testing.TB) func() { return e3Squeue(tb, core.Baseline()) }), 659},
 	{"E3Squeue/enhanced", perOp(func(tb testing.TB) func() { return e3Squeue(tb, core.Enhanced()) }), 203},
+	{"E4Policies/shared", perDrain(e4Cluster, sched.PolicyShared), 177},
 	{"E4Policies/exclusive", perDrain(e4Cluster, sched.PolicyExclusive), 119},
-	{"E4XLCampaign/exclusive", perDrain(e4XLCluster, sched.PolicyExclusive), 997},
+	{"E4Policies/user-wholenode", perDrain(e4Cluster, sched.PolicyUserWholeNode), 148},
+	{"E4XLCampaign/shared", perDrain(e4XLCluster, sched.PolicyShared), 1041},
+	{"E4XLCampaign/exclusive", perDrain(e4XLCluster, sched.PolicyExclusive), 654},
+	{"E4XLCampaign/user-wholenode", perDrain(e4XLCluster, sched.PolicyUserWholeNode), 808},
 	{"E5SSHGate", perOp(e5SSHGate), 7},
 	{"E6FSMatrix/baseline", perOp(func(tb testing.TB) func() { return e6FSMatrix(tb, core.Baseline()) }), 21},
 	{"E6FSMatrix/enhanced", perOp(func(tb testing.TB) func() { return e6FSMatrix(tb, core.Enhanced()) }), 23},
@@ -83,6 +84,9 @@ var allocPins = []struct {
 	{"E14CryptoMPI/plain-ubf-datapath", perOp(func(tb testing.TB) func() { return e14Datapath(tb, false) }), 2},
 	{"E14CryptoMPI/encrypted-mpi-datapath", perOp(func(tb testing.TB) func() { return e14Datapath(tb, true) }), 6},
 	{"E15MitigationTax", perOp(e15MitigationTax), 0},
+	{"FleetCampaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE4PolicyGrid, 1) }), 7313},
+	{"E16Ablation", perOp(e16Ablation), 17433},
+	{"E17Campaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE17RedTeam, 1) }), 30829},
 }
 
 // TestAllocPins checks each single-worker benchmark row's allocations

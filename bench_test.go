@@ -557,17 +557,20 @@ func BenchmarkE15MitigationTax(b *testing.B) { benchOp(b, e15MitigationTax(b)) }
 // only wall-clock moves, so on a multi-core host the 4w/8w rows show
 // the shard speedup while on a single-core host they stay flat.
 func BenchmarkFleetCampaign(b *testing.B) {
-	b.ReportAllocs()
-	camp := fleet.MustPreset(fleet.PresetE4PolicyGrid)
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("%dw", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := fleet.Run(camp, fleet.Options{Workers: workers, Seed: 42}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchOp(b, fleetCampaign(b, fleet.PresetE4PolicyGrid, workers))
 		})
+	}
+}
+
+// fleetCampaign runs a preset campaign at seed 42 on workers workers.
+func fleetCampaign(tb testing.TB, preset string, workers int) func() {
+	camp := fleet.MustPreset(preset)
+	return func() {
+		if _, err := fleet.Run(camp, fleet.Options{Workers: workers, Seed: 42}); err != nil {
+			tb.Fatal(err)
+		}
 	}
 }
 
@@ -610,11 +613,13 @@ func BenchmarkTrialLifecycle(b *testing.B) {
 // E4-style utilization drains. This is the repo's heaviest composite
 // operation; it tracks the cost of "rebuild the world per ablation",
 // which is what every table-driven configuration study pays.
-func BenchmarkE16Ablation(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+func BenchmarkE16Ablation(b *testing.B) { benchOp(b, e16Ablation(b)) }
+
+// e16Ablation runs the whole enhanced-minus-one sweep.
+func e16Ablation(tb testing.TB) func() {
+	return func() {
 		if _, err := experiments.AblationSweep(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
@@ -628,16 +633,9 @@ func BenchmarkE16Ablation(b *testing.B) {
 // this row tracks the adversary engine's overhead on top of the
 // plain fleet drain (BenchmarkFleetCampaign).
 func BenchmarkE17Campaign(b *testing.B) {
-	b.ReportAllocs()
-	camp := fleet.MustPreset(fleet.PresetE17RedTeam)
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("%dw", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := fleet.Run(camp, fleet.Options{Workers: workers, Seed: 42}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchOp(b, fleetCampaign(b, fleet.PresetE17RedTeam, workers))
 		})
 	}
 }

@@ -12,9 +12,11 @@ package sched
 // crash) are deleted lazily — entries whose job is no longer Running
 // are discarded at pop/peek time, so finish never searches the heap.
 
-// calEntry is one scheduled completion.
+// calEntry is one scheduled completion. It carries the job's ID, so
+// heap comparisons never dereference the job.
 type calEntry struct {
 	due int64
+	id  int
 	job *Job
 }
 
@@ -24,12 +26,12 @@ func (c calendar) less(i, j int) bool {
 	if c[i].due != c[j].due {
 		return c[i].due < c[j].due
 	}
-	return c[i].job.ID < c[j].job.ID
+	return c[i].id < c[j].id
 }
 
 // push schedules a job that just entered Running.
 func (c *calendar) push(due int64, j *Job) {
-	*c = append(*c, calEntry{due: due, job: j})
+	*c = append(*c, calEntry{due: due, id: j.ID, job: j})
 	h := *c
 	for i := len(h) - 1; i > 0; {
 		parent := (i - 1) / 2

@@ -41,10 +41,12 @@ type capScope struct {
 	emptyNodes int
 	emptyCores int64
 	// userFree sums free cores on nodes whose allocations all belong
-	// to one user, keyed by that user: together with emptyCores it
-	// bounds what a user-wholenode job can ever get. Entries are
-	// removed at zero.
-	userFree map[ids.UID]int64
+	// to one user, one unordered entry per such user: together with
+	// emptyCores it bounds what a user-wholenode job can ever get.
+	// An entry is removed at zero, so each one stands for at least one
+	// member node and the slice, sized to the member count at
+	// construction, never grows.
+	userFree []userCap
 	// maxNodeMemB is the largest per-node memory among members
 	// (static): a job asking more per node can never run here.
 	maxNodeMemB int64
@@ -54,8 +56,15 @@ type capScope struct {
 	gpuAtLeast []int32
 }
 
-func newCapScope(maxGPUs int) *capScope {
-	sc := &capScope{userFree: make(map[ids.UID]int64)}
+// userCap is one user's userFree entry.
+type userCap struct {
+	uid  ids.UID
+	free int64
+}
+
+// newCapScope returns an empty scope for up to members compute nodes.
+func newCapScope(members, maxGPUs int) *capScope {
+	sc := &capScope{userFree: make([]userCap, 0, members)}
 	if maxGPUs > 0 {
 		sc.gpuAtLeast = make([]int32, maxGPUs+1)
 	}
@@ -68,7 +77,7 @@ func (sc *capScope) reset() {
 	sc.freeCores = 0
 	sc.emptyNodes = 0
 	sc.emptyCores = 0
-	clear(sc.userFree)
+	sc.userFree = sc.userFree[:0]
 	sc.maxNodeMemB = 0
 	for i := range sc.gpuAtLeast {
 		sc.gpuAtLeast[i] = 0
@@ -93,18 +102,42 @@ func (sc *capScope) account(ns *nodeState, sign int64) {
 	if len(ns.jobs) == 0 {
 		sc.emptyNodes += int(sign)
 		sc.emptyCores += sign * int64(ns.node.Cores)
-	} else if u, ok := ns.sole(); ok {
-		if v := sc.userFree[u] + sign*free; v != 0 {
-			sc.userFree[u] = v
-		} else {
-			delete(sc.userFree, u)
-		}
+	} else if u, ok := ns.sole(); ok && free != 0 {
+		sc.addUserFree(u, sign*free)
 	}
 	if sc.gpuAtLeast != nil {
 		for g := ns.freeGPUs(); g >= 1; g-- {
 			sc.gpuAtLeast[g] += int32(sign)
 		}
 	}
+}
+
+// addUserFree adds d (nonzero) to u's userFree entry, creating the
+// entry or swapping the last one into its place when it reaches zero.
+func (sc *capScope) addUserFree(u ids.UID, d int64) {
+	for i := range sc.userFree {
+		e := &sc.userFree[i]
+		if e.uid != u {
+			continue
+		}
+		if e.free += d; e.free == 0 {
+			last := len(sc.userFree) - 1
+			sc.userFree[i] = sc.userFree[last]
+			sc.userFree = sc.userFree[:last]
+		}
+		return
+	}
+	sc.userFree = append(sc.userFree, userCap{uid: u, free: d})
+}
+
+// userFreeOf returns u's userFree sum (0 without an entry).
+func (sc *capScope) userFreeOf(u ids.UID) int64 {
+	for _, e := range sc.userFree {
+		if e.uid == u {
+			return e.free
+		}
+	}
+	return 0
 }
 
 // sole returns the single user allocated on the node, if exactly one.
@@ -152,7 +185,7 @@ func (s *Scheduler) probe(j *Job) bool {
 			return false
 		}
 	case PolicyUserWholeNode:
-		if need > sc.emptyCores+sc.userFree[j.User] {
+		if need > sc.emptyCores+sc.userFreeOf(j.User) {
 			return false
 		}
 	default:

@@ -13,13 +13,62 @@ import (
 // recomputeScope rebuilds the capacity scope from raw node state.
 // Caller holds s.mu (or owns the scheduler exclusively).
 func recomputeScope(s *Scheduler) *capScope {
-	want := newCapScope(s.maxNodeGPUs)
-	for _, ns := range s.nodes {
-		if ns.node.Kind == simos.Compute {
-			want.enroll(ns)
-		}
+	members := computeMembers(s)
+	want := newCapScope(len(members), s.maxNodeGPUs)
+	for _, ns := range members {
+		want.enroll(ns)
 	}
 	return want
+}
+
+// computeMembers lists the capacity scope's member nodes.
+func computeMembers(s *Scheduler) []*nodeState {
+	var out []*nodeState
+	for _, ns := range s.nodes {
+		if ns.node.Kind == simos.Compute {
+			out = append(out, ns)
+		}
+	}
+	return out
+}
+
+// checkUserFree asserts that the scope's userFree entries equal the
+// recomputed ones as a set, that none is zero or repeats a UID, that
+// there are no more of them than member nodes held by a single user,
+// and that the slice kept the capacity it was given at construction.
+func checkUserFree(t *testing.T, s *Scheduler, got, want []userCap, when string) {
+	t.Helper()
+	members := computeMembers(s)
+	if cap(got) != len(members) {
+		t.Fatalf("%s: userFree capacity %d, want the %d member nodes it was sized for", when, cap(got), len(members))
+	}
+	soleNodes := 0
+	for _, ns := range members {
+		if _, ok := ns.sole(); ok {
+			soleNodes++
+		}
+	}
+	if len(got) > soleNodes {
+		t.Fatalf("%s: userFree has %d entries for %d single-user nodes (%v)", when, len(got), soleNodes, got)
+	}
+	seen := make(map[ids.UID]int64, len(got))
+	for _, e := range got {
+		if e.free == 0 {
+			t.Fatalf("%s: userFree holds a zero entry for uid %d (%v)", when, e.uid, got)
+		}
+		if _, dup := seen[e.uid]; dup {
+			t.Fatalf("%s: userFree holds uid %d twice (%v)", when, e.uid, got)
+		}
+		seen[e.uid] = e.free
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: userFree has %d entries, recomputed %d (%v vs %v)", when, len(got), len(want), got, want)
+	}
+	for _, e := range want {
+		if seen[e.uid] != e.free {
+			t.Fatalf("%s: userFree[%d] = %d, recomputed %d", when, e.uid, seen[e.uid], e.free)
+		}
+	}
 }
 
 // checkAggregates asserts every incrementally maintained aggregate
@@ -37,15 +86,7 @@ func checkAggregates(t *testing.T, s *Scheduler, when string) {
 		t.Fatalf("%s: empty = (%d nodes, %d cores), recomputed (%d, %d)",
 			when, got.emptyNodes, got.emptyCores, want.emptyNodes, want.emptyCores)
 	}
-	if len(got.userFree) != len(want.userFree) {
-		t.Fatalf("%s: userFree has %d entries, recomputed %d (%v vs %v)",
-			when, len(got.userFree), len(want.userFree), got.userFree, want.userFree)
-	}
-	for u, v := range want.userFree {
-		if got.userFree[u] != v {
-			t.Fatalf("%s: userFree[%d] = %d, recomputed %d", when, u, got.userFree[u], v)
-		}
-	}
+	checkUserFree(t, s, got.userFree, want.userFree, when)
 	if got.maxNodeMemB != want.maxNodeMemB {
 		t.Fatalf("%s: maxNodeMemB = %d, recomputed %d", when, got.maxNodeMemB, want.maxNodeMemB)
 	}

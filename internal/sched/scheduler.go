@@ -200,11 +200,13 @@ func New(cfg Config, nodes []*simos.Node, gpusPerNode int) *Scheduler {
 		Cfg:    cfg,
 		byName: make(map[string]*nodeState),
 	}
+	members := 0
 	for _, n := range nodes {
 		st := &nodeState{node: n, totalGPUs: gpusPerNode}
 		s.nodes = append(s.nodes, st)
 		s.byName[n.Name] = st
 		if n.Kind == simos.Compute {
+			members++
 			s.computeCores += int64(n.Cores)
 			if st.totalGPUs > s.maxNodeGPUs {
 				s.maxNodeGPUs = st.totalGPUs
@@ -218,7 +220,7 @@ func New(cfg Config, nodes []*simos.Node, gpusPerNode int) *Scheduler {
 	// node's job list never outgrows its core count: carve every list
 	// out of one array here instead of growing each on the hot path.
 	lists := make([]*Job, s.computeCores)
-	s.defaultScope = newCapScope(s.maxNodeGPUs)
+	s.defaultScope = newCapScope(members, s.maxNodeGPUs)
 	for _, ns := range s.nodes {
 		if ns.node.Kind == simos.Compute {
 			ns.jobs, lists = lists[:0:ns.node.Cores], lists[ns.node.Cores:]

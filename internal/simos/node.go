@@ -87,19 +87,11 @@ func NewNode(name string, kind NodeKind, cores int, memB int64, clock func() int
 		Procs: NewTable(clock),
 		dev:   make(map[string]*DevNode),
 	}
-	n.spawnBaseDaemons()
+	n.Procs.spawnBaseDaemons()
 	// The pristine mark is the three base daemons (PIDs 1..3): Reset
 	// rewinds the process table to exactly this state.
 	n.Procs.MarkPristine()
 	return n
-}
-
-// spawnBaseDaemons starts the baseline daemons every Linux node runs;
-// these are what users see in `ps` when hidepid is off.
-func (n *Node) spawnBaseDaemons() {
-	n.Procs.SpawnDaemon("systemd")
-	n.Procs.SpawnDaemon("sshd")
-	n.Procs.SpawnDaemon("slurmd", "-D")
 }
 
 // Reset rewinds the node to its freshly-constructed state: up (not
@@ -217,19 +209,16 @@ func (n *Node) VisibleDevs(cred ids.Credential) []string {
 // processes. Returns the number of processes that died.
 func (n *Node) Crash() int {
 	n.down.Store(true)
-	killed := 0
-	for _, p := range n.Procs.All() {
-		if err := n.Procs.Exit(p.PID); err == nil {
-			killed++
-		}
-	}
-	return killed
+	return n.Procs.killAll()
 }
 
-// Restore brings a crashed node back (fresh daemons).
+// Restore brings a crashed node back (fresh daemons, under the next
+// PIDs). Once the table has a pristine mark the daemons' entries come
+// from storage Reset recycles, so a warmed crash, restore and Reset
+// allocate nothing.
 func (n *Node) Restore() {
 	n.down.Store(false)
-	n.spawnBaseDaemons()
+	n.Procs.spawnBaseDaemons()
 }
 
 // Down reports whether the node has crashed.

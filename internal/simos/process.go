@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/ids"
@@ -74,51 +73,68 @@ func (p *Process) Clone() *Process {
 // concurrent use.
 //
 // Entries stored in the table are immutable until Reset: the only
-// mutations are Spawn/SpawnDaemon/SpawnJob, which publish a fresh
-// entry, and Exit/ExitJob/Kill/KillUser, which delete one; nothing
-// writes through a published pointer, and no entry's storage is
-// reused before the next Reset. That lets the table publish one
+// mutations are Spawn/SpawnDaemon/SpawnJob (and a node restore), which
+// publish a fresh entry, and Exit/ExitJob/Kill/KillUser (and a node
+// crash), which remove one; nothing writes through a published
+// pointer, and no entry's storage is reused before the next Reset.
+// That lets the table publish one
 // generation-counted, copy-on-write snapshot — a cached sorted
 // []*Process — that every reader of All/Visit shares with zero
 // per-call cloning. Values returned by All, Visit and Lookup are
 // therefore shared and MUST be treated as read-only; use Clone (or
 // Get, which clones) before modifying one. They also MUST NOT be kept
-// across Reset, which recycles the storage of every task entry
-// spawned since the pristine mark: clone what must outlive the trial.
+// across Reset, which recycles the storage of every task entry and
+// every daemon spawned since the pristine mark: clone what must
+// outlive the trial.
 type Table struct {
 	mu      sync.RWMutex
 	nextPID ids.PID
-	procs   map[ids.PID]*Process
+	// slots holds the table's entries in PID order. PIDs only grow
+	// between Resets, so a spawn appends. An exit clears its slot's
+	// pointer instead of moving the tail; an append that finds the
+	// slice full compacts the exited slots away first, so capacity
+	// follows the live count rather than the number of PIDs spawned.
+	// Past len(slots) the backing array holds only zero slots.
+	slots   []slot
+	live    int // slots with a non-nil entry
 	clock   func() int64
 	gen     uint64     // bumped on every mutation
 	snap    []*Process // cached PID-sorted snapshot, shared with readers
 	snapGen uint64     // generation snap was built at; valid iff == gen
-	// jobs holds every SpawnJob entry, with its argv inline. Within a
-	// trial an entry is never reused, even after ExitJob, so a stale
+	// jobs holds every SpawnJob entry, with its argv inline, and every
+	// daemon spawned after the pristine mark (Node.Restore). Within a
+	// trial an entry is never reused, even after it exits, so a stale
 	// snapshot keeps showing it intact. Reset zeroes the entries carved
 	// since the pristine mark and rewinds to it, so a pooled trial's
-	// job starts reuse the previous trial's storage and allocate
-	// nothing once the chunks cover the busiest trial.
+	// job starts and restores reuse the previous trial's storage and
+	// allocate nothing once the chunks cover the busiest trial.
 	jobs slab.Slab[jobProcess]
-	// arena is the current allocation chunk for the long-lived daemon
-	// population: daemon *Process entries point into such a chunk
-	// instead of being individual heap objects. Entries are handed out
-	// append-only and a full chunk is replaced (never grown), so
-	// published pointers stay stable; a chunk is reclaimed when nothing
-	// references it anymore. At 10k-node scale the construction daemons
-	// alone are 30k entries, and a node's three share one 4-entry chunk.
-	// It is not a slab.Slab: a slab's header and chunk list cost each of
-	// 10k tables about 56 bytes more than this one slice, and daemons
-	// respawned mid-trial (Node.Restore) would need rewinding too.
+	// arena is the current allocation chunk for the daemons spawned
+	// before the pristine mark: such *Process entries point into a
+	// chunk instead of being individual heap objects. Entries are
+	// handed out append-only and a full chunk is replaced (never
+	// grown), so published pointers stay stable; a chunk is reclaimed
+	// when nothing references it anymore. At 10k-node scale the
+	// construction daemons alone are 30k entries, and a node's three
+	// share one 4-entry chunk. It is not the job slab: most of those
+	// nodes never start a job, and a slab chunk of jobProcess entries
+	// with their inline argv would cost each of them more.
 	arena []Process
-	// Pristine mark for the trial-lifecycle Reset contract: the entry
-	// set, PID counter and generation recorded by MarkPristine. Because
-	// published entries are immutable (mutations only insert and delete
-	// entries), the mark can share *Process pointers with the live map
-	// — pointer equality at Reset time proves an entry is untouched.
-	pristine    map[ids.PID]*Process
+	// Pristine mark for the trial-lifecycle Reset contract: the live
+	// slots, PID counter and generation recorded by MarkPristine.
+	// Because published entries are immutable (mutations only publish
+	// and clear slots), the mark shares *Process pointers with the
+	// live slots.
+	pristine    []slot
 	pristinePID ids.PID
 	pristineGen uint64
+	marked      bool
+}
+
+// slot is one process-table entry: p is nil once the process exited.
+type slot struct {
+	pid ids.PID
+	p   *Process
 }
 
 // Process-table errors.
@@ -133,12 +149,62 @@ func NewTable(clock func() int64) *Table {
 	if clock == nil {
 		clock = func() int64 { return 0 }
 	}
-	return &Table{nextPID: 1, procs: make(map[ids.PID]*Process), clock: clock}
+	return &Table{nextPID: 1, slots: make([]slot, 0, 4), clock: clock}
 }
 
 // dirtyLocked marks the published snapshot stale. Caller holds t.mu
 // for writing.
 func (t *Table) dirtyLocked() { t.gen++ }
+
+// lookupLocked returns the live entry for pid, or nil, and the index
+// of its slot, found by binary search. Caller holds t.mu.
+func (t *Table) lookupLocked(pid ids.PID) (*Process, int) {
+	lo, hi := 0, len(t.slots)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if t.slots[m].pid < pid {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(t.slots) && t.slots[lo].pid == pid {
+		return t.slots[lo].p, lo
+	}
+	return nil, lo
+}
+
+// publishLocked appends p, whose PID is above every slot's, and
+// consumes its PID. A full slice is compacted first when at least a
+// quarter of its slots are exited: a compaction over n slots then
+// makes room for at least n/4 appends, and a table whose live count
+// stays under three quarters of its capacity never grows. Caller holds t.mu for
+// writing.
+func (t *Table) publishLocked(p *Process) {
+	if n := len(t.slots); n == cap(t.slots) && 4*(n-t.live) >= n {
+		k := 0
+		for _, sl := range t.slots {
+			if sl.p != nil {
+				t.slots[k] = sl
+				k++
+			}
+		}
+		clear(t.slots[k:])
+		t.slots = t.slots[:k]
+	}
+	t.slots = append(t.slots, slot{pid: p.PID, p: p})
+	t.live++
+	t.nextPID++
+	t.dirtyLocked()
+}
+
+// removeLocked clears slot i, which holds a live entry. Caller holds
+// t.mu for writing.
+func (t *Table) removeLocked(i int) {
+	t.slots[i].p = nil
+	t.live--
+	t.dirtyLocked()
+}
 
 // allocLocked hands out a stable slot from the daemon arena, growing
 // chunk sizes 4→256 so an idle node (three base daemons) pays one tiny
@@ -165,26 +231,30 @@ func (t *Table) allocLocked() *Process {
 // Groups slice serves every daemon on every node.
 var daemonCred = ids.Credential{UID: ids.Root, EGID: ids.RootGroup, Groups: []ids.GID{ids.RootGroup}}
 
-// daemonCmdlines interns the argv slices of base daemons: the same
-// few cmdlines repeat identically across every node of the cluster,
-// and published entries are read-only, so they can share one slice.
-var daemonCmdlines sync.Map // string key → []string
+// baseDaemons are the cmdlines of the baseline daemons every Linux
+// node runs: they are what users see in `ps` when hidepid is off. The
+// same cmdlines repeat on every node of the cluster, and published
+// entries are read-only, so every node's daemons share these slices.
+var baseDaemons = [][]string{{"systemd"}, {"sshd"}, {"slurmd", "-D"}}
 
 // MarkPristine records the table's current state as the target of
-// Reset. Entries are shared by pointer with the live map: the table's
-// copy-on-write contract (published entries are immutable) makes the
-// shared mark exact without cloning anything. Task entries spawned
-// before the mark are never recycled.
+// Reset. Entries are shared by pointer with the live slots: the
+// table's copy-on-write contract (published entries are immutable)
+// makes the shared mark exact without cloning anything. Entries
+// spawned before the mark are never recycled.
 func (t *Table) MarkPristine() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.jobs.Mark()
-	t.pristine = make(map[ids.PID]*Process, len(t.procs))
-	for pid, p := range t.procs {
-		t.pristine[pid] = p
+	t.pristine = make([]slot, 0, t.live)
+	for _, sl := range t.slots {
+		if sl.p != nil {
+			t.pristine = append(t.pristine, sl)
+		}
 	}
 	t.pristinePID = t.nextPID
 	t.pristineGen = t.gen
+	t.marked = true
 }
 
 // Reset rewinds the table to the state MarkPristine recorded (or to
@@ -193,11 +263,12 @@ func (t *Table) MarkPristine() {
 // fresh table would hand out, and the generation drops back to the
 // mark so the table is indistinguishable from a newly constructed one.
 // The fast path — nothing spawned, exited or mutated since the mark —
-// returns at once. Reset allocates nothing: it zeroes the task entries
-// spawned since the mark and rewinds their storage for the next trial.
-// Snapshots and entries handed out before the Reset are therefore no
-// longer valid: a task entry they share may be zeroed or reused by a
-// later SpawnJob. Entries present at the mark stay intact.
+// returns at once. Reset allocates nothing: it copies the pristine
+// slots back over the live ones, and zeroes the entries spawned since
+// the mark and rewinds their storage for the next trial. Snapshots and
+// entries handed out before the Reset are therefore no longer valid:
+// an entry they share may be zeroed or reused by a later spawn.
+// Entries present at the mark stay intact.
 func (t *Table) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -209,38 +280,17 @@ func (t *Table) Reset() {
 		// takes for every node it never touched.
 		return
 	}
-	if len(t.procs) == len(t.pristine) {
-		same := true
-		for pid, p := range t.pristine {
-			if t.procs[pid] != p {
-				same = false
-				break
-			}
-		}
-		if same {
-			t.jobs.Reset()
-			t.nextPID = t.pristinePID
-			if t.nextPID == 0 {
-				t.nextPID = 1
-			}
-			// Rewinding gen invalidates the snapshot cache explicitly:
-			// a snapshot cached at a post-mark generation would otherwise
-			// be served again when the counter climbs back to that value.
-			t.gen = t.pristineGen
-			t.snap = nil
-			t.snapGen = 0
-			return
-		}
-	}
-	clear(t.procs)
+	clear(t.slots)
+	t.slots = append(t.slots[:0], t.pristine...)
+	t.live = len(t.pristine)
 	t.jobs.Reset()
-	for pid, p := range t.pristine {
-		t.procs[pid] = p
-	}
 	t.nextPID = t.pristinePID
 	if t.nextPID == 0 {
 		t.nextPID = 1 // no mark taken: empty table, PIDs restart at 1
 	}
+	// Rewinding gen invalidates the snapshot cache explicitly: a
+	// snapshot cached at a post-mark generation would otherwise be
+	// served again when the counter climbs back to that value.
 	t.gen = t.pristineGen
 	t.snap = nil
 	t.snapGen = 0
@@ -271,17 +321,18 @@ func (t *Table) snapshot() []*Process {
 	return t.rebuildLocked()
 }
 
-// rebuildLocked (re)builds the snapshot cache if stale. Caller holds
-// t.mu for writing.
+// rebuildLocked (re)builds the snapshot cache if stale. The slots are
+// already in PID order. Caller holds t.mu for writing.
 func (t *Table) rebuildLocked() []*Process {
 	if t.snap != nil && t.snapGen == t.gen {
 		return t.snap
 	}
-	out := make([]*Process, 0, len(t.procs))
-	for _, p := range t.procs {
-		out = append(out, p)
+	out := make([]*Process, 0, t.live)
+	for _, sl := range t.slots {
+		if sl.p != nil {
+			out = append(out, sl.p)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PID < out[j].PID })
 	t.snap = out
 	t.snapGen = t.gen
 	return out
@@ -309,9 +360,7 @@ func (t *Table) Spawn(cred ids.Credential, ppid ids.PID, comm string, argv ...st
 		State:   StateRunning,
 		Start:   t.clock(),
 	}
-	t.nextPID++
-	t.procs[p.PID] = p
-	t.dirtyLocked()
+	t.publishLocked(p)
 	return p.Clone()
 }
 
@@ -348,45 +397,50 @@ func (t *Table) SpawnJob(cred ids.Credential, jobID int, rss int64, comm string,
 	// Clip so that a reader's append cannot write into the inline array;
 	// past one argument, append moves the argv to the heap by itself.
 	e.Cmdline = slices.Clip(append(append(e.argv[:0], comm), argv...))
-	p := &e.Process
-	t.nextPID++
-	t.procs[p.PID] = p
-	t.dirtyLocked()
-	return p.PID
+	t.publishLocked(&e.Process)
+	return e.PID
 }
 
-// SpawnDaemon creates a system daemon process (root-owned unless a
-// different cred is given); daemons are what hidepid=2 hides alongside
-// other users' processes.
+// SpawnDaemon creates a root-owned system daemon process; daemons are
+// what hidepid=2 hides alongside other users' processes.
 func (t *Table) SpawnDaemon(comm string, argv ...string) *Process {
-	key := comm
-	for _, a := range argv {
-		key += "\x00" + a
-	}
-	var cmdline []string
-	if v, ok := daemonCmdlines.Load(key); ok {
-		cmdline = v.([]string)
-	} else {
-		cmdline = append([]string{comm}, argv...)
-		daemonCmdlines.Store(key, cmdline)
-	}
+	c := cmdline(comm, argv)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	p := t.allocLocked()
-	*p = Process{
-		PID:     t.nextPID,
-		PPID:    1,
-		Cred:    daemonCred,
-		Comm:    comm,
-		Cmdline: cmdline,
-		State:   StateSleeping,
-		Start:   t.clock(),
-		Daemon:  true,
+	return t.spawnDaemonLocked(c).Clone()
+}
+
+// spawnBaseDaemons publishes the base daemons (NewNode, Node.Restore)
+// in one locked pass, without cloning anything.
+func (t *Table) spawnBaseDaemons() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, c := range baseDaemons {
+		t.spawnDaemonLocked(c)
 	}
-	t.nextPID++
-	t.procs[p.PID] = p
-	t.dirtyLocked()
-	return p.Clone()
+}
+
+// spawnDaemonLocked publishes a daemon whose entry shares cmdline
+// (comm first). Before the pristine mark the entry comes from the
+// daemon arena; after it, from the job slab, which Reset rewinds.
+// Caller holds t.mu for writing.
+func (t *Table) spawnDaemonLocked(cmdline []string) *Process {
+	var p *Process
+	if t.marked {
+		p = &t.jobs.Take(1)[0].Process
+	} else {
+		p = t.allocLocked()
+	}
+	p.PID = t.nextPID
+	p.PPID = 1
+	p.Cred = daemonCred
+	p.Comm = cmdline[0]
+	p.Cmdline = cmdline
+	p.State = StateSleeping
+	p.Start = t.clock()
+	p.Daemon = true
+	t.publishLocked(p)
+	return p
 }
 
 // Get returns a copy of the process with the given pid. Visibility
@@ -394,10 +448,10 @@ func (t *Table) SpawnDaemon(comm string, argv ...string) *Process {
 func (t *Table) Get(pid ids.PID) (*Process, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	// Dead processes are removed from the map outright (Exit/Kill*),
-	// so presence alone means live.
-	p, ok := t.procs[pid]
-	if !ok {
+	// Exit/Kill* clear a dead process's slot outright, so a set entry
+	// alone means live.
+	p, _ := t.lookupLocked(pid)
+	if p == nil {
 		return nil, fmt.Errorf("%w: pid %d", ErrNoSuchProcess, pid)
 	}
 	return p.Clone(), nil
@@ -410,8 +464,8 @@ func (t *Table) Get(pid ids.PID) (*Process, error) {
 func (t *Table) Lookup(pid ids.PID) (*Process, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	p, ok := t.procs[pid]
-	return p, ok
+	p, _ := t.lookupLocked(pid)
+	return p, p != nil
 }
 
 // Exit removes a process from the table. Snapshots published before
@@ -419,11 +473,11 @@ func (t *Table) Lookup(pid ids.PID) (*Process, bool) {
 func (t *Table) Exit(pid ids.PID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.procs[pid]; !ok {
+	p, i := t.lookupLocked(pid)
+	if p == nil {
 		return fmt.Errorf("%w: pid %d", ErrNoSuchProcess, pid)
 	}
-	delete(t.procs, pid)
-	t.dirtyLocked()
+	t.removeLocked(i)
 	return nil
 }
 
@@ -433,12 +487,11 @@ func (t *Table) Exit(pid ids.PID) error {
 func (t *Table) ExitJob(pid ids.PID, jobID int) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	p, ok := t.procs[pid]
-	if !ok || p.JobID != jobID || jobID == 0 {
+	p, i := t.lookupLocked(pid)
+	if p == nil || p.JobID != jobID || jobID == 0 {
 		return false
 	}
-	delete(t.procs, pid)
-	t.dirtyLocked()
+	t.removeLocked(i)
 	return true
 }
 
@@ -447,15 +500,14 @@ func (t *Table) ExitJob(pid ids.PID, jobID int) bool {
 func (t *Table) Kill(actor ids.Credential, pid ids.PID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	p, ok := t.procs[pid]
-	if !ok {
+	p, i := t.lookupLocked(pid)
+	if p == nil {
 		return fmt.Errorf("%w: pid %d", ErrNoSuchProcess, pid)
 	}
 	if !actor.IsRoot() && actor.UID != p.Cred.UID {
 		return fmt.Errorf("%w: uid %d cannot kill pid %d (uid %d)", ErrPermission, actor.UID, pid, p.Cred.UID)
 	}
-	delete(t.procs, pid)
-	t.dirtyLocked()
+	t.removeLocked(i)
 	return nil
 }
 
@@ -465,15 +517,31 @@ func (t *Table) KillUser(uid ids.UID) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := 0
-	for pid, p := range t.procs {
-		if p.Cred.UID == uid && !p.Daemon {
-			delete(t.procs, pid)
+	for i, sl := range t.slots {
+		if p := sl.p; p != nil && p.Cred.UID == uid && !p.Daemon {
+			t.slots[i].p = nil
 			n++
 		}
 	}
 	if n > 0 {
+		t.live -= n
 		t.dirtyLocked()
 	}
+	return n
+}
+
+// killAll terminates every process in one locked pass (a node crash)
+// and returns the number killed.
+func (t *Table) killAll() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := t.live
+	if n > 0 {
+		t.dirtyLocked()
+	}
+	clear(t.slots)
+	t.slots = t.slots[:0]
+	t.live = 0
 	return n
 }
 
@@ -514,8 +582,10 @@ func (t *Table) TotalRSS() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var sum int64
-	for _, p := range t.procs {
-		sum += p.RSS
+	for _, sl := range t.slots {
+		if sl.p != nil {
+			sum += sl.p.RSS
+		}
 	}
 	return sum
 }
@@ -524,5 +594,5 @@ func (t *Table) TotalRSS() int64 {
 func (t *Table) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.procs)
+	return t.live
 }

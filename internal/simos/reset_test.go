@@ -1,6 +1,8 @@
 package simos
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/ids"
@@ -147,5 +149,63 @@ func TestTableResetFastPathInvalidatesSnapshotCache(t *testing.T) {
 			names[i] = pp.Comm
 		}
 		t.Fatalf("post-reset snapshot shows %v — stale trial-1 snapshot served", names)
+	}
+}
+
+// A crash kills every process on the node, daemons included; Restore
+// publishes the three base daemons at the next PIDs; Reset brings back
+// a fresh node's table, field by field. Once warmed, the whole cycle
+// allocates nothing: the crash clears the table in place, and the
+// restored daemons come from storage Reset recycles.
+func TestCrashRestoreResetCycle(t *testing.T) {
+	fresh := NewNode("c0", Compute, 4, 1<<30, nil)
+	n := NewNode("c0", Compute, 4, 1<<30, nil)
+	u := testCred(1000)
+	if _, err := n.Login(u); err != nil {
+		t.Fatal(err)
+	}
+	n.Procs.SpawnJob(u, 1, 1<<20, "a.out")
+	n.Procs.SpawnJob(u, 2, 1<<20, "b.out", "--secret")
+
+	if got := n.Crash(); got != 6 {
+		t.Errorf("Crash killed %d processes, want 6 (3 daemons, a shell, 2 tasks)", got)
+	}
+	if n.Procs.Len() != 0 || len(n.Procs.All()) != 0 || !n.Down() {
+		t.Fatalf("after Crash: Len %d, All %v, down %v; want an empty, down node", n.Procs.Len(), n.Procs.All(), n.Down())
+	}
+
+	n.Restore()
+	got := n.Procs.All()
+	want := []struct {
+		pid     ids.PID
+		cmdline []string
+	}{{7, []string{"systemd"}}, {8, []string{"sshd"}}, {9, []string{"slurmd", "-D"}}}
+	if len(got) != len(want) || n.Down() {
+		t.Fatalf("after Restore: %d processes (down %v), want %d daemons", len(got), n.Down(), len(want))
+	}
+	for i, w := range want {
+		p := got[i]
+		if p.PID != w.pid || p.Comm != w.cmdline[0] || !slices.Equal(p.Cmdline, w.cmdline) ||
+			!p.Daemon || p.Cred.UID != ids.Root || p.State != StateSleeping || p.PPID != 1 {
+			t.Errorf("restored daemon %d = %+v, want pid %d cmdline %v", i, *p, w.pid, w.cmdline)
+		}
+	}
+
+	n.Reset()
+	if g, w := values(n.Procs.All()), values(fresh.Procs.All()); !reflect.DeepEqual(g, w) {
+		t.Errorf("after Reset the table is %+v, a fresh node's %+v", g, w)
+	}
+
+	cycle := func() {
+		n.Crash()
+		n.Restore()
+		n.Reset()
+	}
+	cycle()
+	if a := testing.AllocsPerRun(20, cycle); a != 0 {
+		t.Errorf("warmed crash, restore and Reset allocate %v objects, want 0", a)
+	}
+	if g, w := values(n.Procs.All()), values(fresh.Procs.All()); !reflect.DeepEqual(g, w) {
+		t.Errorf("after the cycles the table is %+v, a fresh node's %+v", g, w)
 	}
 }

@@ -65,8 +65,8 @@ var allocPins = []struct {
 	{"E4XLCampaign/exclusive", perDrain(e4XLCluster, sched.PolicyExclusive), 654},
 	{"E4XLCampaign/user-wholenode", perDrain(e4XLCluster, sched.PolicyUserWholeNode), 808},
 	{"E5SSHGate", perOp(e5SSHGate), 7},
-	{"E6FSMatrix/baseline", perOp(func(tb testing.TB) func() { return e6FSMatrix(tb, core.Baseline()) }), 21},
-	{"E6FSMatrix/enhanced", perOp(func(tb testing.TB) func() { return e6FSMatrix(tb, core.Enhanced()) }), 23},
+	{"E6FSMatrix/baseline", perOp(func(tb testing.TB) func() { return e6FSMatrix(tb, core.Baseline()) }), 4},
+	{"E6FSMatrix/enhanced", perOp(func(tb testing.TB) func() { return e6FSMatrix(tb, core.Enhanced()) }), 6},
 	{"E7UBFMatrix/same-user-accept", perOp(func(tb testing.TB) func() { return e7UBFVerdict(tb, true) }), 4},
 	{"E7UBFMatrix/cross-user-deny", perOp(func(tb testing.TB) func() { return e7UBFVerdict(tb, false) }), 11},
 	{"E8UBFOverhead/setup-no-ubf", perOp(func(tb testing.TB) func() { return e8Setup(tb, false, false) }), 2},
@@ -77,16 +77,16 @@ var allocPins = []struct {
 	{"E9GPUResidue", perOp(e9GPUResidue), 5},
 	{"E10Residual", perOp(e10Residual), 3},
 	{"E11Portal", perOp(e11Portal), 11},
-	{"E12Container/inside-container", perOp(func(tb testing.TB) func() { return e12Read(tb, true) }), 6},
-	{"E12Container/bare-host", perOp(func(tb testing.TB) func() { return e12Read(tb, false) }), 6},
+	{"E12Container/inside-container", perOp(func(tb testing.TB) func() { return e12Read(tb, true) }), 2},
+	{"E12Container/bare-host", perOp(func(tb testing.TB) func() { return e12Read(tb, false) }), 2},
 	{"E13PPSComparison/pps-range-rule", perOp(func(tb testing.TB) func() { return e13Dial(tb, false) }), 2},
 	{"E13PPSComparison/ubf", perOp(func(tb testing.TB) func() { return e13Dial(tb, true) }), 4},
 	{"E14CryptoMPI/plain-ubf-datapath", perOp(func(tb testing.TB) func() { return e14Datapath(tb, false) }), 2},
 	{"E14CryptoMPI/encrypted-mpi-datapath", perOp(func(tb testing.TB) func() { return e14Datapath(tb, true) }), 6},
 	{"E15MitigationTax", perOp(e15MitigationTax), 0},
-	{"FleetCampaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE4PolicyGrid, 1) }), 7313},
-	{"E16Ablation", perOp(e16Ablation), 17433},
-	{"E17Campaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE17RedTeam, 1) }), 30829},
+	{"FleetCampaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE4PolicyGrid, 1) }), 3716},
+	{"E16Ablation", perOp(e16Ablation), 14402},
+	{"E17Campaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE17RedTeam, 1) }), 22346},
 }
 
 // TestAllocPins checks each single-worker benchmark row's allocations

@@ -48,6 +48,9 @@ type Group struct {
 	Private  bool
 	Stewards []UID // project leaders allowed to add/remove members
 	members  map[UID]bool
+	// changed marks a membership change since the registry's pristine
+	// mark: Reset reinstalls a pristine copy of exactly these groups.
+	changed bool
 }
 
 // Members returns the group's member UIDs in unspecified order.

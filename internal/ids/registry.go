@@ -159,6 +159,7 @@ func (r *Registry) MarkPristine() {
 	for gid, g := range r.groups {
 		if !g.Private {
 			m.groups[gid] = cloneGroup(g)
+			g.changed = false
 		}
 	}
 	r.mark = m
@@ -205,10 +206,13 @@ func (r *Registry) Reset() {
 			delete(r.gByName, name)
 		}
 	}
-	// Mutable groups are reinstalled as fresh copies: the pristine
-	// mark must survive membership mutations of the *next* trial too.
+	// Mutable groups whose membership changed are reinstalled as fresh
+	// copies: the pristine mark must survive membership mutations of
+	// the *next* trial too. An unchanged group still equals its mark.
 	for gid, g := range m.groups {
-		r.groups[gid] = cloneGroup(g)
+		if r.groups[gid].changed {
+			r.groups[gid] = cloneGroup(g)
+		}
 	}
 	r.nextUID, r.nextGID = m.nextUID, m.nextGID
 	r.gen = m.gen
@@ -418,6 +422,7 @@ func (r *Registry) AddToGroup(actor UID, gid GID, uid UID) error {
 		return ErrAlreadyMember
 	}
 	g.members[uid] = true
+	g.changed = true
 	r.gen++
 	return nil
 }
@@ -447,6 +452,7 @@ func (r *Registry) RemoveFromGroup(actor UID, gid GID, uid UID) error {
 		return fmt.Errorf("%w: cannot remove steward uid %d", ErrNotSteward, uid)
 	}
 	delete(g.members, uid)
+	g.changed = true
 	r.gen++
 	return nil
 }

@@ -71,3 +71,66 @@ func TestRegistryResetWithoutMark(t *testing.T) {
 		t.Errorf("first UID after unmarked Reset = %d, want 1000", u.UID)
 	}
 }
+
+// Reset reinstalls a pristine copy of a project group only when the
+// trial changed its membership; an untouched group keeps its *Group.
+func TestRegistryResetReinstallsOnlyChangedGroups(t *testing.T) {
+	r := NewRegistry()
+	changed, err := r.AddProjectGroup("changed", Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	untouched, err := r.AddProjectGroup("untouched", Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.MarkPristine()
+
+	u, err := r.AddUser("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddToGroup(Root, changed.GID, u.UID); err != nil {
+		t.Fatal(err)
+	}
+	r.Reset()
+
+	g, err := r.Group(changed.GID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Has(u.UID) || g.Size() != 1 || !g.Has(Root) {
+		t.Errorf("Reset after AddToGroup left members %v, want the pristine {root}", g.Members())
+	}
+	if g == changed {
+		t.Error("Reset kept the *Group whose membership the trial changed")
+	}
+	if g, _ := r.Group(untouched.GID); g != untouched {
+		t.Error("Reset replaced a group the trial never changed")
+	}
+
+	// A group changed and changed back is still reinstalled, and the
+	// reinstalled copy is clean for the next trial.
+	u, err = r.AddUser("bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddToGroup(Root, untouched.GID, u.UID); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RemoveFromGroup(Root, untouched.GID, u.UID); err != nil {
+		t.Fatal(err)
+	}
+	r.Reset()
+	if g, _ := r.Group(untouched.GID); g == untouched || g.Size() != 1 || !g.Has(Root) {
+		t.Errorf("Reset after RemoveFromGroup: same *Group %v, members %v", g == untouched, g.Members())
+	}
+	kept, _ := r.Group(changed.GID)
+	if _, err := r.AddUser("carol"); err != nil {
+		t.Fatal(err)
+	}
+	r.Reset()
+	if g, _ := r.Group(changed.GID); g != kept {
+		t.Error("a group reinstalled by one Reset was replaced again without a change")
+	}
+}

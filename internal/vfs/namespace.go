@@ -52,13 +52,10 @@ func (ns *Namespace) Resolve(path string) (*FS, string, error) {
 		if p == "" {
 			p = "/"
 		}
-		if p == "/" || path == point || strings.HasPrefix(path, point+"/") {
-			if len(point) >= len(best) && (p == "/" || path == point || strings.HasPrefix(path, point+"/")) {
-				if !found || len(point) > len(best) {
-					best = point
-					found = true
-				}
-			}
+		match := p == "/" || path == point || strings.HasPrefix(path, point+"/")
+		if match && (!found || len(point) > len(best)) {
+			best = point
+			found = true
 		}
 	}
 	if !found {

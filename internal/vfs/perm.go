@@ -2,6 +2,8 @@ package vfs
 
 import (
 	"fmt"
+	"path"
+	"strings"
 
 	"repro/internal/ids"
 )
@@ -101,6 +103,10 @@ func (fs *FS) Chmod(ctx Context, path string, mode uint32) error {
 func (fs *FS) Chown(ctx Context, path string, owner ids.UID, group ids.GID) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	return fs.chownLocked(ctx, path, owner, group)
+}
+
+func (fs *FS) chownLocked(ctx Context, path string, owner ids.UID, group ids.GID) error {
 	fs.dirtyLocked()
 	n, err := fs.walk(ctx, path)
 	if err != nil {
@@ -139,13 +145,15 @@ func (fs *FS) Chown(ctx Context, path string, owner ids.UID, group ids.GID) erro
 // chmod their own top-level home open.
 func (fs *FS) CreateHome(u *ids.User) error {
 	rootCtx := Context{Cred: ids.RootCred()}
-	if err := fs.MkdirAll(rootCtx, parentOf(u.HomePath), 0o755); err != nil {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if err := fs.mkdirAllLocked(rootCtx, parentOf(u.HomePath), 0o755); err != nil {
 		return err
 	}
-	if err := fs.Mkdir(rootCtx, u.HomePath, 0o770); err != nil {
+	if err := fs.mkdirLocked(rootCtx, u.HomePath, 0o770); err != nil {
 		return err
 	}
-	return fs.Chown(rootCtx, u.HomePath, ids.Root, u.Primary)
+	return fs.chownLocked(rootCtx, u.HomePath, ids.Root, u.Primary)
 }
 
 // CreateProjectDir builds an approved project group's shared area:
@@ -177,14 +185,15 @@ func (fs *FS) CreateTmp(path string) error {
 	return nil
 }
 
-func parentOf(path string) string {
-	parts, err := splitPath(path)
-	if err != nil || len(parts) <= 1 {
+// parentOf returns the clean path of the directory that holds p: "/"
+// for a top-level or a relative path.
+func parentOf(p string) string {
+	if !strings.HasPrefix(p, "/") {
 		return "/"
 	}
-	out := ""
-	for _, p := range parts[:len(parts)-1] {
-		out += "/" + p
+	c := path.Clean(p)
+	if k := strings.LastIndexByte(c, '/'); k > 0 {
+		return c[:k]
 	}
-	return out
+	return "/"
 }

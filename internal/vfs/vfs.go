@@ -20,6 +20,7 @@ package vfs
 import (
 	"errors"
 	"fmt"
+	"path"
 	"sort"
 	"strings"
 	"sync"
@@ -295,46 +296,65 @@ func newRoot() *inode {
 	}
 }
 
-// splitPath normalizes and splits an absolute path.
-func splitPath(path string) ([]string, error) {
-	if !strings.HasPrefix(path, "/") {
-		return nil, fmt.Errorf("%w: path %q not absolute", ErrInvalid, path)
+// cleanAbs lexically normalises an absolute path: "//" and "."
+// collapse, ".." drops the component before it and stays put at the
+// root. An already-clean path comes back unchanged, with no copy.
+func cleanAbs(p string) (string, error) {
+	if !strings.HasPrefix(p, "/") {
+		return "", fmt.Errorf("%w: path %q not absolute", ErrInvalid, p)
 	}
-	var parts []string
-	for _, c := range strings.Split(path, "/") {
-		switch c {
-		case "", ".":
-		case "..":
-			if len(parts) > 0 {
-				parts = parts[:len(parts)-1]
-			}
-		default:
-			parts = append(parts, c)
-		}
+	return path.Clean(p), nil
+}
+
+// dirPath names the prefix c[:k] of the clean path c, "/" for the
+// root.
+func dirPath(c string, k int) string {
+	if k == 0 {
+		return "/"
 	}
-	return parts, nil
+	return c[:k]
+}
+
+// compEnd returns the end of the component of c that starts at s.
+func compEnd(c string, s int) int {
+	if e := strings.IndexByte(c[s:], '/'); e >= 0 {
+		return s + e
+	}
+	return len(c)
 }
 
 // walk resolves path to an inode, enforcing execute (search)
 // permission on every directory along the way. Caller holds fs.mu.
 func (fs *FS) walk(ctx Context, path string) (*inode, error) {
-	parts, err := splitPath(path)
+	c, err := cleanAbs(path)
 	if err != nil {
 		return nil, err
 	}
+	return fs.resolve(ctx, c, path)
+}
+
+// resolve walks the clean absolute path c by indexing into it: each
+// component is looked up as a substring of c, which neither splits
+// nor copies the path. A missing component reports ErrNotExist with
+// orig, the path the caller named. The other errors name a prefix of
+// c: ErrNotDir without its leading slash (the root is always a
+// directory, so that prefix is never empty), a failed search with it.
+func (fs *FS) resolve(ctx Context, c, orig string) (*inode, error) {
 	cur := fs.root
-	for i, part := range parts {
+	for s := 1; s < len(c); {
+		e := compEnd(c, s)
 		if cur.typ != TypeDir {
-			return nil, fmt.Errorf("%w: %s", ErrNotDir, strings.Join(parts[:i], "/"))
+			return nil, fmt.Errorf("%w: %s", ErrNotDir, c[1:s-1])
 		}
 		if !fs.can(ctx.Cred, cur, 1) { // x on the directory
-			return nil, fmt.Errorf("%w: search %q", ErrPermission, "/"+strings.Join(parts[:i], "/"))
+			return nil, fmt.Errorf("%w: search %q", ErrPermission, dirPath(c, s-1))
 		}
-		next, ok := cur.children[part]
+		next, ok := cur.children[c[s:e]]
 		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrNotExist, path)
+			return nil, fmt.Errorf("%w: %s", ErrNotExist, orig)
 		}
 		cur = next
+		s = e + 1
 	}
 	return cur, nil
 }
@@ -342,21 +362,23 @@ func (fs *FS) walk(ctx Context, path string) (*inode, error) {
 // walkParent resolves the parent directory of path and returns it
 // plus the final component name.
 func (fs *FS) walkParent(ctx Context, path string) (*inode, string, error) {
-	parts, err := splitPath(path)
+	c, err := cleanAbs(path)
 	if err != nil {
 		return nil, "", err
 	}
-	if len(parts) == 0 {
+	if c == "/" {
 		return nil, "", fmt.Errorf("%w: cannot operate on /", ErrInvalid)
 	}
-	dir, err := fs.walk(ctx, "/"+strings.Join(parts[:len(parts)-1], "/"))
+	k := strings.LastIndexByte(c, '/')
+	parent := dirPath(c, k)
+	dir, err := fs.resolve(ctx, parent, parent)
 	if err != nil {
 		return nil, "", err
 	}
 	if dir.typ != TypeDir {
 		return nil, "", fmt.Errorf("%w: parent of %s", ErrNotDir, path)
 	}
-	return dir, parts[len(parts)-1], nil
+	return dir, c[k+1:], nil
 }
 
 // effectiveCreateMode applies umask and (if enabled) smask to a
@@ -400,34 +422,75 @@ func (fs *FS) mkdirLocked(ctx Context, path string, mode uint32) error {
 	if !fs.can(ctx.Cred, dir, 3) { // w+x on parent
 		return fmt.Errorf("%w: mkdir %s", ErrPermission, path)
 	}
+	fs.mkdirIn(ctx, dir, name, mode)
+	return nil
+}
+
+// mkdirIn creates directory name in dir, whose w+x the caller has
+// checked, and returns it.
+func (fs *FS) mkdirIn(ctx Context, dir *inode, name string, mode uint32) *inode {
 	group := ctx.Cred.EGID
 	eff := fs.effectiveCreateMode(ctx, mode)
 	if dir.mode&ModeSetgid != 0 {
 		group = dir.group
 		eff |= ModeSetgid // setgid propagates down project trees
 	}
-	dir.children[name] = &inode{
+	n := &inode{
 		name: name, typ: TypeDir,
 		owner: ctx.Cred.UID, group: group, mode: eff,
 		children: make(map[string]*inode),
 	}
-	return nil
+	dir.children[name] = n
+	return n
 }
 
 // MkdirAll creates path and any missing parents with the given mode.
 func (fs *FS) MkdirAll(ctx Context, path string, mode uint32) error {
-	parts, err := splitPath(path)
+	c, err := cleanAbs(path)
 	if err != nil {
 		return err
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	for i := range parts {
-		p := "/" + strings.Join(parts[:i+1], "/")
-		err := fs.mkdirLocked(ctx, p, mode)
-		if err != nil && !errors.Is(err, ErrExist) {
-			return err
+	return fs.mkdirAllLocked(ctx, c, mode)
+}
+
+// mkdirAllLocked creates the clean absolute path c and its missing
+// parents in one walk down c. Each component is checked exactly as
+// Mkdir of its prefix would check it: the parent's parent must grant
+// search (the ancestors above it passed on earlier components), the
+// parent must be a directory, and an absent component needs w+x on
+// the parent. A component that exists, directory or not, is stepped
+// into without building an ErrExist; a file there fails the next
+// component with ErrNotDir. Caller holds fs.mu for writing.
+func (fs *FS) mkdirAllLocked(ctx Context, c string, mode uint32) error {
+	if c == "/" {
+		return nil
+	}
+	fs.dirtyLocked()
+	// dir is the prefix c[:dirEnd]; up is its parent at c[:upEnd],
+	// nil while dir is the root.
+	var up *inode
+	upEnd := 0
+	dir, dirEnd := fs.root, 0
+	for s := 1; s < len(c); {
+		e := compEnd(c, s)
+		if up != nil && !fs.can(ctx.Cred, up, 1) {
+			return fmt.Errorf("%w: search %q", ErrPermission, dirPath(c, upEnd))
 		}
+		if dir.typ != TypeDir {
+			return fmt.Errorf("%w: parent of %s", ErrNotDir, c[:e])
+		}
+		next, ok := dir.children[c[s:e]]
+		if !ok {
+			if !fs.can(ctx.Cred, dir, 3) {
+				return fmt.Errorf("%w: mkdir %s", ErrPermission, c[:e])
+			}
+			next = fs.mkdirIn(ctx, dir, c[s:e], mode)
+		}
+		up, upEnd = dir, dirEnd
+		dir, dirEnd = next, e
+		s = e + 1
 	}
 	return nil
 }

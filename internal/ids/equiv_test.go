@@ -390,7 +390,10 @@ func (op replayOp) apply(r *Registry) string {
 // with two swapped, and may go on with new names. Between them it
 // re-registers names it already registered, names a project group
 // after the next name, looks up names it has not registered yet, and
-// may mark the registry pristine.
+// may mark the registry pristine; a mark placed where a project group
+// was just named after the next name holds that group, so the
+// registration that follows tests that the mark forgot the kept
+// descriptors.
 func replayScript(rng *rand.Rand, prev []string, fresh func() string, mark bool) (string, []replayOp) {
 	mode, names := "identical", slices.Clone(prev)
 	switch rng.IntN(3) {
@@ -411,14 +414,14 @@ func replayScript(rng *rand.Rand, prev []string, fresh func() string, mark bool)
 	}
 	var ops []replayOp
 	for i, name := range names {
-		if i == markAt {
-			ops = append(ops, replayOp{'m', ""})
-		}
 		if i > 0 && rng.IntN(8) == 0 {
 			ops = append(ops, replayOp{'r', names[rng.IntN(i)]})
 		}
-		if rng.IntN(12) == 0 {
+		if rng.IntN(12) == 0 || i == markAt && rng.IntN(2) == 0 {
 			ops = append(ops, replayOp{'g', name})
+		}
+		if i == markAt {
+			ops = append(ops, replayOp{'m', ""})
 		}
 		if rng.IntN(5) == 0 {
 			later := names[i+rng.IntN(len(names)-i)]
@@ -497,6 +500,8 @@ func TestRegistryReplayEquivalence(t *testing.T) {
 						seen["lookup of a kept name"]++
 					case op.kind == 'g' && keptAhead:
 						seen["project group named after a kept name"]++
+					case op.kind == 'm' && replaying && r.gByName[r.descs[:n+1][n].name] != 0:
+						seen["mark while a project group holds the next kept name"]++
 					case op.kind == 'm' && replaying:
 						seen["mark during a replay"]++
 					}
@@ -519,6 +524,7 @@ func TestRegistryReplayEquivalence(t *testing.T) {
 		"identical", "prefix", "reordered", "reset without a mark", "replay",
 		"replay of a name a project group took", "re-register during a replay",
 		"lookup of a kept name", "project group named after a kept name", "mark during a replay",
+		"mark while a project group holds the next kept name",
 	} {
 		if seen[k] == 0 {
 			t.Errorf("no script covered: %s", k)

@@ -24,7 +24,8 @@ import "hash/maphash"
 // registration reuse the next kept descriptor and its slot instead of
 // hashing and probing. The first name that differs drops the kept
 // descriptors and rebuilds the table from the live ones, which leaves
-// the layout inserting them in order would have, with no tombstones.
+// the layout inserting them in order would have, with no tombstones;
+// the registry's MarkPristine drops them the same way.
 type nameIndex struct {
 	seed  maphash.Seed
 	slots []uint32 // len is a power of two
@@ -106,11 +107,21 @@ func (x *nameIndex) replay(descs []userDesc, name string) bool {
 	if descs[:n+1][n].name == name {
 		return true
 	}
+	x.forget(descs)
+	return false
+}
+
+// forget drops the kept descriptors past descs and rebuilds the table
+// from descs. It does nothing when none are kept.
+func (x *nameIndex) forget(descs []userDesc) {
+	n := len(descs)
+	if n == x.kept {
+		return
+	}
 	clear(descs[n:x.kept])
 	x.kept = n
 	clear(x.slots)
 	x.fill(descs)
-	return false
 }
 
 // add indexes the last descriptor, whose name hashes to h and which

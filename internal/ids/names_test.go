@@ -323,7 +323,10 @@ func TestResetReregisterAllocFree(t *testing.T) {
 // the bulk-provisioning step of an XXL trial; the Reset between
 // iterations is not timed. The 100k and 1M rows register the names the
 // previous iteration registered, in the same order, as every pooled
-// trial does, so they time the replay path: no hash and no probe. The
+// trial does, so they time the replay path: no hash and no probe, of
+// the name index or of the group namespace. The 1M-group row creates a
+// project group after each Reset, as a trial that adds one does, so
+// every replay also runs the "root" and group-namespace checks. The
 // 1M-diverge row alternates two disjoint sets of 1M names, so every
 // iteration pays the index rebuild on its first name and one probe
 // and insert per name, the cost of a trial whose names differ from the
@@ -334,7 +337,13 @@ func BenchmarkRegistryRegister(b *testing.B) {
 		name    string
 		n       int
 		diverge bool
-	}{{"100k", 100000, false}, {"1M", 1000000, false}, {"1M-diverge", 1000000, true}} {
+		group   bool
+	}{
+		{"100k", 100000, false, false},
+		{"1M", 1000000, false, false},
+		{"1M-group", 1000000, false, true},
+		{"1M-diverge", 1000000, true, false},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			sets := [][]string{testNames("u", bc.n)}
 			if bc.diverge {
@@ -348,6 +357,11 @@ func BenchmarkRegistryRegister(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				r.Reset()
+				if bc.group {
+					if _, err := r.AddProjectGroup("proj", Root); err != nil {
+						b.Fatal(err)
+					}
+				}
 				names := sets[(i+1)%len(sets)]
 				b.StartTimer()
 				for _, name := range names {

@@ -30,7 +30,17 @@ import (
 //
 // Reset leaves the name index untouched: a pooled trial re-registers
 // the previous trial's names in order, and each replayed registration
-// skips the hash and the probe (see nameIndex).
+// skips the hash and the probe (see nameIndex). While the group
+// namespace holds as many names as it did at the mark (root alone
+// without one), a replay also skips the "root" and group-name checks.
+// Every kept descriptor passed them under the current mark, when
+// gByName already held every marked name, because marked groups are
+// never removed; and Reset removes exactly the groups created since
+// the mark, so an equal size means gByName holds exactly the marked
+// names, none of which a kept descriptor carries. MarkPristine
+// forgets the kept descriptors, so none registered under an earlier
+// mark replays under a later one. A project group created since the
+// mark puts every replay back on the checked path.
 type Registry struct {
 	mu      sync.Mutex
 	nextUID UID
@@ -73,6 +83,9 @@ type pristineMark struct {
 	descs   int
 	gen     uint64
 	groups  map[GID]*Group
+	// groupNames is len(gByName) at the mark: an equal size later
+	// means gByName holds exactly the marked names (see Registry).
+	groupNames int
 }
 
 // uidBase/gidBase are where non-system ID numbering starts; the
@@ -145,17 +158,23 @@ func cloneGroup(g *Group) *Group {
 // the first AddUser after a Reset hands out the same UID/GID a fresh
 // cluster would. Only the mutable groups are deep-copied: descriptors
 // are append-only and private groups immutable, so the mark is O(
-// project groups), not O(users).
+// project groups), not O(users). It forgets the descriptors the last
+// Reset kept for replay (see Registry); at cluster assembly there are
+// none.
 func (r *Registry) MarkPristine() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	m := &pristineMark{
-		nextUID: r.nextUID,
-		nextGID: r.nextGID,
-		descs:   len(r.descs),
-		gen:     r.gen,
-		groups:  make(map[GID]*Group),
+		nextUID:    r.nextUID,
+		nextGID:    r.nextGID,
+		descs:      len(r.descs),
+		gen:        r.gen,
+		groups:     make(map[GID]*Group),
+		groupNames: len(r.gByName),
 	}
+	// Kept descriptors registered under an earlier mark may name a
+	// group this mark holds, so none of them may replay under it.
+	r.names.forget(r.descs)
 	for gid, g := range r.groups {
 		if !g.Private {
 			m.groups[gid] = cloneGroup(g)
@@ -218,10 +237,22 @@ func (r *Registry) Reset() {
 	r.gen = m.gen
 }
 
+// markedGroupNames is the size of the group namespace at the mark:
+// root plus the marked project groups, or root alone without a mark.
+// Caller holds r.mu.
+func (r *Registry) markedGroupNames() int {
+	if r.mark == nil {
+		return 1
+	}
+	return r.mark.groupNames
+}
+
 // Register records a user plus their user-private group (same name)
 // without materializing any per-user state: one descriptor append and
 // one name-index insert, or neither when it replays the name the
-// previous trial registered at this position. This is the
+// previous trial registered at this position, and then no
+// group-namespace probe either unless a project group was created
+// since the mark. This is the
 // bulk-provisioning path XXL campaigns use to stand up millions of
 // users; AddUser layers the eager *User view on top for callers that
 // want it right away. A name already taken fails with ErrExists, and a
@@ -245,11 +276,15 @@ func (r *Registry) registerLocked(name string) (UID, error) {
 			return NoUID, fmt.Errorf("%w: user %q", ErrExists, name)
 		}
 	}
-	if name == "root" {
-		return NoUID, fmt.Errorf("%w: user %q", ErrExists, name)
-	}
-	if _, dup := r.gByName[name]; dup {
-		return NoUID, fmt.Errorf("%w: group %q", ErrExists, name)
+	// A replay cannot be "root" or clash with a group while the group
+	// namespace holds exactly the marked names (see Registry).
+	if !replay || len(r.gByName) != r.markedGroupNames() {
+		if name == "root" {
+			return NoUID, fmt.Errorf("%w: user %q", ErrExists, name)
+		}
+		if _, dup := r.gByName[name]; dup {
+			return NoUID, fmt.Errorf("%w: group %q", ErrExists, name)
+		}
 	}
 	if r.nextUID-uidBase >= maxUsers {
 		return NoUID, fmt.Errorf("%w: %d users is the cap, user %q refused", ErrRegistryFull, maxUsers, name)

@@ -84,9 +84,9 @@ var allocPins = []struct {
 	{"E14CryptoMPI/plain-ubf-datapath", perOp(func(tb testing.TB) func() { return e14Datapath(tb, false) }), 2},
 	{"E14CryptoMPI/encrypted-mpi-datapath", perOp(func(tb testing.TB) func() { return e14Datapath(tb, true) }), 6},
 	{"E15MitigationTax", perOp(e15MitigationTax), 0},
-	{"FleetCampaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE4PolicyGrid, 1) }), 3716},
-	{"E16Ablation", perOp(e16Ablation), 14402},
-	{"E17Campaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE17RedTeam, 1) }), 22346},
+	{"FleetCampaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE4PolicyGrid, 1) }), 3485},
+	{"E16Ablation", perOp(e16Ablation), 13802},
+	{"E17Campaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE17RedTeam, 1) }), 21113},
 }
 
 // TestAllocPins checks each single-worker benchmark row's allocations

@@ -239,7 +239,7 @@ func New(cfg Config, topo Topology) (*Cluster, error) {
 //   - every node comes back up with its base-daemon process table and
 //     rewound PID numbering;
 //   - the shared and per-node filesystems roll back to the marked
-//     pristine trees (homes, files, ACLs, quotas all gone);
+//     pristine trees (homes, files, ACLs all gone);
 //   - the registry drops trial users/groups and rewinds ID numbering;
 //   - the network fabric drops sockets, conntrack and ephemeral ports;
 //   - GPUs are unassigned, cleared, and their /dev nodes re-hidden;

@@ -7,8 +7,8 @@ import (
 // TestUntouchedResetAllocFree pins the XXL contract: Reset() on a
 // cluster that has run no trial does zero allocation and no per-node
 // work. Every subsystem reaches its fast path — the registry and
-// scheduler via gen counters, per-node mounts via the vfs dirty flag,
-// GPU/netsim via their managers' dirty flags — so trial turnaround on
+// scheduler via gen counters, per-node mounts via the vfs pointer
+// swap, GPU/netsim via their managers' dirty flags — so trial turnaround on
 // a 10k-node substrate is not O(nodes).
 func TestUntouchedResetAllocFree(t *testing.T) {
 	topo := Topology{

@@ -32,7 +32,7 @@ func trialScript(t *testing.T, c *Cluster) map[string]interface{} {
 	out["uids"] = []ids.UID{alice.UID, bob.UID}
 	out["egids"] = []ids.GID{alice.Cred.EGID, bob.Cred.EGID}
 
-	// Filesystem: homes, a shared scratch file, a quota.
+	// Filesystem: homes and a shared scratch file.
 	actx := vfs.Ctx(alice.Cred)
 	if err := c.SharedFS.WriteFile(actx, "/scratch/shared/data", []byte("payload"), 0o644); err != nil {
 		t.Fatal(err)
@@ -42,7 +42,6 @@ func trialScript(t *testing.T, c *Cluster) map[string]interface{} {
 		t.Fatal(err)
 	}
 	out["file"] = fmt.Sprintf("%o %d %d", fi.Mode, fi.Owner, fi.Size)
-	out["usage"] = c.SharedFS.Usage(alice.UID)
 
 	// Scheduler: a mixed workload with one OOM job, drained fully.
 	for i := 0; i < 4; i++ {

@@ -64,7 +64,6 @@ func (a *ACL) groupEntry(gid ids.GID) (uint32, bool) {
 func (fs *FS) SetfaclGroup(ctx Context, path string, gid ids.GID, bits uint32) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.dirtyLocked()
 	n, err := fs.walk(ctx, path)
 	if err != nil {
 		return err
@@ -87,6 +86,7 @@ func (fs *FS) SetfaclGroup(ctx Context, path string, gid ids.GID, bits uint32) e
 	// patch masks world bits; named entries are group-class so they
 	// survive, but we still clamp to rwx.
 	bits &= 0o7
+	n = fs.own(path)
 	if n.acl == nil {
 		n.acl = &ACL{}
 	}
@@ -108,7 +108,6 @@ func (fs *FS) SetfaclGroup(ctx Context, path string, gid ids.GID, bits uint32) e
 func (fs *FS) SetfaclUser(ctx Context, path string, uid ids.UID, bits uint32) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.dirtyLocked()
 	n, err := fs.walk(ctx, path)
 	if err != nil {
 		return err
@@ -122,6 +121,7 @@ func (fs *FS) SetfaclUser(ctx Context, path string, uid ids.UID, bits uint32) er
 		}
 	}
 	bits &= 0o7
+	n = fs.own(path)
 	if n.acl == nil {
 		n.acl = &ACL{}
 	}
@@ -146,20 +146,4 @@ func (fs *FS) Getfacl(ctx Context, path string) (*ACL, error) {
 		return nil, err
 	}
 	return n.acl.Clone(), nil
-}
-
-// RemoveACL strips the ACL from path (owner or root).
-func (fs *FS) RemoveACL(ctx Context, path string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.dirtyLocked()
-	n, err := fs.walk(ctx, path)
-	if err != nil {
-		return err
-	}
-	if !ctx.Cred.IsRoot() && ctx.Cred.UID != n.owner {
-		return fmt.Errorf("%w: setfacl -b %s", ErrPermission, path)
-	}
-	n.acl = nil
-	return nil
 }

@@ -3,20 +3,16 @@ package vfs
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/ids"
 )
 
 // This file adds the remaining filesystem semantics the paper's
 // environment depends on: symlinks (with the fs.protected_symlinks
-// hardening that pairs with sticky /tmp), rename, and per-user block
-// quotas (every shared HPC filesystem runs them).
+// hardening that pairs with sticky /tmp) and rename.
 
 // Symlink-specific errors.
 var (
 	ErrSymlinkLoop      = errors.New("vfs: too many levels of symbolic links")
 	ErrProtectedSymlink = errors.New("vfs: symlink following denied by protected_symlinks")
-	ErrQuota            = errors.New("vfs: disk quota exceeded")
 	ErrNotFile          = errors.New("vfs: not a regular file")
 )
 
@@ -30,7 +26,6 @@ const maxSymlinkHops = 40
 func (fs *FS) Symlink(ctx Context, target, linkPath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.dirtyLocked()
 	dir, name, err := fs.walkParent(ctx, linkPath)
 	if err != nil {
 		return err
@@ -41,11 +36,12 @@ func (fs *FS) Symlink(ctx Context, target, linkPath string) error {
 	if !fs.can(ctx.Cred, dir, 3) {
 		return fmt.Errorf("%w: symlink %s", ErrPermission, linkPath)
 	}
-	dir.children[name] = &inode{
+	fs.own(parentOf(linkPath)).children[name] = &inode{
 		name: name, typ: TypeSymlink,
 		owner: ctx.Cred.UID, group: ctx.Cred.EGID,
-		mode: 0o777, // symlink modes are ignored, like Linux
-		data: []byte(target),
+		mode:  0o777, // symlink modes are ignored, like Linux
+		epoch: fs.epoch,
+		data:  []byte(target),
 	}
 	return nil
 }
@@ -153,7 +149,6 @@ func (fs *FS) WriteFileFollow(ctx Context, path string, data []byte, mode uint32
 func (fs *FS) Rename(ctx Context, oldPath, newPath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.dirtyLocked()
 	oldDir, oldName, err := fs.walkParent(ctx, oldPath)
 	if err != nil {
 		return err
@@ -182,55 +177,12 @@ func (fs *FS) Rename(ctx Context, oldPath, newPath string) error {
 			return fmt.Errorf("%w: sticky overwrite %s", ErrPermission, newPath)
 		}
 	}
+	// Own both parents, then the moved inode, whose name changes: the
+	// second own may have copied it if the new parent lies below it.
+	oldDir, newDir = fs.own(parentOf(oldPath)), fs.own(parentOf(newPath))
+	n = fs.owned(oldDir.children[oldName])
 	delete(oldDir.children, oldName)
 	n.name = newName
 	newDir.children[newName] = n
-	return nil
-}
-
-// --- Quotas ---
-
-// SetQuota sets a per-user byte limit on this mount (0 removes the
-// limit). Root is never charged.
-func (fs *FS) SetQuota(uid ids.UID, limit int64) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.dirtyLocked()
-	if fs.quota == nil {
-		fs.quota = make(map[ids.UID]int64)
-	}
-	if limit == 0 {
-		delete(fs.quota, uid)
-		return
-	}
-	fs.quota[uid] = limit
-}
-
-// Usage returns the bytes currently charged to uid.
-func (fs *FS) Usage(uid ids.UID) int64 {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.usage[uid]
-}
-
-// chargeQuota validates and applies a usage delta for uid. Caller
-// holds fs.mu. delta may be negative (frees space, always allowed).
-func (fs *FS) chargeQuota(uid ids.UID, delta int64) error {
-	if uid == ids.Root {
-		return nil
-	}
-	if fs.usage == nil {
-		fs.usage = make(map[ids.UID]int64)
-	}
-	next := fs.usage[uid] + delta
-	if delta > 0 {
-		if limit, ok := fs.quota[uid]; ok && next > limit {
-			return fmt.Errorf("%w: uid %d usage %d + %d > %d", ErrQuota, uid, fs.usage[uid], delta, limit)
-		}
-	}
-	if next < 0 {
-		next = 0
-	}
-	fs.usage[uid] = next
 	return nil
 }

@@ -162,74 +162,3 @@ func TestRenameBasicAndSticky(t *testing.T) {
 		t.Errorf("clobber dir err = %v", err)
 	}
 }
-
-func TestQuotaEnforcement(t *testing.T) {
-	fs, _, creds, _ := newWorld(t, Policy{})
-	alice := Ctx(creds["alice"])
-	uid := creds["alice"].UID
-	fs.SetQuota(uid, 100)
-	if err := fs.WriteFile(alice, "/home/alice/f1", make([]byte, 60), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got := fs.Usage(uid); got != 60 {
-		t.Errorf("usage = %d", got)
-	}
-	// Second write would exceed.
-	if err := fs.WriteFile(alice, "/home/alice/f2", make([]byte, 50), 0o644); !errors.Is(err, ErrQuota) {
-		t.Errorf("over-quota write err = %v", err)
-	}
-	// Append hits quota too.
-	if err := fs.AppendFile(alice, "/home/alice/f1", make([]byte, 50)); !errors.Is(err, ErrQuota) {
-		t.Errorf("over-quota append err = %v", err)
-	}
-	// Shrink-in-place frees.
-	if err := fs.WriteFile(alice, "/home/alice/f1", make([]byte, 10), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got := fs.Usage(uid); got != 10 {
-		t.Errorf("usage after shrink = %d", got)
-	}
-	// Unlink frees.
-	if err := fs.Unlink(alice, "/home/alice/f1"); err != nil {
-		t.Fatal(err)
-	}
-	if got := fs.Usage(uid); got != 0 {
-		t.Errorf("usage after unlink = %d", got)
-	}
-	// Removing the quota lifts the limit.
-	fs.SetQuota(uid, 0)
-	if err := fs.WriteFile(alice, "/home/alice/big", make([]byte, 1000), 0o644); err != nil {
-		t.Errorf("unlimited write: %v", err)
-	}
-}
-
-func TestQuotaFollowsChown(t *testing.T) {
-	fs, _, creds, _ := newWorld(t, Policy{})
-	root := Ctx(ids.RootCred())
-	alice, bob := creds["alice"].UID, creds["bob"].UID
-	if err := fs.WriteFile(Ctx(creds["alice"]), "/home/alice/f", make([]byte, 40), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Chown(root, "/home/alice/f", bob, ids.NoGID); err != nil {
-		t.Fatal(err)
-	}
-	if fs.Usage(alice) != 0 || fs.Usage(bob) != 40 {
-		t.Errorf("usage after chown: alice=%d bob=%d", fs.Usage(alice), fs.Usage(bob))
-	}
-	// Chown to an over-quota user is refused.
-	fs.SetQuota(alice, 10)
-	if err := fs.Chown(root, "/home/alice/f", alice, ids.NoGID); !errors.Is(err, ErrQuota) {
-		t.Errorf("chown into full quota err = %v", err)
-	}
-}
-
-func TestRootExemptFromQuota(t *testing.T) {
-	fs, _, _, _ := newWorld(t, Policy{})
-	fs.SetQuota(ids.Root, 1)
-	if err := fs.WriteFile(Ctx(ids.RootCred()), "/bigfile", make([]byte, 1000), 0o644); err != nil {
-		t.Errorf("root quota applied: %v", err)
-	}
-	if fs.Usage(ids.Root) != 0 {
-		t.Errorf("root charged: %d", fs.Usage(ids.Root))
-	}
-}

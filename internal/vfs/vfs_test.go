@@ -241,24 +241,6 @@ func TestMkdirAllAndNotDirErrors(t *testing.T) {
 	}
 }
 
-func TestAppendFile(t *testing.T) {
-	fs, _, creds, _ := newWorld(t, Policy{})
-	alice := Ctx(creds["alice"])
-	if err := fs.WriteFile(alice, "/home/alice/log", []byte("a"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.AppendFile(alice, "/home/alice/log", []byte("b")); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := fs.ReadFile(alice, "/home/alice/log")
-	if string(got) != "ab" {
-		t.Errorf("append result %q", got)
-	}
-	if err := fs.AppendFile(Ctx(creds["bob"]), "/home/alice/log", []byte("x")); !errors.Is(err, ErrPermission) {
-		t.Errorf("foreign append err = %v", err)
-	}
-}
-
 func TestRelativePathRejected(t *testing.T) {
 	fs, _, creds, _ := newWorld(t, Policy{})
 	if err := fs.WriteFile(Ctx(creds["alice"]), "relative/path", nil, 0o644); !errors.Is(err, ErrInvalid) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
@@ -95,7 +96,6 @@ func (fs *FS) refMkdirAll(ctx Context, path string, mode uint32) error {
 }
 
 func (fs *FS) refMkdirLocked(ctx Context, path string, mode uint32) error {
-	fs.dirtyLocked()
 	dir, name, err := fs.refWalkParent(ctx, path)
 	if err != nil {
 		return err
@@ -106,7 +106,7 @@ func (fs *FS) refMkdirLocked(ctx Context, path string, mode uint32) error {
 	if !fs.can(ctx.Cred, dir, 3) {
 		return fmt.Errorf("%w: mkdir %s", ErrPermission, path)
 	}
-	fs.mkdirIn(ctx, dir, name, mode)
+	fs.mkdirIn(ctx, fs.own(parentOf(path)), name, mode)
 	return nil
 }
 
@@ -167,12 +167,15 @@ func (in *fuzzInput) path() string {
 // fuzzTree builds the fixed part of the fuzzed tree — a file mid-path
 // (/a/f), a directory only some callers may search (/a/b), one nobody
 // but root may search (/n) and a sticky /tmp-like /t — and then adds
-// up to seven nodes the input describes.
+// up to seven nodes the input describes. It writes inodes directly,
+// so it first owns the root: New's root is the frozen empty root every
+// mount shares.
 func fuzzTree(in *fuzzInput) *FS {
-	fs := New("fuzz", Policy{SmaskEnabled: in.next()%2 == 0, Smask: DefaultSmask}, nil)
-	dirs := []*inode{fs.root}
+	b := in.next()
+	fs := New("fuzz", Policy{SmaskEnabled: b&1 == 0, Smask: DefaultSmask, ACLRestrict: b&2 == 0}, nil)
+	dirs := []*inode{fs.own("/")}
 	add := func(dir *inode, name string, typ FileType, owner ids.UID, group ids.GID, mode uint32) {
-		n := &inode{name: name, typ: typ, owner: owner, group: group, mode: mode}
+		n := &inode{name: name, typ: typ, owner: owner, group: group, mode: mode, epoch: fs.epoch}
 		if typ == TypeDir {
 			n.children = make(map[string]*inode)
 			dirs = append(dirs, n)
@@ -201,11 +204,30 @@ func fuzzTree(in *fuzzInput) *FS {
 	return fs
 }
 
+// deepCopy clones the inode subtree, stamping every copy with epoch:
+// a copy stamped with a mount's epoch is one that mount changes in
+// place. ACLs and file data are copied; the result shares nothing with
+// the original.
+func (n *inode) deepCopy(epoch uint64) *inode {
+	c := &inode{name: n.name, typ: n.typ, owner: n.owner, group: n.group, mode: n.mode, epoch: epoch}
+	if n.data != nil {
+		c.data = append([]byte(nil), n.data...)
+	}
+	if n.children != nil {
+		c.children = make(map[string]*inode, len(n.children))
+		for name, child := range n.children {
+			c.children[name] = child.deepCopy(epoch)
+		}
+	}
+	c.acl = n.acl.Clone()
+	return c
+}
+
 // sameTree reports whether two inode trees are equal in every field
-// the vfs keeps.
+// the vfs keeps but the epoch.
 func sameTree(a, b *inode) bool {
 	if a.name != b.name || a.typ != b.typ || a.owner != b.owner || a.group != b.group ||
-		a.mode != b.mode || !bytes.Equal(a.data, b.data) || (a.acl == nil) != (b.acl == nil) ||
+		a.mode != b.mode || !bytes.Equal(a.data, b.data) || !sameACL(a.acl, b.acl) ||
 		len(a.children) != len(b.children) || (a.children == nil) != (b.children == nil) {
 		return false
 	}
@@ -216,6 +238,13 @@ func sameTree(a, b *inode) bool {
 		}
 	}
 	return true
+}
+
+func sameACL(a, b *ACL) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return slices.Equal(a.Users, b.Users) && slices.Equal(a.Groups, b.Groups)
 }
 
 func errText(err error) string {
@@ -251,7 +280,7 @@ func FuzzPathWalk(f *testing.F) {
 		in := fuzzInput(data)
 		fs := fuzzTree(&in)
 		ref := New("ref", fs.Policy, nil)
-		ref.root = fs.root.deepCopy()
+		ref.root = fs.root.deepCopy(ref.epoch)
 		for op := 0; op < 48 && len(in) > 0; op++ {
 			kind := in.pick(3)
 			ctx := Context{Cred: fuzzCreds[in.pick(len(fuzzCreds))], Umask: fuzzUmasks[in.pick(len(fuzzUmasks))]}
@@ -277,7 +306,7 @@ func FuzzPathWalk(f *testing.F) {
 				if errText(err) != errText(wantErr) {
 					t.Fatalf("MkdirAll(uid %d, %q, %o) = %v; reference %v", ctx.Cred.UID, p, mode, err, wantErr)
 				}
-				if !sameTree(fs.root, ref.root) || fs.dirty != ref.dirty {
+				if !sameTree(fs.root, ref.root) {
 					t.Fatalf("MkdirAll(uid %d, %q, %o) left a tree unlike the reference's", ctx.Cred.UID, p, mode)
 				}
 			}

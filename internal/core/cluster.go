@@ -19,7 +19,10 @@ import (
 // Cluster is a fully wired simulated HPC system under one separation
 // configuration. Use New to build one, AddUser / AddProjectGroup to
 // provision identities, and the embedded subsystems directly for
-// everything else.
+// everything else. A cluster is not safe for concurrent use: one
+// goroutine at a time uses it and everything reachable from it, and
+// handing it to another goroutine needs a happens-before edge
+// (DESIGN.md §7, "One owner per cluster").
 type Cluster struct {
 	Cfg  Config
 	Topo Topology

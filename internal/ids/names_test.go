@@ -155,7 +155,8 @@ func TestDuplicateNamesAcrossNamespaces(t *testing.T) {
 }
 
 // The index doubles as it fills, stays a power of two at most half
-// full, and resolves every name across the resizes.
+// full, and resolves every name to the UID Register returned, and
+// back, across the resizes; Users() lists root and every user.
 func TestNameIndexGrowth(t *testing.T) {
 	r := NewRegistry()
 	names := testNames("g", 5000)
@@ -182,9 +183,15 @@ func TestNameIndexGrowth(t *testing.T) {
 		if u, err := r.UserByName(name); err != nil || u.UID != uidBase+UID(i) {
 			t.Fatalf("UserByName(%q) = %v, %v", name, u, err)
 		}
+		if u, err := r.User(uidBase + UID(i)); err != nil || u.Name != name {
+			t.Fatalf("User(%d) = %v, %v; want %q", uidBase+UID(i), u, err, name)
+		}
 	}
 	if _, err := r.UserByName("g5000"); !errors.Is(err, ErrNoSuchUser) {
 		t.Errorf("absent name: err %v, want ErrNoSuchUser", err)
+	}
+	if got, want := len(r.Users()), 1+len(names); got != want {
+		t.Errorf("Users() has %d entries, want %d", got, want)
 	}
 }
 

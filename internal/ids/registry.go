@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Registry is the cluster-wide identity database: the equivalent of
@@ -22,11 +21,9 @@ import (
 // needs to exist until somebody looks at it.
 //
 // A registry holds at most 2^24-2 users besides root; Register refuses
-// the next with ErrRegistryFull. It is safe for concurrent use under
-// one plain mutex: a cluster's registry is driven by the one goroutine
-// that owns the cluster, so a lock is almost never contended, and
-// every method, reader or writer, takes it exactly once. Most readers
-// materialize cached views, so they write anyway.
+// the next with ErrRegistryFull. It is not safe for concurrent use;
+// the cluster's owner calls it (DESIGN.md §7, "One owner per
+// cluster"). Most readers materialize cached views, so they write.
 //
 // Reset leaves the name index untouched: a pooled trial re-registers
 // the previous trial's names in order, and each replayed registration
@@ -42,7 +39,6 @@ import (
 // mark replays under a later one. A project group created since the
 // mark puts every replay back on the checked path.
 type Registry struct {
-	mu      sync.Mutex
 	nextUID UID
 	nextGID GID
 	// descs[i] describes the user with UID uidBase+i. Registrations
@@ -116,13 +112,12 @@ func NewRegistry() *Registry {
 		groups:  make(map[GID]*Group),
 		gByName: make(map[string]GID),
 	}
-	r.resetToFreshLocked()
+	r.resetToFresh()
 	return r
 }
 
-// resetToFreshLocked rewinds the tables to the NewRegistry state.
-// Caller holds r.mu (or owns the registry exclusively).
-func (r *Registry) resetToFreshLocked() {
+// resetToFresh rewinds the tables to the NewRegistry state.
+func (r *Registry) resetToFresh() {
 	r.nextUID, r.nextGID = uidBase, gidBase
 	r.descs = r.descs[:0]
 	clear(r.users)
@@ -162,8 +157,6 @@ func cloneGroup(g *Group) *Group {
 // Reset kept for replay (see Registry); at cluster assembly there are
 // none.
 func (r *Registry) MarkPristine() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	m := &pristineMark{
 		nextUID:    r.nextUID,
 		nextGID:    r.nextGID,
@@ -195,12 +188,10 @@ func (r *Registry) MarkPristine() {
 // returns immediately, so pooled XXL trials pay nothing for untouched
 // registries.
 func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	m := r.mark
 	if m == nil {
 		if r.gen != 0 {
-			r.resetToFreshLocked()
+			r.resetToFresh()
 		}
 		return
 	}
@@ -239,7 +230,6 @@ func (r *Registry) Reset() {
 
 // markedGroupNames is the size of the group namespace at the mark:
 // root plus the marked project groups, or root alone without a mark.
-// Caller holds r.mu.
 func (r *Registry) markedGroupNames() int {
 	if r.mark == nil {
 		return 1
@@ -258,12 +248,6 @@ func (r *Registry) markedGroupNames() int {
 // want it right away. A name already taken fails with ErrExists, and a
 // user past the 2^24-2 cap with ErrRegistryFull.
 func (r *Registry) Register(name string) (UID, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.registerLocked(name)
-}
-
-func (r *Registry) registerLocked(name string) (UID, error) {
 	// A replayed name cannot be live; otherwise one hash and one probe
 	// serve as both the duplicate check and the insert slot.
 	replay := r.names.replay(r.descs, name)
@@ -307,17 +291,15 @@ func (r *Registry) registerLocked(name string) (UID, error) {
 // AddUser creates a user plus their user-private group (same name).
 // The home path follows the paper's layout: /home/<name>.
 func (r *Registry) AddUser(name string) (*User, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	uid, err := r.registerLocked(name)
+	uid, err := r.Register(name)
 	if err != nil {
 		return nil, err
 	}
-	return r.userLocked(uid)
+	return r.User(uid)
 }
 
 // descOf returns the descriptor backing uid, if uid is a registered
-// (non-root) user. Caller holds r.mu.
+// (non-root) user.
 func (r *Registry) descOf(uid UID) (*userDesc, bool) {
 	if uid < uidBase || int(uid-uidBase) >= len(r.descs) {
 		return nil, false
@@ -327,7 +309,7 @@ func (r *Registry) descOf(uid UID) (*userDesc, bool) {
 
 // ownerOf finds the user whose private group is gid. Private GIDs are
 // handed out in ascending UID order, so this is a binary search over
-// the descriptor primaries. Caller holds r.mu.
+// the descriptor primaries.
 func (r *Registry) ownerOf(gid GID) (UID, *userDesc, bool) {
 	i := sort.Search(len(r.descs), func(k int) bool { return r.descs[k].primary >= gid })
 	if i == len(r.descs) || r.descs[i].primary != gid {
@@ -337,7 +319,6 @@ func (r *Registry) ownerOf(gid GID) (UID, *userDesc, bool) {
 }
 
 // uidByName resolves a login name without materializing the user.
-// Caller holds r.mu.
 func (r *Registry) uidByName(name string) (UID, bool) {
 	if name == "root" {
 		return Root, true
@@ -350,7 +331,7 @@ func (r *Registry) uidByName(name string) (UID, bool) {
 }
 
 // hasUser reports whether uid names an existing user, materialized or
-// not. Caller holds r.mu.
+// not.
 func (r *Registry) hasUser(uid UID) bool {
 	if _, ok := r.users[uid]; ok {
 		return true
@@ -360,7 +341,6 @@ func (r *Registry) hasUser(uid UID) bool {
 }
 
 // primaryOf returns uid's primary GID without materializing the user.
-// Caller holds r.mu.
 func (r *Registry) primaryOf(uid UID) (GID, bool) {
 	if u, ok := r.users[uid]; ok {
 		return u.Primary, true
@@ -371,41 +351,9 @@ func (r *Registry) primaryOf(uid UID) (GID, bool) {
 	return NoGID, false
 }
 
-// userLocked materializes (or returns the cached) *User view of uid.
-// Caller holds r.mu.
-func (r *Registry) userLocked(uid UID) (*User, error) {
-	if u, ok := r.users[uid]; ok {
-		return u, nil
-	}
-	d, ok := r.descOf(uid)
-	if !ok {
-		return nil, fmt.Errorf("%w: uid %d", ErrNoSuchUser, uid)
-	}
-	u := &User{UID: uid, Name: d.name, Primary: d.primary, HomePath: "/home/" + d.name}
-	r.users[uid] = u
-	return u, nil
-}
-
-// groupLocked materializes (or returns the cached) *Group view of
-// gid. Caller holds r.mu.
-func (r *Registry) groupLocked(gid GID) (*Group, error) {
-	if g, ok := r.groups[gid]; ok {
-		return g, nil
-	}
-	uid, d, ok := r.ownerOf(gid)
-	if !ok {
-		return nil, fmt.Errorf("%w: gid %d", ErrNoSuchGroup, gid)
-	}
-	g := &Group{GID: gid, Name: d.name, Private: true, members: map[UID]bool{uid: true}}
-	r.groups[gid] = g
-	return g, nil
-}
-
 // AddProjectGroup creates an approved project group with the given
 // data stewards. Stewards are implicitly members.
 func (r *Registry) AddProjectGroup(name string, stewards ...UID) (*Group, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if _, dup := r.gByName[name]; dup {
 		return nil, fmt.Errorf("%w: group %q", ErrExists, name)
 	}
@@ -435,8 +383,6 @@ func (r *Registry) AddProjectGroup(name string, stewards ...UID) (*Group, error)
 // group (or root) may do so; user-private groups are immutable
 // (paper §IV-C: stewards approve adding and deleting users).
 func (r *Registry) AddToGroup(actor UID, gid GID, uid UID) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	g, ok := r.groups[gid]
 	if !ok {
 		if _, _, private := r.ownerOf(gid); private {
@@ -465,8 +411,6 @@ func (r *Registry) AddToGroup(actor UID, gid GID, uid UID) error {
 // RemoveFromGroup removes uid from a project group; steward-gated
 // like AddToGroup. Stewards cannot be removed except by root.
 func (r *Registry) RemoveFromGroup(actor UID, gid GID, uid UID) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	g, ok := r.groups[gid]
 	if !ok {
 		if _, _, private := r.ownerOf(gid); private {
@@ -492,35 +436,47 @@ func (r *Registry) RemoveFromGroup(actor UID, gid GID, uid UID) error {
 	return nil
 }
 
-// User returns the user with the given UID.
+// User returns the user with the given UID, materializing (and
+// caching) its *User view on first access.
 func (r *Registry) User(uid UID) (*User, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.userLocked(uid)
+	if u, ok := r.users[uid]; ok {
+		return u, nil
+	}
+	d, ok := r.descOf(uid)
+	if !ok {
+		return nil, fmt.Errorf("%w: uid %d", ErrNoSuchUser, uid)
+	}
+	u := &User{UID: uid, Name: d.name, Primary: d.primary, HomePath: "/home/" + d.name}
+	r.users[uid] = u
+	return u, nil
 }
 
 // UserByName resolves a login name.
 func (r *Registry) UserByName(name string) (*User, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	uid, ok := r.uidByName(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchUser, name)
 	}
-	return r.userLocked(uid)
+	return r.User(uid)
 }
 
-// Group returns the group with the given GID.
+// Group returns the group with the given GID, materializing (and
+// caching) a private group's *Group view on first access.
 func (r *Registry) Group(gid GID) (*Group, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.groupLocked(gid)
+	if g, ok := r.groups[gid]; ok {
+		return g, nil
+	}
+	uid, d, ok := r.ownerOf(gid)
+	if !ok {
+		return nil, fmt.Errorf("%w: gid %d", ErrNoSuchGroup, gid)
+	}
+	g := &Group{GID: gid, Name: d.name, Private: true, members: map[UID]bool{uid: true}}
+	r.groups[gid] = g
+	return g, nil
 }
 
 // GroupByName resolves a group name.
 func (r *Registry) GroupByName(name string) (*Group, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	gid, ok := r.gByName[name]
 	if !ok {
 		// A user-private group carries its owner's name.
@@ -533,7 +489,7 @@ func (r *Registry) GroupByName(name string) (*Group, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchGroup, name)
 	}
-	return r.groupLocked(gid)
+	return r.Group(gid)
 }
 
 // GroupsOf returns the GIDs the user belongs to (primary first, the
@@ -542,8 +498,6 @@ func (r *Registry) GroupByName(name string) (*Group, error) {
 // private group has exactly its owner as member, so it can never
 // contribute to another user's supplemental set.
 func (r *Registry) GroupsOf(uid UID) ([]GID, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	primary, ok := r.primaryOf(uid)
 	if !ok {
 		return nil, fmt.Errorf("%w: uid %d", ErrNoSuchUser, uid)
@@ -574,7 +528,6 @@ func (r *Registry) LoginCredential(uid UID) (Credential, error) {
 // This is the opt-in step that lets a listener accept project-group
 // peers through the UBF (paper §IV-D).
 func (r *Registry) SwitchGroup(c Credential, gid GID) (Credential, error) {
-	r.mu.Lock()
 	var member bool
 	g, ok := r.groups[gid]
 	if ok {
@@ -584,7 +537,6 @@ func (r *Registry) SwitchGroup(c Credential, gid GID) (Credential, error) {
 		owner, _, ok = r.ownerOf(gid)
 		member = ok && owner == c.UID
 	}
-	r.mu.Unlock()
 	if !ok {
 		return c, fmt.Errorf("%w: gid %d", ErrNoSuchGroup, gid)
 	}
@@ -599,8 +551,6 @@ func (r *Registry) SwitchGroup(c Credential, gid GID) (Credential, error) {
 // Private groups (materialized or not) never qualify, so scanning the
 // materialized/project tables is exhaustive.
 func (r *Registry) SharedGroup(a, b UID) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	for _, g := range r.groups {
 		if !g.Private && g.members[a] && g.members[b] {
 			return true
@@ -611,8 +561,6 @@ func (r *Registry) SharedGroup(a, b UID) bool {
 
 // Users returns all UIDs sorted ascending.
 func (r *Registry) Users() []UID {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]UID, 0, len(r.descs)+1)
 	out = append(out, Root)
 	for i := range r.descs {
@@ -623,8 +571,6 @@ func (r *Registry) Users() []UID {
 
 // Groups returns all GIDs sorted ascending.
 func (r *Registry) Groups() []GID {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]GID, 0, len(r.groups)+len(r.descs))
 	for gid := range r.groups {
 		// Materialized private groups are already counted via their

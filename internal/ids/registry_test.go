@@ -109,6 +109,11 @@ func TestLoginCredential(t *testing.T) {
 	if len(c.Groups) != 2 {
 		t.Errorf("groups = %v, want exactly primary+project", c.Groups)
 	}
+	// A non-member's credential carries its private group alone.
+	b, _ := r.AddUser("bob")
+	if c, err := r.LoginCredential(b.UID); err != nil || c.UID != b.UID || c.InGroup(g.GID) || len(c.Groups) != 1 {
+		t.Errorf("non-member LoginCredential = %+v, %v", c, err)
+	}
 }
 
 func TestSwitchGroup(t *testing.T) {
@@ -153,6 +158,11 @@ func TestSharedGroup(t *testing.T) {
 	}
 	if r.SharedGroup(a.UID, c.UID) {
 		t.Errorf("alice and carol share nothing, SharedGroup = true")
+	}
+	// A steward shares the group with its members only.
+	if !r.SharedGroup(lead.UID, a.UID) || r.SharedGroup(lead.UID, c.UID) {
+		t.Errorf("SharedGroup(lead, alice), SharedGroup(lead, carol) = %v, %v; want true, false",
+			r.SharedGroup(lead.UID, a.UID), r.SharedGroup(lead.UID, c.UID))
 	}
 	// Private groups never count as shared, even self-vs-self.
 	if r.SharedGroup(c.UID, c.UID) {

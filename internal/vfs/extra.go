@@ -145,7 +145,8 @@ func (fs *FS) WriteFileFollow(ctx Context, path string, data []byte, mode uint32
 
 // Rename moves oldPath to newPath (within this mount). POSIX rules:
 // w+x on both parent directories, sticky-directory deletion rules on
-// the source, destination must not be an existing non-empty dir.
+// the source, destination must not be an existing non-empty dir, and a
+// directory cannot move into its own subtree (ErrInvalid).
 func (fs *FS) Rename(ctx Context, oldPath, newPath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -163,6 +164,9 @@ func (fs *FS) Rename(ctx Context, oldPath, newPath string) error {
 	}
 	if !fs.can(ctx.Cred, oldDir, 3) || !fs.can(ctx.Cred, newDir, 3) {
 		return fmt.Errorf("%w: rename %s -> %s", ErrPermission, oldPath, newPath)
+	}
+	if contains(n, newDir) {
+		return fmt.Errorf("%w: rename %s -> %s", ErrInvalid, oldPath, newPath)
 	}
 	if oldDir.mode&ModeSticky != 0 && !ctx.Cred.IsRoot() &&
 		ctx.Cred.UID != n.owner && ctx.Cred.UID != oldDir.owner {
@@ -185,4 +189,17 @@ func (fs *FS) Rename(ctx Context, oldPath, newPath string) error {
 	n.name = newName
 	newDir.children[newName] = n
 	return nil
+}
+
+// contains reports whether d is n or lies in n's subtree.
+func contains(n, d *inode) bool {
+	if n == d {
+		return true
+	}
+	for _, c := range n.children {
+		if c.typ == TypeDir && contains(c, d) {
+			return true
+		}
+	}
+	return false
 }

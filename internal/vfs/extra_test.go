@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/ids"
@@ -160,5 +161,39 @@ func TestRenameBasicAndSticky(t *testing.T) {
 	}
 	if err := fs.Rename(alice, "/home/alice/b.txt", "/home/alice/dir"); !errors.Is(err, ErrNotEmpty) {
 		t.Errorf("clobber dir err = %v", err)
+	}
+	// A directory cannot move into its own subtree, at any depth, and a
+	// refused move leaves the tree as it was.
+	root := Ctx(ids.RootCred())
+	for _, d := range []string{"/a", "/a/x", "/a/x/sub"} {
+		if err := fs.Mkdir(root, d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.WriteFile(root, "/a/x/keep", nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tree := func() string {
+		var s string
+		for _, d := range []string{"/a", "/a/x", "/a/x/sub"} {
+			names, err := fs.ReadDir(root, d)
+			s += fmt.Sprint(d, names, err, ";")
+		}
+		return s
+	}
+	before := tree()
+	for _, to := range []string{"/a/x/y", "/a/x/sub/y"} {
+		if err := fs.Rename(root, "/a/x", to); !errors.Is(err, ErrInvalid) {
+			t.Errorf("rename /a/x -> %s err = %v, want ErrInvalid", to, err)
+		}
+		if after := tree(); after != before {
+			t.Errorf("refused rename /a/x -> %s changed the tree: %s, was %s", to, after, before)
+		}
+	}
+	if err := fs.Rename(root, "/a/x", "/a/xy"); err != nil {
+		t.Fatalf("rename /a/x -> /a/xy: %v", err)
+	}
+	if names, err := fs.ReadDir(root, "/a/xy"); err != nil || fmt.Sprint(names) != "[keep sub]" {
+		t.Errorf("ReadDir(/a/xy) = %v, %v; want [keep sub]", names, err)
 	}
 }

@@ -31,22 +31,19 @@ var reachAllowMethods = map[string]bool{
 	"String": true,
 }
 
-// TestExportsReachedOutsideTests parses every non-test Go file in the
-// repository (the bench module included, since it drives this one)
-// and fails for each exported function or method of a reachPackages
-// package that no such file refers to. A package-level function counts
-// as reached when another package selects it through an import of its
-// package, or its own package names it; a method counts as reached
-// when any file selects a field or method of that name. Names are all
-// it sees: a same-named method on another type satisfies the check.
-func TestExportsReachedOutsideTests(t *testing.T) {
-	const modPath = "repro"
+// repoFile is one parsed non-test Go file.
+type repoFile struct {
+	path string // slash-separated, relative to the repository root
+	dir  string // path's directory
+	f    *ast.File
+}
+
+// parseRepo parses every non-test Go file in the repository, the bench
+// module included, since it drives this one.
+func parseRepo(t *testing.T) (*token.FileSet, []repoFile) {
+	t.Helper()
 	fset := token.NewFileSet()
-	type file struct {
-		dir string // slash-separated, relative to the repository root
-		f   *ast.File
-	}
-	var files []file
+	var files []repoFile
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -64,12 +61,27 @@ func TestExportsReachedOutsideTests(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		files = append(files, file{filepath.ToSlash(filepath.Dir(p)), f})
+		p = filepath.ToSlash(p)
+		files = append(files, repoFile{p, path.Dir(p), f})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return fset, files
+}
+
+// TestExportsReachedOutsideTests parses every non-test Go file in the
+// repository (see parseRepo) and fails for each exported function or
+// method of a reachPackages package that no such file refers to. A
+// package-level function counts as reached when another package
+// selects it through an import of its package, or its own package
+// names it; a method counts as reached when any file selects a field
+// or method of that name. Names are all it sees: a same-named method
+// on another type satisfies the check.
+func TestExportsReachedOutsideTests(t *testing.T) {
+	const modPath = "repro"
+	fset, files := parseRepo(t)
 
 	listed := map[string]bool{}
 	for _, dir := range reachPackages {
@@ -146,5 +158,69 @@ func TestExportsReachedOutsideTests(t *testing.T) {
 	}
 	if len(exports) == 0 {
 		t.Fatal("found no exported functions in reachPackages; is the test running from the repository root?")
+	}
+}
+
+// goroutineStarts is every go statement in the repository's non-test
+// code, by file and enclosing function. One goroutine at a time uses a
+// cluster and everything reachable from it (DESIGN.md §7, "One owner
+// per cluster"), so each of these either owns the clusters it builds
+// or touches none. A new go statement joins the list with its reason,
+// and the race detector runs a suite that starts it.
+var goroutineStarts = []string{
+	"bench/service.go fleetdStarter",                       // waits for the fleetd process it stops; no cluster
+	"cmd/fleetd/main.go run",                               // serves HTTP; campaigns run on the service's workers
+	"cmd/fleetrun/main.go run",                             // turns a signal or the timeout into an interrupt; no cluster
+	"internal/fleet/run.go execute",                        // a fleet worker: builds, resets and uses its own clusters, hands results back over a channel
+	"internal/fleet/shard/launcher.go Exec.Launch",         // waits for a shard process; no cluster
+	"internal/fleet/shard/launcher.go InProc.Launch",       // runs a shard through fleet.RunShard, whose workers own the clusters; touches none itself
+	"internal/fleet/shard/service.go NewService",           // a campaign worker: supervises shards; no cluster
+	"internal/fleet/shard/service.go Service.Drain",        // waits for the campaign workers; no cluster
+	"internal/fleet/shard/supervisor.go supervisor.launch", // forwards an attempt's exit to the supervision loop; no cluster
+}
+
+// TestGoroutineStarts fails when a go statement is added to or removed
+// from the non-test code without goroutineStarts following it.
+func TestGoroutineStarts(t *testing.T) {
+	_, files := parseRepo(t)
+	var got []string
+	for _, fl := range files {
+		for _, d := range fl.f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			name := fd.Name.Name
+			if fd.Recv != nil {
+				typ := fd.Recv.List[0].Type
+				if star, ok := typ.(*ast.StarExpr); ok {
+					typ = star.X
+				}
+				if id, ok := typ.(*ast.Ident); ok {
+					name = id.Name + "." + name
+				}
+			}
+			ast.Inspect(fd, func(n ast.Node) bool {
+				if _, ok := n.(*ast.GoStmt); ok {
+					got = append(got, fl.path+" "+name)
+				}
+				return true
+			})
+		}
+	}
+	listed := map[string]int{}
+	for _, site := range goroutineStarts {
+		listed[site]++
+	}
+	for _, site := range got {
+		if listed[site] == 0 {
+			t.Errorf("%s: unlisted go statement; a goroutine must own the clusters it builds or touch none (DESIGN.md §7): list it in goroutineStarts with its reason", site)
+		}
+		listed[site]--
+	}
+	for site, n := range listed {
+		if n > 0 {
+			t.Errorf("%s: listed in goroutineStarts, but no go statement is there any more", site)
+		}
 	}
 }

@@ -64,11 +64,11 @@ var allocPins = []struct {
 	{"E4XLCampaign/shared", perDrain(e4XLCluster, sched.PolicyShared), 1041},
 	{"E4XLCampaign/exclusive", perDrain(e4XLCluster, sched.PolicyExclusive), 654},
 	{"E4XLCampaign/user-wholenode", perDrain(e4XLCluster, sched.PolicyUserWholeNode), 808},
-	{"E5SSHGate", perOp(e5SSHGate), 7},
+	{"E5SSHGate", perOp(e5SSHGate), 6},
 	{"E6FSMatrix/baseline", perOp(func(tb testing.TB) func() { return e6FSMatrix(tb, core.Baseline()) }), 4},
-	{"E6FSMatrix/enhanced", perOp(func(tb testing.TB) func() { return e6FSMatrix(tb, core.Enhanced()) }), 6},
+	{"E6FSMatrix/enhanced", perOp(func(tb testing.TB) func() { return e6FSMatrix(tb, core.Enhanced()) }), 4},
 	{"E7UBFMatrix/same-user-accept", perOp(func(tb testing.TB) func() { return e7UBFVerdict(tb, true) }), 4},
-	{"E7UBFMatrix/cross-user-deny", perOp(func(tb testing.TB) func() { return e7UBFVerdict(tb, false) }), 11},
+	{"E7UBFMatrix/cross-user-deny", perOp(func(tb testing.TB) func() { return e7UBFVerdict(tb, false) }), 4},
 	{"E8UBFOverhead/setup-no-ubf", perOp(func(tb testing.TB) func() { return e8Setup(tb, false, false) }), 2},
 	{"E8UBFOverhead/setup-ubf-nocache", perOp(func(tb testing.TB) func() { return e8Setup(tb, true, false) }), 4},
 	{"E8UBFOverhead/setup-ubf-cache", perOp(func(tb testing.TB) func() { return e8Setup(tb, true, true) }), 4},
@@ -84,9 +84,15 @@ var allocPins = []struct {
 	{"E14CryptoMPI/plain-ubf-datapath", perOp(func(tb testing.TB) func() { return e14Datapath(tb, false) }), 2},
 	{"E14CryptoMPI/encrypted-mpi-datapath", perOp(func(tb testing.TB) func() { return e14Datapath(tb, true) }), 6},
 	{"E15MitigationTax", perOp(e15MitigationTax), 0},
+	{"DeniedProbe/vfs-search", perOp(deniedVFSSearch), 1},
+	{"DeniedProbe/ubf-dial", perOp(func(tb testing.TB) func() { return e7UBFVerdict(tb, false) }), 4},
+	{"DeniedProbe/gpu-read", perOp(deniedGPURead), 2},
+	{"DeniedProbe/pam-slurm", perOp(deniedPAMSlurm), 2},
+	{"DeniedProbe/portal-forward", perOp(deniedPortalForward), 5},
+	{"DeniedProbe/container-admission", perOp(deniedContainerRun), 1},
 	{"FleetCampaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE4PolicyGrid, 1) }), 3485},
-	{"E16Ablation", perOp(e16Ablation), 13802},
-	{"E17Campaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE17RedTeam, 1) }), 21113},
+	{"E16Ablation", perOp(e16Ablation), 13013},
+	{"E17Campaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE17RedTeam, 1) }), 18051},
 }
 
 // TestAllocPins checks each single-worker benchmark row's allocations

@@ -10,6 +10,7 @@ package repro
 // allocs/op exactly.
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
+	"repro/internal/gpu"
 	"repro/internal/ids"
 	"repro/internal/metrics"
 	"repro/internal/mitig"
@@ -28,6 +30,7 @@ import (
 	"repro/internal/portal"
 	"repro/internal/ppsfw"
 	"repro/internal/sched"
+	"repro/internal/simos"
 	"repro/internal/ubf"
 	"repro/internal/vfs"
 	"repro/internal/workload"
@@ -605,6 +608,123 @@ func BenchmarkTrialLifecycle(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// deniedProbes are the refusals the separation mechanisms issue on the
+// probe catalogue's paths, one per mechanism: each builder sets up an
+// enhanced cluster and returns one attempt that mechanism denies. A
+// denial costs its typed error and nothing that formats it.
+var deniedProbes = []struct {
+	name  string
+	build func(testing.TB) func()
+}{
+	{"vfs-search", deniedVFSSearch},
+	{"ubf-dial", func(tb testing.TB) func() { return e7UBFVerdict(tb, false) }},
+	{"gpu-read", deniedGPURead},
+	{"pam-slurm", deniedPAMSlurm},
+	{"portal-forward", deniedPortalForward},
+	{"container-admission", deniedContainerRun},
+}
+
+// denied fails tb unless err wraps sentinel.
+func denied(tb testing.TB, err, sentinel error) {
+	if !errors.Is(err, sentinel) {
+		tb.Fatalf("got %v, want a denial wrapping %v", err, sentinel)
+	}
+}
+
+// deniedVFSSearch: a stranger reads a file under the owner's 0700
+// home, refused at the search of the home directory.
+func deniedVFSSearch(tb testing.TB) func() {
+	c := core.MustNew(core.Enhanced(), benchTopo())
+	owner, _ := c.AddUser("owner", "pw")
+	stranger, _ := c.AddUser("stranger", "pw")
+	sctx := vfs.Ctx(stranger.Cred)
+	path := owner.HomePath + "/results.csv"
+	return func() {
+		_, err := c.SharedFS.ReadFile(sctx, path)
+		denied(tb, err, vfs.ErrPermission)
+	}
+}
+
+// deniedGPURead: a stranger reads the GPU assigned to another user's
+// running job.
+func deniedGPURead(tb testing.TB) func() {
+	c := core.MustNew(core.Enhanced(), benchTopo())
+	owner, _ := c.AddUser("owner", "pw")
+	stranger, _ := c.AddUser("stranger", "pw")
+	j, err := c.Sched.Submit(owner.Cred, sched.JobSpec{Name: "g", Command: "x", Cores: 1, MemB: 1, GPUs: 1, Duration: 1 << 30})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c.Step()
+	_, node, err := c.Sched.Placement(j)
+	if err != nil || node == "" {
+		tb.Fatalf("gpu job not placed: %v", err)
+	}
+	dev := c.GPUs.Devices(node)[0]
+	return func() {
+		_, err := dev.Read(stranger.Cred, 0, 1)
+		denied(tb, err, gpu.ErrNotAssigned)
+	}
+}
+
+// deniedPAMSlurm: an ssh login to a compute node where the user has no
+// running job.
+func deniedPAMSlurm(tb testing.TB) func() {
+	c := core.MustNew(core.Enhanced(), benchTopo())
+	stranger, _ := c.AddUser("stranger", "pw")
+	node := c.Compute[0]
+	return func() {
+		_, err := node.Login(stranger.Cred)
+		denied(tb, err, simos.ErrAccessDenied)
+	}
+}
+
+// deniedPortalForward: a stranger's authenticated forward into another
+// user's web app, dropped by the UBF on the hop.
+func deniedPortalForward(tb testing.TB) func() {
+	c := core.MustNew(core.Enhanced(), benchTopo())
+	owner, _ := c.AddUser("owner", "pw")
+	stranger, _ := c.AddUser("stranger", "pw")
+	h, _ := c.Host(c.Compute[0].Name)
+	if _, err := portal.Serve(h, owner.Cred, 8888); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := c.Portal.Register(owner.Cred, "/app", c.Compute[0].Name, 8888); err != nil {
+		tb.Fatal(err)
+	}
+	tok, err := c.Portal.Login(stranger.Cred, "pw")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	payload := []byte("GET /")
+	return func() {
+		_, err := c.Portal.Forward(tok, "/app", payload)
+		denied(tb, err, portal.ErrForbidden)
+	}
+}
+
+// deniedContainerRun: a user never approved for the container runtime
+// launches an image.
+func deniedContainerRun(tb testing.TB) func() {
+	c := core.MustNew(core.Enhanced(), benchTopo())
+	stranger, _ := c.AddUser("stranger", "pw")
+	c.Containers.ImportImage("img", nil)
+	node := c.Compute[0]
+	h, _ := c.Host(node.Name)
+	ns := c.NS[node.Name]
+	return func() {
+		_, err := c.Containers.Run(stranger.Cred, node, ns, h, container.RunSpec{Image: "img"})
+		denied(tb, err, container.ErrPrivileged)
+	}
+}
+
+// BenchmarkDeniedProbe: one refused attempt per separation mechanism.
+func BenchmarkDeniedProbe(b *testing.B) {
+	for _, p := range deniedProbes {
+		b.Run(p.name, func(b *testing.B) { benchOp(b, p.build(b)) })
 	}
 }
 

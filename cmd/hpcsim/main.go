@@ -159,11 +159,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hpcsim: attack: %v\n", err)
 			os.Exit(1)
 		}
-		evlog := audit.NewLog()
-		for _, e := range out.Events {
-			evlog.Record(e)
-		}
-		fmt.Println(evlog.Table(out.Model + " vs " + cfg.Name).Render())
+		fmt.Println(audit.EventTable(out.Model+" vs "+cfg.Name, out.Events).Render())
 		verdict := "contained: no non-residual leak"
 		if out.Success {
 			verdict = fmt.Sprintf("BROKE THROUGH at step %d", out.StepsToFirstLeak)

@@ -115,11 +115,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "leakscan: attack %s: %v\n", c.Cfg.Name, err)
 				os.Exit(2)
 			}
-			evlog := audit.NewLog()
-			for _, e := range out.Events {
-				evlog.Record(e)
-			}
-			fmt.Println(evlog.Table(out.Model + " vs " + c.Cfg.Name).Render())
+			fmt.Println(audit.EventTable(out.Model+" vs "+c.Cfg.Name, out.Events).Render())
 			if len(opts) == 0 && c.Cfg.Name == "enhanced" && out.Success {
 				fmt.Fprintf(os.Stderr, "leakscan: %s campaign broke through enhanced at step %d\n", out.Model, out.StepsToFirstLeak)
 				failed = true

@@ -55,11 +55,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		evlog := audit.NewLog()
-		for _, e := range out.Events {
-			evlog.Record(e)
-		}
-		fmt.Println(evlog.Table(out.Model + " vs " + p.Name).Render())
+		fmt.Println(audit.EventTable(out.Model+" vs "+p.Name, out.Events).Render())
 	}
 
 	// Part 2: the full model × profile outcome matrix.

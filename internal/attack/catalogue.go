@@ -2,7 +2,6 @@ package attack
 
 import (
 	"bytes"
-	"fmt"
 	"slices"
 	"strings"
 
@@ -29,7 +28,7 @@ type Entry struct {
 	// Scan marks the entries of the LeakScan sweep.
 	Scan bool
 
-	attempt func(ss *session) (leaked bool, detail string)
+	attempt func(ss *session) (leaked bool, detail audit.Detail)
 }
 
 // probe is the report row the entry fills under name.
@@ -40,10 +39,7 @@ func (e *Entry) probe(name string) audit.Probe {
 // run attempts the entry and records it under name.
 func (e *Entry) run(ss *session, name string) audit.Result {
 	leaked, detail := e.attempt(ss)
-	return audit.Result{
-		Probe:  e.probe(name),
-		Leaked: leaked, Detail: detail,
-	}
+	return audit.Result{Probe: e.probe(name), Leaked: leaked, Detail: detail}
 }
 
 // E16 channel labels, keyed to the experiment that owns each channel.
@@ -142,119 +138,130 @@ func Reopened(c *core.Cluster) ([]string, error) {
 	return labels, nil
 }
 
-func (ss *session) psForeign() (bool, string) {
+func (ss *session) psForeign() (bool, audit.Detail) {
 	ss.spawn()
 	// Match by PID, not credential: under hidepid=1 List returns
 	// redacted stubs whose Cred is zeroed, but the foreign pid
 	// appearing in readdir is itself the leak.
 	for _, p := range ss.c.Proc[ss.login.Name].List(ss.attacker.Cred) {
 		if p.PID == ss.vproc.PID {
-			return true, fmt.Sprintf("victim pid %d listed", p.PID)
+			return true, audit.Detailf("victim pid %d listed", p.PID)
 		}
 	}
-	return false, "no foreign pids in /proc listing"
+	return false, audit.Note("no foreign pids in /proc listing")
 }
 
-func (ss *session) cmdlineRead() (bool, string) {
+func (ss *session) cmdlineRead() (bool, audit.Detail) {
 	ss.spawn()
 	cl, err := ss.c.Proc[ss.login.Name].ReadCmdline(ss.attacker.Cred, ss.vproc.PID)
 	if err == nil && strings.Contains(cl, secretToken) {
-		return true, "read secret from /proc/<pid>/cmdline"
+		return true, audit.Note("read secret from /proc/<pid>/cmdline")
 	}
-	return false, fmt.Sprintf("cmdline read: %v", err)
+	return false, audit.Detailf("cmdline read: %v", err)
 }
 
-func (ss *session) squeueForeign() (bool, string) {
+func (ss *session) squeueForeign() (bool, audit.Detail) {
 	if err := ss.victimJob(); err != nil {
-		return false, err.Error()
+		return false, audit.Cause(err)
 	}
-	for _, j := range ss.c.Sched.Squeue(ss.attacker.Cred) {
-		if j.User == ss.victim.UID {
-			if strings.Contains(j.Spec.Command, secretToken) {
-				return true, fmt.Sprintf("job %d command visible", j.ID)
-			}
-			return true, fmt.Sprintf("foreign job %d visible", j.ID)
+	// The victim's lowest job ID in the attacker's squeue view, read
+	// without copying the queue.
+	first, secret := 0, false
+	ss.c.Sched.VisitQueue(ss.attacker.Cred, func(j *sched.Job) {
+		if j.User == ss.victim.UID && (first == 0 || j.ID < first) {
+			first, secret = j.ID, strings.Contains(j.Spec.Command, secretToken)
 		}
+	})
+	switch {
+	case first == 0:
+		return false, audit.Note("no foreign jobs in squeue")
+	case secret:
+		return true, audit.Detailf("job %d command visible", first)
 	}
-	return false, "no foreign jobs in squeue"
+	return true, audit.Detailf("foreign job %d visible", first)
 }
 
-func (ss *session) sshRoam() (bool, string) {
+func (ss *session) sshRoam() (bool, audit.Detail) {
 	if err := ss.victimJob(); err != nil {
-		return false, err.Error()
+		return false, audit.Cause(err)
 	}
-	if _, err := ss.c.LoginShell(ss.vjobNode, ss.attacker.Cred); err == nil {
-		return true, "ssh to victim's compute node succeeded"
+	_, err := ss.c.LoginShell(ss.vjobNode, ss.attacker.Cred)
+	if err == nil {
+		return true, audit.Note("ssh to victim's compute node succeeded")
 	}
-	return false, "pam denied compute-node ssh"
+	return false, audit.Denial("pam denied compute-node ssh", err)
 }
 
-func (ss *session) homeRead() (bool, string) {
+func (ss *session) homeRead() (bool, audit.Detail) {
 	if err := ss.seedHome(); err != nil {
-		return false, err.Error()
+		return false, audit.Cause(err)
 	}
-	if d, err := ss.c.SharedFS.ReadFile(ss.actx, ss.victim.HomePath+"/results.csv"); err == nil {
-		return true, fmt.Sprintf("read %d bytes from victim home", len(d))
+	d, err := ss.c.SharedFS.ReadFile(ss.actx, ss.victim.HomePath+"/results.csv")
+	if err == nil {
+		return true, audit.Detailf("read %d bytes from victim home", len(d))
 	}
-	return false, "home traversal denied"
+	return false, audit.Denial("home traversal denied", err)
 }
 
-func (ss *session) chmodRead() (bool, string) {
+func (ss *session) chmodRead() (bool, audit.Detail) {
 	if err := ss.seedScratch(); err != nil {
-		return false, err.Error()
+		return false, audit.Cause(err)
 	}
-	if d, err := ss.c.SharedFS.ReadFile(ss.actx, scratchFile); err == nil {
-		return true, fmt.Sprintf("read %d bytes via mistyped chmod", len(d))
+	d, err := ss.c.SharedFS.ReadFile(ss.actx, scratchFile)
+	if err == nil {
+		return true, audit.Detailf("read %d bytes via mistyped chmod", len(d))
 	}
-	return false, "smask stripped world bits"
+	return false, audit.Denial("smask stripped world bits", err)
 }
 
-func (ss *session) tmpRead() (bool, string) {
+func (ss *session) tmpRead() (bool, audit.Detail) {
 	if err := ss.seedTmp(); err != nil {
-		return false, err.Error()
+		return false, audit.Cause(err)
 	}
-	if d, err := ss.c.NS[ss.login.Name].ReadFile(ss.actx, tmpFile); err == nil {
-		return true, fmt.Sprintf("read %d bytes from victim tmp file", len(d))
+	d, err := ss.c.NS[ss.login.Name].ReadFile(ss.actx, tmpFile)
+	if err == nil {
+		return true, audit.Detailf("read %d bytes from victim tmp file", len(d))
 	}
-	return false, "tmp file content protected"
+	return false, audit.Denial("tmp file content protected", err)
 }
 
 // aclGrant is the accidental-sharing scenario: the *victim* tries to
 // (mis)grant the attacker access to a scratch file.
-func (ss *session) aclGrant() (bool, string) {
+func (ss *session) aclGrant() (bool, audit.Detail) {
 	if err := ss.seedScratch(); err != nil {
-		return false, err.Error()
+		return false, audit.Cause(err)
 	}
 	if err := ss.c.SharedFS.SetfaclUser(ss.vctx, scratchFile, ss.attacker.UID, 0o4); err != nil {
-		return false, "acl grant rejected (no shared project group)"
+		return false, audit.Denial("acl grant rejected (no shared project group)", err)
 	}
-	if _, err := ss.c.SharedFS.ReadFile(ss.actx, scratchFile); err == nil {
-		return true, "read via stranger acl"
+	_, err := ss.c.SharedFS.ReadFile(ss.actx, scratchFile)
+	if err == nil {
+		return true, audit.Note("read via stranger acl")
 	}
-	return false, "acl granted but read denied"
+	return false, audit.Denial("acl granted but read denied", err)
 }
 
 // symlinkHarvest pre-plants a symlink where the victim's job will
 // write, pointing at an attacker-readable file.
-func (ss *session) symlinkHarvest() (bool, string) {
+func (ss *session) symlinkHarvest() (bool, audit.Detail) {
 	localFS := ss.c.LocalFS[ss.login.Name]
 	if err := localFS.WriteFile(ss.actx, "/tmp/.harvest", nil, 0o666); err != nil {
-		return false, err.Error()
+		return false, audit.Cause(err)
 	}
 	if err := localFS.Chmod(ss.actx, "/tmp/.harvest", 0o666); err != nil {
-		return false, err.Error()
+		return false, audit.Cause(err)
 	}
 	if err := localFS.Symlink(ss.actx, "/tmp/.harvest", "/tmp/victim-checkpoint.tmp"); err != nil {
-		return false, err.Error()
+		return false, audit.Cause(err)
 	}
 	// The victim's job writes its checkpoint "as usual".
 	if err := localFS.WriteFileFollow(ss.vctx, "/tmp/victim-checkpoint.tmp", []byte("checkpoint-secret"), 0o600); err != nil {
-		return false, fmt.Sprintf("victim write refused: %v", err)
+		return false, audit.Detailf("victim write refused: %v", err)
 	}
 	if d, err := localFS.ReadFile(ss.actx, "/tmp/.harvest"); err == nil && strings.Contains(string(d), "checkpoint-secret") {
-		return true, "victim data harvested via planted symlink"
+		return true, audit.Note("victim data harvested via planted symlink")
 	}
-	return false, "no data harvested"
+	return false, audit.Note("no data harvested")
 }
 
 // symlinkClobber is the sticky-dir clobber fs.protected_symlinks
@@ -262,130 +269,133 @@ func (ss *session) symlinkHarvest() (bool, string) {
 // file, so smask cannot help (the victim has every permission on the
 // target) — if the victim's routine checkpoint write follows the link,
 // their results were corrupted on the attacker's say-so.
-func (ss *session) symlinkClobber() (bool, string) {
+func (ss *session) symlinkClobber() (bool, audit.Detail) {
 	localFS := ss.c.LocalFS[ss.login.Name]
 	if err := localFS.WriteFile(ss.vctx, "/tmp/victim-results.dat", []byte("precious-"+secretToken), 0o600); err != nil {
-		return false, err.Error()
+		return false, audit.Cause(err)
 	}
 	if err := localFS.Symlink(ss.actx, "/tmp/victim-results.dat", "/tmp/victim-checkpoint.tmp"); err != nil {
-		return false, err.Error()
+		return false, audit.Cause(err)
 	}
 	if err := localFS.WriteFileFollow(ss.vctx, "/tmp/victim-checkpoint.tmp", []byte("CLOBBERED"), 0o600); err != nil {
-		return false, fmt.Sprintf("victim write refused: %v", err)
+		return false, audit.Detailf("victim write refused: %v", err)
 	}
 	if d, err := localFS.ReadFile(ss.vctx, "/tmp/victim-results.dat"); err == nil && string(d) == "CLOBBERED" {
-		return true, "victim results clobbered via planted symlink"
+		return true, audit.Note("victim results clobbered via planted symlink")
 	}
-	return false, "victim write did not follow the planted link"
+	return false, audit.Note("victim write did not follow the planted link")
 }
 
-func (ss *session) crossDial() (bool, string) {
+func (ss *session) crossDial() (bool, audit.Detail) {
 	aHost, err := ss.attackerHost()
 	if err == nil {
 		err = ss.listen()
 	}
 	if err != nil {
-		return false, err.Error()
+		return false, audit.Cause(err)
 	}
-	if conn, err := aHost.Dial(ss.attacker.Cred, netsim.TCP, ss.vjobNode, victimSvcPort); err == nil {
+	conn, err := aHost.Dial(ss.attacker.Cred, netsim.TCP, ss.vjobNode, victimSvcPort)
+	if err == nil {
 		conn.Close()
-		return true, "connected to victim service"
+		return true, audit.Note("connected to victim service")
 	}
-	return false, "UBF dropped cross-user connection"
+	return false, audit.Denial("UBF dropped cross-user connection", err)
 }
 
-func (ss *session) rdmaTCP() (bool, string) {
+func (ss *session) rdmaTCP() (bool, audit.Detail) {
 	aHost, err := ss.attackerHost()
 	if err == nil {
 		err = ss.listen()
 	}
 	if err != nil {
-		return false, err.Error()
+		return false, audit.Cause(err)
 	}
-	if qp, err := aHost.SetupQP(ss.attacker.Cred, netsim.QPViaTCP, ss.vjobNode, victimSvcPort); err == nil {
+	qp, err := aHost.SetupQP(ss.attacker.Cred, netsim.QPViaTCP, ss.vjobNode, victimSvcPort)
+	if err == nil {
 		qp.Close()
-		return true, "QP control channel connected cross-user"
+		return true, audit.Note("QP control channel connected cross-user")
 	}
-	return false, "UBF dropped QP control channel"
+	return false, audit.Denial("UBF dropped QP control channel", err)
 }
 
-func (ss *session) rdmaNativeCM() (bool, string) {
+func (ss *session) rdmaNativeCM() (bool, audit.Detail) {
 	aHost, err := ss.attackerHost()
 	if err == nil {
 		err = ss.victimJob()
 	}
 	if err != nil {
-		return false, err.Error()
+		return false, audit.Cause(err)
 	}
 	qp, err := aHost.SetupQP(ss.attacker.Cred, netsim.QPViaNativeCM, ss.vjobNode, 0)
 	if err != nil {
-		return false, err.Error()
+		return false, audit.Cause(err)
 	}
 	_ = qp.Write([]byte("rdma"))
 	qp.Close()
-	return true, "QP established via native CM (firewall bypassed)"
+	return true, audit.Note("QP established via native CM (firewall bypassed)")
 }
 
-func (ss *session) portalForward() (bool, string) {
+func (ss *session) portalForward() (bool, audit.Detail) {
 	if err := ss.route(); err != nil {
-		return false, err.Error()
+		return false, audit.Cause(err)
 	}
 	tok, err := ss.c.Portal.Login(ss.attacker.Cred, attackerPassword)
 	if err != nil {
-		return false, err.Error()
+		return false, audit.Cause(err)
 	}
-	if _, err := ss.c.Portal.Forward(tok, "/jupyter/victim", []byte("GET /")); err == nil {
-		return true, "reached victim's web app through portal"
+	if _, err = ss.c.Portal.Forward(tok, "/jupyter/victim", []byte("GET /")); err == nil {
+		return true, audit.Note("reached victim's web app through portal")
 	}
-	return false, "portal forward denied end-to-end"
+	return false, audit.Denial("portal forward denied end-to-end", err)
 }
 
-func (ss *session) tmpNames() (bool, string) {
+func (ss *session) tmpNames() (bool, audit.Detail) {
 	if err := ss.seedTmp(); err != nil {
-		return false, err.Error()
+		return false, audit.Cause(err)
 	}
 	names, err := ss.c.NS[ss.login.Name].ReadDir(ss.actx, "/tmp")
 	if err != nil {
-		return false, err.Error()
+		return false, audit.Cause(err)
 	}
 	for _, n := range names {
 		if strings.Contains(n, "victim") {
-			return true, fmt.Sprintf("file name %q visible", n)
+			return true, audit.Detailf("file name %q visible", n)
 		}
 	}
-	return false, "no victim names in /tmp"
+	return false, audit.Note("no victim names in /tmp")
 }
 
-func (ss *session) abstractSend() (bool, string) {
+func (ss *session) abstractSend() (bool, audit.Detail) {
 	loginHost, err := ss.c.Host(ss.login.Name)
 	if err == nil {
 		err = ss.openSocket()
 	}
 	if err != nil {
-		return false, err.Error()
+		return false, audit.Cause(err)
 	}
 	if err := loginHost.DialAbstract(ss.attacker.Cred, victimSocket, []byte("injected")); err != nil {
-		return false, err.Error()
+		return false, audit.Cause(err)
 	}
 	if _, from, ok := ss.vsock.Recv(); ok && from == ss.attacker.UID {
-		return true, "datagram delivered cross-user"
+		return true, audit.Note("datagram delivered cross-user")
 	}
-	return false, "no delivery"
+	return false, audit.Note("no delivery")
 }
 
 // gpuDeviceOpen is the /dev permission half of §IV-F: can the attacker
 // open the device of the victim's running GPU job from outside? No
 // colocation is needed, so whole-node scheduling cannot mask it.
-func (ss *session) gpuDeviceOpen() (bool, string) {
+func (ss *session) gpuDeviceOpen() (bool, audit.Detail) {
 	if err := ss.gpuJob(); err != nil {
-		return false, err.Error()
+		return false, audit.Cause(err)
 	}
+	var err error
 	for _, d := range ss.c.GPUs.Devices(ss.gjobNode) {
-		if _, err := d.Read(ss.attacker.Cred, 0, 1); err == nil {
-			return true, "opened the victim's GPU device"
+		if _, err = d.Read(ss.attacker.Cred, 0, 1); err == nil {
+			return true, audit.Note("opened the victim's GPU device")
 		}
 	}
-	return false, "device permissions denied"
+	return false, audit.Denial("device permissions denied", err)
 }
 
 // gpuResidue is the two-phase GPU handover on a live cluster: the
@@ -395,58 +405,58 @@ func (ss *session) gpuDeviceOpen() (bool, string) {
 // the residue itself is destroyed by the epilog clear — both halves of
 // the gpu measure — so the step reopens under the gpu ablation
 // regardless of scheduling policy.
-func (ss *session) gpuResidue() (bool, string) {
+func (ss *session) gpuResidue() (bool, audit.Detail) {
 	secret := []byte(secretToken + "-GPU-WEIGHTS")
 	vj, err := ss.c.Sched.Submit(ss.victim.Cred, sched.JobSpec{
 		Name: "gpu-train", Command: "train", Cores: 1, MemB: 1, GPUs: 1, Duration: 2,
 	})
 	if err != nil {
-		return false, fmt.Sprintf("victim gpu job rejected: %v", err)
+		return false, audit.Detailf("victim gpu job rejected: %v", err)
 	}
 	node, err := ss.place(vj, 32)
 	if err != nil {
-		return false, err.Error()
+		return false, audit.Cause(err)
 	}
 	if node == "" {
 		_ = ss.c.Sched.Cancel(ss.victim.Cred, vj)
-		return false, "victim gpu job never placed"
+		return false, audit.Note("victim gpu job never placed")
 	}
 	if err := ss.victimDevice(node).Write(ss.victim.Cred, 512, secret); err != nil {
-		return false, fmt.Sprintf("victim gpu write failed: %v", err)
+		return false, audit.Detailf("victim gpu write failed: %v", err)
 	}
 	// Let the victim's job run out (Duration 2) and its epilog fire.
 	for i := 0; i < 8; i++ {
-		if j, err := ss.c.Sched.Job(vj); err == nil && j.State != sched.Running && j.State != sched.Pending {
+		if st, _, err := ss.c.Sched.Placement(vj); err == nil && st != sched.Running && st != sched.Pending {
 			break
 		}
 		ss.c.Step()
 	}
 	for _, d := range ss.c.GPUs.Devices(node) {
 		if data, err := d.Read(ss.attacker.Cred, 512, len(secret)); err == nil && bytes.Equal(data, secret) {
-			return true, "previous user's data read from GPU memory"
+			return true, audit.Note("previous user's data read from GPU memory")
 		}
 	}
-	return false, "no residue readable (cleared or access denied)"
+	return false, audit.Note("no residue readable (cleared or access denied)")
 }
 
 // gpuHandover is the idle-cluster form of the GPU handover: the
 // victim's GPU job ends and drains, then the attacker's own GPU job
 // starts on the same node pool and reads every device there.
-func (ss *session) gpuHandover() (bool, string) {
+func (ss *session) gpuHandover() (bool, audit.Detail) {
 	secret := []byte("VICTIM-GPU-WEIGHTS")
 	vj, err := ss.c.Sched.Submit(ss.victim.Cred, sched.JobSpec{
 		Name: "gpu-train", Command: "train", Cores: 1, MemB: 1, GPUs: 1, Duration: 2,
 	})
 	if err != nil {
-		return false, err.Error()
+		return false, audit.Cause(err)
 	}
 	ss.c.Step()
-	job, err := ss.c.Sched.Job(vj)
-	if err != nil || job.State != sched.Running {
-		return false, fmt.Sprintf("victim gpu job not running: %v", err)
+	st, vnode, err := ss.c.Sched.Placement(vj)
+	if err != nil || st != sched.Running {
+		return false, audit.Detailf("victim gpu job not running: %v", err)
 	}
-	if err := ss.victimDevice(job.Nodes[0]).Write(ss.victim.Cred, 512, secret); err != nil {
-		return false, fmt.Sprintf("victim gpu write failed: %v", err)
+	if err := ss.victimDevice(vnode).Write(ss.victim.Cred, 512, secret); err != nil {
+		return false, audit.Detailf("victim gpu write failed: %v", err)
 	}
 	// Victim job ends; device is released (and cleared, if configured).
 	ss.c.RunAll(4)
@@ -454,65 +464,65 @@ func (ss *session) gpuHandover() (bool, string) {
 		Name: "gpu-probe", Command: "probe", Cores: 1, MemB: 1, GPUs: 1, Duration: 8,
 	})
 	if err != nil {
-		return false, err.Error()
+		return false, audit.Cause(err)
 	}
+	var anode string
 	for i := 0; i < 10; i++ {
 		ss.c.Step()
-		if j, _ := ss.c.Sched.Job(aj); j.State == sched.Running {
+		if st, anode, _ = ss.c.Sched.Placement(aj); st == sched.Running {
 			break
 		}
 	}
-	j, _ := ss.c.Sched.Job(aj)
-	if j.State != sched.Running {
-		return false, "attacker gpu job never started"
+	if st != sched.Running {
+		return false, audit.Note("attacker gpu job never started")
 	}
 	// Read residue from every device on the attacker's node, then tear
 	// the probe job down so it does not grant the attacker a legitimate
 	// pam_slurm foothold for later attempts.
 	leaked := false
-	for _, d := range ss.c.GPUs.Devices(j.Nodes[0]) {
+	for _, d := range ss.c.GPUs.Devices(anode) {
 		if data, err := d.Read(ss.attacker.Cred, 512, len(secret)); err == nil && bytes.Equal(data, secret) {
 			leaked = true
 		}
 	}
 	_ = ss.c.Sched.Cancel(ss.attacker.Cred, aj)
 	if leaked {
-		return true, "previous user's data read from GPU memory"
+		return true, audit.Note("previous user's data read from GPU memory")
 	}
-	return false, "no residue readable (cleared or access denied)"
+	return false, audit.Note("no residue readable (cleared or access denied)")
 }
 
 // containerEscape runs a container the attacker was never approved
 // for: the Run itself succeeding is the admission-control escape.
-func (ss *session) containerEscape() (bool, string) {
+func (ss *session) containerEscape() (bool, audit.Detail) {
 	node := ss.c.Compute[len(ss.c.Compute)-1]
 	nHost, err := ss.c.Host(node.Name)
 	if err != nil {
-		return false, err.Error()
+		return false, audit.Cause(err)
 	}
 	ct, err := ss.c.Containers.Run(ss.attacker.Cred, node, ss.c.NS[node.Name], nHost,
 		container.RunSpec{Image: ss.image()})
 	if err != nil {
-		return false, "container admission denied"
+		return false, audit.Denial("container admission denied", err)
 	}
 	if err := ss.seedHome(); err != nil {
-		return false, err.Error()
+		return false, audit.Cause(err)
 	}
 	if _, err := ct.ReadFile(ss.victim.HomePath + "/results.csv"); err == nil {
-		return true, "unapproved container ran and read victim home from inside"
+		return true, audit.Note("unapproved container ran and read victim home from inside")
 	}
-	return true, "unapproved container ran (host FS controls still bound inside)"
+	return true, audit.Note("unapproved container ran (host FS controls still bound inside)")
 }
 
 // containerHomeRead runs an approved container and checks that the
 // host filesystem controls still bind inside it.
-func (ss *session) containerHomeRead() (bool, string) {
+func (ss *session) containerHomeRead() (bool, audit.Detail) {
 	aHost, err := ss.attackerHost()
 	if err == nil {
 		err = ss.seedHome()
 	}
 	if err != nil {
-		return false, err.Error()
+		return false, audit.Cause(err)
 	}
 	image := ss.image()
 	ss.c.Containers.Allow(ss.attacker.UID)
@@ -520,10 +530,10 @@ func (ss *session) containerHomeRead() (bool, string) {
 	ct, err := ss.c.Containers.Run(ss.attacker.Cred, node, ss.c.NS[node.Name], aHost,
 		container.RunSpec{Image: image})
 	if err != nil {
-		return false, err.Error()
+		return false, audit.Cause(err)
 	}
-	if _, err := ct.ReadFile(ss.victim.HomePath + "/results.csv"); err == nil {
-		return true, "read victim home from inside container"
+	if _, err = ct.ReadFile(ss.victim.HomePath + "/results.csv"); err == nil {
+		return true, audit.Note("read victim home from inside container")
 	}
-	return false, "host FS controls bound inside container"
+	return false, audit.Denial("host FS controls bound inside container", err)
 }

@@ -42,7 +42,7 @@ type Outcome struct {
 	// audit channel.
 	StepLeaks    map[string]int
 	ChannelLeaks map[string]int
-	// Events is the campaign's tick-stamped attempt log.
+	// Events is the campaign's tick-stamped attempts, in step order.
 	Events []audit.Event
 }
 
@@ -65,7 +65,6 @@ func (cs *Compiled) Execute(c *core.Cluster, rng *metrics.RNG, maxTicks int) (*O
 		return nil, nil, err
 	}
 	defer ss.close()
-	log := audit.NewLog()
 	start := c.Now()
 	out := &Outcome{
 		Model:         cs.Model,
@@ -73,8 +72,9 @@ func (cs *Compiled) Execute(c *core.Cluster, rng *metrics.RNG, maxTicks int) (*O
 		StartTick:     start,
 		StepLeaks:     make(map[string]int),
 		ChannelLeaks:  make(map[string]int),
+		Events:        make([]audit.Event, 0, len(cs.Steps)),
 	}
-	rep := &audit.Report{ConfigName: c.Cfg.Name + " vs " + cs.Model}
+	rep := &audit.Report{ConfigName: c.Cfg.Name + " vs " + cs.Model, Results: make([]audit.Result, 0, len(cs.Steps))}
 	for i, st := range cs.Steps {
 		// Lie low for 1..Gap ticks while the mix keeps draining. The
 		// draw happens unconditionally — one per step — so the
@@ -86,7 +86,7 @@ func (cs *Compiled) Execute(c *core.Cluster, rng *metrics.RNG, maxTicks int) (*O
 		}
 		res := st.run(ss, st.Name)
 		rep.Results = append(rep.Results, res)
-		log.Record(audit.Event{
+		out.Events = append(out.Events, audit.Event{
 			Tick: c.Now(), Step: st.Name, Channel: st.Channel,
 			Residual: st.Residual, Leaked: res.Leaked, Detail: res.Detail,
 		})
@@ -109,6 +109,5 @@ func (cs *Compiled) Execute(c *core.Cluster, rng *metrics.RNG, maxTicks int) (*O
 		}
 	}
 	out.TicksUsed = c.Now() - start
-	out.Events = log.Events()
 	return out, rep, nil
 }

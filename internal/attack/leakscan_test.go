@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -8,8 +9,14 @@ import (
 	"testing"
 
 	"repro/internal/audit"
+	"repro/internal/container"
 	"repro/internal/core"
+	"repro/internal/metrics"
+	"repro/internal/netsim"
+	"repro/internal/portal"
 	"repro/internal/sched"
+	"repro/internal/simos"
+	"repro/internal/vfs"
 )
 
 func resultsByName(rep *audit.Report) map[string]audit.Result {
@@ -253,4 +260,129 @@ func TestLeakScanGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestKillChainGolden pins the rendered event table of the kill-chain
+// campaign (seed 1, as cmd/leakscan -attack kill-chain runs it) byte for
+// byte: baseline, enhanced, and enhanced minus each registry measure.
+// The goldens in testdata/killchain were recorded while every Detail
+// was still formatted eagerly; they also guard the step-only entries
+// (symlink-plant, gpu-residue, container-escape) that no leak scan
+// renders.
+func TestKillChainGolden(t *testing.T) {
+	spec, err := ModelByName("kill-chain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := spec.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type golden struct {
+		name    string
+		profile core.Profile
+		opts    []core.Option
+	}
+	cases := []golden{
+		{"baseline", core.BaselineProfile(), nil},
+		{"enhanced", core.EnhancedProfile(), nil},
+	}
+	for _, m := range core.Measures() {
+		cases = append(cases, golden{"enhanced-minus-" + m.Name, core.EnhancedProfile(), []core.Option{core.Without(m.Name)}})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := core.NewWithProfile(tc.profile, append([]core.Option{core.WithTopology(core.DefaultTopology())}, tc.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, _, err := cs.Execute(c, metrics.NewRNG(metrics.StreamSeed(1, StreamIndex)), 100000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", "killchain", tc.name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := audit.EventTable(out.Model+" vs "+c.Cfg.Name, out.Events).Render(); got != string(want) {
+				t.Errorf("event table drifted from the golden:\n got:\n%s\nwant:\n%s", got, want)
+			}
+		})
+	}
+}
+
+// TestDenialsKeepTheirError checks that a denied attempt's Detail
+// keeps the typed refusal the mechanism returned, unrendered: a leak
+// scan's closed rows and a kill chain's denied steps on the enhanced
+// profile name the mechanism through errors.As.
+func TestDenialsKeepTheirError(t *testing.T) {
+	enhanced := func() *core.Cluster {
+		c, err := core.NewWithProfile(core.EnhancedProfile(), core.WithTopology(core.DefaultTopology()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	rep, err := LeakScan(enhanced())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := ModelByName("kill-chain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := spec.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _, err := cs.Execute(enhanced(), metrics.NewRNG(metrics.StreamSeed(1, StreamIndex)), 100000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	details := map[string]audit.Detail{}
+	for _, r := range rep.Results {
+		if !r.Leaked {
+			details[r.Probe.Name] = r.Detail
+		}
+	}
+	for _, e := range out.Events {
+		if !e.Leaked {
+			details[e.Step] = e.Detail
+		}
+	}
+	typed := map[string]func(error) bool{
+		"home-file-read":            isA[vfs.PathError],
+		"chmod-world-readable":      isA[vfs.PathError],
+		"tmp-content-read":          isA[vfs.PathError],
+		"tmp-symlink-planting":      isA[vfs.SymlinkError],
+		"acl-grant-to-stranger":     isA[vfs.ACLError],
+		"container-home-read":       isA[vfs.PathError],
+		"symlink-plant":             isA[vfs.SymlinkError],
+		"cross-user-dial":           isA[netsim.FlowError],
+		"rdma-tcp-cm-qp":            isA[netsim.FlowError],
+		"ssh-roam-to-victim-node":   isA[simos.LoginError],
+		"node-roam":                 isA[simos.LoginError],
+		"portal-cross-user-forward": isA[portal.ForwardError],
+		"portal-pivot":              isA[portal.ForwardError],
+		"container-escape":          isA[container.AdmissionError],
+	}
+	for name, is := range typed {
+		d, ok := details[name]
+		if !ok {
+			t.Errorf("%s: not denied on the enhanced profile", name)
+			continue
+		}
+		if !is(d.Err()) {
+			t.Errorf("%s: detail %q keeps %T, not the mechanism's typed denial", name, d, d.Err())
+		}
+	}
+}
+
+// isA reports whether errors.As finds a *T in err.
+func isA[T any, P interface {
+	*T
+	error
+}](err error) bool {
+	var target P
+	return errors.As(err, &target)
 }

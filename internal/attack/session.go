@@ -128,12 +128,12 @@ func (ss *session) seedTmp() error {
 // at most tries ticks, and returns its first node ("" = never placed).
 func (ss *session) place(jobID, tries int) (string, error) {
 	for i := 0; i < tries; i++ {
-		j, err := ss.c.Sched.Job(jobID)
+		st, node, err := ss.c.Sched.Placement(jobID)
 		if err != nil {
 			return "", err
 		}
-		if j.State == sched.Running {
-			return j.Nodes[0], nil
+		if st == sched.Running {
+			return node, nil
 		}
 		ss.c.Step()
 	}

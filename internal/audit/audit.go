@@ -1,11 +1,11 @@
 // Package audit records cross-user attack attempts: a Report holds
-// one Result per attempted channel (the leak scan's table), a Log the
-// tick-stamped Events of a campaign. The attempts themselves live in
-// internal/attack's catalogue. The paper's Results section (§V) is, in
-// effect, a claim about which rows of a report read "closed" under the
-// enhanced configuration — and which three stay "open" (file names in
-// world-writable directories, abstract-namespace unix sockets, direct
-// IB-CM RDMA).
+// one Result per attempted channel (the leak scan's table), a slice of
+// Events the tick-stamped attempts of a campaign. The attempts
+// themselves live in internal/attack's catalogue. The paper's Results
+// section (§V) is, in effect, a claim about which rows of a report
+// read "closed" under the enhanced configuration — and which three
+// stay "open" (file names in world-writable directories,
+// abstract-namespace unix sockets, direct IB-CM RDMA).
 package audit
 
 import (
@@ -52,7 +52,45 @@ func Compare(a, b Probe) int {
 type Result struct {
 	Probe  Probe
 	Leaked bool
-	Detail string
+	Detail Detail
+}
+
+// Detail explains a Result or an Event. It keeps what the attempt
+// observed (the error a mechanism returned, a PID, a byte count)
+// unformatted, so an attempt whose row is never printed never builds
+// its text: String renders it, and only a report or table calls it.
+type Detail struct {
+	text string
+	arg  any
+	verb bool
+}
+
+// Note is a Detail whose text is fixed.
+func Note(text string) Detail { return Detail{text: text} }
+
+// Denial is a Detail whose text is fixed and that keeps err, the
+// refusal the attempt observed, for Err without printing it.
+func Denial(text string, err error) Detail { return Detail{text: text, arg: err} }
+
+// Detailf is a Detail that renders as fmt.Sprintf(format, arg); format
+// has exactly one verb.
+func Detailf(format string, arg any) Detail { return Detail{text: format, arg: arg, verb: true} }
+
+// Cause is a Detail that renders as err's text.
+func Cause(err error) Detail { return Detailf("%v", err) }
+
+// Err returns the error the attempt observed, if the Detail carries
+// one.
+func (d Detail) Err() error {
+	err, _ := d.arg.(error)
+	return err
+}
+
+func (d Detail) String() string {
+	if !d.verb {
+		return d.text
+	}
+	return fmt.Sprintf(d.text, d.arg)
 }
 
 // Report aggregates a scan.
@@ -102,7 +140,7 @@ func (r *Report) Table() *metrics.Table {
 				outcome = "open (residual)"
 			}
 		}
-		t.AddRow(string(res.Probe.Channel), res.Probe.Name, outcome, res.Detail)
+		t.AddRow(string(res.Probe.Channel), res.Probe.Name, outcome, res.Detail.String())
 	}
 	u, resd := r.Leaks()
 	t.AddNote("%d closed, %d unexpected leaks, %d residual channels open", r.Closed(), u, resd)

@@ -10,7 +10,7 @@ import (
 // report builds a Report whose results' details are "detail-<name>".
 func report(config string, results ...Result) *Report {
 	for i := range results {
-		results[i].Detail = "detail-" + results[i].Probe.Name
+		results[i].Detail = Note("detail-" + results[i].Probe.Name)
 	}
 	return &Report{ConfigName: config, Results: results}
 }

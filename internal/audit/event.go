@@ -1,10 +1,6 @@
 package audit
 
-import (
-	"sync"
-
-	"repro/internal/metrics"
-)
+import "repro/internal/metrics"
 
 // Event is one attack attempt made first-class: a tick-stamped
 // record of what was tried, over which channel, and whether the
@@ -12,74 +8,26 @@ import (
 // is a point on the campaign timeline — detection latency is
 // measured as the tick distance from campaign start to the first
 // event with Leaked == false (a denial is the earliest observable a
-// defender could alert on).
+// defender could alert on). A campaign's events keep their append
+// order, unlike a leak scan's sorted report: ordering by tick would
+// lose the intra-tick sequence of a multi-step campaign.
 type Event struct {
-	Tick     int64   `json:"tick"`
-	Step     string  `json:"step"`
-	Channel  Channel `json:"channel"`
-	Residual bool    `json:"residual,omitempty"`
-	Leaked   bool    `json:"leaked"`
-	Detail   string  `json:"detail"`
+	Tick     int64
+	Step     string
+	Channel  Channel
+	Residual bool
+	Leaked   bool
+	Detail   Detail
 }
 
-// Log is an append-only, concurrency-safe event stream. Events keep
-// their append order (the campaign timeline), unlike a leak scan's
-// sorted report — ordering by tick would lose the intra-tick
-// sequence of a multi-step campaign.
-type Log struct {
-	mu     sync.Mutex
-	events []Event
-}
-
-// NewLog returns an empty event log.
-func NewLog() *Log { return &Log{} }
-
-// Record appends an event.
-func (l *Log) Record(e Event) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.events = append(l.events, e)
-}
-
-// Len returns the number of recorded events.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.events)
-}
-
-// Events returns a copy of the stream in append order.
-func (l *Log) Events() []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]Event(nil), l.events...)
-}
-
-// Reset empties the log for reuse across pooled trials.
-func (l *Log) Reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.events = l.events[:0]
-}
-
-// FirstDetection returns the earliest denied attempt, if any.
-func (l *Log) FirstDetection() (Event, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, e := range l.events {
-		if !e.Leaked {
-			return e, true
-		}
-	}
-	return Event{}, false
-}
-
-// Table renders the event stream as an experiment table, one row per
-// attempt in timeline order.
-func (l *Log) Table(title string) *metrics.Table {
+// EventTable renders a campaign's events as an experiment table, one
+// row per attempt in timeline order, with a note naming the first
+// denial.
+func EventTable(title string, events []Event) *metrics.Table {
 	t := metrics.NewTable(title, "tick", "step", "channel", "result", "detail")
 	leaks := 0
-	for _, e := range l.Events() {
+	first := -1
+	for i, e := range events {
 		outcome := "denied"
 		if e.Leaked {
 			leaks++
@@ -87,13 +35,15 @@ func (l *Log) Table(title string) *metrics.Table {
 			if e.Residual {
 				outcome = "leak (residual)"
 			}
+		} else if first < 0 {
+			first = i
 		}
-		t.AddRow(e.Tick, e.Step, string(e.Channel), outcome, e.Detail)
+		t.AddRow(e.Tick, e.Step, string(e.Channel), outcome, e.Detail.String())
 	}
-	if ev, ok := l.FirstDetection(); ok {
-		t.AddNote("%d/%d attempts leaked; first denial at tick %d (%s)", leaks, l.Len(), ev.Tick, ev.Step)
+	if first >= 0 {
+		t.AddNote("%d/%d attempts leaked; first denial at tick %d (%s)", leaks, len(events), events[first].Tick, events[first].Step)
 	} else {
-		t.AddNote("%d/%d attempts leaked; no attempt was ever denied", leaks, l.Len())
+		t.AddNote("%d/%d attempts leaked; no attempt was ever denied", leaks, len(events))
 	}
 	return t
 }

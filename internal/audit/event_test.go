@@ -1,80 +1,60 @@
 package audit
 
 import (
-	"fmt"
+	"errors"
 	"strings"
-	"sync"
 	"testing"
 )
 
-func TestLogTimelineOrder(t *testing.T) {
-	l := NewLog()
-	// Deliberately unsorted ticks and channels: the log is a
-	// timeline, append order must survive.
-	l.Record(Event{Tick: 9, Step: "late", Channel: ChanGPU, Leaked: true})
-	l.Record(Event{Tick: 2, Step: "early", Channel: ChanFS, Leaked: true})
-	l.Record(Event{Tick: 5, Step: "denied", Channel: ChanNetwork, Leaked: false})
-	ev := l.Events()
-	if len(ev) != 3 || l.Len() != 3 {
-		t.Fatalf("events = %d / len = %d", len(ev), l.Len())
+func TestEventTableRendering(t *testing.T) {
+	// Deliberately unsorted ticks: the table is a timeline, so rows
+	// keep the events' order and the note names the first denial in
+	// that order, not the earliest tick.
+	events := []Event{
+		{Tick: 9, Step: "recon", Channel: ChanProcess, Leaked: true},
+		{Tick: 3, Step: "tmp", Channel: ChanTmpNames, Residual: true, Leaked: true},
+		{Tick: 4, Step: "dial", Channel: ChanNetwork, Leaked: false, Detail: Note("dropped")},
+		{Tick: 1, Step: "late-deny", Channel: ChanFS, Leaked: false},
 	}
-	for i, want := range []string{"late", "early", "denied"} {
-		if ev[i].Step != want {
-			t.Errorf("event[%d] = %q, want %q (append order lost)", i, ev[i].Step, want)
-		}
-	}
-	first, ok := l.FirstDetection()
-	if !ok || first.Step != "denied" || first.Tick != 5 {
-		t.Errorf("FirstDetection = %+v/%v, want the tick-5 denial", first, ok)
-	}
-	// Events returns a copy: mutating it must not corrupt the log.
-	ev[0].Step = "mutated"
-	if l.Events()[0].Step != "late" {
-		t.Error("Events() aliases the log's backing array")
-	}
-	l.Reset()
-	if l.Len() != 0 {
-		t.Errorf("len after Reset = %d", l.Len())
-	}
-	if _, ok := l.FirstDetection(); ok {
-		t.Error("FirstDetection on a reset log")
-	}
-}
-
-func TestLogTableRendering(t *testing.T) {
-	l := NewLog()
-	l.Record(Event{Tick: 1, Step: "recon", Channel: ChanProcess, Leaked: true})
-	l.Record(Event{Tick: 3, Step: "tmp", Channel: ChanTmpNames, Residual: true, Leaked: true})
-	l.Record(Event{Tick: 4, Step: "dial", Channel: ChanNetwork, Leaked: false, Detail: "dropped"})
-	out := l.Table("campaign").Render()
-	for _, want := range []string{"LEAK", "leak (residual)", "denied", "first denial at tick 4 (dial)", "2/3 attempts leaked"} {
+	out := EventTable("campaign", events).Render()
+	for _, want := range []string{"LEAK", "leak (residual)", "denied", "dropped", "first denial at tick 4 (dial)", "2/4 attempts leaked"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("event table missing %q:\n%s", want, out)
 		}
 	}
-	l2 := NewLog()
-	l2.Record(Event{Tick: 1, Step: "recon", Channel: ChanProcess, Leaked: true})
-	if out := l2.Table("all-leak").Render(); !strings.Contains(out, "no attempt was ever denied") {
+	if strings.Index(out, "recon") > strings.Index(out, "late-deny") {
+		t.Errorf("event table reordered the timeline:\n%s", out)
+	}
+	if out := EventTable("all-leak", events[:1]).Render(); !strings.Contains(out, "no attempt was ever denied") {
 		t.Errorf("undetected campaign table missing the no-denial note:\n%s", out)
 	}
 }
 
-func TestLogConcurrentRecord(t *testing.T) {
-	l := NewLog()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				l.Record(Event{Tick: int64(i), Step: fmt.Sprintf("w%d", worker), Leaked: i%3 == 0})
-				_ = l.Len()
-				_, _ = l.FirstDetection()
-			}
-		}(w)
+// TestDetailRendering pins the Detail forms: a fixed note (a '%' in it
+// stays literal), one formatted argument, an observed error, and a
+// fixed note that keeps the refusal behind it; Err hands the error
+// back unrendered.
+func TestDetailRendering(t *testing.T) {
+	denied := errors.New("vfs: permission denied: read /x")
+	cases := []struct {
+		d    Detail
+		want string
+		err  error
+	}{
+		{Note("100% closed"), "100% closed", nil},
+		{Detailf("victim pid %d listed", 4), "victim pid 4 listed", nil},
+		{Detailf("file name %q visible", "a b"), `file name "a b" visible`, nil},
+		{Detailf("victim write refused: %v", denied), "victim write refused: vfs: permission denied: read /x", denied},
+		{Detailf("cmdline read: %v", nil), "cmdline read: <nil>", nil},
+		{Cause(denied), denied.Error(), denied},
+		{Denial("UBF dropped cross-user connection", denied), "UBF dropped cross-user connection", denied},
 	}
-	wg.Wait()
-	if l.Len() != 800 {
-		t.Errorf("len = %d, want 800", l.Len())
+	for _, tc := range cases {
+		if got := tc.d.String(); got != tc.want {
+			t.Errorf("String() = %q, want %q", got, tc.want)
+		}
+		if got := tc.d.Err(); got != tc.err {
+			t.Errorf("%q: Err() = %v, want %v", tc.want, got, tc.err)
+		}
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/ids"
@@ -81,13 +82,34 @@ func (r *Runtime) Allow(uid ids.UID) {
 	r.allowed[uid] = true
 }
 
+// AdmissionError is a build or run the runtime refused for UID, in
+// the shape of os.PathError: Err is the sentinel (ErrPrivileged,
+// ErrBuildForbidden), and NotGranted marks a run refused because the
+// user was never approved for the runtime. The text is built only when
+// Error is called.
+type AdmissionError struct {
+	UID        ids.UID
+	Err        error
+	NotGranted bool
+}
+
+func (e *AdmissionError) Error() string {
+	s := e.Err.Error() + ": uid " + strconv.Itoa(int(e.UID))
+	if e.NotGranted {
+		s += " not granted singularity privileges"
+	}
+	return s
+}
+
+func (e *AdmissionError) Unwrap() error { return e.Err }
+
 // Build refuses for everyone except root: "users cannot create and
 // populate their Singularity containers on the HPC system; they must
 // use their own computer" (§IV-G). ImportImage is how pre-built
 // images arrive.
 func (r *Runtime) Build(cred ids.Credential, name string, files map[string]string) (*Image, error) {
 	if !cred.IsRoot() {
-		return nil, fmt.Errorf("%w: uid %d", ErrBuildForbidden, cred.UID)
+		return nil, &AdmissionError{UID: cred.UID, Err: ErrBuildForbidden}
 	}
 	return r.ImportImage(name, files), nil
 }
@@ -140,12 +162,12 @@ type RunSpec struct {
 // passthrough namespace and network.
 func (r *Runtime) Run(cred ids.Credential, node *simos.Node, ns *vfs.Namespace, net *netsim.Host, spec RunSpec) (*Container, error) {
 	if spec.RequestPrivileged && !cred.IsRoot() {
-		return nil, fmt.Errorf("%w: uid %d", ErrPrivileged, cred.UID)
+		return nil, &AdmissionError{UID: cred.UID, Err: ErrPrivileged}
 	}
 	r.mu.Lock()
 	if r.restrict && !r.allowed[cred.UID] && !cred.IsRoot() {
 		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: uid %d not granted singularity privileges", ErrPrivileged, cred.UID)
+		return nil, &AdmissionError{UID: cred.UID, Err: ErrPrivileged, NotGranted: true}
 	}
 	img, ok := r.images[spec.Image]
 	r.mu.Unlock()

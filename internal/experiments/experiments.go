@@ -495,7 +495,7 @@ func E10ResidualChannels() *metrics.Table {
 	}
 	for _, r := range rep.Results {
 		if r.Probe.Residual {
-			t.AddRow(string(r.Probe.Channel), yesNo(r.Leaked), r.Detail)
+			t.AddRow(string(r.Probe.Channel), yesNo(r.Leaked), r.Detail.String())
 		}
 	}
 	unexpected, residual := rep.Leaks()

@@ -44,6 +44,18 @@ var (
 	ErrOOB         = errors.New("gpu: address out of range")
 )
 
+// DeviceError is a GPU the caller may not use: Cause is the node's
+// refusal to open the device. It reads "gpu: device not assigned to
+// caller: <Cause>" and unwraps to ErrNotAssigned only; the text is
+// built only when Error is called.
+type DeviceError struct {
+	Cause error
+}
+
+func (e *DeviceError) Error() string { return ErrNotAssigned.Error() + ": " + e.Cause.Error() }
+
+func (e *DeviceError) Unwrap() error { return ErrNotAssigned }
+
 // MemSize is the simulated device memory per GPU.
 const MemSize = 1 << 16
 
@@ -71,7 +83,7 @@ func newDevice(node *simos.Node, index int) *Device {
 func (d *Device) open(cred ids.Credential) error {
 	_, err := d.node.OpenDev(cred, d.DevPath)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrNotAssigned, err)
+		return &DeviceError{Cause: err}
 	}
 	return nil
 }

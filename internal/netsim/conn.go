@@ -103,7 +103,7 @@ func (h *Host) Dial(cred ids.Credential, proto Proto, dstHost string, dstPort in
 
 	if !listening {
 		h.releaseEphemeral(srcPort)
-		return nil, fmt.Errorf("%w: %s", ErrConnRefused, flow)
+		return nil, &FlowError{Flow: flow, Err: ErrConnRefused}
 	}
 
 	// NEW connection: consult the firewall hook (nfqueue) unless the
@@ -113,7 +113,7 @@ func (h *Host) Dial(cred ids.Credential, proto Proto, dstHost string, dstPort in
 		if v := hook(h.net, flow); v != Accept {
 			h.net.NewConnDropped.Add(1)
 			h.releaseEphemeral(srcPort)
-			return nil, fmt.Errorf("%w: %s", ErrConnDropped, flow)
+			return nil, &FlowError{Flow: flow, Err: ErrConnDropped}
 		}
 	}
 	h.net.NewConnAccepted.Add(1)
@@ -135,7 +135,7 @@ func (c *Conn) Send(data []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return fmt.Errorf("%w: %s", ErrConnClosed, c.Tuple)
+		return &FlowError{Flow: c.Tuple, Err: ErrConnClosed}
 	}
 	// conntrack lookup (cheap map hit) — no firewall hook.
 	dst, err := c.net.Host(c.Tuple.DstHost)

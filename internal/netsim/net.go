@@ -63,6 +63,27 @@ func (f FlowTuple) String() string {
 	return fmt.Sprintf("%s %s:%d -> %s:%d", f.Proto, f.SrcHost, f.SrcPort, f.DstHost, f.DstPort)
 }
 
+// FlowError is a connection attempt that failed or was refused, in the
+// shape of os.PathError: Err is the sentinel (ErrConnDropped when the
+// receiving host's firewall dropped it, ErrConnRefused, ...), Flow the
+// attempt, and Op the operation the text names first ("" for none).
+// The text is built only when Error is called.
+type FlowError struct {
+	Op   string
+	Flow FlowTuple
+	Err  error
+}
+
+func (e *FlowError) Error() string {
+	s := e.Err.Error() + ": " + e.Flow.String()
+	if e.Op != "" {
+		s = e.Op + ": " + s
+	}
+	return s
+}
+
+func (e *FlowError) Unwrap() error { return e.Err }
+
 // reverse returns the tuple of the reply direction.
 func (f FlowTuple) reverse() FlowTuple {
 	return FlowTuple{Proto: f.Proto, SrcHost: f.DstHost, SrcPort: f.DstPort, DstHost: f.SrcHost, DstPort: f.SrcPort}

@@ -110,6 +110,10 @@ func (h *Host) SetupQP(cred ids.Credential, mode QPSetupMode, remote string, ctr
 		return &QueuePair{}, nil
 	}
 	c, err := h.Dial(cred, TCP, remote, ctrlPort)
+	if fe, ok := err.(*FlowError); ok {
+		fe.Op = "rdma qp setup via tcp"
+		return nil, fe
+	}
 	if err != nil {
 		return nil, fmt.Errorf("rdma qp setup via tcp: %w", err)
 	}

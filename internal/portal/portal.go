@@ -16,6 +16,7 @@ package portal
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"repro/internal/ids"
@@ -130,6 +131,30 @@ func (p *Portal) Register(owner ids.Credential, path, node string, port int) (*R
 	return r, nil
 }
 
+// ForwardError is a request Forward refused or could not deliver, in
+// the shape of os.PathError: Err is the sentinel (ErrForbidden when the
+// UBF dropped the hop, ErrBadGateway, ErrNoRoute), Path the route, UID
+// the session user and Cause the network error behind a failed hop.
+// The text is built only when Error is called.
+type ForwardError struct {
+	Path  string
+	UID   ids.UID
+	Err   error
+	Cause error
+}
+
+func (e *ForwardError) Error() string {
+	switch {
+	case e.Cause == nil:
+		return e.Err.Error() + ": " + e.Path
+	case e.Err == ErrForbidden:
+		return e.Err.Error() + ": UBF denied " + e.Path + " for uid " + strconv.Itoa(int(e.UID)) + ": " + e.Cause.Error()
+	}
+	return e.Err.Error() + ": " + e.Cause.Error()
+}
+
+func (e *ForwardError) Unwrap() error { return e.Err }
+
 // Forward handles one authenticated request: resolve the session,
 // resolve the route, and proxy to the compute node *as the
 // authenticated user*. The connection is made over the simulated
@@ -146,7 +171,7 @@ func (p *Portal) Forward(token, path string, payload []byte) ([]byte, error) {
 		return nil, ErrUnauthenticated
 	}
 	if !routed {
-		return nil, fmt.Errorf("%w: %s", ErrNoRoute, path)
+		return nil, &ForwardError{Path: path, Err: ErrNoRoute}
 	}
 	if tunnel {
 		// Legacy tunnel semantics: the hop terminates as the route
@@ -156,13 +181,13 @@ func (p *Portal) Forward(token, path string, payload []byte) ([]byte, error) {
 	conn, err := p.host.Dial(cred, netsim.TCP, r.Node, r.Port)
 	if err != nil {
 		if errors.Is(err, netsim.ErrConnDropped) {
-			return nil, fmt.Errorf("%w: UBF denied %s for uid %d: %v", ErrForbidden, path, cred.UID, err)
+			return nil, &ForwardError{Path: path, UID: cred.UID, Err: ErrForbidden, Cause: err}
 		}
-		return nil, fmt.Errorf("%w: %v", ErrBadGateway, err)
+		return nil, &ForwardError{Path: path, UID: cred.UID, Err: ErrBadGateway, Cause: err}
 	}
 	defer conn.Close()
 	if err := conn.Send(payload); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadGateway, err)
+		return nil, &ForwardError{Path: path, UID: cred.UID, Err: ErrBadGateway, Cause: err}
 	}
 	// The app echoes a response in this simulation; a real app would
 	// be driven by its own handler loop (see AppServer).

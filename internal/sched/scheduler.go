@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/ids"
@@ -191,6 +192,7 @@ var (
 	ErrNotOwner      = errors.New("sched: not job owner")
 	ErrUnsatisfiable = errors.New("sched: request can never be satisfied")
 	ErrBadSpec       = errors.New("sched: invalid job spec")
+	ErrNoJobOnNode   = errors.New("pam_slurm: no running job on the node")
 )
 
 // New creates a scheduler over the given nodes. gpusPerNode sets how
@@ -299,9 +301,23 @@ func (s *Scheduler) pamSlurmHook() simos.PAMHook {
 		if s.HasJobOn(uid, node.Name) {
 			return nil
 		}
-		return fmt.Errorf("pam_slurm: uid %d has no running job on %s", uid, node.Name)
+		return &PAMError{UID: uid, Node: node.Name}
 	}
 }
+
+// PAMError is a login pam_slurm refused because UID has no running
+// job on Node. It unwraps to ErrNoJobOnNode; the text is built only
+// when Error is called.
+type PAMError struct {
+	UID  ids.UID
+	Node string
+}
+
+func (e *PAMError) Error() string {
+	return "pam_slurm: uid " + strconv.Itoa(int(e.UID)) + " has no running job on " + e.Node
+}
+
+func (e *PAMError) Unwrap() error { return ErrNoJobOnNode }
 
 // AddProlog registers a job-start hook.
 func (s *Scheduler) AddProlog(h Hook) {
@@ -653,6 +669,22 @@ func (s *Scheduler) Job(id int) (*Job, error) {
 		return nil, err
 	}
 	return j.Clone(), nil
+}
+
+// Placement returns job id's state and its first node ("" while it
+// has none) without copying the job, for a caller that polls a job
+// until it places; Job returns the whole job as a copy.
+func (s *Scheduler) Placement(id int) (JobState, string, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, err := s.lookup(id)
+	if err != nil {
+		return 0, "", err
+	}
+	if len(j.Nodes) == 0 {
+		return j.State, "", nil
+	}
+	return j.State, j.Nodes[0], nil
 }
 
 // RunAll steps until the queue drains and all jobs finish, up to

@@ -26,26 +26,41 @@ func (s *Scheduler) privileged(observer ids.Credential) bool {
 // Without PrivateData (baseline), every job with full detail is
 // returned — username, job name, command, working directory — the
 // information-leak surface the paper highlights (§IV-B). With
-// PrivateData, foreign jobs are omitted entirely.
+// PrivateData, foreign jobs are omitted entirely. The jobs are copies,
+// in ID order.
 func (s *Scheduler) Squeue(observer ids.Credential) []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Live jobs come from the pending slice and the calendar's live
-	// entries — never from the full job table.
-	priv := !s.Cfg.PrivateData || s.privileged(observer)
 	out := make([]*Job, 0, len(s.pending)+len(s.calendar))
+	s.visitQueueLocked(observer, func(j *Job) { out = append(out, j.Clone()) })
+	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
+	return out
+}
+
+// VisitQueue calls visit on each job Squeue would return, in no fixed
+// order and without copying: visit must neither keep nor modify the
+// job, nor call back into the scheduler.
+func (s *Scheduler) VisitQueue(observer ids.Credential, visit func(*Job)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.visitQueueLocked(observer, visit)
+}
+
+// visitQueueLocked visits the live jobs the observer may see: the
+// pending slice and the calendar's running entries, never the full job
+// table. Caller holds s.mu.
+func (s *Scheduler) visitQueueLocked(observer ids.Credential, visit func(*Job)) {
+	priv := !s.Cfg.PrivateData || s.privileged(observer)
 	for _, j := range s.pending {
 		if priv || j.User == observer.UID {
-			out = append(out, j.Clone())
+			visit(j)
 		}
 	}
 	for _, e := range s.calendar {
 		if j := e.job; j.State == Running && (priv || j.User == observer.UID) {
-			out = append(out, j.Clone())
+			visit(j)
 		}
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
-	return out
 }
 
 // JobView returns one job as seen by the observer. Under PrivateData,

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -126,16 +127,46 @@ func (n *Node) Login(cred ids.Credential) (*Process, error) {
 	if n.Down() {
 		return nil, fmt.Errorf("%w: %s", ErrNodeDown, n.Name)
 	}
+	// The stack is read without a copy: AddPAMHook only appends past
+	// the length read here and ClearPAMHooks replaces the slice, so the
+	// hooks run outside the lock see a stable stack.
 	n.mu.RLock()
-	hooks := append([]PAMHook(nil), n.pam...)
+	hooks := n.pam
 	n.mu.RUnlock()
 	for _, h := range hooks {
 		if err := h(n, cred.UID); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrAccessDenied, err)
+			return nil, &LoginError{Cause: err}
 		}
 	}
 	return n.Procs.Spawn(cred, 1, "bash", "-l"), nil
 }
+
+// LoginError is a login a PAM module refused: Cause is the module's
+// own refusal. It reads "simos: access denied by PAM: <Cause>" and
+// unwraps to ErrAccessDenied only; the text is built only when Error
+// is called.
+type LoginError struct {
+	Cause error
+}
+
+func (e *LoginError) Error() string { return ErrAccessDenied.Error() + ": " + e.Cause.Error() }
+
+func (e *LoginError) Unwrap() error { return ErrAccessDenied }
+
+// DevError is a device open the /dev permission bits refused: Path is
+// the device, Mode its permission bits, UID the caller. It unwraps to
+// ErrPermission; the text is built only when Error is called.
+type DevError struct {
+	Path string
+	Mode uint32
+	UID  ids.UID
+}
+
+func (e *DevError) Error() string {
+	return ErrPermission.Error() + ": " + e.Path + " mode " + strconv.FormatUint(uint64(e.Mode), 8) + " uid " + strconv.Itoa(int(e.UID))
+}
+
+func (e *DevError) Unwrap() error { return ErrPermission }
 
 // AddDev registers a /dev character file.
 func (n *Node) AddDev(path string, owner ids.UID, group ids.GID, mode uint32) {
@@ -181,7 +212,7 @@ func (n *Node) OpenDev(cred ids.Credential, path string) (*DevNode, error) {
 		bits = d.Mode & 7
 	}
 	if bits&6 != 6 { // need read+write to use an accelerator
-		return nil, fmt.Errorf("%w: %s mode %o uid %d", ErrPermission, path, d.Mode, cred.UID)
+		return nil, &DevError{Path: path, Mode: d.Mode, UID: cred.UID}
 	}
 	return d, nil
 }

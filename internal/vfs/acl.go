@@ -1,7 +1,6 @@
 package vfs
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/ids"
@@ -69,15 +68,15 @@ func (fs *FS) SetfaclGroup(ctx Context, path string, gid ids.GID, bits uint32) e
 		return err
 	}
 	if !ctx.Cred.IsRoot() && ctx.Cred.UID != n.owner {
-		return fmt.Errorf("%w: setfacl %s", ErrPermission, path)
+		return &PathError{Op: "setfacl", Path: path, Err: ErrPermission}
 	}
 	if fs.Policy.ACLRestrict && !ctx.Cred.IsRoot() {
 		if !ctx.Cred.InGroup(gid) {
-			return fmt.Errorf("%w: gid %d (caller uid %d not a member)", ErrACLDenied, gid, ctx.Cred.UID)
+			return &ACLError{Caller: ctx.Cred.UID, GID: gid}
 		}
 		if fs.reg != nil {
 			if g, err := fs.reg.Group(gid); err == nil && g.Private && !g.Has(ctx.Cred.UID) {
-				return fmt.Errorf("%w: private group %d", ErrACLDenied, gid)
+				return &ACLError{Caller: ctx.Cred.UID, GID: gid, Private: true}
 			}
 		}
 	}
@@ -113,11 +112,11 @@ func (fs *FS) SetfaclUser(ctx Context, path string, uid ids.UID, bits uint32) er
 		return err
 	}
 	if !ctx.Cred.IsRoot() && ctx.Cred.UID != n.owner {
-		return fmt.Errorf("%w: setfacl %s", ErrPermission, path)
+		return &PathError{Op: "setfacl", Path: path, Err: ErrPermission}
 	}
 	if fs.Policy.ACLRestrict && !ctx.Cred.IsRoot() && uid != ctx.Cred.UID {
 		if fs.reg == nil || !fs.reg.SharedGroup(ctx.Cred.UID, uid) {
-			return fmt.Errorf("%w: uid %d and uid %d share no project group", ErrACLDenied, ctx.Cred.UID, uid)
+			return &ACLError{Caller: ctx.Cred.UID, UID: uid, User: true}
 		}
 	}
 	bits &= 0o7

@@ -31,10 +31,10 @@ func (fs *FS) Symlink(ctx Context, target, linkPath string) error {
 		return err
 	}
 	if _, dup := dir.children[name]; dup {
-		return fmt.Errorf("%w: %s", ErrExist, linkPath)
+		return &PathError{Path: linkPath, Err: ErrExist}
 	}
 	if !fs.can(ctx.Cred, dir, 3) {
-		return fmt.Errorf("%w: symlink %s", ErrPermission, linkPath)
+		return &PathError{Op: "symlink", Path: linkPath, Err: ErrPermission}
 	}
 	fs.own(parentOf(linkPath)).children[name] = &inode{
 		name: name, typ: TypeSymlink,
@@ -55,7 +55,7 @@ func (fs *FS) Readlink(ctx Context, path string) (string, error) {
 		return "", err
 	}
 	if n.typ != TypeSymlink {
-		return "", fmt.Errorf("%w: %s", ErrInvalid, path)
+		return "", &PathError{Path: path, Err: ErrInvalid}
 	}
 	return string(n.data), nil
 }
@@ -70,7 +70,7 @@ func (fs *FS) walkNoFollow(ctx Context, path string) (*inode, error) {
 	}
 	n, ok := dir.children[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotExist, path)
+		return nil, &PathError{Path: path, Err: ErrNotExist}
 	}
 	return n, nil
 }
@@ -100,7 +100,7 @@ func (fs *FS) ResolveLinks(ctx Context, path string) (string, error) {
 
 func (fs *FS) resolveLinksLocked(ctx Context, path string, hops int) (string, error) {
 	if hops > maxSymlinkHops {
-		return "", fmt.Errorf("%w: %s", ErrSymlinkLoop, path)
+		return "", &PathError{Path: path, Err: ErrSymlinkLoop}
 	}
 	dir, name, err := fs.walkParent(ctx, path)
 	if err != nil {
@@ -108,7 +108,7 @@ func (fs *FS) resolveLinksLocked(ctx Context, path string, hops int) (string, er
 	}
 	n, ok := dir.children[name]
 	if !ok {
-		return "", fmt.Errorf("%w: %s", ErrNotExist, path)
+		return "", &PathError{Path: path, Err: ErrNotExist}
 	}
 	if n.typ != TypeSymlink {
 		return path, nil
@@ -117,7 +117,7 @@ func (fs *FS) resolveLinksLocked(ctx Context, path string, hops int) (string, er
 		sticky := dir.mode&ModeSticky != 0
 		worldWritable := dir.mode&0o002 != 0
 		if sticky && worldWritable && n.owner != ctx.Cred.UID && n.owner != dir.owner {
-			return "", fmt.Errorf("%w: %s (link owner %d)", ErrProtectedSymlink, path, n.owner)
+			return "", &SymlinkError{Path: path, Owner: n.owner}
 		}
 	}
 	return fs.resolveLinksLocked(ctx, string(n.data), hops+1)
@@ -156,7 +156,7 @@ func (fs *FS) Rename(ctx Context, oldPath, newPath string) error {
 	}
 	n, ok := oldDir.children[oldName]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotExist, oldPath)
+		return &PathError{Path: oldPath, Err: ErrNotExist}
 	}
 	newDir, newName, err := fs.walkParent(ctx, newPath)
 	if err != nil {
@@ -170,15 +170,15 @@ func (fs *FS) Rename(ctx Context, oldPath, newPath string) error {
 	}
 	if oldDir.mode&ModeSticky != 0 && !ctx.Cred.IsRoot() &&
 		ctx.Cred.UID != n.owner && ctx.Cred.UID != oldDir.owner {
-		return fmt.Errorf("%w: sticky rename %s", ErrPermission, oldPath)
+		return &PathError{Op: "sticky rename", Path: oldPath, Err: ErrPermission}
 	}
 	if existing, dup := newDir.children[newName]; dup {
 		if existing.typ == TypeDir && len(existing.children) > 0 {
-			return fmt.Errorf("%w: %s", ErrNotEmpty, newPath)
+			return &PathError{Path: newPath, Err: ErrNotEmpty}
 		}
 		if newDir.mode&ModeSticky != 0 && !ctx.Cred.IsRoot() &&
 			ctx.Cred.UID != existing.owner && ctx.Cred.UID != newDir.owner {
-			return fmt.Errorf("%w: sticky overwrite %s", ErrPermission, newPath)
+			return &PathError{Op: "sticky overwrite", Path: newPath, Err: ErrPermission}
 		}
 	}
 	// Own both parents, then the moved inode, whose name changes: the

@@ -59,7 +59,7 @@ func (ns *Namespace) Resolve(path string) (*FS, string, error) {
 		}
 	}
 	if !found {
-		return nil, "", fmt.Errorf("%w: no filesystem mounted for %s", ErrNotExist, path)
+		return nil, "", &PathError{Op: "no filesystem mounted for", Path: path, Err: ErrNotExist}
 	}
 	return ns.mounts[best], path, nil
 }

@@ -82,7 +82,7 @@ func (fs *FS) Chmod(ctx Context, path string, mode uint32) error {
 		return err
 	}
 	if !ctx.Cred.IsRoot() && ctx.Cred.UID != n.owner {
-		return fmt.Errorf("%w: chmod %s", ErrPermission, path)
+		return &PathError{Op: "chmod", Path: path, Err: ErrPermission}
 	}
 	eff := mode & permMask
 	// setgid preservation rule: non-root callers not in the file's
@@ -114,7 +114,7 @@ func (fs *FS) chownLocked(ctx Context, path string, owner ids.UID, group ids.GID
 	}
 	if owner != ids.NoUID && owner != n.owner {
 		if !ctx.Cred.IsRoot() {
-			return fmt.Errorf("%w: chown %s", ErrPermission, path)
+			return &PathError{Op: "chown", Path: path, Err: ErrPermission}
 		}
 		n = fs.own(path)
 		n.owner = owner

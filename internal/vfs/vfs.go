@@ -304,14 +304,14 @@ func (fs *FS) resolve(ctx Context, c, orig string) (*inode, error) {
 	for s := 1; s < len(c); {
 		e := compEnd(c, s)
 		if cur.typ != TypeDir {
-			return nil, fmt.Errorf("%w: %s", ErrNotDir, c[1:s-1])
+			return nil, &PathError{Path: c[1 : s-1], Err: ErrNotDir}
 		}
 		if !fs.can(ctx.Cred, cur, 1) { // x on the directory
-			return nil, fmt.Errorf("%w: search %q", ErrPermission, dirPath(c, s-1))
+			return nil, &PathError{Op: "search", Path: dirPath(c, s-1), Err: ErrPermission}
 		}
 		next, ok := cur.children[c[s:e]]
 		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrNotExist, orig)
+			return nil, &PathError{Path: orig, Err: ErrNotExist}
 		}
 		cur = next
 		s = e + 1
@@ -336,7 +336,7 @@ func (fs *FS) walkParent(ctx Context, path string) (*inode, string, error) {
 		return nil, "", err
 	}
 	if dir.typ != TypeDir {
-		return nil, "", fmt.Errorf("%w: parent of %s", ErrNotDir, path)
+		return nil, "", &PathError{Op: "parent of", Path: path, Err: ErrNotDir}
 	}
 	return dir, c[k+1:], nil
 }
@@ -376,10 +376,10 @@ func (fs *FS) mkdirLocked(ctx Context, path string, mode uint32) error {
 		return err
 	}
 	if _, dup := dir.children[name]; dup {
-		return fmt.Errorf("%w: %s", ErrExist, path)
+		return &PathError{Path: path, Err: ErrExist}
 	}
 	if !fs.can(ctx.Cred, dir, 3) { // w+x on parent
-		return fmt.Errorf("%w: mkdir %s", ErrPermission, path)
+		return &PathError{Op: "mkdir", Path: path, Err: ErrPermission}
 	}
 	fs.mkdirIn(ctx, fs.own(parentOf(path)), name, mode)
 	return nil
@@ -436,15 +436,15 @@ func (fs *FS) mkdirAllLocked(ctx Context, c string, mode uint32) error {
 	for s := 1; s < len(c); {
 		e := compEnd(c, s)
 		if up != nil && !fs.can(ctx.Cred, up, 1) {
-			return fmt.Errorf("%w: search %q", ErrPermission, dirPath(c, upEnd))
+			return &PathError{Op: "search", Path: dirPath(c, upEnd), Err: ErrPermission}
 		}
 		if dir.typ != TypeDir {
-			return fmt.Errorf("%w: parent of %s", ErrNotDir, c[:e])
+			return &PathError{Op: "parent of", Path: c[:e], Err: ErrNotDir}
 		}
 		next, ok := dir.children[c[s:e]]
 		if !ok {
 			if !fs.can(ctx.Cred, dir, 3) {
-				return fmt.Errorf("%w: mkdir %s", ErrPermission, c[:e])
+				return &PathError{Op: "mkdir", Path: c[:e], Err: ErrPermission}
 			}
 			dir = fs.own(dirPath(c, dirEnd))
 			next = fs.mkdirIn(ctx, dir, c[s:e], mode)
@@ -468,16 +468,16 @@ func (fs *FS) WriteFile(ctx Context, path string, data []byte, mode uint32) erro
 	}
 	if existing, ok := dir.children[name]; ok {
 		if existing.typ == TypeDir {
-			return fmt.Errorf("%w: %s", ErrIsDir, path)
+			return &PathError{Path: path, Err: ErrIsDir}
 		}
 		if !fs.can(ctx.Cred, existing, 2) {
-			return fmt.Errorf("%w: write %s", ErrPermission, path)
+			return &PathError{Op: "write", Path: path, Err: ErrPermission}
 		}
 		fs.own(path).data = append([]byte(nil), data...)
 		return nil
 	}
 	if !fs.can(ctx.Cred, dir, 3) {
-		return fmt.Errorf("%w: create %s", ErrPermission, path)
+		return &PathError{Op: "create", Path: path, Err: ErrPermission}
 	}
 	group := ctx.Cred.EGID
 	if dir.mode&ModeSetgid != 0 {
@@ -502,10 +502,10 @@ func (fs *FS) ReadFile(ctx Context, path string) ([]byte, error) {
 		return nil, err
 	}
 	if n.typ == TypeDir {
-		return nil, fmt.Errorf("%w: %s", ErrIsDir, path)
+		return nil, &PathError{Path: path, Err: ErrIsDir}
 	}
 	if !fs.can(ctx.Cred, n, 4) {
-		return nil, fmt.Errorf("%w: read %s", ErrPermission, path)
+		return nil, &PathError{Op: "read", Path: path, Err: ErrPermission}
 	}
 	return append([]byte(nil), n.data...), nil
 }
@@ -521,10 +521,10 @@ func (fs *FS) ReadDir(ctx Context, path string) ([]string, error) {
 		return nil, err
 	}
 	if n.typ != TypeDir {
-		return nil, fmt.Errorf("%w: %s", ErrNotDir, path)
+		return nil, &PathError{Path: path, Err: ErrNotDir}
 	}
 	if !fs.can(ctx.Cred, n, 4) {
-		return nil, fmt.Errorf("%w: readdir %s", ErrPermission, path)
+		return nil, &PathError{Op: "readdir", Path: path, Err: ErrPermission}
 	}
 	names := make([]string, 0, len(n.children))
 	for name := range n.children {
@@ -569,17 +569,17 @@ func (fs *FS) Unlink(ctx Context, path string) error {
 	}
 	n, ok := dir.children[name]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotExist, path)
+		return &PathError{Path: path, Err: ErrNotExist}
 	}
 	if n.typ == TypeDir && len(n.children) > 0 {
-		return fmt.Errorf("%w: %s", ErrNotEmpty, path)
+		return &PathError{Path: path, Err: ErrNotEmpty}
 	}
 	if !fs.can(ctx.Cred, dir, 3) {
-		return fmt.Errorf("%w: unlink in %s", ErrPermission, path)
+		return &PathError{Op: "unlink in", Path: path, Err: ErrPermission}
 	}
 	if dir.mode&ModeSticky != 0 && !ctx.Cred.IsRoot() &&
 		ctx.Cred.UID != n.owner && ctx.Cred.UID != dir.owner {
-		return fmt.Errorf("%w: sticky %s", ErrPermission, path)
+		return &PathError{Op: "sticky", Path: path, Err: ErrPermission}
 	}
 	delete(fs.own(parentOf(path)).children, name)
 	return nil

@@ -29,6 +29,9 @@ var reachPackages = []string{
 var reachAllowMethods = map[string]bool{
 	"Error":  true,
 	"String": true,
+	// errors.Is and errors.As reach a typed denial's sentinel through
+	// interface{ Unwrap() error }.
+	"Unwrap": true,
 }
 
 // repoFile is one parsed non-test Go file.

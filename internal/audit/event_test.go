@@ -6,24 +6,43 @@ import (
 	"testing"
 )
 
-func TestEventTableRendering(t *testing.T) {
-	// Deliberately unsorted ticks: the table is a timeline, so rows
-	// keep the events' order and the note names the first denial in
-	// that order, not the earliest tick.
+// TestLogTimelineOrder pins that a campaign's event table is a
+// timeline: rows keep the events' append order, not tick order, and the
+// note names the first denial in that order, not the earliest tick.
+func TestLogTimelineOrder(t *testing.T) {
 	events := []Event{
-		{Tick: 9, Step: "recon", Channel: ChanProcess, Leaked: true},
-		{Tick: 3, Step: "tmp", Channel: ChanTmpNames, Residual: true, Leaked: true},
-		{Tick: 4, Step: "dial", Channel: ChanNetwork, Leaked: false, Detail: Note("dropped")},
+		{Tick: 9, Step: "late", Channel: ChanGPU, Leaked: true},
+		{Tick: 2, Step: "early", Channel: ChanFS, Leaked: true},
+		{Tick: 5, Step: "denied", Channel: ChanNetwork, Leaked: false},
 		{Tick: 1, Step: "late-deny", Channel: ChanFS, Leaked: false},
 	}
 	out := EventTable("campaign", events).Render()
-	for _, want := range []string{"LEAK", "leak (residual)", "denied", "dropped", "first denial at tick 4 (dial)", "2/4 attempts leaked"} {
+	var steps []string
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) >= 2 && f[0] != "tick" && !strings.HasPrefix(f[0], "-") && !strings.HasPrefix(f[0], "=") && f[0] != "note:" {
+			steps = append(steps, f[1])
+		}
+	}
+	want := []string{"late", "early", "denied", "late-deny"}
+	if strings.Join(steps, ",") != strings.Join(want, ",") {
+		t.Errorf("event table rows = %v, want %v (append order lost):\n%s", steps, want, out)
+	}
+	if !strings.Contains(out, "first denial at tick 5 (denied)") {
+		t.Errorf("note does not name the first denial in timeline order:\n%s", out)
+	}
+}
+
+func TestLogTableRendering(t *testing.T) {
+	events := []Event{
+		{Tick: 1, Step: "recon", Channel: ChanProcess, Leaked: true},
+		{Tick: 3, Step: "tmp", Channel: ChanTmpNames, Residual: true, Leaked: true},
+		{Tick: 4, Step: "dial", Channel: ChanNetwork, Leaked: false, Detail: Note("dropped")},
+	}
+	out := EventTable("campaign", events).Render()
+	for _, want := range []string{"LEAK", "leak (residual)", "denied", "dropped", "first denial at tick 4 (dial)", "2/3 attempts leaked"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("event table missing %q:\n%s", want, out)
 		}
-	}
-	if strings.Index(out, "recon") > strings.Index(out, "late-deny") {
-		t.Errorf("event table reordered the timeline:\n%s", out)
 	}
 	if out := EventTable("all-leak", events[:1]).Render(); !strings.Contains(out, "no attempt was ever denied") {
 		t.Errorf("undetected campaign table missing the no-denial note:\n%s", out)

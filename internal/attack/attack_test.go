@@ -2,7 +2,9 @@ package attack
 
 import (
 	"encoding/json"
+	"maps"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -307,27 +309,19 @@ func mustCompile(t *testing.T, model string) *Compiled {
 
 // TestKillChainAblationDiagonal is the E17 diagonal at step
 // granularity: dropping exactly one measure from the enhanced set
-// reopens exactly that measure's attack steps — nothing else — and
-// the ubf row shows the defense-in-depth coupling (the portal hop
-// rides the user-bound firewall, so ablating ubf reopens both).
+// reopens exactly the non-residual steps the oracle opens without it
+// (the chain's recon starts the victim's job) — for ubf that is both
+// ubf-probe and portal-pivot, since the portal hop rides the
+// user-bound firewall.
 func TestKillChainAblationDiagonal(t *testing.T) {
-	diagonal := map[string][]string{
-		"hidepid":            {"recon-proc"},
-		"privatedata":        {"recon-squeue"},
-		"wholenode":          {"node-roam"},
-		"smask":              {"home-probe"},
-		"protected-symlinks": {"symlink-plant"},
-		"ubf":                {"ubf-probe", "portal-pivot"},
-		"portal":             {"portal-pivot"},
-		"gpu":                {"gpu-residue"},
-		"container":          {"container-escape"},
-	}
 	chain := mustCompile(t, "kill-chain")
 	for _, m := range core.Measures() {
 		t.Run("-"+m.Name, func(t *testing.T) {
-			want, ok := diagonal[m.Name]
-			if !ok {
-				t.Fatalf("measure %q has no diagonal expectation (new measure? add its attack steps)", m.Name)
+			var want []string
+			for _, st := range chain.Steps {
+				if !st.Residual() && st.Open(atomsWithout(m.Name, LiveVictimJob)...) {
+					want = append(want, st.Name)
+				}
 			}
 			c := core.MustNewWithProfile(core.EnhancedProfile(), core.Without(m.Name))
 			var rng metrics.RNG
@@ -336,13 +330,8 @@ func TestKillChainAblationDiagonal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var got []string
-			for name := range out.StepLeaks {
-				got = append(got, name)
-			}
-			sort.Strings(got)
-			sort.Strings(want)
-			if !reflect.DeepEqual(got, want) {
+			got := slices.Sorted(maps.Keys(out.StepLeaks))
+			if slices.Sort(want); !slices.Equal(got, want) {
 				t.Errorf("-%s reopened %v, want %v\n%s", m.Name, got, want, rep.Table().Render())
 			}
 		})

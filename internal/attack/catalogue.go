@@ -19,9 +19,11 @@ import (
 type Entry struct {
 	Name    string
 	Channel audit.Channel
-	// Residual marks the channels the paper concedes stay open under
-	// the enhanced configuration.
-	Residual bool
+	// Closes is the entry's closing condition: it is closed when every
+	// atom of any one set is present. Atoms are registry measure names
+	// and LiveVictimJob. nil marks a residual channel, one the paper
+	// concedes stays open under the enhanced configuration.
+	Closes [][]string
 	// Label is the E16 channel the entry reports under ("" = none). A
 	// label reopens when any entry carrying it leaks.
 	Label string
@@ -31,9 +33,33 @@ type Entry struct {
 	attempt func(ss *session) (leaked bool, detail audit.Detail)
 }
 
+// LiveVictimJob is the one closing atom that is not a registry
+// measure: the victim's long-running batch job holds its node while
+// the entry runs.
+const LiveVictimJob = "live-victim-job"
+
+// Residual reports whether no atoms close the entry.
+func (e *Entry) Residual() bool { return len(e.Closes) == 0 }
+
+// Open reports whether the entry should leak when exactly the atoms in
+// present hold. The condition has no negation, so adding an atom never
+// reopens an entry.
+func (e *Entry) Open(present ...string) bool {
+closing:
+	for _, set := range e.Closes {
+		for _, atom := range set {
+			if !slices.Contains(present, atom) {
+				continue closing
+			}
+		}
+		return false
+	}
+	return true
+}
+
 // probe is the report row the entry fills under name.
 func (e *Entry) probe(name string) audit.Probe {
-	return audit.Probe{Channel: e.Channel, Name: name, Residual: e.Residual}
+	return audit.Probe{Channel: e.Channel, Name: name, Residual: e.Residual()}
 }
 
 // run attempts the entry and records it under name.
@@ -49,29 +75,34 @@ const (
 )
 
 // catalogue lists every attempt, grouped by the paper section whose
-// measure closes it; E16 reports its labels in this order.
+// measure closes it, the three residual channels last; E16 reports its
+// labels in this order.
 var catalogue = []Entry{
-	{Name: "ps-foreign-visible", Channel: audit.ChanProcess, Label: "E1 foreign-pids", Scan: true, attempt: (*session).psForeign},
-	{Name: "cmdline-secret-read", Channel: audit.ChanProcess, Scan: true, attempt: (*session).cmdlineRead},
-	{Name: "squeue-foreign-job", Channel: audit.ChanScheduler, Label: "E3 foreign-jobs", Scan: true, attempt: (*session).squeueForeign},
-	{Name: "ssh-roam-to-victim-node", Channel: audit.ChanScheduler, Label: "E5 ssh-roam", Scan: true, attempt: (*session).sshRoam},
-	{Name: "home-file-read", Channel: audit.ChanFS, Label: labelE6Files, Scan: true, attempt: (*session).homeRead},
-	{Name: "chmod-world-readable", Channel: audit.ChanFS, Label: labelE6Files, Scan: true, attempt: (*session).chmodRead},
-	{Name: "tmp-content-read", Channel: audit.ChanFS, Label: labelE6Files, Scan: true, attempt: (*session).tmpRead},
-	{Name: "acl-grant-to-stranger", Channel: audit.ChanFS, Scan: true, attempt: (*session).aclGrant},
-	{Name: "tmp-symlink-planting", Channel: audit.ChanFS, Scan: true, attempt: (*session).symlinkHarvest},
-	{Name: "symlink-plant", Channel: audit.ChanFS, Label: "E6 symlink-clobber", attempt: (*session).symlinkClobber},
-	{Name: "cross-user-dial", Channel: audit.ChanNetwork, Label: "E7 stranger-flow", Scan: true, attempt: (*session).crossDial},
-	{Name: "rdma-tcp-cm-qp", Channel: audit.ChanNetwork, Scan: true, attempt: (*session).rdmaTCP},
-	{Name: "gpu-device-open", Channel: audit.ChanGPU, Label: labelE9GPU, attempt: (*session).gpuDeviceOpen},
-	{Name: "gpu-residue", Channel: audit.ChanGPU, Label: labelE9GPU, attempt: (*session).gpuResidue},
-	{Name: "gpu-memory-residue", Channel: audit.ChanGPU, Scan: true, attempt: (*session).gpuHandover},
-	{Name: "portal-cross-user-forward", Channel: audit.ChanPortal, Label: "E11 portal-forward", Scan: true, attempt: (*session).portalForward},
-	{Name: "container-escape", Channel: audit.ChanContainer, Label: "E12 container-unapproved", attempt: (*session).containerEscape},
-	{Name: "container-home-read", Channel: audit.ChanContainer, Scan: true, attempt: (*session).containerHomeRead},
-	{Name: "tmp-filename-listing", Channel: audit.ChanTmpNames, Residual: true, Scan: true, attempt: (*session).tmpNames},
-	{Name: "abstract-socket-send", Channel: audit.ChanAbstract, Residual: true, Scan: true, attempt: (*session).abstractSend},
-	{Name: "rdma-native-cm-qp", Channel: audit.ChanRDMACM, Residual: true, Scan: true, attempt: (*session).rdmaNativeCM},
+	{Name: "ps-foreign-visible", Channel: audit.ChanProcess, Closes: [][]string{{"hidepid"}}, Label: "E1 foreign-pids", Scan: true, attempt: (*session).psForeign},
+	{Name: "cmdline-secret-read", Channel: audit.ChanProcess, Closes: [][]string{{"hidepid"}}, Scan: true, attempt: (*session).cmdlineRead},
+	{Name: "squeue-foreign-job", Channel: audit.ChanScheduler, Closes: [][]string{{"privatedata"}}, Label: "E3 foreign-jobs", Scan: true, attempt: (*session).squeueForeign},
+	{Name: "ssh-roam-to-victim-node", Channel: audit.ChanScheduler, Closes: [][]string{{"wholenode"}}, Label: "E5 ssh-roam", Scan: true, attempt: (*session).sshRoam},
+	{Name: "home-file-read", Channel: audit.ChanFS, Closes: [][]string{{"smask"}}, Label: labelE6Files, Scan: true, attempt: (*session).homeRead},
+	{Name: "chmod-world-readable", Channel: audit.ChanFS, Closes: [][]string{{"smask"}}, Label: labelE6Files, Scan: true, attempt: (*session).chmodRead},
+	{Name: "tmp-content-read", Channel: audit.ChanFS, Closes: [][]string{{"smask"}}, Label: labelE6Files, Scan: true, attempt: (*session).tmpRead},
+	{Name: "acl-grant-to-stranger", Channel: audit.ChanFS, Closes: [][]string{{"smask"}}, Scan: true, attempt: (*session).aclGrant},
+	{Name: "tmp-symlink-planting", Channel: audit.ChanFS, Closes: [][]string{{"smask"}, {"protected-symlinks"}}, Scan: true, attempt: (*session).symlinkHarvest},
+	{Name: "symlink-plant", Channel: audit.ChanFS, Closes: [][]string{{"protected-symlinks"}}, Label: "E6 symlink-clobber", attempt: (*session).symlinkClobber},
+	{Name: "cross-user-dial", Channel: audit.ChanNetwork, Closes: [][]string{{"ubf"}}, Label: "E7 stranger-flow", Scan: true, attempt: (*session).crossDial},
+	{Name: "rdma-tcp-cm-qp", Channel: audit.ChanNetwork, Closes: [][]string{{"ubf"}}, Scan: true, attempt: (*session).rdmaTCP},
+	{Name: "gpu-device-open", Channel: audit.ChanGPU, Closes: [][]string{{"gpu"}}, Label: labelE9GPU, attempt: (*session).gpuDeviceOpen},
+	{Name: "gpu-residue", Channel: audit.ChanGPU, Closes: [][]string{{"gpu"}}, Label: labelE9GPU, attempt: (*session).gpuResidue},
+	{Name: "gpu-memory-residue", Channel: audit.ChanGPU, Closes: [][]string{{"gpu"}, {"wholenode", LiveVictimJob}}, Scan: true, attempt: (*session).gpuHandover},
+	// The forwarded hop rides the UBF, and without the portal measure
+	// the gateway dials as the route owner, whom the UBF admits.
+	{Name: "portal-cross-user-forward", Channel: audit.ChanPortal, Closes: [][]string{{"ubf", "portal"}}, Label: "E11 portal-forward", Scan: true, attempt: (*session).portalForward},
+	{Name: "container-escape", Channel: audit.ChanContainer, Closes: [][]string{{"container"}}, Label: "E12 container-unapproved", attempt: (*session).containerEscape},
+	// Containers pass the host filesystem through (§IV-G): the home
+	// read inside one is closed by smask, not by admission control.
+	{Name: "container-home-read", Channel: audit.ChanContainer, Closes: [][]string{{"smask"}}, Scan: true, attempt: (*session).containerHomeRead},
+	{Name: "tmp-filename-listing", Channel: audit.ChanTmpNames, Scan: true, attempt: (*session).tmpNames},
+	{Name: "abstract-socket-send", Channel: audit.ChanAbstract, Scan: true, attempt: (*session).abstractSend},
+	{Name: "rdma-native-cm-qp", Channel: audit.ChanRDMACM, Scan: true, attempt: (*session).rdmaNativeCM},
 }
 
 // entry resolves a catalogue entry by name; an unknown name is a
@@ -84,6 +115,10 @@ func entry(name string) Entry {
 	}
 	panic("attack: no catalogue entry " + name)
 }
+
+// Catalogue returns the probe catalogue in its order. The slice is a
+// copy.
+func Catalogue() []Entry { return slices.Clone(catalogue) }
 
 // LeakScan runs the full attack-surface sweep of the paper's Results
 // section (§V) against a fresh cluster: it provisions a victim and an
@@ -242,8 +277,11 @@ func (ss *session) aclGrant() (bool, audit.Detail) {
 }
 
 // symlinkHarvest pre-plants a symlink where the victim's job will
-// write, pointing at an attacker-readable file.
+// write, pointing at an attacker-readable file. The link has its own
+// name, apart from symlinkClobber's, so either attempt plants its link
+// whichever ran first.
 func (ss *session) symlinkHarvest() (bool, audit.Detail) {
+	const link = "/tmp/victim-job-output.tmp"
 	localFS := ss.c.LocalFS[ss.login.Name]
 	if err := localFS.WriteFile(ss.actx, "/tmp/.harvest", nil, 0o666); err != nil {
 		return false, audit.Cause(err)
@@ -251,11 +289,11 @@ func (ss *session) symlinkHarvest() (bool, audit.Detail) {
 	if err := localFS.Chmod(ss.actx, "/tmp/.harvest", 0o666); err != nil {
 		return false, audit.Cause(err)
 	}
-	if err := localFS.Symlink(ss.actx, "/tmp/.harvest", "/tmp/victim-checkpoint.tmp"); err != nil {
+	if err := localFS.Symlink(ss.actx, "/tmp/.harvest", link); err != nil {
 		return false, audit.Cause(err)
 	}
-	// The victim's job writes its checkpoint "as usual".
-	if err := localFS.WriteFileFollow(ss.vctx, "/tmp/victim-checkpoint.tmp", []byte("checkpoint-secret"), 0o600); err != nil {
+	// The victim's job writes its output "as usual".
+	if err := localFS.WriteFileFollow(ss.vctx, link, []byte("checkpoint-secret"), 0o600); err != nil {
 		return false, audit.Detailf("victim write refused: %v", err)
 	}
 	if d, err := localFS.ReadFile(ss.actx, "/tmp/.harvest"); err == nil && strings.Contains(string(d), "checkpoint-secret") {
@@ -357,8 +395,9 @@ func (ss *session) tmpNames() (bool, audit.Detail) {
 	if err != nil {
 		return false, audit.Cause(err)
 	}
+	// The victim's own file, not a link the attacker planted.
 	for _, n := range names {
-		if strings.Contains(n, "victim") {
+		if n == tmpName {
 			return true, audit.Detailf("file name %q visible", n)
 		}
 	}
@@ -439,9 +478,11 @@ func (ss *session) gpuResidue() (bool, audit.Detail) {
 	return false, audit.Note("no residue readable (cleared or access denied)")
 }
 
-// gpuHandover is the idle-cluster form of the GPU handover: the
+// gpuHandover is the job-to-job form of the GPU handover: the
 // victim's GPU job ends and drains, then the attacker's own GPU job
-// starts on the same node pool and reads every device there.
+// starts on the same node pool and reads every device there. Under
+// whole-node scheduling the victim's long job, when live, keeps the
+// attacker off the victim's node; on an idle cluster nothing does.
 func (ss *session) gpuHandover() (bool, audit.Detail) {
 	secret := []byte("VICTIM-GPU-WEIGHTS")
 	vj, err := ss.c.Sched.Submit(ss.victim.Cred, sched.JobSpec{

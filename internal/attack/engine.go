@@ -88,13 +88,13 @@ func (cs *Compiled) Execute(c *core.Cluster, rng *metrics.RNG, maxTicks int) (*O
 		rep.Results = append(rep.Results, res)
 		out.Events = append(out.Events, audit.Event{
 			Tick: c.Now(), Step: st.Name, Channel: st.Channel,
-			Residual: st.Residual, Leaked: res.Leaked, Detail: res.Detail,
+			Residual: st.Residual(), Leaked: res.Leaked, Detail: res.Detail,
 		})
 		out.Steps++
 		if res.Leaked {
 			out.Leaks++
 			out.ChannelLeaks[string(st.Channel)]++
-			if st.Residual {
+			if st.Residual() {
 				out.ResidualLeaks++
 			} else {
 				out.StepLeaks[st.Name]++

@@ -23,7 +23,8 @@ const (
 	victimSvcPort    = 5000
 	victimAppPort    = 8888
 	scratchFile      = "/scratch/shared/victim-output.dat"
-	tmpFile          = "/tmp/victim-projectX-run7.tmp"
+	tmpName          = "victim-projectX-run7.tmp"
+	tmpFile          = "/tmp/" + tmpName
 	victimSocket     = "victim-coordinator"
 	probeImage       = "probe-img"
 	attackerPassword = "attacker-pw"

@@ -8,7 +8,7 @@ import (
 
 // Step is one registry entry: a catalogue entry under the name
 // campaigns reference in Spec.Steps. The engine adds the pacing; the
-// attempt, channel, residual flag and E16 label are the entry's.
+// attempt, channel, closing condition and E16 label are the entry's.
 type Step struct {
 	// Name is the registry key; it shadows the catalogue entry's name,
 	// which stays reachable as Entry.Name.

@@ -127,6 +127,6 @@ func E16AblationMatrix() *metrics.Table {
 	}
 	t.AddNote("each row rebuilds the cluster from EnhancedProfile() minus one registry measure")
 	t.AddNote("diagonal shape = the paper's claim: every measure closes its own channel, none is redundant cover for another")
-	t.AddNote("gpu row: the epilog-clear residue stays masked by wholenode colocation denial (defense in depth); the device-permission channel reopens regardless")
+	t.AddNote("gpu row: both E9 entries close under the gpu measure alone; wholenode masks the missing epilog clear only while the victim's long job holds its node (leakscan's gpu-memory-residue, outside E9)")
 	return t
 }

@@ -91,8 +91,8 @@ var allocPins = []struct {
 	{"DeniedProbe/portal-forward", perOp(deniedPortalForward), 5},
 	{"DeniedProbe/container-admission", perOp(deniedContainerRun), 1},
 	{"FleetCampaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE4PolicyGrid, 1) }), 3485},
-	{"E16Ablation", perOp(e16Ablation), 13013},
-	{"E17Campaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE17RedTeam, 1) }), 18051},
+	{"E16Ablation", perOp(e16Ablation), 12984},
+	{"E17Campaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE17RedTeam, 1) }), 17952},
 }
 
 // TestAllocPins checks each single-worker benchmark row's allocations

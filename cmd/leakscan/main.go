@@ -17,8 +17,10 @@
 // Exit status: 0 if the full (un-ablated) enhanced configuration
 // shows no unexpected leaks (only the paper's three residual
 // channels) and — when -attack is given — its campaign scores no
-// non-residual leak, 1 otherwise. Ablated runs are informational and
-// never gate, since reopening channels is their point.
+// non-residual leak, 1 otherwise. Ablated runs never gate on leaks,
+// since reopening channels is their point; an inconclusive verdict
+// (an attempt that neither leaked nor met an observed refusal) exits
+// 1 on any run, since its row proves nothing.
 package main
 
 import (
@@ -93,11 +95,15 @@ func main() {
 			fmt.Printf("ablated vs %s:\n  %s\n\n", p.Name, strings.Join(diff, "\n  "))
 		}
 		rep, err := attack.LeakScan(c)
-		if err != nil {
+		if rep == nil {
 			fmt.Fprintf(os.Stderr, "leakscan: scan %s: %v\n", c.Cfg.Name, err)
 			os.Exit(2)
 		}
 		fmt.Println(rep.Table().Render())
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "leakscan: scan %s: %v\n", c.Cfg.Name, err)
+			failed = true
+		}
 		if unexpected, _ := rep.Leaks(); c.Cfg.Name == "enhanced" && unexpected > 0 {
 			failed = true
 		}
@@ -120,10 +126,14 @@ func main() {
 				fmt.Fprintf(os.Stderr, "leakscan: %s campaign broke through enhanced at step %d\n", out.Model, out.StepsToFirstLeak)
 				failed = true
 			}
+			if out.Inconclusive > 0 {
+				fmt.Fprintf(os.Stderr, "leakscan: %s campaign on %s: %d inconclusive steps\n", out.Model, c.Cfg.Name, out.Inconclusive)
+				failed = true
+			}
 		}
 	}
 	if failed {
-		fmt.Fprintln(os.Stderr, "leakscan: enhanced configuration leaked unexpectedly")
+		fmt.Fprintln(os.Stderr, "leakscan: enhanced configuration leaked unexpectedly, or a verdict was inconclusive")
 		os.Exit(1)
 	}
 	if len(opts) == 0 && *profileName == "" {

@@ -22,6 +22,9 @@ type Agg struct {
 	Detected  int `json:"detected"`
 	// ResidualLeaks sums residual-channel leaks over trials.
 	ResidualLeaks int `json:"residual_leaks"`
+	// Inconclusive sums inconclusive steps over trials; absent from the
+	// JSON while zero.
+	Inconclusive int `json:"inconclusive,omitempty"`
 	// StepsToFirstLeak accumulates, over successful trials only, the
 	// 1-based index of the first non-residual leaking step.
 	StepsToFirstLeak metrics.Acc `json:"steps_to_first_leak"`
@@ -53,6 +56,7 @@ func (a *Agg) AddOutcome(o *Outcome) {
 		a.DetectionLatency.Add(float64(o.DetectionTick - o.StartTick))
 	}
 	a.ResidualLeaks += o.ResidualLeaks
+	a.Inconclusive += o.Inconclusive
 	for k, v := range o.StepLeaks {
 		a.StepLeaks[k] += v
 	}
@@ -69,6 +73,7 @@ func (a *Agg) Merge(o *Agg) {
 	a.Successes += o.Successes
 	a.Detected += o.Detected
 	a.ResidualLeaks += o.ResidualLeaks
+	a.Inconclusive += o.Inconclusive
 	a.StepsToFirstLeak.Merge(o.StepsToFirstLeak)
 	a.DetectionLatency.Merge(o.DetectionLatency)
 	if a.StepLeaks == nil {

@@ -244,6 +244,7 @@ func TestAggMergeMatchesSequentialAdd(t *testing.T) {
 		}
 		outs[i] = out
 	}
+	outs[2].Inconclusive = 1 // merged like every other count
 	all := NewAgg()
 	for _, o := range outs {
 		all.AddOutcome(o)
@@ -258,8 +259,9 @@ func TestAggMergeMatchesSequentialAdd(t *testing.T) {
 	if string(aj) != string(mj) {
 		t.Errorf("merged aggregate differs from sequential:\n%s\nvs\n%s", mj, aj)
 	}
-	if all.Trials != 3 || all.Successes != 2 || all.Detected != 1 {
-		t.Errorf("aggregate = %d trials / %d successes / %d detected, want 3/2/1", all.Trials, all.Successes, all.Detected)
+	if all.Trials != 3 || all.Successes != 2 || all.Detected != 1 || all.Inconclusive != 1 {
+		t.Errorf("aggregate = %d trials / %d successes / %d detected / %d inconclusive, want 3/2/1/1",
+			all.Trials, all.Successes, all.Detected, all.Inconclusive)
 	}
 	clone := all.Clone()
 	clone.StepLeaks["recon-proc"] += 100
@@ -271,10 +273,14 @@ func TestAggMergeMatchesSequentialAdd(t *testing.T) {
 func TestAggJSONShapeStable(t *testing.T) {
 	// An empty aggregate must render materialized maps ({}, not null):
 	// attacked scenarios keep one JSON shape whether or not any step
-	// ever leaked, and a checkpoint round-trip preserves it.
+	// ever leaked, and a checkpoint round-trip preserves it. The
+	// inconclusive count is absent while zero.
 	data, err := json.Marshal(NewAgg())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "inconclusive") {
+		t.Errorf("empty Agg JSON %s carries an inconclusive count", data)
 	}
 	for _, want := range []string{`"step_leaks":{}`, `"channel_leaks":{}`} {
 		if !strings.Contains(string(data), want) {

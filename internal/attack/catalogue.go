@@ -2,12 +2,14 @@ package attack
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"strings"
 
 	"repro/internal/audit"
 	"repro/internal/container"
 	"repro/internal/core"
+	"repro/internal/gpu"
 	"repro/internal/netsim"
 	"repro/internal/sched"
 )
@@ -30,7 +32,7 @@ type Entry struct {
 	// Scan marks the entries of the LeakScan sweep.
 	Scan bool
 
-	attempt func(ss *session) (leaked bool, detail audit.Detail)
+	attempt func(ss *session) observation
 }
 
 // LiveVictimJob is the one closing atom that is not a registry
@@ -64,8 +66,8 @@ func (e *Entry) probe(name string) audit.Probe {
 
 // run attempts the entry and records it under name.
 func (e *Entry) run(ss *session, name string) audit.Result {
-	leaked, detail := e.attempt(ss)
-	return audit.Result{Probe: e.probe(name), Leaked: leaked, Detail: detail}
+	o := e.attempt(ss)
+	return audit.Result{Probe: e.probe(name), Verdict: verdictOf(o), Detail: o.detail}
 }
 
 // E16 channel labels, keyed to the experiment that owns each channel.
@@ -128,18 +130,27 @@ func Catalogue() []Entry { return slices.Clone(catalogue) }
 // leaks everywhere; enhanced closes everything except the three
 // residual channels (file names in world-writable directories,
 // abstract-namespace unix sockets, direct IB-CM RDMA).
+//
+// A scan with an inconclusive row returns its report and an error
+// naming every such entry: the report shows what ran, but it proves
+// nothing about the entries the error names.
 func LeakScan(c *core.Cluster) (*audit.Report, error) {
 	ss, err := newSession(c)
 	if err != nil {
 		return nil, err
 	}
+	return ss.leakScan()
+}
+
+// leakScan is LeakScan on a provisioned session.
+func (ss *session) leakScan() (*audit.Report, error) {
 	// The victim's activity comes first and in a fixed order, so the
 	// PIDs and job IDs the report prints depend on the topology alone.
+	// A setup that fails here fails again in each entry that needs it,
+	// and that entry reads inconclusive.
 	ss.spawn()
 	for _, setup := range []func() error{ss.seedHome, ss.seedScratch, ss.seedTmp, ss.listen, ss.openSocket, ss.route} {
-		if err := setup(); err != nil {
-			return nil, err
-		}
+		_ = setup()
 	}
 	var scan []*Entry
 	for i := range catalogue {
@@ -148,56 +159,86 @@ func LeakScan(c *core.Cluster) (*audit.Report, error) {
 		}
 	}
 	slices.SortFunc(scan, func(a, b *Entry) int { return audit.Compare(a.probe(a.Name), b.probe(b.Name)) })
-	rep := &audit.Report{ConfigName: c.Cfg.Name}
+	rep := &audit.Report{ConfigName: ss.c.Cfg.Name}
+	var inconclusive []string
 	for _, e := range scan {
-		rep.Results = append(rep.Results, e.run(ss, e.Name))
+		r := e.run(ss, e.Name)
+		if r.Verdict == audit.Inconclusive {
+			inconclusive = append(inconclusive, e.Name)
+		}
+		rep.Results = append(rep.Results, r)
 	}
-	return rep, nil
+	return rep, inconclusiveErr(ss.c, inconclusive)
 }
 
 // Reopened runs every entry that carries an E16 label against one
 // session on c and returns the labels that reopened, each once, in
-// catalogue order.
+// catalogue order. An inconclusive entry fails it.
 func Reopened(c *core.Cluster) ([]string, error) {
 	ss, err := newSession(c)
 	if err != nil {
 		return nil, err
 	}
-	var labels []string
+	var labels, inconclusive []string
 	for i := range catalogue {
 		e := &catalogue[i]
-		if e.Label != "" && e.run(ss, e.Name).Leaked && !slices.Contains(labels, e.Label) {
+		if e.Label == "" {
+			continue
+		}
+		switch v := e.run(ss, e.Name).Verdict; {
+		case v == audit.Inconclusive:
+			inconclusive = append(inconclusive, e.Name)
+		case v == audit.Leaked && !slices.Contains(labels, e.Label):
 			labels = append(labels, e.Label)
 		}
+	}
+	if err := inconclusiveErr(c, inconclusive); err != nil {
+		return nil, err
 	}
 	return labels, nil
 }
 
-func (ss *session) psForeign() (bool, audit.Detail) {
+// inconclusiveErr names the entries whose verdict on c was
+// inconclusive, if any.
+func inconclusiveErr(c *core.Cluster, names []string) error {
+	if len(names) == 0 {
+		return nil
+	}
+	return fmt.Errorf("attack: inconclusive on %s: %s", c.Cfg.Name, strings.Join(names, ", "))
+}
+
+func (ss *session) psForeign() observation {
 	ss.spawn()
 	// Match by PID, not credential: under hidepid=1 List returns
 	// redacted stubs whose Cred is zeroed, but the foreign pid
 	// appearing in readdir is itself the leak.
 	for _, p := range ss.c.Proc[ss.login.Name].List(ss.attacker.Cred) {
 		if p.PID == ss.vproc.PID {
-			return true, audit.Detailf("victim pid %d listed", p.PID)
+			return leaked(audit.Detailf("victim pid %d listed", p.PID))
 		}
 	}
-	return false, audit.Note("no foreign pids in /proc listing")
+	return omitted(audit.Note("no foreign pids in /proc listing"), ss.victimRunning())
 }
 
-func (ss *session) cmdlineRead() (bool, audit.Detail) {
+func (ss *session) cmdlineRead() observation {
 	ss.spawn()
 	cl, err := ss.c.Proc[ss.login.Name].ReadCmdline(ss.attacker.Cred, ss.vproc.PID)
 	if err == nil && strings.Contains(cl, secretToken) {
-		return true, audit.Note("read secret from /proc/<pid>/cmdline")
+		return leaked(audit.Note("read secret from /proc/<pid>/cmdline"))
 	}
-	return false, audit.Detailf("cmdline read: %v", err)
+	return omitted(audit.Detailf("cmdline read: %v", err), ss.victimRunning())
 }
 
-func (ss *session) squeueForeign() (bool, audit.Detail) {
+// victimRunning reports whether the victim's login process is still in
+// its node's table, so a view without it omitted a live process.
+func (ss *session) victimRunning() bool {
+	_, ok := ss.login.Procs.Lookup(ss.vproc.PID)
+	return ok
+}
+
+func (ss *session) squeueForeign() observation {
 	if err := ss.victimJob(); err != nil {
-		return false, audit.Cause(err)
+		return stoppedBy(err)
 	}
 	// The victim's lowest job ID in the attacker's squeue view, read
 	// without copying the queue.
@@ -209,97 +250,96 @@ func (ss *session) squeueForeign() (bool, audit.Detail) {
 	})
 	switch {
 	case first == 0:
-		return false, audit.Note("no foreign jobs in squeue")
+		st, _, err := ss.c.Sched.Placement(ss.vjobID)
+		return omitted(audit.Note("no foreign jobs in squeue"), err == nil && st == sched.Running)
 	case secret:
-		return true, audit.Detailf("job %d command visible", first)
+		return leaked(audit.Detailf("job %d command visible", first))
 	}
-	return true, audit.Detailf("foreign job %d visible", first)
+	return leaked(audit.Detailf("foreign job %d visible", first))
 }
 
-func (ss *session) sshRoam() (bool, audit.Detail) {
+func (ss *session) sshRoam() observation {
 	if err := ss.victimJob(); err != nil {
-		return false, audit.Cause(err)
+		return stoppedBy(err)
 	}
-	_, err := ss.c.LoginShell(ss.vjobNode, ss.attacker.Cred)
-	if err == nil {
-		return true, audit.Note("ssh to victim's compute node succeeded")
+	if _, err := ss.c.LoginShell(ss.vjobNode, ss.attacker.Cred); err != nil {
+		return stopped(audit.Denial("pam denied compute-node ssh", err))
 	}
-	return false, audit.Denial("pam denied compute-node ssh", err)
+	return leaked(audit.Note("ssh to victim's compute node succeeded"))
 }
 
-func (ss *session) homeRead() (bool, audit.Detail) {
+func (ss *session) homeRead() observation {
 	if err := ss.seedHome(); err != nil {
-		return false, audit.Cause(err)
+		return stoppedBy(err)
 	}
 	d, err := ss.c.SharedFS.ReadFile(ss.actx, ss.victim.HomePath+"/results.csv")
-	if err == nil {
-		return true, audit.Detailf("read %d bytes from victim home", len(d))
+	if err != nil {
+		return stopped(audit.Denial("home traversal denied", err))
 	}
-	return false, audit.Denial("home traversal denied", err)
+	return leaked(audit.Detailf("read %d bytes from victim home", len(d)))
 }
 
-func (ss *session) chmodRead() (bool, audit.Detail) {
+func (ss *session) chmodRead() observation {
 	if err := ss.seedScratch(); err != nil {
-		return false, audit.Cause(err)
+		return stoppedBy(err)
 	}
 	d, err := ss.c.SharedFS.ReadFile(ss.actx, scratchFile)
-	if err == nil {
-		return true, audit.Detailf("read %d bytes via mistyped chmod", len(d))
+	if err != nil {
+		return stopped(audit.Denial("smask stripped world bits", err))
 	}
-	return false, audit.Denial("smask stripped world bits", err)
+	return leaked(audit.Detailf("read %d bytes via mistyped chmod", len(d)))
 }
 
-func (ss *session) tmpRead() (bool, audit.Detail) {
+func (ss *session) tmpRead() observation {
 	if err := ss.seedTmp(); err != nil {
-		return false, audit.Cause(err)
+		return stoppedBy(err)
 	}
 	d, err := ss.c.NS[ss.login.Name].ReadFile(ss.actx, tmpFile)
-	if err == nil {
-		return true, audit.Detailf("read %d bytes from victim tmp file", len(d))
+	if err != nil {
+		return stopped(audit.Denial("tmp file content protected", err))
 	}
-	return false, audit.Denial("tmp file content protected", err)
+	return leaked(audit.Detailf("read %d bytes from victim tmp file", len(d)))
 }
 
 // aclGrant is the accidental-sharing scenario: the *victim* tries to
 // (mis)grant the attacker access to a scratch file.
-func (ss *session) aclGrant() (bool, audit.Detail) {
+func (ss *session) aclGrant() observation {
 	if err := ss.seedScratch(); err != nil {
-		return false, audit.Cause(err)
+		return stoppedBy(err)
 	}
 	if err := ss.c.SharedFS.SetfaclUser(ss.vctx, scratchFile, ss.attacker.UID, 0o4); err != nil {
-		return false, audit.Denial("acl grant rejected (no shared project group)", err)
+		return stopped(audit.Denial("acl grant rejected (no shared project group)", err))
 	}
-	_, err := ss.c.SharedFS.ReadFile(ss.actx, scratchFile)
-	if err == nil {
-		return true, audit.Note("read via stranger acl")
+	if _, err := ss.c.SharedFS.ReadFile(ss.actx, scratchFile); err != nil {
+		return stopped(audit.Denial("acl granted but read denied", err))
 	}
-	return false, audit.Denial("acl granted but read denied", err)
+	return leaked(audit.Note("read via stranger acl"))
 }
 
 // symlinkHarvest pre-plants a symlink where the victim's job will
 // write, pointing at an attacker-readable file. The link has its own
 // name, apart from symlinkClobber's, so either attempt plants its link
 // whichever ran first.
-func (ss *session) symlinkHarvest() (bool, audit.Detail) {
+func (ss *session) symlinkHarvest() observation {
 	const link = "/tmp/victim-job-output.tmp"
 	localFS := ss.c.LocalFS[ss.login.Name]
-	if err := localFS.WriteFile(ss.actx, "/tmp/.harvest", nil, 0o666); err != nil {
-		return false, audit.Cause(err)
-	}
-	if err := localFS.Chmod(ss.actx, "/tmp/.harvest", 0o666); err != nil {
-		return false, audit.Cause(err)
-	}
-	if err := localFS.Symlink(ss.actx, "/tmp/.harvest", link); err != nil {
-		return false, audit.Cause(err)
+	err := ss.plant("/tmp/.harvest", link, func() error {
+		if err := localFS.WriteFile(ss.actx, "/tmp/.harvest", nil, 0o666); err != nil {
+			return err
+		}
+		return localFS.Chmod(ss.actx, "/tmp/.harvest", 0o666)
+	})
+	if err != nil {
+		return stoppedBy(err)
 	}
 	// The victim's job writes its output "as usual".
 	if err := localFS.WriteFileFollow(ss.vctx, link, []byte("checkpoint-secret"), 0o600); err != nil {
-		return false, audit.Detailf("victim write refused: %v", err)
+		return stopped(audit.Detailf("victim write refused: %v", err))
 	}
 	if d, err := localFS.ReadFile(ss.actx, "/tmp/.harvest"); err == nil && strings.Contains(string(d), "checkpoint-secret") {
-		return true, audit.Note("victim data harvested via planted symlink")
+		return leaked(audit.Note("victim data harvested via planted symlink"))
 	}
-	return false, audit.Note("no data harvested")
+	return stopped(audit.Note("no data harvested"))
 }
 
 // symlinkClobber is the sticky-dir clobber fs.protected_symlinks
@@ -307,161 +347,182 @@ func (ss *session) symlinkHarvest() (bool, audit.Detail) {
 // file, so smask cannot help (the victim has every permission on the
 // target) — if the victim's routine checkpoint write follows the link,
 // their results were corrupted on the attacker's say-so.
-func (ss *session) symlinkClobber() (bool, audit.Detail) {
+func (ss *session) symlinkClobber() observation {
 	localFS := ss.c.LocalFS[ss.login.Name]
-	if err := localFS.WriteFile(ss.vctx, "/tmp/victim-results.dat", []byte("precious-"+secretToken), 0o600); err != nil {
-		return false, audit.Cause(err)
-	}
-	if err := localFS.Symlink(ss.actx, "/tmp/victim-results.dat", "/tmp/victim-checkpoint.tmp"); err != nil {
-		return false, audit.Cause(err)
+	err := ss.plant("/tmp/victim-results.dat", "/tmp/victim-checkpoint.tmp", func() error {
+		return localFS.WriteFile(ss.vctx, "/tmp/victim-results.dat", []byte("precious-"+secretToken), 0o600)
+	})
+	if err != nil {
+		return stoppedBy(err)
 	}
 	if err := localFS.WriteFileFollow(ss.vctx, "/tmp/victim-checkpoint.tmp", []byte("CLOBBERED"), 0o600); err != nil {
-		return false, audit.Detailf("victim write refused: %v", err)
+		return stopped(audit.Detailf("victim write refused: %v", err))
 	}
 	if d, err := localFS.ReadFile(ss.vctx, "/tmp/victim-results.dat"); err == nil && string(d) == "CLOBBERED" {
-		return true, audit.Note("victim results clobbered via planted symlink")
+		return leaked(audit.Note("victim results clobbered via planted symlink"))
 	}
-	return false, audit.Note("victim write did not follow the planted link")
+	return stopped(audit.Note("victim write did not follow the planted link"))
 }
 
-func (ss *session) crossDial() (bool, audit.Detail) {
+func (ss *session) crossDial() observation {
 	aHost, err := ss.attackerHost()
 	if err == nil {
 		err = ss.listen()
 	}
 	if err != nil {
-		return false, audit.Cause(err)
+		return stoppedBy(err)
 	}
 	conn, err := aHost.Dial(ss.attacker.Cred, netsim.TCP, ss.vjobNode, victimSvcPort)
-	if err == nil {
-		conn.Close()
-		return true, audit.Note("connected to victim service")
+	if err != nil {
+		return stopped(audit.Denial("UBF dropped cross-user connection", err))
 	}
-	return false, audit.Denial("UBF dropped cross-user connection", err)
+	conn.Close()
+	return leaked(audit.Note("connected to victim service"))
 }
 
-func (ss *session) rdmaTCP() (bool, audit.Detail) {
+func (ss *session) rdmaTCP() observation {
 	aHost, err := ss.attackerHost()
 	if err == nil {
 		err = ss.listen()
 	}
 	if err != nil {
-		return false, audit.Cause(err)
+		return stoppedBy(err)
 	}
 	qp, err := aHost.SetupQP(ss.attacker.Cred, netsim.QPViaTCP, ss.vjobNode, victimSvcPort)
-	if err == nil {
-		qp.Close()
-		return true, audit.Note("QP control channel connected cross-user")
+	if err != nil {
+		return stopped(audit.Denial("UBF dropped QP control channel", err))
 	}
-	return false, audit.Denial("UBF dropped QP control channel", err)
+	qp.Close()
+	return leaked(audit.Note("QP control channel connected cross-user"))
 }
 
-func (ss *session) rdmaNativeCM() (bool, audit.Detail) {
+func (ss *session) rdmaNativeCM() observation {
 	aHost, err := ss.attackerHost()
 	if err == nil {
 		err = ss.victimJob()
 	}
 	if err != nil {
-		return false, audit.Cause(err)
+		return stoppedBy(err)
 	}
 	qp, err := aHost.SetupQP(ss.attacker.Cred, netsim.QPViaNativeCM, ss.vjobNode, 0)
 	if err != nil {
-		return false, audit.Cause(err)
+		return stoppedBy(err)
 	}
 	_ = qp.Write([]byte("rdma"))
 	qp.Close()
-	return true, audit.Note("QP established via native CM (firewall bypassed)")
+	return leaked(audit.Note("QP established via native CM (firewall bypassed)"))
 }
 
-func (ss *session) portalForward() (bool, audit.Detail) {
+func (ss *session) portalForward() observation {
 	if err := ss.route(); err != nil {
-		return false, audit.Cause(err)
+		return stoppedBy(err)
 	}
 	tok, err := ss.c.Portal.Login(ss.attacker.Cred, attackerPassword)
 	if err != nil {
-		return false, audit.Cause(err)
+		return stoppedBy(err)
 	}
-	if _, err = ss.c.Portal.Forward(tok, "/jupyter/victim", []byte("GET /")); err == nil {
-		return true, audit.Note("reached victim's web app through portal")
+	if _, err = ss.c.Portal.Forward(tok, "/jupyter/victim", []byte("GET /")); err != nil {
+		return stopped(audit.Denial("portal forward denied end-to-end", err))
 	}
-	return false, audit.Denial("portal forward denied end-to-end", err)
+	return leaked(audit.Note("reached victim's web app through portal"))
 }
 
-func (ss *session) tmpNames() (bool, audit.Detail) {
+func (ss *session) tmpNames() observation {
 	if err := ss.seedTmp(); err != nil {
-		return false, audit.Cause(err)
+		return stoppedBy(err)
 	}
 	names, err := ss.c.NS[ss.login.Name].ReadDir(ss.actx, "/tmp")
 	if err != nil {
-		return false, audit.Cause(err)
+		return stoppedBy(err)
 	}
 	// The victim's own file, not a link the attacker planted.
 	for _, n := range names {
 		if n == tmpName {
-			return true, audit.Detailf("file name %q visible", n)
+			return leaked(audit.Detailf("file name %q visible", n))
 		}
 	}
-	return false, audit.Note("no victim names in /tmp")
+	return stopped(audit.Note("no victim names in /tmp"))
 }
 
-func (ss *session) abstractSend() (bool, audit.Detail) {
+func (ss *session) abstractSend() observation {
 	loginHost, err := ss.c.Host(ss.login.Name)
 	if err == nil {
 		err = ss.openSocket()
 	}
 	if err != nil {
-		return false, audit.Cause(err)
+		return stoppedBy(err)
 	}
 	if err := loginHost.DialAbstract(ss.attacker.Cred, victimSocket, []byte("injected")); err != nil {
-		return false, audit.Cause(err)
+		return stoppedBy(err)
 	}
 	if _, from, ok := ss.vsock.Recv(); ok && from == ss.attacker.UID {
-		return true, audit.Note("datagram delivered cross-user")
+		return leaked(audit.Note("datagram delivered cross-user"))
 	}
-	return false, audit.Note("no delivery")
+	return stopped(audit.Note("no delivery"))
 }
 
 // gpuDeviceOpen is the /dev permission half of §IV-F: can the attacker
 // open the device of the victim's running GPU job from outside? No
 // colocation is needed, so whole-node scheduling cannot mask it.
-func (ss *session) gpuDeviceOpen() (bool, audit.Detail) {
+func (ss *session) gpuDeviceOpen() observation {
 	if err := ss.gpuJob(); err != nil {
-		return false, audit.Cause(err)
+		return stoppedBy(err)
 	}
 	var err error
 	for _, d := range ss.c.GPUs.Devices(ss.gjobNode) {
 		if _, err = d.Read(ss.attacker.Cred, 0, 1); err == nil {
-			return true, audit.Note("opened the victim's GPU device")
+			return leaked(audit.Note("opened the victim's GPU device"))
 		}
 	}
-	return false, audit.Denial("device permissions denied", err)
+	return stopped(audit.Denial("device permissions denied", err))
+}
+
+// residue is the attacker's read of dev, the victim's GPU on vnode,
+// after the victim's job released it, from anode: the node of the
+// attacker's own job, or vnode itself when the attacker reads from
+// outside. It names which of three things kept the secret from the
+// attacker: the device refused the read, the epilog cleared it, or the
+// scheduler kept the attacker's job off the victim's node.
+func (ss *session) residue(dev *gpu.Device, vnode, anode string, secret []byte) observation {
+	if anode != vnode {
+		return omitted(audit.Note("no residue: attacker kept off victim's node"), true)
+	}
+	data, err := dev.Read(ss.attacker.Cred, 512, len(secret))
+	switch {
+	case err != nil:
+		return stopped(audit.Denial("no residue: device access denied", err))
+	case bytes.Equal(data, secret):
+		return leaked(audit.Note("previous user's data read from GPU memory"))
+	}
+	return omitted(audit.Note("no residue: device memory cleared"), true)
 }
 
 // gpuResidue is the two-phase GPU handover on a live cluster: the
 // victim's GPU job writes a secret to device memory and completes; the
-// attacker then reads the same node's devices looking for the residue.
-// The read is blocked by the prolog's device-permission binding and
-// the residue itself is destroyed by the epilog clear — both halves of
-// the gpu measure — so the step reopens under the gpu ablation
-// regardless of scheduling policy.
-func (ss *session) gpuResidue() (bool, audit.Detail) {
+// attacker then reads the same device looking for the residue. The
+// read is blocked by the prolog's device-permission binding and the
+// residue itself is destroyed by the epilog clear — both halves of the
+// gpu measure — so the step reopens under the gpu ablation regardless
+// of scheduling policy.
+func (ss *session) gpuResidue() observation {
 	secret := []byte(secretToken + "-GPU-WEIGHTS")
 	vj, err := ss.c.Sched.Submit(ss.victim.Cred, sched.JobSpec{
 		Name: "gpu-train", Command: "train", Cores: 1, MemB: 1, GPUs: 1, Duration: 2,
 	})
-	if err != nil {
-		return false, audit.Detailf("victim gpu job rejected: %v", err)
+	node := ""
+	if err == nil {
+		node, err = ss.place(vj, 32)
 	}
-	node, err := ss.place(vj, 32)
 	if err != nil {
-		return false, audit.Cause(err)
+		return stoppedBy(err)
 	}
 	if node == "" {
 		_ = ss.c.Sched.Cancel(ss.victim.Cred, vj)
-		return false, audit.Note("victim gpu job never placed")
+		return stopped(audit.Note("victim gpu job never placed"))
 	}
-	if err := ss.victimDevice(node).Write(ss.victim.Cred, 512, secret); err != nil {
-		return false, audit.Detailf("victim gpu write failed: %v", err)
+	dev, err := ss.gpuSecret(node, secret)
+	if err != nil {
+		return stoppedBy(err)
 	}
 	// Let the victim's job run out (Duration 2) and its epilog fire.
 	for i := 0; i < 8; i++ {
@@ -470,34 +531,31 @@ func (ss *session) gpuResidue() (bool, audit.Detail) {
 		}
 		ss.c.Step()
 	}
-	for _, d := range ss.c.GPUs.Devices(node) {
-		if data, err := d.Read(ss.attacker.Cred, 512, len(secret)); err == nil && bytes.Equal(data, secret) {
-			return true, audit.Note("previous user's data read from GPU memory")
-		}
-	}
-	return false, audit.Note("no residue readable (cleared or access denied)")
+	return ss.residue(dev, node, node, secret)
 }
 
 // gpuHandover is the job-to-job form of the GPU handover: the
 // victim's GPU job ends and drains, then the attacker's own GPU job
-// starts on the same node pool and reads every device there. Under
-// whole-node scheduling the victim's long job, when live, keeps the
-// attacker off the victim's node; on an idle cluster nothing does.
-func (ss *session) gpuHandover() (bool, audit.Detail) {
+// starts on the same node pool and reads the victim's device if it
+// landed on its node. Under whole-node scheduling the victim's long
+// job, when live, keeps the attacker off the victim's node; on an idle
+// cluster nothing does.
+func (ss *session) gpuHandover() observation {
 	secret := []byte("VICTIM-GPU-WEIGHTS")
 	vj, err := ss.c.Sched.Submit(ss.victim.Cred, sched.JobSpec{
 		Name: "gpu-train", Command: "train", Cores: 1, MemB: 1, GPUs: 1, Duration: 2,
 	})
 	if err != nil {
-		return false, audit.Cause(err)
+		return stoppedBy(err)
 	}
 	ss.c.Step()
 	st, vnode, err := ss.c.Sched.Placement(vj)
 	if err != nil || st != sched.Running {
-		return false, audit.Detailf("victim gpu job not running: %v", err)
+		return stopped(audit.Detailf("victim gpu job not running: %v", err))
 	}
-	if err := ss.victimDevice(vnode).Write(ss.victim.Cred, 512, secret); err != nil {
-		return false, audit.Detailf("victim gpu write failed: %v", err)
+	dev, err := ss.gpuSecret(vnode, secret)
+	if err != nil {
+		return stoppedBy(err)
 	}
 	// Victim job ends; device is released (and cleared, if configured).
 	ss.c.RunAll(4)
@@ -505,7 +563,7 @@ func (ss *session) gpuHandover() (bool, audit.Detail) {
 		Name: "gpu-probe", Command: "probe", Cores: 1, MemB: 1, GPUs: 1, Duration: 8,
 	})
 	if err != nil {
-		return false, audit.Cause(err)
+		return stoppedBy(err)
 	}
 	var anode string
 	for i := 0; i < 10; i++ {
@@ -515,66 +573,54 @@ func (ss *session) gpuHandover() (bool, audit.Detail) {
 		}
 	}
 	if st != sched.Running {
-		return false, audit.Note("attacker gpu job never started")
+		return stopped(audit.Note("attacker gpu job never started"))
 	}
-	// Read residue from every device on the attacker's node, then tear
-	// the probe job down so it does not grant the attacker a legitimate
-	// pam_slurm foothold for later attempts.
-	leaked := false
-	for _, d := range ss.c.GPUs.Devices(anode) {
-		if data, err := d.Read(ss.attacker.Cred, 512, len(secret)); err == nil && bytes.Equal(data, secret) {
-			leaked = true
-		}
-	}
+	// Read the residue, then tear the probe job down so it does not
+	// grant the attacker a legitimate pam_slurm foothold for later
+	// attempts.
+	o := ss.residue(dev, vnode, anode, secret)
 	_ = ss.c.Sched.Cancel(ss.attacker.Cred, aj)
-	if leaked {
-		return true, audit.Note("previous user's data read from GPU memory")
-	}
-	return false, audit.Note("no residue readable (cleared or access denied)")
+	return o
 }
 
 // containerEscape runs a container the attacker was never approved
 // for: the Run itself succeeding is the admission-control escape.
-func (ss *session) containerEscape() (bool, audit.Detail) {
+func (ss *session) containerEscape() observation {
 	node := ss.c.Compute[len(ss.c.Compute)-1]
 	nHost, err := ss.c.Host(node.Name)
 	if err != nil {
-		return false, audit.Cause(err)
+		return stoppedBy(err)
 	}
 	ct, err := ss.c.Containers.Run(ss.attacker.Cred, node, ss.c.NS[node.Name], nHost,
 		container.RunSpec{Image: ss.image()})
 	if err != nil {
-		return false, audit.Denial("container admission denied", err)
+		return stopped(audit.Denial("container admission denied", err))
 	}
 	if err := ss.seedHome(); err != nil {
-		return false, audit.Cause(err)
+		return stoppedBy(err)
 	}
 	if _, err := ct.ReadFile(ss.victim.HomePath + "/results.csv"); err == nil {
-		return true, audit.Note("unapproved container ran and read victim home from inside")
+		return leaked(audit.Note("unapproved container ran and read victim home from inside"))
 	}
-	return true, audit.Note("unapproved container ran (host FS controls still bound inside)")
+	return leaked(audit.Note("unapproved container ran (host FS controls still bound inside)"))
 }
 
 // containerHomeRead runs an approved container and checks that the
 // host filesystem controls still bind inside it.
-func (ss *session) containerHomeRead() (bool, audit.Detail) {
+func (ss *session) containerHomeRead() observation {
 	aHost, err := ss.attackerHost()
 	if err == nil {
 		err = ss.seedHome()
 	}
+	var ct *container.Container
+	if err == nil {
+		ct, err = ss.approvedContainer(aHost)
+	}
 	if err != nil {
-		return false, audit.Cause(err)
+		return stoppedBy(err)
 	}
-	image := ss.image()
-	ss.c.Containers.Allow(ss.attacker.UID)
-	node := ss.c.Compute[len(ss.c.Compute)-1]
-	ct, err := ss.c.Containers.Run(ss.attacker.Cred, node, ss.c.NS[node.Name], aHost,
-		container.RunSpec{Image: image})
-	if err != nil {
-		return false, audit.Cause(err)
+	if _, err = ct.ReadFile(ss.victim.HomePath + "/results.csv"); err != nil {
+		return stopped(audit.Denial("host FS controls bound inside container", err))
 	}
-	if _, err = ct.ReadFile(ss.victim.HomePath + "/results.csv"); err == nil {
-		return true, audit.Note("read victim home from inside container")
-	}
-	return false, audit.Denial("host FS controls bound inside container", err)
+	return leaked(audit.Note("read victim home from inside container"))
 }

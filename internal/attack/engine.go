@@ -24,6 +24,10 @@ type Outcome struct {
 	// non-residual leaking step in campaign order; 0 = the chain
 	// never broke through.
 	StepsToFirstLeak int
+	// Inconclusive counts steps that neither leaked nor were denied by
+	// an observed mechanism (a setup failed, or a view came back empty
+	// without the victim confirmed present).
+	Inconclusive int
 	// Detected indicates some step was denied by an enforcing
 	// control — the earliest signal a defender could alert on.
 	// DetectionTick is the cluster tick of the first denial (-1 when
@@ -88,10 +92,10 @@ func (cs *Compiled) Execute(c *core.Cluster, rng *metrics.RNG, maxTicks int) (*O
 		rep.Results = append(rep.Results, res)
 		out.Events = append(out.Events, audit.Event{
 			Tick: c.Now(), Step: st.Name, Channel: st.Channel,
-			Residual: st.Residual(), Leaked: res.Leaked, Detail: res.Detail,
+			Residual: st.Residual(), Verdict: res.Verdict, Detail: res.Detail,
 		})
 		out.Steps++
-		if res.Leaked {
+		if res.Verdict == audit.Leaked {
 			out.Leaks++
 			out.ChannelLeaks[string(st.Channel)]++
 			if st.Residual() {
@@ -103,6 +107,8 @@ func (cs *Compiled) Execute(c *core.Cluster, rng *metrics.RNG, maxTicks int) (*O
 					out.StepsToFirstLeak = i + 1
 				}
 			}
+		} else if res.Verdict == audit.Inconclusive {
+			out.Inconclusive++
 		} else if !out.Detected {
 			out.Detected = true
 			out.DetectionTick = c.Now()

@@ -99,8 +99,8 @@ func TestLeakScanAblations(t *testing.T) {
 				if tc.ablate != "" { // the scan's setup starts the victim's job
 					want = e.Open(atomsWithout(tc.ablate, LiveVictimJob)...)
 				}
-				if r.Leaked != want {
-					t.Errorf("%s: leaked=%v, want %v (%s)", e.Name, r.Leaked, want, r.Detail)
+				if (r.Verdict == audit.Leaked) != want || r.Verdict == audit.Inconclusive {
+					t.Errorf("%s: reads %s, want leaked=%v (%s)", e.Name, verdictNames[r.Verdict], want, r.Detail)
 				}
 			}
 		})
@@ -176,8 +176,10 @@ func checkGoldens(t *testing.T, dir string, render func(*core.Cluster) (string, 
 
 // TestLeakScanGolden pins cmd/leakscan's rendered reports. The
 // tmp-symlink-planting and tmp-filename-listing details name the
-// harvest link and the victim's own /tmp file; every other byte was
-// recorded before the scan moved onto the shared probe catalogue.
+// harvest link and the victim's own /tmp file, and gpu-memory-residue's
+// names which of the three GPU causes kept the residue out; every other
+// byte was recorded before the scan moved onto the shared probe
+// catalogue.
 func TestLeakScanGolden(t *testing.T) {
 	checkGoldens(t, "leakscan", func(c *core.Cluster) (string, error) {
 		rep, err := LeakScan(c)
@@ -191,9 +193,9 @@ func TestLeakScanGolden(t *testing.T) {
 // TestKillChainGolden pins the rendered event table of the kill-chain
 // campaign (seed 1, as cmd/leakscan -attack kill-chain runs it). The
 // goldens in testdata/killchain were recorded while every Detail was
-// still formatted eagerly; they also guard the step-only entries
-// (symlink-plant, gpu-residue, container-escape) that no leak scan
-// renders.
+// still formatted eagerly, all but gpu-residue's, which names its GPU
+// cause; they also guard the step-only entries (symlink-plant,
+// gpu-residue, container-escape) that no leak scan renders.
 func TestKillChainGolden(t *testing.T) {
 	cs := mustCompile(t, "kill-chain")
 	checkGoldens(t, "killchain", func(c *core.Cluster) (string, error) {
@@ -235,12 +237,12 @@ func TestDenialsKeepTheirError(t *testing.T) {
 	}
 	details := map[string]audit.Detail{}
 	for _, r := range rep.Results {
-		if !r.Leaked {
+		if r.Verdict == audit.Denied {
 			details[r.Probe.Name] = r.Detail
 		}
 	}
 	for _, e := range out.Events {
-		if !e.Leaked {
+		if e.Verdict == audit.Denied {
 			details[e.Step] = e.Detail
 		}
 	}

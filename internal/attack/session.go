@@ -3,6 +3,7 @@ package attack
 import (
 	"fmt"
 
+	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/netsim"
@@ -83,12 +84,13 @@ func (ss *session) close() {
 }
 
 // once runs setup unless done is set, and sets done when it succeeds.
+// A failure is a setup failure, whatever its error.
 func once(done *bool, setup func() error) error {
 	if *done {
 		return nil
 	}
 	if err := setup(); err != nil {
-		return err
+		return setupFailed(err)
 	}
 	*done = true
 	return nil
@@ -131,7 +133,7 @@ func (ss *session) place(jobID, tries int) (string, error) {
 	for i := 0; i < tries; i++ {
 		st, node, err := ss.c.Sched.Placement(jobID)
 		if err != nil {
-			return "", err
+			return "", setupFailed(err)
 		}
 		if st == sched.Running {
 			return node, nil
@@ -152,7 +154,7 @@ func (ss *session) victimJob() error {
 		Cores: 1, MemB: 1, Duration: 1 << 30,
 	})
 	if err != nil {
-		return fmt.Errorf("victim job rejected: %v", err)
+		return setupFailed(fmt.Errorf("victim job rejected: %v", err))
 	}
 	node, err := ss.place(vj, 64)
 	if err != nil {
@@ -160,7 +162,7 @@ func (ss *session) victimJob() error {
 	}
 	if node == "" {
 		_ = ss.c.Sched.Cancel(ss.victim.Cred, vj)
-		return fmt.Errorf("victim job never placed (cluster saturated)")
+		return setupFailed(fmt.Errorf("victim job never placed (cluster saturated)"))
 	}
 	ss.vjobID, ss.vjobNode = vj, node
 	return nil
@@ -176,20 +178,20 @@ func (ss *session) gpuJob() error {
 		Name: "train", Command: "train", Cores: 1, MemB: 1, GPUs: 1, Duration: 1 << 30,
 	})
 	if err != nil {
-		return fmt.Errorf("victim gpu job rejected: %v", err)
+		return setupFailed(fmt.Errorf("victim gpu job rejected: %v", err))
 	}
 	node, err := ss.place(gj, 64)
 	if err == nil && node == "" {
-		err = fmt.Errorf("victim gpu job never placed")
+		err = setupFailed(fmt.Errorf("victim gpu job never placed"))
 	}
 	ss.gjobNode = node
 	return err
 }
 
-// victimDevice is the GPU the victim's job writes to on node: the one
-// the prolog assigned to the victim, or (with no permission binding)
-// the node's first device.
-func (ss *session) victimDevice(node string) *gpu.Device {
+// gpuSecret writes secret to the victim's GPU on node — the one the
+// prolog assigned to the victim, or (with no permission binding) the
+// node's first device — and returns that device.
+func (ss *session) gpuSecret(node string, secret []byte) (*gpu.Device, error) {
 	devs := ss.c.GPUs.Devices(node)
 	dev := devs[0]
 	for _, d := range devs {
@@ -197,7 +199,17 @@ func (ss *session) victimDevice(node string) *gpu.Device {
 			dev = d
 		}
 	}
-	return dev
+	return dev, setupFailed(dev.Write(ss.victim.Cred, 512, secret))
+}
+
+// plant sets up a planted-symlink attempt on the login node's /tmp:
+// seed creates target, then the attacker links link to it.
+func (ss *session) plant(target, link string, seed func() error) error {
+	err := seed()
+	if err == nil {
+		err = ss.c.LocalFS[ss.login.Name].Symlink(ss.actx, target, link)
+	}
+	return setupFailed(err)
 }
 
 // listen starts the victim's TCP service on its job node.
@@ -245,7 +257,7 @@ func (ss *session) openSocket() error {
 		return err
 	}
 	ss.vsock, err = loginHost.ListenAbstract(ss.victim.Cred, victimSocket)
-	return err
+	return setupFailed(err)
 }
 
 // image imports the container image attempts run, once.
@@ -261,4 +273,15 @@ func (ss *session) image() string {
 // node, away from the victim's login0.
 func (ss *session) attackerHost() (*netsim.Host, error) {
 	return ss.c.Host(ss.c.Logins[len(ss.c.Logins)-1].Name)
+}
+
+// approvedContainer approves the attacker for the container runtime
+// and runs the probe image on the last compute node, networked through
+// host.
+func (ss *session) approvedContainer(host *netsim.Host) (*container.Container, error) {
+	ss.c.Containers.Allow(ss.attacker.UID)
+	node := ss.c.Compute[len(ss.c.Compute)-1]
+	ct, err := ss.c.Containers.Run(ss.attacker.Cred, node, ss.c.NS[node.Name], host,
+		container.RunSpec{Image: ss.image()})
+	return ct, setupFailed(err)
 }

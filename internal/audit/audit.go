@@ -3,9 +3,10 @@
 // Events the tick-stamped attempts of a campaign. The attempts
 // themselves live in internal/attack's catalogue. The paper's Results
 // section (§V) is, in effect, a claim about which rows of a report
-// read "closed" under the enhanced configuration — and which three
-// stay "open" (file names in world-writable directories,
-// abstract-namespace unix sockets, direct IB-CM RDMA).
+// read "closed" (denied by an observed mechanism) under the enhanced
+// configuration — and which three stay "open" (file names in
+// world-writable directories, abstract-namespace unix sockets, direct
+// IB-CM RDMA).
 package audit
 
 import (
@@ -47,12 +48,43 @@ func Compare(a, b Probe) int {
 	return cmp.Or(cmp.Compare(a.Channel, b.Channel), cmp.Compare(a.Name, b.Name))
 }
 
-// Result is one executed attempt: whether information leaked (or
-// access succeeded) across users.
+// Verdict is what one attempt established: the attacker saw the
+// victim's data or reached its resource (Leaked), a separation
+// mechanism was observed refusing it (Denied), or neither was shown —
+// a setup failed, or the attempt saw nothing it could attribute to a
+// measure (Inconclusive). The zero value is Inconclusive, so a verdict
+// nobody decided never reads as closed.
+type Verdict uint8
+
+// The three verdicts.
+const (
+	Inconclusive Verdict = iota
+	Denied
+	Leaked
+)
+
+// outcomes names each verdict in one table's words, a leak over a
+// residual channel last.
+type outcomes [4]string
+
+var (
+	reportOutcomes = outcomes{"INCONCLUSIVE", "closed", "LEAK", "open (residual)"}
+	eventOutcomes  = outcomes{"INCONCLUSIVE", "denied", "LEAK", "leak (residual)"}
+)
+
+// of renders v for a probe over a residual channel or not.
+func (o *outcomes) of(v Verdict, residual bool) string {
+	if v == Leaked && residual {
+		return o[3]
+	}
+	return o[v]
+}
+
+// Result is one executed attempt and its verdict.
 type Result struct {
-	Probe  Probe
-	Leaked bool
-	Detail Detail
+	Probe   Probe
+	Verdict Verdict
+	Detail  Detail
 }
 
 // Detail explains a Result or an Event. It keeps what the attempt
@@ -75,9 +107,6 @@ func Denial(text string, err error) Detail { return Detail{text: text, arg: err}
 // Detailf is a Detail that renders as fmt.Sprintf(format, arg); format
 // has exactly one verb.
 func Detailf(format string, arg any) Detail { return Detail{text: format, arg: arg, verb: true} }
-
-// Cause is a Detail that renders as err's text.
-func Cause(err error) Detail { return Detailf("%v", err) }
 
 // Err returns the error the attempt observed, if the Detail carries
 // one.
@@ -103,7 +132,7 @@ type Report struct {
 // and residual (paper-acknowledged) leaks.
 func (r *Report) Leaks() (unexpected, residual int) {
 	for _, res := range r.Results {
-		if !res.Leaked {
+		if res.Verdict != Leaked {
 			continue
 		}
 		if res.Probe.Residual {
@@ -115,34 +144,21 @@ func (r *Report) Leaks() (unexpected, residual int) {
 	return
 }
 
-// Closed returns how many probes were blocked.
-func (r *Report) Closed() int {
-	n := 0
-	for _, res := range r.Results {
-		if !res.Leaked {
-			n++
-		}
-	}
-	return n
-}
-
 // Table renders the report as an experiment table.
 func (r *Report) Table() *metrics.Table {
 	t := metrics.NewTable(
 		fmt.Sprintf("leak scan — %s", r.ConfigName),
 		"channel", "probe", "result", "detail",
 	)
+	var n [3]int // results per verdict
 	for _, res := range r.Results {
-		outcome := "closed"
-		if res.Leaked {
-			outcome = "LEAK"
-			if res.Probe.Residual {
-				outcome = "open (residual)"
-			}
-		}
-		t.AddRow(string(res.Probe.Channel), res.Probe.Name, outcome, res.Detail.String())
+		n[res.Verdict]++
+		t.AddRow(string(res.Probe.Channel), res.Probe.Name, reportOutcomes.of(res.Verdict, res.Probe.Residual), res.Detail.String())
 	}
 	u, resd := r.Leaks()
-	t.AddNote("%d closed, %d unexpected leaks, %d residual channels open", r.Closed(), u, resd)
+	t.AddNote("%d closed, %d unexpected leaks, %d residual channels open", n[Denied], u, resd)
+	if n[Inconclusive] > 0 {
+		t.AddNote("%d inconclusive: neither a leak nor an observed refusal", n[Inconclusive])
+	}
 	return t
 }

@@ -15,8 +15,8 @@ func report(config string, results ...Result) *Report {
 	return &Report{ConfigName: config, Results: results}
 }
 
-func result(ch Channel, name string, residual, leak bool) Result {
-	return Result{Probe: Probe{Channel: ch, Name: name, Residual: residual}, Leaked: leak}
+func result(ch Channel, name string, residual bool, v Verdict) Result {
+	return Result{Probe: Probe{Channel: ch, Name: name, Residual: residual}, Verdict: v}
 }
 
 // sorted returns the results in Compare order, as a scan reports them.
@@ -27,9 +27,9 @@ func sorted(results ...Result) []Result {
 
 func TestScannerRunOrdering(t *testing.T) {
 	rep := report("test", sorted(
-		result(ChanNetwork, "b", false, false),
-		result(ChanFS, "z", false, true),
-		result(ChanFS, "a", false, false))...)
+		result(ChanNetwork, "b", false, Denied),
+		result(ChanFS, "z", false, Leaked),
+		result(ChanFS, "a", false, Denied))...)
 	if len(rep.Results) != 3 {
 		t.Fatalf("results = %d", len(rep.Results))
 	}
@@ -48,12 +48,12 @@ func TestScannerRunOrdering(t *testing.T) {
 // set must render byte-identical tables.
 func TestScannerRunOrderPinned(t *testing.T) {
 	results := []Result{
-		result(ChanNetwork, "dial", false, false),
-		result(ChanFS, "home", false, true),
-		result(ChanFS, "chmod", false, false),
-		result(ChanAbstract, "dgram", true, true),
-		result(ChanProcess, "ps", false, false),
-		result(ChanGPU, "residue", false, true),
+		result(ChanNetwork, "dial", false, Denied),
+		result(ChanFS, "home", false, Leaked),
+		result(ChanFS, "chmod", false, Denied),
+		result(ChanAbstract, "dgram", true, Leaked),
+		result(ChanProcess, "ps", false, Denied),
+		result(ChanGPU, "residue", false, Leaked),
 	}
 	var want string
 	rng := rand.New(rand.NewSource(1))
@@ -79,24 +79,26 @@ func TestScannerRunOrderPinned(t *testing.T) {
 
 func TestReportCounts(t *testing.T) {
 	rep := report("enhanced",
-		result(ChanFS, "blocked", false, false),
-		result(ChanFS, "leak", false, true),
-		result(ChanTmpNames, "residual", true, true))
+		result(ChanFS, "blocked", false, Denied),
+		result(ChanFS, "leak", false, Leaked),
+		result(ChanTmpNames, "residual", true, Leaked))
 	u, r := rep.Leaks()
 	if u != 1 || r != 1 {
 		t.Errorf("leaks = %d,%d want 1,1", u, r)
 	}
-	if rep.Closed() != 1 {
-		t.Errorf("closed = %d", rep.Closed())
+	if out := rep.Table().Render(); !strings.Contains(out, "1 closed, 1 unexpected leaks, 1 residual channels open") {
+		t.Errorf("note miscounts the verdicts:\n%s", out)
 	}
 }
 
 func TestReportTableRendering(t *testing.T) {
 	out := report("baseline",
-		result(ChanFS, "chmod-world", false, true),
-		result(ChanAbstract, "abstract-dgram", true, true),
-		result(ChanNetwork, "cross-dial", false, false)).Table().Render()
-	for _, want := range []string{"LEAK", "open (residual)", "closed", "leak scan — baseline", "1 unexpected leaks"} {
+		result(ChanFS, "chmod-world", false, Leaked),
+		result(ChanAbstract, "abstract-dgram", true, Leaked),
+		result(ChanNetwork, "cross-dial", false, Denied),
+		result(ChanGPU, "broken-setup", false, Inconclusive)).Table().Render()
+	for _, want := range []string{"LEAK", "open (residual)", "closed", "INCONCLUSIVE", "leak scan — baseline",
+		"1 closed, 1 unexpected leaks, 1 residual channels open", "1 inconclusive"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q:\n%s", want, out)
 		}
@@ -104,7 +106,7 @@ func TestReportTableRendering(t *testing.T) {
 }
 
 func TestProbeDetailPropagates(t *testing.T) {
-	out := report("x", result(ChanGPU, "residue", false, true)).Table().Render()
+	out := report("x", result(ChanGPU, "residue", false, Leaked)).Table().Render()
 	if !strings.Contains(out, "detail-residue") {
 		t.Errorf("rendered report lost the detail:\n%s", out)
 	}

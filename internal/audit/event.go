@@ -7,8 +7,8 @@ import "repro/internal/metrics"
 // defense let it through. Where a Result is a battery row, an Event
 // is a point on the campaign timeline — detection latency is
 // measured as the tick distance from campaign start to the first
-// event with Leaked == false (a denial is the earliest observable a
-// defender could alert on). A campaign's events keep their append
+// Denied event (a denial is the earliest observable a defender could
+// alert on). A campaign's events keep their append
 // order, unlike a leak scan's sorted report: ordering by tick would
 // lose the intra-tick sequence of a multi-step campaign.
 type Event struct {
@@ -16,7 +16,7 @@ type Event struct {
 	Step     string
 	Channel  Channel
 	Residual bool
-	Leaked   bool
+	Verdict  Verdict
 	Detail   Detail
 }
 
@@ -25,25 +25,22 @@ type Event struct {
 // denial.
 func EventTable(title string, events []Event) *metrics.Table {
 	t := metrics.NewTable(title, "tick", "step", "channel", "result", "detail")
-	leaks := 0
+	var n [3]int // events per verdict
 	first := -1
 	for i, e := range events {
-		outcome := "denied"
-		if e.Leaked {
-			leaks++
-			outcome = "LEAK"
-			if e.Residual {
-				outcome = "leak (residual)"
-			}
-		} else if first < 0 {
+		n[e.Verdict]++
+		if e.Verdict == Denied && first < 0 {
 			first = i
 		}
-		t.AddRow(e.Tick, e.Step, string(e.Channel), outcome, e.Detail.String())
+		t.AddRow(e.Tick, e.Step, string(e.Channel), eventOutcomes.of(e.Verdict, e.Residual), e.Detail.String())
 	}
 	if first >= 0 {
-		t.AddNote("%d/%d attempts leaked; first denial at tick %d (%s)", leaks, len(events), events[first].Tick, events[first].Step)
+		t.AddNote("%d/%d attempts leaked; first denial at tick %d (%s)", n[Leaked], len(events), events[first].Tick, events[first].Step)
 	} else {
-		t.AddNote("%d/%d attempts leaked; no attempt was ever denied", leaks, len(events))
+		t.AddNote("%d/%d attempts leaked; no attempt was ever denied", n[Leaked], len(events))
+	}
+	if n[Inconclusive] > 0 {
+		t.AddNote("%d inconclusive: neither a leak nor an observed refusal", n[Inconclusive])
 	}
 	return t
 }

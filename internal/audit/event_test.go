@@ -11,10 +11,10 @@ import (
 // note names the first denial in that order, not the earliest tick.
 func TestLogTimelineOrder(t *testing.T) {
 	events := []Event{
-		{Tick: 9, Step: "late", Channel: ChanGPU, Leaked: true},
-		{Tick: 2, Step: "early", Channel: ChanFS, Leaked: true},
-		{Tick: 5, Step: "denied", Channel: ChanNetwork, Leaked: false},
-		{Tick: 1, Step: "late-deny", Channel: ChanFS, Leaked: false},
+		{Tick: 9, Step: "late", Channel: ChanGPU, Verdict: Leaked},
+		{Tick: 2, Step: "early", Channel: ChanFS, Verdict: Leaked},
+		{Tick: 5, Step: "denied", Channel: ChanNetwork, Verdict: Denied},
+		{Tick: 1, Step: "late-deny", Channel: ChanFS, Verdict: Denied},
 	}
 	out := EventTable("campaign", events).Render()
 	var steps []string
@@ -34,12 +34,13 @@ func TestLogTimelineOrder(t *testing.T) {
 
 func TestLogTableRendering(t *testing.T) {
 	events := []Event{
-		{Tick: 1, Step: "recon", Channel: ChanProcess, Leaked: true},
-		{Tick: 3, Step: "tmp", Channel: ChanTmpNames, Residual: true, Leaked: true},
-		{Tick: 4, Step: "dial", Channel: ChanNetwork, Leaked: false, Detail: Note("dropped")},
+		{Tick: 1, Step: "recon", Channel: ChanProcess, Verdict: Leaked},
+		{Tick: 3, Step: "tmp", Channel: ChanTmpNames, Residual: true, Verdict: Leaked},
+		{Tick: 2, Step: "probe", Channel: ChanGPU, Verdict: Inconclusive, Detail: Note("victim gpu job never placed")},
+		{Tick: 4, Step: "dial", Channel: ChanNetwork, Verdict: Denied, Detail: Note("dropped")},
 	}
 	out := EventTable("campaign", events).Render()
-	for _, want := range []string{"LEAK", "leak (residual)", "denied", "dropped", "first denial at tick 4 (dial)", "2/3 attempts leaked"} {
+	for _, want := range []string{"LEAK", "leak (residual)", "INCONCLUSIVE", "denied", "dropped", "first denial at tick 4 (dial)", "2/4 attempts leaked", "1 inconclusive"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("event table missing %q:\n%s", want, out)
 		}
@@ -65,7 +66,6 @@ func TestDetailRendering(t *testing.T) {
 		{Detailf("file name %q visible", "a b"), `file name "a b" visible`, nil},
 		{Detailf("victim write refused: %v", denied), "victim write refused: vfs: permission denied: read /x", denied},
 		{Detailf("cmdline read: %v", nil), "cmdline read: <nil>", nil},
-		{Cause(denied), denied.Error(), denied},
 		{Denial("UBF dropped cross-user connection", denied), "UBF dropped cross-user connection", denied},
 	}
 	for _, tc := range cases {

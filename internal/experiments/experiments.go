@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"repro/internal/attack"
+	"repro/internal/audit"
 	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/fleet"
@@ -495,7 +496,7 @@ func E10ResidualChannels() *metrics.Table {
 	}
 	for _, r := range rep.Results {
 		if r.Probe.Residual {
-			t.AddRow(string(r.Probe.Channel), yesNo(r.Leaked), r.Detail.String())
+			t.AddRow(string(r.Probe.Channel), yesNo(r.Verdict == audit.Leaked), r.Detail.String())
 		}
 	}
 	unexpected, residual := rep.Leaks()

@@ -11,8 +11,9 @@ import (
 )
 
 // TestE17MatrixQualitativeStory pins the matrix's paper reading on
-// the preset's own seed: baseline falls to every attacker model,
-// enhanced falls to none (and detects every campaign), and each
+// the preset's own seed: no step is inconclusive, baseline falls to
+// every attacker model, enhanced falls to none (and detects every
+// campaign), and each
 // kill-chain ablation reopens exactly the non-residual steps the probe
 // catalogue's oracle opens without that measure.
 func TestE17MatrixQualitativeStory(t *testing.T) {
@@ -28,6 +29,9 @@ func TestE17MatrixQualitativeStory(t *testing.T) {
 		}
 		if a.Trials != s.Replications {
 			t.Errorf("%s: attack trials %d != replications %d", s.Name, a.Trials, s.Replications)
+		}
+		if a.Inconclusive != 0 {
+			t.Errorf("%s: %d inconclusive steps — every step must leak or meet an observed refusal", s.Name, a.Inconclusive)
 		}
 		switch {
 		case strings.HasSuffix(s.Name, "/baseline"):

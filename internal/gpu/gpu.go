@@ -133,9 +133,7 @@ func (d *Device) clear() {
 	if !d.written {
 		return
 	}
-	for i := range d.mem {
-		d.mem[i] = 0
-	}
+	clear(d.mem)
 	d.written = false
 }
 

@@ -67,32 +67,32 @@ var allocPins = []struct {
 	{"E5SSHGate", perOp(e5SSHGate), 6},
 	{"E6FSMatrix/baseline", perOp(func(tb testing.TB) func() { return e6FSMatrix(tb, core.Baseline()) }), 4},
 	{"E6FSMatrix/enhanced", perOp(func(tb testing.TB) func() { return e6FSMatrix(tb, core.Enhanced()) }), 4},
-	{"E7UBFMatrix/same-user-accept", perOp(func(tb testing.TB) func() { return e7UBFVerdict(tb, true) }), 4},
-	{"E7UBFMatrix/cross-user-deny", perOp(func(tb testing.TB) func() { return e7UBFVerdict(tb, false) }), 4},
+	{"E7UBFMatrix/same-user-accept", perOp(func(tb testing.TB) func() { return e7UBFVerdict(tb, true) }), 2},
+	{"E7UBFMatrix/cross-user-deny", perOp(func(tb testing.TB) func() { return e7UBFVerdict(tb, false) }), 2},
 	{"E8UBFOverhead/setup-no-ubf", perOp(func(tb testing.TB) func() { return e8Setup(tb, false, false) }), 2},
-	{"E8UBFOverhead/setup-ubf-nocache", perOp(func(tb testing.TB) func() { return e8Setup(tb, true, false) }), 4},
-	{"E8UBFOverhead/setup-ubf-cache", perOp(func(tb testing.TB) func() { return e8Setup(tb, true, true) }), 4},
+	{"E8UBFOverhead/setup-ubf-nocache", perOp(func(tb testing.TB) func() { return e8Setup(tb, true, false) }), 2},
+	{"E8UBFOverhead/setup-ubf-cache", perOp(func(tb testing.TB) func() { return e8Setup(tb, true, true) }), 2},
 	{"E8UBFOverhead/established-send-no-ubf", perOp(func(tb testing.TB) func() { return e8Send(tb, false) }), 2},
 	{"E8UBFOverhead/established-send-ubf", perOp(func(tb testing.TB) func() { return e8Send(tb, true) }), 2},
 	{"E9GPUResidue", perOp(e9GPUResidue), 5},
 	{"E10Residual", perOp(e10Residual), 3},
-	{"E11Portal", perOp(e11Portal), 11},
+	{"E11Portal", perOp(e11Portal), 9},
 	{"E12Container/inside-container", perOp(func(tb testing.TB) func() { return e12Read(tb, true) }), 2},
 	{"E12Container/bare-host", perOp(func(tb testing.TB) func() { return e12Read(tb, false) }), 2},
 	{"E13PPSComparison/pps-range-rule", perOp(func(tb testing.TB) func() { return e13Dial(tb, false) }), 2},
-	{"E13PPSComparison/ubf", perOp(func(tb testing.TB) func() { return e13Dial(tb, true) }), 4},
+	{"E13PPSComparison/ubf", perOp(func(tb testing.TB) func() { return e13Dial(tb, true) }), 2},
 	{"E14CryptoMPI/plain-ubf-datapath", perOp(func(tb testing.TB) func() { return e14Datapath(tb, false) }), 2},
 	{"E14CryptoMPI/encrypted-mpi-datapath", perOp(func(tb testing.TB) func() { return e14Datapath(tb, true) }), 6},
 	{"E15MitigationTax", perOp(e15MitigationTax), 0},
 	{"DeniedProbe/vfs-search", perOp(deniedVFSSearch), 1},
-	{"DeniedProbe/ubf-dial", perOp(func(tb testing.TB) func() { return e7UBFVerdict(tb, false) }), 4},
+	{"DeniedProbe/ubf-dial", perOp(func(tb testing.TB) func() { return e7UBFVerdict(tb, false) }), 2},
 	{"DeniedProbe/gpu-read", perOp(deniedGPURead), 2},
 	{"DeniedProbe/pam-slurm", perOp(deniedPAMSlurm), 2},
-	{"DeniedProbe/portal-forward", perOp(deniedPortalForward), 5},
+	{"DeniedProbe/portal-forward", perOp(deniedPortalForward), 3},
 	{"DeniedProbe/container-admission", perOp(deniedContainerRun), 1},
-	{"FleetCampaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE4PolicyGrid, 1) }), 3485},
-	{"E16Ablation", perOp(e16Ablation), 12984},
-	{"E17Campaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE17RedTeam, 1) }), 17952},
+	{"FleetCampaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE4PolicyGrid, 1) }), 2654},
+	{"E16Ablation", perOp(e16Ablation), 12949},
+	{"E17Campaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE17RedTeam, 1) }), 17588},
 }
 
 // TestAllocPins checks each single-worker benchmark row's allocations

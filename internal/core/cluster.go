@@ -58,8 +58,12 @@ type Cluster struct {
 	// nodesByName indexes Compute+Logins for O(1) Node lookup.
 	nodesByName map[string]*simos.Node
 	// staffDirty records that AddSupportStaff replaced the escalation
-	// tools, so Reset can skip rebuilding them on untouched clusters.
+	// tools since the mark, so Reset reinstalls the marked ones
+	// (markSeepid, markSmask) only on clusters that changed them. Both
+	// tools are immutable, so the mark shares them.
 	staffDirty bool
+	markSeepid *procfs.Seepid
+	markSmask  *vfs.SmaskRelax
 
 	clock atomic.Int64
 }
@@ -224,17 +228,36 @@ func New(cfg Config, topo Topology) (*Cluster, error) {
 	// The assembled state is the pristine mark Reset rewinds to: the
 	// registry with the escalation groups, the filesystem layout, and
 	// each node's base-daemon process table (marked in simos.NewNode).
+	c.MarkPristine()
+
+	return c, nil
+}
+
+// MarkPristine records the cluster's current identities as the state
+// Reset returns to: the registry, the shared and per-node filesystems,
+// the portal's enrolments and the escalation tools' whitelists, which
+// is everything AddUser, AddSupportStaff and AddProjectGroup touch.
+// New marks the assembled cluster; a caller that provisions the same
+// users before every trial may provision them once and mark again, so
+// that every later Reset returns to "cluster plus provisioned users".
+// Mark only between trials, before any job, process, socket, GPU or
+// container activity: the scheduler, the nodes, the network, the GPUs,
+// the UBF and the container runtime keep their construction-time
+// marks, and the clock returns to 0.
+func (c *Cluster) MarkPristine() {
 	c.Registry.MarkPristine()
 	c.SharedFS.MarkPristine()
 	for _, fs := range c.LocalFS {
 		fs.MarkPristine()
 	}
-
-	return c, nil
+	c.Portal.MarkPristine()
+	c.markSeepid, c.markSmask = c.Seepid, c.SmaskRelax
+	c.staffDirty = false
 }
 
-// Reset rewinds the cluster to its pristine post-construction state,
-// the trial-lifecycle contract every owned component implements:
+// Reset rewinds the cluster to its pristine state, the one New built or
+// the last MarkPristine recorded — the trial-lifecycle contract every
+// owned component implements:
 //
 //   - the logical clock returns to 0;
 //   - the scheduler empties (jobs, queue, calendar, accounting,
@@ -242,20 +265,22 @@ func New(cfg Config, topo Topology) (*Cluster, error) {
 //   - every node comes back up with its base-daemon process table and
 //     rewound PID numbering;
 //   - the shared and per-node filesystems roll back to the marked
-//     pristine trees (homes, files, ACLs all gone);
+//     trees (trial homes, files, ACLs all gone);
 //   - the registry drops trial users/groups and rewinds ID numbering;
 //   - the network fabric drops sockets, conntrack and ephemeral ports;
 //   - GPUs are unassigned, cleared, and their /dev nodes re-hidden;
-//   - UBF caches/counters, portal enrolments/sessions/routes and
-//     container images/grants empty out;
-//   - the seepid/smask_relax escalation tools return to their empty
+//   - UBF caches/counters, portal sessions/routes and container
+//     images/grants empty out, and portal enrolments return to the
+//     marked ones;
+//   - the seepid/smask_relax escalation tools return to their marked
 //     whitelists (AddSupportStaff replaces them wholesale).
 //
 // Configuration and wiring fixed at construction — Cfg, Topo, PAM
 // hooks, firewall hooks, portal forwarding mode, scheduler hooks —
 // survive. After Reset the cluster is observationally equivalent to a
-// fresh New(cfg, topo): identical IDs, PIDs, verdicts and results for
-// any identical sequence of operations. That equivalence is what lets
+// fresh New(cfg, topo) that ran the same provisioning and mark:
+// identical IDs, PIDs, verdicts and results for any identical sequence
+// of operations. That equivalence is what lets
 // the fleet executor reuse one cluster across a campaign's
 // replications without perturbing a single output byte.
 func (c *Cluster) Reset() error {
@@ -282,8 +307,7 @@ func (c *Cluster) Reset() error {
 	// Seepid/SmaskRelax are stateless after construction; only
 	// AddSupportStaff ever swaps them for staffed variants.
 	if c.staffDirty {
-		c.Seepid = procfs.NewSeepid(c.ExemptGID)
-		c.SmaskRelax = vfs.NewSmaskRelax(0o002)
+		c.Seepid, c.SmaskRelax = c.markSeepid, c.markSmask
 		c.staffDirty = false
 	}
 	return nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/ids"
@@ -191,6 +192,35 @@ func TestClusterStepAdvancesClock(t *testing.T) {
 	got, _ := c.Sched.Job(j)
 	if got.State != sched.Completed {
 		t.Errorf("job state %v", got.State)
+	}
+
+	// Submissions from three users interleaved with steps: the
+	// whole-node invariant holds after every tick, and every job ends
+	// up in the accounting.
+	users := []*User{u}
+	for i := 1; i < 3; i++ {
+		v, err := c.AddUser(fmt.Sprintf("user%d", i), "pw")
+		if err != nil {
+			t.Fatal(err)
+		}
+		users = append(users, v)
+	}
+	for i := 0; i < 30; i++ {
+		for _, v := range users {
+			if _, err := c.Sched.Submit(v.Cred, sched.JobSpec{
+				Name: "w", Command: "x", Cores: 1 + i%4, MemB: 1, Duration: int64(1 + i%3),
+			}); err != nil {
+				t.Fatalf("submit: %v", err)
+			}
+		}
+		c.Step()
+		if c.Sched.MaxUsersPerNode() > 1 {
+			t.Fatalf("whole-node invariant violated at step %d", i)
+		}
+	}
+	c.RunAll(5000)
+	if got := len(c.Sched.Sacct(ids.RootCred())); got != 1+90 {
+		t.Errorf("accounting rows = %d, want 91", got)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/container"
-	"repro/internal/ids"
 	"repro/internal/netsim"
 	"repro/internal/portal"
 	"repro/internal/sched"
@@ -196,48 +195,6 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Error(err)
-	}
-}
-
-// TestConcurrentSubmitAndStep races job submission against the
-// scheduling loop; the whole-node invariant must hold throughout.
-func TestConcurrentSubmitAndStep(t *testing.T) {
-	c := MustNew(Enhanced(), smallTopo())
-	users := make([]*User, 3)
-	for i := range users {
-		users[i], _ = c.AddUser(fmt.Sprintf("user%d", i), "pw")
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 60; i++ {
-			c.Step()
-			if c.Sched.MaxUsersPerNode() > 1 {
-				t.Error("whole-node invariant violated mid-run")
-				return
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	for _, u := range users {
-		wg.Add(1)
-		go func(u *User) {
-			defer wg.Done()
-			for i := 0; i < 30; i++ {
-				_, err := c.Sched.Submit(u.Cred, sched.JobSpec{
-					Name: "w", Command: "x", Cores: 1 + i%4, MemB: 1, Duration: int64(1 + i%3),
-				})
-				if err != nil {
-					t.Errorf("submit: %v", err)
-				}
-			}
-		}(u)
-	}
-	wg.Wait()
-	<-done
-	c.RunAll(5000)
-	if got := len(c.Sched.Sacct(ids.RootCred())); got != 90 {
-		t.Errorf("accounting rows = %d, want 90", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -11,29 +12,57 @@ import (
 	"repro/internal/vfs"
 )
 
-// trialScript drives a cluster through every subsystem a campaign
-// trial can touch — identity provisioning, filesystem writes, job
-// submission with an OOM crash, GPU assignment, UBF-checked network
-// traffic, portal sessions and forwards, containers, support-staff
-// escalation — and returns a digest of everything observable. Two
-// clusters are behaviourally equal iff their digests match.
+// trialScript provisions two users and drives the cluster through
+// every subsystem a campaign trial can touch (see runScript), returning
+// a digest of everything observable. Two clusters are behaviourally
+// equal iff their digests match.
 func trialScript(t *testing.T, c *Cluster) map[string]interface{} {
 	t.Helper()
-	out := map[string]interface{}{}
+	alice, bob := provision(t, c)
+	return runScript(t, c, alice, bob)
+}
 
+// provision creates the two users runScript drives, as a pooled fleet
+// slot provisions its users before it marks the cluster.
+func provision(t *testing.T, c *Cluster) (alice, bob *User) {
+	t.Helper()
 	alice, err := c.AddUser("alice", "pw-a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bob, err := c.AddUser("bob", "pw-b")
+	bob, err = c.AddUser("bob", "pw-b")
 	if err != nil {
 		t.Fatal(err)
 	}
+	return alice, bob
+}
+
+// runScript is a trial over two provisioned users: filesystem writes
+// in a home and in shared scratch, job submission with an OOM crash,
+// GPU assignment, UBF-checked network traffic, portal sessions,
+// containers and support-staff escalation. The digest covers the
+// users' identities, homes and portal passwords, so a Reset that loses
+// any part of their provisioning shows.
+func runScript(t *testing.T, c *Cluster, alice, bob *User) map[string]interface{} {
+	t.Helper()
+	out := map[string]interface{}{}
 	out["uids"] = []ids.UID{alice.UID, bob.UID}
 	out["egids"] = []ids.GID{alice.Cred.EGID, bob.Cred.EGID}
 
-	// Filesystem: homes and a shared scratch file.
+	// Filesystem: the provisioned home, a file in it, and a shared
+	// scratch file.
 	actx := vfs.Ctx(alice.Cred)
+	home, err := c.SharedFS.Stat(actx, alice.HomePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["home"] = fmt.Sprintf("%o %d %d", home.Mode, home.Owner, home.Group)
+	if out["homefiles"], err = c.SharedFS.ReadDir(actx, alice.HomePath); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SharedFS.WriteFile(actx, alice.HomePath+"/notes", []byte("mine"), 0o600); err != nil {
+		t.Fatal(err)
+	}
 	if err := c.SharedFS.WriteFile(actx, "/scratch/shared/data", []byte("payload"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -134,6 +163,125 @@ func TestClusterResetObservationalEquivalence(t *testing.T) {
 				t.Errorf("reset cluster diverged from fresh:\n got: %v\nwant: %v", got, want)
 			}
 		})
+	}
+}
+
+// The pristine mark may move past provisioning: a cluster that
+// provisions two users, marks, runs a trial and Resets must replay the
+// trial exactly as a fresh cluster that provisioned and marked the
+// same way, round after round. The digest covers the provisioned
+// homes, portal passwords and support-staff escalation, so a mark that
+// skips the shared filesystem or the portal's enrolments fails here.
+func TestMarkPastProvisioning(t *testing.T) {
+	for _, prof := range Profiles() {
+		t.Run(prof.Name, func(t *testing.T) {
+			fresh := MustNewWithProfile(prof)
+			fa, fb := provision(t, fresh)
+			fresh.MarkPristine()
+			want := runScript(t, fresh, fa, fb)
+
+			pooled := MustNewWithProfile(prof)
+			alice, bob := provision(t, pooled)
+			pooled.MarkPristine()
+			for round := 0; round < 3; round++ {
+				if got := runScript(t, pooled, alice, bob); !reflect.DeepEqual(got, want) {
+					t.Fatalf("round %d diverged from a fresh provisioned cluster:\n got: %v\nwant: %v", round, got, want)
+				}
+				if err := pooled.Reset(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// A trial cannot change what a pooled slot keeps across Resets: the
+// provisioned users' private groups refuse every membership change
+// (the registry's mark copies only the mutable groups), and the login
+// credentials provisioned before the mark, Groups included, still
+// equal what the registry derives after a trial that added the users
+// to a project group and a Reset.
+func TestMarkedUsersCannotChange(t *testing.T) {
+	c := MustNewWithProfile(EnhancedProfile())
+	alice, bob := provision(t, c)
+	c.MarkPristine()
+	kept := []ids.Credential{alice.Cred.Clone(), bob.Cred.Clone()}
+
+	for _, u := range []*User{alice, bob} {
+		other := alice
+		if u == alice {
+			other = bob
+		}
+		if err := c.Registry.AddToGroup(ids.Root, u.Primary, other.UID); !errors.Is(err, ids.ErrPrivateGroup) {
+			t.Errorf("AddToGroup(private group of %s) = %v, want ErrPrivateGroup", u.Name, err)
+		}
+		if err := c.Registry.RemoveFromGroup(ids.Root, u.Primary, u.UID); !errors.Is(err, ids.ErrPrivateGroup) {
+			t.Errorf("RemoveFromGroup(private group of %s) = %v, want ErrPrivateGroup", u.Name, err)
+		}
+	}
+	g, err := c.AddProjectGroup("trialproj", alice.UID, bob.UID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if login, err := c.Registry.LoginCredential(bob.UID); err != nil || !login.InGroup(g.GID) {
+		t.Fatalf("bob's login credential %v, %v lacks the trial group %d", login, err, g.GID)
+	}
+	_ = runScript(t, c, alice, bob)
+	if err := c.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	for i, u := range []*User{alice, bob} {
+		if !reflect.DeepEqual(u.Cred, kept[i]) {
+			t.Errorf("%s's kept credential changed during the trial: %v, want %v", u.Name, u.Cred, kept[i])
+		}
+		login, err := c.Registry.LoginCredential(u.UID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(login, kept[i]) {
+			t.Errorf("%s's login credential after Reset = %v, want the marked %v", u.Name, login, kept[i])
+		}
+		pg, err := c.Registry.Group(u.Primary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := pg.Members(); !pg.Private || len(m) != 1 || m[0] != u.UID {
+			t.Errorf("%s's private group after Reset: private %v, members %v", u.Name, pg.Private, m)
+		}
+	}
+}
+
+// Support staff provisioned before the mark stay whitelisted for
+// seepid and smask_relax across Resets, including one after a trial
+// that staffed someone else (which swaps the tools); the trial's own
+// staff do not survive.
+func TestMarkKeepsSupportStaff(t *testing.T) {
+	c := MustNewWithProfile(EnhancedProfile())
+	carol, err := c.AddSupportStaff("carol", "pw-c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.MarkPristine()
+	for round := 0; round < 3; round++ {
+		if _, err := c.Seepid.Elevate(carol.Cred); err != nil {
+			t.Fatalf("round %d: marked staff cannot seepid: %v", round, err)
+		}
+		if _, err := c.SmaskRelax.Enter(vfs.Ctx(carol.Cred)); err != nil {
+			t.Fatalf("round %d: marked staff cannot smask_relax: %v", round, err)
+		}
+		dave, err := c.AddSupportStaff("dave", "pw-d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Seepid.Elevate(dave.Cred); err != nil {
+			t.Fatalf("round %d: trial staff cannot seepid: %v", round, err)
+		}
+		if err := c.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Seepid.Elevate(dave.Cred); err == nil {
+			t.Fatalf("round %d: trial staff still whitelisted after Reset", round)
+		}
 	}
 }
 

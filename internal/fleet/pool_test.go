@@ -7,42 +7,51 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // The tentpole acceptance criterion: campaign JSON is byte-identical
-// with pooling enabled vs disabled, for any worker count. The sweep
+// with pooling enabled vs disabled, for any worker count, and for a
+// pooled run killed after a third of its trials and resumed. The sweep
 // covers every Reset() path the registry exposes — the e16 preset is
 // the control plus one scenario per measure (all 9 ablations, each
 // reopening a different subsystem), the smoke preset covers both
-// profiles, and the e4 grid covers all three sharing policies with
-// OOM crash/restore cycles. Run under -race (CI does) this also
-// proves the per-worker pool shares nothing.
+// profiles, the e4 grid covers all three sharing policies with OOM
+// crash/restore cycles, and the e17 matrix covers the attack path,
+// whose victim and attacker are provisioned past the pooled mark.
+// Every scenario runs 12 replications, so a pooled slot serves 3
+// trials on average even at 4 workers, and at 1 worker every slot
+// serves all 12. Run under -race (CI does) this also proves the
+// per-worker pool shares nothing.
 func TestPoolingEquivalenceSweep(t *testing.T) {
 	if len(core.Measures()) != 9 {
 		t.Fatalf("measure registry has %d entries; the sweep claim assumes 9 — update this test", len(core.Measures()))
 	}
-	for _, camp := range []Campaign{smokeCampaign(), e16AblationDrainCampaign(), e4PolicyGridCampaign()} {
+	const reps, maxWorkers = 12, 4
+	for _, camp := range []Campaign{smokeCampaign(), e16AblationDrainCampaign(), e4PolicyGridCampaign(), e17RedTeamCampaign()} {
+		for i := range camp.Scenarios {
+			camp.Scenarios[i].Replications = reps
+		}
 		t.Run(camp.Name, func(t *testing.T) {
-			var want []byte
+			want := runJSON(t, camp, Options{Workers: 1, Seed: 7, DisablePooling: true})
 			for _, pooled := range []bool{false, true} {
-				for _, workers := range []int{1, 2, 4} {
-					res, err := Run(camp, Options{Workers: workers, Seed: 7, DisablePooling: !pooled})
-					if err != nil {
-						t.Fatalf("pooled=%v workers=%d: %v", pooled, workers, err)
-					}
-					got, err := res.JSON()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want == nil {
-						want = got
-						continue
-					}
+				for _, workers := range []int{1, 2, maxWorkers} {
+					reg := obs.NewRegistry()
+					got := runJSON(t, camp, Options{Workers: workers, Seed: 7, DisablePooling: !pooled, Metrics: reg})
 					if !bytes.Equal(got, want) {
 						t.Fatalf("pooled=%v workers=%d produced different bytes:\n%s\nvs\n%s",
 							pooled, workers, got, want)
 					}
+					snap := reg.Snapshot()
+					builds, hits := counterValue(snap, "fleet_pool_builds_total"), counterValue(snap, "fleet_pool_hits_total")
+					if pooled && hits < 2*builds {
+						t.Fatalf("workers=%d: %d pooled builds served only %d Reset hits", workers, builds, hits)
+					}
 				}
+			}
+			ck := interruptedCheckpoint(t, camp, Options{Workers: 2, Seed: 7}, camp.Trials()/3)
+			if got := runJSON(t, camp, Options{Workers: 2, Seed: 7, ResumeFrom: ck}); !bytes.Equal(got, want) {
+				t.Fatalf("resumed pooled run produced different bytes:\n%s\nvs\n%s", got, want)
 			}
 		})
 	}

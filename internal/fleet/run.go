@@ -663,7 +663,7 @@ type compiledScenario struct {
 	cfg    core.Config
 	topo   core.Topology
 	stream uint64 // scenario RNG stream: StreamSeed(master, fnv(Name))
-	users  int    // accounts to provision per replication: "u0".."uN-1"
+	users  int    // accounts each cluster is provisioned with: "u0".."uN-1"
 	// attack is the scenario's adversary campaign resolved against
 	// the step registry once (nil when the spec has none), shared
 	// read-only across workers like the rest of the compile.
@@ -726,7 +726,12 @@ type trialWorker struct {
 	rec       *obs.Recorder  // phase span recorder; nil unless tracing
 }
 
-// scenarioSlot is the per-(worker, scenario) reuse state.
+// scenarioSlot is the per-(worker, scenario) reuse state. A pooled
+// cluster is provisioned with the scenario's users once and marked
+// there, so every Reset returns to "cluster plus users" and users
+// holds their login credentials for every later trial. Nothing writes
+// a credential's Groups: the scheduler copies them at Submit, and
+// seepid clones before it adds a group.
 type scenarioSlot struct {
 	cluster *core.Cluster // retained across trials only when pooling
 	users   []ids.Credential
@@ -810,10 +815,10 @@ func histogramFor(s *Scenario, counts []int64) metrics.Histogram {
 }
 
 // runTrial executes one (scenario, replication) trial: a cluster per
-// the scenario — pooled and Reset, or built fresh — provisioned with
-// the scenario's users, submitted the mix drawn from the trial's own
-// RNG stream, drained up to the horizon, and summarized into a
-// one-trial aggregate.
+// the scenario — pooled and Reset to its provisioned mark, or built
+// fresh and provisioned with the scenario's users — submitted the mix
+// drawn from the trial's own RNG stream, drained up to the horizon,
+// and summarized into a one-trial aggregate.
 func (w *trialWorker) runTrial(scenario, rep int) (*ScenarioResult, error) {
 	cs := &w.comp[scenario]
 	s := cs.spec
@@ -828,7 +833,8 @@ func (w *trialWorker) runTrial(scenario, rep int) (*ScenarioResult, error) {
 		w.slots[scenario] = slot
 	}
 	c := slot.cluster
-	if c != nil {
+	reused := c != nil
+	if reused {
 		if err := c.Reset(); err != nil {
 			return nil, err
 		}
@@ -849,16 +855,21 @@ func (w *trialWorker) runTrial(scenario, rep int) (*ScenarioResult, error) {
 	// never on the worker, the pool state, or the completion order.
 	w.rec.Begin(0)
 	w.rng.Reseed(metrics.StreamSeed(cs.stream, uint64(rep)))
-	creds := slot.users[:0]
-	for u := 0; u < cs.users; u++ {
-		acct, err := c.AddUser(UserName(u), "pw")
-		if err != nil {
-			return nil, err
+	if !reused {
+		creds := slot.users[:0]
+		for u := 0; u < cs.users; u++ {
+			acct, err := c.AddUser(UserName(u), "pw")
+			if err != nil {
+				return nil, err
+			}
+			creds = append(creds, acct.Cred)
 		}
-		creds = append(creds, acct.Cred)
+		slot.users = creds
+		if w.pooling {
+			c.MarkPristine()
+		}
 	}
-	slot.users = creds
-	mix, err := s.Workload.BuildInto(&w.rng, creds, &slot.scratch)
+	mix, err := s.Workload.BuildInto(&w.rng, slot.users, &slot.scratch)
 	if err != nil {
 		return nil, err
 	}

@@ -175,6 +175,9 @@ func (n *Network) Hosts() []string {
 // This models the RFC1413-like exchange of §IV-D: "an ident-like
 // query is sent from the receiving system to the initiating system to
 // get user information, and the same query run locally."
+//
+// The result is the socket's own stored credential, not a copy: it is
+// read-only, and a caller that keeps or changes it must Clone it first.
 func (n *Network) Ident(host string, proto Proto, port int) (ids.Credential, error) {
 	n.IdentQueries.Add(1)
 	h, err := n.Host(host)
@@ -278,16 +281,18 @@ func (h *Host) Reset() {
 	clear(h.abstract)
 }
 
-// identLocal resolves the credential owning a local socket.
+// identLocal resolves the credential owning a local socket. It shares
+// the socket's Groups slice (see Network.Ident): Listen and
+// allocEphemeral store their own copies, and nothing writes them.
 func (h *Host) identLocal(proto Proto, port int) (ids.Credential, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if l, ok := h.listeners[portKey{proto, port}]; ok {
-		return l.cred.Clone(), nil
+		return l.cred, nil
 	}
 	if h.ephemeral != nil {
 		if c, ok := h.ephemeral[port]; ok {
-			return c.Clone(), nil
+			return c, nil
 		}
 	}
 	return ids.Credential{}, fmt.Errorf("%w: %s %s:%d", ErrIdentUnavailable, proto, h.name, port)

@@ -16,6 +16,7 @@ package portal
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strconv"
 	"sync"
 
@@ -53,6 +54,8 @@ type Portal struct {
 	routes   map[string]*Route
 	nextTok  int
 	tunnel   bool // legacy forwarding: hops run as the route owner
+
+	marked map[ids.UID]string // the enrolments MarkPristine recorded
 }
 
 // New creates a portal bound to the given gateway host.
@@ -79,8 +82,21 @@ func (p *Portal) SetTunnelMode(on bool) {
 	p.tunnel = on
 }
 
-// Reset rewinds the portal to its freshly-constructed state:
-// enrolments, sessions and routes are dropped and the session token
+// MarkPristine records the current enrolments as the ones Reset
+// restores: a cluster provisioned before its mark keeps its users'
+// portal passwords across trials.
+func (p *Portal) MarkPristine() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.marked = nil // a fresh cluster's mark has no enrolment to copy
+	if len(p.secrets) > 0 {
+		p.marked = maps.Clone(p.secrets)
+	}
+}
+
+// Reset rewinds the portal to its state at MarkPristine (or to its
+// freshly-constructed state without a mark): enrolments return to the
+// marked ones, sessions and routes are dropped and the session token
 // counter restarts, so a reset portal hands out the same token strings
 // a fresh one would. The forwarding mode (SetTunnelMode) survives — it
 // is cluster-assembly configuration, set from Config at construction,
@@ -89,6 +105,7 @@ func (p *Portal) Reset() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	clear(p.secrets)
+	maps.Copy(p.secrets, p.marked)
 	clear(p.sessions)
 	clear(p.routes)
 	p.nextTok = 0

@@ -22,7 +22,7 @@ func newPopulatedTable(t *testing.T) (*simos.Table, map[ids.UID][]ids.PID) {
 	t.Helper()
 	tb := simos.NewTable(nil)
 	owned := make(map[ids.UID][]ids.PID)
-	tb.SpawnDaemon("systemd")
+	tb.Spawn(ids.RootCred(), 0, "systemd")
 	for _, uid := range []ids.UID{1000, 2000} {
 		for i := 0; i < 3; i++ {
 			p := tb.Spawn(cred(uid), 0, "work", "--secret", "token-of-"+string(rune('a'+int(uid/1000))))
@@ -189,7 +189,7 @@ func TestStatMissingPID(t *testing.T) {
 func TestQuickHidepidMonotonic(t *testing.T) {
 	f := func(nA, nB uint8, observerIsA bool) bool {
 		tb := simos.NewTable(nil)
-		tb.SpawnDaemon("systemd")
+		tb.Spawn(ids.RootCred(), 0, "systemd")
 		a, b := cred(1000), cred(2000)
 		for i := 0; i < int(nA%8); i++ {
 			tb.Spawn(a, 0, "pa")
@@ -217,7 +217,7 @@ func TestQuickHidepidMonotonic(t *testing.T) {
 func TestQuickReadableSubsetOfList(t *testing.T) {
 	f := func(mode uint8) bool {
 		tb := simos.NewTable(nil)
-		tb.SpawnDaemon("d")
+		tb.Spawn(ids.RootCred(), 0, "d")
 		tb.Spawn(cred(1000), 0, "a")
 		tb.Spawn(cred(2000), 0, "b")
 		m := NewMount(tb, HidePID(mode%3), ids.NoGID)

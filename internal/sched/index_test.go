@@ -28,8 +28,6 @@ func idxCred(uid ids.UID) ids.Credential {
 // are ID-sorted and are the Running jobs placed there.
 func checkIndexes(t *testing.T, s *Scheduler, when string) {
 	t.Helper()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var pending []*Job
 	due := make(map[*Job]int64)
 	onNode := make(map[*nodeState][]*Job)

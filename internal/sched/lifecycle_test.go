@@ -18,9 +18,7 @@ func lifecycle(tb testing.TB, s *Scheduler, cores int) {
 	}
 	s.Step() // starts
 	s.Step() // finishes
-	s.mu.Lock()
 	state := s.jobs[id-1].State
-	s.mu.Unlock()
 	if state != Completed {
 		tb.Fatalf("job %d ended %v, want completed", id, state)
 	}

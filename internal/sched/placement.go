@@ -85,7 +85,7 @@ func (sc *capScope) reset() {
 }
 
 // enroll adds a member node's static quantities and current
-// contribution to the scope. Caller holds s.mu.
+// contribution to the scope.
 func (sc *capScope) enroll(ns *nodeState) {
 	if ns.node.MemB > sc.maxNodeMemB {
 		sc.maxNodeMemB = ns.node.MemB
@@ -170,8 +170,7 @@ func effMemB(j *Job) int64 {
 // scope under the configured sharing policy: a false return proves no
 // placement scan could succeed now, so callers skip the scan (and its
 // node walk) entirely. A true return promises nothing — the scan still
-// applies per-node memory, GPU and down-node constraints. Caller holds
-// s.mu.
+// applies per-node memory, GPU and down-node constraints.
 func (s *Scheduler) probe(j *Job) bool {
 	sc := s.defaultScope
 	need := int64(j.Spec.Cores)
@@ -205,8 +204,7 @@ func (s *Scheduler) probe(j *Job) bool {
 // placeScratch is the reusable placement buffer fit writes into:
 // parallel slices of node index (into s.nodes) and cores taken there.
 // Failed attempts leave nothing behind; successful ones are
-// materialized into the job by tryStart. One per scheduler, guarded
-// by s.mu like everything else on the hot path.
+// materialized into the job by tryStart. One per scheduler.
 type placeScratch struct {
 	nodes []int
 	cores []int
@@ -219,7 +217,6 @@ func (ps *placeScratch) reset() {
 
 // applyPlace records a job's allocation on one compute node, updating
 // the node, the capacity scope, and the cluster's OOM-armed count.
-// Caller holds s.mu.
 func (s *Scheduler) applyPlace(ns *nodeState, j *Job, cores int) {
 	s.defaultScope.account(ns, -1)
 	wasArmed := ns.oomArmed()
@@ -239,7 +236,6 @@ func (s *Scheduler) applyPlace(ns *nodeState, j *Job, cores int) {
 }
 
 // applyRelease undoes applyPlace for one node of a finishing job.
-// Caller holds s.mu.
 func (s *Scheduler) applyRelease(ns *nodeState, j *Job, cores int) {
 	s.defaultScope.account(ns, -1)
 	wasArmed := ns.oomArmed()

@@ -11,7 +11,6 @@ import (
 )
 
 // recomputeScope rebuilds the capacity scope from raw node state.
-// Caller holds s.mu (or owns the scheduler exclusively).
 func recomputeScope(s *Scheduler) *capScope {
 	members := computeMembers(s)
 	want := newCapScope(len(members), s.maxNodeGPUs)
@@ -75,8 +74,6 @@ func checkUserFree(t *testing.T, s *Scheduler, got, want []userCap, when string)
 // equals its recomputed-from-scratch value.
 func checkAggregates(t *testing.T, s *Scheduler, when string) {
 	t.Helper()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 
 	want, got := recomputeScope(s), s.defaultScope
 	if got.freeCores != want.freeCores {
@@ -139,8 +136,6 @@ func checkAggregates(t *testing.T, s *Scheduler, when string) {
 // process anywhere carries the ID of a job that is not running.
 func checkTaskProcesses(t *testing.T, s *Scheduler, when string) {
 	t.Helper()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, ns := range s.nodes {
 		seen := make(map[int]int)
 		for _, p := range ns.node.Procs.All() {
@@ -178,13 +173,11 @@ func checkTaskProcesses(t *testing.T, s *Scheduler, when string) {
 // while queueBlocked is set, which every Step leaves it, no pending
 // job fits. A pass that stops while a queued job could still start, or
 // a gate left closed over an event that freed capacity, fails here.
-// Skipping the pass (Step) and skipping ticks (fastForwardLocked) are
+// Skipping the pass (Step) and skipping ticks (fastForward) are
 // exact only because of it. fit writes nothing but the placement
 // scratch, so the check leaves the scheduler as it found it.
 func checkPassComplete(t *testing.T, s *Scheduler, when string) {
 	t.Helper()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if !s.queueBlocked {
 		return
 	}
@@ -201,7 +194,9 @@ func checkPassComplete(t *testing.T, s *Scheduler, when string) {
 // asserting after every event batch
 // that the aggregates match a from-scratch recomputation and that the
 // node process tables hold exactly the running jobs' task processes,
-// and after every Step that the pass left no job that fits queued.
+// and after every Step that the pass left no job that fits queued. A
+// deep backlog with OOM jobs then drains in one RunAll, which must
+// leave an empty queue and the same invariants.
 func TestAggregateInvariants(t *testing.T) {
 	for _, pol := range []SharingPolicy{PolicyShared, PolicyExclusive, PolicyUserWholeNode} {
 		t.Run(pol.String(), func(t *testing.T) {
@@ -256,6 +251,15 @@ func TestAggregateInvariants(t *testing.T) {
 				checkIndexes(t, s, "mid-campaign")
 				checkTaskProcesses(t, s, "mid-campaign")
 			}
+			for i := 0; i < 150; i++ {
+				sp := spec(1+rng.Intn(8), 1+int64(rng.Intn(4)))
+				if i%40 == 39 {
+					sp.ActualMemB = 2 << 20
+				}
+				if _, err := s.Submit(cred(ids.UID(1000+i%4)), sp); err != nil {
+					t.Fatal(err)
+				}
+			}
 			s.RunAll(10000)
 			checkAggregates(t, s, "after drain")
 			checkIndexes(t, s, "after drain")
@@ -291,14 +295,11 @@ func TestProbeNeverRejectsPlaceable(t *testing.T) {
 				}
 			}
 			for tick := 0; tick < 200; tick++ {
-				s.mu.Lock()
 				for _, j := range s.pending {
 					if s.fit(j) && !s.probe(j) {
-						s.mu.Unlock()
 						t.Fatalf("probe rejected job %d but fit placed it", j.ID)
 					}
 				}
-				s.mu.Unlock()
 				s.Step()
 				checkPassComplete(t, s, fmt.Sprintf("tick %d", tick))
 				if s.PendingCount() == 0 {
@@ -322,16 +323,11 @@ func TestFitAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.mu.Lock()
 	j := s.jobs[blocked-1]
-	s.mu.Unlock()
 	allocs := testing.AllocsPerRun(100, func() {
-		s.mu.Lock()
 		if s.fit(j) {
-			s.mu.Unlock()
 			t.Fatal("job fit on a full cluster")
 		}
-		s.mu.Unlock()
 	})
 	if allocs != 0 {
 		t.Errorf("failed fit allocates %.1f objects per attempt, want 0", allocs)
@@ -353,16 +349,12 @@ func TestStepSkipsQueueWhenFull(t *testing.T) {
 		}
 	}
 	s.Step() // tries (and fails) the whole queue once, then blocks it
-	s.mu.Lock()
 	if !s.queueBlocked {
-		s.mu.Unlock()
 		t.Fatal("queue not blocked after a failed pass")
 	}
 	if s.defaultScope.freeCores != 0 {
-		s.mu.Unlock()
 		t.Fatalf("cluster should be saturated, freeCores=%d", s.defaultScope.freeCores)
 	}
-	s.mu.Unlock()
 	// Steady-state tick on a saturated cluster: no allocations at all.
 	allocs := testing.AllocsPerRun(100, func() { s.Step() })
 	if allocs != 0 {
@@ -417,8 +409,6 @@ func TestPassStopsAtZeroFreeCores(t *testing.T) {
 		t.Errorf("a pass that runs out of cores mid-queue allocates %.1f objects, want 0", allocs)
 	}
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.defaultScope.freeCores != 0 {
 		t.Fatalf("freeCores = %d after the pass, want 0", s.defaultScope.freeCores)
 	}

@@ -4,7 +4,7 @@ import "repro/internal/simos"
 
 // fit decides whether job j can start now under the configured
 // sharing policy, writing the placement into s.scratch (node index →
-// cores) on success. Caller holds s.mu.
+// cores) on success.
 //
 // It runs in two phases. The feasibility probe checks the job's
 // request against the capacity scope's aggregates over all compute
@@ -79,8 +79,6 @@ func (s *Scheduler) nodeEligible(ns *nodeState, j *Job, policy SharingPolicy) bo
 // currently running on it — the invariant check for experiment E4:
 // under PolicyUserWholeNode this must never exceed 1.
 func (s *Scheduler) NodeUsers() map[string]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make(map[string]int, len(s.nodes))
 	for _, ns := range s.nodes {
 		if ns.node.Kind == simos.Compute {

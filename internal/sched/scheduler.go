@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
 
 	"repro/internal/ids"
 	"repro/internal/simos"
@@ -114,10 +113,13 @@ func (ns *nodeState) userJobs(u ids.UID) int {
 // jobs, and capacity aggregates reject unplaceable jobs — or skip the
 // whole scheduling pass, or end it once the cluster fills — without
 // walking nodes. Step never scans the job table.
+//
+// A scheduler is not safe for concurrent use; the cluster's owner
+// calls it (DESIGN.md §7, "One owner per cluster"). Hooks run inside
+// Step and RunAll and must not call back into it.
 type Scheduler struct {
 	Cfg Config
 
-	mu     sync.Mutex
 	now    int64
 	nodes  []*nodeState
 	byName map[string]*nodeState
@@ -176,8 +178,8 @@ type Scheduler struct {
 	// stepCount/ffTicks feed the observability layer: real ticks
 	// executed vs event-free ticks the analytic fast-forward skipped
 	// (stepCount + ffTicks = total logical ticks advanced). Plain
-	// int64s under s.mu — the per-tick cost is one increment — and
-	// cleared by Reset like every other trial-scoped tally.
+	// int64s — the per-tick cost is one increment — cleared by Reset
+	// like every other trial-scoped tally.
 	stepCount int64
 	ffTicks   int64
 	// gen counts logical mutations since construction or the last
@@ -248,8 +250,6 @@ func New(cfg Config, nodes []*simos.Node, gpusPerNode int) *Scheduler {
 // scheduler (no submit, cancel or step since construction or the last
 // Reset) returns immediately.
 func (s *Scheduler) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.gen == 0 {
 		return
 	}
@@ -321,22 +321,16 @@ func (e *PAMError) Unwrap() error { return ErrNoJobOnNode }
 
 // AddProlog registers a job-start hook.
 func (s *Scheduler) AddProlog(h Hook) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.prologs = append(s.prologs, h)
 }
 
 // AddEpilog registers a job-end hook.
 func (s *Scheduler) AddEpilog(h Hook) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.epilogs = append(s.epilogs, h)
 }
 
 // Now returns the current logical time.
 func (s *Scheduler) Now() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.now
 }
 
@@ -347,8 +341,6 @@ func (s *Scheduler) Submit(cred ids.Credential, spec JobSpec) (int, error) {
 	if spec.Cores <= 0 || spec.Duration <= 0 {
 		return 0, fmt.Errorf("%w: cores=%d duration=%d", ErrBadSpec, spec.Cores, spec.Duration)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if int64(spec.Cores) > s.computeCores {
 		return 0, fmt.Errorf("%w: %d cores > cluster %d", ErrUnsatisfiable, spec.Cores, s.computeCores)
 	}
@@ -385,8 +377,6 @@ func (s *Scheduler) Submit(cred ids.Credential, spec JobSpec) (int, error) {
 // or root may cancel — and under PrivateData other users cannot even
 // name foreign job IDs meaningfully.
 func (s *Scheduler) Cancel(actor ids.Credential, jobID int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	j, err := s.lookup(jobID)
 	if err != nil {
 		return err
@@ -409,8 +399,7 @@ func (s *Scheduler) Cancel(actor ids.Credential, jobID int) error {
 	return nil
 }
 
-// lookup returns the job with the given ID from the job table. Caller
-// holds s.mu.
+// lookup returns the job with the given ID from the job table.
 func (s *Scheduler) lookup(id int) (*Job, error) {
 	if id < 1 || id > len(s.jobs) {
 		return nil, fmt.Errorf("%w: %d", ErrNoSuchJob, id)
@@ -429,14 +418,6 @@ func searchID(js []*Job, id int) int {
 // up, apply memory usage and OOM faults, then schedule the queue.
 // Returns the number of jobs started this tick.
 func (s *Scheduler) Step() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stepLocked()
-}
-
-// stepLocked is Step with s.mu held, shared with RunAll so the drain
-// loop never re-locks to inspect state between ticks.
-func (s *Scheduler) stepLocked() int {
 	s.now++
 	s.stepCount++
 	s.gen++
@@ -546,7 +527,6 @@ func (s *Scheduler) crashNode(ns *nodeState) {
 // finish releases a job's resources, runs epilogs, records
 // accounting. Nodes are walked in j.Nodes order (sorted at start), so
 // epilog hooks and resource releases happen in a stable node order.
-// Caller holds s.mu.
 func (s *Scheduler) finish(j *Job, state JobState) {
 	if j.State != Running {
 		return
@@ -582,7 +562,7 @@ func (s *Scheduler) account(j *Job) {
 
 // tryStart attempts to place job j now. A failed attempt — the common
 // case while a campaign drains — costs an O(1) probe plus at most one
-// allocation-free node scan. Caller holds s.mu.
+// allocation-free node scan.
 func (s *Scheduler) tryStart(j *Job) bool {
 	if !s.fit(j) {
 		return false
@@ -626,8 +606,6 @@ func (b *byNode) Swap(i, k int) {
 // HasJobOn reports whether uid has a running job on the named node —
 // the pam_slurm predicate.
 func (s *Scheduler) HasJobOn(uid ids.UID, nodeName string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	ns, ok := s.byName[nodeName]
 	if !ok {
 		return false
@@ -637,8 +615,6 @@ func (s *Scheduler) HasJobOn(uid ids.UID, nodeName string) bool {
 
 // Utilization returns busy core-ticks / total core-ticks so far.
 func (s *Scheduler) Utilization() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.totalCoreTicks == 0 {
 		return 0
 	}
@@ -647,23 +623,17 @@ func (s *Scheduler) Utilization() float64 {
 
 // Crashes returns (node crashes, cross-user job cofailures).
 func (s *Scheduler) Crashes() (int, int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.crashes, s.cofailures
 }
 
 // PendingCount returns the queue length.
 func (s *Scheduler) PendingCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return len(s.pending)
 }
 
 // Job returns the job by ID as the *scheduler* sees it (no privacy
 // filtering — use Squeue/JobView for user-facing access).
 func (s *Scheduler) Job(id int) (*Job, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	j, err := s.lookup(id)
 	if err != nil {
 		return nil, err
@@ -675,8 +645,6 @@ func (s *Scheduler) Job(id int) (*Job, error) {
 // has none) without copying the job, for a caller that polls a job
 // until it places; Job returns the whole job as a copy.
 func (s *Scheduler) Placement(id int) (JobState, string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	j, err := s.lookup(id)
 	if err != nil {
 		return 0, "", err
@@ -691,33 +659,31 @@ func (s *Scheduler) Placement(id int) (JobState, string, error) {
 // maxTicks. Returns the number of ticks executed (fast-forwarded
 // ticks count: logical time advances identically either way).
 //
-// The drain holds the lock once and is event-driven: after each real
-// tick, if the queue is provably stuck (every pass leaves it blocked
-// until capacity frees) and no OOM is armed, the ticks until the next
-// calendar completion contain no events — their only effect is
+// The drain is event-driven: after each real tick, if the queue is
+// provably stuck (every pass leaves it blocked until capacity frees)
+// and no OOM is armed, the ticks until the next calendar completion
+// contain no events — their only effect is
 // utilization accounting, which is applied analytically, and the
 // clock jumps straight to the tick containing the next event.
 func (s *Scheduler) RunAll(maxTicks int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	ticks := int64(0)
 	max := int64(maxTicks)
 	for ticks < max {
-		s.stepLocked()
+		s.Step()
 		ticks++
 		if _, running := s.calendar.nextDue(); !running && len(s.pending) == 0 {
 			return int(ticks)
 		}
-		ticks += s.fastForwardLocked(max - ticks)
+		ticks += s.fastForward(max - ticks)
 	}
 	return maxTicks
 }
 
-// fastForwardLocked advances over up to budget event-free ticks,
-// returning how many were skipped. It refuses to skip whenever the
-// next tick could do anything a real Step would: finish a due job,
-// crash an armed node, or start a pending job. Caller holds s.mu.
-func (s *Scheduler) fastForwardLocked(budget int64) int64 {
+// fastForward advances over up to budget event-free ticks, returning
+// how many were skipped. It refuses to skip whenever the next tick
+// could do anything a real Step would: finish a due job, crash an
+// armed node, or start a pending job.
+func (s *Scheduler) fastForward(budget int64) int64 {
 	if budget <= 0 || s.armedNodes > 0 {
 		return 0
 	}
@@ -745,13 +711,11 @@ func (s *Scheduler) fastForwardLocked(budget int64) int64 {
 }
 
 // Stats reports how many real ticks the scheduler has executed
-// (stepLocked runs) and how many event-free ticks the analytic
+// (Step runs) and how many event-free ticks the analytic
 // fast-forward skipped, since construction or the last Reset. Their
 // sum is the total logical time advanced; the ratio is the
 // event-driven engine's payoff, which is why the observability layer
 // exports both.
 func (s *Scheduler) Stats() (steps, fastForwarded int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.stepCount, s.ffTicks
 }

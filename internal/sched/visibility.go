@@ -29,27 +29,18 @@ func (s *Scheduler) privileged(observer ids.Credential) bool {
 // PrivateData, foreign jobs are omitted entirely. The jobs are copies,
 // in ID order.
 func (s *Scheduler) Squeue(observer ids.Credential) []*Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]*Job, 0, len(s.pending)+len(s.calendar))
-	s.visitQueueLocked(observer, func(j *Job) { out = append(out, j.Clone()) })
+	s.VisitQueue(observer, func(j *Job) { out = append(out, j.Clone()) })
 	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
 	return out
 }
 
 // VisitQueue calls visit on each job Squeue would return, in no fixed
 // order and without copying: visit must neither keep nor modify the
-// job, nor call back into the scheduler.
+// job, nor call back into the scheduler. It walks the live jobs only,
+// the pending slice and the calendar's running entries, never the
+// full job table.
 func (s *Scheduler) VisitQueue(observer ids.Credential, visit func(*Job)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.visitQueueLocked(observer, visit)
-}
-
-// visitQueueLocked visits the live jobs the observer may see: the
-// pending slice and the calendar's running entries, never the full job
-// table. Caller holds s.mu.
-func (s *Scheduler) visitQueueLocked(observer ids.Credential, visit func(*Job)) {
 	priv := !s.Cfg.PrivateData || s.privileged(observer)
 	for _, j := range s.pending {
 		if priv || j.User == observer.UID {
@@ -67,8 +58,6 @@ func (s *Scheduler) visitQueueLocked(observer ids.Credential, visit func(*Job)) 
 // foreign jobs return ErrNoSuchJob — existence is not even confirmed,
 // mirroring hidepid=2's ENOENT behaviour.
 func (s *Scheduler) JobView(observer ids.Credential, jobID int) (*Job, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	j, err := s.lookup(jobID)
 	if err != nil {
 		return nil, err
@@ -84,8 +73,6 @@ func (s *Scheduler) JobView(observer ids.Credential, jobID int) (*Job, error) {
 // submission of a single scheduler command" (paper §IV-B). With
 // PrivateData: own records only.
 func (s *Scheduler) Sacct(observer ids.Credential) []AccountingRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var out []AccountingRecord
 	for _, r := range s.records {
 		if !s.Cfg.PrivateData || s.privileged(observer) || r.User == observer.UID {
@@ -110,8 +97,6 @@ type NodeInfo struct {
 
 // Sinfo returns per-node occupancy as visible to the observer.
 func (s *Scheduler) Sinfo(observer ids.Credential) []NodeInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var out []NodeInfo
 	for _, ns := range s.nodes {
 		info := NodeInfo{Name: ns.node.Name, Cores: ns.node.Cores, UsedCores: ns.usedCores}

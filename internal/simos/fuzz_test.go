@@ -18,7 +18,7 @@ type tableModel struct {
 	marked      bool
 	pristine    map[ids.PID]Process
 	pristinePID ids.PID
-	pristineGen uint64 // the table's Generation at the mark
+	pristineGen uint64 // the table's generation at the mark
 }
 
 func newTableModel() *tableModel {
@@ -127,11 +127,11 @@ func tableOpsSeed(bare byte) []byte {
 }
 
 // FuzzTableOps decodes bytes into a sequence of process-table
-// operations — Spawn, SpawnJob, SpawnDaemon, Exit, ExitJob, Kill,
+// operations — Spawn, SpawnJob, a daemon spawn, Exit, ExitJob, Kill,
 // KillUser, a node Crash and Restore, MarkPristine and Reset — on a
 // node built by NewNode or, when the first byte is odd, on an unmarked
 // empty table. After every operation the table must equal the
-// reference model, its Generation must have moved exactly when the
+// reference model, its generation must have moved exactly when the
 // operation mutated the table, and Reset must bring back the mark's
 // generation.
 func FuzzTableOps(f *testing.F) {
@@ -151,7 +151,7 @@ func FuzzTableOps(f *testing.F) {
 			for _, c := range modelBase {
 				m.daemon(c...)
 			}
-			m.mark(n.Procs.Generation())
+			m.mark(n.Procs.gen)
 		} else {
 			n = &Node{Name: "c0", Procs: NewTable(nil)}
 		}
@@ -167,7 +167,7 @@ func FuzzTableOps(f *testing.F) {
 			pid := ids.PID(a % (int(m.nextPID) + 1))
 			uid := ids.UID(1000 + b%3)
 			comm, argv := []string{"a.out", "bash", "python"}[a%3], argvs[b%4]
-			gen := tb.Generation()
+			gen := tb.gen
 			mutated := true
 			switch op {
 			case 0:
@@ -187,7 +187,7 @@ func FuzzTableOps(f *testing.F) {
 					t.Fatalf("op %d: SpawnJob got PID %d, model %d", k/3, got, want)
 				}
 			case 2:
-				tb.SpawnDaemon(comm, argv...)
+				tb.spawnDaemon(cmdline(comm, argv))
 				m.daemon(append([]string{comm}, argv...)...)
 			case 3:
 				err := tb.Exit(pid)
@@ -238,14 +238,14 @@ func FuzzTableOps(f *testing.F) {
 			case 10:
 				n.Reset()
 				m.reset()
-				if got := tb.Generation(); got != m.pristineGen {
-					t.Fatalf("op %d: Generation %d after Reset, want the mark's %d", k/3, got, m.pristineGen)
+				if got := tb.gen; got != m.pristineGen {
+					t.Fatalf("op %d: generation %d after Reset, want the mark's %d", k/3, got, m.pristineGen)
 				}
 				m.check(t, tb, k/3)
 				continue
 			}
-			if moved := tb.Generation() != gen; moved != mutated {
-				t.Fatalf("op %d (%d): Generation moved %v, model mutated %v", k/3, op, moved, mutated)
+			if moved := tb.gen != gen; moved != mutated {
+				t.Fatalf("op %d (%d): generation moved %v, model mutated %v", k/3, op, moved, mutated)
 			}
 			m.check(t, tb, k/3)
 		}

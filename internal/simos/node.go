@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/ids"
 )
@@ -50,19 +48,18 @@ type DevNode struct {
 }
 
 // Node is one machine in the cluster: its process table, its /dev
-// namespace, its memory capacity, and its PAM access hooks.
+// namespace, its memory capacity, and its PAM access hooks. It is not
+// safe for concurrent use; the cluster's owner calls it (DESIGN.md §7,
+// "One owner per cluster").
 type Node struct {
 	Name  string
 	Kind  NodeKind
 	Cores int
 	MemB  int64 // physical memory, bytes
 	Procs *Table
-	mu    sync.RWMutex
 	dev   map[string]*DevNode
 	pam   []PAMHook
-	// down is set by Crash and cleared by Restore and Reset. It is an
-	// atomic so the scheduler's per-tick walk reads it without a lock.
-	down atomic.Bool
+	down  bool // set by Crash, cleared by Restore and Reset
 }
 
 // Node errors.
@@ -102,21 +99,17 @@ func NewNode(name string, kind NodeKind, cores int, memB int64, clock func() int
 // construction) and /dev nodes stay present — their ownership is
 // restored by the GPU manager's Reset, which knows the pristine modes.
 func (n *Node) Reset() {
-	n.down.Store(false)
+	n.down = false
 	n.Procs.Reset()
 }
 
 // AddPAMHook appends a module to the login stack.
 func (n *Node) AddPAMHook(h PAMHook) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.pam = append(n.pam, h)
 }
 
 // ClearPAMHooks removes all modules (used to reconfigure).
 func (n *Node) ClearPAMHooks() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.pam = nil
 }
 
@@ -124,16 +117,10 @@ func (n *Node) ClearPAMHooks() {
 // running the PAM stack; on success it spawns a shell process and
 // returns it. This is the path pam_slurm gates on compute nodes.
 func (n *Node) Login(cred ids.Credential) (*Process, error) {
-	if n.Down() {
+	if n.down {
 		return nil, fmt.Errorf("%w: %s", ErrNodeDown, n.Name)
 	}
-	// The stack is read without a copy: AddPAMHook only appends past
-	// the length read here and ClearPAMHooks replaces the slice, so the
-	// hooks run outside the lock see a stable stack.
-	n.mu.RLock()
-	hooks := n.pam
-	n.mu.RUnlock()
-	for _, h := range hooks {
+	for _, h := range n.pam {
 		if err := h(n, cred.UID); err != nil {
 			return nil, &LoginError{Cause: err}
 		}
@@ -170,8 +157,6 @@ func (e *DevError) Unwrap() error { return ErrPermission }
 
 // AddDev registers a /dev character file.
 func (n *Node) AddDev(path string, owner ids.UID, group ids.GID, mode uint32) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.dev[path] = &DevNode{Path: path, Owner: owner, Group: group, Mode: mode}
 }
 
@@ -180,8 +165,6 @@ func (n *Node) ChownDev(actor ids.Credential, path string, owner ids.UID, group 
 	if !actor.IsRoot() {
 		return fmt.Errorf("%w: chown %s", ErrPermission, path)
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	d, ok := n.dev[path]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoSuchDev, path)
@@ -193,8 +176,6 @@ func (n *Node) ChownDev(actor ids.Credential, path string, owner ids.UID, group 
 // OpenDev checks whether cred may open the device for read/write
 // using standard owner/group/other permission evaluation.
 func (n *Node) OpenDev(cred ids.Credential, path string) (*DevNode, error) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
 	d, ok := n.dev[path]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchDev, path)
@@ -220,12 +201,10 @@ func (n *Node) OpenDev(cred ids.Credential, path string) (*DevNode, error) {
 // VisibleDevs lists device paths cred can open — "GPUs that have not
 // been assigned to a user are not visible at all" (paper §IV-F).
 func (n *Node) VisibleDevs(cred ids.Credential) []string {
-	n.mu.RLock()
 	paths := make([]string, 0, len(n.dev))
 	for p := range n.dev {
 		paths = append(paths, p)
 	}
-	n.mu.RUnlock()
 	sort.Strings(paths)
 	var out []string
 	for _, p := range paths {
@@ -239,7 +218,7 @@ func (n *Node) VisibleDevs(cred ids.Credential) []string {
 // Crash marks the node down (e.g. after an OOM cascade) and kills all
 // processes. Returns the number of processes that died.
 func (n *Node) Crash() int {
-	n.down.Store(true)
+	n.down = true
 	return n.Procs.killAll()
 }
 
@@ -248,13 +227,13 @@ func (n *Node) Crash() int {
 // from storage Reset recycles, so a warmed crash, restore and Reset
 // allocate nothing.
 func (n *Node) Restore() {
-	n.down.Store(false)
+	n.down = false
 	n.Procs.spawnBaseDaemons()
 }
 
 // Down reports whether the node has crashed.
 func (n *Node) Down() bool {
-	return n.down.Load()
+	return n.down
 }
 
 // CheckOOM inspects total RSS against physical memory. If usage

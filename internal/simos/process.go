@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/ids"
 	"repro/internal/slab"
@@ -69,11 +68,12 @@ func (p *Process) Clone() *Process {
 	return &np
 }
 
-// Table is a node's process table. All methods are safe for
-// concurrent use.
+// Table is a node's process table. It is not safe for concurrent use;
+// the cluster's owner calls it (DESIGN.md §7, "One owner per
+// cluster").
 //
 // Entries stored in the table are immutable until Reset: the only
-// mutations are Spawn/SpawnDaemon/SpawnJob (and a node restore), which
+// mutations are Spawn/SpawnJob (and a node's base daemons), which
 // publish a fresh entry, and Exit/ExitJob/Kill/KillUser (and a node
 // crash), which remove one; nothing writes through a published
 // pointer, and no entry's storage is reused before the next Reset.
@@ -87,7 +87,6 @@ func (p *Process) Clone() *Process {
 // every daemon spawned since the pristine mark: clone what must
 // outlive the trial.
 type Table struct {
-	mu      sync.RWMutex
 	nextPID ids.PID
 	// slots holds the table's entries in PID order. PIDs only grow
 	// between Resets, so a spawn appends. An exit clears its slot's
@@ -152,13 +151,9 @@ func NewTable(clock func() int64) *Table {
 	return &Table{nextPID: 1, slots: make([]slot, 0, 4), clock: clock}
 }
 
-// dirtyLocked marks the published snapshot stale. Caller holds t.mu
-// for writing.
-func (t *Table) dirtyLocked() { t.gen++ }
-
-// lookupLocked returns the live entry for pid, or nil, and the index
-// of its slot, found by binary search. Caller holds t.mu.
-func (t *Table) lookupLocked(pid ids.PID) (*Process, int) {
+// lookup returns the live entry for pid, or nil, and the index of its
+// slot, found by binary search.
+func (t *Table) lookup(pid ids.PID) (*Process, int) {
 	lo, hi := 0, len(t.slots)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
@@ -174,13 +169,12 @@ func (t *Table) lookupLocked(pid ids.PID) (*Process, int) {
 	return nil, lo
 }
 
-// publishLocked appends p, whose PID is above every slot's, and
-// consumes its PID. A full slice is compacted first when at least a
-// quarter of its slots are exited: a compaction over n slots then
-// makes room for at least n/4 appends, and a table whose live count
-// stays under three quarters of its capacity never grows. Caller holds t.mu for
-// writing.
-func (t *Table) publishLocked(p *Process) {
+// publish appends p, whose PID is above every slot's, and consumes its
+// PID. A full slice is compacted first when at least a quarter of its
+// slots are exited: a compaction over n slots then makes room for at
+// least n/4 appends, and a table whose live count stays under three
+// quarters of its capacity never grows.
+func (t *Table) publish(p *Process) {
 	if n := len(t.slots); n == cap(t.slots) && 4*(n-t.live) >= n {
 		k := 0
 		for _, sl := range t.slots {
@@ -195,22 +189,21 @@ func (t *Table) publishLocked(p *Process) {
 	t.slots = append(t.slots, slot{pid: p.PID, p: p})
 	t.live++
 	t.nextPID++
-	t.dirtyLocked()
+	t.gen++
 }
 
-// removeLocked clears slot i, which holds a live entry. Caller holds
-// t.mu for writing.
-func (t *Table) removeLocked(i int) {
+// remove clears slot i, which holds a live entry.
+func (t *Table) remove(i int) {
 	t.slots[i].p = nil
 	t.live--
-	t.dirtyLocked()
+	t.gen++
 }
 
-// allocLocked hands out a stable slot from the daemon arena, growing
-// chunk sizes 4→256 so an idle node (three base daemons) pays one tiny
-// chunk while construction-heavy tables amortize to one allocation per
-// 256 daemons. Caller holds t.mu for writing.
-func (t *Table) allocLocked() *Process {
+// alloc hands out a stable slot from the daemon arena, growing chunk
+// sizes 4→256 so an idle node (three base daemons) pays one tiny chunk
+// while construction-heavy tables amortize to one allocation per 256
+// daemons.
+func (t *Table) alloc() *Process {
 	if len(t.arena) == cap(t.arena) {
 		size := cap(t.arena) * 2
 		if size == 0 {
@@ -225,7 +218,7 @@ func (t *Table) allocLocked() *Process {
 	return &t.arena[len(t.arena)-1]
 }
 
-// daemonCred is the shared root credential every SpawnDaemon entry
+// daemonCred is the shared root credential every daemon entry
 // carries. Published entries are read-only by the table contract (and
 // Get/Spawn clone before handing out mutable copies), so one shared
 // Groups slice serves every daemon on every node.
@@ -243,8 +236,6 @@ var baseDaemons = [][]string{{"systemd"}, {"sshd"}, {"slurmd", "-D"}}
 // makes the shared mark exact without cloning anything. Entries
 // spawned before the mark are never recycled.
 func (t *Table) MarkPristine() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.jobs.Mark()
 	t.pristine = make([]slot, 0, t.live)
 	for _, sl := range t.slots {
@@ -270,8 +261,6 @@ func (t *Table) MarkPristine() {
 // an entry they share may be zeroed or reused by a later spawn.
 // Entries present at the mark stay intact.
 func (t *Table) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.gen == t.pristineGen {
 		// Generation equality proves no mutation happened since the
 		// mark (every mutation bumps gen, nothing rewinds it mid-trial),
@@ -296,34 +285,11 @@ func (t *Table) Reset() {
 	t.snapGen = 0
 }
 
-// Generation returns the table's mutation counter. Two equal
-// Generation readings bracket a window in which no mutation happened
-// and every snapshot handed out was identical.
-func (t *Table) Generation() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.gen
-}
-
 // snapshot returns the shared PID-sorted slice of live processes,
-// rebuilding it only when a mutation invalidated the cached one. The
-// returned slice and its entries are immutable.
+// rebuilding it (from the slots, already in PID order) only when a
+// mutation invalidated the cached one. The returned slice and its
+// entries are immutable.
 func (t *Table) snapshot() []*Process {
-	t.mu.RLock()
-	if t.snap != nil && t.snapGen == t.gen {
-		s := t.snap
-		t.mu.RUnlock()
-		return s
-	}
-	t.mu.RUnlock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.rebuildLocked()
-}
-
-// rebuildLocked (re)builds the snapshot cache if stale. The slots are
-// already in PID order. Caller holds t.mu for writing.
-func (t *Table) rebuildLocked() []*Process {
 	if t.snap != nil && t.snapGen == t.gen {
 		return t.snap
 	}
@@ -349,8 +315,6 @@ func cmdline(comm string, argv []string) []string {
 
 // Spawn creates a process owned by cred. ppid 0 means "init".
 func (t *Table) Spawn(cred ids.Credential, ppid ids.PID, comm string, argv ...string) *Process {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	p := &Process{
 		PID:     t.nextPID,
 		PPID:    ppid,
@@ -360,7 +324,7 @@ func (t *Table) Spawn(cred ids.Credential, ppid ids.PID, comm string, argv ...st
 		State:   StateRunning,
 		Start:   t.clock(),
 	}
-	t.publishLocked(p)
+	t.publish(p)
 	return p.Clone()
 }
 
@@ -373,16 +337,13 @@ type jobProcess struct {
 
 // SpawnJob publishes the task process of scheduler job jobID: a child
 // of init that already carries the job and its resident memory, so a
-// job start costs one entry, one lock and one generation bump per
-// node. The entry shares cred.Groups instead of cloning it: the caller
+// job start costs one entry and one generation bump per node. The entry shares cred.Groups instead of cloning it: the caller
 // must never mutate it afterwards (the scheduler passes its private
 // job credential, which nothing writes after Submit). The entry is
 // carved from the table's job slab, so with at most one argument a
 // job start allocates nothing once a previous trial has sized the
 // slab; the entry stays intact after ExitJob until the next Reset.
 func (t *Table) SpawnJob(cred ids.Credential, jobID int, rss int64, comm string, argv ...string) ids.PID {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	// The slot comes zeroed, so fields are stored one by one: a
 	// whole-struct store would pay a bulk write barrier and a block copy.
 	e := &t.jobs.Take(1)[0]
@@ -397,39 +358,28 @@ func (t *Table) SpawnJob(cred ids.Credential, jobID int, rss int64, comm string,
 	// Clip so that a reader's append cannot write into the inline array;
 	// past one argument, append moves the argv to the heap by itself.
 	e.Cmdline = slices.Clip(append(append(e.argv[:0], comm), argv...))
-	t.publishLocked(&e.Process)
+	t.publish(&e.Process)
 	return e.PID
 }
 
-// SpawnDaemon creates a root-owned system daemon process; daemons are
-// what hidepid=2 hides alongside other users' processes.
-func (t *Table) SpawnDaemon(comm string, argv ...string) *Process {
-	c := cmdline(comm, argv)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.spawnDaemonLocked(c).Clone()
-}
-
 // spawnBaseDaemons publishes the base daemons (NewNode, Node.Restore)
-// in one locked pass, without cloning anything.
+// without cloning anything: root-owned system daemons, which hidepid=2
+// hides alongside other users' processes.
 func (t *Table) spawnBaseDaemons() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for _, c := range baseDaemons {
-		t.spawnDaemonLocked(c)
+		t.spawnDaemon(c)
 	}
 }
 
-// spawnDaemonLocked publishes a daemon whose entry shares cmdline
-// (comm first). Before the pristine mark the entry comes from the
-// daemon arena; after it, from the job slab, which Reset rewinds.
-// Caller holds t.mu for writing.
-func (t *Table) spawnDaemonLocked(cmdline []string) *Process {
+// spawnDaemon publishes a daemon whose entry shares cmdline (comm
+// first). Before the pristine mark the entry comes from the daemon
+// arena; after it, from the job slab, which Reset rewinds.
+func (t *Table) spawnDaemon(cmdline []string) *Process {
 	var p *Process
 	if t.marked {
 		p = &t.jobs.Take(1)[0].Process
 	} else {
-		p = t.allocLocked()
+		p = t.alloc()
 	}
 	p.PID = t.nextPID
 	p.PPID = 1
@@ -439,18 +389,16 @@ func (t *Table) spawnDaemonLocked(cmdline []string) *Process {
 	p.State = StateSleeping
 	p.Start = t.clock()
 	p.Daemon = true
-	t.publishLocked(p)
+	t.publish(p)
 	return p
 }
 
 // Get returns a copy of the process with the given pid. Visibility
 // filtering is the job of package procfs; Get is the raw kernel view.
 func (t *Table) Get(pid ids.PID) (*Process, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	// Exit/Kill* clear a dead process's slot outright, so a set entry
 	// alone means live.
-	p, _ := t.lookupLocked(pid)
+	p, _ := t.lookup(pid)
 	if p == nil {
 		return nil, fmt.Errorf("%w: pid %d", ErrNoSuchProcess, pid)
 	}
@@ -462,22 +410,18 @@ func (t *Table) Get(pid ids.PID) (*Process, error) {
 // contract); use Get for a private deep copy. Lookup exists so
 // permission checks can run before any clone is paid for.
 func (t *Table) Lookup(pid ids.PID) (*Process, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	p, _ := t.lookupLocked(pid)
+	p, _ := t.lookup(pid)
 	return p, p != nil
 }
 
 // Exit removes a process from the table. Snapshots published before
 // the exit keep showing the process (immutably) until refreshed.
 func (t *Table) Exit(pid ids.PID) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p, i := t.lookupLocked(pid)
+	p, i := t.lookup(pid)
 	if p == nil {
 		return fmt.Errorf("%w: pid %d", ErrNoSuchProcess, pid)
 	}
-	t.removeLocked(i)
+	t.remove(i)
 	return nil
 }
 
@@ -485,37 +429,31 @@ func (t *Table) Exit(pid ids.PID) error {
 // a no-op, reporting false, when pid is gone or no longer that job's:
 // a node crash may already have removed it.
 func (t *Table) ExitJob(pid ids.PID, jobID int) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p, i := t.lookupLocked(pid)
+	p, i := t.lookup(pid)
 	if p == nil || p.JobID != jobID || jobID == 0 {
 		return false
 	}
-	t.removeLocked(i)
+	t.remove(i)
 	return true
 }
 
 // Kill terminates a process on behalf of actor. Classic Unix rule:
 // only the owner or root may signal a process.
 func (t *Table) Kill(actor ids.Credential, pid ids.PID) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p, i := t.lookupLocked(pid)
+	p, i := t.lookup(pid)
 	if p == nil {
 		return fmt.Errorf("%w: pid %d", ErrNoSuchProcess, pid)
 	}
 	if !actor.IsRoot() && actor.UID != p.Cred.UID {
 		return fmt.Errorf("%w: uid %d cannot kill pid %d (uid %d)", ErrPermission, actor.UID, pid, p.Cred.UID)
 	}
-	t.removeLocked(i)
+	t.remove(i)
 	return nil
 }
 
 // KillUser terminates every non-daemon process of uid (node failure /
 // cleanup modelling). Returns the number killed.
 func (t *Table) KillUser(uid ids.UID) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	n := 0
 	for i, sl := range t.slots {
 		if p := sl.p; p != nil && p.Cred.UID == uid && !p.Daemon {
@@ -525,19 +463,17 @@ func (t *Table) KillUser(uid ids.UID) int {
 	}
 	if n > 0 {
 		t.live -= n
-		t.dirtyLocked()
+		t.gen++
 	}
 	return n
 }
 
-// killAll terminates every process in one locked pass (a node crash)
-// and returns the number killed.
+// killAll terminates every process in one pass (a node crash) and
+// returns the number killed.
 func (t *Table) killAll() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	n := t.live
 	if n > 0 {
-		t.dirtyLocked()
+		t.gen++
 	}
 	clear(t.slots)
 	t.slots = t.slots[:0]
@@ -555,8 +491,7 @@ func (t *Table) All() []*Process {
 
 // Visit calls f on every live process in PID order, stopping early if
 // f returns false. It iterates the shared snapshot, so it allocates
-// nothing and holds no lock while f runs — f may call back into the
-// table. The *Process passed to f is shared and read-only.
+// nothing and f may call back into the table. The *Process passed to f is shared and read-only.
 func (t *Table) Visit(f func(p *Process) bool) {
 	for _, p := range t.snapshot() {
 		if !f(p) {
@@ -579,8 +514,6 @@ func (t *Table) ByUser(uid ids.UID) []*Process {
 
 // TotalRSS sums resident memory across all live processes.
 func (t *Table) TotalRSS() int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	var sum int64
 	for _, sl := range t.slots {
 		if sl.p != nil {
@@ -592,7 +525,5 @@ func (t *Table) TotalRSS() int64 {
 
 // Len returns the number of live processes.
 func (t *Table) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return t.live
 }

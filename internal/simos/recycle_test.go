@@ -65,10 +65,49 @@ func TestResetReplayAllocFree(t *testing.T) {
 	}
 }
 
+// checkSnapshot checks that the shared snapshot of a table whose task
+// entries reuse recycled storage is consistent: All is strictly
+// PID-sorted, Visit walks the same entries, ByUser returns exactly
+// each user's entries in PID order, and Get finds every entry.
+func checkSnapshot(t *testing.T, tb *Table, when string) {
+	t.Helper()
+	all := tb.All()
+	for k := 1; k < len(all); k++ {
+		if all[k-1].PID >= all[k].PID {
+			t.Fatalf("%s: snapshot not sorted/unique at %d", when, k)
+		}
+	}
+	k := 0
+	tb.Visit(func(p *Process) bool {
+		if k >= len(all) || all[k] != p {
+			t.Fatalf("%s: Visit entry %d differs from All", when, k)
+		}
+		k++
+		return true
+	})
+	for _, c := range recycleCreds {
+		var want []*Process
+		for _, p := range all {
+			if p.Cred.UID == c.UID {
+				want = append(want, p)
+			}
+		}
+		if got := tb.ByUser(c.UID); !slices.Equal(got, want) {
+			t.Fatalf("%s: ByUser(%d) = %v, want %v", when, c.UID, got, want)
+		}
+	}
+	for _, p := range all {
+		if g, err := tb.Get(p.PID); err != nil || !reflect.DeepEqual(*g, deepCopy(p)) {
+			t.Fatalf("%s: Get(%d) = %+v, %v; want %+v", when, p.PID, g, err, deepCopy(p))
+		}
+	}
+}
+
 // TestResetKeepsEntriesBelowMark checks that the rewind never reaches
 // below the pristine mark: task entries spawned before MarkPristine,
 // one of them exited, keep their storage and contents across Resets
-// and the spawns that reuse the storage above the mark.
+// and the spawns that reuse the storage above the mark, and that the
+// snapshot stays consistent while spawns reuse that storage.
 func TestResetKeepsEntriesBelowMark(t *testing.T) {
 	tb := NewNode("c1", Compute, 8, 1<<30, nil).Procs
 	// Three daemons and three tasks: the mark lands inside the slab's
@@ -101,8 +140,10 @@ func TestResetKeepsEntriesBelowMark(t *testing.T) {
 	for cycle := 0; cycle < 3; cycle++ {
 		recycleTrial(tb)
 		check("during a trial")
+		checkSnapshot(t, tb, "during a trial")
 		tb.Reset()
 		check("after Reset")
+		checkSnapshot(t, tb, "after Reset")
 	}
 	for i := 0; i < 100; i++ {
 		tb.SpawnJob(testCred(2000), 500+i, 1, "slurmstepd", "b.out --token=later")

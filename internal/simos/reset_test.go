@@ -14,10 +14,10 @@ import (
 
 func TestTableResetRewindsToMark(t *testing.T) {
 	tab := NewTable(nil)
-	d1 := tab.SpawnDaemon("systemd")
-	d2 := tab.SpawnDaemon("sshd")
+	d1 := tab.spawnDaemon([]string{"systemd"})
+	d2 := tab.spawnDaemon([]string{"sshd"})
 	tab.MarkPristine()
-	genAtMark := tab.Generation()
+	genAtMark := tab.gen
 
 	u := ids.Credential{UID: 1000, EGID: 1000, Groups: []ids.GID{1000}}
 	p := tab.Spawn(u, 1, "work", "--secret")
@@ -27,7 +27,7 @@ func TestTableResetRewindsToMark(t *testing.T) {
 	}
 	tab.Reset()
 
-	if got := tab.Generation(); got != genAtMark {
+	if got := tab.gen; got != genAtMark {
 		t.Errorf("generation %d after Reset, want the mark's %d", got, genAtMark)
 	}
 	all := tab.All()
@@ -44,7 +44,7 @@ func TestTableResetRewindsToMark(t *testing.T) {
 
 func TestTableResetFastPathKeepsEntries(t *testing.T) {
 	tab := NewTable(nil)
-	tab.SpawnDaemon("systemd")
+	tab.spawnDaemon([]string{"systemd"})
 	tab.MarkPristine()
 	before := tab.All()
 	tab.Reset() // nothing changed since the mark
@@ -122,7 +122,7 @@ func TestNodeResetAfterCrashRestore(t *testing.T) {
 // again when the rewound counter climbs back to the same value.
 func TestTableResetFastPathInvalidatesSnapshotCache(t *testing.T) {
 	tab := NewTable(nil)
-	tab.SpawnDaemon("systemd")
+	tab.spawnDaemon([]string{"systemd"})
 	tab.MarkPristine()
 	u := ids.Credential{UID: 1000, EGID: 1000, Groups: []ids.GID{1000}}
 

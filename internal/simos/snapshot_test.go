@@ -2,7 +2,6 @@ package simos
 
 import (
 	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/ids"
@@ -27,15 +26,16 @@ func TestSnapshotGenerationInvalidation(t *testing.T) {
 	if &s1[0] != &s2[0] {
 		t.Errorf("idle table rebuilt its snapshot")
 	}
-	gen := tb.Generation()
-	if tb.Generation() != gen {
-		t.Errorf("Generation changed without a mutation")
+	gen := tb.gen
+	tb.Visit(func(*Process) bool { return true })
+	if tb.gen != gen {
+		t.Errorf("reading the table changed its generation")
 	}
 
 	// Every mutating operation must bump the generation and serve a
 	// fresh snapshot reflecting the change.
 	pj := tb.SpawnJob(testCred(1000), 7, 1234, "slurmstepd", "x")
-	if tb.Generation() == gen {
+	if tb.gen == gen {
 		t.Fatalf("SpawnJob did not bump generation")
 	}
 	s3 := tb.All()
@@ -47,8 +47,8 @@ func TestSnapshotGenerationInvalidation(t *testing.T) {
 	if q, _ := tb.Lookup(p1.PID); q != s1[0] {
 		t.Errorf("SpawnJob replaced an unrelated entry")
 	}
-	gen = tb.Generation()
-	if !tb.ExitJob(pj, 7) || tb.Generation() == gen {
+	gen = tb.gen
+	if !tb.ExitJob(pj, 7) || tb.gen == gen {
 		t.Fatalf("ExitJob did not remove the entry and bump generation")
 	}
 	if got := tb.All(); len(got) != 2 {
@@ -153,73 +153,4 @@ func TestVisitReentrancy(t *testing.T) {
 	if n != 2 {
 		t.Errorf("visited %d, want 2", n)
 	}
-}
-
-// TestSnapshotRaceStress hammers the table with concurrent writers
-// (Spawn/SpawnJob/Exit/ExitJob) and snapshot readers (All/Visit/ByUser/
-// Get). Run under -race this proves readers share immutable snapshots
-// without torn reads; without -race it still asserts snapshots are
-// internally consistent (PID-sorted, no duplicates). A warm-up trial
-// and a Reset come first, so the writers' task entries reuse storage
-// that earlier entries occupied, as in a pooled trial.
-func TestSnapshotRaceStress(t *testing.T) {
-	tb := NewTable(nil)
-	const writers, readers, iters = 4, 4, 300
-	for i := 0; i < writers*iters; i++ {
-		tb.SpawnJob(testCred(999), 1, 1, "warm", "up")
-	}
-	tb.All()
-	tb.Reset()
-
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(uid ids.UID) {
-			defer wg.Done()
-			var mine []ids.PID
-			for i := 0; i < iters; i++ {
-				switch i % 4 {
-				case 0, 1:
-					mine = append(mine, tb.SpawnJob(testCred(uid), int(uid), int64(i), "w"))
-				case 2:
-					if len(mine) > 0 {
-						_ = tb.Exit(mine[len(mine)-1])
-						mine = mine[:len(mine)-1]
-					}
-				case 3:
-					for _, pid := range mine {
-						tb.ExitJob(pid, int(uid))
-					}
-					mine = mine[:0]
-				}
-			}
-		}(ids.UID(1000 + w))
-	}
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func(uid ids.UID) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				snap := tb.All()
-				for k := 1; k < len(snap); k++ {
-					if snap[k-1].PID >= snap[k].PID {
-						t.Errorf("snapshot not sorted/unique at %d", k)
-						return
-					}
-				}
-				tb.Visit(func(p *Process) bool {
-					_ = p.Cmdline // immutable read
-					return true
-				})
-				for _, p := range tb.ByUser(uid) {
-					if p.Cred.UID != uid {
-						t.Errorf("ByUser(%d) returned uid %d", uid, p.Cred.UID)
-						return
-					}
-					_, _ = tb.Get(p.PID) // may have exited; both outcomes fine
-				}
-			}
-		}(ids.UID(1000 + r%writers))
-	}
-	wg.Wait()
 }

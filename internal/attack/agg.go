@@ -1,17 +1,21 @@
 package attack
 
 import (
+	"encoding/json"
 	"fmt"
+	"slices"
+	"strconv"
 
+	"repro/internal/audit"
 	"repro/internal/metrics"
 )
 
 // Agg is the mergeable campaign aggregate — fleet's per-scenario
 // attack statistics, built from fixed-size per-trial Outcomes the
 // same way ScenarioResult accumulates the drain metrics. Field order
-// is the canonical JSON layout; the maps marshal with sorted keys
-// (encoding/json's contract), so Agg JSON is deterministic and the
-// fleet byte-identity guarantees extend to attacked campaigns.
+// is the canonical JSON layout; the leak counts marshal as objects
+// with sorted keys, so Agg JSON is deterministic and the fleet
+// byte-identity guarantees extend to attacked campaigns.
 type Agg struct {
 	// Trials counts successful trials aggregated here; a degraded
 	// (panic-failed) trial contributes an empty Agg with Trials 0.
@@ -33,16 +37,88 @@ type Agg struct {
 	DetectionLatency metrics.Acc `json:"detection_latency"`
 	// StepLeaks counts non-residual leaks by step name;
 	// ChannelLeaks counts all leaks (residual included) by channel.
-	StepLeaks    map[string]int `json:"step_leaks"`
-	ChannelLeaks map[string]int `json:"channel_leaks"`
+	StepLeaks    StepCounts    `json:"step_leaks"`
+	ChannelLeaks ChannelCounts `json:"channel_leaks"`
 }
 
-// NewAgg returns an empty aggregate with both maps materialized, so
-// an attack scenario's JSON shape is identical whether or not any
-// step ever leaked (`{}`, not `null`).
-func NewAgg() *Agg {
-	return &Agg{StepLeaks: make(map[string]int), ChannelLeaks: make(map[string]int)}
+// StepCounts counts by step name, indexed by the name's position in
+// the sorted registry. Its JSON is an object of the nonzero counts
+// with sorted keys, `{}` when there are none: the shape a map of them
+// marshals to.
+type StepCounts [len(stepRegistry)]int
+
+// channelNames is every audit channel, sorted: ChannelCounts' index.
+var channelNames = [...]string{
+	string(audit.ChanAbstract), string(audit.ChanContainer), string(audit.ChanFS),
+	string(audit.ChanGPU), string(audit.ChanNetwork), string(audit.ChanPortal),
+	string(audit.ChanProcess), string(audit.ChanRDMACM), string(audit.ChanScheduler),
+	string(audit.ChanTmpNames),
 }
+
+// ChannelCounts counts by audit channel, indexed like channelNames,
+// with StepCounts' JSON shape.
+type ChannelCounts [len(channelNames)]int
+
+// Names returns the steps with a nonzero count, sorted.
+func (c *StepCounts) Names() []string {
+	var names []string
+	for i, n := range c {
+		if n != 0 {
+			names = append(names, stepNames[i])
+		}
+	}
+	return names
+}
+
+func (c StepCounts) MarshalJSON() ([]byte, error) { return countsJSON(stepNames, c[:]), nil }
+
+func (c *StepCounts) UnmarshalJSON(data []byte) error { return parseCounts(data, stepNames, c[:]) }
+
+func (c ChannelCounts) MarshalJSON() ([]byte, error) { return countsJSON(channelNames[:], c[:]), nil }
+
+func (c *ChannelCounts) UnmarshalJSON(data []byte) error {
+	return parseCounts(data, channelNames[:], c[:])
+}
+
+// countsJSON renders the nonzero counts as a JSON object keyed by
+// names, which are sorted.
+func countsJSON(names []string, counts []int) []byte {
+	b := []byte{'{'}
+	for i, n := range counts {
+		if n == 0 {
+			continue
+		}
+		if len(b) > 1 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendQuote(b, names[i])
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(n), 10)
+	}
+	return append(b, '}')
+}
+
+// parseCounts decodes a JSON object of counts keyed by names, which
+// are sorted, into counts. A key outside names is an error: no trial
+// counts it.
+func parseCounts(data []byte, names []string, counts []int) error {
+	var m map[string]int
+	if err := json.Unmarshal(data, &m); err != nil {
+		return err
+	}
+	clear(counts)
+	for k, n := range m {
+		i, ok := slices.BinarySearch(names, k)
+		if !ok {
+			return fmt.Errorf("attack: no leak count is kept for %q", k)
+		}
+		counts[i] = n
+	}
+	return nil
+}
+
+// NewAgg returns an empty aggregate.
+func NewAgg() *Agg { return &Agg{} }
 
 // AddOutcome folds one trial in.
 func (a *Agg) AddOutcome(o *Outcome) {
@@ -57,12 +133,7 @@ func (a *Agg) AddOutcome(o *Outcome) {
 	}
 	a.ResidualLeaks += o.ResidualLeaks
 	a.Inconclusive += o.Inconclusive
-	for k, v := range o.StepLeaks {
-		a.StepLeaks[k] += v
-	}
-	for k, v := range o.ChannelLeaks {
-		a.ChannelLeaks[k] += v
-	}
+	a.addLeaks(&o.StepLeaks, &o.ChannelLeaks)
 }
 
 // Merge folds another aggregate of the same scenario in. Like
@@ -76,32 +147,21 @@ func (a *Agg) Merge(o *Agg) {
 	a.Inconclusive += o.Inconclusive
 	a.StepsToFirstLeak.Merge(o.StepsToFirstLeak)
 	a.DetectionLatency.Merge(o.DetectionLatency)
-	if a.StepLeaks == nil {
-		a.StepLeaks = make(map[string]int)
+	a.addLeaks(&o.StepLeaks, &o.ChannelLeaks)
+}
+
+func (a *Agg) addLeaks(steps *StepCounts, channels *ChannelCounts) {
+	for i, n := range steps {
+		a.StepLeaks[i] += n
 	}
-	if a.ChannelLeaks == nil {
-		a.ChannelLeaks = make(map[string]int)
-	}
-	for k, v := range o.StepLeaks {
-		a.StepLeaks[k] += v
-	}
-	for k, v := range o.ChannelLeaks {
-		a.ChannelLeaks[k] += v
+	for i, n := range channels {
+		a.ChannelLeaks[i] += n
 	}
 }
 
-// Clone deep-copies the aggregate (the maps are its reference
-// fields) so checkpoint-restored partials never alias merge targets.
+// Clone copies the aggregate; it holds no reference fields.
 func (a *Agg) Clone() *Agg {
 	c := *a
-	c.StepLeaks = make(map[string]int, len(a.StepLeaks))
-	for k, v := range a.StepLeaks {
-		c.StepLeaks[k] = v
-	}
-	c.ChannelLeaks = make(map[string]int, len(a.ChannelLeaks))
-	for k, v := range a.ChannelLeaks {
-		c.ChannelLeaks[k] = v
-	}
 	return &c
 }
 

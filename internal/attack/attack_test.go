@@ -2,7 +2,6 @@ package attack
 
 import (
 	"encoding/json"
-	"maps"
 	"reflect"
 	"slices"
 	"sort"
@@ -169,8 +168,8 @@ func TestExecuteEnhancedKillChain(t *testing.T) {
 		t.Fatalf("enhanced kill-chain broke through (first leak at step %d):\n%s",
 			out.StepsToFirstLeak, rep.Table().Render())
 	}
-	if len(out.StepLeaks) != 0 {
-		t.Errorf("non-residual step leaks under enhanced: %v", out.StepLeaks)
+	if names := out.StepLeaks.Names(); len(names) != 0 {
+		t.Errorf("non-residual step leaks under enhanced: %v", names)
 	}
 	if out.Leaks != 3 || out.ResidualLeaks != 3 {
 		t.Errorf("leaks = %d (residual %d), want exactly the 3 residual channels\n%s",
@@ -226,6 +225,46 @@ func TestExecuteGapDraws(t *testing.T) {
 	}
 }
 
+// TestRunMatchesExecute: a campaign over scenery provisioned once and
+// marked (Run, a pooled fleet slot's path) has the Outcome of the same
+// campaign over scenery set up lazily (Execute), trial after trial of a
+// cluster reset to its mark.
+func TestRunMatchesExecute(t *testing.T) {
+	clusters := map[string]func() *core.Cluster{
+		"baseline": func() *core.Cluster { return core.MustNew(core.Baseline(), attackTopo()) },
+		"enhanced": func() *core.Cluster { return core.MustNew(core.Enhanced(), attackTopo()) },
+	}
+	for _, m := range core.Measures() {
+		clusters["-"+m.Name] = func() *core.Cluster {
+			return core.MustNewWithProfile(core.EnhancedProfile(), core.Without(m.Name))
+		}
+	}
+	for name, build := range clusters {
+		for _, model := range Models() {
+			cs := mustCompile(t, model.Model)
+			pooled := build()
+			adv, err := Provision(pooled)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pooled.MarkPristine()
+			for seed := uint64(1); seed <= 2; seed++ {
+				want, _, err := cs.Execute(build(), metrics.NewRNG(seed), 4000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.Events = nil
+				if err := pooled.Reset(); err != nil {
+					t.Fatal(err)
+				}
+				if got := cs.Run(adv, metrics.NewRNG(seed), 4000); !reflect.DeepEqual(&got, want) {
+					t.Errorf("%s on %s, seed %d: Run = %+v, Execute = %+v", model.Model, name, seed, got, *want)
+				}
+			}
+		}
+	}
+}
+
 func TestAggMergeMatchesSequentialAdd(t *testing.T) {
 	chain := mustCompile(t, "kill-chain")
 	outs := make([]*Outcome, 3)
@@ -264,9 +303,9 @@ func TestAggMergeMatchesSequentialAdd(t *testing.T) {
 			all.Trials, all.Successes, all.Detected, all.Inconclusive)
 	}
 	clone := all.Clone()
-	clone.StepLeaks["recon-proc"] += 100
-	if all.StepLeaks["recon-proc"] == clone.StepLeaks["recon-proc"] {
-		t.Error("Clone shares its StepLeaks map with the original")
+	clone.StepLeaks[0] += 100
+	if all.StepLeaks[0] == clone.StepLeaks[0] {
+		t.Error("Clone shares its StepLeaks with the original")
 	}
 }
 
@@ -297,6 +336,43 @@ func TestAggJSONShapeStable(t *testing.T) {
 	}
 	if string(redata) != string(data) {
 		t.Errorf("Agg JSON does not round-trip: %s vs %s", redata, data)
+	}
+}
+
+// TestLeakCountsJSON: the fixed-index leak counts marshal as the map
+// of their nonzero entries would, keys sorted, and decode back; a key
+// no trial counts is an error, not a silently dropped count.
+func TestLeakCountsJSON(t *testing.T) {
+	var a Agg
+	a.StepLeaks[slices.Index(stepNames, "tmp-harvest")] = 2
+	a.StepLeaks[slices.Index(stepNames, "home-probe")] = 1
+	a.ChannelLeaks[slices.Index(channelNames[:], "filesystem")] = 3
+	data, err := json.Marshal(&a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]map[string]int{
+		"step_leaks":    {"tmp-harvest": 2, "home-probe": 1},
+		"channel_leaks": {"filesystem": 3},
+	}
+	for field, m := range want {
+		mj, _ := json.Marshal(m)
+		if !strings.Contains(string(data), `"`+field+`":`+string(mj)) {
+			t.Errorf("Agg JSON %s does not carry %s as the map %s", data, field, mj)
+		}
+	}
+	var back Agg
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back != a {
+		t.Errorf("Agg JSON does not round-trip: %+v vs %+v", back, a)
+	}
+	if err := json.Unmarshal([]byte(`{"step_leaks":{"warp-core-breach":1}}`), &back); err == nil {
+		t.Error("decoded a leak count for a step the registry does not have")
+	}
+	if !slices.IsSorted(channelNames[:]) || !slices.IsSorted(stepNames) {
+		t.Error("the leak-count index is not sorted")
 	}
 }
 
@@ -336,7 +412,7 @@ func TestKillChainAblationDiagonal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := slices.Sorted(maps.Keys(out.StepLeaks))
+			got := out.StepLeaks.Names()
 			if slices.Sort(want); !slices.Equal(got, want) {
 				t.Errorf("-%s reopened %v, want %v\n%s", m.Name, got, want, rep.Table().Render())
 			}

@@ -44,9 +44,10 @@ type Outcome struct {
 	// diagonal's evidence: an ablation reopens exactly its own
 	// steps. ChannelLeaks counts ALL leaks (residual included) by
 	// audit channel.
-	StepLeaks    map[string]int
-	ChannelLeaks map[string]int
-	// Events is the campaign's tick-stamped attempts, in step order.
+	StepLeaks    StepCounts
+	ChannelLeaks ChannelCounts
+	// Events is the campaign's tick-stamped attempts, in step order;
+	// Execute records them, Run does not.
 	Events []audit.Event
 }
 
@@ -63,23 +64,39 @@ type Outcome struct {
 // trial horizon); step-internal waits are small constants. Execution
 // is deterministic: same cluster state, spec and rng seed — same
 // Outcome, same audit.Report, byte for byte.
+//
+// Execute provisions a victim and an attacker on c, whose scenery it
+// sets up lazily, and records every step in the report and in
+// Outcome.Events. Run is the same loop over scenery provisioned once.
 func (cs *Compiled) Execute(c *core.Cluster, rng *metrics.RNG, maxTicks int) (*Outcome, *audit.Report, error) {
 	ss, err := newSession(c)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer ss.close()
-	start := c.Now()
-	out := &Outcome{
-		Model:         cs.Model,
-		DetectionTick: -1,
-		StartTick:     start,
-		StepLeaks:     make(map[string]int),
-		ChannelLeaks:  make(map[string]int),
-		Events:        make([]audit.Event, 0, len(cs.Steps)),
-	}
+	out := &Outcome{Events: make([]audit.Event, 0, len(cs.Steps))}
 	rep := &audit.Report{ConfigName: c.Cfg.Name + " vs " + cs.Model, Results: make([]audit.Result, 0, len(cs.Steps))}
-	for i, st := range cs.Steps {
+	cs.stepLoop(ss, rng, maxTicks, out, rep)
+	return out, rep, nil
+}
+
+// Run runs the campaign, as Execute does, against the scenery adv
+// provisioned, and returns only the Outcome: no report and no Events.
+// It is a fleet trial's campaign.
+func (cs *Compiled) Run(adv *Adversary, rng *metrics.RNG, maxTicks int) Outcome {
+	var out Outcome
+	cs.stepLoop(adv.bind(), rng, maxTicks, &out, nil)
+	return out
+}
+
+// stepLoop is the step loop Execute and Run share. With rep set it records
+// each step's result there and its event in out.Events.
+func (cs *Compiled) stepLoop(ss *session, rng *metrics.RNG, maxTicks int, out *Outcome, rep *audit.Report) {
+	defer ss.close()
+	c := ss.c
+	start := c.Now()
+	out.Model, out.DetectionTick, out.StartTick = cs.Model, -1, start
+	for i := range cs.Steps {
+		st := &cs.Steps[i]
 		// Lie low for 1..Gap ticks while the mix keeps draining. The
 		// draw happens unconditionally — one per step — so the
 		// attacker stream's consumption is a function of the spec
@@ -89,19 +106,21 @@ func (cs *Compiled) Execute(c *core.Cluster, rng *metrics.RNG, maxTicks int) (*O
 			c.Step()
 		}
 		res := st.run(ss, st.Name)
-		rep.Results = append(rep.Results, res)
-		out.Events = append(out.Events, audit.Event{
-			Tick: c.Now(), Step: st.Name, Channel: st.Channel,
-			Residual: st.Residual(), Verdict: res.Verdict, Detail: res.Detail,
-		})
+		if rep != nil {
+			rep.Results = append(rep.Results, res)
+			out.Events = append(out.Events, audit.Event{
+				Tick: c.Now(), Step: st.Name, Channel: st.Channel,
+				Residual: st.Residual(), Verdict: res.Verdict, Detail: res.Detail,
+			})
+		}
 		out.Steps++
 		if res.Verdict == audit.Leaked {
 			out.Leaks++
-			out.ChannelLeaks[string(st.Channel)]++
+			out.ChannelLeaks[st.channelIndex]++
 			if st.Residual() {
 				out.ResidualLeaks++
 			} else {
-				out.StepLeaks[st.Name]++
+				out.StepLeaks[st.leakIndex]++
 				if !out.Success {
 					out.Success = true
 					out.StepsToFirstLeak = i + 1
@@ -115,5 +134,4 @@ func (cs *Compiled) Execute(c *core.Cluster, rng *metrics.RNG, maxTicks int) (*O
 		}
 	}
 	out.TicksUsed = c.Now() - start
-	return out, rep, nil
 }

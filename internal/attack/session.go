@@ -57,8 +57,9 @@ type session struct {
 }
 
 // newSession provisions the victim and attacker accounts on the
-// cluster. The names are distinct from the mix's "u<N>" scheme, so an
-// attack rides alongside any legitimate workload.
+// cluster, and sets up none of the victim's scenery. The names are
+// distinct from the mix's "u<N>" scheme, so an attack rides alongside
+// any legitimate workload.
 func newSession(c *core.Cluster) (*session, error) {
 	victim, err := c.AddUser("victim", "victim-pw")
 	if err != nil {
@@ -73,6 +74,38 @@ func newSession(c *core.Cluster) (*session, error) {
 		login: c.Logins[0],
 		vctx:  vfs.Ctx(victim.Cred), actx: vfs.Ctx(attacker.Cred),
 	}, nil
+}
+
+// Adversary is a campaign's scenery provisioned once on a cluster: the
+// victim and attacker accounts, and the victim's home, scratch and
+// /tmp files, which no trial draw decides. A pooled fleet slot
+// provisions it before the cluster's pristine mark, so every Reset
+// returns to it and each trial's campaign only binds to it (Run). The
+// rest stays lazy (DESIGN.md §10): the victim's login process, jobs,
+// TCP listener, portal route and abstract socket depend on the mix or
+// the clock, and the container image lives outside the mark.
+type Adversary struct {
+	provisioned session // the accounts and seeds, before any attempt
+	trial       session // the bound trial's session
+}
+
+// Provision provisions an Adversary on c. A seed that fails here stays
+// lazy, so the attempt that needs it retries it, as on a session
+// newSession made.
+func Provision(c *core.Cluster) (*Adversary, error) {
+	ss, err := newSession(c)
+	if err != nil {
+		return nil, err
+	}
+	_, _, _ = ss.seedHome(), ss.seedScratch(), ss.seedTmp()
+	return &Adversary{provisioned: *ss}, nil
+}
+
+// bind returns a session over the provisioned scenery with none of the
+// victim's lazy activity. It is valid until the next bind.
+func (adv *Adversary) bind() *session {
+	adv.trial = adv.provisioned
+	return &adv.trial
 }
 
 // close cancels the victim's open-ended job so an attacked trial's

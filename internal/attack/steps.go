@@ -2,6 +2,7 @@ package attack
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -16,12 +17,16 @@ type Step struct {
 	// Summary is a one-line description for CLI listings.
 	Summary string
 	Entry
+
+	// leakIndex and channelIndex are the step's slot in StepCounts and
+	// its channel's in ChannelCounts.
+	leakIndex, channelIndex int
 }
 
 // stepRegistry holds every known attack step. Listing order is
 // alphabetical by name (enforced by Steps' sort and pinned by test)
 // so CLI output is stable; execution order is the campaign's.
-var stepRegistry = []Step{
+var stepRegistry = [...]Step{
 	{Name: "recon-proc", Entry: entry("ps-foreign-visible"),
 		Summary: "list /proc on the victim's login node for foreign pids"},
 	{Name: "recon-squeue", Entry: entry("squeue-foreign-job"),
@@ -48,16 +53,30 @@ var stepRegistry = []Step{
 		Summary: "run a container without approval and read the victim's home from inside"},
 }
 
+// stepNames is the registry's names, sorted: StepCounts' index.
+var stepNames = StepNames()
+
+func init() {
+	for i := range stepRegistry {
+		st := &stepRegistry[i]
+		st.leakIndex, _ = slices.BinarySearch(stepNames, st.Name)
+		var ok bool
+		if st.channelIndex, ok = slices.BinarySearch(channelNames[:], string(st.Channel)); !ok {
+			panic("attack: step " + st.Name + " has a channel ChannelCounts does not count")
+		}
+	}
+}
+
 // Steps returns the registry sorted by name. The slice is a copy.
 func Steps() []Step {
-	steps := append([]Step(nil), stepRegistry...)
+	steps := append([]Step(nil), stepRegistry[:]...)
 	sort.Slice(steps, func(i, j int) bool { return steps[i].Name < steps[j].Name })
 	return steps
 }
 
 // StepByName resolves a registry step.
 func StepByName(name string) (Step, error) {
-	for _, st := range stepRegistry {
+	for _, st := range stepRegistry[:] {
 		if st.Name == name {
 			return st, nil
 		}
@@ -69,7 +88,7 @@ func StepByName(name string) (Step, error) {
 // CLI usage strings.
 func StepNames() []string {
 	names := make([]string, 0, len(stepRegistry))
-	for _, st := range stepRegistry {
+	for _, st := range stepRegistry[:] {
 		names = append(names, st.Name)
 	}
 	sort.Strings(names)

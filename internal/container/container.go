@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
 
 	"repro/internal/ids"
 	"repro/internal/netsim"
@@ -46,9 +45,10 @@ var (
 
 // Runtime is the per-cluster container engine (the apptainer binary +
 // site configuration). Users with Singularity privileges are tracked
-// the way LLSC grants them case-by-case (§IV-G).
+// the way LLSC grants them case-by-case (§IV-G). It is not safe for
+// concurrent use; the cluster's owner calls it (DESIGN.md §7, "One
+// owner per cluster").
 type Runtime struct {
-	mu       sync.Mutex
 	images   map[string]*Image
 	allowed  map[ids.UID]bool // users granted container privileges; empty = everyone
 	restrict bool
@@ -69,16 +69,12 @@ func NewRuntime(restrict bool) *Runtime {
 // state — a fresh cluster has neither). The restrict policy, set at
 // construction from the cluster config, survives.
 func (r *Runtime) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	clear(r.images)
 	clear(r.allowed)
 }
 
 // Allow grants container privileges to a user.
 func (r *Runtime) Allow(uid ids.UID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.allowed[uid] = true
 }
 
@@ -121,16 +117,12 @@ func (r *Runtime) ImportImage(name string, files map[string]string) *Image {
 	for k, v := range files {
 		img.Files[k] = v
 	}
-	r.mu.Lock()
 	r.images[name] = img
-	r.mu.Unlock()
 	return img
 }
 
 // Image looks up a registered image.
 func (r *Runtime) Image(name string) (*Image, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	img, ok := r.images[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoImage, name)
@@ -164,13 +156,10 @@ func (r *Runtime) Run(cred ids.Credential, node *simos.Node, ns *vfs.Namespace, 
 	if spec.RequestPrivileged && !cred.IsRoot() {
 		return nil, &AdmissionError{UID: cred.UID, Err: ErrPrivileged}
 	}
-	r.mu.Lock()
 	if r.restrict && !r.allowed[cred.UID] && !cred.IsRoot() {
-		r.mu.Unlock()
 		return nil, &AdmissionError{UID: cred.UID, Err: ErrPrivileged, NotGranted: true}
 	}
 	img, ok := r.images[spec.Image]
-	r.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoImage, spec.Image)
 	}

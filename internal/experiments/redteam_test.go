@@ -42,9 +42,9 @@ func TestE17MatrixQualitativeStory(t *testing.T) {
 				t.Errorf("%s: %d campaigns detected — baseline denies nothing", s.Name, a.Detected)
 			}
 		case strings.HasSuffix(s.Name, "/enhanced"):
-			if a.Successes != 0 || len(a.StepLeaks) != 0 {
+			if a.Successes != 0 || len(a.StepLeaks.Names()) != 0 {
 				t.Errorf("%s: %d/%d campaigns broke through (steps %v), want none",
-					s.Name, a.Successes, a.Trials, sortedKeys(a.StepLeaks))
+					s.Name, a.Successes, a.Trials, a.StepLeaks.Names())
 			}
 			if a.Detected != a.Trials {
 				t.Errorf("%s: only %d/%d campaigns detected — every enhanced campaign hits a denial", s.Name, a.Detected, a.Trials)
@@ -62,7 +62,7 @@ func TestE17MatrixQualitativeStory(t *testing.T) {
 			if a.Successes != a.Trials {
 				t.Errorf("%s: %d/%d campaigns broke through, want all (its channel is open)", s.Name, a.Successes, a.Trials)
 			}
-			if got := sortedKeys(a.StepLeaks); !slices.Equal(got, want) {
+			if got := a.StepLeaks.Names(); !slices.Equal(got, want) {
 				t.Errorf("%s reopened %v, want exactly %v", s.Name, got, want)
 			}
 			if a.Detected != a.Trials {

@@ -10,7 +10,7 @@ import (
 // TestPooledTrialAllocsReduction pins the allocations per trial of
 // LifecycleCampaign run through one worker's runTrial, with clusters
 // built fresh per trial and with pooled ones Reset between trials: the
-// BenchmarkTrialLifecycle rows. The pooled pin is 0.25% of the fresh
+// BenchmarkTrialLifecycle rows. The pooled pin is 0.13% of the fresh
 // one, well inside the lifecycle acceptance criterion (a reduction of
 // at least 60%). One warm pass over the replications builds the pool
 // and sizes the scratch first. The collector is off: a GC between the
@@ -29,8 +29,8 @@ func TestPooledTrialAllocsReduction(t *testing.T) {
 		pooling bool
 		want    float64
 	}{
-		{"TrialLifecycle/fresh", false, 804},
-		{"TrialLifecycle/pooled", true, 2},
+		{"TrialLifecycle/fresh", false, 782},
+		{"TrialLifecycle/pooled", true, 1},
 	} {
 		w := newTrialWorker(comp, tc.pooling)
 		rep := 0

@@ -181,8 +181,8 @@ func MergeScenario(c Campaign, cks []*Checkpoint, si int, degrade bool) (*Scenar
 }
 
 // clonePartial deep-copies a partial (the histogram's bucket slice and
-// the attack aggregate's maps are the reference fields) so the merge
-// target never aliases checkpoint-owned storage.
+// the attack aggregate are the reference fields) so the merge target
+// never aliases checkpoint-owned storage.
 func clonePartial(p *ScenarioResult) *ScenarioResult {
 	r := *p
 	h := *p.MakespanHist

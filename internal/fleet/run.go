@@ -727,15 +727,17 @@ type trialWorker struct {
 }
 
 // scenarioSlot is the per-(worker, scenario) reuse state. A pooled
-// cluster is provisioned with the scenario's users once and marked
-// there, so every Reset returns to "cluster plus users" and users
-// holds their login credentials for every later trial. Nothing writes
-// a credential's Groups: the scheduler copies them at Submit, and
-// seepid clones before it adds a group.
+// cluster is provisioned with the scenario's users, and an attacked
+// scenario's adversary, once and marked there, so every Reset returns
+// to "cluster plus users plus adversary scenery": users holds their
+// login credentials and adversary the bound accounts for every later
+// trial. Nothing writes a credential's Groups: the scheduler copies
+// them at Submit, and seepid clones before it adds a group.
 type scenarioSlot struct {
-	cluster *core.Cluster // retained across trials only when pooling
-	users   []ids.Credential
-	scratch workload.BuildScratch
+	cluster   *core.Cluster // retained across trials only when pooling
+	users     []ids.Credential
+	adversary *attack.Adversary // nil for an unattacked scenario
+	scratch   workload.BuildScratch
 }
 
 func newTrialWorker(comp []compiledScenario, pooling bool) *trialWorker {
@@ -748,6 +750,29 @@ type trialResult struct {
 	res    ScenarioResult
 	hist   metrics.Histogram
 	counts [makespanBuckets]int64
+}
+
+// attackedTrial is an attacked scenario's trialResult, with its attack
+// aggregate in the same allocation.
+type attackedTrial struct {
+	trialResult
+	agg attack.Agg
+}
+
+// newTrialResult returns an empty one-trial record laid out for s: its
+// name, its histogram, and its attack aggregate when s is attacked.
+func newTrialResult(s *Scenario) *trialResult {
+	var tr *trialResult
+	if s.Attack != nil {
+		at := &attackedTrial{}
+		tr = &at.trialResult
+		tr.res.Attack = &at.agg
+	} else {
+		tr = &trialResult{}
+	}
+	tr.hist = histogramFor(s, tr.counts[:])
+	tr.res.Name, tr.res.MakespanHist = s.Name, &tr.hist
+	return tr
 }
 
 // runTrialIsolated runs one trial under panic isolation: a panicking
@@ -865,6 +890,13 @@ func (w *trialWorker) runTrial(scenario, rep int) (*ScenarioResult, error) {
 			creds = append(creds, acct.Cred)
 		}
 		slot.users = creds
+		if cs.attack != nil {
+			adv, err := attack.Provision(c)
+			if err != nil {
+				return nil, err
+			}
+			slot.adversary = adv
+		}
 		if w.pooling {
 			c.MarkPristine()
 		}
@@ -885,15 +917,11 @@ func (w *trialWorker) runTrial(scenario, rep int) (*ScenarioResult, error) {
 	// draining through the campaign's pacing gaps and waits. Its RNG
 	// is a separate stream under the same trial seed (StreamIndex
 	// hop), so mix draws and attack draws never perturb each other.
-	var att *attack.Outcome
+	var att attack.Outcome
 	if cs.attack != nil {
 		w.rec.Begin(c.Now())
 		w.attackRNG.Reseed(metrics.StreamSeed(metrics.StreamSeed(cs.stream, uint64(rep)), attack.StreamIndex))
-		var aerr error
-		att, _, aerr = cs.attack.Execute(c, &w.attackRNG, s.Horizon)
-		if aerr != nil {
-			return nil, aerr
-		}
+		att = cs.attack.Run(slot.adversary, &w.attackRNG, s.Horizon)
 		w.rec.End(obs.PhaseAttack, c.Now())
 		w.m.attackSteps.Add(int64(att.Steps))
 	}
@@ -916,23 +944,15 @@ func (w *trialWorker) runTrial(scenario, rep int) (*ScenarioResult, error) {
 	w.m.schedFastForwarded.Add(ff)
 
 	w.rec.Begin(c.Now())
-	tr := &trialResult{}
-	tr.hist = histogramFor(s, tr.counts[:])
-	tr.res = ScenarioResult{
-		Name:         s.Name,
-		Replications: 1,
-		MakespanHist: &tr.hist,
-		Crashes:      crashes,
-		Cofailures:   cofail,
-		Unfinished:   len(c.Sched.Squeue(ids.RootCred())), // pending + still-running at the horizon
-	}
+	tr := newTrialResult(s)
+	tr.res.Replications = 1
+	tr.res.Crashes, tr.res.Cofailures = crashes, cofail
+	tr.res.Unfinished = c.Sched.Unfinished()
 	tr.res.Util.Add(c.Sched.Utilization())
 	tr.res.Makespan.Add(float64(ticks))
 	tr.res.MakespanHist.Add(float64(ticks))
-	if att != nil {
-		agg := attack.NewAgg()
-		agg.AddOutcome(att)
-		tr.res.Attack = agg
+	if tr.res.Attack != nil {
+		tr.res.Attack.AddOutcome(&att)
 	}
 	w.m.trialTicks.Observe(float64(ticks))
 	w.rec.End(obs.PhaseAggregate, c.Now())

@@ -18,8 +18,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/attack"
 )
 
 // ErrShardKilled reports a shard run that died abruptly to an armed
@@ -138,11 +136,7 @@ func RunShard(c Campaign, opt Options, sh ShardRun) (*Checkpoint, []TrialFailure
 // an empty attack aggregate for the same reason: Merge requires every
 // partial of a scenario to agree on attack presence.
 func DegradedTrialResult(s *Scenario) *ScenarioResult {
-	tr := &trialResult{}
-	tr.hist = histogramFor(s, tr.counts[:])
-	tr.res = ScenarioResult{Name: s.Name, MakespanHist: &tr.hist, Failures: 1}
-	if s.Attack != nil {
-		tr.res.Attack = attack.NewAgg()
-	}
+	tr := newTrialResult(s)
+	tr.res.Failures = 1
 	return &tr.res
 }

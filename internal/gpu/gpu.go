@@ -16,7 +16,6 @@ package gpu
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/ids"
 	"repro/internal/sched"
@@ -30,7 +29,6 @@ type Device struct {
 	DevPath string
 	node    *simos.Node
 
-	mu       sync.Mutex
 	mem      []byte  // allocated on first Write; nil reads as all-zeros
 	written  bool    // any byte ever stored; lets Reset skip the memset
 	assigned ids.UID // NoUID when free
@@ -93,8 +91,6 @@ func (d *Device) Write(cred ids.Credential, offset int, data []byte) error {
 	if err := d.open(cred); err != nil {
 		return err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if offset < 0 || offset+len(data) > MemSize {
 		return fmt.Errorf("%w: [%d,%d)", ErrOOB, offset, offset+len(data))
 	}
@@ -112,8 +108,6 @@ func (d *Device) Read(cred ids.Credential, offset, length int) ([]byte, error) {
 	if err := d.open(cred); err != nil {
 		return nil, err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if offset < 0 || offset+length > MemSize {
 		return nil, fmt.Errorf("%w: [%d,%d)", ErrOOB, offset, offset+length)
 	}
@@ -128,8 +122,6 @@ func (d *Device) Read(cred ids.Credential, offset, length int) ([]byte, error) {
 // device nothing ever wrote to is already zero, so the memset is
 // skipped (the epilog's cost stays proportional to actual use).
 func (d *Device) clear() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if !d.written {
 		return
 	}
@@ -139,13 +131,13 @@ func (d *Device) clear() {
 
 // Assigned returns the currently assigned user (NoUID if free).
 func (d *Device) Assigned() ids.UID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.assigned
 }
 
 // Manager owns every GPU in the cluster and provides the scheduler
-// prolog/epilog hooks.
+// prolog/epilog hooks. It and its devices are not safe for concurrent
+// use; the cluster's owner calls them (DESIGN.md §7, "One owner per
+// cluster").
 type Manager struct {
 	// ClearOnRelease runs the vendor memory-clear in the epilog
 	// (paper's deployment: on; baseline: off).
@@ -154,7 +146,6 @@ type Manager struct {
 	// (paper's deployment: on; baseline: world-accessible devices).
 	AssignDevPerms bool
 
-	mu     sync.Mutex
 	byNode map[string][]*Device
 	// dirty is set whenever device state may have changed — an
 	// assignment through the prolog/epilog or a caller obtaining raw
@@ -191,8 +182,6 @@ func NewManager(nodes []*simos.Node, gpusPerNode int, assignPerms, clearOnReleas
 // otherwise. The node's /dev entries themselves persist from
 // construction; only their ownership is rewound here.
 func (m *Manager) Reset() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if !m.dirty {
 		return nil
 	}
@@ -203,10 +192,8 @@ func (m *Manager) Reset() error {
 	}
 	for _, devs := range m.byNode {
 		for _, d := range devs {
-			d.mu.Lock()
 			d.assigned = ids.NoUID
 			d.jobID = 0
-			d.mu.Unlock()
 			d.clear()
 			if err := d.node.ChownDev(ids.RootCred(), d.DevPath, ids.Root, ids.RootGroup, mode); err != nil {
 				return err
@@ -218,8 +205,6 @@ func (m *Manager) Reset() error {
 
 // Devices returns the devices on a node.
 func (m *Manager) Devices(node string) []*Device {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	// Raw handles escape the manager's bookkeeping: assume the caller
 	// mutates device state so the next Reset does a full sweep.
 	m.dirty = true
@@ -233,8 +218,6 @@ func (m *Manager) Prolog(job *sched.Job, node *simos.Node) error {
 	if job.Spec.GPUs == 0 {
 		return nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	// Assignment mutates device + /dev state; Epilog only ever rewinds
 	// what a Prolog assigned, so flagging here covers both hooks.
 	m.dirty = true
@@ -243,16 +226,10 @@ func (m *Manager) Prolog(job *sched.Job, node *simos.Node) error {
 		if need == 0 {
 			break
 		}
-		d.mu.Lock()
-		free := d.assigned == ids.NoUID
-		if free {
-			d.assigned = job.User
-			d.jobID = job.ID
-		}
-		d.mu.Unlock()
-		if !free {
+		if d.assigned != ids.NoUID {
 			continue
 		}
+		d.assigned, d.jobID = job.User, job.ID
 		if m.AssignDevPerms {
 			if err := node.ChownDev(ids.RootCred(), d.DevPath, ids.Root, job.Cred.EGID, 0o660); err != nil {
 				return err
@@ -275,19 +252,11 @@ func (m *Manager) Epilog(job *sched.Job, node *simos.Node) error {
 	if job.Spec.GPUs == 0 {
 		return nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for _, d := range m.byNode[node.Name] {
-		d.mu.Lock()
-		owned := d.jobID == job.ID
-		if owned {
-			d.assigned = ids.NoUID
-			d.jobID = 0
-		}
-		d.mu.Unlock()
-		if !owned {
+		if d.jobID != job.ID {
 			continue
 		}
+		d.assigned, d.jobID = ids.NoUID, 0
 		if m.ClearOnRelease {
 			d.clear()
 		}

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/ids"
 )
@@ -17,9 +16,7 @@ type Listener struct {
 	port  int
 	cred  ids.Credential
 
-	mu      sync.Mutex
 	backlog []*Conn
-	closed  bool
 }
 
 // Listen binds a socket on the host. Binding below 1024 requires
@@ -28,8 +25,6 @@ func (h *Host) Listen(cred ids.Credential, proto Proto, port int) (*Listener, er
 	if port < 1024 && !cred.IsRoot() {
 		return nil, fmt.Errorf("%w: privileged port %d", ErrConnRefused, port)
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	key := portKey{proto, port}
 	if _, dup := h.listeners[key]; dup {
 		return nil, fmt.Errorf("%w: %s:%d/%s", ErrAddrInUse, h.name, port, proto)
@@ -42,18 +37,11 @@ func (h *Host) Listen(cred ids.Credential, proto Proto, port int) (*Listener, er
 
 // Close unbinds the listener.
 func (l *Listener) Close() {
-	l.host.mu.Lock()
 	delete(l.host.listeners, portKey{l.proto, l.port})
-	l.host.mu.Unlock()
-	l.mu.Lock()
-	l.closed = true
-	l.mu.Unlock()
 }
 
 // Accept returns the next established inbound connection, if any.
 func (l *Listener) Accept() (*Conn, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if len(l.backlog) == 0 {
 		return nil, false
 	}
@@ -62,18 +50,11 @@ func (l *Listener) Accept() (*Conn, bool) {
 	return c, true
 }
 
-func (l *Listener) enqueue(c *Conn) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.backlog = append(l.backlog, c)
-}
-
 // Conn is an established flow. The dialer holds the same *Conn the
 // acceptor sees; data moves from the dialer to the acceptor.
 type Conn struct {
 	Tuple FlowTuple
 
-	mu      sync.Mutex
 	toDst   [][]byte // data sent by the dialer
 	closed  bool
 	net     *Network
@@ -94,13 +75,7 @@ func (h *Host) Dial(cred ids.Credential, proto Proto, dstHost string, dstPort in
 		return nil, err
 	}
 	flow := FlowTuple{Proto: proto, SrcHost: h.name, SrcPort: srcPort, DstHost: dstHost, DstPort: dstPort}
-
-	dst.mu.Lock()
 	l, listening := dst.listeners[portKey{proto, dstPort}]
-	hook := dst.hook
-	portFilter := dst.hookPorts
-	dst.mu.Unlock()
-
 	if !listening {
 		h.releaseEphemeral(srcPort)
 		return nil, &FlowError{Flow: flow, Err: ErrConnRefused}
@@ -108,9 +83,9 @@ func (h *Host) Dial(cred ids.Credential, proto Proto, dstHost string, dstPort in
 
 	// NEW connection: consult the firewall hook (nfqueue) unless the
 	// port is outside the inspected range.
-	if hook != nil && (portFilter == nil || portFilter(dstPort)) {
+	if dst.hook != nil && (dst.hookPorts == nil || dst.hookPorts(dstPort)) {
 		h.net.HookInvocations.Add(1)
-		if v := hook(h.net, flow); v != Accept {
+		if v := dst.hook(h.net, flow); v != Accept {
 			h.net.NewConnDropped.Add(1)
 			h.releaseEphemeral(srcPort)
 			return nil, &FlowError{Flow: flow, Err: ErrConnDropped}
@@ -121,19 +96,15 @@ func (h *Host) Dial(cred ids.Credential, proto Proto, dstHost string, dstPort in
 	c := &Conn{Tuple: flow, net: h.net, srcHost: h}
 	// conntrack entries on both hosts cover both directions.
 	dst.touch()
-	dst.conntrack.add(flow)
-	dst.conntrack.add(flow.reverse())
-	h.conntrack.add(flow)
-	h.conntrack.add(flow.reverse())
-	l.enqueue(c)
+	dst.conntrack[flow], dst.conntrack[flow.reverse()] = true, true
+	h.conntrack[flow], h.conntrack[flow.reverse()] = true, true
+	l.backlog = append(l.backlog, c)
 	return c, nil
 }
 
 // Send transmits a payload from the dialer side. Established flows
 // are validated against conntrack only — the per-packet fast path.
 func (c *Conn) Send(data []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.closed {
 		return &FlowError{Flow: c.Tuple, Err: ErrConnClosed}
 	}
@@ -142,7 +113,7 @@ func (c *Conn) Send(data []byte) error {
 	if err != nil {
 		return err
 	}
-	if !dst.conntrack.established(c.Tuple) {
+	if !dst.conntrack[c.Tuple] {
 		return fmt.Errorf("%w: %s not in conntrack", ErrConnClosed, c.Tuple)
 	}
 	c.net.PacketsDelivered.Add(1)
@@ -152,8 +123,6 @@ func (c *Conn) Send(data []byte) error {
 
 // Recv pops the next payload on the acceptor side.
 func (c *Conn) Recv() ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if len(c.toDst) == 0 {
 		return nil, false
 	}
@@ -164,52 +133,15 @@ func (c *Conn) Recv() ([]byte, bool) {
 
 // Close tears the flow down and removes conntrack state.
 func (c *Conn) Close() {
-	c.mu.Lock()
 	if c.closed {
-		c.mu.Unlock()
 		return
 	}
 	c.closed = true
-	c.mu.Unlock()
 	if dst, err := c.net.Host(c.Tuple.DstHost); err == nil {
-		dst.conntrack.remove(c.Tuple)
-		dst.conntrack.remove(c.Tuple.reverse())
+		delete(dst.conntrack, c.Tuple)
+		delete(dst.conntrack, c.Tuple.reverse())
 	}
-	c.srcHost.conntrack.remove(c.Tuple)
-	c.srcHost.conntrack.remove(c.Tuple.reverse())
+	delete(c.srcHost.conntrack, c.Tuple)
+	delete(c.srcHost.conntrack, c.Tuple.reverse())
 	c.srcHost.releaseEphemeral(c.Tuple.SrcPort)
-}
-
-// conntrack is the established-flow table.
-type conntrack struct {
-	mu    sync.RWMutex
-	flows map[FlowTuple]bool
-}
-
-func newConntrack() *conntrack {
-	return &conntrack{flows: make(map[FlowTuple]bool)}
-}
-
-func (ct *conntrack) add(f FlowTuple) {
-	ct.mu.Lock()
-	ct.flows[f] = true
-	ct.mu.Unlock()
-}
-
-func (ct *conntrack) remove(f FlowTuple) {
-	ct.mu.Lock()
-	delete(ct.flows, f)
-	ct.mu.Unlock()
-}
-
-func (ct *conntrack) reset() {
-	ct.mu.Lock()
-	clear(ct.flows)
-	ct.mu.Unlock()
-}
-
-func (ct *conntrack) established(f FlowTuple) bool {
-	ct.mu.RLock()
-	defer ct.mu.RUnlock()
-	return ct.flows[f]
 }

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/ids"
@@ -105,15 +104,16 @@ var (
 	ErrIdentUnavailable = errors.New("netsim: ident query failed")
 )
 
-// Network is the cluster fabric.
+// Network is the cluster fabric. It and everything on it are not safe
+// for concurrent use; the cluster's owner calls them (DESIGN.md §7,
+// "One owner per cluster").
 type Network struct {
-	mu    sync.RWMutex
 	hosts map[string]*Host
 
 	// dirtyHosts counts hosts carrying dynamic socket state, so Reset
 	// on an untouched fabric skips the whole-host walk (O(nodes) at
 	// XXL scale).
-	dirtyHosts atomic.Int64
+	dirtyHosts int
 
 	// Stats counts hook invocations, ident queries and packets for
 	// the overhead experiment (E8).
@@ -132,13 +132,11 @@ func NewNetwork() *Network {
 // AddHost registers a host by name. The returned Host carries the
 // per-host socket tables and firewall configuration.
 func (n *Network) AddHost(name string) *Host {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	h := &Host{
 		name:      name,
 		net:       n,
 		listeners: make(map[portKey]*Listener),
-		conntrack: newConntrack(),
+		conntrack: make(map[FlowTuple]bool),
 		nextEphem: 32768,
 		abstract:  make(map[string]*AbstractSocket),
 	}
@@ -148,8 +146,6 @@ func (n *Network) AddHost(name string) *Host {
 
 // Host returns a host by name.
 func (n *Network) Host(name string) (*Host, error) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
 	h, ok := n.hosts[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoHost, name)
@@ -159,8 +155,6 @@ func (n *Network) Host(name string) (*Host, error) {
 
 // Hosts lists host names sorted.
 func (n *Network) Hosts() []string {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
 	out := make([]string, 0, len(n.hosts))
 	for name := range n.hosts {
 		out = append(out, name)
@@ -202,11 +196,9 @@ func (n *Network) ResetStats() {
 // hooks survive — they are cluster-assembly wiring, not traffic state.
 func (n *Network) Reset() {
 	n.ResetStats()
-	if n.dirtyHosts.Load() == 0 {
+	if n.dirtyHosts == 0 {
 		return
 	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
 	for _, h := range n.hosts {
 		h.Reset()
 	}
@@ -222,19 +214,17 @@ type Host struct {
 	name string
 	net  *Network
 
-	mu        sync.Mutex
 	listeners map[portKey]*Listener
-	conntrack *conntrack
-	hook      HookFunc // nil = no firewall (baseline)
+	conntrack map[FlowTuple]bool // established flows, both directions
+	hook      HookFunc           // nil = no firewall (baseline)
 	hookPorts func(port int) bool
 	nextEphem int
 	ephemeral map[int]ids.Credential // src ports of active outbound conns
 	abstract  map[string]*AbstractSocket
 
 	// dirty marks that the host has accumulated socket state since the
-	// last Reset. Atomic so conntrack inserts on the remote host can
-	// touch it without taking h.mu.
-	dirty atomic.Bool
+	// last Reset.
+	dirty bool
 }
 
 // touch marks the host dirty, maintaining the network-wide count of
@@ -242,8 +232,9 @@ type Host struct {
 // bound and closed a socket still counts until the next Reset, which
 // keeps the flag monotone between resets.
 func (h *Host) touch() {
-	if h.dirty.CompareAndSwap(false, true) {
-		h.net.dirtyHosts.Add(1)
+	if !h.dirty {
+		h.dirty = true
+		h.net.dirtyHosts++
 	}
 }
 
@@ -255,8 +246,6 @@ func (h *Host) Name() string { return h.name }
 // numbered 1024 and above" (reproducibility appendix); nil inspects
 // all ports.
 func (h *Host) SetFirewall(hook HookFunc, portFilter func(port int) bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.hook = hook
 	h.hookPorts = portFilter
 }
@@ -266,16 +255,15 @@ func (h *Host) SetFirewall(hook HookFunc, portFilter func(port int) bool) {
 // ephemeral port counter, keeping the installed firewall hook. All
 // existing allocations (the maps) are reused.
 // Untouched hosts (no sockets bound since the last Reset) return
-// immediately without taking the lock.
+// immediately.
 func (h *Host) Reset() {
-	if !h.dirty.CompareAndSwap(true, false) {
+	if !h.dirty {
 		return
 	}
-	h.net.dirtyHosts.Add(-1)
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	h.dirty = false
+	h.net.dirtyHosts--
 	clear(h.listeners)
-	h.conntrack.reset()
+	clear(h.conntrack)
 	h.nextEphem = 32768
 	clear(h.ephemeral)
 	clear(h.abstract)
@@ -285,8 +273,6 @@ func (h *Host) Reset() {
 // the socket's Groups slice (see Network.Ident): Listen and
 // allocEphemeral store their own copies, and nothing writes them.
 func (h *Host) identLocal(proto Proto, port int) (ids.Credential, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if l, ok := h.listeners[portKey{proto, port}]; ok {
 		return l.cred, nil
 	}
@@ -300,8 +286,6 @@ func (h *Host) identLocal(proto Proto, port int) (ids.Credential, error) {
 
 // allocEphemeral reserves an ephemeral source port bound to cred.
 func (h *Host) allocEphemeral(cred ids.Credential) (int, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.ephemeral == nil {
 		h.ephemeral = make(map[int]ids.Credential)
 	}
@@ -323,7 +307,5 @@ func (h *Host) allocEphemeral(cred ids.Credential) (int, error) {
 }
 
 func (h *Host) releaseEphemeral(port int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	delete(h.ephemeral, port)
 }

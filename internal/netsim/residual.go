@@ -20,8 +20,6 @@ import (
 // pathname sockets there is no inode, hence no permission check: any
 // local process can connect to any name. That is the leak.
 type AbstractSocket struct {
-	host *Host
-
 	msgs [][]byte
 	from []ids.UID
 }
@@ -31,12 +29,10 @@ var ErrNoAbstract = errors.New("netsim: no such abstract socket")
 
 // ListenAbstract binds an abstract-namespace socket on the host.
 func (h *Host) ListenAbstract(cred ids.Credential, name string) (*AbstractSocket, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if _, dup := h.abstract[name]; dup {
 		return nil, fmt.Errorf("%w: @%s", ErrAddrInUse, name)
 	}
-	s := &AbstractSocket{host: h}
+	s := &AbstractSocket{}
 	h.abstract[name] = s
 	h.touch()
 	return s, nil
@@ -46,8 +42,6 @@ func (h *Host) ListenAbstract(cred ids.Credential, name string) (*AbstractSocket
 // deliberately no credential check: the kernel performs none for the
 // abstract namespace, which is why it remains a residual channel.
 func (h *Host) DialAbstract(cred ids.Credential, name string, data []byte) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	s, ok := h.abstract[name]
 	if !ok {
 		return fmt.Errorf("%w: @%s", ErrNoAbstract, name)
@@ -59,8 +53,6 @@ func (h *Host) DialAbstract(cred ids.Credential, name string, data []byte) error
 
 // Recv pops the next datagram and its sender UID.
 func (s *AbstractSocket) Recv() ([]byte, ids.UID, bool) {
-	s.host.mu.Lock()
-	defer s.host.mu.Unlock()
 	if len(s.msgs) == 0 {
 		return nil, ids.NoUID, false
 	}

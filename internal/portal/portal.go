@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"maps"
 	"strconv"
-	"sync"
 
 	"repro/internal/ids"
 	"repro/internal/netsim"
@@ -44,11 +43,11 @@ type Route struct {
 // Portal is the gateway daemon. It runs on a dedicated host of the
 // simulated network and proxies to compute nodes over that network,
 // so every forwarded hop is subject to whatever firewall the cluster
-// has installed.
+// has installed. It is not safe for concurrent use; the cluster's
+// owner calls it (DESIGN.md §7, "One owner per cluster").
 type Portal struct {
 	host *netsim.Host
 
-	mu       sync.Mutex
 	secrets  map[ids.UID]string // password store (the site SSO)
 	sessions map[string]ids.Credential
 	routes   map[string]*Route
@@ -77,8 +76,6 @@ func New(host *netsim.Host) *Portal {
 // registered app, because the firewall only ever sees the owner's
 // identity). Tunnel mode is the §IV-E ablation.
 func (p *Portal) SetTunnelMode(on bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.tunnel = on
 }
 
@@ -86,8 +83,6 @@ func (p *Portal) SetTunnelMode(on bool) {
 // restores: a cluster provisioned before its mark keeps its users'
 // portal passwords across trials.
 func (p *Portal) MarkPristine() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.marked = nil // a fresh cluster's mark has no enrolment to copy
 	if len(p.secrets) > 0 {
 		p.marked = maps.Clone(p.secrets)
@@ -102,8 +97,6 @@ func (p *Portal) MarkPristine() {
 // is cluster-assembly configuration, set from Config at construction,
 // not per-trial state.
 func (p *Portal) Reset() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	clear(p.secrets)
 	maps.Copy(p.secrets, p.marked)
 	clear(p.sessions)
@@ -113,15 +106,11 @@ func (p *Portal) Reset() {
 
 // Enroll registers a user's portal password (site SSO enrolment).
 func (p *Portal) Enroll(uid ids.UID, password string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.secrets[uid] = password
 }
 
 // Login authenticates and returns a session token.
 func (p *Portal) Login(cred ids.Credential, password string) (string, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	want, ok := p.secrets[cred.UID]
 	if !ok || want != password {
 		return "", fmt.Errorf("%w: uid %d", ErrBadCredentials, cred.UID)
@@ -138,8 +127,6 @@ func (p *Portal) Login(cred ids.Credential, password string) (string, error) {
 // another user can be re-pointed only by root: otherwise any user
 // could hijack someone else's /jupyter/<name>.
 func (p *Portal) Register(owner ids.Credential, path, node string, port int) (*Route, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if old, ok := p.routes[path]; ok && old.Owner != owner.UID && !owner.IsRoot() {
 		return nil, fmt.Errorf("%w: %s", ErrForbidden, path)
 	}
@@ -179,18 +166,15 @@ func (e *ForwardError) Unwrap() error { return e.Err }
 // rule: if the session user does not own (or share a group with) the
 // listening app, the hop is dropped and the portal returns 502/403.
 func (p *Portal) Forward(token, path string, payload []byte) ([]byte, error) {
-	p.mu.Lock()
 	cred, authed := p.sessions[token]
 	r, routed := p.routes[path]
-	tunnel := p.tunnel
-	p.mu.Unlock()
 	if !authed {
 		return nil, ErrUnauthenticated
 	}
 	if !routed {
 		return nil, &ForwardError{Path: path, Err: ErrNoRoute}
 	}
-	if tunnel {
+	if p.tunnel {
 		// Legacy tunnel semantics: the hop terminates as the route
 		// owner, whoever asked for it (see SetTunnelMode).
 		cred = ids.Credential{UID: r.Owner}

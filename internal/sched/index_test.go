@@ -25,7 +25,8 @@ func idxCred(uid ids.UID) ids.Credential {
 // asserts the scheduler's copy matches: pending is exactly the Pending
 // jobs in ID order; the calendar's live entries are exactly the
 // Running jobs, each once and due at Start+Duration; each node's jobs
-// are ID-sorted and are the Running jobs placed there.
+// are ID-sorted and are the Running jobs placed there; Unfinished
+// counts the Pending and Running jobs.
 func checkIndexes(t *testing.T, s *Scheduler, when string) {
 	t.Helper()
 	var pending []*Job
@@ -47,6 +48,9 @@ func checkIndexes(t *testing.T, s *Scheduler, when string) {
 	}
 	if !slices.Equal(s.pending, pending) {
 		t.Fatalf("%s: pending = %v, want the Pending jobs %v", when, s.pending, pending)
+	}
+	if got, want := s.Unfinished(), len(pending)+len(due); got != want {
+		t.Fatalf("%s: Unfinished = %d, want the %d Pending and Running jobs", when, got, want)
 	}
 	for _, e := range s.calendar {
 		if e.job.State != Running {

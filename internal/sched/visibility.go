@@ -54,6 +54,18 @@ func (s *Scheduler) VisitQueue(observer ids.Credential, visit func(*Job)) {
 	}
 }
 
+// Unfinished counts the jobs still pending or running: the jobs
+// root's Squeue returns, counted without copying them.
+func (s *Scheduler) Unfinished() int {
+	n := len(s.pending)
+	for _, e := range s.calendar {
+		if e.job.State == Running {
+			n++
+		}
+	}
+	return n
+}
+
 // JobView returns one job as seen by the observer. Under PrivateData,
 // foreign jobs return ErrNoSuchJob — existence is not even confirmed,
 // mirroring hidepid=2's ENOENT behaviour.

@@ -22,7 +22,6 @@
 package ubf
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/ids"
@@ -40,11 +39,12 @@ type Config struct {
 // Daemon is the UBF userspace decision engine. One daemon can serve
 // every host's hook (it is stateless apart from the cache), matching
 // the paper's per-node daemons that share identical configuration.
-// It fails closed: a flow whose ident query fails is dropped.
+// It fails closed: a flow whose ident query fails is dropped. It is
+// not safe for concurrent use; the cluster's owner calls it (DESIGN.md
+// §7, "One owner per cluster").
 type Daemon struct {
 	cfg Config
 
-	mu    sync.RWMutex
 	cache map[cacheKey]netsim.Verdict
 
 	// Counters for the overhead experiment (E8).
@@ -83,10 +83,7 @@ func (d *Daemon) Hook() netsim.HookFunc {
 
 		key := cacheKey{src: srcCred.UID, dst: dstCred.UID, egid: dstCred.EGID, srcInGroup: srcCred.InGroup(dstCred.EGID)}
 		if d.cfg.CacheVerdicts {
-			d.mu.RLock()
-			v, hit := d.cache[key]
-			d.mu.RUnlock()
-			if hit {
+			if v, hit := d.cache[key]; hit {
 				d.CacheHits.Add(1)
 				d.count(v)
 				return v
@@ -95,9 +92,7 @@ func (d *Daemon) Hook() netsim.HookFunc {
 
 		verdict := decide(srcCred, dstCred)
 		if d.cfg.CacheVerdicts {
-			d.mu.Lock()
 			d.cache[key] = verdict
-			d.mu.Unlock()
 		}
 		d.count(verdict)
 		return verdict
@@ -126,9 +121,7 @@ func (d *Daemon) count(v netsim.Verdict) {
 // the daemon's live state, so a reset daemon keeps filtering with an
 // empty cache, exactly like a fresh one.
 func (d *Daemon) Reset() {
-	d.mu.Lock()
 	clear(d.cache)
-	d.mu.Unlock()
 	d.Decisions.Store(0)
 	d.CacheHits.Store(0)
 	d.Allowed.Store(0)

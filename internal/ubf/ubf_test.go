@@ -154,6 +154,28 @@ func TestVerdictCache(t *testing.T) {
 	}
 }
 
+// TestVerdictCacheKeysGroupMembership: a cached drop must not outlive
+// the dialer joining the listener's group. Two dials of the same
+// (source, listener, group) triple, before and after carol joins proj,
+// get different verdicts with the cache on.
+func TestVerdictCacheKeysGroupMembership(t *testing.T) {
+	_, h1, h2, creds, proj, d := world(t, Config{CacheVerdicts: true})
+	if _, err := h2.Listen(creds["alice-proj"], netsim.TCP, 5000); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h1.Dial(creds["carol"], netsim.TCP, "node2", 5000); !errors.Is(err, netsim.ErrConnDropped) {
+		t.Fatalf("dial from outside proj: err = %v, want ErrConnDropped", err)
+	}
+	joined := creds["carol"].Clone()
+	joined.Groups = append(joined.Groups, proj)
+	if _, err := h1.Dial(joined, netsim.TCP, "node2", 5000); err != nil {
+		t.Errorf("dial after joining proj: %v (a cached drop outlived the membership change)", err)
+	}
+	if d.CacheHits.Load() != 0 {
+		t.Errorf("cache hits = %d, want 0: the two dials differ in membership", d.CacheHits.Load())
+	}
+}
+
 func TestCacheDisabledAlwaysQueries(t *testing.T) {
 	n, h1, h2, creds, _, d := world(t, Config{CacheVerdicts: false})
 	if _, err := h2.Listen(creds["alice"], netsim.TCP, 5000); err != nil {

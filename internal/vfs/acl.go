@@ -61,8 +61,6 @@ func (a *ACL) groupEntry(gid ids.GID) (uint32, bool) {
 // to a group unless they are a member of said group" (§IV-C). Only
 // the file owner or root may modify the ACL (POSIX).
 func (fs *FS) SetfaclGroup(ctx Context, path string, gid ids.GID, bits uint32) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	n, err := fs.walk(ctx, path)
 	if err != nil {
 		return err
@@ -105,8 +103,6 @@ func (fs *FS) SetfaclGroup(ctx Context, path string, gid ids.GID, bits uint32) e
 // non-private (project) group with — keeping all sharing inside
 // approved groups. Requires the identity registry.
 func (fs *FS) SetfaclUser(ctx Context, path string, uid ids.UID, bits uint32) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	n, err := fs.walk(ctx, path)
 	if err != nil {
 		return err
@@ -138,8 +134,6 @@ func (fs *FS) SetfaclUser(ctx Context, path string, uid ids.UID, bits uint32) er
 // Getfacl returns a copy of the ACL on path (nil if none). Requires
 // only path resolution, like getfacl(1).
 func (fs *FS) Getfacl(ctx Context, path string) (*ACL, error) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
 	n, err := fs.walk(ctx, path)
 	if err != nil {
 		return nil, err

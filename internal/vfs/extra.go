@@ -24,8 +24,6 @@ const maxSymlinkHops = 40
 // Symlink creates a symbolic link at linkPath pointing to target
 // (target need not exist — dangling links are legal).
 func (fs *FS) Symlink(ctx Context, target, linkPath string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	dir, name, err := fs.walkParent(ctx, linkPath)
 	if err != nil {
 		return err
@@ -48,8 +46,6 @@ func (fs *FS) Symlink(ctx Context, target, linkPath string) error {
 
 // Readlink returns the link target.
 func (fs *FS) Readlink(ctx Context, path string) (string, error) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
 	n, err := fs.walkNoFollow(ctx, path)
 	if err != nil {
 		return "", err
@@ -61,8 +57,7 @@ func (fs *FS) Readlink(ctx Context, path string) (string, error) {
 }
 
 // walkNoFollow resolves the path like walk but does not follow a
-// symlink in the final component (lstat semantics). Caller holds
-// fs.mu.
+// symlink in the final component (lstat semantics).
 func (fs *FS) walkNoFollow(ctx Context, path string) (*inode, error) {
 	dir, name, err := fs.walkParent(ctx, path)
 	if err != nil {
@@ -77,8 +72,6 @@ func (fs *FS) walkNoFollow(ctx Context, path string) (*inode, error) {
 
 // Lstat is Stat without following a final symlink.
 func (fs *FS) Lstat(ctx Context, path string) (*FileInfo, error) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
 	n, err := fs.walkNoFollow(ctx, path)
 	if err != nil {
 		return nil, err
@@ -93,12 +86,10 @@ func (fs *FS) Lstat(ctx Context, path string) (*FileInfo, error) {
 // the follower or the directory owner — the kernel hardening that
 // kills /tmp symlink-planting attacks.
 func (fs *FS) ResolveLinks(ctx Context, path string) (string, error) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	return fs.resolveLinksLocked(ctx, path, 0)
+	return fs.resolveLinks(ctx, path, 0)
 }
 
-func (fs *FS) resolveLinksLocked(ctx Context, path string, hops int) (string, error) {
+func (fs *FS) resolveLinks(ctx Context, path string, hops int) (string, error) {
 	if hops > maxSymlinkHops {
 		return "", &PathError{Path: path, Err: ErrSymlinkLoop}
 	}
@@ -120,7 +111,7 @@ func (fs *FS) resolveLinksLocked(ctx Context, path string, hops int) (string, er
 			return "", &SymlinkError{Path: path, Owner: n.owner}
 		}
 	}
-	return fs.resolveLinksLocked(ctx, string(n.data), hops+1)
+	return fs.resolveLinks(ctx, string(n.data), hops+1)
 }
 
 // ReadFileFollow reads through symlinks (ReadFile itself is
@@ -148,8 +139,6 @@ func (fs *FS) WriteFileFollow(ctx Context, path string, data []byte, mode uint32
 // the source, destination must not be an existing non-empty dir, and a
 // directory cannot move into its own subtree (ErrInvalid).
 func (fs *FS) Rename(ctx Context, oldPath, newPath string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	oldDir, oldName, err := fs.walkParent(ctx, oldPath)
 	if err != nil {
 		return err

@@ -95,6 +95,54 @@ func TestProtectedSymlinksBlockTmpPlanting(t *testing.T) {
 	}
 }
 
+// protectedDir makes a directory at path with mode, owned by owner and
+// holding a root-owned file "target", for the protected_symlinks
+// exception tests.
+func protectedDir(t *testing.T, fs *FS, path string, mode uint32, owner ids.UID) {
+	t.Helper()
+	root := Ctx(ids.RootCred())
+	for _, err := range []error{
+		fs.Mkdir(root, path, mode),
+		fs.Chmod(root, path, mode),
+		fs.WriteFile(root, path+"/target", nil, 0o644),
+		fs.Chown(root, path, owner, ids.NoGID),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestProtectedSymlinksFollowDirOwnersLink: in a sticky world-writable
+// directory, a link whose owner owns the directory is followed by
+// anyone, as Linux's fs.protected_symlinks allows.
+func TestProtectedSymlinksFollowDirOwnersLink(t *testing.T) {
+	fs, _, creds, _ := newWorld(t, Policy{ProtectedSymlinks: true})
+	alice, bob := Ctx(creds["alice"]), Ctx(creds["bob"])
+	protectedDir(t, fs, "/drop", 0o1777, alice.Cred.UID)
+	if err := fs.Symlink(alice, "/drop/target", "/drop/link"); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := fs.ResolveLinks(bob, "/drop/link"); err != nil || got != "/drop/target" {
+		t.Errorf("bob follows the directory owner's link: %q, %v; want it followed", got, err)
+	}
+}
+
+// TestProtectedSymlinksOnlyInStickyDirs: a world-writable directory
+// without the sticky bit is outside protected_symlinks' scope, so
+// another user's link there is followed.
+func TestProtectedSymlinksOnlyInStickyDirs(t *testing.T) {
+	fs, _, creds, _ := newWorld(t, Policy{ProtectedSymlinks: true})
+	alice, bob := Ctx(creds["alice"]), Ctx(creds["bob"])
+	protectedDir(t, fs, "/open", 0o777, ids.Root)
+	if err := fs.Symlink(bob, "/open/target", "/open/link"); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := fs.ResolveLinks(alice, "/open/link"); err != nil || got != "/open/target" {
+		t.Errorf("alice follows bob's link in a non-sticky directory: %q, %v; want it followed", got, err)
+	}
+}
+
 func TestProtectedSymlinksOffBaselineAttackWorks(t *testing.T) {
 	fs, _, creds, _ := newWorld(t, Policy{})
 	if err := fs.CreateTmp("/tmp"); err != nil {

@@ -4,16 +4,15 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Namespace is a node's mount table: it routes absolute paths to the
 // FS mounted at the longest matching prefix, the way a compute node
 // sees the shared Lustre filesystem at /home and /scratch and its own
 // local disk at /tmp. All paths handed to the mounted FS are kept
-// absolute and mount-relative.
+// absolute and mount-relative. It is not safe for concurrent use; the
+// cluster's owner calls it (DESIGN.md §7, "One owner per cluster").
 type Namespace struct {
-	mu     sync.RWMutex
 	mounts map[string]*FS // mount point -> fs
 }
 
@@ -28,8 +27,6 @@ func (ns *Namespace) Mount(point string, fs *FS) error {
 	if !strings.HasPrefix(point, "/") {
 		return fmt.Errorf("%w: mount point %q", ErrInvalid, point)
 	}
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
 	ns.mounts[strings.TrimRight(point, "/")] = fs
 	return nil
 }
@@ -43,8 +40,6 @@ func (ns *Namespace) Resolve(path string) (*FS, string, error) {
 	if !strings.HasPrefix(path, "/") {
 		return nil, "", fmt.Errorf("%w: path %q not absolute", ErrInvalid, path)
 	}
-	ns.mu.RLock()
-	defer ns.mu.RUnlock()
 	best := ""
 	found := false
 	for point := range ns.mounts {
@@ -66,8 +61,6 @@ func (ns *Namespace) Resolve(path string) (*FS, string, error) {
 
 // Mounts lists mount points sorted ascending, with the FS names.
 func (ns *Namespace) Mounts() []string {
-	ns.mu.RLock()
-	defer ns.mu.RUnlock()
 	out := make([]string, 0, len(ns.mounts))
 	for point, fs := range ns.mounts {
 		p := point

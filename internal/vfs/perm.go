@@ -13,8 +13,6 @@ import (
 // follows POSIX + POSIX.1e ACLs: owner class, then named-user ACL
 // entries, then owning group / named-group ACL entries, then other.
 // Root bypasses everything.
-//
-// Caller holds fs.mu (read or write).
 func (fs *FS) can(cred ids.Credential, n *inode, want uint32) bool {
 	if cred.IsRoot() {
 		return true
@@ -58,8 +56,6 @@ func (fs *FS) can(cred ids.Credential, n *inode, want uint32) bool {
 
 // Access is the externally visible permission probe (like access(2)).
 func (fs *FS) Access(ctx Context, path string, want uint32) error {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
 	n, err := fs.walk(ctx, path)
 	if err != nil {
 		return err
@@ -75,8 +71,6 @@ func (fs *FS) Access(ctx Context, path string, want uint32) error {
 // (§IV-C): an unprivileged chmod that tries to set world bits has
 // those bits silently stripped, exactly like the kernel patch.
 func (fs *FS) Chmod(ctx Context, path string, mode uint32) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	n, err := fs.walk(ctx, path)
 	if err != nil {
 		return err
@@ -99,15 +93,10 @@ func (fs *FS) Chmod(ctx Context, path string, mode uint32) error {
 // only to a group they are a member of — the rule the paper leans on
 // to keep sharing inside approved project groups. Pass ids.NoUID /
 // ids.NoGID to leave a field unchanged.
+//
+// It owns the inode just before each field it writes, after that
+// field's checks, so a refused change copies nothing.
 func (fs *FS) Chown(ctx Context, path string, owner ids.UID, group ids.GID) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.chownLocked(ctx, path, owner, group)
-}
-
-// chownLocked owns the inode just before each field it writes, after
-// that field's checks, so a refused change copies nothing.
-func (fs *FS) chownLocked(ctx Context, path string, owner ids.UID, group ids.GID) error {
 	n, err := fs.walk(ctx, path)
 	if err != nil {
 		return err
@@ -139,15 +128,13 @@ func (fs *FS) chownLocked(ctx Context, path string, owner ids.UID, group ids.GID
 // chmod their own top-level home open.
 func (fs *FS) CreateHome(u *ids.User) error {
 	rootCtx := Context{Cred: ids.RootCred()}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.mkdirAllLocked(rootCtx, parentOf(u.HomePath), 0o755); err != nil {
+	if err := fs.mkdirAll(rootCtx, parentOf(u.HomePath), 0o755); err != nil {
 		return err
 	}
-	if err := fs.mkdirLocked(rootCtx, u.HomePath, 0o770); err != nil {
+	if err := fs.Mkdir(rootCtx, u.HomePath, 0o770); err != nil {
 		return err
 	}
-	return fs.chownLocked(rootCtx, u.HomePath, ids.Root, u.Primary)
+	return fs.Chown(rootCtx, u.HomePath, ids.Root, u.Primary)
 }
 
 // CreateProjectDir builds an approved project group's shared area:

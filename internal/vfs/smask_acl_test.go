@@ -100,6 +100,27 @@ func TestEnhancedChmodWorldReadableBlocked(t *testing.T) {
 	}
 }
 
+// TestGroupClassDeniesBeforeOther: POSIX picks one class. A caller in
+// the file's owning group is judged by the group bits alone, so a
+// 0o604 file denies its group's members the read it grants strangers.
+func TestGroupClassDeniesBeforeOther(t *testing.T) {
+	fs, _, creds, proj := newWorld(t, Policy{})
+	alice, bob, carol := Ctx(creds["alice"]), Ctx(creds["bob"]), Ctx(creds["carol"])
+	const path = "/shared.dat"
+	if err := fs.WriteFile(Ctx(ids.RootCred()), path, []byte("x"), 0o604); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Chown(Ctx(ids.RootCred()), path, alice.Cred.UID, proj); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.ReadFile(bob, path); !errors.Is(err, ErrPermission) {
+		t.Errorf("bob, in the owning group, reads a 0o604 file: err = %v, want ErrPermission", err)
+	}
+	if _, err := fs.ReadFile(carol, path); err != nil {
+		t.Errorf("carol, outside every class but other, cannot read a 0o604 file: %v", err)
+	}
+}
+
 func TestACLGroupGrantRequiresMembership(t *testing.T) {
 	fs, _, creds, projGID := newWorld(t, enhancedPolicy())
 	if err := fs.CreateTmp("/scratch"); err != nil {

@@ -24,7 +24,6 @@ import (
 	"path"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/ids"
@@ -75,7 +74,7 @@ var (
 	ErrACLDenied  = errors.New("vfs: acl grant rejected by group-membership restriction")
 )
 
-// inode is the internal tree node. Access only while holding FS.mu.
+// inode is the internal tree node.
 //
 // Trees are persistent: an inode is changed in place only by the
 // mount whose write epoch it carries, and a mount copies any other
@@ -139,12 +138,14 @@ func Ctx(cred ids.Credential) Context {
 	return Context{Cred: cred, Umask: 0o022}
 }
 
-// FS is one mount. Safe for concurrent use.
+// FS is one mount. It is not safe for concurrent use; the cluster's
+// owner calls it (DESIGN.md §7, "One owner per cluster"). Frozen trees
+// (a mark, a template, the empty root) are never written, so mounts of
+// different clusters may share them across goroutines.
 type FS struct {
 	Name   string
 	Policy Policy
 	reg    *ids.Registry
-	mu     sync.RWMutex
 	root   *inode
 	// pristine is the frozen root Reset returns to: the tree at
 	// MarkPristine, or the post-New (or template) tree before any mark.
@@ -177,8 +178,6 @@ var emptyRoot = &inode{
 // Reset and freezes it. The cluster assembly calls it once its layout
 // (/home, /scratch, /proj, the per-node tmp dirs) is in place.
 func (fs *FS) MarkPristine() {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	fs.pristine = fs.root
 	fs.epoch = epochs.Add(1)
 }
@@ -189,8 +188,6 @@ func (fs *FS) MarkPristine() {
 // The pristine tree is frozen, so this is one pointer swap however
 // much the trial wrote.
 func (fs *FS) Reset() {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	fs.root = fs.pristine
 }
 
@@ -206,8 +203,6 @@ func New(name string, policy Policy, reg *ids.Registry) *FS {
 // The cluster assembly builds one prototype local mount, freezes it,
 // and stamps out every node's mount from the template in O(1) each.
 func (fs *FS) AsTemplate() *Template {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	fs.epoch = epochs.Add(1)
 	return &Template{root: fs.root}
 }
@@ -238,7 +233,7 @@ func (fs *FS) owned(n *inode) *inode {
 // mount may change in place, and returns the inode p names. It copies
 // only the inodes another epoch owns, so a second write on a path
 // copies nothing. Callers run every check first: a refused write
-// copies nothing either. Caller holds fs.mu for writing.
+// copies nothing either.
 func (fs *FS) own(p string) *inode {
 	c := path.Clean(p)
 	fs.root = fs.owned(fs.root)
@@ -284,7 +279,7 @@ func compEnd(c string, s int) int {
 }
 
 // walk resolves path to an inode, enforcing execute (search)
-// permission on every directory along the way. Caller holds fs.mu.
+// permission on every directory along the way.
 func (fs *FS) walk(ctx Context, path string) (*inode, error) {
 	c, err := cleanAbs(path)
 	if err != nil {
@@ -365,12 +360,6 @@ func (fs *FS) applySmask(ctx Context, m uint32) uint32 {
 // Mkdir creates a directory. New directories inherit the parent's
 // group when the parent has setgid (the project-directory idiom).
 func (fs *FS) Mkdir(ctx Context, path string, mode uint32) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.mkdirLocked(ctx, path, mode)
-}
-
-func (fs *FS) mkdirLocked(ctx Context, path string, mode uint32) error {
 	dir, name, err := fs.walkParent(ctx, path)
 	if err != nil {
 		return err
@@ -409,12 +398,10 @@ func (fs *FS) MkdirAll(ctx Context, path string, mode uint32) error {
 	if err != nil {
 		return err
 	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.mkdirAllLocked(ctx, c, mode)
+	return fs.mkdirAll(ctx, c, mode)
 }
 
-// mkdirAllLocked creates the clean absolute path c and its missing
+// mkdirAll creates the clean absolute path c and its missing
 // parents in one walk down c. Each component is checked exactly as
 // Mkdir of its prefix would check it: the parent's parent must grant
 // search (the ancestors above it passed on earlier components), the
@@ -422,9 +409,8 @@ func (fs *FS) MkdirAll(ctx Context, path string, mode uint32) error {
 // the parent. A component that exists, directory or not, is stepped
 // into without building an ErrExist; a file there fails the next
 // component with ErrNotDir. Only a component it creates makes it own
-// the path to its parent, so an existing path copies nothing. Caller
-// holds fs.mu for writing.
-func (fs *FS) mkdirAllLocked(ctx Context, c string, mode uint32) error {
+// the path to its parent, so an existing path copies nothing.
+func (fs *FS) mkdirAll(ctx Context, c string, mode uint32) error {
 	if c == "/" {
 		return nil
 	}
@@ -460,8 +446,6 @@ func (fs *FS) mkdirAllLocked(ctx Context, c string, mode uint32) error {
 // applies umask+smask; overwrite requires write permission on the
 // existing file.
 func (fs *FS) WriteFile(ctx Context, path string, data []byte, mode uint32) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	dir, name, err := fs.walkParent(ctx, path)
 	if err != nil {
 		return err
@@ -495,8 +479,6 @@ func (fs *FS) WriteFile(ctx Context, path string, data []byte, mode uint32) erro
 
 // ReadFile returns the file's contents if ctx can read it.
 func (fs *FS) ReadFile(ctx Context, path string) ([]byte, error) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
 	n, err := fs.walk(ctx, path)
 	if err != nil {
 		return nil, err
@@ -514,8 +496,6 @@ func (fs *FS) ReadFile(ctx Context, path string) ([]byte, error) {
 // crucial residual channel: in a world-writable /tmp a stranger can
 // still *list names* even when contents are protected (paper §V).
 func (fs *FS) ReadDir(ctx Context, path string) ([]string, error) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
 	n, err := fs.walk(ctx, path)
 	if err != nil {
 		return nil, err
@@ -537,8 +517,6 @@ func (fs *FS) ReadDir(ctx Context, path string) ([]string, error) {
 // Stat returns metadata (requires search permission on parents only,
 // like POSIX stat).
 func (fs *FS) Stat(ctx Context, path string) (*FileInfo, error) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
 	n, err := fs.walk(ctx, path)
 	if err != nil {
 		return nil, err
@@ -561,8 +539,6 @@ func (fs *FS) infoOf(n *inode, path string) *FileInfo {
 // Unlink removes a file or empty directory. In sticky directories
 // (/tmp) only the file owner, directory owner, or root may delete.
 func (fs *FS) Unlink(ctx Context, path string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	dir, name, err := fs.walkParent(ctx, path)
 	if err != nil {
 		return err

@@ -83,11 +83,9 @@ func (fs *FS) refMkdirAll(ctx Context, path string, mode uint32) error {
 	if err != nil {
 		return err
 	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	for i := range parts {
 		p := "/" + strings.Join(parts[:i+1], "/")
-		err := fs.refMkdirLocked(ctx, p, mode)
+		err := fs.refMkdir(ctx, p, mode)
 		if err != nil && !errors.Is(err, ErrExist) {
 			return err
 		}
@@ -95,7 +93,7 @@ func (fs *FS) refMkdirAll(ctx Context, path string, mode uint32) error {
 	return nil
 }
 
-func (fs *FS) refMkdirLocked(ctx Context, path string, mode uint32) error {
+func (fs *FS) refMkdir(ctx Context, path string, mode uint32) error {
 	dir, name, err := fs.refWalkParent(ctx, path)
 	if err != nil {
 		return err

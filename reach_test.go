@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -224,6 +225,48 @@ func TestGoroutineStarts(t *testing.T) {
 	for site, n := range listed {
 		if n > 0 {
 			t.Errorf("%s: listed in goroutineStarts, but no go statement is there any more", site)
+		}
+	}
+}
+
+// ownerOnlyPackages are the substrate packages on a trial's path. A
+// cluster and everything reachable from it has one owner goroutine at
+// a time (DESIGN.md §7, "One owner per cluster"), so none of them takes
+// a lock: none may import sync, whose Mutex and RWMutex would be the
+// only way to declare one. sync/atomic stays allowed: netsim's and
+// ubf's exported counters and the cluster clock are atomics.
+var ownerOnlyPackages = []string{
+	"internal/container",
+	"internal/gpu",
+	"internal/ids",
+	"internal/netsim",
+	"internal/portal",
+	"internal/procfs",
+	"internal/sched",
+	"internal/simos",
+	"internal/ubf",
+	"internal/vfs",
+}
+
+// TestOwnerOnlyPackagesTakeNoLocks fails when the non-test code of an
+// ownerOnlyPackages package imports sync.
+func TestOwnerOnlyPackagesTakeNoLocks(t *testing.T) {
+	_, files := parseRepo(t)
+	seen := map[string]bool{}
+	for _, fl := range files {
+		if !slices.Contains(ownerOnlyPackages, fl.dir) {
+			continue
+		}
+		seen[fl.dir] = true
+		for _, spec := range fl.f.Imports {
+			if spec.Path.Value == strconv.Quote("sync") {
+				t.Errorf("%s imports sync: a package on the trial path takes no lock; its cluster's owner calls it (DESIGN.md §7)", fl.path)
+			}
+		}
+	}
+	for _, dir := range ownerOnlyPackages {
+		if !seen[dir] {
+			t.Errorf("%s: no Go files; is the test running from the repository root?", dir)
 		}
 	}
 }

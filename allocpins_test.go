@@ -58,12 +58,12 @@ var allocPins = []struct {
 	{"E2CVEProbe", perOp(e2CVEProbe), 0},
 	{"E3Squeue/baseline", perOp(func(tb testing.TB) func() { return e3Squeue(tb, core.Baseline()) }), 659},
 	{"E3Squeue/enhanced", perOp(func(tb testing.TB) func() { return e3Squeue(tb, core.Enhanced()) }), 203},
-	{"E4Policies/shared", perDrain(e4Cluster, sched.PolicyShared), 177},
-	{"E4Policies/exclusive", perDrain(e4Cluster, sched.PolicyExclusive), 119},
-	{"E4Policies/user-wholenode", perDrain(e4Cluster, sched.PolicyUserWholeNode), 148},
-	{"E4XLCampaign/shared", perDrain(e4XLCluster, sched.PolicyShared), 1041},
-	{"E4XLCampaign/exclusive", perDrain(e4XLCluster, sched.PolicyExclusive), 654},
-	{"E4XLCampaign/user-wholenode", perDrain(e4XLCluster, sched.PolicyUserWholeNode), 808},
+	{"E4Policies/shared", perDrain(e4Cluster, sched.PolicyShared), 172},
+	{"E4Policies/exclusive", perDrain(e4Cluster, sched.PolicyExclusive), 116},
+	{"E4Policies/user-wholenode", perDrain(e4Cluster, sched.PolicyUserWholeNode), 142},
+	{"E4XLCampaign/shared", perDrain(e4XLCluster, sched.PolicyShared), 1032},
+	{"E4XLCampaign/exclusive", perDrain(e4XLCluster, sched.PolicyExclusive), 647},
+	{"E4XLCampaign/user-wholenode", perDrain(e4XLCluster, sched.PolicyUserWholeNode), 799},
 	{"E5SSHGate", perOp(e5SSHGate), 6},
 	{"E6FSMatrix/baseline", perOp(func(tb testing.TB) func() { return e6FSMatrix(tb, core.Baseline()) }), 4},
 	{"E6FSMatrix/enhanced", perOp(func(tb testing.TB) func() { return e6FSMatrix(tb, core.Enhanced()) }), 4},
@@ -90,9 +90,9 @@ var allocPins = []struct {
 	{"DeniedProbe/pam-slurm", perOp(deniedPAMSlurm), 2},
 	{"DeniedProbe/portal-forward", perOp(deniedPortalForward), 3},
 	{"DeniedProbe/container-admission", perOp(deniedContainerRun), 1},
-	{"FleetCampaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE4PolicyGrid, 1) }), 2591},
-	{"E16Ablation", perOp(e16Ablation), 12689},
-	{"E17Campaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE17RedTeam, 1) }), 15657},
+	{"FleetCampaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE4PolicyGrid, 1) }), 2575},
+	{"E16Ablation", perOp(e16Ablation), 12588},
+	{"E17Campaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE17RedTeam, 1) }), 15514},
 }
 
 // TestAllocPins checks each single-worker benchmark row's allocations

@@ -272,7 +272,7 @@ func (ss *session) homeRead() observation {
 	if err := ss.seedHome(); err != nil {
 		return stoppedBy(err)
 	}
-	d, err := ss.c.SharedFS.ReadFile(ss.actx, ss.victim.HomePath+"/results.csv")
+	d, err := ss.c.SharedFS.ReadFile(ss.actx, ss.homeFile)
 	if err != nil {
 		return stopped(audit.Denial("home traversal denied", err))
 	}
@@ -599,7 +599,7 @@ func (ss *session) containerEscape() observation {
 	if err := ss.seedHome(); err != nil {
 		return stoppedBy(err)
 	}
-	if _, err := ct.ReadFile(ss.victim.HomePath + "/results.csv"); err == nil {
+	if _, err := ct.ReadFile(ss.homeFile); err == nil {
 		return leaked(audit.Note("unapproved container ran and read victim home from inside"))
 	}
 	return leaked(audit.Note("unapproved container ran (host FS controls still bound inside)"))
@@ -619,7 +619,7 @@ func (ss *session) containerHomeRead() observation {
 	if err != nil {
 		return stoppedBy(err)
 	}
-	if _, err = ct.ReadFile(ss.victim.HomePath + "/results.csv"); err != nil {
+	if _, err = ct.ReadFile(ss.homeFile); err != nil {
 		return stopped(audit.Denial("host FS controls bound inside container", err))
 	}
 	return leaked(audit.Note("read victim home from inside container"))

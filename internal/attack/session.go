@@ -45,6 +45,7 @@ type session struct {
 	login    *simos.Node
 	vctx     vfs.Context
 	actx     vfs.Context
+	homeFile string // the victim's home file, built once per account
 
 	vproc    *simos.Process // victim login process with a secret argv
 	vjobID   int            // long-running victim batch job (0 = not yet)
@@ -73,6 +74,7 @@ func newSession(c *core.Cluster) (*session, error) {
 		c: c, victim: victim, attacker: attacker,
 		login: c.Logins[0],
 		vctx:  vfs.Ctx(victim.Cred), actx: vfs.Ctx(attacker.Cred),
+		homeFile: victim.HomePath + "/results.csv",
 	}, nil
 }
 
@@ -138,7 +140,7 @@ func (ss *session) spawn() {
 
 func (ss *session) seedHome() error {
 	return once(&ss.homeSeeded, func() error {
-		return ss.c.SharedFS.WriteFile(ss.vctx, ss.victim.HomePath+"/results.csv", []byte("victim-home-data"), 0o644)
+		return ss.c.SharedFS.WriteFile(ss.vctx, ss.homeFile, []byte("victim-home-data"), 0o644)
 	})
 }
 

@@ -29,7 +29,7 @@ func TestPooledTrialAllocsReduction(t *testing.T) {
 		pooling bool
 		want    float64
 	}{
-		{"TrialLifecycle/fresh", false, 782},
+		{"TrialLifecycle/fresh", false, 777},
 		{"TrialLifecycle/pooled", true, 1},
 	} {
 		w := newTrialWorker(comp, tc.pooling)

@@ -1,103 +1,105 @@
 package sched
 
+import "slices"
+
 // The completion calendar indexes running jobs by the tick their
 // duration elapses (Start + Duration), so the per-tick completion
-// pass pops exactly the due jobs instead of walking the whole running
-// set — and RunAll can read the next event time to fast-forward over
-// ticks in which provably nothing happens.
+// pass visits exactly the due tick's bucket instead of the whole
+// running set, and RunAll can read the next event time to
+// fast-forward over ticks in which provably nothing happens.
 //
-// It is a binary min-heap ordered by (due, job ID): equal-due jobs
-// pop in ID order, matching the old ID-sorted completion walk
-// bit-for-bit. Jobs that leave Running early (cancel, OOM, node
-// crash) are deleted lazily — entries whose job is no longer Running
-// are discarded at pop/peek time, so finish never searches the heap.
+// It is a hashed timing wheel (Varghese & Lauck, SOSP 1987): a job
+// due at tick d waits in bucket d & wheelMask, an intrusive
+// doubly-linked list through the job's calPrev/calNext, so the wheel
+// never allocates. A job due a lap or more ahead stays in its bucket
+// and is passed over until its lap comes round. finish unlinks every
+// job that leaves Running, whatever the reason, so the wheel holds
+// exactly the running set and live counts it.
 
-// calEntry is one scheduled completion. It carries the job's ID, so
-// heap comparisons never dereference the job.
-type calEntry struct {
-	due int64
-	id  int
-	job *Job
+const (
+	wheelSize = 64
+	wheelMask = wheelSize - 1
+)
+
+type calendar struct {
+	heads [wheelSize]*Job
+	live  int
 }
 
-type calendar []calEntry
+// due is the tick whose Step finishes a running job.
+func due(j *Job) int64 { return j.Start + j.Spec.Duration }
 
-func (c calendar) less(i, j int) bool {
-	if c[i].due != c[j].due {
-		return c[i].due < c[j].due
+// push links a job that just entered Running into its bucket.
+func (c *calendar) push(j *Job) {
+	b := &c.heads[due(j)&wheelMask]
+	j.calPrev, j.calNext = nil, *b
+	if *b != nil {
+		(*b).calPrev = j
 	}
-	return c[i].id < c[j].id
+	*b = j
+	c.live++
 }
 
-// push schedules a job that just entered Running.
-func (c *calendar) push(due int64, j *Job) {
-	*c = append(*c, calEntry{due: due, id: j.ID, job: j})
-	h := *c
-	for i := len(h) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
+// remove unlinks a running job.
+func (c *calendar) remove(j *Job) {
+	if j.calPrev != nil {
+		j.calPrev.calNext = j.calNext
+	} else {
+		c.heads[due(j)&wheelMask] = j.calNext
 	}
-}
-
-// pop removes and returns the minimum entry. Callers check len first.
-func (c *calendar) pop() calEntry {
-	h := *c
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h[last] = calEntry{} // release the *Job for GC
-	h = h[:last]
-	*c = h
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h) && h.less(l, small) {
-			small = l
-		}
-		if r < len(h) && h.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
+	if j.calNext != nil {
+		j.calNext.calPrev = j.calPrev
 	}
-	return top
+	j.calPrev, j.calNext = nil, nil
+	c.live--
 }
 
-// nextDue discards stale entries (jobs that already left Running) and
-// returns the earliest scheduled completion tick, or ok=false when
-// nothing is running.
-func (c *calendar) nextDue() (int64, bool) {
-	for len(*c) > 0 {
-		if (*c)[0].job.State != Running {
-			c.pop()
-			continue
-		}
-		return (*c)[0].due, true
-	}
-	return 0, false
-}
-
-// popDue appends every job due at or before now to out (in (due, ID)
-// order) and returns the extended slice, discarding stale entries.
+// popDue appends the jobs due at now to out, in ID order, and returns
+// the extended slice. It leaves them linked: finish unlinks each.
+// Every due tick runs as a real Step (fastForward stops short of
+// the next due tick), so no job due before now is left.
+//
+// A bucket lists the latest start first, and starts go roughly in ID
+// order, so the handful of due jobs is reversed and then sorted by
+// insertion, which is near linear on that input.
 func (c *calendar) popDue(now int64, out []*Job) []*Job {
-	for len(*c) > 0 {
-		top := (*c)[0]
-		if top.job.State != Running {
-			c.pop()
-			continue
+	start := len(out)
+	for j := c.heads[now&wheelMask]; j != nil; j = j.calNext {
+		if due(j) == now {
+			out = append(out, j)
 		}
-		if top.due > now {
-			break
+	}
+	ready := out[start:]
+	slices.Reverse(ready)
+	for i := 1; i < len(ready); i++ {
+		for k := i; k > 0 && ready[k].ID < ready[k-1].ID; k-- {
+			ready[k], ready[k-1] = ready[k-1], ready[k]
 		}
-		c.pop()
-		out = append(out, top.job)
 	}
 	return out
+}
+
+// nextDue returns the earliest completion tick after now, or ok=false
+// when nothing is running. It scans the lap ahead bucket by bucket and
+// walks every list only when that lap holds nothing but later laps.
+func (c *calendar) nextDue(now int64) (int64, bool) {
+	if c.live == 0 {
+		return 0, false
+	}
+	for t := now + 1; t <= now+wheelSize; t++ {
+		for j := c.heads[t&wheelMask]; j != nil; j = j.calNext {
+			if due(j) == t {
+				return t, true
+			}
+		}
+	}
+	next := int64(-1)
+	for _, j := range c.heads {
+		for ; j != nil; j = j.calNext {
+			if d := due(j); next < 0 || d < next {
+				next = d
+			}
+		}
+	}
+	return next, true
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -147,6 +148,68 @@ func TestCrashBlamesLowestJobID(t *testing.T) {
 		// and the bystander are cofailures — every trial.
 		if cofail != 2 {
 			t.Fatalf("trial %d: cofailures = %d, want 2 (stable blame on job %d)", trial, cofail, j1)
+		}
+	}
+}
+
+// TestCrashOrderIgnoresPlacementOrder: a node's job set is unordered,
+// so a crash must sort it by ID before it blames, fails, runs epilogs
+// and records. Here the lower-ID hog (job 2) is backfilled onto the
+// node after a higher-ID hog (job 3), behind the bystander job 4 of
+// job 3's user, so the set reads [4 3 2]. Blame must still fall on
+// job 2's user (cofailures 2, not 1), and the epilogs and accounting
+// rows must come in ID order, on an OOM crash and on an external one.
+func TestCrashOrderIgnoresPlacementOrder(t *testing.T) {
+	for _, external := range []bool{false, true} {
+		nodes := computeNodes(1, 8, 100)
+		s := New(Config{Policy: PolicyShared}, nodes, 0)
+		var epilogs []int
+		s.AddEpilog(func(j *Job, _ *simos.Node) error {
+			epilogs = append(epilogs, j.ID)
+			return nil
+		})
+		for _, sub := range []struct {
+			uid ids.UID
+			sp  JobSpec
+		}{
+			{1000, JobSpec{Name: "filler", Command: "x", Cores: 5, MemB: 10, Duration: 2}},
+			// Each hog exceeds its request; together they oversubscribe.
+			{1000, JobSpec{Name: "hog-low", Command: "x", Cores: 4, MemB: 10, ActualMemB: 70, Duration: 10}},
+			{2000, JobSpec{Name: "hog-high", Command: "x", Cores: 2, MemB: 10, ActualMemB: 40, Duration: 10}},
+			{2000, JobSpec{Name: "bystander", Command: "x", Cores: 1, MemB: 10, Duration: 10}},
+		} {
+			if _, err := s.Submit(cred(sub.uid), sub.sp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Step() // jobs 1, 3 and 4 start; job 2 waits for 4 cores
+		s.Step()
+		s.Step() // job 1 completes, job 2 backfills
+		var set []int
+		for _, j := range s.nodes[0].jobs {
+			set = append(set, j.ID)
+		}
+		if !slices.Equal(set, []int{4, 3, 2}) {
+			t.Fatalf("node job set %v, want the out-of-ID-order [4 3 2] the test needs", set)
+		}
+		wantCrashes, wantCofail := 1, 2
+		if external {
+			nodes[0].Crash()
+			wantCrashes, wantCofail = 0, 0 // a hardware failure blames no one
+		}
+		s.Step() // the OOM crash, or the down node's jobs fail
+		if crashes, cofail := s.Crashes(); crashes != wantCrashes || cofail != wantCofail {
+			t.Fatalf("external=%v: crashes, cofailures = %d, %d; want %d, %d", external, crashes, cofail, wantCrashes, wantCofail)
+		}
+		if want := []int{1, 2, 3, 4}; !slices.Equal(epilogs, want) {
+			t.Fatalf("external=%v: epilogs ran for jobs %v, want %v", external, epilogs, want)
+		}
+		var rows []string
+		for _, r := range s.Sacct(ids.RootCred()) {
+			rows = append(rows, fmt.Sprintf("%d %v %d", r.JobID, r.State, r.End))
+		}
+		if want := []string{"1 CD 3", "2 F 4", "3 F 4", "4 F 4"}; !slices.Equal(rows, want) {
+			t.Fatalf("external=%v: accounting rows %q, want %q", external, rows, want)
 		}
 	}
 }

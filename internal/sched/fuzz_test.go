@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"repro/internal/ids"
@@ -10,16 +12,23 @@ import (
 // submit, cancel, step, a short RunAll (whose fast-forward skips ticks
 // only behind a closed queue gate), and a node crash (with the Step
 // that notices it) or restore — on a 3-node, 4-core, 2-GPU cluster
-// under the policy the first byte picks. After every operation the
-// incremental aggregates, the live indexes and the node process tables
-// must match a recomputation from scratch, and a closed queue gate
-// must hold no job that fits.
+// under the policy the first byte picks. One submit in eight runs 63,
+// 64, 65 or 1<<30 ticks, so jobs lap the completion wheel. After every
+// operation the incremental aggregates, the live indexes and the node
+// process tables must match a recomputation from scratch, a closed
+// queue gate must hold no job that fits, and the jobs a Step or RunAll
+// completed must be the ones checkCompletions derives from start
+// times and durations alone, in (due, ID) order.
 func FuzzSchedOps(f *testing.F) {
 	f.Add([]byte{0, 0, 5, 1, 1, 9, 2, 3, 0, 0, 3, 0, 0})
 	f.Add([]byte{1, 0, 44, 6, 0, 1, 3, 3, 0, 0, 4, 1, 0, 3, 0, 0, 5, 1, 0, 3, 0, 0})
 	f.Add([]byte{2, 0, 8, 0, 0, 9, 1, 0, 13, 2, 3, 0, 0, 2, 2, 1, 3, 0, 0, 3, 0, 0})
 	f.Add([]byte{0, 0, 0, 255, 1, 4, 16, 0, 1, 0, 3, 0, 0, 3, 0, 0, 4, 2, 0, 5, 2, 0, 3, 0, 0})
 	f.Add([]byte{1, 0, 7, 3, 1, 2, 1, 0, 1, 2, 6, 0, 3, 2, 1, 0, 6, 0, 15})
+	// Lapped jobs (64 and 65 ticks, then 63 and 1<<30) beside short
+	// ones, drained by RunAll steps that fast-forward to their laps.
+	f.Add([]byte{0, 0, 0, 28, 0, 0, 29, 0, 0, 1, 3, 0, 0, 6, 0, 15, 6, 0, 15, 6, 0, 15, 6, 0, 15, 6, 0, 15,
+		0, 0, 31, 1, 0, 30, 3, 0, 0, 6, 0, 15, 6, 0, 15, 6, 0, 15, 6, 0, 15, 6, 0, 15, 2, 3, 0, 6, 0, 15})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -34,6 +43,7 @@ func FuzzSchedOps(f *testing.F) {
 		}
 		for k := 0; k+3 <= len(ops); k += 3 {
 			op, a, b := ops[k]%7, int(ops[k+1]), int(ops[k+2])
+			before := snapshotCompletions(s)
 			switch op {
 			case 0, 1: // submit
 				sp := JobSpec{
@@ -46,6 +56,9 @@ func FuzzSchedOps(f *testing.F) {
 				}
 				if (b>>2)%4 == 0 {
 					sp.ActualMemB = 2 << 20 // more than a node has: OOM
+				}
+				if (b>>2)%8 == 7 { // a lap or more of the wheel out
+					sp.Duration = []int64{63, 64, 65, 1 << 30}[b%4]
 				}
 				if _, err := s.Submit(cred(ids.UID(1000+(a>>6)%3)), sp); err == nil {
 					submitted++
@@ -68,6 +81,72 @@ func FuzzSchedOps(f *testing.F) {
 			checkIndexes(t, s, "after op")
 			checkTaskProcesses(t, s, "after op")
 			checkPassComplete(t, s, "after op")
+			checkCompletions(t, s, before, "after op")
 		}
 	})
+}
+
+// completionRef is what checkCompletions compares against: the clock,
+// the accounting row count and the job states before an operation.
+type completionRef struct {
+	now     int64
+	records int
+	states  []JobState
+}
+
+func snapshotCompletions(s *Scheduler) completionRef {
+	ref := completionRef{now: s.now, records: len(s.records)}
+	for _, j := range s.jobs {
+		ref.states = append(ref.states, j.State)
+	}
+	return ref
+}
+
+// checkCompletions recomputes, from start times and durations alone,
+// which jobs the operation since ref had to complete: every job that
+// was pending or running before it, has started, and is due
+// (Start+Duration) in a tick it advanced, unless a crash, an OOM or a
+// cancel ended it before that tick. Those, and no others, must be the
+// jobs it recorded Completed, at their due tick, in (due, ID) order.
+// A job due later must not have completed, and no live job may have
+// been past its due tick before the operation.
+func checkCompletions(t *testing.T, s *Scheduler, ref completionRef, when string) {
+	t.Helper()
+	var want []*Job
+	for i, st := range ref.states {
+		j := s.jobs[i]
+		if (st != Pending && st != Running) || j.State == Pending || j.State == Cancelled && j.Start == 0 {
+			continue
+		}
+		d := j.Start + j.Spec.Duration
+		switch {
+		case d <= ref.now:
+			t.Fatalf("%s: job %d was still %v at tick %d, past its due tick %d", when, j.ID, st, ref.now, d)
+		case d > s.now:
+			if j.State == Completed {
+				t.Fatalf("%s: job %d completed at %d, due %d after tick %d", when, j.ID, j.End, d, s.now)
+			}
+		case j.State == Completed || j.State == Running:
+			want = append(want, j)
+		case j.End >= d:
+			t.Fatalf("%s: job %d due %d ended %v at %d, not completed", when, j.ID, d, j.State, j.End)
+		}
+	}
+	slices.SortFunc(want, func(a, b *Job) int {
+		return cmp.Or(cmp.Compare(a.Start+a.Spec.Duration, b.Start+b.Spec.Duration), cmp.Compare(a.ID, b.ID))
+	})
+	var got []*Job
+	for _, j := range s.records[ref.records:] {
+		if j.State == Completed {
+			got = append(got, j)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: ticks %d..%d completed %v, want %v", when, ref.now+1, s.now, got, want)
+	}
+	for _, j := range got {
+		if j.End != j.Start+j.Spec.Duration {
+			t.Fatalf("%s: job %d completed at %d, due %d", when, j.ID, j.End, j.Start+j.Spec.Duration)
+		}
+	}
 }

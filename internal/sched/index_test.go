@@ -23,14 +23,16 @@ func idxCred(uid ids.UID) ids.Credential {
 
 // checkIndexes recomputes every live index from the job table and
 // asserts the scheduler's copy matches: pending is exactly the Pending
-// jobs in ID order; the calendar's live entries are exactly the
-// Running jobs, each once and due at Start+Duration; each node's jobs
-// are ID-sorted and are the Running jobs placed there; Unfinished
+// jobs in ID order; each Running job is linked exactly once into the
+// completion wheel, in bucket (Start+Duration) & wheelMask, and nothing
+// else is linked; the wheel's live count is the number of Running
+// jobs; each node's jobs are, as a set, the Running jobs placed there,
+// and each Running job's tasks index its Nodes; Unfinished
 // counts the Pending and Running jobs.
 func checkIndexes(t *testing.T, s *Scheduler, when string) {
 	t.Helper()
 	var pending []*Job
-	due := make(map[*Job]int64)
+	running := make(map[*Job]bool)
 	onNode := make(map[*nodeState][]*Job)
 	for i, j := range s.jobs {
 		if j.ID != i+1 {
@@ -40,37 +42,57 @@ func checkIndexes(t *testing.T, s *Scheduler, when string) {
 		case Pending:
 			pending = append(pending, j)
 		case Running:
-			due[j] = j.Start + j.Spec.Duration
-			for _, name := range j.Nodes {
-				onNode[s.byName[name]] = append(onNode[s.byName[name]], j)
+			running[j] = true
+			for k, name := range j.Nodes {
+				ns := s.byName[name]
+				if ni := j.tasks[k].node; s.nodes[ni] != ns {
+					t.Fatalf("%s: job %d node index %d names %s, want %s", when, j.ID, ni, s.nodes[ni].node.Name, name)
+				}
+				onNode[ns] = append(onNode[ns], j)
+			}
+		default:
+			if j.calPrev != nil || j.calNext != nil {
+				t.Fatalf("%s: job %d in state %v still carries wheel links", when, j.ID, j.State)
 			}
 		}
 	}
 	if !slices.Equal(s.pending, pending) {
 		t.Fatalf("%s: pending = %v, want the Pending jobs %v", when, s.pending, pending)
 	}
-	if got, want := s.Unfinished(), len(pending)+len(due); got != want {
+	if got, want := s.Unfinished(), len(pending)+len(running); got != want {
 		t.Fatalf("%s: Unfinished = %d, want the %d Pending and Running jobs", when, got, want)
 	}
-	for _, e := range s.calendar {
-		if e.job.State != Running {
-			continue // stale: deleted lazily
-		}
-		want, ok := due[e.job]
-		if !ok {
-			t.Fatalf("%s: job %d twice in the calendar", when, e.job.ID)
-		}
-		if e.due != want {
-			t.Fatalf("%s: job %d due %d, want Start+Duration %d", when, e.job.ID, e.due, want)
-		}
-		delete(due, e.job)
+	if s.calendar.live != len(running) {
+		t.Fatalf("%s: wheel live count %d, want the %d Running jobs", when, s.calendar.live, len(running))
 	}
-	if len(due) != 0 {
-		t.Fatalf("%s: %d Running jobs missing from the calendar", when, len(due))
+	linked := make(map[*Job]bool)
+	for b, head := range s.calendar.heads {
+		var prev *Job
+		for j := head; j != nil; j = j.calNext {
+			if !running[j] {
+				t.Fatalf("%s: job %d (%v) linked in bucket %d", when, j.ID, j.State, b)
+			}
+			if linked[j] {
+				t.Fatalf("%s: job %d linked twice", when, j.ID)
+			}
+			if d := j.Start + j.Spec.Duration; int(d&wheelMask) != b {
+				t.Fatalf("%s: job %d due %d in bucket %d, want %d", when, j.ID, d, b, d&wheelMask)
+			}
+			if j.calPrev != prev {
+				t.Fatalf("%s: job %d back link broken in bucket %d", when, j.ID, b)
+			}
+			linked[j] = true
+			prev = j
+		}
 	}
+	if len(linked) != len(running) {
+		t.Fatalf("%s: %d Running jobs missing from the wheel", when, len(running)-len(linked))
+	}
+	byID := func(a, b *Job) int { return a.ID - b.ID }
 	for _, ns := range s.nodes {
-		if !slices.Equal(ns.jobs, onNode[ns]) {
-			t.Fatalf("%s: node %s jobs = %v, want %v", when, ns.node.Name, ns.jobs, onNode[ns])
+		got := slices.SortedFunc(slices.Values(ns.jobs), byID)
+		if want := onNode[ns]; !slices.Equal(got, want) {
+			t.Fatalf("%s: node %s jobs = %v, want %v", when, ns.node.Name, got, want)
 		}
 	}
 }

@@ -114,7 +114,7 @@ type JobSpec struct {
 // Job is a scheduled unit of work.
 //
 // The scheduler recycles its own Job storage, and the Nodes, Cores and
-// task-PID slices, at Reset: they live in slabs reused by the next
+// task slices, at Reset: they live in slabs reused by the next
 // trial. Every outward surface (Scheduler.Job, JobView, Squeue, Sacct)
 // therefore hands out copies, and a Hook must not retain the *Job it
 // is given past the call.
@@ -132,19 +132,30 @@ type Job struct {
 	// job starts.
 	Nodes []string
 	Cores []int
-	// pids[i] is the job's task process on Nodes[i]; finish removes
-	// exactly these entries.
-	pids []ids.PID
+	// tasks[i] is the job's task on Nodes[i]: its process, which
+	// finish removes, and the node's index in the scheduler's node
+	// list, so finish releases without a name lookup.
+	tasks []task
+	// calPrev/calNext link a Running job into its completion-wheel
+	// bucket (calendar.go).
+	calPrev, calNext *Job
 }
 
-// Clone returns a copy safe to hand to observers. The task PIDs are
-// the scheduler's own bookkeeping and are not copied.
+// task is a running job's share of one node.
+type task struct {
+	pid  ids.PID
+	node int
+}
+
+// Clone returns a copy safe to hand to observers. The tasks and the
+// wheel links are the scheduler's own bookkeeping and are not copied.
 func (j *Job) Clone() *Job {
 	nj := *j
 	nj.Cred = j.Cred.Clone()
 	nj.Nodes = slices.Clone(j.Nodes)
 	nj.Cores = slices.Clone(j.Cores)
-	nj.pids = nil
+	nj.tasks = nil
+	nj.calPrev, nj.calNext = nil, nil
 	return &nj
 }
 

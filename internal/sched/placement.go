@@ -90,31 +90,55 @@ func (sc *capScope) enroll(ns *nodeState) {
 	if ns.node.MemB > sc.maxNodeMemB {
 		sc.maxNodeMemB = ns.node.MemB
 	}
-	sc.account(ns, +1)
+	sc.move(nodeShare{}, ns.share())
 }
 
-// account adds (sign=+1) or removes (sign=-1) a node's current
-// contribution. Every mutation of a node's allocations is bracketed
-// by account(-1) / mutate / account(+1).
-func (sc *capScope) account(ns *nodeState, sign int64) {
-	free := int64(ns.freeCores())
-	sc.freeCores += sign * free
+// nodeShare is one member node's contribution to the scope. userFree
+// is the sole user's free cores, zero without a sole user.
+type nodeShare struct {
+	free, emptyCores, userFree int64
+	emptyNodes, gpus           int
+	user                       ids.UID
+}
+
+func (ns *nodeState) share() nodeShare {
+	sh := nodeShare{free: int64(ns.freeCores()), gpus: ns.freeGPUs()}
 	if len(ns.jobs) == 0 {
-		sc.emptyNodes += int(sign)
-		sc.emptyCores += sign * int64(ns.node.Cores)
-	} else if u, ok := ns.sole(); ok && free != 0 {
-		sc.addUserFree(u, sign*free)
+		sh.emptyNodes, sh.emptyCores = 1, int64(ns.node.Cores)
+	} else if u, ok := ns.sole(); ok {
+		sh.user, sh.userFree = u, sh.free
+	}
+	return sh
+}
+
+// move replaces a node's contribution old by new. Every mutation of a
+// node's allocations takes its share before and moves it after.
+func (sc *capScope) move(old, new nodeShare) {
+	sc.freeCores += new.free - old.free
+	sc.emptyNodes += new.emptyNodes - old.emptyNodes
+	sc.emptyCores += new.emptyCores - old.emptyCores
+	if old.user == new.user {
+		sc.addUserFree(new.user, new.userFree-old.userFree)
+	} else {
+		sc.addUserFree(old.user, -old.userFree)
+		sc.addUserFree(new.user, new.userFree)
 	}
 	if sc.gpuAtLeast != nil {
-		for g := ns.freeGPUs(); g >= 1; g-- {
-			sc.gpuAtLeast[g] += int32(sign)
+		for g := new.gpus; g > old.gpus; g-- {
+			sc.gpuAtLeast[g]++
+		}
+		for g := old.gpus; g > new.gpus; g-- {
+			sc.gpuAtLeast[g]--
 		}
 	}
 }
 
-// addUserFree adds d (nonzero) to u's userFree entry, creating the
-// entry or swapping the last one into its place when it reaches zero.
+// addUserFree adds d to u's userFree entry, creating the entry or
+// swapping the last one into its place when it reaches zero.
 func (sc *capScope) addUserFree(u ids.UID, d int64) {
+	if d == 0 {
+		return
+	}
 	for i := range sc.userFree {
 		e := &sc.userFree[i]
 		if e.uid != u {
@@ -218,12 +242,11 @@ func (ps *placeScratch) reset() {
 // applyPlace records a job's allocation on one compute node, updating
 // the node, the capacity scope, and the cluster's OOM-armed count.
 func (s *Scheduler) applyPlace(ns *nodeState, j *Job, cores int) {
-	s.defaultScope.account(ns, -1)
-	wasArmed := ns.oomArmed()
+	before, wasArmed := ns.share(), ns.oomArmed()
 	ns.usedCores += cores
 	ns.usedMem += j.Spec.MemB
 	ns.usedGPUs += j.Spec.GPUs
-	ns.jobs = slices.Insert(ns.jobs, searchID(ns.jobs, j.ID), j)
+	ns.jobs = append(ns.jobs, j)
 	ns.addUser(j.User)
 	ns.memCommit += effMemB(j)
 	if j.Spec.ActualMemB > ns.node.MemB {
@@ -232,18 +255,20 @@ func (s *Scheduler) applyPlace(ns *nodeState, j *Job, cores int) {
 	if ns.oomArmed() != wasArmed {
 		s.armedNodes++
 	}
-	s.defaultScope.account(ns, +1)
+	s.defaultScope.move(before, ns.share())
 }
 
-// applyRelease undoes applyPlace for one node of a finishing job.
+// applyRelease undoes applyPlace for one node of a finishing job; the
+// node's last job takes the released one's place.
 func (s *Scheduler) applyRelease(ns *nodeState, j *Job, cores int) {
-	s.defaultScope.account(ns, -1)
-	wasArmed := ns.oomArmed()
+	before, wasArmed := ns.share(), ns.oomArmed()
 	ns.usedCores -= cores
 	ns.usedMem -= j.Spec.MemB
 	ns.usedGPUs -= j.Spec.GPUs
-	i := searchID(ns.jobs, j.ID)
-	ns.jobs = slices.Delete(ns.jobs, i, i+1)
+	last := len(ns.jobs) - 1
+	ns.jobs[slices.Index(ns.jobs, j)] = ns.jobs[last]
+	ns.jobs[last] = nil
+	ns.jobs = ns.jobs[:last]
 	ns.delUser(j.User)
 	ns.memCommit -= effMemB(j)
 	if j.Spec.ActualMemB > ns.node.MemB {
@@ -252,5 +277,5 @@ func (s *Scheduler) applyRelease(ns *nodeState, j *Job, cores int) {
 	if ns.oomArmed() != wasArmed {
 		s.armedNodes--
 	}
-	s.defaultScope.account(ns, +1)
+	s.defaultScope.move(before, ns.share())
 }

@@ -117,11 +117,11 @@ func checkAggregates(t *testing.T, s *Scheduler, when string) {
 		t.Fatalf("%s: armedNodes = %d, recomputed %d", when, s.armedNodes, armed)
 	}
 
-	// busyCores mirrors the running set: the calendar's live entries.
+	// busyCores mirrors the running set: the Running jobs in the table.
 	var busy int64
-	for _, e := range s.calendar {
-		if e.job.State == Running {
-			busy += int64(e.job.Spec.Cores)
+	for _, j := range s.jobs {
+		if j.State == Running {
+			busy += int64(j.Spec.Cores)
 		}
 	}
 	if s.busyCores != busy {
@@ -426,12 +426,7 @@ func TestPassStopsAtZeroFreeCores(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("pending = %v, want the blockers then the unscanned tail %v", got, want)
 	}
-	running := 0
-	for _, e := range s.calendar {
-		if e.job.State == Running {
-			running++
-		}
-	}
+	running := s.calendar.live
 	if n := len(s.pending) + running + len(s.records); n != len(s.jobs) {
 		t.Fatalf("pending %d + running %d + finished %d = %d, submitted %d",
 			len(s.pending), running, len(s.records), n, len(s.jobs))

@@ -47,7 +47,7 @@ type nodeState struct {
 	usedMem   int64
 	usedGPUs  int
 	totalGPUs int
-	jobs      []*Job      // jobs placed on the node, ID-sorted
+	jobs      []*Job      // jobs placed on the node, unordered
 	users     []userCount // per-user #jobs on node, unordered
 	// memCommit sums max(request, actual) memory over resident jobs;
 	// overCount counts resident jobs whose actual usage exceeds the
@@ -86,7 +86,9 @@ func (ns *nodeState) delUser(u ids.UID) {
 		if ns.users[i].uid == u {
 			ns.users[i].n--
 			if ns.users[i].n == 0 {
-				ns.users = append(ns.users[:i], ns.users[i+1:]...)
+				last := len(ns.users) - 1
+				ns.users[i] = ns.users[last]
+				ns.users = ns.users[:last]
 			}
 			return
 		}
@@ -122,25 +124,26 @@ type Scheduler struct {
 
 	now    int64
 	nodes  []*nodeState
-	byName map[string]*nodeState
+	byName map[string]*nodeState // for HasJobOn; jobs index nodes by task
 	// jobs is the job table: every job since New or Reset at index
 	// ID-1 (IDs are dense from 1, so the next ID is len(jobs)+1).
 	jobs    []*Job
 	pending []*Job // the Pending jobs in submit order, i.e. ID order
 	// calendar schedules completions by end tick and is the running
-	// set: each start pushes one entry, and entries whose job is no
-	// longer Running are stale. due is its reusable pop buffer.
+	// set: each start links the job, each finish unlinks it. due is
+	// its reusable pop buffer.
 	calendar calendar
 	due      []*Job
-	records  []AccountingRecord
+	records  []*Job // the finished jobs, in finish order: Sacct's rows
+	byID     []*Job // crash scratch: one node's jobs, sorted by ID
 	// jobSlab backs every Job in the table and gidSlab its credential's
-	// groups; nodeSlab, coreSlab and pidSlab back the per-node slices
+	// groups; nodeSlab, coreSlab and taskSlab back the per-node slices
 	// tryStart fills. All five are rewound by Reset (package slab).
 	jobSlab  slab.Slab[Job]
 	gidSlab  slab.Slab[ids.GID]
 	nodeSlab slab.Slab[string]
 	coreSlab slab.Slab[int]
-	pidSlab  slab.Slab[ids.PID]
+	taskSlab slab.Slab[task]
 	prologs  []Hook
 	epilogs  []Hook
 	// defaultScope aggregates capacity over all compute nodes;
@@ -204,7 +207,7 @@ func New(cfg Config, nodes []*simos.Node, gpusPerNode int) *Scheduler {
 		Cfg:    cfg,
 		byName: make(map[string]*nodeState),
 	}
-	members := 0
+	members, maxCores := 0, 0
 	for _, n := range nodes {
 		st := &nodeState{node: n, totalGPUs: gpusPerNode}
 		s.nodes = append(s.nodes, st)
@@ -212,6 +215,7 @@ func New(cfg Config, nodes []*simos.Node, gpusPerNode int) *Scheduler {
 		if n.Kind == simos.Compute {
 			members++
 			s.computeCores += int64(n.Cores)
+			maxCores = max(maxCores, n.Cores)
 			if st.totalGPUs > s.maxNodeGPUs {
 				s.maxNodeGPUs = st.totalGPUs
 			}
@@ -221,9 +225,11 @@ func New(cfg Config, nodes []*simos.Node, gpusPerNode int) *Scheduler {
 		}
 	}
 	// A job takes at least one core on each node it runs on, so a
-	// node's job list never outgrows its core count: carve every list
-	// out of one array here instead of growing each on the hot path.
-	lists := make([]*Job, s.computeCores)
+	// node's job list never outgrows its core count: carve every list,
+	// and the crash scratch that copies one, out of one array here
+	// instead of growing each on the hot path.
+	lists := make([]*Job, s.computeCores+int64(maxCores))
+	s.byID, lists = lists[:0:maxCores], lists[maxCores:]
 	s.defaultScope = newCapScope(members, s.maxNodeGPUs)
 	for _, ns := range s.nodes {
 		if ns.node.Kind == simos.Compute {
@@ -259,8 +265,7 @@ func (s *Scheduler) Reset() {
 	s.jobs = s.jobs[:0]
 	clear(s.pending)
 	s.pending = s.pending[:0]
-	clear(s.calendar)
-	s.calendar = s.calendar[:0]
+	s.calendar = calendar{}
 	clear(s.due)
 	s.due = s.due[:0]
 	clear(s.records)
@@ -269,7 +274,7 @@ func (s *Scheduler) Reset() {
 	s.gidSlab.Reset()
 	s.nodeSlab.Reset()
 	s.coreSlab.Reset()
-	s.pidSlab.Reset()
+	s.taskSlab.Reset()
 	s.queueBlocked = false
 	s.armedNodes = 0
 	for i := range s.lastDown {
@@ -357,15 +362,21 @@ func (s *Scheduler) Submit(cred ids.Credential, spec JobSpec) (int, error) {
 		c.Groups = s.gidSlab.Take(n)
 		copy(c.Groups, cred.Groups)
 	}
+	// The slot comes zeroed (State Pending); fields are stored one by
+	// one, as a whole-struct store pays a bulk write barrier and copy.
 	j := &s.jobSlab.Take(1)[0]
-	*j = Job{
-		ID:     len(s.jobs) + 1,
-		User:   cred.UID,
-		Cred:   c,
-		Spec:   spec,
-		State:  Pending,
-		Submit: s.now,
-	}
+	j.ID = len(s.jobs) + 1
+	j.User = cred.UID
+	j.Cred = c
+	j.Spec.Name = spec.Name
+	j.Spec.Command = spec.Command
+	j.Spec.WorkDir = spec.WorkDir
+	j.Spec.Cores = spec.Cores
+	j.Spec.MemB = spec.MemB
+	j.Spec.GPUs = spec.GPUs
+	j.Spec.Duration = spec.Duration
+	j.Spec.ActualMemB = spec.ActualMemB
+	j.Submit = s.now
 	s.gen++
 	s.jobs = append(s.jobs, j)
 	s.pending = append(s.pending, j)
@@ -389,9 +400,9 @@ func (s *Scheduler) Cancel(actor ids.Credential, jobID int) error {
 		j.State = Cancelled
 		j.End = s.now
 		s.gen++
-		i := searchID(s.pending, j.ID)
+		i, _ := slices.BinarySearchFunc(s.pending, j.ID, func(p *Job, id int) int { return cmp.Compare(p.ID, id) })
 		s.pending = slices.Delete(s.pending, i, i+1)
-		s.account(j)
+		s.records = append(s.records, j)
 	case Running:
 		s.gen++
 		s.finish(j, Cancelled)
@@ -405,13 +416,6 @@ func (s *Scheduler) lookup(id int) (*Job, error) {
 		return nil, fmt.Errorf("%w: %d", ErrNoSuchJob, id)
 	}
 	return s.jobs[id-1], nil
-}
-
-// searchID returns where job id sits, or would be inserted, in the
-// ID-sorted js.
-func searchID(js []*Job, id int) int {
-	i, _ := slices.BinarySearchFunc(js, id, func(j *Job, id int) int { return cmp.Compare(j.ID, id) })
-	return i
 }
 
 // Step advances logical time by one tick: finish jobs whose time is
@@ -428,9 +432,8 @@ func (s *Scheduler) Step() int {
 	// running counters: nothing is summed per tick.
 	s.totalCoreTicks += s.computeCores
 	s.busyCoreTicks += s.busyCores
-	// 1. Completions: pop due jobs off the calendar — (end tick, ID)
-	// heap order finishes them in ID order, and nothing else in the
-	// running set is touched.
+	// 1. Completions: the jobs due now, in ID order, off the wheel's
+	// bucket for this tick; nothing else in the running set is touched.
 	s.due = s.calendar.popDue(s.now, s.due[:0])
 	for _, j := range s.due {
 		s.finish(j, Completed)
@@ -447,8 +450,10 @@ func (s *Scheduler) Step() int {
 				s.queueBlocked = false // restored capacity
 			}
 		}
-		for down && len(ns.jobs) > 0 { // finish drops the head, lowest ID first
-			s.finish(ns.jobs[0], Failed)
+		if down && len(ns.jobs) > 0 {
+			for _, j := range s.jobsByID(ns) {
+				s.finish(j, Failed)
+			}
 		}
 	}
 	// 2b. OOM fault injection: jobs that exceed their request blow up
@@ -497,6 +502,15 @@ func (s *Scheduler) Step() int {
 	return started
 }
 
+// jobsByID copies the node's jobs into the crash scratch, sorted by
+// ID: a crash blames, fails and records them in that order, so the
+// unordered job set costs a sort only when a node crashes.
+func (s *Scheduler) jobsByID(ns *nodeState) []*Job {
+	s.byID = append(s.byID[:0], ns.jobs...)
+	slices.SortFunc(s.byID, func(a, b *Job) int { return cmp.Compare(a.ID, b.ID) })
+	return s.byID
+}
+
 // crashNode fails every job on the node and marks the crash. Jobs of
 // users other than the at-fault user count as cofailures (blast
 // radius, experiment E4). The at-fault user is the lowest-ID job
@@ -505,16 +519,14 @@ func (s *Scheduler) Step() int {
 func (s *Scheduler) crashNode(ns *nodeState) {
 	s.crashes++
 	var atFault ids.UID = ids.NoUID
-	for _, j := range ns.jobs {
+	jobs := s.jobsByID(ns)
+	for _, j := range jobs {
 		if j.Spec.ActualMemB > j.Spec.MemB {
 			atFault = j.User
 			break
 		}
 	}
-	// finish drops each job from ns.jobs, so take the head (lowest ID)
-	// until the node is empty.
-	for len(ns.jobs) > 0 {
-		j := ns.jobs[0]
+	for _, j := range jobs {
 		if j.User != atFault && atFault != ids.NoUID {
 			s.cofailures++
 		}
@@ -531,33 +543,20 @@ func (s *Scheduler) finish(j *Job, state JobState) {
 	if j.State != Running {
 		return
 	}
+	s.calendar.remove(j)
 	j.State = state
 	j.End = s.now
 	s.busyCores -= int64(j.Spec.Cores)
-	for k, nodeName := range j.Nodes {
-		ns := s.byName[nodeName]
+	for k, tk := range j.tasks {
+		ns := s.nodes[tk.node]
 		s.applyRelease(ns, j, j.Cores[k])
-		ns.node.Procs.ExitJob(j.pids[k], j.ID)
+		ns.node.Procs.ExitJob(tk.pid, j.ID)
 		for _, h := range s.epilogs {
 			_ = h(j, ns.node) // epilog failures are logged, not fatal, in Slurm
 		}
 	}
 	s.queueBlocked = false // released capacity may start pending jobs
-	s.account(j)
-}
-
-func (s *Scheduler) account(j *Job) {
-	var ct int64
-	if j.Start > 0 {
-		ct = int64(j.Spec.Cores) * (j.End - j.Start)
-	}
-	s.records = append(s.records, AccountingRecord{
-		JobID: j.ID, User: j.User, Name: j.Spec.Name, State: j.State,
-		Submit: j.Submit, Start: j.Start, End: j.End,
-		// Nodes is fixed once the job starts, so the record shares it;
-		// Sacct copies it for observers.
-		CoreTicks: ct, NodeList: j.Nodes,
-	})
+	s.records = append(s.records, j)
 }
 
 // tryStart attempts to place job j now. A failed attempt — the common
@@ -572,7 +571,7 @@ func (s *Scheduler) tryStart(j *Job) bool {
 	n := len(s.scratch.nodes)
 	j.Nodes = s.nodeSlab.Take(n)
 	j.Cores = s.coreSlab.Take(n)
-	j.pids = s.pidSlab.Take(n)
+	j.tasks = s.taskSlab.Take(n)
 	rss := effMemB(j)
 	for k, ni := range s.scratch.nodes {
 		ns := s.nodes[ni]
@@ -581,13 +580,13 @@ func (s *Scheduler) tryStart(j *Job) bool {
 		s.applyPlace(ns, j, cores)
 		// One task process per node, carrying the command line (the
 		// thing hidepid protects).
-		j.pids[k] = ns.node.Procs.SpawnJob(j.Cred, j.ID, rss, "slurmstepd", j.Spec.Command)
+		j.tasks[k] = task{ns.node.Procs.SpawnJob(j.Cred, j.ID, rss, "slurmstepd", j.Spec.Command), ni}
 		for _, h := range s.prologs {
 			_ = h(j, ns.node)
 		}
 	}
 	sort.Sort((*byNode)(j))
-	s.calendar.push(j.Start+j.Spec.Duration, j)
+	s.calendar.push(j)
 	s.busyCores += int64(j.Spec.Cores)
 	return true
 }
@@ -600,7 +599,7 @@ func (b *byNode) Less(i, k int) bool { return b.Nodes[i] < b.Nodes[k] }
 func (b *byNode) Swap(i, k int) {
 	b.Nodes[i], b.Nodes[k] = b.Nodes[k], b.Nodes[i]
 	b.Cores[i], b.Cores[k] = b.Cores[k], b.Cores[i]
-	b.pids[i], b.pids[k] = b.pids[k], b.pids[i]
+	b.tasks[i], b.tasks[k] = b.tasks[k], b.tasks[i]
 }
 
 // HasJobOn reports whether uid has a running job on the named node —
@@ -671,7 +670,7 @@ func (s *Scheduler) RunAll(maxTicks int) int {
 	for ticks < max {
 		s.Step()
 		ticks++
-		if _, running := s.calendar.nextDue(); !running && len(s.pending) == 0 {
+		if s.calendar.live == 0 && len(s.pending) == 0 {
 			return int(ticks)
 		}
 		ticks += s.fastForward(max - ticks)
@@ -691,7 +690,7 @@ func (s *Scheduler) fastForward(budget int64) int64 {
 		return 0
 	}
 	skip := budget
-	if next, ok := s.calendar.nextDue(); ok {
+	if next, ok := s.calendar.nextDue(s.now); ok {
 		// The completion fires in the tick where now reaches next;
 		// run that tick for real.
 		if d := next - 1 - s.now; d < skip {

@@ -29,7 +29,7 @@ func (s *Scheduler) privileged(observer ids.Credential) bool {
 // PrivateData, foreign jobs are omitted entirely. The jobs are copies,
 // in ID order.
 func (s *Scheduler) Squeue(observer ids.Credential) []*Job {
-	out := make([]*Job, 0, len(s.pending)+len(s.calendar))
+	out := make([]*Job, 0, s.Unfinished())
 	s.VisitQueue(observer, func(j *Job) { out = append(out, j.Clone()) })
 	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
 	return out
@@ -38,8 +38,8 @@ func (s *Scheduler) Squeue(observer ids.Credential) []*Job {
 // VisitQueue calls visit on each job Squeue would return, in no fixed
 // order and without copying: visit must neither keep nor modify the
 // job, nor call back into the scheduler. It walks the live jobs only,
-// the pending slice and the calendar's running entries, never the
-// full job table.
+// the pending slice and the completion wheel's lists, never the full
+// job table.
 func (s *Scheduler) VisitQueue(observer ids.Credential, visit func(*Job)) {
 	priv := !s.Cfg.PrivateData || s.privileged(observer)
 	for _, j := range s.pending {
@@ -47,9 +47,11 @@ func (s *Scheduler) VisitQueue(observer ids.Credential, visit func(*Job)) {
 			visit(j)
 		}
 	}
-	for _, e := range s.calendar {
-		if j := e.job; j.State == Running && (priv || j.User == observer.UID) {
-			visit(j)
+	for _, j := range s.calendar.heads {
+		for ; j != nil; j = j.calNext {
+			if priv || j.User == observer.UID {
+				visit(j)
+			}
 		}
 	}
 }
@@ -57,13 +59,7 @@ func (s *Scheduler) VisitQueue(observer ids.Credential, visit func(*Job)) {
 // Unfinished counts the jobs still pending or running: the jobs
 // root's Squeue returns, counted without copying them.
 func (s *Scheduler) Unfinished() int {
-	n := len(s.pending)
-	for _, e := range s.calendar {
-		if e.job.State == Running {
-			n++
-		}
-	}
-	return n
+	return len(s.pending) + s.calendar.live
 }
 
 // JobView returns one job as seen by the observer. Under PrivateData,
@@ -83,14 +79,21 @@ func (s *Scheduler) JobView(observer ids.Credential, jobID int) (*Job, error) {
 // Sacct returns accounting records visible to the observer. Baseline:
 // "job reports of any and all other users on the system with the
 // submission of a single scheduler command" (paper §IV-B). With
-// PrivateData: own records only.
+// PrivateData: own records only. The rows are built from the finished
+// jobs, in finish order.
 func (s *Scheduler) Sacct(observer ids.Credential) []AccountingRecord {
 	var out []AccountingRecord
-	for _, r := range s.records {
-		if !s.Cfg.PrivateData || s.privileged(observer) || r.User == observer.UID {
-			rc := r
-			rc.NodeList = append([]string(nil), r.NodeList...)
-			out = append(out, rc)
+	for _, j := range s.records {
+		if !s.Cfg.PrivateData || s.privileged(observer) || j.User == observer.UID {
+			var ct int64
+			if j.Start > 0 {
+				ct = int64(j.Spec.Cores) * (j.End - j.Start)
+			}
+			out = append(out, AccountingRecord{
+				JobID: j.ID, User: j.User, Name: j.Spec.Name, State: j.State,
+				Submit: j.Submit, Start: j.Start, End: j.End,
+				CoreTicks: ct, NodeList: append([]string(nil), j.Nodes...),
+			})
 		}
 	}
 	return out

@@ -92,7 +92,7 @@ var allocPins = []struct {
 	{"DeniedProbe/container-admission", perOp(deniedContainerRun), 1},
 	{"FleetCampaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE4PolicyGrid, 1) }), 2575},
 	{"E16Ablation", perOp(e16Ablation), 12588},
-	{"E17Campaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE17RedTeam, 1) }), 15514},
+	{"E17Campaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE17RedTeam, 1) }), 15387},
 }
 
 // TestAllocPins checks each single-worker benchmark row's allocations

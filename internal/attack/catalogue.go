@@ -135,7 +135,7 @@ func Catalogue() []Entry { return slices.Clone(catalogue) }
 // naming every such entry: the report shows what ran, but it proves
 // nothing about the entries the error names.
 func LeakScan(c *core.Cluster) (*audit.Report, error) {
-	ss, err := newSession(c)
+	ss, err := provision(c)
 	if err != nil {
 		return nil, err
 	}
@@ -148,8 +148,7 @@ func (ss *session) leakScan() (*audit.Report, error) {
 	// PIDs and job IDs the report prints depend on the topology alone.
 	// A setup that fails here fails again in each entry that needs it,
 	// and that entry reads inconclusive.
-	ss.spawn()
-	for _, setup := range []func() error{ss.seedHome, ss.seedScratch, ss.seedTmp, ss.listen, ss.openSocket, ss.route} {
+	for _, setup := range []func() error{ss.listen, ss.openSocket, ss.route} {
 		_ = setup()
 	}
 	var scan []*Entry
@@ -175,7 +174,7 @@ func (ss *session) leakScan() (*audit.Report, error) {
 // session on c and returns the labels that reopened, each once, in
 // catalogue order. An inconclusive entry fails it.
 func Reopened(c *core.Cluster) ([]string, error) {
-	ss, err := newSession(c)
+	ss, err := provision(c)
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +207,6 @@ func inconclusiveErr(c *core.Cluster, names []string) error {
 }
 
 func (ss *session) psForeign() observation {
-	ss.spawn()
 	// Match by PID, not credential: under hidepid=1 List returns
 	// redacted stubs whose Cred is zeroed, but the foreign pid
 	// appearing in readdir is itself the leak.
@@ -221,7 +219,6 @@ func (ss *session) psForeign() observation {
 }
 
 func (ss *session) cmdlineRead() observation {
-	ss.spawn()
 	cl, err := ss.c.Proc[ss.login.Name].ReadCmdline(ss.attacker.Cred, ss.vproc.PID)
 	if err == nil && strings.Contains(cl, secretToken) {
 		return leaked(audit.Note("read secret from /proc/<pid>/cmdline"))
@@ -269,9 +266,6 @@ func (ss *session) sshRoam() observation {
 }
 
 func (ss *session) homeRead() observation {
-	if err := ss.seedHome(); err != nil {
-		return stoppedBy(err)
-	}
 	d, err := ss.c.SharedFS.ReadFile(ss.actx, ss.homeFile)
 	if err != nil {
 		return stopped(audit.Denial("home traversal denied", err))
@@ -280,9 +274,6 @@ func (ss *session) homeRead() observation {
 }
 
 func (ss *session) chmodRead() observation {
-	if err := ss.seedScratch(); err != nil {
-		return stoppedBy(err)
-	}
 	d, err := ss.c.SharedFS.ReadFile(ss.actx, scratchFile)
 	if err != nil {
 		return stopped(audit.Denial("smask stripped world bits", err))
@@ -291,9 +282,6 @@ func (ss *session) chmodRead() observation {
 }
 
 func (ss *session) tmpRead() observation {
-	if err := ss.seedTmp(); err != nil {
-		return stoppedBy(err)
-	}
 	d, err := ss.c.NS[ss.login.Name].ReadFile(ss.actx, tmpFile)
 	if err != nil {
 		return stopped(audit.Denial("tmp file content protected", err))
@@ -304,9 +292,6 @@ func (ss *session) tmpRead() observation {
 // aclGrant is the accidental-sharing scenario: the *victim* tries to
 // (mis)grant the attacker access to a scratch file.
 func (ss *session) aclGrant() observation {
-	if err := ss.seedScratch(); err != nil {
-		return stoppedBy(err)
-	}
 	if err := ss.c.SharedFS.SetfaclUser(ss.vctx, scratchFile, ss.attacker.UID, 0o4); err != nil {
 		return stopped(audit.Denial("acl grant rejected (no shared project group)", err))
 	}
@@ -428,9 +413,6 @@ func (ss *session) portalForward() observation {
 }
 
 func (ss *session) tmpNames() observation {
-	if err := ss.seedTmp(); err != nil {
-		return stoppedBy(err)
-	}
 	names, err := ss.c.NS[ss.login.Name].ReadDir(ss.actx, "/tmp")
 	if err != nil {
 		return stoppedBy(err)
@@ -596,9 +578,6 @@ func (ss *session) containerEscape() observation {
 	if err != nil {
 		return stopped(audit.Denial("container admission denied", err))
 	}
-	if err := ss.seedHome(); err != nil {
-		return stoppedBy(err)
-	}
 	if _, err := ct.ReadFile(ss.homeFile); err == nil {
 		return leaked(audit.Note("unapproved container ran and read victim home from inside"))
 	}
@@ -609,9 +588,6 @@ func (ss *session) containerEscape() observation {
 // host filesystem controls still bind inside it.
 func (ss *session) containerHomeRead() observation {
 	aHost, err := ss.attackerHost()
-	if err == nil {
-		err = ss.seedHome()
-	}
 	var ct *container.Container
 	if err == nil {
 		ct, err = ss.approvedContainer(aHost)

@@ -65,11 +65,11 @@ type Outcome struct {
 // is deterministic: same cluster state, spec and rng seed — same
 // Outcome, same audit.Report, byte for byte.
 //
-// Execute provisions a victim and an attacker on c, whose scenery it
-// sets up lazily, and records every step in the report and in
-// Outcome.Events. Run is the same loop over scenery provisioned once.
+// Execute provisions a victim and an attacker on c, as Provision does,
+// and records every step in the report and in Outcome.Events. Run is
+// the same loop over scenery provisioned once.
 func (cs *Compiled) Execute(c *core.Cluster, rng *metrics.RNG, maxTicks int) (*Outcome, *audit.Report, error) {
-	ss, err := newSession(c)
+	ss, err := provision(c)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -95,7 +95,7 @@ func TestOracleLattice(t *testing.T) {
 			}
 			fresh := func(liveJob bool) *session {
 				must(c.Reset())
-				ss, err := newSession(c)
+				ss, err := provision(c)
 				if err == nil && liveJob {
 					err = ss.victimJob()
 				}

@@ -31,13 +31,15 @@ const (
 	attackerPassword = "attacker-pw"
 )
 
-// session is one victim/attacker pair on a cluster: the provisioned
-// accounts and the victim's lazily-materialized activity. Attempts set
-// up exactly the victim state they target, each piece once, on first
-// use — so a kill chain's later steps reuse the recon steps' scenery,
-// each attempt stays meaningful standalone, and the cluster work (hence
-// a trial's determinism-relevant event sequence) is a pure function of
-// which attempts ran in which order.
+// session is one victim/attacker pair on a cluster, made by provision:
+// the accounts, seeds and login process provisioned up front, and the
+// victim's lazily-materialized activity (jobs, listener, portal route,
+// abstract socket, container image). Attempts set up exactly the lazy
+// state they target, each piece once, on first use — so a kill chain's
+// later steps reuse the recon steps' scenery, each attempt stays
+// meaningful standalone, and the cluster work (hence a trial's
+// determinism-relevant event sequence) is a pure function of which
+// attempts ran in which order.
 type session struct {
 	c        *core.Cluster
 	victim   *core.User
@@ -45,23 +47,25 @@ type session struct {
 	login    *simos.Node
 	vctx     vfs.Context
 	actx     vfs.Context
-	homeFile string // the victim's home file, built once per account
-
+	homeFile string         // the victim's home file, built once per account
 	vproc    *simos.Process // victim login process with a secret argv
-	vjobID   int            // long-running victim batch job (0 = not yet)
+
+	vjobID   int // long-running victim batch job (0 = not yet)
 	vjobNode string
 	gjobNode string // long-running victim GPU job's node ("" = not yet)
 	vsock    *netsim.AbstractSocket
 
-	listening, routed, imported          bool
-	homeSeeded, scratchSeeded, tmpSeeded bool
+	listening, routed, imported bool
 }
 
-// newSession provisions the victim and attacker accounts on the
-// cluster, and sets up none of the victim's scenery. The names are
-// distinct from the mix's "u<N>" scheme, so an attack rides alongside
-// any legitimate workload.
-func newSession(c *core.Cluster) (*session, error) {
+// provision is the one place a victim/attacker pair is created. It adds
+// both accounts to c and sets up the victim's scenery that no trial
+// draw decides: the home, scratch and /tmp files, and the victim's
+// login process, whose argv carries a secret. The names are distinct
+// from the mix's "u<N>" scheme, so an attack rides alongside any
+// legitimate workload. A seed the cluster refuses is a provisioning
+// error.
+func provision(c *core.Cluster) (*session, error) {
 	victim, err := c.AddUser("victim", "victim-pw")
 	if err != nil {
 		return nil, err
@@ -70,36 +74,49 @@ func newSession(c *core.Cluster) (*session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &session{
+	ss := &session{
 		c: c, victim: victim, attacker: attacker,
 		login: c.Logins[0],
 		vctx:  vfs.Ctx(victim.Cred), actx: vfs.Ctx(attacker.Cred),
 		homeFile: victim.HomePath + "/results.csv",
-	}, nil
+	}
+	if err := c.SharedFS.WriteFile(ss.vctx, ss.homeFile, []byte("victim-home-data"), 0o644); err != nil {
+		return nil, fmt.Errorf("attack: seeding the victim's home: %w", err)
+	}
+	// The victim opens its scratch file to the world with a mistyped
+	// chmod.
+	err = c.SharedFS.WriteFile(ss.vctx, scratchFile, []byte("victim-scratch-data"), 0o600)
+	if err == nil {
+		err = c.SharedFS.Chmod(ss.vctx, scratchFile, 0o644)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("attack: seeding the victim's scratch file: %w", err)
+	}
+	if err := c.NS[ss.login.Name].WriteFile(ss.vctx, tmpFile, []byte("victim-tmp-data"), 0o644); err != nil {
+		return nil, fmt.Errorf("attack: seeding the victim's /tmp file: %w", err)
+	}
+	ss.vproc = ss.login.Procs.Spawn(victim.Cred, 1, "analyze", "--token="+secretToken)
+	return ss, nil
 }
 
-// Adversary is a campaign's scenery provisioned once on a cluster: the
-// victim and attacker accounts, and the victim's home, scratch and
-// /tmp files, which no trial draw decides. A pooled fleet slot
-// provisions it before the cluster's pristine mark, so every Reset
-// returns to it and each trial's campaign only binds to it (Run). The
-// rest stays lazy (DESIGN.md §10): the victim's login process, jobs,
-// TCP listener, portal route and abstract socket depend on the mix or
-// the clock, and the container image lives outside the mark.
+// Adversary is a campaign's scenery provisioned once on a cluster (see
+// provision). A pooled fleet slot provisions it before the cluster's
+// pristine mark, so every Reset returns to it and each trial's campaign
+// only binds to it (Run). The rest stays lazy (DESIGN.md §10): the
+// victim's jobs, TCP listener, portal route and abstract socket depend
+// on the mix or the clock, and the container image lives outside the
+// mark.
 type Adversary struct {
-	provisioned session // the accounts and seeds, before any attempt
+	provisioned session // the provisioned scenery, before any attempt
 	trial       session // the bound trial's session
 }
 
-// Provision provisions an Adversary on c. A seed that fails here stays
-// lazy, so the attempt that needs it retries it, as on a session
-// newSession made.
+// Provision provisions an Adversary on c, or fails as provision does.
 func Provision(c *core.Cluster) (*Adversary, error) {
-	ss, err := newSession(c)
+	ss, err := provision(c)
 	if err != nil {
 		return nil, err
 	}
-	_, _, _ = ss.seedHome(), ss.seedScratch(), ss.seedTmp()
 	return &Adversary{provisioned: *ss}, nil
 }
 
@@ -129,37 +146,6 @@ func once(done *bool, setup func() error) error {
 	}
 	*done = true
 	return nil
-}
-
-// spawn starts the victim's login process, whose argv carries a secret.
-func (ss *session) spawn() {
-	if ss.vproc == nil {
-		ss.vproc = ss.login.Procs.Spawn(ss.victim.Cred, 1, "analyze", "--token="+secretToken)
-	}
-}
-
-func (ss *session) seedHome() error {
-	return once(&ss.homeSeeded, func() error {
-		return ss.c.SharedFS.WriteFile(ss.vctx, ss.homeFile, []byte("victim-home-data"), 0o644)
-	})
-}
-
-// seedScratch writes a scratch file the victim then opens to the world
-// with a mistyped chmod.
-func (ss *session) seedScratch() error {
-	return once(&ss.scratchSeeded, func() error {
-		if err := ss.c.SharedFS.WriteFile(ss.vctx, scratchFile, []byte("victim-scratch-data"), 0o600); err != nil {
-			return err
-		}
-		return ss.c.SharedFS.Chmod(ss.vctx, scratchFile, 0o644)
-	})
-}
-
-// seedTmp drops a victim working file into the login node's /tmp.
-func (ss *session) seedTmp() error {
-	return once(&ss.tmpSeeded, func() error {
-		return ss.c.NS[ss.login.Name].WriteFile(ss.vctx, tmpFile, []byte("victim-tmp-data"), 0o644)
-	})
 }
 
 // place steps the live cluster, mix and all, until the job runs, for

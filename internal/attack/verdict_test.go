@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/ids"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/portal"
 	"repro/internal/procfs"
@@ -76,31 +77,63 @@ func TestVerdictOfRefusalTable(t *testing.T) {
 	}
 }
 
-// TestSetupFailureIsInconclusive: a setup that fails with a typed
-// permission error — the victim's home made unwritable before the home
-// read seeds it — reads inconclusive, not closed, and the leak scan
-// fails naming the entry.
+// TestSetupFailureIsInconclusive: a seed the cluster refuses with a
+// typed permission error — /home made untraversable before the victim
+// writes its home file — fails provisioning with an error naming the
+// seed, whichever entry point provisions. A setup that is still lazy
+// and fails — the victim's job never placing on a saturated cluster —
+// reads inconclusive, not closed, and the leak scan fails naming the
+// entry.
 func TestSetupFailureIsInconclusive(t *testing.T) {
-	session := func() *session {
-		ss, err := newSession(core.MustNew(core.Enhanced(), attackTopo()))
+	unseedable := func() *core.Cluster {
+		c := core.MustNew(core.Enhanced(), attackTopo())
+		if err := c.SharedFS.Chmod(vfs.Ctx(ids.RootCred()), "/home", 0o500); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	chain := mustCompile(t, "kill-chain")
+	for name, provisionOn := range map[string]func(*core.Cluster) error{
+		"Provision": func(c *core.Cluster) error { _, err := Provision(c); return err },
+		"LeakScan":  func(c *core.Cluster) error { _, err := LeakScan(c); return err },
+		"Execute": func(c *core.Cluster) error {
+			var rng metrics.RNG
+			_, _, err := chain.Execute(c, &rng, 100)
+			return err
+		},
+	} {
+		err := provisionOn(unseedable())
+		var perm *vfs.PathError
+		if !errors.As(err, &perm) || perm.Err != vfs.ErrPermission || !strings.Contains(err.Error(), "victim's home") {
+			t.Errorf("%s: error = %v, want the victim's home seed refused", name, err)
+		}
+	}
+
+	saturated := func() *core.Cluster {
+		c := core.MustNew(core.Enhanced(), attackTopo())
+		hog, err := c.AddUser("hog", "pw")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ss.c.SharedFS.Chmod(vfs.Ctx(ids.RootCred()), ss.victim.HomePath, 0o500); err != nil {
-			t.Fatal(err)
+		for range c.Compute {
+			spec := sched.JobSpec{Name: "hog", Command: "hog", Cores: attackTopo().CoresPerNode, MemB: 1, Duration: 1 << 30}
+			if _, err := c.Sched.Submit(hog.Cred, spec); err != nil {
+				t.Fatal(err)
+			}
 		}
-		return ss
+		c.Step()
+		return c
 	}
-	e := entry("home-file-read")
-	r := e.run(session(), e.Name)
-	var perm *vfs.PathError
-	if !errors.As(r.Detail.Err(), &perm) || perm.Err != vfs.ErrPermission {
-		t.Fatalf("setup failed with %v, want the victim's own write refused", r.Detail.Err())
+	ss, err := provision(saturated())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r.Verdict != audit.Inconclusive {
-		t.Errorf("%s reads %s after its setup failed, want inconclusive", e.Name, verdictNames[r.Verdict])
+	e := entry("squeue-foreign-job")
+	r := e.run(ss, e.Name)
+	if r.Verdict != audit.Inconclusive || !strings.Contains(r.Detail.String(), "never placed") {
+		t.Errorf("%s reads %s (%s) with the victim's job unplaced, want inconclusive", e.Name, verdictNames[r.Verdict], r.Detail)
 	}
-	rep, err := session().leakScan()
+	rep, err := LeakScan(saturated())
 	if err == nil || !strings.Contains(err.Error(), e.Name) {
 		t.Fatalf("leak scan error = %v, want one naming %s", err, e.Name)
 	}

@@ -57,11 +57,8 @@ type Cluster struct {
 
 	// nodesByName indexes Compute+Logins for O(1) Node lookup.
 	nodesByName map[string]*simos.Node
-	// staffDirty records that AddSupportStaff replaced the escalation
-	// tools since the mark, so Reset reinstalls the marked ones
-	// (markSeepid, markSmask) only on clusters that changed them. Both
+	// The escalation tools at the mark, which Reset reinstalls. Both
 	// tools are immutable, so the mark shares them.
-	staffDirty bool
 	markSeepid *procfs.Seepid
 	markSmask  *vfs.SmaskRelax
 
@@ -233,26 +230,35 @@ func New(cfg Config, topo Topology) (*Cluster, error) {
 	return c, nil
 }
 
-// MarkPristine records the cluster's current identities as the state
-// Reset returns to: the registry, the shared and per-node filesystems,
-// the portal's enrolments and the escalation tools' whitelists, which
-// is everything AddUser, AddSupportStaff and AddProjectGroup touch.
-// New marks the assembled cluster; a caller that provisions the same
-// users before every trial may provision them once and mark again, so
-// that every later Reset returns to "cluster plus provisioned users".
-// Mark only between trials, before any job, process, socket, GPU or
-// container activity: the scheduler, the nodes, the network, the GPUs,
-// the UBF and the container runtime keep their construction-time
-// marks, and the clock returns to 0.
+// MarkPristine records the cluster's current identities and processes
+// as the state Reset returns to: the registry, the shared and per-node
+// filesystems, every node's process table, the portal's enrolments and
+// the escalation tools' whitelists, which is everything AddUser,
+// AddSupportStaff, AddProjectGroup and a process spawn touch. New marks
+// the assembled cluster; a caller that provisions the same users (and
+// their login processes) before every trial may provision them once
+// and mark again, so that every later Reset returns to "cluster plus
+// provisioned users". A process spawned before the mark survives every
+// Reset with its PID, and the PIDs after it restart where the mark
+// left them. Mark only between trials, before any job, socket, GPU or
+// container activity: the scheduler, the network, the GPUs, the UBF
+// and the container runtime keep their construction-time marks, and
+// the clock returns to 0. Every component re-marks an untouched state
+// in O(1).
 func (c *Cluster) MarkPristine() {
 	c.Registry.MarkPristine()
 	c.SharedFS.MarkPristine()
 	for _, fs := range c.LocalFS {
 		fs.MarkPristine()
 	}
+	for _, n := range c.Compute {
+		n.Procs.MarkPristine()
+	}
+	for _, n := range c.Logins {
+		n.Procs.MarkPristine()
+	}
 	c.Portal.MarkPristine()
 	c.markSeepid, c.markSmask = c.Seepid, c.SmaskRelax
-	c.staffDirty = false
 }
 
 // Reset rewinds the cluster to its pristine state, the one New built or
@@ -262,7 +268,8 @@ func (c *Cluster) MarkPristine() {
 //   - the logical clock returns to 0;
 //   - the scheduler empties (jobs, queue, calendar, accounting,
 //     aggregates, crash counters) and job numbering restarts;
-//   - every node comes back up with its base-daemon process table and
+//   - every node comes back up with its marked process table (the base
+//     daemons, plus what was spawned before the last MarkPristine) and
 //     rewound PID numbering;
 //   - the shared and per-node filesystems roll back to the marked
 //     trees (trial homes, files, ACLs all gone);
@@ -306,10 +313,7 @@ func (c *Cluster) Reset() error {
 	c.Containers.Reset()
 	// Seepid/SmaskRelax are stateless after construction; only
 	// AddSupportStaff ever swaps them for staffed variants.
-	if c.staffDirty {
-		c.Seepid, c.SmaskRelax = c.markSeepid, c.markSmask
-		c.staffDirty = false
-	}
+	c.Seepid, c.SmaskRelax = c.markSeepid, c.markSmask
 	return nil
 }
 
@@ -386,7 +390,6 @@ func (c *Cluster) AddSupportStaff(name, portalPassword string) (*User, error) {
 	}
 	c.Seepid = procfs.NewSeepid(c.ExemptGID, c.seepidStaff()...)
 	c.SmaskRelax = vfs.NewSmaskRelax(0o002, c.seepidStaff()...)
-	c.staffDirty = true
 	// Refresh the credential to include the support group.
 	u.Cred, err = c.Registry.LoginCredential(u.UID)
 	return u, err

@@ -4,9 +4,9 @@ import (
 	"testing"
 )
 
-// TestUntouchedResetAllocFree pins the XXL contract: Reset() on a
-// cluster that has run no trial does zero allocation and no per-node
-// work. Every subsystem reaches its fast path — the registry and
+// TestUntouchedResetAllocFree pins the XXL contract: Reset() and
+// MarkPristine() on a cluster that has run no trial do zero allocation
+// and no per-node work beyond an O(1) check. Every subsystem reaches its fast path — the registry and
 // scheduler via gen counters, per-node mounts via the vfs pointer
 // swap, GPU/netsim via their managers' dirty flags — so trial turnaround on
 // a 10k-node substrate is not O(nodes).
@@ -30,6 +30,10 @@ func TestUntouchedResetAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Reset on untouched cluster allocated %.1f times per run; want 0", allocs)
+	}
+	// Re-marking an untouched cluster keeps every component's mark.
+	if allocs := testing.AllocsPerRun(10, c.MarkPristine); allocs != 0 {
+		t.Fatalf("MarkPristine on untouched cluster allocated %.1f times per run; want 0", allocs)
 	}
 }
 

@@ -120,7 +120,9 @@ func runScript(t *testing.T, c *Cluster, alice, bob *User) map[string]interface{
 	}
 	out["token"] = tok
 
-	// Proc views: what bob's ps shows on the first login node.
+	// Proc views: the PID of a process alice starts on the first login
+	// node, and what bob's ps shows there.
+	out["pid"] = c.Logins[0].Procs.Spawn(alice.Cred, 1, "job").PID
 	var procs []string
 	for _, p := range c.Proc[c.Logins[0].Name].List(bob.Cred) {
 		procs = append(procs, fmt.Sprintf("%d:%s", p.PID, p.Comm))
@@ -172,26 +174,46 @@ func TestClusterResetObservationalEquivalence(t *testing.T) {
 // same way, round after round. The digest covers the provisioned
 // homes, portal passwords and support-staff escalation, so a mark that
 // skips the shared filesystem or the portal's enrolments fails here.
+// With a login process in the provisioning, that process survives
+// every Reset with its PID, and the trial's own spawn gets the PID it
+// gets on the fresh cluster, so a mark that skips the process tables
+// fails too.
 func TestMarkPastProvisioning(t *testing.T) {
-	for _, prof := range Profiles() {
-		t.Run(prof.Name, func(t *testing.T) {
-			fresh := MustNewWithProfile(prof)
-			fa, fb := provision(t, fresh)
-			fresh.MarkPristine()
-			want := runScript(t, fresh, fa, fb)
-
-			pooled := MustNewWithProfile(prof)
-			alice, bob := provision(t, pooled)
-			pooled.MarkPristine()
-			for round := 0; round < 3; round++ {
-				if got := runScript(t, pooled, alice, bob); !reflect.DeepEqual(got, want) {
-					t.Fatalf("round %d diverged from a fresh provisioned cluster:\n got: %v\nwant: %v", round, got, want)
-				}
-				if err := pooled.Reset(); err != nil {
-					t.Fatal(err)
-				}
+	for _, withProc := range []bool{false, true} {
+		setup := func(t *testing.T, c *Cluster) (alice, bob *User, pid ids.PID) {
+			alice, bob = provision(t, c)
+			if withProc {
+				pid = c.Logins[0].Procs.Spawn(alice.Cred, 1, "analyze", "--token=x").PID
 			}
-		})
+			return alice, bob, pid
+		}
+		for _, prof := range Profiles() {
+			name := prof.Name
+			if withProc {
+				name += "+login-process"
+			}
+			t.Run(name, func(t *testing.T) {
+				fresh := MustNewWithProfile(prof)
+				fa, fb, _ := setup(t, fresh)
+				fresh.MarkPristine()
+				want := runScript(t, fresh, fa, fb)
+
+				pooled := MustNewWithProfile(prof)
+				alice, bob, pid := setup(t, pooled)
+				pooled.MarkPristine()
+				for round := 0; round < 3; round++ {
+					if got := runScript(t, pooled, alice, bob); !reflect.DeepEqual(got, want) {
+						t.Fatalf("round %d diverged from a fresh provisioned cluster:\n got: %v\nwant: %v", round, got, want)
+					}
+					if err := pooled.Reset(); err != nil {
+						t.Fatal(err)
+					}
+					if p, ok := pooled.Logins[0].Procs.Lookup(pid); withProc && (!ok || p.Comm != "analyze") {
+						t.Fatalf("round %d: process %d spawned before the mark is gone after Reset", round, pid)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -155,8 +155,13 @@ func cloneGroup(g *Group) *Group {
 // are append-only and private groups immutable, so the mark is O(
 // project groups), not O(users). It forgets the descriptors the last
 // Reset kept for replay (see Registry); at cluster assembly there are
-// none.
+// none. A registry unchanged since its mark (the generation proves it,
+// as in Reset) keeps that mark and its replayable descriptors, so
+// re-marking it is O(1) and allocates nothing.
 func (r *Registry) MarkPristine() {
+	if r.mark != nil && r.gen == r.mark.gen {
+		return
+	}
 	m := &pristineMark{
 		nextUID:    r.nextUID,
 		nextGID:    r.nextGID,

@@ -92,9 +92,10 @@ func NewNode(name string, kind NodeKind, cores int, memB int64, clock func() int
 	return n
 }
 
-// Reset rewinds the node to its freshly-constructed state: up (not
-// crashed), process table back to the pristine base-daemon set with
-// PID numbering rewound. Construction-time wiring survives: PAM hooks
+// Reset rewinds the node to its marked state: up (not crashed),
+// process table back to its pristine mark (the base daemons, plus
+// whatever was spawned before a later MarkPristine) with PID numbering
+// rewound. Construction-time wiring survives: PAM hooks
 // stay registered (the scheduler installs them once, at its own
 // construction) and /dev nodes stay present — their ownership is
 // restored by the GPU manager's Reset, which knows the pristine modes.

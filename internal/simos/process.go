@@ -234,8 +234,13 @@ var baseDaemons = [][]string{{"systemd"}, {"sshd"}, {"slurmd", "-D"}}
 // Reset. Entries are shared by pointer with the live slots: the
 // table's copy-on-write contract (published entries are immutable)
 // makes the shared mark exact without cloning anything. Entries
-// spawned before the mark are never recycled.
+// spawned before the mark are never recycled. A table unchanged since
+// its mark (the generation proves it, as in Reset) keeps that mark, so
+// re-marking an untouched table is O(1) and allocates nothing.
 func (t *Table) MarkPristine() {
+	if t.marked && t.gen == t.pristineGen {
+		return
+	}
 	t.jobs.Mark()
 	t.pristine = make([]slot, 0, t.live)
 	for _, sl := range t.slots {

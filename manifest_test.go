@@ -1,0 +1,79 @@
+package repro
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/fleet"
+)
+
+// TestResultManifest pins every published result byte: the tables
+// cmd/benchharness prints, and the -json record cmd/fleetrun prints for
+// each preset at seed 42 and one worker. Each is compared with its text
+// golden under testdata/results/, and a failure names the golden, the
+// table (benchharness) or scenario (fleet) and the first lines that
+// differ. A change that moves a published byte re-records the goldens
+// with the two commands below and lists the moved cells in CHANGES.md:
+//
+//	go run ./cmd/benchharness > testdata/results/benchharness.txt
+//	for p in smoke e4-policy-grid e16-ablation-drain e17-redteam; do go run ./cmd/fleetrun -preset $p -seed 42 -workers 1 -json > testdata/results/$p.json; done
+func TestResultManifest(t *testing.T) {
+	var b strings.Builder
+	for _, tb := range experiments.All() {
+		b.WriteString(tb.Render())
+		b.WriteString("\n")
+	}
+	compareGolden(t, "benchharness.txt", b.String(), "== ")
+	for _, camp := range fleet.Presets() {
+		res, err := fleet.Run(camp, fleet.Options{Workers: 1, Seed: 42})
+		if err != nil {
+			t.Fatalf("%s: %v", camp.Name, err)
+		}
+		data, err := res.JSON()
+		if err != nil {
+			t.Fatalf("%s: %v", camp.Name, err)
+		}
+		compareGolden(t, camp.Name+".json", string(data), `"name": `)
+	}
+}
+
+// compareGolden reports where got departs from the golden name: the
+// first maxDiffLines lines that differ, each with the table it sits in,
+// which is the last line at or before it that holds marker.
+func compareGolden(t *testing.T, name, got, marker string) {
+	t.Helper()
+	path := filepath.Join("testdata", "results", name)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := string(data)
+	if got == want {
+		return
+	}
+	const maxDiffLines = 8
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	var b strings.Builder
+	table, n := "(none)", 0
+	for i := 0; i < max(len(gl), len(wl)) && n < maxDiffLines; i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if strings.Contains(w, marker) {
+			table = strings.TrimSpace(w)
+		}
+		if g != w {
+			fmt.Fprintf(&b, "\ntable %s, line %d:\n got: %q\nwant: %q", table, i+1, g, w)
+			n++
+		}
+	}
+	t.Errorf("%s differs from the rendered results:%s", path, b.String())
+}

@@ -53,8 +53,8 @@ var allocPins = []struct {
 	allocs func(testing.TB) float64
 	want   float64
 }{
-	{"E1ProcScan/baseline", perOp(func(tb testing.TB) func() { return e1ProcScan(tb, core.Baseline()) }), 1219},
-	{"E1ProcScan/enhanced", perOp(func(tb testing.TB) func() { return e1ProcScan(tb, core.Enhanced()) }), 157},
+	{"E1ProcScan/baseline", perOp(func(tb testing.TB) func() { return e1ProcScan(tb, core.Baseline()) }), 1},
+	{"E1ProcScan/enhanced", perOp(func(tb testing.TB) func() { return e1ProcScan(tb, core.Enhanced()) }), 1},
 	{"E2CVEProbe", perOp(e2CVEProbe), 0},
 	{"E3Squeue/baseline", perOp(func(tb testing.TB) func() { return e3Squeue(tb, core.Baseline()) }), 659},
 	{"E3Squeue/enhanced", perOp(func(tb testing.TB) func() { return e3Squeue(tb, core.Enhanced()) }), 203},
@@ -64,7 +64,7 @@ var allocPins = []struct {
 	{"E4XLCampaign/shared", perDrain(e4XLCluster, sched.PolicyShared), 1032},
 	{"E4XLCampaign/exclusive", perDrain(e4XLCluster, sched.PolicyExclusive), 647},
 	{"E4XLCampaign/user-wholenode", perDrain(e4XLCluster, sched.PolicyUserWholeNode), 799},
-	{"E5SSHGate", perOp(e5SSHGate), 6},
+	{"E5SSHGate", perOp(e5SSHGate), 1},
 	{"E6FSMatrix/baseline", perOp(func(tb testing.TB) func() { return e6FSMatrix(tb, core.Baseline()) }), 4},
 	{"E6FSMatrix/enhanced", perOp(func(tb testing.TB) func() { return e6FSMatrix(tb, core.Enhanced()) }), 4},
 	{"E7UBFMatrix/same-user-accept", perOp(func(tb testing.TB) func() { return e7UBFVerdict(tb, true) }), 2},
@@ -72,17 +72,17 @@ var allocPins = []struct {
 	{"E8UBFOverhead/setup-no-ubf", perOp(func(tb testing.TB) func() { return e8Setup(tb, false, false) }), 2},
 	{"E8UBFOverhead/setup-ubf-nocache", perOp(func(tb testing.TB) func() { return e8Setup(tb, true, false) }), 2},
 	{"E8UBFOverhead/setup-ubf-cache", perOp(func(tb testing.TB) func() { return e8Setup(tb, true, true) }), 2},
-	{"E8UBFOverhead/established-send-no-ubf", perOp(func(tb testing.TB) func() { return e8Send(tb, false) }), 2},
-	{"E8UBFOverhead/established-send-ubf", perOp(func(tb testing.TB) func() { return e8Send(tb, true) }), 2},
+	{"E8UBFOverhead/established-send-no-ubf", perOp(func(tb testing.TB) func() { return e8Send(tb, false) }), 1},
+	{"E8UBFOverhead/established-send-ubf", perOp(func(tb testing.TB) func() { return e8Send(tb, true) }), 1},
 	{"E9GPUResidue", perOp(e9GPUResidue), 5},
-	{"E10Residual", perOp(e10Residual), 3},
-	{"E11Portal", perOp(e11Portal), 9},
+	{"E10Residual", perOp(e10Residual), 1},
+	{"E11Portal", perOp(e11Portal), 5},
 	{"E12Container/inside-container", perOp(func(tb testing.TB) func() { return e12Read(tb, true) }), 2},
 	{"E12Container/bare-host", perOp(func(tb testing.TB) func() { return e12Read(tb, false) }), 2},
 	{"E13PPSComparison/pps-range-rule", perOp(func(tb testing.TB) func() { return e13Dial(tb, false) }), 2},
 	{"E13PPSComparison/ubf", perOp(func(tb testing.TB) func() { return e13Dial(tb, true) }), 2},
-	{"E14CryptoMPI/plain-ubf-datapath", perOp(func(tb testing.TB) func() { return e14Datapath(tb, false) }), 2},
-	{"E14CryptoMPI/encrypted-mpi-datapath", perOp(func(tb testing.TB) func() { return e14Datapath(tb, true) }), 6},
+	{"E14CryptoMPI/plain-ubf-datapath", perOp(func(tb testing.TB) func() { return e14Datapath(tb, false) }), 1},
+	{"E14CryptoMPI/encrypted-mpi-datapath", perOp(func(tb testing.TB) func() { return e14Datapath(tb, true) }), 5},
 	{"E15MitigationTax", perOp(e15MitigationTax), 0},
 	{"DeniedProbe/vfs-search", perOp(deniedVFSSearch), 1},
 	{"DeniedProbe/ubf-dial", perOp(func(tb testing.TB) func() { return e7UBFVerdict(tb, false) }), 2},
@@ -91,8 +91,8 @@ var allocPins = []struct {
 	{"DeniedProbe/portal-forward", perOp(deniedPortalForward), 3},
 	{"DeniedProbe/container-admission", perOp(deniedContainerRun), 1},
 	{"FleetCampaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE4PolicyGrid, 1) }), 2575},
-	{"E16Ablation", perOp(e16Ablation), 12588},
-	{"E17Campaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE17RedTeam, 1) }), 15387},
+	{"E16Ablation", perOp(e16Ablation), 12498},
+	{"E17Campaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE17RedTeam, 1) }), 14784},
 }
 
 // TestAllocPins checks each single-worker benchmark row's allocations

@@ -20,12 +20,14 @@ package container
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 
 	"repro/internal/ids"
 	"repro/internal/netsim"
 	"repro/internal/simos"
+	"repro/internal/slab"
 	"repro/internal/vfs"
 )
 
@@ -52,6 +54,17 @@ type Runtime struct {
 	images   map[string]*Image
 	allowed  map[ids.UID]bool // users granted container privileges; empty = everyone
 	restrict bool
+
+	// imageSlab, runs and gids hold the imported images (each keeping
+	// its Files map across Reset), the running containers and their
+	// credentials' groups. Reset rewinds them, so a pooled trial's
+	// imports and runs reuse the previous trial's storage, and
+	// everything the runtime hands out is valid until the next Reset.
+	// All start empty, and until the first Reset they hand out heap
+	// storage (slab.Alloc).
+	imageSlab slab.Slab[Image]
+	runs      slab.Slab[Container]
+	gids      slab.Slab[ids.GID]
 }
 
 // NewRuntime creates an engine. If restrict is true, only users
@@ -71,6 +84,9 @@ func NewRuntime(restrict bool) *Runtime {
 func (r *Runtime) Reset() {
 	clear(r.images)
 	clear(r.allowed)
+	r.imageSlab.Rewind()
+	r.runs.Reset()
+	r.gids.Reset()
 }
 
 // Allow grants container privileges to a user.
@@ -113,10 +129,14 @@ func (r *Runtime) Build(cred ids.Credential, name string, files map[string]strin
 // ImportImage registers an image built off-system (on the user's own
 // machine where they have admin rights).
 func (r *Runtime) ImportImage(name string, files map[string]string) *Image {
-	img := &Image{Name: name, Files: make(map[string]string, len(files))}
-	for k, v := range files {
-		img.Files[k] = v
+	img := &r.imageSlab.Alloc(1)[0]
+	img.Name = name
+	if img.Files == nil {
+		img.Files = make(map[string]string, len(files))
+	} else {
+		clear(img.Files)
 	}
+	maps.Copy(img.Files, files)
 	r.images[name] = img
 	return img
 }
@@ -171,7 +191,10 @@ func (r *Runtime) Run(cred ids.Credential, node *simos.Node, ns *vfs.Namespace, 
 	// uid inside == uid outside (no user namespace remapping for HPC
 	// encapsulation containers).
 	p := node.Procs.Spawn(cred, 1, "apptainer", "exec", img.Name, cmd)
-	return &Container{Image: img, Cred: cred.Clone(), Node: node, NS: ns, Net: net, Proc: p}, nil
+	ct := &r.runs.Alloc(1)[0]
+	*ct = Container{Image: img, Cred: cred, Node: node, NS: ns, Net: net, Proc: p}
+	ct.Cred.Groups = r.gids.Clone(cred.Groups)
+	return ct, nil
 }
 
 // ReadImageFile reads a file baked into the image (read-only layer).

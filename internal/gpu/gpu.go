@@ -29,8 +29,11 @@ type Device struct {
 	DevPath string
 	node    *simos.Node
 
-	mem      []byte  // allocated on first Write; nil reads as all-zeros
-	written  bool    // any byte ever stored; lets Reset skip the memset
+	// mem is device memory up to the highest byte written since the
+	// last clear; the bytes past it read as zeros. A clear zeroes only
+	// that extent and keeps the capacity, so a reused device stores
+	// again without allocating.
+	mem      []byte
 	assigned ids.UID // NoUID when free
 	jobID    int
 }
@@ -60,9 +63,9 @@ const MemSize = 1 << 16
 // newDevice registers a GPU on a node with unassigned (invisible)
 // permissions.
 func newDevice(node *simos.Node, index int) *Device {
-	// The memory slab is allocated on first Write: device memory that
-	// no job ever touches costs nothing, which is what lets a 10k-node
-	// GPU fleet exist at all.
+	// Memory grows on Write to the highest byte written: device
+	// memory that no job ever touches costs nothing, which is what
+	// lets a 10k-node GPU fleet exist at all.
 	d := &Device{
 		Index:   index,
 		DevPath: fmt.Sprintf("/dev/nvidia%d", index),
@@ -94,11 +97,10 @@ func (d *Device) Write(cred ids.Credential, offset int, data []byte) error {
 	if offset < 0 || offset+len(data) > MemSize {
 		return fmt.Errorf("%w: [%d,%d)", ErrOOB, offset, offset+len(data))
 	}
-	if d.mem == nil {
-		d.mem = make([]byte, MemSize)
+	if end := offset + len(data); end > len(d.mem) {
+		d.mem = append(d.mem, make([]byte, end-len(d.mem))...)
 	}
 	copy(d.mem[offset:], data)
-	d.written = true
 	return nil
 }
 
@@ -111,22 +113,19 @@ func (d *Device) Read(cred ids.Credential, offset, length int) ([]byte, error) {
 	if offset < 0 || offset+length > MemSize {
 		return nil, fmt.Errorf("%w: [%d,%d)", ErrOOB, offset, offset+length)
 	}
-	if d.mem == nil {
-		// Never written: all zeros, without materializing the slab.
-		return make([]byte, length), nil
+	out := make([]byte, length)
+	if offset < len(d.mem) {
+		copy(out, d.mem[offset:]) // past the written extent: zeros
 	}
-	return append([]byte(nil), d.mem[offset:offset+length]...), nil
+	return out, nil
 }
 
-// clear zeroes device memory — the vendor-provided epilog step. A
-// device nothing ever wrote to is already zero, so the memset is
-// skipped (the epilog's cost stays proportional to actual use).
+// clear zeroes device memory — the vendor-provided epilog step. Only
+// the written extent holds anything but zeros, so only it is zeroed
+// (the epilog's cost stays proportional to actual use).
 func (d *Device) clear() {
-	if !d.written {
-		return
-	}
 	clear(d.mem)
-	d.written = false
+	d.mem = d.mem[:0]
 }
 
 // Assigned returns the currently assigned user (NoUID if free).
@@ -176,7 +175,7 @@ func NewManager(nodes []*simos.Node, gpusPerNode int, assignPerms, clearOnReleas
 }
 
 // Reset rewinds every device to its freshly-constructed state: memory
-// zeroed (skipped for devices never written to), assignment dropped,
+// zeroed (only the extent jobs wrote), assignment dropped,
 // and the /dev node restored to the pristine ownership — invisible
 // (root:root 000) under AssignDevPerms, world-accessible (0666)
 // otherwise. The node's /dev entries themselves persist from
@@ -203,12 +202,13 @@ func (m *Manager) Reset() error {
 	return nil
 }
 
-// Devices returns the devices on a node.
+// Devices returns the devices on a node. The slice is the manager's
+// own and read-only: a caller must not write it.
 func (m *Manager) Devices(node string) []*Device {
 	// Raw handles escape the manager's bookkeeping: assume the caller
 	// mutates device state so the next Reset does a full sweep.
 	m.dirty = true
-	return append([]*Device(nil), m.byNode[node]...)
+	return m.byNode[node]
 }
 
 // Prolog is the scheduler job-start hook: assign free GPUs on the

@@ -17,6 +17,7 @@ type Listener struct {
 	cred  ids.Credential
 
 	backlog []*Conn
+	head    int // next connection Accept pops
 }
 
 // Listen binds a socket on the host. Binding below 1024 requires
@@ -29,7 +30,10 @@ func (h *Host) Listen(cred ids.Credential, proto Proto, port int) (*Listener, er
 	if _, dup := h.listeners[key]; dup {
 		return nil, fmt.Errorf("%w: %s:%d/%s", ErrAddrInUse, h.name, port, proto)
 	}
-	l := &Listener{host: h, proto: proto, port: port, cred: cred.Clone()}
+	l := &h.net.listeners.Alloc(1)[0]
+	l.host, l.proto, l.port = h, proto, port
+	l.cred = h.net.cloneCred(cred)
+	l.backlog, l.head = l.backlog[:0], 0
 	h.listeners[key] = l
 	h.touch()
 	return l, nil
@@ -42,11 +46,15 @@ func (l *Listener) Close() {
 
 // Accept returns the next established inbound connection, if any.
 func (l *Listener) Accept() (*Conn, bool) {
-	if len(l.backlog) == 0 {
+	if l.head == len(l.backlog) {
 		return nil, false
 	}
-	c := l.backlog[0]
-	l.backlog = l.backlog[1:]
+	c := l.backlog[l.head]
+	if l.head++; l.head == len(l.backlog) {
+		// Drained: reuse the backlog's storage from its start.
+		clear(l.backlog)
+		l.backlog, l.head = l.backlog[:0], 0
+	}
 	return c, true
 }
 
@@ -56,6 +64,7 @@ type Conn struct {
 	Tuple FlowTuple
 
 	toDst   [][]byte // data sent by the dialer
+	head    int      // next payload Recv pops
 	closed  bool
 	net     *Network
 	srcHost *Host
@@ -93,7 +102,9 @@ func (h *Host) Dial(cred ids.Credential, proto Proto, dstHost string, dstPort in
 	}
 	h.net.NewConnAccepted.Add(1)
 
-	c := &Conn{Tuple: flow, net: h.net, srcHost: h}
+	c := &h.net.conns.Alloc(1)[0]
+	c.Tuple, c.net, c.srcHost = flow, h.net, h
+	c.toDst, c.head, c.closed = c.toDst[:0], 0, false
 	// conntrack entries on both hosts cover both directions.
 	dst.touch()
 	dst.conntrack[flow], dst.conntrack[flow.reverse()] = true, true
@@ -117,17 +128,21 @@ func (c *Conn) Send(data []byte) error {
 		return fmt.Errorf("%w: %s not in conntrack", ErrConnClosed, c.Tuple)
 	}
 	c.net.PacketsDelivered.Add(1)
-	c.toDst = append(c.toDst, append([]byte(nil), data...))
+	c.toDst = append(c.toDst, c.net.payloads.Clone(data))
 	return nil
 }
 
 // Recv pops the next payload on the acceptor side.
 func (c *Conn) Recv() ([]byte, bool) {
-	if len(c.toDst) == 0 {
+	if c.head == len(c.toDst) {
 		return nil, false
 	}
-	d := c.toDst[0]
-	c.toDst = c.toDst[1:]
+	d := c.toDst[c.head]
+	if c.head++; c.head == len(c.toDst) {
+		// Drained: reuse the queue's storage from its start.
+		clear(c.toDst)
+		c.toDst, c.head = c.toDst[:0], 0
+	}
 	return d, true
 }
 

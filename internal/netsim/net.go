@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ids"
+	"repro/internal/slab"
 )
 
 // Proto is a transport protocol.
@@ -115,6 +116,22 @@ type Network struct {
 	// XXL scale).
 	dirtyHosts int
 
+	// The storage of everything the hosts hand out: listeners,
+	// connections, abstract sockets and queue pairs, the credentials
+	// they keep and the payloads they queue. Reset rewinds every slab,
+	// so a pooled trial's traffic reuses the previous trial's storage
+	// (listeners, connections and sockets keep their queues' capacity)
+	// and allocates nothing once the slabs cover the busiest trial.
+	// Everything handed out is therefore valid only until the next
+	// Reset. The slabs start empty, and until the first Reset they
+	// hand out heap storage (slab.Alloc).
+	listeners slab.Slab[Listener]
+	conns     slab.Slab[Conn]
+	sockets   slab.Slab[AbstractSocket]
+	qps       slab.Slab[QueuePair]
+	gids      slab.Slab[ids.GID]
+	payloads  slab.Slab[byte]
+
 	// Stats counts hook invocations, ident queries and packets for
 	// the overhead experiment (E8).
 	HookInvocations  atomic.Int64
@@ -192,10 +209,17 @@ func (n *Network) ResetStats() {
 
 // Reset rewinds the fabric to its freshly-wired state: every host's
 // sockets, conntrack entries, ephemeral ports and abstract sockets are
-// dropped and the stats counters zeroed. Host membership and firewall
-// hooks survive — they are cluster-assembly wiring, not traffic state.
+// dropped, their storage is recycled, and the stats counters zeroed.
+// Host membership and firewall hooks survive — they are
+// cluster-assembly wiring, not traffic state.
 func (n *Network) Reset() {
 	n.ResetStats()
+	n.listeners.Rewind()
+	n.conns.Rewind()
+	n.sockets.Rewind()
+	n.qps.Rewind()
+	n.gids.Rewind()
+	n.payloads.Rewind()
 	if n.dirtyHosts == 0 {
 		return
 	}
@@ -218,10 +242,12 @@ type Host struct {
 	conntrack map[FlowTuple]bool // established flows, both directions
 	hook      HookFunc           // nil = no firewall (baseline)
 	hookPorts func(port int) bool
-	nextEphem int
 	ephemeral map[int]ids.Credential // src ports of active outbound conns
 	abstract  map[string]*AbstractSocket
 
+	// nextEphem and dirty share a word, which keeps a Host in the
+	// 80-byte size class: a 10k-node cluster holds one per node.
+	nextEphem int32
 	// dirty marks that the host has accumulated socket state since the
 	// last Reset.
 	dirty bool
@@ -290,14 +316,14 @@ func (h *Host) allocEphemeral(cred ids.Credential) (int, error) {
 		h.ephemeral = make(map[int]ids.Credential)
 	}
 	for i := 0; i < 28000; i++ {
-		p := h.nextEphem
+		p := int(h.nextEphem)
 		h.nextEphem++
 		if h.nextEphem > 60999 {
 			h.nextEphem = 32768
 		}
 		if _, used := h.ephemeral[p]; !used {
 			if _, bound := h.listeners[portKey{TCP, p}]; !bound {
-				h.ephemeral[p] = cred.Clone()
+				h.ephemeral[p] = h.net.cloneCred(cred)
 				h.touch()
 				return p, nil
 			}
@@ -308,4 +334,10 @@ func (h *Host) allocEphemeral(cred ids.Credential) (int, error) {
 
 func (h *Host) releaseEphemeral(port int) {
 	delete(h.ephemeral, port)
+}
+
+// cloneCred copies cred with its groups carved from the gid slab.
+func (n *Network) cloneCred(cred ids.Credential) ids.Credential {
+	cred.Groups = n.gids.Clone(cred.Groups)
+	return cred
 }

@@ -22,6 +22,7 @@ import (
 type AbstractSocket struct {
 	msgs [][]byte
 	from []ids.UID
+	head int // next datagram Recv pops
 }
 
 // ErrNoAbstract is returned when dialing an unbound abstract name.
@@ -32,7 +33,8 @@ func (h *Host) ListenAbstract(cred ids.Credential, name string) (*AbstractSocket
 	if _, dup := h.abstract[name]; dup {
 		return nil, fmt.Errorf("%w: @%s", ErrAddrInUse, name)
 	}
-	s := &AbstractSocket{}
+	s := &h.net.sockets.Alloc(1)[0]
+	s.msgs, s.from, s.head = s.msgs[:0], s.from[:0], 0
 	h.abstract[name] = s
 	h.touch()
 	return s, nil
@@ -46,18 +48,22 @@ func (h *Host) DialAbstract(cred ids.Credential, name string, data []byte) error
 	if !ok {
 		return fmt.Errorf("%w: @%s", ErrNoAbstract, name)
 	}
-	s.msgs = append(s.msgs, append([]byte(nil), data...))
+	s.msgs = append(s.msgs, h.net.payloads.Clone(data))
 	s.from = append(s.from, cred.UID)
 	return nil
 }
 
 // Recv pops the next datagram and its sender UID.
 func (s *AbstractSocket) Recv() ([]byte, ids.UID, bool) {
-	if len(s.msgs) == 0 {
+	if s.head == len(s.msgs) {
 		return nil, ids.NoUID, false
 	}
-	d, u := s.msgs[0], s.from[0]
-	s.msgs, s.from = s.msgs[1:], s.from[1:]
+	d, u := s.msgs[s.head], s.from[s.head]
+	if s.head++; s.head == len(s.msgs) {
+		// Drained: reuse the queue's storage from its start.
+		clear(s.msgs)
+		s.msgs, s.from, s.head = s.msgs[:0], s.from[:0], 0
+	}
 	return d, u, true
 }
 
@@ -99,7 +105,7 @@ func (h *Host) SetupQP(cred ids.Credential, mode QPSetupMode, remote string, ctr
 		if _, err := h.net.Host(remote); err != nil {
 			return nil, err
 		}
-		return &QueuePair{}, nil
+		return h.qp(nil), nil
 	}
 	c, err := h.Dial(cred, TCP, remote, ctrlPort)
 	if fe, ok := err.(*FlowError); ok {
@@ -109,7 +115,15 @@ func (h *Host) SetupQP(cred ids.Credential, mode QPSetupMode, remote string, ctr
 	if err != nil {
 		return nil, fmt.Errorf("rdma qp setup via tcp: %w", err)
 	}
-	return &QueuePair{ctrl: c}, nil
+	return h.qp(c), nil
+}
+
+// qp carves a queue pair over the control connection ctrl (nil for
+// the native CM) from the queue-pair slab.
+func (h *Host) qp(ctrl *Conn) *QueuePair {
+	qp := &h.net.qps.Alloc(1)[0]
+	qp.ctrl = ctrl
+	return qp
 }
 
 // Write performs an RDMA write over the established QP. Once a QP

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/netsim"
+	"repro/internal/slab"
 )
 
 // Portal errors (HTTP-status-like).
@@ -55,6 +56,24 @@ type Portal struct {
 	tunnel   bool // legacy forwarding: hops run as the route owner
 
 	marked map[ids.UID]string // the enrolments MarkPristine recorded
+
+	// tokens memoizes the session token strings: Reset restarts the
+	// counter, so a pooled trial's logins hand out the strings an
+	// earlier trial formatted. routeSlab, gids and bytes hold the
+	// routes, the session credentials' groups and the forwarded
+	// responses, and Reset rewinds them, so everything the portal
+	// hands out is valid until the next Reset. All start empty, and
+	// until the first Reset they hand out heap storage (slab.Alloc).
+	tokens    map[token]string
+	routeSlab slab.Slab[Route]
+	gids      slab.Slab[ids.GID]
+	bytes     slab.Slab[byte]
+}
+
+// token is a session token's (user, login counter) pair.
+type token struct {
+	uid ids.UID
+	n   int
 }
 
 // New creates a portal bound to the given gateway host.
@@ -102,6 +121,9 @@ func (p *Portal) Reset() {
 	clear(p.sessions)
 	clear(p.routes)
 	p.nextTok = 0
+	p.routeSlab.Reset()
+	p.gids.Reset()
+	p.bytes.Reset()
 }
 
 // Enroll registers a user's portal password (site SSO enrolment).
@@ -116,8 +138,17 @@ func (p *Portal) Login(cred ids.Credential, password string) (string, error) {
 		return "", fmt.Errorf("%w: uid %d", ErrBadCredentials, cred.UID)
 	}
 	p.nextTok++
-	tok := fmt.Sprintf("tok-%d-%d", cred.UID, p.nextTok)
-	p.sessions[tok] = cred.Clone()
+	key := token{cred.UID, p.nextTok}
+	tok, ok := p.tokens[key]
+	if !ok {
+		if p.tokens == nil {
+			p.tokens = make(map[token]string)
+		}
+		tok = fmt.Sprintf("tok-%d-%d", cred.UID, p.nextTok)
+		p.tokens[key] = tok
+	}
+	cred.Groups = p.gids.Clone(cred.Groups)
+	p.sessions[tok] = cred
 	return tok, nil
 }
 
@@ -130,7 +161,8 @@ func (p *Portal) Register(owner ids.Credential, path, node string, port int) (*R
 	if old, ok := p.routes[path]; ok && old.Owner != owner.UID && !owner.IsRoot() {
 		return nil, fmt.Errorf("%w: %s", ErrForbidden, path)
 	}
-	r := &Route{Path: path, Owner: owner.UID, Node: node, Port: port}
+	r := &p.routeSlab.Alloc(1)[0]
+	*r = Route{Path: path, Owner: owner.UID, Node: node, Port: port}
 	p.routes[path] = r
 	return r, nil
 }
@@ -192,7 +224,20 @@ func (p *Portal) Forward(token, path string, payload []byte) ([]byte, error) {
 	}
 	// The app echoes a response in this simulation; a real app would
 	// be driven by its own handler loop (see AppServer).
-	return []byte(fmt.Sprintf("200 OK %s via %s:%d", path, r.Node, r.Port)), nil
+	return p.response(path, r), nil
+}
+
+// response is the echoed reply "200 OK <path> via <node>:<port>",
+// copied into the byte slab.
+func (p *Portal) response(path string, r *Route) []byte {
+	var buf [64]byte
+	b := append(buf[:0], "200 OK "...)
+	b = append(b, path...)
+	b = append(b, " via "...)
+	b = append(b, r.Node...)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(r.Port), 10)
+	return p.bytes.Clone(b)
 }
 
 // AppServer is a minimal web application (a Jupyter stand-in) bound
@@ -201,18 +246,20 @@ type AppServer struct {
 	Listener *netsim.Listener
 }
 
-// Serve launches an app server for cred on host:port.
-func Serve(host *netsim.Host, cred ids.Credential, port int) (*AppServer, error) {
+// Serve launches an app server for cred on host:port. Like the
+// listener it wraps, the server is valid until the network's next
+// Reset.
+func Serve(host *netsim.Host, cred ids.Credential, port int) (AppServer, error) {
 	l, err := host.Listen(cred, netsim.TCP, port)
 	if err != nil {
-		return nil, err
+		return AppServer{}, err
 	}
-	return &AppServer{Listener: l}, nil
+	return AppServer{Listener: l}, nil
 }
 
 // Drain consumes all pending connections' payloads and returns how
 // many requests arrived.
-func (a *AppServer) Drain() int {
+func (a AppServer) Drain() int {
 	n := 0
 	for {
 		c, ok := a.Listener.Accept()

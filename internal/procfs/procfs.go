@@ -29,12 +29,14 @@
 // hidepid exists to protect.
 //
 // The same contract governs List: visible-but-unreadable entries
-// appear as the redacted stub, never as full clones.
+// appear as the redacted stub, never as the table's entry.
 //
-// List, Readable and Stat filter on the process table's shared
-// snapshot (simos.Table.Visit) and clone only the entries the
-// observer is actually allowed to read — under hidepid=2 a foreign
-// observer's `ps` pass allocates nothing at all, and denied
+// List and Readable filter on the process table's shared snapshot
+// (simos.Table.Visit) and return the table's own entries, which are
+// read-only and valid until the table's next Reset (see simos.Table):
+// a listing allocates its result slice and nothing per readable
+// entry, and under hidepid=2 a foreign observer's `ps` pass allocates
+// nothing at all. Stat clones the one entry it may show; denied
 // Stat/ReadCmdline probes are allocation-free.
 //
 // # Trial-lifecycle Reset contract
@@ -129,9 +131,10 @@ func (m *Mount) readable(exempt bool, observer ids.Credential, p *simos.Process)
 
 // List returns the processes whose /proc/<pid> directories appear to
 // the observer, sorted by PID — the readdir view `ps` uses. The
-// exempt-gid check runs once per call, the filter runs on the shared
-// table snapshot, and only visible entries are cloned: a foreign
-// observer under hidepid=2 allocates nothing.
+// exempt-gid check runs once per call and the filter runs on the
+// shared table snapshot. Readable entries are the table's own,
+// read-only ones; a foreign observer under hidepid=2 allocates
+// nothing.
 func (m *Mount) List(observer ids.Credential) []*simos.Process {
 	exempt := m.exempt(observer)
 	var out []*simos.Process
@@ -139,28 +142,37 @@ func (m *Mount) List(observer ids.Credential) []*simos.Process {
 		switch {
 		case !m.visible(exempt, observer, p):
 		case m.readable(exempt, observer, p):
-			out = append(out, p.Clone())
+			out = m.appendEntry(out, p)
 		default:
 			// Visible but unreadable (hidepid=1, foreign pid): the
 			// directory appears in readdir but its contents are
 			// protected, so the entry is the same redacted stub Stat
-			// returns — never the secret-bearing full clone.
-			out = append(out, &simos.Process{PID: p.PID, Comm: p.Comm, State: p.State})
+			// returns — never the secret-bearing entry.
+			out = m.appendEntry(out, &simos.Process{PID: p.PID, Comm: p.Comm, State: p.State})
 		}
 		return true
 	})
 	return out
 }
 
+// appendEntry appends p to a listing, sizing it for the whole table on
+// its first entry so a listing allocates its slice once.
+func (m *Mount) appendEntry(out []*simos.Process, p *simos.Process) []*simos.Process {
+	if out == nil {
+		out = make([]*simos.Process, 0, m.table.Len())
+	}
+	return append(out, p)
+}
+
 // Readable returns the processes the observer can fully inspect —
-// what a `ps auxww` that reads each cmdline would actually print.
-// Filtering happens before cloning, exactly as in List.
+// what a `ps auxww` that reads each cmdline would actually print. Like
+// List, it returns the table's own read-only entries.
 func (m *Mount) Readable(observer ids.Credential) []*simos.Process {
 	exempt := m.exempt(observer)
 	var out []*simos.Process
 	m.table.Visit(func(p *simos.Process) bool {
 		if m.readable(exempt, observer, p) {
-			out = append(out, p.Clone())
+			out = m.appendEntry(out, p)
 		}
 		return true
 	})

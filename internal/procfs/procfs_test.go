@@ -253,38 +253,33 @@ func TestHidePIDString(t *testing.T) {
 	}
 }
 
-// TestResultsOutliveReset checks that List, Readable and Stat hand out
-// private copies: a cluster Reset recycles the process table's task
-// entries, so results kept from trial 1 must still read the same after
-// Reset and a different trial 2 has reused that storage. It fails if
-// procfs ever returns a shared table entry.
-func TestResultsOutliveReset(t *testing.T) {
+// TestStatOutlivesReset checks that Stat hands out private copies: a
+// cluster Reset recycles the process table's entries, so a stat kept
+// from trial 1 must still read the same after Reset and a different
+// trial 2 has reused that storage.
+func TestStatOutlivesReset(t *testing.T) {
 	tb := simos.NewNode("c1", simos.Compute, 8, 1<<30, nil).Procs
 	var pids []ids.PID
 	for i, uid := range []ids.UID{1000, 2000, 1000, 2000} {
 		pids = append(pids, tb.SpawnJob(cred(uid), 1+i, 1<<20, "slurmstepd", "a.out --token=trial1-"+string(rune('a'+i))))
 	}
-	var got [][]*simos.Process
+	var got []*simos.Process
 	for _, hide := range []HidePID{HidePIDOff, HidePIDNoRead, HidePIDInvis} {
 		m := NewMount(tb, hide, supportGID)
 		for _, obs := range []ids.Credential{cred(1000), ids.RootCred()} {
-			got = append(got, m.List(obs), m.Readable(obs))
 			for _, pid := range pids {
 				if p, err := m.Stat(obs, pid); err == nil {
-					got = append(got, []*simos.Process{p})
+					got = append(got, p)
 				}
 			}
 		}
 	}
-	snapshot := func() [][]simos.Process {
-		out := make([][]simos.Process, len(got))
-		for i, ps := range got {
-			for _, p := range ps {
-				c := *p
-				c.Cred.Groups = slices.Clone(p.Cred.Groups)
-				c.Cmdline = slices.Clone(p.Cmdline)
-				out[i] = append(out[i], c)
-			}
+	snapshot := func() []simos.Process {
+		out := make([]simos.Process, len(got))
+		for i, p := range got {
+			out[i] = *p
+			out[i].Cred.Groups = slices.Clone(p.Cred.Groups)
+			out[i].Cmdline = slices.Clone(p.Cmdline)
 		}
 		return out
 	}
@@ -295,6 +290,35 @@ func TestResultsOutliveReset(t *testing.T) {
 		tb.SpawnJob(cred(3000), 100+i, 2<<20, "mpirun", "b.out --token=trial2")
 	}
 	if after := snapshot(); !reflect.DeepEqual(after, want) {
-		t.Errorf("trial 1 results changed after Reset and trial 2:\n got %+v\nwant %+v", after, want)
+		t.Errorf("trial 1 stats changed after Reset and trial 2:\n got %+v\nwant %+v", after, want)
+	}
+}
+
+// TestListingsShareTableEntries checks the listing contract: List and
+// Readable return the table's own read-only entries, the pointers
+// Lookup returns, and List's visible-but-unreadable rows are redacted
+// stubs, never the entry itself.
+func TestListingsShareTableEntries(t *testing.T) {
+	tb := simos.NewNode("c1", simos.Compute, 8, 1<<30, nil).Procs
+	for i, uid := range []ids.UID{1000, 2000} {
+		tb.SpawnJob(cred(uid), 1+i, 1<<20, "slurmstepd", "a.out")
+	}
+	for _, hide := range []HidePID{HidePIDOff, HidePIDNoRead, HidePIDInvis} {
+		m := NewMount(tb, hide, supportGID)
+		obs := cred(1000)
+		for _, p := range m.Readable(obs) {
+			if e, _ := tb.Lookup(p.PID); e != p {
+				t.Errorf("hidepid=%d: Readable's pid %d is not the table's entry", hide, p.PID)
+			}
+		}
+		for _, p := range m.List(obs) {
+			e, _ := tb.Lookup(p.PID)
+			switch stub := e.Cred.UID != obs.UID && hide == HidePIDNoRead; {
+			case stub && (e == p || p.Cmdline != nil):
+				t.Errorf("hidepid=%d: List's foreign pid %d is not a redacted stub", hide, p.PID)
+			case !stub && e != p:
+				t.Errorf("hidepid=%d: List's pid %d is not the table's entry", hide, p.PID)
+			}
+		}
 	}
 }

@@ -362,3 +362,48 @@ func TestGPURequestMustFitOneNode(t *testing.T) {
 		t.Errorf("gpu request on cpu cluster err = %v", err)
 	}
 }
+
+// TestFitMemoryBinds makes memory the binding constraint: one compute
+// node with 16 cores and 1 GiB, and two 1-core jobs of 600 MiB each.
+// Cores would admit both at once; memory admits one, so the second
+// stays Pending until the first completes, and the node never runs out
+// of memory.
+func TestFitMemoryBinds(t *testing.T) {
+	s := New(Config{}, computeNodes(1, 16, 1<<30), 0)
+	job := JobSpec{Name: "big", Command: "a.out", Cores: 1, MemB: 600 << 20, Duration: 3}
+	first, err := s.Submit(cred(1000), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := s.Submit(cred(1001), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := func(id int) JobState {
+		j, err := s.Job(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j.State
+	}
+	for tick := 1; state(first) != Completed; tick++ {
+		if tick > 8 {
+			t.Fatalf("first job never completed: %v", state(first))
+		}
+		s.Step()
+		if st := state(first); st == Running && state(second) != Pending {
+			t.Fatalf("tick %d: second job is %v while the first runs; 2 x 600 MiB exceed the node's 1 GiB", tick, state(second))
+		}
+	}
+	s.Step()
+	if st := state(second); st != Running {
+		t.Errorf("second job is %v after the first completed, want Running", st)
+	}
+	s.RunAll(16)
+	if st := state(second); st != Completed {
+		t.Errorf("second job is %v after the drain, want Completed", st)
+	}
+	if crashes, cofail := s.Crashes(); crashes != 0 || cofail != 0 {
+		t.Errorf("%d crashes, %d co-failures, want none", crashes, cofail)
+	}
+}

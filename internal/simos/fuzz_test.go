@@ -187,7 +187,7 @@ func FuzzTableOps(f *testing.F) {
 					t.Fatalf("op %d: SpawnJob got PID %d, model %d", k/3, got, want)
 				}
 			case 2:
-				tb.spawnDaemon(cmdline(comm, argv))
+				tb.spawnDaemon(append([]string{comm}, argv...))
 				m.daemon(append([]string{comm}, argv...)...)
 			case 3:
 				err := tb.Exit(pid)

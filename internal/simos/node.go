@@ -116,7 +116,8 @@ func (n *Node) ClearPAMHooks() {
 
 // Login attempts an ssh-style login for uid with the given credential,
 // running the PAM stack; on success it spawns a shell process and
-// returns it. This is the path pam_slurm gates on compute nodes.
+// returns it, read-only, as Table.Spawn does. This is the path
+// pam_slurm gates on compute nodes.
 func (n *Node) Login(cred ids.Credential) (*Process, error) {
 	if n.down {
 		return nil, fmt.Errorf("%w: %s", ErrNodeDown, n.Name)

@@ -11,7 +11,6 @@ package simos
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/ids"
 	"repro/internal/slab"
@@ -80,12 +79,11 @@ func (p *Process) Clone() *Process {
 // That lets the table publish one
 // generation-counted, copy-on-write snapshot — a cached sorted
 // []*Process — that every reader of All/Visit shares with zero
-// per-call cloning. Values returned by All, Visit and Lookup are
-// therefore shared and MUST be treated as read-only; use Clone (or
+// per-call cloning. Values returned by Spawn, All, Visit and Lookup
+// are therefore shared and MUST be treated as read-only; use Clone (or
 // Get, which clones) before modifying one. They also MUST NOT be kept
-// across Reset, which recycles the storage of every task entry and
-// every daemon spawned since the pristine mark: clone what must
-// outlive the trial.
+// across Reset, which recycles the storage of every entry spawned
+// since the pristine mark: clone what must outlive the trial.
 type Table struct {
 	nextPID ids.PID
 	// slots holds the table's entries in PID order. PIDs only grow
@@ -100,14 +98,18 @@ type Table struct {
 	gen     uint64     // bumped on every mutation
 	snap    []*Process // cached PID-sorted snapshot, shared with readers
 	snapGen uint64     // generation snap was built at; valid iff == gen
-	// jobs holds every SpawnJob entry, with its argv inline, and every
-	// daemon spawned after the pristine mark (Node.Restore). Within a
-	// trial an entry is never reused, even after it exits, so a stale
-	// snapshot keeps showing it intact. Reset zeroes the entries carved
-	// since the pristine mark and rewinds to it, so a pooled trial's
-	// job starts and restores reuse the previous trial's storage and
-	// allocate nothing once the chunks cover the busiest trial.
+	// jobs holds every SpawnJob entry and, once the table has been
+	// Reset, every Spawn entry, each with a command line of up to two
+	// words inline, and every daemon spawned after the pristine mark
+	// (Node.Restore); argv, made by the first longer command line,
+	// holds those. Within a trial an entry is never reused, even after
+	// it exits, so a stale snapshot keeps showing it intact. Reset
+	// zeroes the entries carved since the pristine mark and rewinds to
+	// it, so a pooled trial's logins, job starts and restores reuse the
+	// previous trial's storage and allocate nothing once the chunks
+	// cover the busiest trial.
 	jobs slab.Slab[jobProcess]
+	argv *slab.Slab[string]
 	// arena is the current allocation chunk for the daemons spawned
 	// before the pristine mark: such *Process entries point into a
 	// chunk instead of being individual heap objects. Entries are
@@ -220,7 +222,7 @@ func (t *Table) alloc() *Process {
 
 // daemonCred is the shared root credential every daemon entry
 // carries. Published entries are read-only by the table contract (and
-// Get/Spawn clone before handing out mutable copies), so one shared
+// Get clones before handing out a mutable copy), so one shared
 // Groups slice serves every daemon on every node.
 var daemonCred = ids.Credential{UID: ids.Root, EGID: ids.RootGroup, Groups: []ids.GID{ids.RootGroup}}
 
@@ -242,6 +244,9 @@ func (t *Table) MarkPristine() {
 		return
 	}
 	t.jobs.Mark()
+	if t.argv != nil {
+		t.argv.Mark()
+	}
 	t.pristine = make([]slot, 0, t.live)
 	for _, sl := range t.slots {
 		if sl.p != nil {
@@ -278,6 +283,9 @@ func (t *Table) Reset() {
 	t.slots = append(t.slots[:0], t.pristine...)
 	t.live = len(t.pristine)
 	t.jobs.Reset()
+	if t.argv != nil {
+		t.argv.Reset()
+	}
 	t.nextPID = t.pristinePID
 	if t.nextPID == 0 {
 		t.nextPID = 1 // no mark taken: empty table, PIDs restart at 1
@@ -309,62 +317,74 @@ func (t *Table) snapshot() []*Process {
 	return out
 }
 
-// cmdline returns the argv of a new process, comm followed by argv, in
-// one allocation.
-func cmdline(comm string, argv []string) []string {
-	c := make([]string, 1+len(argv))
-	c[0] = comm
-	copy(c[1:], argv)
-	return c
-}
-
-// Spawn creates a process owned by cred. ppid 0 means "init".
-func (t *Table) Spawn(cred ids.Credential, ppid ids.PID, comm string, argv ...string) *Process {
-	p := &Process{
-		PID:     t.nextPID,
-		PPID:    ppid,
-		Cred:    cred.Clone(),
-		Comm:    comm,
-		Cmdline: cmdline(comm, argv),
-		State:   StateRunning,
-		Start:   t.clock(),
-	}
-	t.publish(p)
-	return p.Clone()
-}
-
-// jobProcess is a task entry with its argv inline, so that a task
-// with at most one argument needs no storage beyond its slab slot.
+// jobProcess is a job-slab entry with room for a two-word command
+// line inline, so that a task or a login shell needs no storage beyond
+// its slot.
 type jobProcess struct {
 	Process
 	argv [2]string
 }
 
-// SpawnJob publishes the task process of scheduler job jobID: a child
-// of init that already carries the job and its resident memory, so a
-// job start costs one entry and one generation bump per node. The entry shares cred.Groups instead of cloning it: the caller
-// must never mutate it afterwards (the scheduler passes its private
-// job credential, which nothing writes after Submit). The entry is
-// carved from the table's job slab, so with at most one argument a
-// job start allocates nothing once a previous trial has sized the
-// slab; the entry stays intact after ExitJob until the next Reset.
-func (t *Table) SpawnJob(cred ids.Credential, jobID int, rss int64, comm string, argv ...string) ids.PID {
-	// The slot comes zeroed, so fields are stored one by one: a
-	// whole-struct store would pay a bulk write barrier and a block copy.
-	e := &t.jobs.Take(1)[0]
+// entry fills e, a zeroed job-slab slot, as a running process for cred
+// in every field but RSS and JobID. Its command line (comm, then argv)
+// is inline when it fits, else from the argv slab, which a 10k-node
+// cluster's tables make only where a longer command runs. Fields are
+// stored one by one: a whole-struct store would pay a bulk write
+// barrier and a block copy. The entry shares cred.Groups instead of
+// cloning it.
+func (t *Table) entry(e *jobProcess, cred ids.Credential, ppid ids.PID, comm string, argv []string) *Process {
 	e.PID = t.nextPID
-	e.PPID = 1
+	e.PPID = ppid
 	e.Cred = cred
 	e.Comm = comm
 	e.State = StateRunning
 	e.Start = t.clock()
-	e.RSS = rss
-	e.JobID = jobID
-	// Clip so that a reader's append cannot write into the inline array;
-	// past one argument, append moves the argv to the heap by itself.
-	e.Cmdline = slices.Clip(append(append(e.argv[:0], comm), argv...))
-	t.publish(&e.Process)
-	return e.PID
+	// Both kinds of storage come clipped, so a reader's append cannot
+	// write into the inline array or the next entry's command line.
+	n := 1 + len(argv)
+	var cl []string
+	if n <= len(e.argv) {
+		cl = e.argv[:n:n]
+	} else {
+		if t.argv == nil {
+			t.argv = new(slab.Slab[string])
+		}
+		cl = t.argv.Alloc(n)
+	}
+	cl[0] = comm
+	copy(cl[1:], argv)
+	e.Cmdline = cl
+	return &e.Process
+}
+
+// Spawn creates a process owned by cred, ppid 0 meaning "init", and
+// returns the published entry: it is read-only, like every entry the
+// table hands out (Clone it to change it), and valid until the next
+// Reset. The entry shares cred.Groups, which the caller must not write
+// afterwards. Once the table has been Reset the entry comes from the
+// job slab, so a pooled trial's logins allocate nothing once the slab
+// is sized; before, from the heap, so a table that is never Reset
+// does not keep its exited shells.
+func (t *Table) Spawn(cred ids.Credential, ppid ids.PID, comm string, argv ...string) *Process {
+	p := t.entry(&t.jobs.Alloc(1)[0], cred, ppid, comm, argv)
+	t.publish(p)
+	return p
+}
+
+// SpawnJob publishes the task process of scheduler job jobID: a child
+// of init that already carries the job and its resident memory, so a
+// job start costs one entry and one generation bump per node. Like
+// Spawn, the entry shares cred.Groups (the scheduler passes its
+// private job credential, which nothing writes after Submit) and comes
+// from the job slab, so a job start allocates nothing once a previous
+// trial has sized the slab; the entry stays intact after ExitJob until
+// the next Reset.
+func (t *Table) SpawnJob(cred ids.Credential, jobID int, rss int64, comm string, argv ...string) ids.PID {
+	p := t.entry(&t.jobs.Take(1)[0], cred, 1, comm, argv)
+	p.RSS = rss
+	p.JobID = jobID
+	t.publish(p)
+	return p.PID
 }
 
 // spawnBaseDaemons publishes the base daemons (NewNode, Node.Restore)

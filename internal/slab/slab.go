@@ -20,31 +20,66 @@ const (
 // zeroes what was carved since the mark and rewinds to the mark, so
 // elements carved before the mark are never handed out again. The
 // zero Slab is ready to use, with its mark at the start.
+//
+// An owner whose elements hold storage worth keeping (a map, a
+// buffer) rewinds with Rewind instead of Reset: the elements keep
+// what the last trial left in them, and the owner overwrites every
+// field but the kept storage when Take hands one out again. A slab is
+// rewound one way or the other, never both.
 type Slab[T any] struct {
-	chunks    [][]T
-	cur, off  int // chunk being carved, next free element in it
-	markChunk int // Reset rewinds to chunks[markChunk][markOff]
-	markOff   int
+	chunks [][]T
+	// The positions are int32, so a slab embedded in each of a 10k-node
+	// cluster's process tables stays 48 bytes.
+	cur, off  int32 // chunk being carved, next free element in it
+	markChunk int32 // Reset rewinds to chunks[markChunk][markOff]
+	markOff   int32
+	rewound   bool // Reset or Rewind ran at least once
 }
 
-// Take returns n zeroed elements. A request longer than maxChunk gets
-// its own allocation.
+// Take returns n elements: zeroed, unless Rewind handed them back as
+// the last trial left them. A request longer than maxChunk gets its
+// own allocation.
 func (s *Slab[T]) Take(n int) []T {
 	if n > maxChunk {
 		return make([]T, n)
 	}
 	for {
-		if s.cur == len(s.chunks) {
+		if int(s.cur) == len(s.chunks) {
 			s.chunks = append(s.chunks, make([]T, s.nextLen(n)))
 		}
-		if c := s.chunks[s.cur]; s.off+n <= len(c) {
-			out := c[s.off : s.off+n : s.off+n]
-			s.off += n
-			return out
+		if c, off := s.chunks[s.cur], int(s.off); off+n <= len(c) {
+			s.off += int32(n)
+			return c[off : off+n : off+n]
 		}
 		s.cur++
 		s.off = 0
 	}
+}
+
+// Alloc is Take for an owner that may never be reset: until the slab
+// is first reset or rewound it returns a fresh heap allocation, which
+// the collector reclaims once the owner drops it, and from then on it
+// carves from the slab. Storage carved from a slab lives until the
+// slab rewinds, so an owner driven operation after operation without
+// a Reset (a benchmark loop, an interactive session) would otherwise
+// keep everything it ever created; a pooled owner, reset between
+// trials, recycles from its second trial on.
+func (s *Slab[T]) Alloc(n int) []T {
+	if !s.rewound {
+		return make([]T, n)
+	}
+	return s.Take(n)
+}
+
+// Clone returns a copy of src carved with Alloc, or nil when src is
+// empty.
+func (s *Slab[T]) Clone(src []T) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	c := s.Alloc(len(src))
+	copy(c, src)
+	return c
 }
 
 // nextLen is the length of the next new chunk: double the last one,
@@ -69,16 +104,25 @@ func (s *Slab[T]) Mark() {
 // Reset zeroes the elements carved since the mark, so recycled
 // elements pin no strings or slices, and rewinds to the mark.
 func (s *Slab[T]) Reset() {
-	for i := s.markChunk; i <= s.cur && i < len(s.chunks); i++ {
+	for i := s.markChunk; i <= s.cur && int(i) < len(s.chunks); i++ {
 		c := s.chunks[i]
 		lo, hi := 0, len(c)
 		if i == s.markChunk {
-			lo = s.markOff
+			lo = int(s.markOff)
 		}
 		if i == s.cur {
-			hi = s.off
+			hi = int(s.off)
 		}
 		clear(c[lo:hi])
 	}
 	s.cur, s.off = s.markChunk, s.markOff
+	s.rewound = true
+}
+
+// Rewind rewinds to the mark without zeroing: the elements carved
+// since the mark are handed out again as they are, with whatever
+// storage they hold. It is O(1).
+func (s *Slab[T]) Rewind() {
+	s.cur, s.off = s.markChunk, s.markOff
+	s.rewound = true
 }

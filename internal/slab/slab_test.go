@@ -111,3 +111,70 @@ func TestResetWithoutMarkRewindsAll(t *testing.T) {
 		t.Error("Reset without a mark did not rewind to the first, zeroed element")
 	}
 }
+
+// TestRewindKeepsElements checks that Rewind hands the elements carved
+// since the mark out again in the same order and as they were left,
+// keeps the ones before the mark, and that a replay allocates nothing.
+func TestRewindKeepsElements(t *testing.T) {
+	var s Slab[[]byte]
+	s.Take(3)
+	s.Mark()
+	var first [][]byte
+	for i := 0; i < 40; i++ {
+		e := &s.Take(1)[0]
+		*e = append(*e, byte(i))
+		first = append(first, *e)
+	}
+	s.Rewind()
+	for i := range first {
+		e := &s.Take(1)[0]
+		if len(*e) != 1 || (*e)[0] != byte(i) || &(*e)[0] != &first[i][0] {
+			t.Fatalf("take %d after Rewind = %v, want the first trial's element %d as left", i, *e, i)
+		}
+	}
+	trial := func() {
+		for i := 0; i < 40; i++ {
+			e := &s.Take(1)[0]
+			*e = append((*e)[:0], byte(i))
+		}
+		s.Rewind()
+	}
+	s.Rewind()
+	if n := testing.AllocsPerRun(10, trial); n != 0 {
+		t.Errorf("replayed trial allocates %v objects, want 0", n)
+	}
+	if e := s.Take(1); &e[0] != &s.chunks[0][3] {
+		t.Error("Rewind did not return to the mark")
+	}
+}
+
+// TestAllocHeapUntilRewound checks that Alloc hands out heap storage
+// until the slab's first Reset or Rewind, and slab storage after.
+func TestAllocHeapUntilRewound(t *testing.T) {
+	for _, rewind := range []func(*Slab[int]){(*Slab[int]).Reset, (*Slab[int]).Rewind} {
+		var s Slab[int]
+		e := s.Alloc(2)
+		if len(e) != 2 || len(s.chunks) != 0 {
+			t.Fatalf("Alloc before a rewind = len %d with %d chunks, want 2 heap elements", len(e), len(s.chunks))
+		}
+		rewind(&s)
+		if e := s.Alloc(2); len(s.chunks) != 1 || &e[0] != &s.chunks[0][0] {
+			t.Fatal("Alloc after a rewind did not carve from the slab")
+		}
+	}
+}
+
+// TestClone checks that Clone copies into the slab and keeps an empty
+// source nil.
+func TestClone(t *testing.T) {
+	var s Slab[int]
+	s.Reset()
+	src := []int{1, 2, 3}
+	c := s.Clone(src)
+	if !slices.Equal(c, src) || &c[0] != &s.chunks[0][0] {
+		t.Errorf("Clone = %v, want a slab copy of %v", c, src)
+	}
+	if c := s.Clone(nil); c != nil {
+		t.Errorf("Clone(nil) = %v, want nil", c)
+	}
+}

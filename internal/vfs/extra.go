@@ -34,13 +34,12 @@ func (fs *FS) Symlink(ctx Context, target, linkPath string) error {
 	if !fs.can(ctx.Cred, dir, 3) {
 		return &PathError{Op: "symlink", Path: linkPath, Err: ErrPermission}
 	}
-	fs.own(parentOf(linkPath)).children[name] = &inode{
+	fs.own(parentOf(linkPath)).children[name] = fs.node(&inode{
 		name: name, typ: TypeSymlink,
 		owner: ctx.Cred.UID, group: ctx.Cred.EGID,
-		mode:  0o777, // symlink modes are ignored, like Linux
-		epoch: fs.epoch,
-		data:  []byte(target),
-	}
+		mode: 0o777, // symlink modes are ignored, like Linux
+		data: fs.copyData([]byte(target)),
+	})
 	return nil
 }
 

@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/ids"
@@ -130,74 +131,152 @@ func (c vfsCall) String() string {
 // tree must equal its refMount's, and every call's error text its
 // reference's. At the end the template's tree and the frozen empty
 // root must be as they were built: no mount wrote through to either.
+// The arena seeds make every mount reuse the inodes, children maps and
+// data of its previous cycle after each of six Resets.
 func FuzzResetEquivalence(f *testing.F) {
 	for i := uint64(0); i < 32; i++ {
 		f.Add(pathWalkSeed(i+1000, 480))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		in := fuzzInput(data)
-		proto := fuzzTree(&in)
-		// Frozen ACLs, which a mount must clone before it edits them.
-		root := Context{Cred: ids.RootCred()}
-		if err := proto.SetfaclGroup(root, "/a/b", 2000, 0o5); err != nil {
-			t.Fatal(err)
+	for _, seed := range arenaSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { resetEquivalence(t, data) })
+}
+
+// arenaSeeds are inputs whose every cycle writes on all three mounts —
+// a MkdirAll two levels deep, a file with data in the sticky /t and a
+// symlink beside it, all as root — and then Resets each mount, six
+// cycles running, with one seed per data length.
+func arenaSeeds() [][]byte {
+	var seeds [][]byte
+	for n := byte(0); n < 3; n++ {
+		seed := []byte{0, 0, 0, 0} // two trees without extra nodes
+		for cycle := 0; cycle < 6; cycle++ {
+			seed = append(seed, 9) // nine calls
+			for m := byte(0); m < 3; m++ {
+				// mount, op, cred, umask, path (a resetPaths entry), ...
+				seed = append(seed, m, 1, 0, 0, 1, 6, 0)     // MkdirAll /a/b/g/f 0755
+				seed = append(seed, m, 2, 0, 0, 1, 9, 0, n)  // WriteFile /t/f 0755, n bytes
+				seed = append(seed, "hi"[:n]...)             // the data
+				seed = append(seed, m, 4, 0, 0, 1, 10, 1, 3) // Symlink /t/g -> /a/f
+			}
+			seed = append(seed, 0, 0, 0) // Reset all three
 		}
-		if err := proto.SetfaclUser(root, "/a/b/f", 1001, 0o4); err != nil {
-			t.Fatal(err)
+		seeds = append(seeds, seed)
+	}
+	return seeds
+}
+
+// TestArenaSeedsReuseAcrossResets runs the arena seeds through the
+// fuzz body and checks that each reuses arena inodes after at least
+// three Resets of one mount.
+func TestArenaSeedsReuseAcrossResets(t *testing.T) {
+	for i, seed := range arenaSeeds() {
+		if n := resetEquivalence(t, seed); n < 3 {
+			t.Errorf("arena seed %d reused arena inodes after %d Resets of one mount, want at least 3", i, n)
 		}
-		tmpl := proto.AsTemplate()
-		tmplWant := tmpl.root.deepCopy(0)
-		mounts := []*FS{
-			NewFromTemplate("a", proto.Policy, nil, tmpl),
-			NewFromTemplate("b", proto.Policy, nil, tmpl),
-			fuzzTree(&in),
+	}
+}
+
+// ownedInodes returns the inodes of fs's tree that fs may change in
+// place: the ones its arena handed out since the tree last froze.
+func ownedInodes(fs *FS) map[*inode]bool {
+	out := make(map[*inode]bool)
+	var walk func(n *inode)
+	walk = func(n *inode) {
+		if n.epoch == fs.epoch {
+			out[n] = true
 		}
-		refs := make([]*refMount, len(mounts))
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	walk(fs.root)
+	return out
+}
+
+// resetEquivalence is FuzzResetEquivalence's body. It returns the most
+// Resets of any one mount after which the mount's next cycle reused an
+// inode its tree held before the Reset.
+func resetEquivalence(t *testing.T, data []byte) int {
+	in := fuzzInput(data)
+	proto := fuzzTree(&in)
+	// Frozen ACLs, which a mount must clone before it edits them.
+	root := Context{Cred: ids.RootCred()}
+	if err := proto.SetfaclGroup(root, "/a/b", 2000, 0o5); err != nil {
+		t.Fatal(err)
+	}
+	if err := proto.SetfaclUser(root, "/a/b/f", 1001, 0o4); err != nil {
+		t.Fatal(err)
+	}
+	tmpl := proto.AsTemplate()
+	tmplWant := tmpl.root.deepCopy(0)
+	mounts := []*FS{
+		NewFromTemplate("a", proto.Policy, nil, tmpl),
+		NewFromTemplate("b", proto.Policy, nil, tmpl),
+		fuzzTree(&in),
+	}
+	refs := make([]*refMount, len(mounts))
+	for i, fs := range mounts {
+		refs[i] = newRefMount(fs)
+	}
+	// differs names the first mount whose tree is not its
+	// reference's, "" if none.
+	differs := func() string {
 		for i, fs := range mounts {
-			refs[i] = newRefMount(fs)
-		}
-		// differs names the first mount whose tree is not its
-		// reference's, "" if none.
-		differs := func() string {
-			for i, fs := range mounts {
-				if !sameTree(fs.root, refs[i].fs.root) {
-					return fs.Name
-				}
+			if !sameTree(fs.root, refs[i].fs.root) {
+				return fs.Name
 			}
-			return ""
 		}
-		for cycle := 0; cycle < 8 && len(in) > 0; cycle++ {
-			for k := in.pick(16); k > 0 && len(in) > 0; k-- {
-				i := in.pick(len(mounts))
-				c := in.call()
-				err, want := c.apply(mounts[i]), c.apply(refs[i].fs)
-				if errText(err) != errText(want) {
-					t.Fatalf("cycle %d: %s on mount %s = %v; reference %v", cycle, c, mounts[i].Name, err, want)
-				}
-				if m := differs(); m != "" {
-					t.Fatalf("cycle %d: after %s on mount %s, mount %s's tree differs from its reference's", cycle, c, mounts[i].Name, m)
-				}
-			}
-			for i, fs := range mounts {
-				switch in.pick(3) {
-				case 0:
-					fs.Reset()
-					refs[i].reset()
-				case 1:
-					fs.MarkPristine()
-					refs[i].mark()
-				}
+		return ""
+	}
+	// before holds each mount's owned inodes at its last Reset, nil
+	// once a later cycle reused one or a mark froze them.
+	before := make([]map[*inode]bool, len(mounts))
+	reuses := make([]int, len(mounts))
+	for cycle := 0; cycle < 8 && len(in) > 0; cycle++ {
+		for k := in.pick(16); k > 0 && len(in) > 0; k-- {
+			i := in.pick(len(mounts))
+			c := in.call()
+			err, want := c.apply(mounts[i]), c.apply(refs[i].fs)
+			if errText(err) != errText(want) {
+				t.Fatalf("cycle %d: %s on mount %s = %v; reference %v", cycle, c, mounts[i].Name, err, want)
 			}
 			if m := differs(); m != "" {
-				t.Fatalf("cycle %d: after the marks and resets, mount %s's tree differs from its reference's", cycle, m)
+				t.Fatalf("cycle %d: after %s on mount %s, mount %s's tree differs from its reference's", cycle, c, mounts[i].Name, m)
 			}
 		}
-		if !sameTree(tmpl.root, tmplWant) {
-			t.Fatal("a mount wrote through to the template's tree")
+		for i, fs := range mounts {
+			if before[i] != nil {
+				for n := range ownedInodes(fs) {
+					if before[i][n] {
+						reuses[i]++
+						before[i] = nil
+						break
+					}
+				}
+			}
+			switch in.pick(3) {
+			case 0:
+				before[i] = ownedInodes(fs)
+				fs.Reset()
+				refs[i].reset()
+			case 1:
+				before[i] = nil
+				fs.MarkPristine()
+				refs[i].mark()
+			}
 		}
-		emptyWant := &inode{name: "/", typ: TypeDir, owner: ids.Root, group: ids.RootGroup, mode: 0o755, children: map[string]*inode{}}
-		if !sameTree(emptyRoot, emptyWant) {
-			t.Fatal("a mount wrote through to the frozen empty root")
+		if m := differs(); m != "" {
+			t.Fatalf("cycle %d: after the marks and resets, mount %s's tree differs from its reference's", cycle, m)
 		}
-	})
+	}
+	if !sameTree(tmpl.root, tmplWant) {
+		t.Fatal("a mount wrote through to the template's tree")
+	}
+	emptyWant := &inode{name: "/", typ: TypeDir, owner: ids.Root, group: ids.RootGroup, mode: 0o755, children: map[string]*inode{}}
+	if !sameTree(emptyRoot, emptyWant) {
+		t.Fatal("a mount wrote through to the frozen empty root")
+	}
+	return slices.Max(reuses)
 }

@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ids"
+	"repro/internal/slab"
 )
 
 // Mode bits beyond rwxrwxrwx.
@@ -145,6 +146,7 @@ func Ctx(cred ids.Credential) Context {
 type FS struct {
 	Name   string
 	Policy Policy
+	reset  bool // Reset ran at least once
 	reg    *ids.Registry
 	root   *inode
 	// pristine is the frozen root Reset returns to: the tree at
@@ -153,6 +155,30 @@ type FS struct {
 	// epoch marks the inodes this mount may change in place: the ones
 	// it created or copied since the tree was last frozen.
 	epoch uint64
+	// arena holds the inodes this mount creates or copies and the data
+	// and link targets it stores. The first write after a Reset
+	// creates it: a mount that is never Reset keeps none of what it
+	// drops, and an untouched per-node mount of a 10k-node cluster
+	// carries a nil pointer. Until then, and until the arena's first
+	// Rewind (slab.Alloc), inodes and data come from the heap.
+	arena *arena
+}
+
+// arena is a mount's recycled storage. Freezing the tree (MarkPristine,
+// AsTemplate) marks both slabs, so the frozen inodes and data are never
+// handed out again; Reset rewinds both to the mark, so a pooled trial's
+// writes reuse the previous trial's inodes, children maps and bytes.
+type arena struct {
+	nodes slab.Slab[arenaNode]
+	bytes slab.Slab[byte]
+}
+
+// arenaNode is one inode of a mount's arena, with the children map the
+// slot keeps across Reset: a directory placed in the slot gets it,
+// emptied, so a reused slot's directory allocates no map.
+type arenaNode struct {
+	inode
+	kids map[string]*inode
 }
 
 // Template is an immutable pristine tree many mounts can share: every
@@ -179,16 +205,32 @@ var emptyRoot = &inode{
 // (/home, /scratch, /proj, the per-node tmp dirs) is in place.
 func (fs *FS) MarkPristine() {
 	fs.pristine = fs.root
+	fs.freeze()
+}
+
+// freeze starts a new write epoch and marks the arenas, so nothing the
+// tree holds now is written or handed out again.
+func (fs *FS) freeze() {
 	fs.epoch = epochs.Add(1)
+	if fs.arena != nil {
+		fs.arena.nodes.Mark()
+		fs.arena.bytes.Mark()
+	}
 }
 
 // Reset restores the mount to the MarkPristine state (or to the
 // post-New tree if no mark was taken), rolling back every mutation
 // since: files, directories, symlinks, mode/owner changes and ACLs.
-// The pristine tree is frozen, so this is one pointer swap however
-// much the trial wrote.
+// The pristine tree is frozen, so this is one pointer swap and a
+// rewind of the arenas however much the trial wrote. Inodes and data
+// the trial created are reused by the next trial's writes.
 func (fs *FS) Reset() {
 	fs.root = fs.pristine
+	fs.reset = true
+	if fs.arena != nil {
+		fs.arena.nodes.Rewind()
+		fs.arena.bytes.Rewind()
+	}
 }
 
 // New creates an empty filesystem whose root is owned by root with
@@ -203,7 +245,7 @@ func New(name string, policy Policy, reg *ids.Registry) *FS {
 // The cluster assembly builds one prototype local mount, freezes it,
 // and stamps out every node's mount from the template in O(1) each.
 func (fs *FS) AsTemplate() *Template {
-	fs.epoch = epochs.Add(1)
+	fs.freeze()
 	return &Template{root: fs.root}
 }
 
@@ -222,11 +264,54 @@ func (fs *FS) owned(n *inode) *inode {
 	if n.epoch == fs.epoch {
 		return n
 	}
-	c := *n
-	c.epoch = fs.epoch
-	c.children = maps.Clone(n.children)
+	c := fs.node(n)
 	c.acl = n.acl.Clone()
-	return &c
+	return c
+}
+
+// node returns an inode of this mount's epoch holding v's fields, from
+// the arena once there is one. A directory gets the slot's kept
+// children map, emptied and filled with v's children; any other inode
+// has none.
+func (fs *FS) node(v *inode) *inode {
+	var a *arenaNode
+	if ar := fs.store(); ar != nil {
+		a = &ar.nodes.Alloc(1)[0]
+	} else {
+		a = new(arenaNode)
+	}
+	kids := a.kids
+	a.inode = *v
+	a.epoch = fs.epoch
+	if v.typ == TypeDir {
+		if kids == nil {
+			kids = make(map[string]*inode, len(v.children))
+		} else {
+			clear(kids)
+		}
+		maps.Copy(kids, v.children)
+		a.children, a.kids = kids, kids
+	}
+	return &a.inode
+}
+
+// store returns the mount's arena, creating it on the first write
+// after a Reset, or nil before any Reset.
+func (fs *FS) store() *arena {
+	if fs.arena == nil && fs.reset {
+		fs.arena = new(arena)
+	}
+	return fs.arena
+}
+
+// copyData returns a copy of data, nil when it is empty, from the
+// arena once there is one. Data is replaced, never written in place,
+// so a copy is only rewritten after Reset.
+func (fs *FS) copyData(data []byte) []byte {
+	if ar := fs.store(); ar != nil {
+		return ar.bytes.Clone(data)
+	}
+	return append([]byte(nil), data...)
 }
 
 // own makes every inode on p, a path the caller has walked, one this
@@ -383,11 +468,7 @@ func (fs *FS) mkdirIn(ctx Context, dir *inode, name string, mode uint32) *inode 
 		group = dir.group
 		eff |= ModeSetgid // setgid propagates down project trees
 	}
-	n := &inode{
-		name: name, typ: TypeDir,
-		owner: ctx.Cred.UID, group: group, mode: eff, epoch: fs.epoch,
-		children: make(map[string]*inode),
-	}
+	n := fs.node(&inode{name: name, typ: TypeDir, owner: ctx.Cred.UID, group: group, mode: eff})
 	dir.children[name] = n
 	return n
 }
@@ -457,7 +538,7 @@ func (fs *FS) WriteFile(ctx Context, path string, data []byte, mode uint32) erro
 		if !fs.can(ctx.Cred, existing, 2) {
 			return &PathError{Op: "write", Path: path, Err: ErrPermission}
 		}
-		fs.own(path).data = append([]byte(nil), data...)
+		fs.own(path).data = fs.copyData(data)
 		return nil
 	}
 	if !fs.can(ctx.Cred, dir, 3) {
@@ -467,13 +548,12 @@ func (fs *FS) WriteFile(ctx Context, path string, data []byte, mode uint32) erro
 	if dir.mode&ModeSetgid != 0 {
 		group = dir.group
 	}
-	fs.own(parentOf(path)).children[name] = &inode{
+	fs.own(parentOf(path)).children[name] = fs.node(&inode{
 		name: name, typ: TypeFile,
 		owner: ctx.Cred.UID, group: group,
-		mode:  fs.effectiveCreateMode(ctx, mode),
-		epoch: fs.epoch,
-		data:  append([]byte(nil), data...),
-	}
+		mode: fs.effectiveCreateMode(ctx, mode),
+		data: fs.copyData(data),
+	})
 	return nil
 }
 

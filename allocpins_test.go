@@ -90,9 +90,9 @@ var allocPins = []struct {
 	{"DeniedProbe/pam-slurm", perOp(deniedPAMSlurm), 2},
 	{"DeniedProbe/portal-forward", perOp(deniedPortalForward), 3},
 	{"DeniedProbe/container-admission", perOp(deniedContainerRun), 1},
-	{"FleetCampaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE4PolicyGrid, 1) }), 2575},
-	{"E16Ablation", perOp(e16Ablation), 12498},
-	{"E17Campaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE17RedTeam, 1) }), 14784},
+	{"FleetCampaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE4PolicyGrid, 1) }), 2520},
+	{"E16Ablation", perOp(e16Ablation), 12487},
+	{"E17Campaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE17RedTeam, 1) }), 14499},
 }
 
 // TestAllocPins checks each single-worker benchmark row's allocations

@@ -466,7 +466,7 @@ func runShardMode(cfg cliConfig, camp fleet.Campaign, faults *fleet.FaultPlan, r
 	if idx < 0 || idx >= n {
 		return exitErr, fmt.Errorf("-shard index %d outside [0, %d)", idx, n)
 	}
-	ck, fails, err := fleet.RunShard(camp, fleet.Options{
+	journaled, fails, err := fleet.RunShard(camp, fleet.Options{
 		Workers:         cfg.workers,
 		Seed:            cfg.seed,
 		DisablePooling:  !cfg.pool,
@@ -504,6 +504,6 @@ func runShardMode(cfg cliConfig, camp fleet.Campaign, faults *fleet.FaultPlan, r
 		}
 		return exitErr, err
 	}
-	fmt.Fprintf(os.Stderr, "fleetrun: shard %d/%d complete: %d trials in journal %s\n", idx, n, ck.Completed(), cfg.checkpoint)
+	fmt.Fprintf(os.Stderr, "fleetrun: shard %d/%d complete: %d trials in journal %s\n", idx, n, journaled, cfg.checkpoint)
 	return 0, nil
 }

@@ -33,8 +33,9 @@ const CheckpointFormat = 2
 // Checkpoint is the resumable state of a partially-executed campaign:
 // identity (campaign name + canonical-encoding hash + master seed)
 // plus, per scenario, one slot per replication holding that trial's
-// own aggregate, nil while the trial is not done. The executor fills
-// the slots in place, so a run's final checkpoint is its trial table.
+// own aggregate, nil while the trial is not done. The executor's trial
+// table is one too: Run's holds the trials that landed ahead of its
+// fold's frontier (tableFold).
 type Checkpoint struct {
 	Campaign     string
 	CampaignHash uint64
@@ -92,8 +93,7 @@ func CampaignHash(c Campaign) (uint64, error) {
 }
 
 // newCheckpoint returns the campaign's empty trial table: one
-// allocation in trial-index order, sliced per scenario. The executor
-// fills it in place, and it is the input of the reduction.
+// allocation in trial-index order, sliced per scenario.
 func newCheckpoint(c Campaign, hash, seed uint64) *Checkpoint {
 	ck := &Checkpoint{Campaign: c.Name, CampaignHash: hash, Seed: seed, Scenarios: make([]ScenarioCheckpoint, len(c.Scenarios))}
 	table := make([]*ScenarioResult, c.Trials())
@@ -105,11 +105,10 @@ func newCheckpoint(c Campaign, hash, seed uint64) *Checkpoint {
 	return ck
 }
 
-// MergeCheckpoints folds checkpoints into the campaign's result: the
-// one reduction every run ends in — Run over its own final checkpoint,
-// a resumed run over a checkpoint carrying restored partials, fleetd
-// over its shards' journals. Every checkpoint is validated against the
-// (campaign, seed) identity first, exactly like a resume. Per
+// MergeCheckpoints folds checkpoints into the campaign's result:
+// fleetd's reduction over its shards' journals, and the one Run's
+// incremental fold must equal. Every checkpoint is validated against
+// the (campaign, seed) identity first, exactly like a resume. Per
 // scenario, single-trial partials merge in replication (= trial-index)
 // order, so for a complete trial set the JSON() bytes are the same
 // however the trials were split across processes and restarts.
@@ -143,13 +142,13 @@ func MergeCheckpoints(c Campaign, seed uint64, cks []*Checkpoint, degrade bool) 
 // validated checkpoints (nil entries are skipped, so a caller can pass
 // live snapshots where some shards have not written a journal yet).
 // Each replication's partial comes from the one checkpoint whose slot
-// is filled, and the partials fold in replication order into a deep
-// copy of the first, so the inputs are never mutated: one checkpoint
+// is filled, and the partials go through one partialFold in
+// replication order, so the inputs are never mutated: one checkpoint
 // set can be merged more than once, and restored partials may alias a
 // caller's ResumeFrom.
 func MergeScenario(c Campaign, cks []*Checkpoint, si int, degrade bool) (*ScenarioResult, error) {
 	spec := &c.Scenarios[si]
-	var agg *ScenarioResult
+	var f partialFold
 	for rep := 0; rep < spec.Replications; rep++ {
 		var p *ScenarioResult
 		for _, ck := range cks {
@@ -169,15 +168,77 @@ func MergeScenario(c Campaign, cks []*Checkpoint, si int, degrade bool) (*Scenar
 			}
 			p = DegradedTrialResult(spec)
 		}
-		if agg == nil {
-			agg = clonePartial(p)
-			continue
-		}
-		if err := agg.Merge(p); err != nil {
+		if err := f.add(p); err != nil {
 			return nil, err
 		}
 	}
-	return agg, nil
+	return f.agg, nil
+}
+
+// partialFold is the reduction of one scenario's partials, fed one at
+// a time in replication order: the first is cloned and every later one
+// is merged into the clone, so no input is mutated. MergeScenario and
+// Run's tableFold are its two callers; sharing it is what makes a run
+// that folds as it goes give MergeCheckpoints' bytes.
+type partialFold struct{ agg *ScenarioResult }
+
+func (f *partialFold) add(p *ScenarioResult) error {
+	if f.agg == nil {
+		f.agg = clonePartial(p)
+		return nil
+	}
+	return f.agg.Merge(p)
+}
+
+// tableFold reduces a trial table while it fills. Its frontier is the
+// first trial, in trial-index order, whose slot is still empty;
+// advance folds every filled slot before the frontier into its
+// scenario's partialFold and clears the slot. The table therefore holds
+// only the trials that landed ahead of the frontier, and the folds run
+// in MergeCheckpoints' order whatever order the slots fill in. The
+// first fold error stops the frontier for good and is kept for result.
+type tableFold struct {
+	ck      *Checkpoint
+	si, rep int // the frontier
+	scen    []partialFold
+	err     error
+}
+
+func newTableFold(ck *Checkpoint) *tableFold {
+	return &tableFold{ck: ck, scen: make([]partialFold, len(ck.Scenarios))}
+}
+
+func (f *tableFold) advance() {
+	for f.err == nil && f.si < len(f.ck.Scenarios) {
+		sc := &f.ck.Scenarios[f.si]
+		if f.rep == sc.Replications {
+			f.si, f.rep = f.si+1, 0
+			continue
+		}
+		p := f.ck.Trial(f.si, f.rep)
+		if p == nil {
+			return
+		}
+		f.err = f.scen[f.si].add(p)
+		sc.Trials[f.rep] = nil
+		f.rep++
+	}
+}
+
+// result is the campaign's result, once the frontier has passed every
+// trial of the table.
+func (f *tableFold) result(c Campaign, seed uint64) (*CampaignResult, error) {
+	if f.err != nil {
+		return nil, f.err
+	}
+	if f.si < len(c.Scenarios) {
+		return nil, fmt.Errorf("fleet: scenario %q replication %d was never folded", c.Scenarios[f.si].Name, f.rep)
+	}
+	res := &CampaignResult{Campaign: c.Name, Seed: seed, Scenarios: make([]*ScenarioResult, len(f.scen))}
+	for si := range f.scen {
+		res.Scenarios[si] = f.scen[si].agg
+	}
+	return res, nil
 }
 
 // clonePartial deep-copies a partial (the histogram's bucket slice and

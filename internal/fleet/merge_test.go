@@ -23,20 +23,24 @@ func resultJSON(t *testing.T, res *fleet.CampaignResult, err error) []byte {
 }
 
 // shardCheckpoints runs every shard of the plan and returns their
-// final checkpoints, in shard order.
+// journals, loaded as fleetd loads them, in shard order.
 func shardCheckpoints(t *testing.T, c fleet.Campaign, plan []shard.Assignment) []*fleet.Checkpoint {
 	t.Helper()
 	dir := t.TempDir()
 	cks := make([]*fleet.Checkpoint, len(plan))
 	for i, a := range plan {
-		ck, _, err := fleet.RunShard(c, fleet.Options{
-			Seed:           7,
-			CheckpointPath: filepath.Join(dir, fmt.Sprintf("shard-%d.ck.json", i)),
-		}, fleet.ShardRun{Index: i, Count: len(plan), Ranges: a.Ranges})
+		path := filepath.Join(dir, fmt.Sprintf("shard-%d.ck.json", i))
+		n, _, err := fleet.RunShard(c, fleet.Options{Seed: 7, CheckpointPath: path},
+			fleet.ShardRun{Index: i, Count: len(plan), Ranges: a.Ranges})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cks[i] = ck
+		if cks[i], err = fleet.LoadCheckpoint(path); err != nil {
+			t.Fatal(err)
+		}
+		if got := cks[i].Completed(); got != n || n != a.Trials() {
+			t.Fatalf("shard %d: RunShard reports %d journaled trials, the journal holds %d, the shard owns %d", i, n, got, a.Trials())
+		}
 	}
 	return cks
 }

@@ -256,8 +256,9 @@ func (r *CampaignResult) Table() *metrics.Table {
 }
 
 // Run executes every trial of the campaign across a pool of worker
-// goroutines and reduces the run's final checkpoint with
-// MergeCheckpoints, merging per-trial results in replication order.
+// goroutines and folds each per-trial result into its scenario's
+// aggregate once every earlier trial of the run is in, the Merge
+// sequence MergeCheckpoints runs over the same trials.
 //
 // Determinism contract: for a fixed (campaign, seed) the result —
 // including its JSON() bytes — is identical for any worker count and
@@ -266,7 +267,8 @@ func (r *CampaignResult) Table() *metrics.Table {
 // trial's RNG stream is derived from (scenario name, replication
 // index) rather than from draw order, and the reduction merges
 // fixed-size per-trial aggregates in trial-index order rather than
-// completion order.
+// completion order: a trial that lands early waits in the trial table
+// until the frontier reaches it.
 //
 // Failure model (see DESIGN.md §8): a panicking trial is retried
 // under the identical stream seed on a quarantined-then-rebuilt
@@ -288,7 +290,7 @@ func Run(c Campaign, opt Options) (*CampaignResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := MergeCheckpoints(c, opt.Seed, []*Checkpoint{st.ck}, false)
+	res, err := st.fold.result(c, opt.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -313,9 +315,18 @@ type trialRef struct {
 	rep      int
 }
 
+// trialOutcome is what a worker hands the recording loop for one
+// queued trial.
+type trialOutcome struct {
+	res   *ScenarioResult
+	fails []TrialFailure
+	err   error
+}
+
 // runState is what execute hands back to Run and RunShard.
 type runState struct {
-	ck            *Checkpoint    // the final checkpoint, built whether or not it was saved
+	fold          *tableFold     // Run's reduction; nil under RunShard
+	journaled     int            // trials the journal holds, restored ones included
 	failures      []TrialFailure // flattened, trial-index order
 	writeFailures int
 	finalCkErr    error
@@ -332,9 +343,10 @@ const (
 )
 
 // execute runs the campaign's trials in the per-scenario replication
-// ranges and ends in a checkpoint of every completed trial, restored
-// ones included; the caller reduces it. sh is the shard identity that
-// arms shard-level faults — nil under Run, which owns every range.
+// ranges. Under Run (sh nil: it owns every range) it folds each trial
+// into the run's result as the frontier passes it; under RunShard the
+// journal is the result and a trial is dropped once it is encoded
+// there. sh is the shard identity that arms shard-level faults.
 //
 // Workers pull trials from a queue filled and closed before they
 // start, and announce each finished trial on done. Everything else —
@@ -360,8 +372,8 @@ func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runStat
 	m := newRunMetrics(opt.Metrics)
 
 	// ck is the run's trial table. Restored partials alias the caller's
-	// Checkpoint: nothing downstream mutates them (MergeCheckpoints folds
-	// into a clone), so one Checkpoint can seed any number of resumes.
+	// Checkpoint: nothing downstream mutates them (the fold merges into
+	// a clone), so one Checkpoint can seed any number of resumes.
 	ck := newCheckpoint(c, hash, opt.Seed)
 	restored := 0
 	if opt.ResumeFrom != nil {
@@ -432,6 +444,15 @@ func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runStat
 		_ = jw.flush(nil)
 		defer jw.close()
 	}
+	// Under Run the table is folded as it fills: the restored trials at
+	// the head of the trial order go at once, and each completion
+	// advances the frontier as far as the landed trials reach. Only the
+	// recording loop below touches the table and the fold.
+	var fold *tableFold
+	if sh == nil {
+		fold = newTableFold(ck)
+		fold.advance()
+	}
 
 	every := opt.CheckpointEvery
 	if every <= 0 {
@@ -467,16 +488,18 @@ func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runStat
 		return err
 	}
 
-	// Each worker writes only its own trial's slots, so the table and
-	// the slices (indexed like todo) need no lock; the send of k on done
-	// is the happens-before edge to the loop below, which reads them.
-	// Cluster pooling is strictly per worker (each goroutine owns its
-	// pool; pooled clusters are never handed across goroutines), so
-	// trials stay share-nothing and the determinism argument is
-	// untouched by which worker runs which trial. done holds every
-	// queued trial, so no worker ever waits on the loop.
-	errs := make([]error, len(todo))
-	failures := make([][]TrialFailure, len(todo))
+	// Each worker writes only its own trial's outcome (outs is indexed
+	// like todo), so it needs no lock; the send of k on done is the
+	// happens-before edge to the loop below, which reads it. Cluster
+	// pooling is strictly per worker (each goroutine owns its pool;
+	// pooled clusters are never handed across goroutines), so trials
+	// stay share-nothing and the determinism argument is untouched by
+	// which worker runs which trial. A worker takes trial indices in
+	// increasing order, so once it takes a trial of a later scenario it
+	// never runs the earlier one again, and it releases that slot's
+	// pooled cluster then. done holds every queued trial, so no worker
+	// ever waits on the loop.
+	outs := make([]trialOutcome, len(todo))
 	done := make(chan int, queued)
 	for w := 0; w < workers; w++ {
 		go func(worker int) {
@@ -486,11 +509,17 @@ func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runStat
 			if tracing {
 				tw.rec = &obs.Recorder{}
 			}
+			last := -1
 			for k := range queue {
 				inj.delayWorker(worker)
 				inj.delayShardTrial()
 				ref := todo[k]
-				ck.Scenarios[ref.scenario].Trials[ref.rep], failures[k], errs[k] = tw.runTrialIsolated(ref.scenario, ref.rep, trialAttempts)
+				if ref.scenario != last {
+					delete(tw.slots, last)
+					last = ref.scenario
+				}
+				o := &outs[k]
+				o.res, o.fails, o.err = tw.runTrialIsolated(ref.scenario, ref.rep, trialAttempts)
 				if tracing {
 					spanGroups[k] = tw.rec.Take()
 				}
@@ -532,25 +561,35 @@ func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runStat
 			continue
 		}
 		running--
+		// The outcome gives up its result here, so from now on only the
+		// table holds it, and only until the frontier folds it.
+		o := &outs[k]
+		res := o.res
+		o.res = nil
 		// A trial that errored records nothing; the error is reported
 		// after the final checkpoint. A killed or wedged shard records
 		// nothing further: the count and the journal stay frozen at the
 		// fault point, which is what makes retry-from-checkpoint
 		// deterministic.
-		if errs[k] != nil || dead != stateAlive {
+		if o.err != nil || dead != stateAlive {
 			continue
 		}
 		m.trialsCompleted.Inc()
 		completed++
+		// The journal encodes the trial before the fold may release it.
 		// A failed periodic write is tolerated — counted, its lines kept
 		// and retried at the next interval: losing one checkpoint must
 		// not kill the campaign the checkpoint exists to protect.
+		ref := todo[k]
 		if jw != nil {
-			ref := todo[k]
-			jw.add(ref.scenario, ref.rep, ck.Trial(ref.scenario, ref.rep))
+			jw.add(ref.scenario, ref.rep, res)
 			if completed%every == 0 {
 				_ = writeCheckpoint()
 			}
+		}
+		if fold != nil {
+			ck.Scenarios[ref.scenario].Trials[ref.rep] = res
+			fold.advance()
 		}
 		if opt.Progress != nil {
 			opt.Progress(restored + completed)
@@ -570,9 +609,9 @@ func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runStat
 		}
 	}
 
-	st := &runState{spans: spanGroups}
-	for _, f := range failures {
-		st.failures = append(st.failures, f...)
+	st := &runState{spans: spanGroups, fold: fold, journaled: restored + completed}
+	for _, o := range outs {
+		st.failures = append(st.failures, o.fails...)
 	}
 
 	// An abruptly-dead or wedged shard writes NO final checkpoint:
@@ -593,22 +632,19 @@ func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runStat
 
 	// The final checkpoint covers every drained trial no matter how
 	// the run ends — complete, interrupted, or about to abort on a
-	// trial error — so completed work is never thrown away. It is the
-	// trial table itself, whose filled slots are exactly the restored
-	// and the completed trials (a trial that errors leaves its slot
-	// nil), and it is the input of the reduction whether or not it is
-	// saved.
-	st.ck = ck
+	// trial error — so completed work is never thrown away: the journal
+	// holds exactly the restored and the completed trials (a trial that
+	// errors records nothing).
 	if jw != nil {
 		st.finalCkErr = writeCheckpoint()
 	}
 	st.writeFailures = writeFailures // the final write's failure included, as documented on CheckpointWriteFailures
 	st.ckSpans = ckSpans
 
-	for k, err := range errs {
-		if err != nil {
+	for k, o := range outs {
+		if o.err != nil {
 			ref := todo[k]
-			return st, fmt.Errorf("fleet: scenario %q replication %d: %w", c.Scenarios[ref.scenario].Name, ref.rep, err)
+			return st, fmt.Errorf("fleet: scenario %q replication %d: %w", c.Scenarios[ref.scenario].Name, ref.rep, o.err)
 		}
 	}
 	// An interrupt that raced the last completion interrupted

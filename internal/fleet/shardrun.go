@@ -8,12 +8,12 @@ package fleet
 // the same determinism contract. Its result artifact is deliberately
 // not a CampaignResult but its checkpoint journal: per-trial
 // aggregates at global replication indices, which the supervisor
-// reduces with MergeCheckpoints — the same call Run ends in — so a
-// sharded campaign's merged JSON is byte-identical to a 1-process run
-// by construction. The same journal doubles as the shard's recovery
-// state — a killed or wedged shard worker resumes from it instead of
-// recomputing, exactly like an interrupted fleetrun — and its growth
-// is the shard's liveness signal.
+// reduces with MergeScenario — the same partialFold Run folds its
+// trials with — so a sharded campaign's merged JSON is byte-identical
+// to a 1-process run by construction. The same journal doubles as the
+// shard's recovery state — a killed or wedged shard worker resumes
+// from it instead of recomputing, exactly like an interrupted
+// fleetrun — and its growth is the shard's liveness signal.
 
 import (
 	"errors"
@@ -97,35 +97,36 @@ func (sh *ShardRun) Trials() int {
 }
 
 // RunShard executes the shard's slice of the campaign and returns the
-// final checkpoint — per-trial aggregates at global replication
-// indices, the artifact the supervisor merges — plus the structured
-// failure ledger. Options.CheckpointPath is required: the journal IS
-// the shard's durable result, appended periodically for recovery and
-// once more on success. Resume, panic isolation, interrupt drain and
-// campaign-level chaos all behave exactly as under Run; shard-level
-// FaultPlan faults (kill, blackhole, slow) additionally arm against
-// sh's (Index, Attempt).
-func RunShard(c Campaign, opt Options, sh ShardRun) (*Checkpoint, []TrialFailure, error) {
+// number of trials its journal holds, restored ones included, plus the
+// structured failure ledger. Options.CheckpointPath is required: the
+// journal IS the shard's result — per-trial aggregates at global
+// replication indices, the artifact the supervisor merges — appended
+// periodically for recovery and once more on success, so a trial is
+// dropped from memory once it is encoded there. Resume, panic
+// isolation, interrupt drain and campaign-level chaos all behave
+// exactly as under Run; shard-level FaultPlan faults (kill, blackhole,
+// slow) additionally arm against sh's (Index, Attempt).
+func RunShard(c Campaign, opt Options, sh ShardRun) (int, []TrialFailure, error) {
 	if opt.CheckpointPath == "" {
-		return nil, nil, fmt.Errorf("fleet: RunShard requires Options.CheckpointPath (the journal is the shard's result artifact)")
+		return 0, nil, fmt.Errorf("fleet: RunShard requires Options.CheckpointPath (the journal is the shard's result artifact)")
 	}
 	if err := c.Validate(); err != nil {
-		return nil, nil, err
+		return 0, nil, err
 	}
 	if err := sh.validate(c); err != nil {
-		return nil, nil, err
+		return 0, nil, err
 	}
 	st, err := execute(c, opt, sh.Ranges, &sh)
 	if err != nil {
 		if st == nil {
-			return nil, nil, err
+			return 0, nil, err
 		}
-		return nil, st.failures, err
+		return 0, st.failures, err
 	}
 	if st.finalCkErr != nil {
-		return nil, st.failures, fmt.Errorf("fleet: shard %d completed but its final checkpoint write failed: %w", sh.Index, st.finalCkErr)
+		return 0, st.failures, fmt.Errorf("fleet: shard %d completed but its final checkpoint write failed: %w", sh.Index, st.finalCkErr)
 	}
-	return st.ck, st.failures, nil
+	return st.journaled, st.failures, nil
 }
 
 // DegradedTrialResult is the aggregate a trial degrades to when it

@@ -37,8 +37,8 @@ func (fs *FS) Symlink(ctx Context, target, linkPath string) error {
 	fs.own(parentOf(linkPath)).children[name] = fs.node(&inode{
 		name: name, typ: TypeSymlink,
 		owner: ctx.Cred.UID, group: ctx.Cred.EGID,
-		mode: 0o777, // symlink modes are ignored, like Linux
-		data: fs.copyData([]byte(target)),
+		mode:   0o777, // symlink modes are ignored, like Linux
+		target: target,
 	})
 	return nil
 }
@@ -52,7 +52,7 @@ func (fs *FS) Readlink(ctx Context, path string) (string, error) {
 	if n.typ != TypeSymlink {
 		return "", &PathError{Path: path, Err: ErrInvalid}
 	}
-	return string(n.data), nil
+	return n.target, nil
 }
 
 // walkNoFollow resolves the path like walk but does not follow a
@@ -110,7 +110,7 @@ func (fs *FS) resolveLinks(ctx Context, path string, hops int) (string, error) {
 			return "", &SymlinkError{Path: path, Owner: n.owner}
 		}
 	}
-	return fs.resolveLinks(ctx, string(n.data), hops+1)
+	return fs.resolveLinks(ctx, n.target, hops+1)
 }
 
 // ReadFileFollow reads through symlinks (ReadFile itself is

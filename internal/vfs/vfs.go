@@ -90,6 +90,7 @@ type inode struct {
 	mode     uint32 // low 12 bits
 	epoch    uint64 // the write epoch that may change this inode in place
 	data     []byte // replaced, never written in place
+	target   string // a symlink's target, as given
 	children map[string]*inode
 	acl      *ACL
 }
@@ -608,7 +609,7 @@ func (fs *FS) infoOf(n *inode, path string) *FileInfo {
 	fi := &FileInfo{
 		Name: n.name, Path: path, Type: n.typ,
 		Owner: n.owner, Group: n.group, Mode: n.mode,
-		Size: int64(len(n.data)),
+		Size: int64(len(n.data) + len(n.target)), // a symlink's size is its target's length, as lstat reports
 	}
 	if n.acl != nil {
 		fi.ACL = n.acl.Clone()

@@ -207,7 +207,7 @@ func fuzzTree(in *fuzzInput) *FS {
 // place. ACLs and file data are copied; the result shares nothing with
 // the original.
 func (n *inode) deepCopy(epoch uint64) *inode {
-	c := &inode{name: n.name, typ: n.typ, owner: n.owner, group: n.group, mode: n.mode, epoch: epoch}
+	c := &inode{name: n.name, typ: n.typ, owner: n.owner, group: n.group, mode: n.mode, epoch: epoch, target: n.target}
 	if n.data != nil {
 		c.data = append([]byte(nil), n.data...)
 	}
@@ -225,7 +225,7 @@ func (n *inode) deepCopy(epoch uint64) *inode {
 // the vfs keeps but the epoch.
 func sameTree(a, b *inode) bool {
 	if a.name != b.name || a.typ != b.typ || a.owner != b.owner || a.group != b.group ||
-		a.mode != b.mode || !bytes.Equal(a.data, b.data) || !sameACL(a.acl, b.acl) ||
+		a.mode != b.mode || !bytes.Equal(a.data, b.data) || a.target != b.target || !sameACL(a.acl, b.acl) ||
 		len(a.children) != len(b.children) || (a.children == nil) != (b.children == nil) {
 		return false
 	}

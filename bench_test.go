@@ -78,7 +78,7 @@ func e1ProcScan(tb testing.TB, cfg core.Config) func() {
 // BenchmarkE1ProcScan: a full `ps` pass over a busy login node at each
 // hidepid level.
 func BenchmarkE1ProcScan(b *testing.B) {
-	for _, cfg := range []core.Config{core.Baseline(), core.Enhanced()} {
+	for _, cfg := range []core.Config{core.BaselineProfile().MustConfig(), core.Enhanced()} {
 		b.Run(cfg.Name, func(b *testing.B) { benchOp(b, e1ProcScan(b, cfg)) })
 	}
 }
@@ -116,7 +116,7 @@ func e3Squeue(tb testing.TB, cfg core.Config) func() {
 
 // BenchmarkE3Squeue: squeue under PrivateData with a 200-job queue.
 func BenchmarkE3Squeue(b *testing.B) {
-	for _, cfg := range []core.Config{core.Baseline(), core.Enhanced()} {
+	for _, cfg := range []core.Config{core.BaselineProfile().MustConfig(), core.Enhanced()} {
 		b.Run(cfg.Name, func(b *testing.B) { benchOp(b, e3Squeue(b, cfg)) })
 	}
 }
@@ -197,12 +197,14 @@ func e5SSHGate(tb testing.TB) func() {
 	}
 	c.Step()
 	node := c.Compute[0]
+	// The login shell is the only process the op adds; rewinding the
+	// table to a mark taken here removes it again.
+	node.Procs.MarkPristine()
 	return func() {
-		sh, err := node.Login(alice.Cred)
-		if err != nil {
+		if _, err := node.Login(alice.Cred); err != nil {
 			tb.Fatal(err)
 		}
-		_ = node.Procs.Exit(sh.PID)
+		node.Procs.Reset()
 	}
 }
 
@@ -231,7 +233,7 @@ func e6FSMatrix(tb testing.TB, cfg core.Config) func() {
 // BenchmarkE6FSMatrix: create + chmod + cross-user read attempt under
 // smask, the per-file cost of the filesystem measures.
 func BenchmarkE6FSMatrix(b *testing.B) {
-	for _, cfg := range []core.Config{core.Baseline(), core.Enhanced()} {
+	for _, cfg := range []core.Config{core.BaselineProfile().MustConfig(), core.Enhanced()} {
 		b.Run(cfg.Name, func(b *testing.B) { benchOp(b, e6FSMatrix(b, cfg)) })
 	}
 }
@@ -422,7 +424,7 @@ func e12Read(tb testing.TB, inside bool) func() {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := ct.WriteFile(user.HomePath+"/data", []byte("payload"), 0o600); err != nil {
+	if err := ct.NS.WriteFile(vfs.Ctx(user.Cred), user.HomePath+"/data", []byte("payload"), 0o600); err != nil {
 		tb.Fatal(err)
 	}
 	read := func() ([]byte, error) { return ct.ReadFile(user.HomePath + "/data") }
@@ -511,7 +513,7 @@ func e14Datapath(tb testing.TB, encrypted bool) func() {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	scAcc, err := mpicrypt.Secure(acc, []byte("job-token"))
+	opener, err := mpicrypt.NewSealer([]byte("job-token"))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -519,7 +521,11 @@ func e14Datapath(tb testing.TB, encrypted bool) func() {
 		if err := sc.Send(payload); err != nil {
 			tb.Fatal(err)
 		}
-		if _, err := scAcc.Recv(); err != nil {
+		box, ok := acc.Recv()
+		if !ok {
+			tb.Fatal("lost payload")
+		}
+		if _, err := opener.Open(box); err != nil {
 			tb.Fatal(err)
 		}
 	}

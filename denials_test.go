@@ -175,10 +175,6 @@ func TestDenialErrorText(t *testing.T) {
 			_, err := c.Containers.Run(stranger.Cred, node, c.NS[node.Name], h1, container.RunSpec{Image: "img", RequestPrivileged: true})
 			return err
 		}, "container: privileged execution refused: uid 1001", container.ErrPrivileged, as[container.AdmissionError]},
-		{"container/build", func() error {
-			_, err := c.Containers.Build(stranger.Cred, "img2", nil)
-			return err
-		}, "container: building images requires administrative privileges not granted on HPC systems: uid 1001", container.ErrBuildForbidden, as[container.AdmissionError]},
 	}
 	for _, tc := range cases {
 		err := tc.deny()

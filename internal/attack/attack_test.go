@@ -12,6 +12,15 @@ import (
 	"repro/internal/metrics"
 )
 
+// mustNewWithProfile is NewWithProfile, failing on error.
+func mustNewWithProfile(p core.Profile, opts ...core.Option) *core.Cluster {
+	c, err := core.NewWithProfile(p, opts...)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 // attackTopo is the test geometry for scans and campaigns: room for
 // the victim's eternal job, GPU jobs on both sides, and two login nodes
 // so the attacker works from a different login than the victim.
@@ -126,7 +135,7 @@ func TestModelsValidateAndKillChainCoversRegistry(t *testing.T) {
 // chain leaks and nothing is ever denied.
 func TestExecuteBaselineKillChain(t *testing.T) {
 	chain := mustCompile(t, "kill-chain")
-	c := core.MustNew(core.Baseline(), attackTopo())
+	c := core.MustNew(core.BaselineProfile().MustConfig(), attackTopo())
 	var rng metrics.RNG
 	rng.Reseed(1)
 	out, rep, err := chain.Execute(c, &rng, 4000)
@@ -231,12 +240,12 @@ func TestExecuteGapDraws(t *testing.T) {
 // cluster reset to its mark.
 func TestRunMatchesExecute(t *testing.T) {
 	clusters := map[string]func() *core.Cluster{
-		"baseline": func() *core.Cluster { return core.MustNew(core.Baseline(), attackTopo()) },
+		"baseline": func() *core.Cluster { return core.MustNew(core.BaselineProfile().MustConfig(), attackTopo()) },
 		"enhanced": func() *core.Cluster { return core.MustNew(core.Enhanced(), attackTopo()) },
 	}
 	for _, m := range core.Measures() {
 		clusters["-"+m.Name] = func() *core.Cluster {
-			return core.MustNewWithProfile(core.EnhancedProfile(), core.Without(m.Name))
+			return mustNewWithProfile(core.EnhancedProfile(), core.Without(m.Name))
 		}
 	}
 	for name, build := range clusters {
@@ -273,7 +282,7 @@ func TestAggMergeMatchesSequentialAdd(t *testing.T) {
 		if i == 1 {
 			c = core.MustNew(core.Enhanced(), attackTopo())
 		} else {
-			c = core.MustNew(core.Baseline(), attackTopo())
+			c = core.MustNew(core.BaselineProfile().MustConfig(), attackTopo())
 		}
 		var rng metrics.RNG
 		rng.Reseed(uint64(100 + i))
@@ -405,7 +414,7 @@ func TestKillChainAblationDiagonal(t *testing.T) {
 					want = append(want, st.Name)
 				}
 			}
-			c := core.MustNewWithProfile(core.EnhancedProfile(), core.Without(m.Name))
+			c := mustNewWithProfile(core.EnhancedProfile(), core.Without(m.Name))
 			var rng metrics.RNG
 			rng.Reseed(11)
 			out, rep, err := chain.Execute(c, &rng, 4000)

@@ -70,7 +70,7 @@ func TestLeakScanAblations(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := []core.Option{core.WithName(tc.name)}
+			var opts []core.Option
 			if tc.ablate != "" {
 				opts = append(opts, core.Without(tc.ablate))
 			}
@@ -82,6 +82,7 @@ func TestLeakScanAblations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			cfg.Name = tc.name
 			if tc.mutate != nil {
 				tc.mutate(&cfg)
 			}

@@ -73,7 +73,7 @@ func refused(err error, present bool) bool {
 	case *portal.ForwardError:
 		return e.Err == portal.ErrForbidden
 	case *container.AdmissionError:
-		return e.Err == container.ErrPrivileged || e.Err == container.ErrBuildForbidden
+		return e.Err == container.ErrPrivileged
 	case *vfs.SymlinkError, *vfs.ACLError, *sched.PAMError, *simos.LoginError,
 		*simos.DevError, *gpu.DeviceError:
 		return true // the sentinel under Unwrap is fixed, and a refusal

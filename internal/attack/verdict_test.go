@@ -50,7 +50,6 @@ func TestVerdictOfRefusalTable(t *testing.T) {
 		{"portal.ForwardError/ErrExist", &portal.ForwardError{Path: "/jupyter/victim", Err: vfs.ErrExist}, false, audit.Inconclusive},
 		{"portal.ForwardError/ErrNotExist", &portal.ForwardError{Path: "/jupyter/victim", Err: vfs.ErrNotExist}, false, audit.Inconclusive},
 		{"container.AdmissionError/ErrPrivileged", &container.AdmissionError{UID: 1001, Err: container.ErrPrivileged, NotGranted: true}, false, audit.Denied},
-		{"container.AdmissionError/ErrBuildForbidden", &container.AdmissionError{UID: 1001, Err: container.ErrBuildForbidden}, false, audit.Denied},
 		{"container.AdmissionError/ErrExist", &container.AdmissionError{UID: 1001, Err: vfs.ErrExist}, false, audit.Inconclusive},
 		{"container.AdmissionError/ErrNotExist", &container.AdmissionError{UID: 1001, Err: vfs.ErrNotExist}, false, audit.Inconclusive},
 		{"procfs.ErrHidden", procfs.ErrHidden, false, audit.Denied},

@@ -10,8 +10,8 @@
 //   - host local and central filesystems are passed through as bind
 //     mounts, so smask / UPG / ACL restrictions still bind;
 //   - users cannot BUILD containers on the HPC system (that requires
-//     privileges they do not have); images are built elsewhere and
-//     brought in as files.
+//     privileges they do not have): the runtime has no build path at
+//     all; images are built elsewhere and brought in as files.
 //
 // The net effect the tests verify: "all of the security features
 // described in this paper pass through to the container as well."
@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"sort"
 	"strconv"
 
 	"repro/internal/ids"
@@ -40,9 +39,8 @@ type Image struct {
 
 // Container errors.
 var (
-	ErrBuildForbidden = errors.New("container: building images requires administrative privileges not granted on HPC systems")
-	ErrNoImage        = errors.New("container: no such image")
-	ErrPrivileged     = errors.New("container: privileged execution refused")
+	ErrNoImage    = errors.New("container: no such image")
+	ErrPrivileged = errors.New("container: privileged execution refused")
 )
 
 // Runtime is the per-cluster container engine (the apptainer binary +
@@ -94,11 +92,10 @@ func (r *Runtime) Allow(uid ids.UID) {
 	r.allowed[uid] = true
 }
 
-// AdmissionError is a build or run the runtime refused for UID, in
-// the shape of os.PathError: Err is the sentinel (ErrPrivileged,
-// ErrBuildForbidden), and NotGranted marks a run refused because the
-// user was never approved for the runtime. The text is built only when
-// Error is called.
+// AdmissionError is a run the runtime refused for UID, in the shape
+// of os.PathError: Err is the sentinel (ErrPrivileged), and NotGranted
+// marks a run refused because the user was never approved for the
+// runtime. The text is built only when Error is called.
 type AdmissionError struct {
 	UID        ids.UID
 	Err        error
@@ -115,17 +112,6 @@ func (e *AdmissionError) Error() string {
 
 func (e *AdmissionError) Unwrap() error { return e.Err }
 
-// Build refuses for everyone except root: "users cannot create and
-// populate their Singularity containers on the HPC system; they must
-// use their own computer" (§IV-G). ImportImage is how pre-built
-// images arrive.
-func (r *Runtime) Build(cred ids.Credential, name string, files map[string]string) (*Image, error) {
-	if !cred.IsRoot() {
-		return nil, &AdmissionError{UID: cred.UID, Err: ErrBuildForbidden}
-	}
-	return r.ImportImage(name, files), nil
-}
-
 // ImportImage registers an image built off-system (on the user's own
 // machine where they have admin rights).
 func (r *Runtime) ImportImage(name string, files map[string]string) *Image {
@@ -139,15 +125,6 @@ func (r *Runtime) ImportImage(name string, files map[string]string) *Image {
 	maps.Copy(img.Files, files)
 	r.images[name] = img
 	return img
-}
-
-// Image looks up a registered image.
-func (r *Runtime) Image(name string) (*Image, error) {
-	img, ok := r.images[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoImage, name)
-	}
-	return img, nil
 }
 
 // Container is one running instance: the user's credential, the host
@@ -197,25 +174,6 @@ func (r *Runtime) Run(cred ids.Credential, node *simos.Node, ns *vfs.Namespace, 
 	return ct, nil
 }
 
-// ReadImageFile reads a file baked into the image (read-only layer).
-func (c *Container) ReadImageFile(path string) (string, error) {
-	v, ok := c.Image.Files[path]
-	if !ok {
-		return "", fmt.Errorf("%w: %s in image %s", vfs.ErrNotExist, path, c.Image.Name)
-	}
-	return v, nil
-}
-
-// ImagePaths lists the image's baked-in files.
-func (c *Container) ImagePaths() []string {
-	out := make([]string, 0, len(c.Image.Files))
-	for p := range c.Image.Files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // The passthrough operations: every host mount is visible with the
 // caller's own credential, so host-side enforcement (smask, UPG
 // homes, ACL restriction) applies unchanged inside the container.
@@ -225,29 +183,8 @@ func (c *Container) ReadFile(path string) ([]byte, error) {
 	return c.NS.ReadFile(vfs.Ctx(c.Cred), path)
 }
 
-// WriteFile writes a host path through the bind mount.
-func (c *Container) WriteFile(path string, data []byte, mode uint32) error {
-	return c.NS.WriteFile(vfs.Ctx(c.Cred), path, data, mode)
-}
-
-// Chmod chmods a host path through the bind mount (smask still
-// applies — the FS enforces it by policy, not by caller location).
-func (c *Container) Chmod(path string, mode uint32) error {
-	return c.NS.Chmod(vfs.Ctx(c.Cred), path, mode)
-}
-
 // Dial opens a network connection through the host stack: the UBF
 // hook on the destination sees the container user's credential.
 func (c *Container) Dial(proto netsim.Proto, dstHost string, dstPort int) (*netsim.Conn, error) {
 	return c.Net.Dial(c.Cred, proto, dstHost, dstPort)
-}
-
-// Listen binds a service through the host stack.
-func (c *Container) Listen(proto netsim.Proto, port int) (*netsim.Listener, error) {
-	return c.Net.Listen(c.Cred, proto, port)
-}
-
-// Exit terminates the container process.
-func (c *Container) Exit() {
-	_ = c.Node.Procs.Exit(c.Proc.PID)
 }

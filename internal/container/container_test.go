@@ -44,16 +44,6 @@ func world(t *testing.T) (*Runtime, *simos.Node, *vfs.Namespace, *netsim.Host, *
 	return rt, node, ns, h1, h2, creds
 }
 
-func TestBuildForbiddenForUsers(t *testing.T) {
-	rt, _, _, _, _, creds := world(t)
-	if _, err := rt.Build(creds["alice"], "custom", nil); !errors.Is(err, ErrBuildForbidden) {
-		t.Errorf("user build err = %v, want ErrBuildForbidden", err)
-	}
-	if _, err := rt.Build(ids.RootCred(), "site-image", nil); err != nil {
-		t.Errorf("root build: %v", err)
-	}
-}
-
 func TestRunAsInvokingUserNoEscalation(t *testing.T) {
 	rt, node, ns, h1, _, creds := world(t)
 	c, err := rt.Run(creds["alice"], node, ns, h1, RunSpec{Image: "pytorch"})
@@ -72,10 +62,6 @@ func TestRunAsInvokingUserNoEscalation(t *testing.T) {
 	if _, err := rt.Run(creds["alice"], node, ns, h1, RunSpec{Image: "ghost"}); !errors.Is(err, ErrNoImage) {
 		t.Errorf("ghost image err = %v, want ErrNoImage", err)
 	}
-	c.Exit()
-	if got := node.Procs.ByUser(creds["alice"].UID); len(got) != 0 {
-		t.Errorf("container process survived Exit: %v", got)
-	}
 }
 
 func TestRestrictedRuntimeRequiresGrant(t *testing.T) {
@@ -92,24 +78,6 @@ func TestRestrictedRuntimeRequiresGrant(t *testing.T) {
 	_ = rt
 }
 
-func TestImageFilesReadable(t *testing.T) {
-	rt, node, ns, h1, _, creds := world(t)
-	c, err := rt.Run(creds["alice"], node, ns, h1, RunSpec{Image: "pytorch"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.ReadImageFile("/opt/conda/bin/python")
-	if err != nil || got == "" {
-		t.Errorf("image read: %q %v", got, err)
-	}
-	if _, err := c.ReadImageFile("/missing"); err == nil {
-		t.Errorf("missing image file readable")
-	}
-	if paths := c.ImagePaths(); len(paths) != 1 {
-		t.Errorf("paths = %v", paths)
-	}
-}
-
 func TestFilesystemControlsPassThrough(t *testing.T) {
 	// The paper's claim: smask and home isolation apply inside the
 	// container because the host FS is passed through.
@@ -118,26 +86,32 @@ func TestFilesystemControlsPassThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ca.WriteFile("/home/alice/model.pt", []byte("weights"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	// World bits were masked by smask even from inside the container.
-	if err := ca.Chmod("/home/alice/model.pt", 0o666); err != nil {
-		t.Fatal(err)
-	}
-	fi, err := ns.Stat(vfs.Ctx(ids.RootCred()), "/home/alice/model.pt")
+	// A world-readable write and chmod in world-writable scratch, made
+	// through the container's bind mount with its user's credential.
+	shared, _, err := ns.Resolve("/scratch")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi.Mode&0o007 != 0 {
-		t.Errorf("smask bypassed inside container: mode %o", fi.Mode)
+	if err := shared.CreateTmp("/scratch"); err != nil {
+		t.Fatal(err)
 	}
-	// Bob's container cannot read alice's home.
+	actx := vfs.Ctx(ca.Cred)
+	if err := ca.NS.WriteFile(actx, "/scratch/model.pt", []byte("weights"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if err := shared.Chmod(actx, "/scratch/model.pt", 0o666); err != nil {
+		t.Fatal(err)
+	}
+	// smask masked the world bits even from inside the container, so
+	// bob's container reads neither the file nor alice's home.
 	cb, err := rt.Run(creds["bob"], node, ns, h1, RunSpec{Image: "pytorch"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cb.ReadFile("/home/alice/model.pt"); !errors.Is(err, vfs.ErrPermission) {
+	if _, err := cb.ReadFile("/scratch/model.pt"); !errors.Is(err, vfs.ErrPermission) {
+		t.Errorf("world-bit read inside container err = %v, want ErrPermission (smask bypassed)", err)
+	}
+	if _, err := cb.ReadFile("/home/alice/.bashrc"); !errors.Is(err, vfs.ErrPermission) {
 		t.Errorf("cross-home read inside container err = %v, want ErrPermission", err)
 	}
 }
@@ -150,7 +124,7 @@ func TestNetworkControlsPassThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ca.Listen(netsim.TCP, 8888); err != nil {
+	if _, err := ca.Net.Listen(ca.Cred, netsim.TCP, 8888); err != nil {
 		t.Fatal(err)
 	}
 	// Bob's container on another host dials alice's service: dropped.
@@ -179,7 +153,7 @@ func TestRuntimeReset(t *testing.T) {
 	r.ImportImage("img", map[string]string{"/t": "v"})
 	r.Allow(alice.UID)
 	r.Reset()
-	if _, err := r.Image("img"); err == nil {
+	if _, ok := r.images["img"]; ok {
 		t.Error("image survived Reset")
 	}
 	r.ImportImage("img", nil)

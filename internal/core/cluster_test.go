@@ -46,13 +46,22 @@ func TestAddUserProvisioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Home exists, root-owned, private-group-owned (hardened).
-	fi, err := c.SharedFS.Stat(vfs.Ctx(u.Cred), u.HomePath)
+	// Home exists, root-owned, private-group-owned (hardened): the
+	// user writes there through the group class but cannot chmod it,
+	// and nobody else lists it.
+	ctx := vfs.Ctx(u.Cred)
+	if err := c.SharedFS.WriteFile(ctx, u.HomePath+"/f", nil, 0o600); err != nil {
+		t.Errorf("hardened home: owner's write: %v", err)
+	}
+	if err := c.SharedFS.Chmod(ctx, u.HomePath, 0o777); !errors.Is(err, vfs.ErrPermission) {
+		t.Errorf("hardened home: user chmod err = %v, want ErrPermission (root-owned)", err)
+	}
+	other, err := c.AddUser("bob", "pw")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi.Owner != ids.Root || fi.Group != u.Primary || fi.Mode != 0o770 {
-		t.Errorf("hardened home: owner=%d group=%d mode=%o", fi.Owner, fi.Group, fi.Mode)
+	if _, err := c.SharedFS.ReadDir(vfs.Ctx(other.Cred), u.HomePath); !errors.Is(err, vfs.ErrPermission) {
+		t.Errorf("hardened home: another user's listing err = %v, want ErrPermission", err)
 	}
 	// Portal login works.
 	if _, err := c.Portal.Login(u.Cred, "pw"); err != nil {
@@ -65,17 +74,17 @@ func TestAddUserProvisioning(t *testing.T) {
 }
 
 func TestBaselineHomeIsWorldSearchable(t *testing.T) {
-	c := MustNew(Baseline(), smallTopo())
+	c := MustNew(BaselineProfile().MustConfig(), smallTopo())
 	u, err := c.AddUser("alice", "pw")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fi, err := c.SharedFS.Stat(vfs.Ctx(u.Cred), u.HomePath)
+	other, err := c.AddUser("bob", "pw")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi.Owner != u.UID || fi.Mode != 0o755 {
-		t.Errorf("baseline home: owner=%d mode=%o, want user-owned 755", fi.Owner, fi.Mode)
+	if _, err := c.SharedFS.ReadDir(vfs.Ctx(other.Cred), u.HomePath); err != nil {
+		t.Errorf("baseline home: another user's listing: %v, want it world-searchable", err)
 	}
 	// The baseline user CAN chmod their own home (that is the hazard).
 	if err := c.SharedFS.Chmod(vfs.Ctx(u.Cred), u.HomePath, 0o777); err != nil {
@@ -87,7 +96,7 @@ func TestAddProjectGroupProvisioning(t *testing.T) {
 	c := MustNew(Enhanced(), smallTopo())
 	lead, _ := c.AddUser("lead", "pw")
 	member, _ := c.AddUser("member", "pw")
-	g, err := c.AddProjectGroup("fusion", lead.UID, member.UID)
+	_, err := c.AddProjectGroup("fusion", lead.UID, member.UID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,15 +107,8 @@ func TestAddProjectGroupProvisioning(t *testing.T) {
 	if err := c.Refresh(member); err != nil {
 		t.Fatal(err)
 	}
-	// Shared dir exists with setgid + group ownership.
-	fi, err := c.SharedFS.Stat(vfs.Ctx(lead.Cred), "/proj/fusion")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi.Group != g.GID || fi.Mode&vfs.ModeSetgid == 0 {
-		t.Errorf("project dir group=%d mode=%o", fi.Group, fi.Mode)
-	}
-	// Members can collaborate there.
+	// Members can collaborate in the shared dir: its setgid bit gives a
+	// lead's group-only file the project group, so a member reads it.
 	if err := c.SharedFS.WriteFile(vfs.Ctx(lead.Cred), "/proj/fusion/plan.md", []byte("x"), 0o660); err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +251,7 @@ func TestEnhancedEndToEndJobWithNetwork(t *testing.T) {
 }
 
 func TestConfigPresets(t *testing.T) {
-	b, e := Baseline(), Enhanced()
+	b, e := BaselineProfile().MustConfig(), Enhanced()
 	if b.Name != "baseline" || e.Name != "enhanced" {
 		t.Errorf("names %q %q", b.Name, e.Name)
 	}

@@ -146,14 +146,6 @@ func (c Config) Diff(other Config) []string {
 	return d
 }
 
-// Baseline returns the stock configuration of a conventional
-// multi-tenant HPC system: everything visible, everything shared.
-// It is BaselineProfile() derived — the preset and the profile
-// cannot drift apart.
-func Baseline() Config {
-	return BaselineProfile().MustConfig()
-}
-
 // Enhanced returns the paper's deployed configuration: the stock
 // base plus every measure in the §IV registry (EnhancedProfile()).
 func Enhanced() Config {

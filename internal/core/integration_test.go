@@ -10,7 +10,6 @@ import (
 	"repro/internal/portal"
 	"repro/internal/sched"
 	"repro/internal/vfs"
-	"repro/internal/workload"
 )
 
 // TestProjectCollaborationEndToEnd walks the paper's intended-sharing
@@ -223,12 +222,24 @@ func TestMPICampaignThroughEnhancedCluster(t *testing.T) {
 		if running.State != sched.Running {
 			t.Fatalf("job %d state %v", id, running.State)
 		}
-		res, err := workload.RunMPI(running, c.Net, 11000+i, []byte("halo"))
+		// Rank 0 binds a port; every other rank dials it as the job's
+		// user, which the UBF admits.
+		port := 11000 + i
+		head, err := c.Host(running.Nodes[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Dropped != 0 || res.Connected != len(running.Nodes)-1 {
-			t.Errorf("job %d: %+v", id, res)
+		if _, err := head.Listen(running.Cred, netsim.TCP, port); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range running.Nodes[1:] {
+			h, err := c.Host(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.Dial(running.Cred, netsim.TCP, running.Nodes[0], port); err != nil {
+				t.Errorf("job %d: rank on %s: %v", id, name, err)
+			}
 		}
 	}
 	// The two jobs' node sets are disjoint (user-wholenode).

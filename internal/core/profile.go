@@ -44,16 +44,6 @@ func (p Profile) MustConfig() Config {
 	return cfg
 }
 
-// Has reports whether the profile contains a measure by name.
-func (p Profile) Has(name string) bool {
-	for _, m := range p.Measures {
-		if m.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
 // stockBase is the shared starting point of every profile: a
 // conventional multi-tenant Linux HPC system with default
 // (permissive) settings. Zero values everywhere; the explicit fields
@@ -98,7 +88,6 @@ type Option func(*clusterBuild)
 
 type clusterBuild struct {
 	topo   Topology
-	name   string // explicit WithName override
 	add    []Measure
 	remove []string // measure names dropped from the profile
 }
@@ -124,13 +113,6 @@ func WithMeasures(ms ...Measure) Option {
 // — the ablation lever. Unknown names are an assembly error.
 func Without(name string) Option {
 	return func(b *clusterBuild) { b.remove = append(b.remove, name) }
-}
-
-// WithName overrides the derived Config.Name. Without it, ablated or
-// extended profiles get a descriptive name such as
-// "enhanced-no-hidepid" or "enhanced+audit".
-func WithName(name string) Option {
-	return func(b *clusterBuild) { b.name = name }
 }
 
 // ResolveProfile applies options to a profile and returns the
@@ -178,11 +160,7 @@ func ResolveProfile(p Profile, opts ...Option) (Profile, Topology, error) {
 		}
 	}
 
-	name := b.name
-	if name == "" {
-		name = p.Name + strings.Join(suffix, "")
-	}
-	return Profile{Name: name, Base: p.Base, Measures: measures}, b.topo, nil
+	return Profile{Name: p.Name + strings.Join(suffix, ""), Base: p.Base, Measures: measures}, b.topo, nil
 }
 
 // NewWithProfile assembles a cluster from a profile plus options:
@@ -205,13 +183,4 @@ func NewWithProfile(p Profile, opts ...Option) (*Cluster, error) {
 		return nil, err
 	}
 	return New(cfg, topo)
-}
-
-// MustNewWithProfile is NewWithProfile, panicking on error.
-func MustNewWithProfile(p Profile, opts ...Option) *Cluster {
-	c, err := NewWithProfile(p, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return c
 }

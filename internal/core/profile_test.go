@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -47,10 +48,10 @@ func TestEnhancedViaRegistryMatchesLegacyLiteral(t *testing.T) {
 }
 
 func TestBaselineViaProfile(t *testing.T) {
-	b := Baseline()
+	b := BaselineProfile().MustConfig()
 	want := Config{Name: "baseline", HidePID: procfs.HidePIDOff, Policy: sched.PolicyShared}
 	if b != want {
-		t.Errorf("Baseline() = %+v", b)
+		t.Errorf("BaselineProfile().MustConfig() = %+v", b)
 	}
 	// Baseline → Enhanced is exactly the measures' field footprint.
 	if n := len(b.Diff(Enhanced())); n == 0 {
@@ -82,10 +83,11 @@ func TestWithoutThenWithMeasuresRoundTrip(t *testing.T) {
 				t.Errorf("ablating %s changed nothing", m.Name)
 			}
 			restored, _, err := ResolveProfile(EnhancedProfile(),
-				Without(m.Name), WithMeasures(m), WithName("enhanced"))
+				Without(m.Name), WithMeasures(m))
 			if err != nil {
 				t.Fatal(err)
 			}
+			restored.Name = enhanced.Name
 			rcfg, err := restored.Config()
 			if err != nil {
 				t.Fatal(err)
@@ -134,7 +136,7 @@ func TestConfigDiffCoversEveryField(t *testing.T) {
 }
 
 func TestDiffRendersSymbolicNames(t *testing.T) {
-	d := Enhanced().Diff(Baseline())
+	d := Enhanced().Diff(BaselineProfile().MustConfig())
 	joined := strings.Join(d, "\n")
 	for _, want := range []string{
 		"HidePID: invisible -> off",
@@ -177,8 +179,8 @@ func TestValidateRejectsIncoherentConfigs(t *testing.T) {
 	if err := Enhanced().Validate(); err != nil {
 		t.Errorf("Enhanced() invalid: %v", err)
 	}
-	if err := Baseline().Validate(); err != nil {
-		t.Errorf("Baseline() invalid: %v", err)
+	if err := BaselineProfile().MustConfig().Validate(); err != nil {
+		t.Errorf("BaselineProfile().MustConfig() invalid: %v", err)
 	}
 }
 
@@ -207,11 +209,11 @@ func TestNewRejectsDegenerateTopology(t *testing.T) {
 
 func TestNewWithProfileOptions(t *testing.T) {
 	c, err := NewWithProfile(EnhancedProfile(),
-		WithTopology(smallTopo()), Without("ubf"), WithName("quiet-net"))
+		WithTopology(smallTopo()), Without("ubf"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Cfg.Name != "quiet-net" || c.Cfg.UBFEnabled || !c.Cfg.PrivateData {
+	if c.Cfg.Name != "enhanced-no-ubf" || c.Cfg.UBFEnabled || !c.Cfg.PrivateData {
 		t.Errorf("cfg = %+v", c.Cfg)
 	}
 	if len(c.Compute) != smallTopo().ComputeNodes {
@@ -256,7 +258,10 @@ func TestMeasureAndProfileLookups(t *testing.T) {
 		t.Errorf("unknown measure resolved")
 	}
 	p, err := ProfileByName("enhanced")
-	if err != nil || !p.Has("hidepid") || p.Has("nope") {
+	has := func(name string) bool {
+		return slices.ContainsFunc(p.Measures, func(m Measure) bool { return m.Name == name })
+	}
+	if err != nil || !has("hidepid") || has("nope") {
 		t.Errorf("ProfileByName(enhanced) = %+v, %v", p, err)
 	}
 	if _, err := ProfileByName("hardened"); err == nil {

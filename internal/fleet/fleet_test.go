@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 )
 
 func TestCampaignJSONRoundTrip(t *testing.T) {
@@ -144,9 +145,9 @@ func TestRunAggregates(t *testing.T) {
 			t.Errorf("scenario %d order: got %q want %q", i, s.Name, spec.Name)
 		}
 		if s.Replications != spec.Replications || s.Util.Count != int64(spec.Replications) ||
-			s.Makespan.Count != int64(spec.Replications) || s.MakespanHist.N() != int64(spec.Replications) {
+			s.Makespan.Count != int64(spec.Replications) || histCount(s.MakespanHist) != int64(spec.Replications) {
 			t.Errorf("%s: aggregate counts %d/%d/%d/%d, want %d", s.Name,
-				s.Replications, s.Util.Count, s.Makespan.Count, s.MakespanHist.N(), spec.Replications)
+				s.Replications, s.Util.Count, s.Makespan.Count, histCount(s.MakespanHist), spec.Replications)
 		}
 		if s.Util.Mean <= 0 || s.Util.Mean > 1 {
 			t.Errorf("%s: util mean %v outside (0, 1]", s.Name, s.Util.Mean)
@@ -241,4 +242,13 @@ func TestScenarioValidateRejectsDegenerateCounts(t *testing.T) {
 			t.Errorf("%s: error %q does not name the field %q and scenario %q", tc.name, err, tc.want, s.Name)
 		}
 	}
+}
+
+// histCount is the number of samples h counted, out of range included.
+func histCount(h *metrics.Histogram) int64 {
+	n := h.Under + h.Over
+	for _, c := range h.Counts {
+		n += c
+	}
+	return n
 }

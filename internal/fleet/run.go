@@ -79,8 +79,8 @@ type Options struct {
 	// catalogue (obs.go). Observability is strictly one-way: metrics
 	// read the run, never steer it, so the campaign's canonical JSON
 	// is byte-identical with Metrics set or nil (pinned by test and
-	// CI). A registry may be shared across runs — counters keep
-	// accumulating — or across concurrent shards and merged later.
+	// CI). A registry may be shared across runs, whose counters keep
+	// accumulating, or across concurrent shards.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, makes Run emit one NDJSON span per trial
 	// phase plus one per checkpoint write, flushed after the reduction

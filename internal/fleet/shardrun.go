@@ -87,15 +87,6 @@ func (sh *ShardRun) validate(c Campaign) error {
 	return nil
 }
 
-// Trials returns the shard's trial count.
-func (sh *ShardRun) Trials() int {
-	n := 0
-	for _, r := range sh.Ranges {
-		n += r.Len()
-	}
-	return n
-}
-
 // RunShard executes the shard's slice of the campaign and returns the
 // number of trials its journal holds, restored ones included, plus the
 // structured failure ledger. Options.CheckpointPath is required: the

@@ -27,13 +27,27 @@ func gpuCluster(t *testing.T, assignPerms, clear bool) (*sched.Scheduler, *Manag
 	return s, m, nodes
 }
 
+// visibleDevs lists the device paths of gpuCluster's node that c can
+// open: "GPUs that have not been assigned to a user are not visible at
+// all" (paper §IV-F).
+func visibleDevs(node *simos.Node, c ids.Credential) []string {
+	var out []string
+	for i := 0; i < 2; i++ {
+		path := fmt.Sprintf("/dev/nvidia%d", i)
+		if _, err := node.OpenDev(c, path); err == nil {
+			out = append(out, path)
+		}
+	}
+	return out
+}
+
 func gpuJob(uid ids.UID, dur int64) sched.JobSpec {
 	return sched.JobSpec{Name: "train", Command: "train.py", Cores: 1, MemB: 1, GPUs: 1, Duration: dur}
 }
 
 func TestUnassignedGPUInvisible(t *testing.T) {
 	_, _, nodes := gpuCluster(t, true, true)
-	if devs := nodes[0].VisibleDevs(cred(1000)); len(devs) != 0 {
+	if devs := visibleDevs(nodes[0], cred(1000)); len(devs) != 0 {
 		t.Errorf("unassigned devices visible: %v", devs)
 	}
 }
@@ -66,10 +80,10 @@ func TestPrologAssignsEpilogRevokes(t *testing.T) {
 		t.Errorf("stranger read err = %v, want ErrNotAssigned", err)
 	}
 	// Visible to alice only.
-	if len(node.VisibleDevs(alice)) == 0 {
+	if len(visibleDevs(node, alice)) == 0 {
 		t.Errorf("assigned device not visible to owner")
 	}
-	if len(node.VisibleDevs(cred(2000))) != 0 {
+	if len(visibleDevs(node, cred(2000))) != 0 {
 		t.Errorf("assigned device visible to stranger")
 	}
 	// After the job, the device is unassigned and invisible again.
@@ -225,10 +239,10 @@ func TestCPUJobEpilogLeavesGPUAssigned(t *testing.T) {
 	if dev.Assigned() != alice.UID {
 		t.Fatalf("device assigned to %d after the cpu job ended, want alice", dev.Assigned())
 	}
-	if len(node.VisibleDevs(alice)) != 1 {
-		t.Errorf("owner sees %v, want the one device", node.VisibleDevs(alice))
+	if len(visibleDevs(node, alice)) != 1 {
+		t.Errorf("owner sees %v, want the one device", visibleDevs(node, alice))
 	}
-	if devs := node.VisibleDevs(bob); len(devs) != 0 {
+	if devs := visibleDevs(node, bob); len(devs) != 0 {
 		t.Errorf("device visible to bob: %v", devs)
 	}
 	if err := dev.Write(alice, 0, []byte("weights")); err != nil {

@@ -18,6 +18,58 @@ import (
 // after each mutation; "lazy" means nothing is touched until the
 // final observation pass.
 
+// userByName resolves a login name through the name index.
+func (r *Registry) userByName(name string) (*User, error) {
+	uid, ok := r.uidByName(name)
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNoSuchUser, name)
+	}
+	return r.User(uid)
+}
+
+// groupByName resolves a group name; a user-private group carries its
+// owner's name.
+func (r *Registry) groupByName(name string) (*Group, error) {
+	gid, ok := r.gByName[name]
+	if !ok {
+		if uid, isUser := r.uidByName(name); isUser {
+			if d, dok := r.descOf(uid); dok {
+				gid, ok = d.primary, true
+			}
+		}
+	}
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNoSuchGroup, name)
+	}
+	return r.Group(gid)
+}
+
+// allUsers returns every UID, sorted ascending.
+func (r *Registry) allUsers() []UID {
+	out := []UID{Root}
+	for i := range r.descs {
+		out = append(out, uidBase+UID(i))
+	}
+	return out
+}
+
+// allGroups returns every GID, sorted ascending.
+func (r *Registry) allGroups() []GID {
+	var out []GID
+	for gid := range r.groups {
+		// Materialized private groups are counted via their owner's
+		// descriptor below.
+		if _, _, private := r.ownerOf(gid); !private {
+			out = append(out, gid)
+		}
+	}
+	for i := range r.descs {
+		out = append(out, r.descs[i].primary)
+	}
+	slices.Sort(out)
+	return out
+}
+
 // regObservation is the full externally visible state of a registry.
 type regObservation struct {
 	Users  []UID
@@ -35,7 +87,7 @@ type regObservation struct {
 }
 
 // observe exercises every accessor and records the results. It names
-// users/groups by scanning Users()/Groups(), so the observation is
+// users/groups by scanning allUsers()/allGroups(), so the observation is
 // self-contained and order-sensitive.
 func observe(t *testing.T, r *Registry) regObservation {
 	t.Helper()
@@ -50,17 +102,17 @@ func observe(t *testing.T, r *Registry) regObservation {
 		Shared:      map[string]bool{},
 		Errors:      map[string]string{},
 	}
-	obs.Users = r.Users()
-	obs.Groups = r.Groups()
+	obs.Users = r.allUsers()
+	obs.Groups = r.allGroups()
 	for _, uid := range obs.Users {
 		u, err := r.User(uid)
 		if err != nil {
 			t.Fatalf("User(%d): %v", uid, err)
 		}
 		obs.UserViews[uid] = *u
-		byName, err := r.UserByName(u.Name)
+		byName, err := r.userByName(u.Name)
 		if err != nil || byName.UID != uid {
-			t.Fatalf("UserByName(%q) = %v, %v; want uid %d", u.Name, byName, err, uid)
+			t.Fatalf("userByName(%q) = %v, %v; want uid %d", u.Name, byName, err, uid)
 		}
 		obs.ByName[u.Name] = byName.UID
 		cred, err := r.LoginCredential(uid)
@@ -85,9 +137,9 @@ func observe(t *testing.T, r *Registry) regObservation {
 		members := g.Members()
 		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
 		obs.GroupMember[gid] = members
-		byName, err := r.GroupByName(g.Name)
+		byName, err := r.groupByName(g.Name)
 		if err != nil || byName.GID != gid {
-			t.Fatalf("GroupByName(%q) = %v, %v; want gid %d", g.Name, byName, err, gid)
+			t.Fatalf("groupByName(%q) = %v, %v; want gid %d", g.Name, byName, err, gid)
 		}
 		obs.GByName[g.Name] = byName.GID
 	}
@@ -110,7 +162,6 @@ func observe(t *testing.T, r *Registry) regObservation {
 	if len(obs.Users) > 1 {
 		uid := obs.Users[1]
 		record("join-private", r.AddToGroup(Root, obs.UserViews[uid].Primary, Root))
-		record("leave-private", r.RemoveFromGroup(Root, obs.UserViews[uid].Primary, uid))
 	}
 	record("no-such-group", r.AddToGroup(Root, GID(99999), Root))
 	return obs
@@ -119,7 +170,7 @@ func observe(t *testing.T, r *Registry) regObservation {
 // touchAll forces materialization of every view — the eager schedule.
 func touchAll(t *testing.T, r *Registry) {
 	t.Helper()
-	for _, uid := range r.Users() {
+	for _, uid := range r.allUsers() {
 		if _, err := r.User(uid); err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +181,7 @@ func touchAll(t *testing.T, r *Registry) {
 			t.Fatal(err)
 		}
 	}
-	for _, gid := range r.Groups() {
+	for _, gid := range r.allGroups() {
 		if _, err := r.Group(gid); err != nil {
 			t.Fatal(err)
 		}
@@ -159,11 +210,11 @@ func script(t *testing.T, r *Registry, eager bool) {
 		}
 	}
 	step()
-	alice, err := r.UserByName("user0")
+	alice, err := r.userByName("user0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bob, err := r.UserByName("user1")
+	bob, err := r.userByName("user1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,15 +229,11 @@ func script(t *testing.T, r *Registry, eager bool) {
 	step()
 	// A membership granted to a user that was only bulk-registered,
 	// never materialized (on the lazy side).
-	carol, err := r.UserByName("bulk7")
+	carol, err := r.userByName("bulk7")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := r.AddToGroup(alice.UID, proj.GID, carol.UID); err != nil {
-		t.Fatal(err)
-	}
-	step()
-	if err := r.RemoveFromGroup(alice.UID, proj.GID, bob.UID); err != nil {
 		t.Fatal(err)
 	}
 	step()
@@ -235,7 +282,7 @@ func TestLazyEagerResetEquivalence(t *testing.T) {
 		if _, err := r.AddUser("trial-active"); err != nil {
 			t.Fatal(err)
 		}
-		steward, err := r.UserByName("user2")
+		steward, err := r.userByName("user2")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +322,7 @@ func TestLazyEagerResetReregisterEquivalence(t *testing.T) {
 		if _, err := r.AddUser("trial-active"); err != nil {
 			t.Fatal(err)
 		}
-		steward, err := r.UserByName("trial0")
+		steward, err := r.userByName("trial0")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,9 +385,6 @@ func TestLazyErrorIdentity(t *testing.T) {
 	if err := r.AddToGroup(Root, gid, Root); !errors.Is(err, ErrPrivateGroup) {
 		t.Fatalf("AddToGroup on lazy private group: got %v, want ErrPrivateGroup", err)
 	}
-	if err := r.RemoveFromGroup(Root, gid, uid); !errors.Is(err, ErrPrivateGroup) {
-		t.Fatalf("RemoveFromGroup on lazy private group: got %v, want ErrPrivateGroup", err)
-	}
 	if err := r.AddToGroup(Root, GID(424242), Root); !errors.Is(err, ErrNoSuchGroup) {
 		t.Fatalf("AddToGroup on missing group: got %v, want ErrNoSuchGroup", err)
 	}
@@ -350,8 +394,7 @@ func TestLazyErrorIdentity(t *testing.T) {
 }
 
 // replayOp is one registry call of a replay script: 'r' Register, 'g'
-// AddProjectGroup with root as steward, 'u' UserByName, 'n'
-// GroupByName, 'm' MarkPristine.
+// AddProjectGroup with root as steward, 'm' MarkPristine.
 type replayOp struct {
 	kind byte
 	name string
@@ -369,16 +412,6 @@ func (op replayOp) apply(r *Registry) string {
 		if g, err = r.AddProjectGroup(op.name, Root); err == nil {
 			id = g.GID
 		}
-	case 'u':
-		var u *User
-		if u, err = r.UserByName(op.name); err == nil {
-			id = u.UID
-		}
-	case 'n':
-		var g *Group
-		if g, err = r.GroupByName(op.name); err == nil {
-			id = g.GID
-		}
 	case 'm':
 		r.MarkPristine()
 	}
@@ -389,8 +422,7 @@ func (op replayOp) apply(r *Registry) string {
 // prev, the names the next Reset drops, identically, as a prefix or
 // with two swapped, and may go on with new names. Between them it
 // re-registers names it already registered, names a project group
-// after the next name, looks up names it has not registered yet, and
-// may mark the registry pristine; a mark placed where a project group
+// after the next name, and may mark the registry pristine; a mark placed where a project group
 // was just named after the next name holds that group, so the
 // registration that follows tests that the mark forgot the kept
 // descriptors.
@@ -422,10 +454,6 @@ func replayScript(rng *rand.Rand, prev []string, fresh func() string, mark bool)
 		}
 		if i == markAt {
 			ops = append(ops, replayOp{'m', ""})
-		}
-		if rng.IntN(5) == 0 {
-			later := names[i+rng.IntN(len(names)-i)]
-			ops = append(ops, replayOp{'u', later}, replayOp{'n', later})
 		}
 		ops = append(ops, replayOp{'r', name})
 	}
@@ -496,8 +524,6 @@ func TestRegistryReplayEquivalence(t *testing.T) {
 						}
 					case op.kind == 'r' && replaying && !keptAhead && slices.ContainsFunc(r.descs[from:], func(d userDesc) bool { return d.name == op.name }):
 						seen["re-register during a replay"]++
-					case (op.kind == 'u' || op.kind == 'n') && keptAhead:
-						seen["lookup of a kept name"]++
 					case op.kind == 'g' && keptAhead:
 						seen["project group named after a kept name"]++
 					case op.kind == 'm' && replaying && r.gByName[r.descs[:n+1][n].name] != 0:
@@ -523,7 +549,7 @@ func TestRegistryReplayEquivalence(t *testing.T) {
 	for _, k := range []string{
 		"identical", "prefix", "reordered", "reset without a mark", "replay",
 		"replay of a name a project group took", "re-register during a replay",
-		"lookup of a kept name", "project group named after a kept name", "mark during a replay",
+		"project group named after a kept name", "mark during a replay",
 		"mark while a project group holds the next kept name",
 	} {
 		if seen[k] == 0 {

@@ -65,9 +65,6 @@ func (g *Group) Members() []UID {
 // Has reports whether uid is a member of the group.
 func (g *Group) Has(uid UID) bool { return g.members[uid] }
 
-// Size returns the number of members.
-func (g *Group) Size() int { return len(g.members) }
-
 // IsSteward reports whether uid is a data steward of the group.
 func (g *Group) IsSteward(uid UID) bool {
 	for _, s := range g.Stewards {

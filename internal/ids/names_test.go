@@ -70,12 +70,12 @@ func TestNameIndexReset(t *testing.T) {
 			check := func(when string) {
 				t.Helper()
 				for i, name := range testNames("p", tc.pristine) {
-					if u, err := r.UserByName(name); err != nil || u.UID != pristine[i] {
+					if u, err := r.userByName(name); err != nil || u.UID != pristine[i] {
 						t.Fatalf("pristine %q %s = %v, %v; want uid %d", name, when, u, err, pristine[i])
 					}
 				}
 				for _, name := range trial {
-					if _, err := r.UserByName(name); !errors.Is(err, ErrNoSuchUser) {
+					if _, err := r.userByName(name); !errors.Is(err, ErrNoSuchUser) {
 						t.Fatalf("trial user %q %s: err %v, want ErrNoSuchUser", name, when, err)
 					}
 				}
@@ -180,17 +180,17 @@ func TestNameIndexGrowth(t *testing.T) {
 		t.Fatalf("index sizes %v: want several resizes", sizes)
 	}
 	for i, name := range names {
-		if u, err := r.UserByName(name); err != nil || u.UID != uidBase+UID(i) {
-			t.Fatalf("UserByName(%q) = %v, %v", name, u, err)
+		if u, err := r.userByName(name); err != nil || u.UID != uidBase+UID(i) {
+			t.Fatalf("userByName(%q) = %v, %v", name, u, err)
 		}
 		if u, err := r.User(uidBase + UID(i)); err != nil || u.Name != name {
 			t.Fatalf("User(%d) = %v, %v; want %q", uidBase+UID(i), u, err, name)
 		}
 	}
-	if _, err := r.UserByName("g5000"); !errors.Is(err, ErrNoSuchUser) {
+	if _, err := r.userByName("g5000"); !errors.Is(err, ErrNoSuchUser) {
 		t.Errorf("absent name: err %v, want ErrNoSuchUser", err)
 	}
-	if got, want := len(r.Users()), 1+len(names); got != want {
+	if got, want := len(r.allUsers()), 1+len(names); got != want {
 		t.Errorf("Users() has %d entries, want %d", got, want)
 	}
 }
@@ -227,15 +227,15 @@ func TestNameIndexTagCollision(t *testing.T) {
 	check := func() {
 		t.Helper()
 		for i, name := range same[:2] {
-			if u, err := r.UserByName(name); err != nil || u.UID != uids[i] {
-				t.Errorf("UserByName(%q) = %v, %v; want uid %d", name, u, err, uids[i])
+			if u, err := r.userByName(name); err != nil || u.UID != uids[i] {
+				t.Errorf("userByName(%q) = %v, %v; want uid %d", name, u, err, uids[i])
 			}
 			if _, err := r.Register(name); !errors.Is(err, ErrExists) {
 				t.Errorf("re-register %q: err %v, want ErrExists", name, err)
 			}
 		}
-		if _, err := r.UserByName(same[2]); !errors.Is(err, ErrNoSuchUser) {
-			t.Errorf("UserByName(%q) of an unregistered colliding name: err %v, want ErrNoSuchUser", same[2], err)
+		if _, err := r.userByName(same[2]); !errors.Is(err, ErrNoSuchUser) {
+			t.Errorf("userByName(%q) of an unregistered colliding name: err %v, want ErrNoSuchUser", same[2], err)
 		}
 	}
 	check()

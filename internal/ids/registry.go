@@ -413,34 +413,6 @@ func (r *Registry) AddToGroup(actor UID, gid GID, uid UID) error {
 	return nil
 }
 
-// RemoveFromGroup removes uid from a project group; steward-gated
-// like AddToGroup. Stewards cannot be removed except by root.
-func (r *Registry) RemoveFromGroup(actor UID, gid GID, uid UID) error {
-	g, ok := r.groups[gid]
-	if !ok {
-		if _, _, private := r.ownerOf(gid); private {
-			return ErrPrivateGroup
-		}
-		return fmt.Errorf("%w: gid %d", ErrNoSuchGroup, gid)
-	}
-	if g.Private {
-		return ErrPrivateGroup
-	}
-	if actor != Root && !g.IsSteward(actor) {
-		return ErrNotSteward
-	}
-	if !g.members[uid] {
-		return ErrNotMember
-	}
-	if g.IsSteward(uid) && actor != Root {
-		return fmt.Errorf("%w: cannot remove steward uid %d", ErrNotSteward, uid)
-	}
-	delete(g.members, uid)
-	g.changed = true
-	r.gen++
-	return nil
-}
-
 // User returns the user with the given UID, materializing (and
 // caching) its *User view on first access.
 func (r *Registry) User(uid UID) (*User, error) {
@@ -456,15 +428,6 @@ func (r *Registry) User(uid UID) (*User, error) {
 	return u, nil
 }
 
-// UserByName resolves a login name.
-func (r *Registry) UserByName(name string) (*User, error) {
-	uid, ok := r.uidByName(name)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchUser, name)
-	}
-	return r.User(uid)
-}
-
 // Group returns the group with the given GID, materializing (and
 // caching) a private group's *Group view on first access.
 func (r *Registry) Group(gid GID) (*Group, error) {
@@ -478,23 +441,6 @@ func (r *Registry) Group(gid GID) (*Group, error) {
 	g := &Group{GID: gid, Name: d.name, Private: true, members: map[UID]bool{uid: true}}
 	r.groups[gid] = g
 	return g, nil
-}
-
-// GroupByName resolves a group name.
-func (r *Registry) GroupByName(name string) (*Group, error) {
-	gid, ok := r.gByName[name]
-	if !ok {
-		// A user-private group carries its owner's name.
-		if uid, isUser := r.uidByName(name); isUser {
-			if d, dok := r.descOf(uid); dok {
-				gid, ok = d.primary, true
-			}
-		}
-	}
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchGroup, name)
-	}
-	return r.Group(gid)
 }
 
 // GroupsOf returns the GIDs the user belongs to (primary first, the
@@ -562,31 +508,4 @@ func (r *Registry) SharedGroup(a, b UID) bool {
 		}
 	}
 	return false
-}
-
-// Users returns all UIDs sorted ascending.
-func (r *Registry) Users() []UID {
-	out := make([]UID, 0, len(r.descs)+1)
-	out = append(out, Root)
-	for i := range r.descs {
-		out = append(out, uidBase+UID(i))
-	}
-	return out
-}
-
-// Groups returns all GIDs sorted ascending.
-func (r *Registry) Groups() []GID {
-	out := make([]GID, 0, len(r.groups)+len(r.descs))
-	for gid := range r.groups {
-		// Materialized private groups are already counted via their
-		// owner's descriptor below.
-		if _, _, private := r.ownerOf(gid); !private {
-			out = append(out, gid)
-		}
-	}
-	for i := range r.descs {
-		out = append(out, r.descs[i].primary)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

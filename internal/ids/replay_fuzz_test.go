@@ -8,13 +8,13 @@ import (
 )
 
 // fuzzKinds maps a fuzz byte's low three bits to a replayOp kind; 'x'
-// is Reset, which ends a cycle. Registrations get three codes, so most
+// is Reset, which ends a cycle. Registrations get four codes, so most
 // inputs build a population worth replaying.
-const fuzzKinds = "rrrgunmx"
+const fuzzKinds = "rrrrggmx"
 
 // fuzzNames is the pool a fuzz byte's next three bits pick a name
-// from: few names, so registrations, project groups and lookups
-// collide often, and "root", which no registration may take.
+// from: few names, so registrations and project groups collide
+// often, and "root", which no registration may take.
 var fuzzNames = []string{"a", "b", "c", "d", "e", "f", "g", "root"}
 
 // decodeReplayOps turns fuzz bytes into registry calls.
@@ -67,17 +67,19 @@ var replaySeeds = []string{
 	"ra rb rc x rd ra x ra rd",
 	"m ra rb rc rd x ra rb x ra rb rc rd",
 	"m ra rb rc x ra rc rb x ra rb rc",
-	// Lookups of kept names, a mark during a replay, and a group
-	// created after a Reset without a mark.
-	"ra rb x ub nb ra ub nb rb x ua na",
+	// A replay cut short by a Reset: the observation that ends the
+	// cycle looks up kept names it never replayed.
+	"ra rb rc x ra x rb rc",
+	// A mark during a replay, and a group created after a Reset
+	// without a mark.
 	"ra rb rc x ra m rb rc x rb rc x ra",
 	"ga ra x ra ga x ga ra",
 }
 
 // FuzzRegistryReplay decodes bytes into cycles of Register,
-// AddProjectGroup, UserByName, GroupByName and MarkPristine calls
-// separated by Resets, and requires every call's result, and each
-// cycle's observation, to equal those of a registry that never
+// AddProjectGroup and MarkPristine calls separated by Resets, and
+// requires every call's result, and each cycle's observation (which
+// resolves every name through the name index), to equal those of a registry that never
 // replayed: a fresh registry given the calls that built the state the
 // last Reset rewound to, then the same cycle.
 //

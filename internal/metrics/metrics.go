@@ -1,14 +1,11 @@
 // Package metrics provides the small measurement toolkit the
 // experiment harness uses: aligned-text tables (every experiment
-// prints one), distributions with quantiles, and a deterministic
-// seedable RNG so workloads are reproducible without math/rand's
-// global state.
+// prints one), mergeable aggregates, and a deterministic seedable
+// RNG so workloads are reproducible without math/rand's global state.
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -92,91 +89,6 @@ func (t *Table) Render() string {
 	return b.String()
 }
 
-// Dist collects samples and reports quantiles.
-type Dist struct {
-	samples []float64
-}
-
-// Add appends a sample.
-func (d *Dist) Add(v float64) { d.samples = append(d.samples, v) }
-
-// Merge folds other's samples into d, so per-shard Dists combine
-// into exactly the Dist a single collector would have built: every
-// statistic (Mean, Quantile, Max) of the merged Dist equals the
-// statistic over the concatenated sample sets.
-func (d *Dist) Merge(other *Dist) {
-	if other == nil {
-		return
-	}
-	d.samples = append(d.samples, other.samples...)
-}
-
-// MarshalJSON serializes the raw samples as a JSON array, so a
-// shard's Dist can cross a process boundary (a checkpoint sidecar, a
-// worker response) and merge exactly: Go emits the shortest decimal
-// that round-trips each float64, making decode(encode(d)) sample-for-
-// sample identical to d. An empty Dist encodes as [], not null, so
-// the canonical bytes don't depend on whether Add was ever called.
-func (d Dist) MarshalJSON() ([]byte, error) {
-	if d.samples == nil {
-		return []byte("[]"), nil
-	}
-	return json.Marshal(d.samples)
-}
-
-// UnmarshalJSON restores a Dist serialized by MarshalJSON.
-func (d *Dist) UnmarshalJSON(data []byte) error {
-	var samples []float64
-	if err := json.Unmarshal(data, &samples); err != nil {
-		return err
-	}
-	d.samples = samples
-	return nil
-}
-
-// N returns the sample count.
-func (d *Dist) N() int { return len(d.samples) }
-
-// Mean returns the arithmetic mean (0 for empty).
-func (d *Dist) Mean() float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range d.samples {
-		s += v
-	}
-	return s / float64(len(d.samples))
-}
-
-// Quantile returns the q-th quantile (0 <= q <= 1) by nearest-rank.
-func (d *Dist) Quantile(q float64) float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), d.samples...)
-	sort.Float64s(sorted)
-	idx := int(q*float64(len(sorted)-1) + 0.5)
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-// Max returns the maximum sample (0 for empty).
-func (d *Dist) Max() float64 {
-	m := 0.0
-	for i, v := range d.samples {
-		if i == 0 || v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // RNG is a SplitMix64 deterministic generator: tiny, seedable, and
 // free of global state, so parallel workloads stay reproducible.
 type RNG struct {
@@ -213,11 +125,6 @@ func (r *RNG) Intn(n int) int {
 		return 0
 	}
 	return int(r.Uint64() % uint64(n))
-}
-
-// Float64 returns a value in [0, 1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / float64(1<<53)
 }
 
 // Split derives an independent child generator (for per-worker

@@ -87,15 +87,6 @@ type Histogram struct {
 	Over   int64   `json:"over"`  // samples > Hi
 }
 
-// NewHistogram builds a histogram of the given bucket count over
-// [lo, hi]; hi itself lands in the last bucket.
-func NewHistogram(lo, hi float64, buckets int) *Histogram {
-	if buckets < 1 || !(hi > lo) {
-		panic(fmt.Sprintf("metrics: bad histogram layout [%v, %v] x %d", lo, hi, buckets))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, buckets)}
-}
-
 // Add counts one sample.
 func (h *Histogram) Add(v float64) {
 	switch {
@@ -127,41 +118,4 @@ func (h *Histogram) Merge(other *Histogram) error {
 	h.Under += other.Under
 	h.Over += other.Over
 	return nil
-}
-
-// N returns the total number of samples counted, including under-
-// and overflow.
-func (h *Histogram) N() int64 {
-	n := h.Under + h.Over
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
-// Quantile returns the upper edge of the bucket holding the q-th
-// quantile (0 <= q <= 1) of the in-range samples — a conservative
-// bucket-resolution estimate. Underflow reports Lo, an empty
-// histogram 0.
-func (h *Histogram) Quantile(q float64) float64 {
-	inRange := h.N() - h.Under - h.Over
-	if inRange <= 0 {
-		if h.Under > 0 {
-			return h.Lo
-		}
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(inRange)))
-	if rank < 1 {
-		rank = 1
-	}
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	var seen int64
-	for i, c := range h.Counts {
-		seen += c
-		if seen >= rank {
-			return h.Lo + float64(i+1)*width
-		}
-	}
-	return h.Hi
 }

@@ -8,18 +8,19 @@
 //
 // A modulefile describes prepend/append/set operations on environment
 // variables plus dependencies on other modules. Loading mutates a
-// per-session Env; unloading reverses exactly what loading did. The
-// separation tie-in: modulefiles live on the shared filesystem under
-// the same smask/project-group rules as everything else, so *who can
-// use a module* is decided by the vfs layer, not by this package.
+// per-session Env. The separation tie-in: modulefiles live on the
+// shared filesystem under the same smask/project-group rules as
+// everything else, so *who can use a module* is decided by the vfs
+// layer, not by this package.
+//
+// Nothing here takes a lock: a Repo and its Sessions have one owner
+// goroutine, like a cluster (DESIGN.md §7, "One owner per cluster").
 package modules
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 )
 
 // Op is one environment operation in a modulefile.
@@ -67,7 +68,6 @@ func (m *Module) ID() string { return m.Name + "/" + m.Version }
 // Repo is the site modulefile tree (one per cluster, maintained by
 // support staff via smask_relax).
 type Repo struct {
-	mu       sync.RWMutex
 	modules  map[string]*Module // id -> module
 	defaults map[string]string  // name -> default version
 }
@@ -76,7 +76,6 @@ type Repo struct {
 var (
 	ErrNoModule   = errors.New("modules: no such module")
 	ErrConflict   = errors.New("modules: conflicting module loaded")
-	ErrNotLoaded  = errors.New("modules: module not loaded")
 	ErrDependency = errors.New("modules: unsatisfied dependency")
 	ErrLoaded     = errors.New("modules: already loaded")
 )
@@ -89,8 +88,6 @@ func NewRepo() *Repo {
 // Add registers a module; the first version added for a name becomes
 // the default (override with SetDefault).
 func (r *Repo) Add(m *Module) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.modules[m.ID()] = m
 	if _, ok := r.defaults[m.Name]; !ok {
 		r.defaults[m.Name] = m.Version
@@ -99,8 +96,6 @@ func (r *Repo) Add(m *Module) {
 
 // SetDefault picks the version `module load name` resolves to.
 func (r *Repo) SetDefault(name, version string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if _, ok := r.modules[name+"/"+version]; !ok {
 		return fmt.Errorf("%w: %s/%s", ErrNoModule, name, version)
 	}
@@ -111,8 +106,6 @@ func (r *Repo) SetDefault(name, version string) error {
 // Resolve finds a module by "name" (default version) or
 // "name/version".
 func (r *Repo) Resolve(spec string) (*Module, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if strings.Contains(spec, "/") {
 		m, ok := r.modules[spec]
 		if !ok {
@@ -127,31 +120,11 @@ func (r *Repo) Resolve(spec string) (*Module, error) {
 	return r.modules[spec+"/"+v], nil
 }
 
-// Avail lists module IDs sorted.
-func (r *Repo) Avail() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.modules))
-	for id := range r.modules {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Session is one user shell's module state.
 type Session struct {
 	repo   *Repo
-	mu     sync.Mutex
 	env    map[string]string
-	loaded []string            // load order
-	undo   map[string][]undoOp // id -> reverse ops
-}
-
-type undoOp struct {
-	variable string
-	prev     string
-	had      bool
+	loaded []string // load order
 }
 
 // NewSession starts with a copy of base environment variables.
@@ -160,24 +133,15 @@ func NewSession(repo *Repo, base map[string]string) *Session {
 	for k, v := range base {
 		env[k] = v
 	}
-	return &Session{repo: repo, env: env, undo: make(map[string][]undoOp)}
+	return &Session{repo: repo, env: env}
 }
 
 // Getenv reads a variable.
 func (s *Session) Getenv(key string) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.env[key]
 }
 
-// Loaded lists loaded module IDs in load order.
-func (s *Session) Loaded() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.loaded...)
-}
-
-func (s *Session) isLoadedLocked(name string) bool {
+func (s *Session) isLoaded(name string) bool {
 	for _, id := range s.loaded {
 		if id == name || strings.HasPrefix(id, name+"/") {
 			return true
@@ -193,25 +157,21 @@ func (s *Session) Load(spec string) error {
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.isLoadedLocked(m.Name) {
+	if s.isLoaded(m.Name) {
 		return fmt.Errorf("%w: %s", ErrLoaded, m.ID())
 	}
 	for _, dep := range m.Requires {
-		if !s.isLoadedLocked(dep) {
+		if !s.isLoaded(dep) {
 			return fmt.Errorf("%w: %s requires %s", ErrDependency, m.ID(), dep)
 		}
 	}
 	for _, c := range m.Conflicts {
-		if s.isLoadedLocked(c) {
+		if s.isLoaded(c) {
 			return fmt.Errorf("%w: %s conflicts with %s", ErrConflict, m.ID(), c)
 		}
 	}
-	var undos []undoOp
 	for _, op := range m.Ops {
 		prev, had := s.env[op.Var]
-		undos = append(undos, undoOp{variable: op.Var, prev: prev, had: had})
 		switch op.Kind {
 		case SetEnv:
 			s.env[op.Var] = op.Value
@@ -229,76 +189,6 @@ func (s *Session) Load(spec string) error {
 			}
 		}
 	}
-	s.undo[m.ID()] = undos
 	s.loaded = append(s.loaded, m.ID())
 	return nil
-}
-
-// Unload reverses a loaded module (like `module unload`). Modules
-// that other loaded modules depend on cannot be unloaded.
-func (s *Session) Unload(spec string) error {
-	m, err := s.repo.Resolve(spec)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	idx := -1
-	for i, id := range s.loaded {
-		if id == m.ID() {
-			idx = i
-		}
-	}
-	if idx == -1 {
-		return fmt.Errorf("%w: %s", ErrNotLoaded, m.ID())
-	}
-	// Dependency check: nothing loaded may require this module.
-	for _, id := range s.loaded {
-		if id == m.ID() {
-			continue
-		}
-		other, err := s.repo.Resolve(id)
-		if err != nil {
-			continue
-		}
-		for _, dep := range other.Requires {
-			if dep == m.Name {
-				return fmt.Errorf("%w: %s still requires %s", ErrDependency, other.ID(), m.Name)
-			}
-		}
-	}
-	// Reverse in LIFO order.
-	undos := s.undo[m.ID()]
-	for i := len(undos) - 1; i >= 0; i-- {
-		u := undos[i]
-		if u.had {
-			s.env[u.variable] = u.prev
-		} else {
-			delete(s.env, u.variable)
-		}
-	}
-	delete(s.undo, m.ID())
-	s.loaded = append(s.loaded[:idx], s.loaded[idx+1:]...)
-	return nil
-}
-
-// Purge unloads everything in reverse load order (like `module purge`).
-func (s *Session) Purge() {
-	for {
-		s.mu.Lock()
-		if len(s.loaded) == 0 {
-			s.mu.Unlock()
-			return
-		}
-		last := s.loaded[len(s.loaded)-1]
-		s.mu.Unlock()
-		if err := s.Unload(last); err != nil {
-			// A dependency hold: unload the dependent first next loop.
-			// Purge in strict reverse order cannot actually hit this,
-			// but guard against pathological repos.
-			s.mu.Lock()
-			s.loaded = s.loaded[:len(s.loaded)-1]
-			s.mu.Unlock()
-		}
-	}
 }

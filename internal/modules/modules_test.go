@@ -3,7 +3,6 @@ package modules
 import (
 	"errors"
 	"testing"
-	"testing/quick"
 )
 
 func testRepo() *Repo {
@@ -88,16 +87,6 @@ func TestDependencyEnforced(t *testing.T) {
 	if err := s.Load("openmpi"); err != nil {
 		t.Fatalf("load with dep: %v", err)
 	}
-	// gcc cannot be unloaded while openmpi needs it.
-	if err := s.Unload("gcc"); !errors.Is(err, ErrDependency) {
-		t.Errorf("unload held dep err = %v", err)
-	}
-	if err := s.Unload("openmpi"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Unload("gcc"); err != nil {
-		t.Errorf("unload after release: %v", err)
-	}
 }
 
 func TestConflictEnforced(t *testing.T) {
@@ -123,66 +112,6 @@ func TestDoubleLoadRejected(t *testing.T) {
 	}
 }
 
-func TestUnloadRestoresEnvExactly(t *testing.T) {
-	base := map[string]string{"PATH": "/usr/bin", "CC": "cc"}
-	s := NewSession(testRepo(), base)
-	if err := s.Load("gcc/12.3"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Unload("gcc/12.3"); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Getenv("PATH"); got != "/usr/bin" {
-		t.Errorf("PATH after unload = %q", got)
-	}
-	if got := s.Getenv("CC"); got != "cc" {
-		t.Errorf("CC after unload = %q", got)
-	}
-	if err := s.Unload("gcc/12.3"); !errors.Is(err, ErrNotLoaded) {
-		t.Errorf("double unload err = %v", err)
-	}
-}
-
-func TestUnloadRemovesCreatedVars(t *testing.T) {
-	s := NewSession(testRepo(), nil)
-	_ = s.Load("gcc")
-	_ = s.Load("openmpi")
-	if s.Getenv("MPI_HOME") == "" {
-		t.Fatal("MPI_HOME not set")
-	}
-	if err := s.Unload("openmpi"); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Getenv("MPI_HOME"); got != "" {
-		t.Errorf("MPI_HOME after unload = %q (var did not exist before)", got)
-	}
-}
-
-func TestPurge(t *testing.T) {
-	s := NewSession(testRepo(), map[string]string{"PATH": "/usr/bin"})
-	_ = s.Load("gcc")
-	_ = s.Load("openmpi")
-	s.Purge()
-	if len(s.Loaded()) != 0 {
-		t.Errorf("loaded after purge = %v", s.Loaded())
-	}
-	if got := s.Getenv("PATH"); got != "/usr/bin" {
-		t.Errorf("PATH after purge = %q", got)
-	}
-}
-
-func TestAvailSorted(t *testing.T) {
-	av := testRepo().Avail()
-	if len(av) != 4 {
-		t.Fatalf("avail = %v", av)
-	}
-	for i := 1; i < len(av); i++ {
-		if av[i-1] >= av[i] {
-			t.Errorf("avail not sorted: %v", av)
-		}
-	}
-}
-
 func TestAppendPath(t *testing.T) {
 	r := NewRepo()
 	r.Add(&Module{Name: "man", Version: "1", Ops: []Op{{AppendPath, "MANPATH", "/opt/man"}}})
@@ -202,34 +131,5 @@ func TestAppendPath(t *testing.T) {
 func TestOpKindString(t *testing.T) {
 	if PrependPath.String() != "prepend-path" || AppendPath.String() != "append-path" || SetEnv.String() != "setenv" || OpKind(9).String() != "?" {
 		t.Error("OpKind.String broken")
-	}
-}
-
-// Property: for any sequence of loads followed by unloading all of
-// them in reverse order, the environment returns exactly to base.
-func TestQuickLoadUnloadIdentity(t *testing.T) {
-	repo := testRepo()
-	f := func(pick []uint8) bool {
-		base := map[string]string{"PATH": "/usr/bin", "HOME": "/home/u"}
-		s := NewSession(repo, base)
-		specs := []string{"gcc/12.3", "gcc/13.1", "openmpi", "intel-mpi"}
-		var loadedOK []string
-		for _, p := range pick {
-			spec := specs[int(p)%len(specs)]
-			if err := s.Load(spec); err == nil {
-				m, _ := repo.Resolve(spec)
-				loadedOK = append(loadedOK, m.ID())
-			}
-		}
-		for i := len(loadedOK) - 1; i >= 0; i-- {
-			if err := s.Unload(loadedOK[i]); err != nil {
-				return false
-			}
-		}
-		return s.Getenv("PATH") == "/usr/bin" && s.Getenv("HOME") == "/home/u" &&
-			s.Getenv("CC") == "" && s.Getenv("MPI_HOME") == "" && len(s.Loaded()) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -99,8 +99,8 @@ func TestLoadTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := repo.Avail(); len(got) != 3 {
-		t.Fatalf("avail = %v", got)
+	if got := len(repo.modules); got != 3 {
+		t.Fatalf("LoadTree registered %d modules, want 3", got)
 	}
 	// .default honored.
 	m, err := repo.Resolve("gcc")

@@ -20,15 +20,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/netsim"
 )
 
 // Sealer is one direction of an encrypted MPI channel: AES-256-GCM
-// with a counter nonce (unique per message within the channel).
+// with a counter nonce (unique per message within the channel). It
+// takes no lock: its channel has one owner goroutine, like a cluster
+// (DESIGN.md §7, "One owner per cluster").
 type Sealer struct {
-	mu    sync.Mutex
 	aead  cipher.AEAD
 	nonce uint64
 }
@@ -57,10 +57,8 @@ func NewSealer(sharedSecret []byte) (*Sealer, error) {
 
 // Seal encrypts a message: 8-byte nonce counter || ciphertext+tag.
 func (s *Sealer) Seal(plain []byte) []byte {
-	s.mu.Lock()
 	n := s.nonce
 	s.nonce++
-	s.mu.Unlock()
 	nonce := make([]byte, s.aead.NonceSize())
 	binary.BigEndian.PutUint64(nonce[len(nonce)-8:], n)
 	out := make([]byte, 8, 8+len(plain)+s.aead.Overhead())
@@ -88,7 +86,7 @@ func (s *Sealer) Open(box []byte) ([]byte, error) {
 type SecureConn struct {
 	conn   *netsim.Conn
 	sealer *Sealer
-	opener *Sealer
+	opener *Sealer // the acceptor's side: every connection derives both keys
 }
 
 // Secure wraps conn with sealers derived from sharedSecret.
@@ -108,15 +106,3 @@ func Secure(conn *netsim.Conn, sharedSecret []byte) (*SecureConn, error) {
 func (c *SecureConn) Send(plain []byte) error {
 	return c.conn.Send(c.sealer.Seal(plain))
 }
-
-// Recv receives and decrypts on the acceptor side.
-func (c *SecureConn) Recv() ([]byte, error) {
-	box, ok := c.conn.Recv()
-	if !ok {
-		return nil, nil
-	}
-	return c.opener.Open(box)
-}
-
-// Conn exposes the underlying connection (for Close etc.).
-func (c *SecureConn) Conn() *netsim.Conn { return c.conn }

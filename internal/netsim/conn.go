@@ -39,11 +39,6 @@ func (h *Host) Listen(cred ids.Credential, proto Proto, port int) (*Listener, er
 	return l, nil
 }
 
-// Close unbinds the listener.
-func (l *Listener) Close() {
-	delete(l.host.listeners, portKey{l.proto, l.port})
-}
-
 // Accept returns the next established inbound connection, if any.
 func (l *Listener) Accept() (*Conn, bool) {
 	if l.head == len(l.backlog) {

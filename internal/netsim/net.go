@@ -264,9 +264,6 @@ func (h *Host) touch() {
 	}
 }
 
-// Name returns the host name.
-func (h *Host) Name() string { return h.name }
-
 // SetFirewall installs the nfqueue hook. portFilter selects which
 // destination ports are inspected — the paper configures "ports
 // numbered 1024 and above" (reproducibility appendix); nil inspects

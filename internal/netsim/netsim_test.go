@@ -71,18 +71,6 @@ func TestListenConflictsAndPrivilegedPorts(t *testing.T) {
 	}
 }
 
-func TestListenerCloseReleasesPort(t *testing.T) {
-	_, h1, _ := twoHosts(t)
-	l, err := h1.Listen(cred(1000), TCP, 5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	if _, err := h1.Listen(cred(2000), TCP, 5000); err != nil {
-		t.Errorf("rebind after close: %v", err)
-	}
-}
-
 func TestFirewallHookDropsAndStats(t *testing.T) {
 	n, h1, h2 := twoHosts(t)
 	if _, err := h2.Listen(cred(1000), TCP, 5000); err != nil {

@@ -74,7 +74,7 @@ type netCall struct {
 
 func (in *netInput) call() netCall {
 	c := netCall{
-		op: in.pick(12), host: in.pick(len(netHosts)), peer: in.pick(len(netHosts)),
+		op: in.pick(11), host: in.pick(len(netHosts)), peer: in.pick(len(netHosts)),
 		cred: in.pick(len(netCreds)), port: in.pick(len(netPorts)), proto: in.pick(2),
 		name: in.pick(len(netNames)), handle: in.pick(256),
 	}
@@ -141,15 +141,11 @@ func (c netCall) apply(fx *netFixture) string {
 			}
 		}
 	case 8:
-		if len(fx.listeners) > 0 {
-			fx.listeners[c.handle%len(fx.listeners)].Close()
-		}
-	case 9:
 		if len(fx.sockets) > 0 {
 			d, from, ok := fx.sockets[c.handle%len(fx.sockets)].Recv()
 			out = fmt.Sprintf("%q %d %v", d, from, ok)
 		}
-	case 10:
+	case 9:
 		qp, err := h.SetupQP(cr, QPSetupMode(c.proto), netHosts[c.peer], port)
 		if err == nil {
 			fx.qps = append(fx.qps, qp)
@@ -194,7 +190,7 @@ func queuedAtResetSeed() []byte {
 		{5, 0, 0, 0, 0, 0, 0, 0, 0},           // Recv on the connection
 		{4, 0, 0, 0, 0, 0, 0, 0, 2, 'h', 'i'}, // Send "hi"
 		{2, 0, 0, 2, 0, 0, 1, 0, 0},           // ListenAbstract a @y as 1001
-		{9, 0, 0, 0, 0, 0, 0, 0, 0},           // Recv on the socket
+		{8, 0, 0, 0, 0, 0, 0, 0, 0},           // Recv on the socket
 		{3, 0, 0, 1, 0, 0, 1, 0, 1, 'z'},      // DialAbstract a @y "z" as 1000
 	}
 	var seed []byte
@@ -208,9 +204,8 @@ func queuedAtResetSeed() []byte {
 }
 
 // FuzzNetReset decodes bytes into cycles of calls — Listen, Dial,
-// ListenAbstract, DialAbstract, Send, Recv, Close, Accept, listener
-// Close, abstract Recv, SetupQP both ways, QP writes and ident queries
-// — on three hosts, one behind a same-user firewall. One network runs
+// ListenAbstract, DialAbstract, Send, Recv, Close, Accept, abstract
+// Recv, SetupQP both ways, QP writes and ident queries — on three hosts, one behind a same-user firewall. One network runs
 // every cycle with Reset between them; each cycle also runs on a
 // freshly built network. Every call's results, error text and the
 // fabric's counters must be the fresh network's: nothing a cycle

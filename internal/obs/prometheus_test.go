@@ -18,7 +18,7 @@ func renderString(t *testing.T, r *Registry) string {
 func TestPrometheusRendering(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("fleet_trials_completed_total", "trials completed").Add(42)
-	r.Gauge("fleetd_queue_depth", "queued campaigns").Set(3)
+	r.Gauge("fleetd_queue_depth", "queued campaigns").Add(3)
 	out := renderString(t, r)
 
 	for _, want := range []string{

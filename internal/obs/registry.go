@@ -60,18 +60,10 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is a set-or-adjust metric handle (queue depths, in-flight
+// Gauge is an adjust-only metric handle (queue depths, in-flight
 // counts). Nil-safe like Counter.
 type Gauge struct {
 	v atomic.Int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
 }
 
 // Add adjusts by delta (negative allowed).
@@ -404,62 +396,6 @@ func snapLess(a, b CounterSnap) bool {
 	return metricKey(a.Name, a.Labels) < metricKey(b.Name, b.Labels)
 }
 
-// Merge folds another snapshot in: counters and histograms add,
-// gauges sum (a split gauge recombines to the whole), and instances
-// present on only one side carry over. Histogram layouts must match —
-// the same rule as metrics.Histogram.Merge.
-func (s *Snapshot) Merge(o *Snapshot) error {
-	if o == nil {
-		return nil
-	}
-	s.Counters = mergeSnaps(s.Counters, o.Counters)
-	s.Gauges = mergeSnaps(s.Gauges, o.Gauges)
-	byKey := make(map[string]int, len(s.Histograms))
-	for i := range s.Histograms {
-		byKey[metricKey(s.Histograms[i].Name, s.Histograms[i].Labels)] = i
-	}
-	for _, oh := range o.Histograms {
-		key := metricKey(oh.Name, oh.Labels)
-		i, ok := byKey[key]
-		if !ok {
-			c := oh
-			c.Bounds = append([]float64(nil), oh.Bounds...)
-			c.Counts = append([]int64(nil), oh.Counts...)
-			s.Histograms = append(s.Histograms, c)
-			byKey[key] = len(s.Histograms) - 1
-			continue
-		}
-		h := &s.Histograms[i]
-		if !equalBounds(h.Bounds, oh.Bounds) || len(h.Counts) != len(oh.Counts) {
-			return fmt.Errorf("obs: histogram %q bucket layout mismatch on merge", oh.Name)
-		}
-		for j, c := range oh.Counts {
-			h.Counts[j] += c
-		}
-		h.Sum += oh.Sum
-		h.Count += oh.Count
-	}
-	s.sort()
-	return nil
-}
-
-func mergeSnaps(dst, src []CounterSnap) []CounterSnap {
-	byKey := make(map[string]int, len(dst))
-	for i := range dst {
-		byKey[metricKey(dst[i].Name, dst[i].Labels)] = i
-	}
-	for _, o := range src {
-		key := metricKey(o.Name, o.Labels)
-		if i, ok := byKey[key]; ok {
-			dst[i].Value += o.Value
-			continue
-		}
-		dst = append(dst, o)
-		byKey[key] = len(dst) - 1
-	}
-	return dst
-}
-
 // JSON renders the snapshot in the repo's artifact form: indented,
 // trailing newline.
 func (s *Snapshot) JSON() ([]byte, error) {
@@ -468,14 +404,4 @@ func (s *Snapshot) JSON() ([]byte, error) {
 		return nil, err
 	}
 	return append(data, '\n'), nil
-}
-
-// DecodeSnapshot parses a snapshot previously rendered by JSON, so
-// dumped registries can cross process boundaries and still merge.
-func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	var s Snapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("obs: decoding snapshot: %w", err)
-	}
-	return &s, nil
 }

@@ -6,19 +6,14 @@ import (
 	"testing"
 )
 
-// feed applies a deterministic op stream to a registry; partition i
-// of n applies only its share. Used to prove parallel shard
-// registries merge to exactly what one registry would accumulate.
-func feed(r *Registry, part, parts int) {
+// feed applies a deterministic op stream to a registry.
+func feed(r *Registry) {
 	trials := r.Counter("fleet_trials_completed_total", "trials completed")
 	retries := r.Counter("fleet_trial_panics_total", "panicking attempts")
 	depth := r.Gauge("fleetd_queue_depth", "queued campaigns")
 	ticks := r.HistogramMetric("fleet_trial_ticks", "trial makespan", []float64{10, 100, 1000})
 	perShard := r.Counter("shard_attempts_total", "attempts", "shard", "0")
 	for i := 0; i < 1000; i++ {
-		if i%parts != part {
-			continue
-		}
 		trials.Inc()
 		if i%7 == 0 {
 			retries.Add(2)
@@ -31,77 +26,15 @@ func feed(r *Registry, part, parts int) {
 	}
 }
 
-func TestSnapshotMergeEquivalence(t *testing.T) {
-	single := NewRegistry()
-	feed(single, 0, 1)
-	want := single.Snapshot()
-
-	const shards = 4
-	regs := make([]*Registry, shards)
-	var wg sync.WaitGroup
-	for i := range regs {
-		regs[i] = NewRegistry()
-		wg.Add(1)
-		go func(i int) { defer wg.Done(); feed(regs[i], i, shards) }(i)
-	}
-	wg.Wait()
-
-	merged := regs[0].Snapshot()
-	for _, r := range regs[1:] {
-		if err := merged.Merge(r.Snapshot()); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	wantJSON, err := want.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotJSON, err := merged.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(wantJSON) != string(gotJSON) {
-		t.Fatalf("merged shard snapshots differ from the single-registry snapshot:\nwant:\n%s\ngot:\n%s", wantJSON, gotJSON)
-	}
-}
-
-func TestSnapshotMergeDisjointInstances(t *testing.T) {
-	a := NewRegistry()
-	a.Counter("shard_attempts_total", "attempts", "shard", "0").Add(3)
-	b := NewRegistry()
-	b.Counter("shard_attempts_total", "attempts", "shard", "1").Add(5)
-	s := a.Snapshot()
-	if err := s.Merge(b.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Counters) != 2 {
-		t.Fatalf("want 2 labeled instances after merge, got %d", len(s.Counters))
-	}
-	if s.Counters[0].Value+s.Counters[1].Value != 8 {
-		t.Fatalf("merged values wrong: %+v", s.Counters)
-	}
-}
-
-func TestSnapshotMergeLayoutMismatch(t *testing.T) {
-	a := NewRegistry()
-	a.HistogramMetric("h", "", []float64{1, 2}).Observe(1)
-	b := NewRegistry()
-	b.HistogramMetric("h", "", []float64{1, 3}).Observe(1)
-	if err := a.Snapshot().Merge(b.Snapshot()); err == nil {
-		t.Fatal("merging histograms with different layouts must error")
-	}
-}
-
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	feed(r, 0, 1)
+	feed(r)
 	data, err := r.Snapshot().JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeSnapshot(data)
-	if err != nil {
+	var back Snapshot
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
 	again, err := back.JSON()
@@ -110,11 +43,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 	if string(data) != string(again) {
 		t.Fatal("snapshot JSON does not round-trip")
-	}
-	// A round-tripped snapshot still merges: dump-and-recombine is the
-	// cross-process path fleetrun -metrics artifacts take.
-	if err := back.Merge(r.Snapshot()); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -168,7 +96,7 @@ func TestNilRegistryAndHandles(t *testing.T) {
 	// All no-ops, no panics.
 	c.Inc()
 	c.Add(5)
-	g.Set(3)
+	g.Add(3)
 	g.Add(-1)
 	h.Observe(2)
 	if c.Value() != 0 || g.Value() != 0 {
@@ -195,7 +123,7 @@ func TestHotPathAllocs(t *testing.T) {
 		op   func()
 	}{
 		{"counter.Add", func() { c.Add(3) }},
-		{"gauge.Set", func() { g.Set(7) }},
+		{"gauge.Add", func() { g.Add(7) }},
 		{"histogram.Observe", func() { h.Observe(42) }},
 		{"nil counter.Add", func() { (*Counter)(nil).Add(3) }},
 		{"nil histogram.Observe", func() { (*Histogram)(nil).Observe(3) }},
@@ -237,9 +165,9 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 	a := NewRegistry()
 	a.Counter("b_total", "").Add(1)
 	a.Counter("a_total", "").Add(2)
-	a.Gauge("z", "").Set(3)
+	a.Gauge("z", "").Add(3)
 	b := NewRegistry()
-	b.Gauge("z", "").Set(3)
+	b.Gauge("z", "").Add(3)
 	b.Counter("a_total", "").Add(2)
 	b.Counter("b_total", "").Add(1)
 	aj, _ := a.Snapshot().JSON()

@@ -171,22 +171,6 @@ type PhaseCost struct {
 	WallNS   int64 // total wall time
 }
 
-// MeanWallNS is the average wall cost per span.
-func (p PhaseCost) MeanWallNS() int64 {
-	if p.Count == 0 {
-		return 0
-	}
-	return p.WallNS / p.Count
-}
-
-// MeanTicks is the average simulated ticks per span.
-func (p PhaseCost) MeanTicks() float64 {
-	if p.Count == 0 {
-		return 0
-	}
-	return float64(p.Ticks) / float64(p.Count)
-}
-
 // AggregatePhases folds spans into per-(scenario, phase) costs.
 // Scenarios appear in first-appearance order (campaign order, since
 // spans arrive in trial-index order); phases follow the canonical

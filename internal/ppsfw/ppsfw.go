@@ -18,7 +18,6 @@ package ppsfw
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/netsim"
 )
@@ -40,9 +39,10 @@ func (r Rule) String() string {
 	return fmt.Sprintf("%s %s %d-%d", r.Name, r.Proto, r.PortLow, r.PortHigh)
 }
 
-// Firewall is a default-deny PPS firewall.
+// Firewall is a default-deny PPS firewall. It takes no lock: the
+// cluster's owner goroutine calls it (DESIGN.md §7, "One owner per
+// cluster").
 type Firewall struct {
-	mu    sync.RWMutex
 	rules []Rule
 }
 
@@ -52,8 +52,6 @@ func New() *Firewall { return &Firewall{} }
 // Approve adds a service rule, the admin change-request workflow of a
 // traditional enterprise firewall.
 func (fw *Firewall) Approve(name string, proto netsim.Proto, low, high int) {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
 	fw.rules = append(fw.rules, Rule{Name: name, Proto: proto, PortLow: low, PortHigh: high})
 }
 
@@ -61,8 +59,6 @@ func (fw *Firewall) Approve(name string, proto netsim.Proto, low, high int) {
 // look at: who owns either socket.
 func (fw *Firewall) Hook() netsim.HookFunc {
 	return func(_ *netsim.Network, flow netsim.FlowTuple) netsim.Verdict {
-		fw.mu.RLock()
-		defer fw.mu.RUnlock()
 		for _, r := range fw.rules {
 			if r.Matches(flow) {
 				return netsim.Accept

@@ -16,7 +16,7 @@
 //
 // # Redaction contract (hidepid=1)
 //
-// Stat on a visible-but-unreadable pid returns a redacted stub
+// List shows a visible-but-unreadable pid as a redacted stub
 // modelling stat(2) on a /proc/<pid> directory whose contents are
 // protected. This simulation's contract deliberately keeps three
 // fields: the PID, the executable name (Comm) and the run State —
@@ -28,16 +28,12 @@
 // carry the secret-bearing data (argv, identity, accounting) that
 // hidepid exists to protect.
 //
-// The same contract governs List: visible-but-unreadable entries
-// appear as the redacted stub, never as the table's entry.
-//
 // List and Readable filter on the process table's shared snapshot
 // (simos.Table.Visit) and return the table's own entries, which are
 // read-only and valid until the table's next Reset (see simos.Table):
 // a listing allocates its result slice and nothing per readable
 // entry, and under hidepid=2 a foreign observer's `ps` pass allocates
-// nothing at all. Stat clones the one entry it may show; denied
-// Stat/ReadCmdline probes are allocation-free.
+// nothing at all. Denied ReadCmdline probes are allocation-free.
 //
 // # Trial-lifecycle Reset contract
 //
@@ -146,8 +142,8 @@ func (m *Mount) List(observer ids.Credential) []*simos.Process {
 		default:
 			// Visible but unreadable (hidepid=1, foreign pid): the
 			// directory appears in readdir but its contents are
-			// protected, so the entry is the same redacted stub Stat
-			// returns — never the secret-bearing entry.
+			// protected, so the entry is the redacted stub — never the
+			// secret-bearing entry.
 			out = m.appendEntry(out, &simos.Process{PID: p.PID, Comm: p.Comm, State: p.State})
 		}
 		return true
@@ -177,29 +173,6 @@ func (m *Mount) Readable(observer ids.Credential) []*simos.Process {
 		return true
 	})
 	return out
-}
-
-// Stat models stat("/proc/<pid>"): under hidepid=2 foreign pids
-// return ErrNotFound; under hidepid=1 they exist but detailed reads
-// fail (see ReadCmdline).
-func (m *Mount) Stat(observer ids.Credential, pid ids.PID) (*simos.Process, error) {
-	// Check permissions on the shared immutable entry; clone only on
-	// the allowed full-read path, so a denied probe allocates nothing.
-	p, ok := m.table.Lookup(pid)
-	if !ok {
-		return nil, ErrNotFound
-	}
-	exempt := m.exempt(observer)
-	if !m.visible(exempt, observer, p) {
-		return nil, ErrNotFound
-	}
-	if !m.readable(exempt, observer, p) {
-		// Exists but contents are protected: return a redacted stub
-		// per the package redaction contract — PID, Comm and State
-		// only; no credential, cmdline, or accounting fields.
-		return &simos.Process{PID: p.PID, Comm: p.Comm, State: p.State}, nil
-	}
-	return p.Clone(), nil
 }
 
 // ReadCmdline models reading /proc/<pid>/cmdline — the exact leak

@@ -109,7 +109,7 @@ func TestCalendarTracksRunning(t *testing.T) {
 	}
 	s.RunAll(10000)
 	checkIndexes(t, s, "after drain")
-	if _, ok := s.calendar.nextDue(s.Now()); ok {
+	if _, ok := s.calendar.nextDue(s.now); ok {
 		t.Error("nextDue reports an event on an idle cluster")
 	}
 	if s.calendar.live != 0 || s.calendar.heads != [wheelSize]*Job{} {
@@ -178,7 +178,7 @@ func TestRunAllFastForwardBudget(t *testing.T) {
 	if got := s.RunAll(500); got != 500 {
 		t.Fatalf("RunAll = %d, want maxTicks 500", got)
 	}
-	if now := s.Now(); now != 500 {
+	if now := s.now; now != 500 {
 		t.Fatalf("now = %d after capped RunAll, want 500", now)
 	}
 	if n := s.PendingCount(); n != 1 {

@@ -115,7 +115,7 @@ type JobSpec struct {
 //
 // The scheduler recycles its own Job storage, and the Nodes, Cores and
 // task slices, at Reset: they live in slabs reused by the next
-// trial. Every outward surface (Scheduler.Job, JobView, Squeue, Sacct)
+// trial. Every outward surface (Scheduler.Job, Squeue, Sacct)
 // therefore hands out copies, and a Hook must not retain the *Job it
 // is given past the call.
 type Job struct {

@@ -138,7 +138,9 @@ func checkTaskProcesses(t *testing.T, s *Scheduler, when string) {
 	t.Helper()
 	for _, ns := range s.nodes {
 		seen := make(map[int]int)
-		for _, p := range ns.node.Procs.All() {
+		var procs []*simos.Process
+		ns.node.Procs.Visit(func(p *simos.Process) bool { procs = append(procs, p); return true })
+		for _, p := range procs {
 			if p.JobID == 0 {
 				continue
 			}

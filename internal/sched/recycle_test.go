@@ -12,7 +12,6 @@ import (
 // observed is everything one trial handed to observers.
 type observed struct {
 	jobs   []*Job // Scheduler.Job
-	views  []*Job // JobView by the owner
 	queue  []*Job // Squeue by root, mid-trial
 	sacct  []AccountingRecord
 	closed []AccountingRecord // Sacct by a user under PrivateData
@@ -39,7 +38,7 @@ func (o observed) deepCopy() observed {
 		}
 		return out
 	}
-	return observed{jobs(o.jobs), jobs(o.views), jobs(o.queue), recs(o.sacct), recs(o.closed)}
+	return observed{jobs(o.jobs), jobs(o.queue), recs(o.sacct), recs(o.closed)}
 }
 
 // recycleTrial submits users × perUser jobs with trial-specific names,
@@ -78,11 +77,6 @@ func recycleTrial(t *testing.T, s *Scheduler, trial string, users, perUser, widt
 			t.Fatal(err)
 		}
 		o.jobs = append(o.jobs, j)
-		v, err := s.JobView(j.Cred, id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o.views = append(o.views, v)
 	}
 	o.sacct = s.Sacct(ids.RootCred())
 	o.closed = s.Sacct(o.jobs[0].Cred)

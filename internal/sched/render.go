@@ -22,28 +22,6 @@ func (s *Scheduler) SqueueText(observer ids.Credential, resolve func(ids.UID) st
 	return t.Render()
 }
 
-// SinfoText renders node occupancy like `sinfo -N`.
-func (s *Scheduler) SinfoText(observer ids.Credential) string {
-	t := metrics.NewTable("sinfo", "NODELIST", "CPUS", "ALLOC", "OWN", "USERS")
-	for _, info := range s.Sinfo(observer) {
-		users := fmt.Sprintf("%d", info.Users)
-		if info.Users == -1 {
-			users = "(hidden)"
-		}
-		t.AddRow(info.Name, info.Cores, info.UsedCores, info.OwnCores, users)
-	}
-	return t.Render()
-}
-
-// SacctText renders accounting like `sacct`.
-func (s *Scheduler) SacctText(observer ids.Credential, resolve func(ids.UID) string) string {
-	t := metrics.NewTable("sacct", "JOBID", "NAME", "USER", "STATE", "START", "END", "CORETICKS")
-	for _, r := range s.Sacct(observer) {
-		t.AddRow(r.JobID, r.Name, userName(resolve, r.User), r.State.String(), r.Start, r.End, r.CoreTicks)
-	}
-	return t.Render()
-}
-
 func userName(resolve func(ids.UID) string, uid ids.UID) string {
 	if resolve == nil {
 		return fmt.Sprintf("%d", uid)

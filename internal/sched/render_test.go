@@ -35,31 +35,3 @@ func TestSqueueTextPrivacy(t *testing.T) {
 		t.Errorf("root view incomplete:\n%s", rootOut)
 	}
 }
-
-func TestSinfoTextHidesAttribution(t *testing.T) {
-	s := New(Config{PrivateData: true}, computeNodes(2, 4, 1000), 0)
-	if _, err := s.Submit(cred(2000), spec(2, 10)); err != nil {
-		t.Fatal(err)
-	}
-	s.Step()
-	out := s.SinfoText(cred(1000))
-	if !strings.Contains(out, "(hidden)") {
-		t.Errorf("attribution not hidden:\n%s", out)
-	}
-	rootOut := s.SinfoText(ids.RootCred())
-	if strings.Contains(rootOut, "(hidden)") {
-		t.Errorf("root view hidden:\n%s", rootOut)
-	}
-}
-
-func TestSacctText(t *testing.T) {
-	s := New(Config{}, computeNodes(2, 4, 1000), 0)
-	if _, err := s.Submit(cred(1000), spec(1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	s.RunAll(10)
-	out := s.SacctText(cred(1000), nil)
-	if !strings.Contains(out, "CD") {
-		t.Errorf("completed state missing:\n%s", out)
-	}
-}

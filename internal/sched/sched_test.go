@@ -75,7 +75,7 @@ func TestJobSpawnsProcessesWithCommand(t *testing.T) {
 	s := New(Config{}, nodes, 0)
 	j, _ := s.Submit(cred(1000), JobSpec{Name: "n", Command: "simulate --token=SECRET", Cores: 2, MemB: 1, Duration: 2})
 	s.Step()
-	procs := nodes[0].Procs.ByUser(1000)
+	procs := userProcs(nodes[0].Procs, 1000)
 	if len(procs) != 1 {
 		t.Fatalf("job spawned %d procs, want 1", len(procs))
 	}
@@ -88,7 +88,7 @@ func TestJobSpawnsProcessesWithCommand(t *testing.T) {
 	// Job end reaps the processes.
 	s.Step()
 	s.Step()
-	if n := len(nodes[0].Procs.ByUser(1000)); n != 0 {
+	if n := len(userProcs(nodes[0].Procs, 1000)); n != 0 {
 		t.Errorf("%d procs survive job end", n)
 	}
 }
@@ -121,9 +121,8 @@ func TestCancelPendingAndRunning(t *testing.T) {
 	}
 	for _, id := range []int{0, -1, 999, j2} {
 		for name, call := range map[string]func() error{
-			"Job":     func() error { _, err := s.Job(id); return err },
-			"JobView": func() error { _, err := s.JobView(ids.RootCred(), id); return err },
-			"Cancel":  func() error { return s.Cancel(ids.RootCred(), id) },
+			"Job":    func() error { _, err := s.Job(id); return err },
+			"Cancel": func() error { return s.Cancel(ids.RootCred(), id) },
 		} {
 			if err := call(); !errors.Is(err, ErrNoSuchJob) {
 				t.Errorf("%s(%d) err = %v, want ErrNoSuchJob", name, id, err)
@@ -406,4 +405,16 @@ func TestFitMemoryBinds(t *testing.T) {
 	if crashes, cofail := s.Crashes(); crashes != 0 || cofail != 0 {
 		t.Errorf("%d crashes, %d co-failures, want none", crashes, cofail)
 	}
+}
+
+// userProcs lists uid's live processes in tb, in PID order.
+func userProcs(tb *simos.Table, uid ids.UID) []*simos.Process {
+	var out []*simos.Process
+	tb.Visit(func(p *simos.Process) bool {
+		if p.Cred.UID == uid {
+			out = append(out, p)
+		}
+		return true
+	})
+	return out
 }

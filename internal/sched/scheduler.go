@@ -334,11 +334,6 @@ func (s *Scheduler) AddEpilog(h Hook) {
 	s.epilogs = append(s.epilogs, h)
 }
 
-// Now returns the current logical time.
-func (s *Scheduler) Now() int64 {
-	return s.now
-}
-
 // Submit enqueues a job for cred and returns its ID, what sbatch
 // prints; Job reads the job back. It validates that the request fits
 // the cluster at all.
@@ -631,7 +626,7 @@ func (s *Scheduler) PendingCount() int {
 }
 
 // Job returns the job by ID as the *scheduler* sees it (no privacy
-// filtering — use Squeue/JobView for user-facing access).
+// filtering — use Squeue for user-facing access).
 func (s *Scheduler) Job(id int) (*Job, error) {
 	j, err := s.lookup(id)
 	if err != nil {

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 
@@ -60,20 +59,6 @@ func (s *Scheduler) VisitQueue(observer ids.Credential, visit func(*Job)) {
 // root's Squeue returns, counted without copying them.
 func (s *Scheduler) Unfinished() int {
 	return len(s.pending) + s.calendar.live
-}
-
-// JobView returns one job as seen by the observer. Under PrivateData,
-// foreign jobs return ErrNoSuchJob — existence is not even confirmed,
-// mirroring hidepid=2's ENOENT behaviour.
-func (s *Scheduler) JobView(observer ids.Credential, jobID int) (*Job, error) {
-	j, err := s.lookup(jobID)
-	if err != nil {
-		return nil, err
-	}
-	if s.Cfg.PrivateData && !s.privileged(observer) && j.User != observer.UID {
-		return nil, fmt.Errorf("%w: %d", ErrNoSuchJob, jobID)
-	}
-	return j.Clone(), nil
 }
 
 // Sacct returns accounting records visible to the observer. Baseline:

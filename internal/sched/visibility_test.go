@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"errors"
 	"testing"
 	"testing/quick"
 
@@ -73,29 +72,6 @@ func TestSqueuePrivilegedObservers(t *testing.T) {
 	coord.Groups = append(coord.Groups, coordGID)
 	if got := len(s.Squeue(coord)); got != 6 {
 		t.Errorf("coordinator squeue = %d, want 6", got)
-	}
-}
-
-func TestJobViewPrivateDataENOENT(t *testing.T) {
-	s, _ := newBusyScheduler(t, true)
-	// Find a job belonging to uid 1001.
-	var foreignID int
-	for _, j := range s.Squeue(ids.RootCred()) {
-		if j.User == 1001 {
-			foreignID = j.ID
-			break
-		}
-	}
-	if foreignID == 0 {
-		t.Fatal("setup: no foreign job found")
-	}
-	// The foreign job "does not exist" for uid 1000 — existence is
-	// not even confirmed.
-	if _, err := s.JobView(cred(1000), foreignID); !errors.Is(err, ErrNoSuchJob) {
-		t.Errorf("foreign JobView err = %v, want ErrNoSuchJob", err)
-	}
-	if _, err := s.JobView(cred(1001), foreignID); err != nil {
-		t.Errorf("own JobView: %v", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package simos
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 
 	"repro/internal/ids"
@@ -109,11 +108,6 @@ func (n *Node) AddPAMHook(h PAMHook) {
 	n.pam = append(n.pam, h)
 }
 
-// ClearPAMHooks removes all modules (used to reconfigure).
-func (n *Node) ClearPAMHooks() {
-	n.pam = nil
-}
-
 // Login attempts an ssh-style login for uid with the given credential,
 // running the PAM stack; on success it spawns a shell process and
 // returns it, read-only, as Table.Spawn does. This is the path
@@ -200,23 +194,6 @@ func (n *Node) OpenDev(cred ids.Credential, path string) (*DevNode, error) {
 	return d, nil
 }
 
-// VisibleDevs lists device paths cred can open — "GPUs that have not
-// been assigned to a user are not visible at all" (paper §IV-F).
-func (n *Node) VisibleDevs(cred ids.Credential) []string {
-	paths := make([]string, 0, len(n.dev))
-	for p := range n.dev {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	var out []string
-	for _, p := range paths {
-		if _, err := n.OpenDev(cred, p); err == nil {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Crash marks the node down (e.g. after an OOM cascade) and kills all
 // processes. Returns the number of processes that died.
 func (n *Node) Crash() int {
@@ -236,16 +213,4 @@ func (n *Node) Restore() {
 // Down reports whether the node has crashed.
 func (n *Node) Down() bool {
 	return n.down
-}
-
-// CheckOOM inspects total RSS against physical memory. If usage
-// exceeds capacity the node crashes, killing everything on it — the
-// shared-node failure mode the whole-node policy avoids (paper §IV-B).
-// It returns true and the number of killed processes if a crash
-// happened.
-func (n *Node) CheckOOM() (bool, int) {
-	if n.Procs.TotalRSS() > n.MemB {
-		return true, n.Crash()
-	}
-	return false, 0
 }

@@ -10,7 +10,6 @@ package simos
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/ids"
 	"repro/internal/slab"
@@ -19,15 +18,12 @@ import (
 // ProcState is the lifecycle state of a simulated process.
 type ProcState int
 
-// Process states. StateDead exists for rendering and external
-// bookkeeping only: the table deletes dead processes outright
-// (presence in the table means live), so no published entry ever
-// carries it.
+// Process states. The table deletes dead processes outright
+// (presence in the table means live), so no state marks one dead.
 const (
 	StateRunning ProcState = iota
 	StateSleeping
 	StateZombie
-	StateDead
 )
 
 func (s ProcState) String() string {
@@ -59,31 +55,21 @@ type Process struct {
 	Daemon  bool  // system daemon (owned by root or service users)
 }
 
-// Clone returns a deep copy safe to hand to observers.
-func (p *Process) Clone() *Process {
-	np := *p
-	np.Cred = p.Cred.Clone()
-	np.Cmdline = append([]string(nil), p.Cmdline...)
-	return &np
-}
-
 // Table is a node's process table. It is not safe for concurrent use;
 // the cluster's owner calls it (DESIGN.md §7, "One owner per
 // cluster").
 //
 // Entries stored in the table are immutable until Reset: the only
 // mutations are Spawn/SpawnJob (and a node's base daemons), which
-// publish a fresh entry, and Exit/ExitJob/Kill/KillUser (and a node
-// crash), which remove one; nothing writes through a published
-// pointer, and no entry's storage is reused before the next Reset.
-// That lets the table publish one
-// generation-counted, copy-on-write snapshot — a cached sorted
-// []*Process — that every reader of All/Visit shares with zero
-// per-call cloning. Values returned by Spawn, All, Visit and Lookup
-// are therefore shared and MUST be treated as read-only; use Clone (or
-// Get, which clones) before modifying one. They also MUST NOT be kept
+// publish a fresh entry, and ExitJob (and a node crash), which
+// remove one; nothing writes through a published pointer, and no
+// entry's storage is reused before the next Reset. That lets the
+// table publish one generation-counted, copy-on-write snapshot — a
+// cached sorted []*Process — that every reader of Visit shares with
+// zero per-call cloning. Values returned by Spawn, Visit and Lookup are therefore
+// shared and MUST be treated as read-only. They also MUST NOT be kept
 // across Reset, which recycles the storage of every entry spawned
-// since the pristine mark: clone what must outlive the trial.
+// since the pristine mark: copy what must outlive the trial.
 type Table struct {
 	nextPID ids.PID
 	// slots holds the table's entries in PID order. PIDs only grow
@@ -138,11 +124,8 @@ type slot struct {
 	p   *Process
 }
 
-// Process-table errors.
-var (
-	ErrNoSuchProcess = errors.New("simos: no such process")
-	ErrPermission    = errors.New("simos: operation not permitted")
-)
+// ErrPermission is a refused device or ownership operation.
+var ErrPermission = errors.New("simos: operation not permitted")
 
 // NewTable returns an empty process table. clock supplies logical
 // time; pass nil for a zero clock.
@@ -221,9 +204,8 @@ func (t *Table) alloc() *Process {
 }
 
 // daemonCred is the shared root credential every daemon entry
-// carries. Published entries are read-only by the table contract (and
-// Get clones before handing out a mutable copy), so one shared
-// Groups slice serves every daemon on every node.
+// carries. Published entries are read-only by the table contract, so
+// one shared Groups slice serves every daemon on every node.
 var daemonCred = ids.Credential{UID: ids.Root, EGID: ids.RootGroup, Groups: []ids.GID{ids.RootGroup}}
 
 // baseDaemons are the cmdlines of the baseline daemons every Linux
@@ -418,36 +400,12 @@ func (t *Table) spawnDaemon(cmdline []string) *Process {
 	return p
 }
 
-// Get returns a copy of the process with the given pid. Visibility
-// filtering is the job of package procfs; Get is the raw kernel view.
-func (t *Table) Get(pid ids.PID) (*Process, error) {
-	// Exit/Kill* clear a dead process's slot outright, so a set entry
-	// alone means live.
-	p, _ := t.lookup(pid)
-	if p == nil {
-		return nil, fmt.Errorf("%w: pid %d", ErrNoSuchProcess, pid)
-	}
-	return p.Clone(), nil
-}
-
 // Lookup returns the shared immutable entry for pid, or false if no
 // such live process exists. The result is read-only (see the Table
-// contract); use Get for a private deep copy. Lookup exists so
-// permission checks can run before any clone is paid for.
+// contract).
 func (t *Table) Lookup(pid ids.PID) (*Process, bool) {
 	p, _ := t.lookup(pid)
 	return p, p != nil
-}
-
-// Exit removes a process from the table. Snapshots published before
-// the exit keep showing the process (immutably) until refreshed.
-func (t *Table) Exit(pid ids.PID) error {
-	p, i := t.lookup(pid)
-	if p == nil {
-		return fmt.Errorf("%w: pid %d", ErrNoSuchProcess, pid)
-	}
-	t.remove(i)
-	return nil
 }
 
 // ExitJob removes the task process pid of scheduler job jobID. It is
@@ -460,37 +418,6 @@ func (t *Table) ExitJob(pid ids.PID, jobID int) bool {
 	}
 	t.remove(i)
 	return true
-}
-
-// Kill terminates a process on behalf of actor. Classic Unix rule:
-// only the owner or root may signal a process.
-func (t *Table) Kill(actor ids.Credential, pid ids.PID) error {
-	p, i := t.lookup(pid)
-	if p == nil {
-		return fmt.Errorf("%w: pid %d", ErrNoSuchProcess, pid)
-	}
-	if !actor.IsRoot() && actor.UID != p.Cred.UID {
-		return fmt.Errorf("%w: uid %d cannot kill pid %d (uid %d)", ErrPermission, actor.UID, pid, p.Cred.UID)
-	}
-	t.remove(i)
-	return nil
-}
-
-// KillUser terminates every non-daemon process of uid (node failure /
-// cleanup modelling). Returns the number killed.
-func (t *Table) KillUser(uid ids.UID) int {
-	n := 0
-	for i, sl := range t.slots {
-		if p := sl.p; p != nil && p.Cred.UID == uid && !p.Daemon {
-			t.slots[i].p = nil
-			n++
-		}
-	}
-	if n > 0 {
-		t.live -= n
-		t.gen++
-	}
-	return n
 }
 
 // killAll terminates every process in one pass (a node crash) and
@@ -506,14 +433,6 @@ func (t *Table) killAll() int {
 	return n
 }
 
-// All returns every live process sorted by PID — the unfiltered
-// kernel view (what root sees). The slice is the table's shared
-// snapshot: entries are immutable and must be treated as read-only
-// (Clone one before modifying it).
-func (t *Table) All() []*Process {
-	return t.snapshot()
-}
-
 // Visit calls f on every live process in PID order, stopping early if
 // f returns false. It iterates the shared snapshot, so it allocates
 // nothing and f may call back into the table. The *Process passed to f is shared and read-only.
@@ -523,29 +442,6 @@ func (t *Table) Visit(f func(p *Process) bool) {
 			return
 		}
 	}
-}
-
-// ByUser returns live processes owned by uid, sorted by PID. Like
-// All, the entries are shared immutable snapshot entries.
-func (t *Table) ByUser(uid ids.UID) []*Process {
-	var out []*Process
-	for _, p := range t.snapshot() {
-		if p.Cred.UID == uid {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// TotalRSS sums resident memory across all live processes.
-func (t *Table) TotalRSS() int64 {
-	var sum int64
-	for _, sl := range t.slots {
-		if sl.p != nil {
-			sum += sl.p.RSS
-		}
-	}
-	return sum
 }
 
 // Len returns the number of live processes.

@@ -36,6 +36,17 @@ func deepCopy(p *Process) Process {
 	return c
 }
 
+// exit removes live process pid from the table, reporting whether
+// there was one.
+func (t *Table) exit(pid ids.PID) bool {
+	p, i := t.lookup(pid)
+	if p == nil {
+		return false
+	}
+	t.remove(i)
+	return true
+}
+
 // values deep-copies a snapshot.
 func values(ps []*Process) []Process {
 	out := make([]Process, len(ps))
@@ -60,18 +71,18 @@ func TestResetReplayAllocFree(t *testing.T) {
 	}
 	fresh := NewNode("c1", Compute, 8, 1<<30, nil).Procs
 	recycleTrial(fresh)
-	if got, want := values(tb.All()), values(fresh.All()); !reflect.DeepEqual(got, want) {
+	if got, want := values(tb.snapshot()), values(fresh.snapshot()); !reflect.DeepEqual(got, want) {
 		t.Errorf("replayed table = %+v\nwant a fresh table's %+v", got, want)
 	}
 }
 
 // checkSnapshot checks that the shared snapshot of a table whose task
-// entries reuse recycled storage is consistent: All is strictly
-// PID-sorted, Visit walks the same entries, ByUser returns exactly
-// each user's entries in PID order, and Get finds every entry.
+// entries reuse recycled storage is consistent: it is strictly
+// PID-sorted, Visit walks the same entries, and Lookup finds every
+// entry.
 func checkSnapshot(t *testing.T, tb *Table, when string) {
 	t.Helper()
-	all := tb.All()
+	all := tb.snapshot()
 	for k := 1; k < len(all); k++ {
 		if all[k-1].PID >= all[k].PID {
 			t.Fatalf("%s: snapshot not sorted/unique at %d", when, k)
@@ -80,25 +91,14 @@ func checkSnapshot(t *testing.T, tb *Table, when string) {
 	k := 0
 	tb.Visit(func(p *Process) bool {
 		if k >= len(all) || all[k] != p {
-			t.Fatalf("%s: Visit entry %d differs from All", when, k)
+			t.Fatalf("%s: Visit entry %d differs from the snapshot", when, k)
 		}
 		k++
 		return true
 	})
-	for _, c := range recycleCreds {
-		var want []*Process
-		for _, p := range all {
-			if p.Cred.UID == c.UID {
-				want = append(want, p)
-			}
-		}
-		if got := tb.ByUser(c.UID); !slices.Equal(got, want) {
-			t.Fatalf("%s: ByUser(%d) = %v, want %v", when, c.UID, got, want)
-		}
-	}
 	for _, p := range all {
-		if g, err := tb.Get(p.PID); err != nil || !reflect.DeepEqual(*g, deepCopy(p)) {
-			t.Fatalf("%s: Get(%d) = %+v, %v; want %+v", when, p.PID, g, err, deepCopy(p))
+		if g, ok := tb.Lookup(p.PID); !ok || g != p {
+			t.Fatalf("%s: Lookup(%d) = %+v, %v; want %+v", when, p.PID, g, ok, p)
 		}
 	}
 }
@@ -120,7 +120,7 @@ func TestResetKeepsEntriesBelowMark(t *testing.T) {
 	exitedWant := deepCopy(exited)
 	tb.ExitJob(pids[2], 3)
 	tb.MarkPristine()
-	marked := tb.All()
+	marked := tb.snapshot()
 	want := values(marked)
 
 	check := func(when string) {

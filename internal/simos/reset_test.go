@@ -22,15 +22,15 @@ func TestTableResetRewindsToMark(t *testing.T) {
 	u := ids.Credential{UID: 1000, EGID: 1000, Groups: []ids.GID{1000}}
 	p := tab.Spawn(u, 1, "work", "--secret")
 	tab.SpawnJob(u, 7, 1<<20, "slurmstepd", "work")
-	if err := tab.Exit(d2.PID); err != nil {
-		t.Fatal(err)
+	if !tab.exit(d2.PID) {
+		t.Fatalf("exit(%d) found no process", d2.PID)
 	}
 	tab.Reset()
 
 	if got := tab.gen; got != genAtMark {
 		t.Errorf("generation %d after Reset, want the mark's %d", got, genAtMark)
 	}
-	all := tab.All()
+	all := tab.snapshot()
 	if len(all) != 2 || all[0].PID != d1.PID || all[1].PID != d2.PID {
 		t.Fatalf("reset table = %v, want the two pristine daemons", all)
 	}
@@ -46,9 +46,9 @@ func TestTableResetFastPathKeepsEntries(t *testing.T) {
 	tab := NewTable(nil)
 	tab.spawnDaemon([]string{"systemd"})
 	tab.MarkPristine()
-	before := tab.All()
+	before := tab.snapshot()
 	tab.Reset() // nothing changed since the mark
-	after := tab.All()
+	after := tab.snapshot()
 	if len(after) != 1 || after[0] != before[0] {
 		t.Error("untouched table should keep its shared entries across Reset")
 	}
@@ -58,7 +58,7 @@ func TestTableResetFastPathKeepsEntries(t *testing.T) {
 	// pointer set, so the slow path catches it:
 	u := ids.Credential{UID: 1000, EGID: 1000, Groups: []ids.GID{1000}}
 	p := tab.Spawn(u, 1, "x")
-	_ = tab.Exit(p.PID)
+	tab.exit(p.PID)
 	tab.Reset()
 	if np := tab.Spawn(u, 1, "x"); np.PID != p.PID {
 		t.Errorf("PID %d after spawn/exit/reset, want %d", np.PID, p.PID)
@@ -91,7 +91,7 @@ func TestNodeResetAfterCrashRestore(t *testing.T) {
 	}
 	n.Crash()
 	n.Restore()
-	if got := n.Procs.All(); len(got) == 0 || got[0].PID == 1 {
+	if got := n.Procs.snapshot(); len(got) == 0 || got[0].PID == 1 {
 		t.Fatalf("restore should have respawned daemons under new PIDs, got %v", got)
 	}
 	n.Reset()
@@ -99,8 +99,8 @@ func TestNodeResetAfterCrashRestore(t *testing.T) {
 	if n.Down() {
 		t.Error("node still down after Reset")
 	}
-	want := fresh.Procs.All()
-	got := n.Procs.All()
+	want := fresh.Procs.snapshot()
+	got := n.Procs.snapshot()
 	if len(got) != len(want) {
 		t.Fatalf("reset node has %d processes, fresh has %d", len(got), len(want))
 	}
@@ -130,19 +130,19 @@ func TestTableResetFastPathInvalidatesSnapshotCache(t *testing.T) {
 	// (gen+2) — the map is now pointer-identical to pristine, so Reset
 	// takes the fast path.
 	p := tab.Spawn(u, 1, "trial1-job")
-	if got := tab.All(); len(got) != 2 {
+	if got := tab.snapshot(); len(got) != 2 {
 		t.Fatalf("trial 1 snapshot has %d procs, want 2", len(got))
 	}
-	if err := tab.Exit(p.PID); err != nil {
-		t.Fatal(err)
+	if !tab.exit(p.PID) {
+		t.Fatalf("exit(%d) found no process", p.PID)
 	}
 	tab.Reset()
 
 	// Trial 2: the first spawn lands on the same generation the stale
-	// snapshot was cached at; All must show trial 2's process, not
+	// snapshot was cached at; the snapshot must show trial 2's process, not
 	// trial 1's.
 	p2 := tab.Spawn(u, 1, "trial2-job")
-	got := tab.All()
+	got := tab.snapshot()
 	if len(got) != 2 || got[1].PID != p2.PID || got[1].Comm != "trial2-job" {
 		names := make([]string, len(got))
 		for i, pp := range got {
@@ -170,12 +170,12 @@ func TestCrashRestoreResetCycle(t *testing.T) {
 	if got := n.Crash(); got != 6 {
 		t.Errorf("Crash killed %d processes, want 6 (3 daemons, a shell, 2 tasks)", got)
 	}
-	if n.Procs.Len() != 0 || len(n.Procs.All()) != 0 || !n.Down() {
-		t.Fatalf("after Crash: Len %d, All %v, down %v; want an empty, down node", n.Procs.Len(), n.Procs.All(), n.Down())
+	if n.Procs.Len() != 0 || len(n.Procs.snapshot()) != 0 || !n.Down() {
+		t.Fatalf("after Crash: Len %d, All %v, down %v; want an empty, down node", n.Procs.Len(), n.Procs.snapshot(), n.Down())
 	}
 
 	n.Restore()
-	got := n.Procs.All()
+	got := n.Procs.snapshot()
 	want := []struct {
 		pid     ids.PID
 		cmdline []string
@@ -192,7 +192,7 @@ func TestCrashRestoreResetCycle(t *testing.T) {
 	}
 
 	n.Reset()
-	if g, w := values(n.Procs.All()), values(fresh.Procs.All()); !reflect.DeepEqual(g, w) {
+	if g, w := values(n.Procs.snapshot()), values(fresh.Procs.snapshot()); !reflect.DeepEqual(g, w) {
 		t.Errorf("after Reset the table is %+v, a fresh node's %+v", g, w)
 	}
 
@@ -205,7 +205,7 @@ func TestCrashRestoreResetCycle(t *testing.T) {
 	if a := testing.AllocsPerRun(20, cycle); a != 0 {
 		t.Errorf("warmed crash, restore and Reset allocate %v objects, want 0", a)
 	}
-	if g, w := values(n.Procs.All()), values(fresh.Procs.All()); !reflect.DeepEqual(g, w) {
+	if g, w := values(n.Procs.snapshot()), values(fresh.Procs.snapshot()); !reflect.DeepEqual(g, w) {
 		t.Errorf("after the cycles the table is %+v, a fresh node's %+v", g, w)
 	}
 }

@@ -28,36 +28,7 @@ func TestSpawnAssignsSequentialPIDs(t *testing.T) {
 	}
 }
 
-func TestGetReturnsCopy(t *testing.T) {
-	tb := NewTable(nil)
-	p := tb.Spawn(testCred(1000), 0, "a.out", "secret-token")
-	got, err := tb.Get(p.PID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got.Cmdline[1] = "tampered"
-	again, _ := tb.Get(p.PID)
-	if again.Cmdline[1] != "secret-token" {
-		t.Errorf("Get leaked internal state: %v", again.Cmdline)
-	}
-}
-
-func TestKillPermissions(t *testing.T) {
-	tb := NewTable(nil)
-	victim := tb.Spawn(testCred(1000), 0, "target")
-	if err := tb.Kill(testCred(2000), victim.PID); !errors.Is(err, ErrPermission) {
-		t.Errorf("cross-user kill err = %v, want ErrPermission", err)
-	}
-	if err := tb.Kill(testCred(1000), victim.PID); err != nil {
-		t.Errorf("self kill: %v", err)
-	}
-	victim2 := tb.Spawn(testCred(1000), 0, "target2")
-	if err := tb.Kill(ids.RootCred(), victim2.PID); err != nil {
-		t.Errorf("root kill: %v", err)
-	}
-}
-
-func TestSpawnJobExitJobAndKillUser(t *testing.T) {
+func TestSpawnJobExitJob(t *testing.T) {
 	tb := NewTable(nil)
 	var pids []ids.PID
 	for i := 0; i < 5; i++ {
@@ -90,11 +61,8 @@ func TestSpawnJobExitJobAndKillUser(t *testing.T) {
 	if tb.ExitJob(pids[0], 42) {
 		t.Error("ExitJob removed an exited process twice")
 	}
-	if _, err := tb.Get(other.PID); err != nil {
-		t.Errorf("ExitJob killed a non-member: %v", err)
-	}
-	if n := tb.KillUser(1000); n != 1 {
-		t.Errorf("KillUser killed %d, want 1", n)
+	if _, ok := tb.Lookup(other.PID); !ok {
+		t.Error("ExitJob killed a non-member")
 	}
 }
 
@@ -110,32 +78,10 @@ func TestExitJobZeroIsNoop(t *testing.T) {
 	}
 }
 
-func TestByUserFiltersAndSorts(t *testing.T) {
-	tb := NewTable(nil)
-	tb.Spawn(testCred(1000), 0, "a")
-	tb.Spawn(testCred(2000), 0, "b")
-	tb.Spawn(testCred(1000), 0, "c")
-	got := tb.ByUser(1000)
-	if len(got) != 2 {
-		t.Fatalf("ByUser len = %d, want 2", len(got))
-	}
-	if got[0].PID >= got[1].PID {
-		t.Errorf("ByUser not sorted")
-	}
-}
-
-func TestTotalRSSAndOOM(t *testing.T) {
+func TestCrashRefusesLoginUntilRestore(t *testing.T) {
 	n := NewNode("c1", Compute, 8, 1000, nil)
 	n.Procs.SpawnJob(testCred(1000), 1, 900, "hog")
-	if crashed, _ := n.CheckOOM(); crashed {
-		t.Fatalf("node crashed below capacity")
-	}
-	n.Procs.SpawnJob(testCred(1000), 2, 200, "hog")
-	crashed, killed := n.CheckOOM()
-	if !crashed {
-		t.Fatalf("node did not crash above capacity")
-	}
-	if killed == 0 {
+	if killed := n.Crash(); killed == 0 {
 		t.Errorf("crash killed nothing")
 	}
 	if !n.Down() {
@@ -155,7 +101,7 @@ func TestTotalRSSAndOOM(t *testing.T) {
 
 func TestNodeStartsWithDaemons(t *testing.T) {
 	n := NewNode("login1", Login, 16, 1<<30, nil)
-	all := n.Procs.All()
+	all := n.Procs.snapshot()
 	if len(all) != 3 {
 		t.Fatalf("fresh node has %d procs, want 3 daemons", len(all))
 	}
@@ -185,19 +131,15 @@ func TestPAMStackDeniesAndAllows(t *testing.T) {
 	if sh.Comm != "bash" {
 		t.Errorf("login spawned %q", sh.Comm)
 	}
-	n.ClearPAMHooks()
-	if _, err := n.Login(testCred(2000)); err != nil {
-		t.Errorf("login after ClearPAMHooks: %v", err)
-	}
 }
 
 func TestDevPermissions(t *testing.T) {
 	n := NewNode("g1", Compute, 8, 1<<30, nil)
 	n.AddDev("/dev/nvidia0", ids.Root, ids.RootGroup, 0o000)
 	alice := testCred(1000)
-	// Unassigned GPU: invisible to users.
-	if got := n.VisibleDevs(alice); len(got) != 0 {
-		t.Errorf("unassigned GPU visible: %v", got)
+	// Unassigned GPU: no user opens it.
+	if _, err := n.OpenDev(alice, "/dev/nvidia0"); !errors.Is(err, ErrPermission) {
+		t.Errorf("unassigned GPU open err = %v, want ErrPermission", err)
 	}
 	// Root always opens.
 	if _, err := n.OpenDev(ids.RootCred(), "/dev/nvidia0"); err != nil {
@@ -235,8 +177,8 @@ func TestOpenDevMissing(t *testing.T) {
 	}
 }
 
-// Property: after any sequence of spawns and kills, every spawn got a
-// PID never handed out before, and All() is sorted by PID and contains
+// Property: after any sequence of spawns and exits, every spawn got a
+// PID never handed out before, and the snapshot is sorted by PID and contains
 // no dead processes.
 func TestQuickTableConsistency(t *testing.T) {
 	f := func(ops []bool) bool {
@@ -254,12 +196,12 @@ func TestQuickTableConsistency(t *testing.T) {
 			} else {
 				victim := live[len(live)-1]
 				live = live[:len(live)-1]
-				if err := tb.Exit(victim); err != nil {
+				if !tb.exit(victim) {
 					return false
 				}
 			}
 		}
-		all := tb.All()
+		all := tb.snapshot()
 		if len(all) != len(live) {
 			return false
 		}
@@ -276,7 +218,7 @@ func TestQuickTableConsistency(t *testing.T) {
 }
 
 func TestProcStateString(t *testing.T) {
-	cases := map[ProcState]string{StateRunning: "R", StateSleeping: "S", StateZombie: "Z", StateDead: "X"}
+	cases := map[ProcState]string{StateRunning: "R", StateSleeping: "S", StateZombie: "Z", ProcState(9): "X"}
 	for s, want := range cases {
 		if s.String() != want {
 			t.Errorf("%d.String() = %q, want %q", s, s.String(), want)

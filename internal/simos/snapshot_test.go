@@ -16,8 +16,8 @@ func TestSnapshotGenerationInvalidation(t *testing.T) {
 	p1 := tb.Spawn(testCred(1000), 0, "a")
 	p2 := tb.Spawn(testCred(2000), 0, "b")
 
-	s1 := tb.All()
-	s2 := tb.All()
+	s1 := tb.snapshot()
+	s2 := tb.snapshot()
 	if len(s1) != 2 || len(s2) != 2 {
 		t.Fatalf("All lens = %d, %d, want 2", len(s1), len(s2))
 	}
@@ -38,7 +38,7 @@ func TestSnapshotGenerationInvalidation(t *testing.T) {
 	if tb.gen == gen {
 		t.Fatalf("SpawnJob did not bump generation")
 	}
-	s3 := tb.All()
+	s3 := tb.snapshot()
 	if len(s3) != 3 || s3[2].JobID != 7 || s3[2].RSS != 1234 {
 		t.Errorf("stale snapshot served after SpawnJob: %v", s3)
 	}
@@ -51,14 +51,14 @@ func TestSnapshotGenerationInvalidation(t *testing.T) {
 	if !tb.ExitJob(pj, 7) || tb.gen == gen {
 		t.Fatalf("ExitJob did not remove the entry and bump generation")
 	}
-	if got := tb.All(); len(got) != 2 {
+	if got := tb.snapshot(); len(got) != 2 {
 		t.Errorf("stale snapshot after ExitJob: len = %d", len(got))
 	}
 
-	if err := tb.Exit(p1.PID); err != nil {
-		t.Fatal(err)
+	if !tb.exit(p1.PID) {
+		t.Fatalf("exit(%d) found no process", p1.PID)
 	}
-	if got := tb.All(); len(got) != 1 || got[0].PID != p2.PID {
+	if got := tb.snapshot(); len(got) != 1 || got[0].PID != p2.PID {
 		t.Errorf("stale snapshot after Exit: %v", got)
 	}
 	// And the pre-exit snapshot still lists every process.
@@ -67,7 +67,7 @@ func TestSnapshotGenerationInvalidation(t *testing.T) {
 	}
 
 	tb.Spawn(testCred(1000), 0, "c")
-	if got := tb.All(); len(got) != 2 {
+	if got := tb.snapshot(); len(got) != 2 {
 		t.Errorf("stale snapshot after Spawn: len = %d", len(got))
 	}
 }
@@ -79,7 +79,7 @@ func TestSnapshotGenerationInvalidation(t *testing.T) {
 func TestStaleSnapshotKeepsExitedTask(t *testing.T) {
 	tb := NewTable(nil)
 	pid := tb.SpawnJob(testCred(1000), 7, 1, "slurmstepd", "a.out --token=7")
-	stale := tb.All()
+	stale := tb.snapshot()
 	if !tb.ExitJob(pid, 7) {
 		t.Fatal("ExitJob did not remove the task")
 	}
@@ -104,9 +104,9 @@ func TestSpawnJobCmdline(t *testing.T) {
 	tb := NewTable(nil)
 	for _, argv := range [][]string{nil, {"a"}, {"a", "b"}, {"a", "b", "c"}} {
 		pid := tb.SpawnJob(testCred(1000), 1, 1, "w", argv...)
-		p, err := tb.Get(pid)
-		if err != nil {
-			t.Fatal(err)
+		p, ok := tb.Lookup(pid)
+		if !ok {
+			t.Fatalf("SpawnJob(%q) published no entry", argv)
 		}
 		if want := append([]string{"w"}, argv...); !slices.Equal(p.Cmdline, want) {
 			t.Errorf("SpawnJob(%q) Cmdline = %q, want %q", argv, p.Cmdline, want)
@@ -144,8 +144,8 @@ func TestVisitReentrancy(t *testing.T) {
 	tb.Spawn(testCred(2000), 0, "b")
 	n := 0
 	tb.Visit(func(p *Process) bool {
-		if _, err := tb.Get(p.PID); err != nil {
-			t.Errorf("Get(%d) inside Visit: %v", p.PID, err)
+		if _, ok := tb.Lookup(p.PID); !ok {
+			t.Errorf("Lookup(%d) inside Visit found nothing", p.PID)
 		}
 		n++
 		return true

@@ -45,16 +45,6 @@ func (a *ACL) userEntry(uid ids.UID) (uint32, bool) {
 	return 0, false
 }
 
-// groupEntry returns the named-group bits for gid, if present.
-func (a *ACL) groupEntry(gid ids.GID) (uint32, bool) {
-	for _, e := range a.Groups {
-		if e.GID == gid {
-			return e.Bits, true
-		}
-	}
-	return 0, false
-}
-
 // SetfaclGroup adds or replaces a named-group entry on path. Under
 // the paper's restriction (Policy.ACLRestrict), the caller must be a
 // member of the group being granted — "a user cannot grant permission
@@ -129,14 +119,4 @@ func (fs *FS) SetfaclUser(ctx Context, path string, uid ids.UID, bits uint32) er
 	n.acl.Users = append(n.acl.Users, ACLEntryUser{UID: uid, Bits: bits})
 	sort.Slice(n.acl.Users, func(i, j int) bool { return n.acl.Users[i].UID < n.acl.Users[j].UID })
 	return nil
-}
-
-// Getfacl returns a copy of the ACL on path (nil if none). Requires
-// only path resolution, like getfacl(1).
-func (fs *FS) Getfacl(ctx Context, path string) (*ACL, error) {
-	n, err := fs.walk(ctx, path)
-	if err != nil {
-		return nil, err
-	}
-	return n.acl.Clone(), nil
 }

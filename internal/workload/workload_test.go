@@ -7,10 +7,8 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
 	"repro/internal/sched"
 	"repro/internal/simos"
-	"repro/internal/ubf"
 )
 
 func cred(uid ids.UID) ids.Credential {
@@ -177,48 +175,6 @@ func TestSubmitAllAndDrain(t *testing.T) {
 	}
 	if s.MaxUsersPerNode() > 1 {
 		t.Errorf("user-wholenode violated")
-	}
-}
-
-func TestRunMPISameUserAllowedThroughUBF(t *testing.T) {
-	ns := nodes(3, 2)
-	s := sched.New(sched.Config{Policy: sched.PolicyUserWholeNode}, ns, 0)
-	net := netsim.NewNetwork()
-	d := ubf.New(ubf.Config{})
-	for _, n := range ns {
-		d.InstallOn(net.AddHost(n.Name))
-	}
-	alice := cred(1000)
-	j, err := s.Submit(alice, sched.JobSpec{Name: "mpi", Command: "xhpl", Cores: 6, MemB: 1, Duration: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Step()
-	job, _ := s.Job(j)
-	if job.State != sched.Running || len(job.Nodes) != 3 {
-		t.Fatalf("job %v nodes %v", job.State, job.Nodes)
-	}
-	res, err := RunMPI(job, net, 11000, []byte("halo-exchange"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ranks != 3 || res.Connected != 2 || res.Dropped != 0 {
-		t.Errorf("mpi result = %+v", res)
-	}
-	if res.BytesMoved == 0 {
-		t.Errorf("no bytes moved")
-	}
-}
-
-func TestRunMPIErrors(t *testing.T) {
-	net := netsim.NewNetwork()
-	j := &sched.Job{ID: 1, Cred: cred(1000)}
-	if _, err := RunMPI(j, net, 11000, nil); err == nil {
-		t.Errorf("no-nodes job should error")
-	}
-	j.Nodes = []string{"ghost"}
-	if _, err := RunMPI(j, net, 11000, nil); err == nil {
-		t.Errorf("ghost host should error")
 	}
 }
 

@@ -13,10 +13,13 @@ import (
 
 // TestResultManifest pins every published result byte: the tables
 // cmd/benchharness prints, and the -json record cmd/fleetrun prints for
-// each preset at seed 42 and one worker. Each is compared with its text
-// golden under testdata/results/, and a failure names the golden, the
-// table (benchharness) or scenario (fleet) and the first lines that
-// differ. A change that moves a published byte re-records the goldens
+// each preset at seed 42 and one worker. Each preset also runs at three
+// workers with worker 0 delayed before every trial, so trials land out
+// of trial-index order, and must give the same record: the fold waits
+// for the frontier instead of merging in completion order. Each record
+// is compared with its text golden under testdata/results/, and a
+// failure names the golden, the run, the table (benchharness) or
+// scenario (fleet) and the first lines that differ. A change that moves a published byte re-records the goldens
 // with the two commands below and lists the moved cells in CHANGES.md:
 //
 //	go run ./cmd/benchharness > testdata/results/benchharness.txt
@@ -27,24 +30,36 @@ func TestResultManifest(t *testing.T) {
 		b.WriteString(tb.Render())
 		b.WriteString("\n")
 	}
-	compareGolden(t, "benchharness.txt", b.String(), "== ")
+	compareGolden(t, "benchharness.txt", "cmd/benchharness", b.String(), "== ")
+	runs := []struct {
+		name string
+		opt  fleet.Options
+	}{
+		{"1 worker", fleet.Options{Workers: 1, Seed: 42}},
+		{"3 workers, worker 0 delayed 3 ms per trial", fleet.Options{Workers: 3, Seed: 42, Faults: &fleet.FaultPlan{
+			Delays: []fleet.WorkerDelay{{Worker: 0, PerTrialMS: 3}},
+		}}},
+	}
 	for _, camp := range fleet.Presets() {
-		res, err := fleet.Run(camp, fleet.Options{Workers: 1, Seed: 42})
-		if err != nil {
-			t.Fatalf("%s: %v", camp.Name, err)
+		for _, run := range runs {
+			res, err := fleet.Run(camp, run.opt)
+			if err != nil {
+				t.Fatalf("%s (%s): %v", camp.Name, run.name, err)
+			}
+			data, err := res.JSON()
+			if err != nil {
+				t.Fatalf("%s (%s): %v", camp.Name, run.name, err)
+			}
+			compareGolden(t, camp.Name+".json", run.name, string(data), `"name": `)
 		}
-		data, err := res.JSON()
-		if err != nil {
-			t.Fatalf("%s: %v", camp.Name, err)
-		}
-		compareGolden(t, camp.Name+".json", string(data), `"name": `)
 	}
 }
 
-// compareGolden reports where got departs from the golden name: the
-// first maxDiffLines lines that differ, each with the table it sits in,
-// which is the last line at or before it that holds marker.
-func compareGolden(t *testing.T, name, got, marker string) {
+// compareGolden reports where got, rendered by run, departs from the
+// golden name: the first maxDiffLines lines that differ, each with the
+// table it sits in, which is the last line at or before it that holds
+// marker.
+func compareGolden(t *testing.T, name, run, got, marker string) {
 	t.Helper()
 	path := filepath.Join("testdata", "results", name)
 	data, err := os.ReadFile(path)
@@ -75,5 +90,5 @@ func compareGolden(t *testing.T, name, got, marker string) {
 			n++
 		}
 	}
-	t.Errorf("%s differs from the rendered results:%s", path, b.String())
+	t.Errorf("%s differs from the results rendered by %s:%s", path, run, b.String())
 }

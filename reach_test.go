@@ -1,9 +1,12 @@
 package repro
 
 import (
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path"
 	"path/filepath"
@@ -13,27 +16,6 @@ import (
 	"strings"
 	"testing"
 )
-
-// reachPackages are the packages whose every exported function and
-// method must have a caller outside the tests. Code that only its own
-// unit tests reach is either a probe in the attack catalogue or it
-// goes; a package joins this list once it has been through that sort.
-var reachPackages = []string{
-	"internal/netsim",
-	"internal/portal",
-	"internal/ppsfw",
-	"internal/ubf",
-}
-
-// reachAllowMethods are methods that callers reach through an
-// interface, which a by-name scan cannot see.
-var reachAllowMethods = map[string]bool{
-	"Error":  true,
-	"String": true,
-	// errors.Is and errors.As reach a typed denial's sentinel through
-	// interface{ Unwrap() error }.
-	"Unwrap": true,
-}
 
 // repoFile is one parsed non-test Go file.
 type repoFile struct {
@@ -75,93 +57,363 @@ func parseRepo(t *testing.T) (*token.FileSet, []repoFile) {
 	return fset, files
 }
 
-// TestExportsReachedOutsideTests parses every non-test Go file in the
-// repository (see parseRepo) and fails for each exported function or
-// method of a reachPackages package that no such file refers to. A
-// package-level function counts as reached when another package
-// selects it through an import of its package, or its own package
-// names it; a method counts as reached when any file selects a field
-// or method of that name. Names are all it sees: a same-named method
-// on another type satisfies the check.
-func TestExportsReachedOutsideTests(t *testing.T) {
-	const modPath = "repro"
-	fset, files := parseRepo(t)
+// reachTestOnly is the code under internal/ that no program reaches
+// and that stays because a test uses it. TestExportsReachedOutsideTests
+// treats each entry as a root once it has checked that no program
+// reaches it, so what an entry calls needs no entry of its own. Every
+// entry names the test that uses it and one of three reasons.
+var reachTestOnly = []struct {
+	decl, test, why string
+}{
+	{"internal/attack.Entry.Open", "TestOracleLattice", whyOracle},
+	{"internal/attack.Catalogue", "TestAblationSweepDiagonal", whyOracle},
+	{"internal/attack.Steps", "TestE17MatrixQualitativeStory", whyOracle},
+	{"internal/mpicrypt.Sealer.Open", "TestSealOpenRoundtrip", whyOracle},
+	{"internal/vfs.FS.SetfaclGroup", "TestACLGroupGrantRequiresMembership", whyRule},
+	{"internal/fleet.LifecycleCampaign", "TestPooledTrialAllocsReduction", whyFixture},
+	{"internal/metrics.Table.Rows", "TestTableRender", whyFixture},
+}
 
-	listed := map[string]bool{}
-	for _, dir := range reachPackages {
-		listed[dir] = true
+// Why an entry in reachTestOnly stays.
+const (
+	whyOracle  = "an oracle or reference the test checks reached code against"
+	whyRule    = "a §IV rule that no reached code enforces yet; its catalogue probe is ROADMAP item 10's next"
+	whyFixture = "a fixture the tests of two packages share"
+)
+
+// reachRepo is the repository's non-test code, type-checked.
+type reachRepo struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File // by directory
+	pkgs  map[string]*types.Package
+	info  *types.Info
+	std   types.Importer
+}
+
+// dirOf maps an import path of this module, or of the bench module
+// inside it, to its directory.
+func dirOf(importPath string) (string, bool) {
+	if importPath == "repro" {
+		return ".", true
 	}
-	type export struct {
-		dir, name string
-		method    bool
-		pos       token.Pos
+	return strings.CutPrefix(importPath, "repro/")
+}
+
+// Import type-checks a package of the repository from its parsed
+// files, and hands any other to the compiler's export data.
+func (r *reachRepo) Import(importPath string) (*types.Package, error) {
+	dir, ok := dirOf(importPath)
+	if !ok {
+		return r.std.Import(importPath)
 	}
-	var exports []export
-	selected := map[string]bool{}  // any x.Name
-	qualified := map[string]bool{} // "dir.Name" selected through an import of dir
-	local := map[string]bool{}     // "dir.Name" named bare inside dir
+	if pkg := r.pkgs[dir]; pkg != nil {
+		return pkg, nil
+	}
+	if len(r.files[dir]) == 0 {
+		return nil, fmt.Errorf("%s: no Go files", importPath)
+	}
+	conf := types.Config{Importer: r}
+	pkg, err := conf.Check(importPath, r.fset, r.files[dir], r.info)
+	if err != nil {
+		return nil, err
+	}
+	r.pkgs[dir] = pkg
+	return pkg, nil
+}
+
+// declName names a package-level declaration as reachTestOnly does:
+// "internal/vfs.groupEntry", "internal/vfs.FS.SetfaclGroup".
+func declName(dir string, obj types.Object) string {
+	if fn, ok := obj.(*types.Func); ok {
+		if recv := fn.Signature().Recv(); recv != nil {
+			t := recv.Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			if n, ok := t.(*types.Named); ok {
+				return dir + "." + n.Obj().Name() + "." + fn.Name()
+			}
+		}
+	}
+	return dir + "." + obj.Name()
+}
+
+// origin maps an instantiated generic function, method or field to its
+// declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// reacher walks declarations from a set of roots.
+type reacher struct {
+	info    *types.Info
+	decls   map[types.Object][]ast.Node // what a reached object's declaration names
+	reached map[types.Object]bool
+	queue   []types.Object
+	named   []*types.Named     // reached non-generic, non-interface types
+	ifaces  []*types.Interface // reached interfaces, then the standard ones below
+}
+
+func (rc *reacher) reach(obj types.Object) {
+	if obj == nil || obj.Pkg() == nil {
+		return
+	}
+	obj = origin(obj)
+	if _, ok := dirOf(obj.Pkg().Path()); !ok || rc.reached[obj] {
+		return
+	}
+	rc.reached[obj] = true
+	rc.queue = append(rc.queue, obj)
+}
+
+// walk reaches every object of the repository that n names.
+func (rc *reacher) walk(n ast.Node) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			rc.reach(rc.info.Uses[id])
+		}
+		return true
+	})
+}
+
+// run drains the queue, then reaches every method through which a
+// reached interface can call a reached type, until nothing new is
+// reached.
+func (rc *reacher) run() {
+	for {
+		for len(rc.queue) > 0 {
+			obj := rc.queue[len(rc.queue)-1]
+			rc.queue = rc.queue[:len(rc.queue)-1]
+			for _, n := range rc.decls[obj] {
+				rc.walk(n)
+			}
+			switch obj := obj.(type) {
+			case *types.Var, *types.Const:
+				// An iota constant's spec may not name its type.
+				if n, ok := obj.Type().(*types.Named); ok {
+					rc.reach(n.Obj())
+				}
+			case *types.TypeName:
+				n, ok := obj.Type().(*types.Named)
+				if !ok {
+					break
+				}
+				if it, ok := n.Underlying().(*types.Interface); ok {
+					rc.ifaces = append(rc.ifaces, it)
+				} else if n.TypeParams().Len() == 0 {
+					rc.named = append(rc.named, n)
+				}
+			}
+		}
+		for _, n := range rc.named {
+			ptr := types.NewPointer(n)
+			for _, it := range rc.ifaces {
+				if !types.Implements(ptr, it) {
+					continue
+				}
+				for i := range it.NumMethods() {
+					m := it.Method(i)
+					sel, _, _ := types.LookupFieldOrMethod(ptr, false, m.Pkg(), m.Name())
+					rc.reach(sel)
+				}
+			}
+		}
+		if len(rc.queue) == 0 {
+			return
+		}
+	}
+}
+
+// testFuncs returns the name of every function the repository's test
+// files declare.
+func testFuncs(t *testing.T) map[string]bool {
+	t.Helper()
+	out := map[string]bool{}
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && p != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
+				out[fd.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestExportsReachedOutsideTests type-checks every non-test package of
+// the repository (see parseRepo) and fails for each package-level
+// function, method, type, var or const under internal/, exported or
+// not, that no program reaches and reachTestOnly does not list. The
+// roots are every main and init function and every package-level var
+// initializer of a package a program links. A reached declaration
+// reaches what its body, type or initializer names, by type, not by
+// name; a reached type also reaches each method through which a
+// reached interface, error, fmt.Stringer, json.Marshaler,
+// json.Unmarshaler, sort.Interface or errors' Unwrap can call it. A
+// reachTestOnly entry that a program reaches, that names no
+// declaration, or whose test no test file declares, fails too.
+func TestExportsReachedOutsideTests(t *testing.T) {
+	fset, files := parseRepo(t)
+	r := &reachRepo{
+		fset:  fset,
+		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		info:  &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}},
+		std:   importer.Default(),
+	}
 	for _, fl := range files {
-		imports := map[string]string{} // local import name -> directory
-		for _, spec := range fl.f.Imports {
-			ip, _ := strconv.Unquote(spec.Path.Value)
-			dir, ok := strings.CutPrefix(ip, modPath+"/")
-			if !ok {
-				continue
-			}
-			name := path.Base(ip)
-			if spec.Name != nil {
-				name = spec.Name.Name
-			}
-			imports[name] = dir
+		r.files[fl.dir] = append(r.files[fl.dir], fl.f)
+	}
+	rc := &reacher{info: r.info, decls: map[types.Object][]ast.Node{}, reached: map[types.Object]bool{}}
+	var mains []string
+	for dir, fs := range r.files {
+		if _, err := r.Import(path.Join("repro", dir)); err != nil {
+			t.Fatalf("type-checking %s: %v", dir, err)
 		}
-		notBare := map[*ast.Ident]bool{} // declared or selected names
-		for _, d := range fl.f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			notBare[fd.Name] = true
-			if listed[fl.dir] && fd.Name.IsExported() {
-				exports = append(exports, export{fl.dir, fd.Name.Name, fd.Recv != nil, fd.Name.Pos()})
-			}
+		if fs[0].Name.Name == "main" {
+			mains = append(mains, dir)
 		}
-		ast.Inspect(fl.f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				selected[n.Sel.Name] = true
-				notBare[n.Sel] = true
-				if x, ok := n.X.(*ast.Ident); ok {
-					if dir, ok := imports[x.Name]; ok {
-						qualified[dir+"."+n.Sel.Name] = true
+	}
+	// The packages a program links.
+	linked := map[*types.Package]bool{}
+	var link func(p *types.Package)
+	link = func(p *types.Package) {
+		if _, ok := dirOf(p.Path()); !ok || linked[p] {
+			return
+		}
+		linked[p] = true
+		for _, q := range p.Imports() {
+			link(q)
+		}
+	}
+	for _, dir := range mains {
+		link(r.pkgs[dir])
+	}
+
+	type candidate struct {
+		obj  types.Object
+		name string
+		pos  token.Pos
+	}
+	var candidates []candidate
+	var initRoots []ast.Node
+	for dir, fs := range r.files {
+		inLinked := linked[r.pkgs[dir]]
+		for _, f := range fs {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					obj := r.info.Defs[d.Name]
+					rc.decls[obj] = append(rc.decls[obj], d)
+					if d.Recv == nil && (d.Name.Name == "init" && inLinked || d.Name.Name == "main" && f.Name.Name == "main") {
+						initRoots = append(initRoots, d)
+						continue
+					}
+					candidates = append(candidates, candidate{obj, declName(dir, obj), d.Name.Pos()})
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							obj := r.info.Defs[s.Name]
+							rc.decls[obj] = append(rc.decls[obj], s)
+							candidates = append(candidates, candidate{obj, declName(dir, obj), s.Name.Pos()})
+						case *ast.ValueSpec:
+							if d.Tok == token.VAR && inLinked {
+								for _, v := range s.Values {
+									initRoots = append(initRoots, v)
+								}
+							}
+							for _, id := range s.Names {
+								if id.Name == "_" {
+									continue
+								}
+								obj := r.info.Defs[id]
+								rc.decls[obj] = append(rc.decls[obj], s)
+								candidates = append(candidates, candidate{obj, declName(dir, obj), id.Pos()})
+							}
+						}
 					}
 				}
-			case *ast.Ident:
-				if !notBare[n] {
-					local[fl.dir+"."+n.Name] = true
-				}
 			}
-			return true
-		})
+		}
 	}
+	// The interfaces the standard library calls a program's types
+	// through, beside the program's own.
+	for _, p := range []struct{ pkg, name string }{
+		{"fmt", "Stringer"},
+		{"encoding/json", "Marshaler"},
+		{"encoding/json", "Unmarshaler"},
+		{"sort", "Interface"},
+	} {
+		pkg, err := r.Import(p.pkg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc.ifaces = append(rc.ifaces, pkg.Scope().Lookup(p.name).Type().Underlying().(*types.Interface))
+	}
+	errType := types.Universe.Lookup("error").Type()
+	unwrap := types.NewFunc(token.NoPos, nil, "Unwrap", types.NewSignatureType(nil, nil, nil, nil, types.NewTuple(types.NewVar(token.NoPos, nil, "", errType)), false))
+	rc.ifaces = append(rc.ifaces, errType.Underlying().(*types.Interface), types.NewInterfaceType([]*types.Func{unwrap}, nil).Complete())
+
+	for _, n := range initRoots {
+		rc.walk(n)
+	}
+	rc.run()
+
+	byName := map[string]candidate{}
+	for _, c := range candidates {
+		byName[c.name] = c
+	}
+	tests := testFuncs(t)
+	for _, e := range reachTestOnly {
+		c, ok := byName[e.decl]
+		switch {
+		case !tests[e.test]:
+			t.Errorf("reachTestOnly keeps %s for %s, which no test file declares", e.decl, e.test)
+		case !ok:
+			t.Errorf("reachTestOnly lists %s, which is no longer declared", e.decl)
+		case rc.reached[c.obj]:
+			t.Errorf("reachTestOnly lists %s, which a program now reaches: drop the entry", e.decl)
+		default:
+			rc.reach(c.obj)
+		}
+	}
+	rc.run()
 
 	var unreached []string
-	for _, e := range exports {
-		var ok bool
-		if e.method {
-			ok = reachAllowMethods[e.name] || selected[e.name]
-		} else {
-			ok = qualified[e.dir+"."+e.name] || local[e.dir+"."+e.name]
-		}
-		if !ok {
-			unreached = append(unreached, fset.Position(e.pos).String()+": "+e.name)
+	for _, c := range candidates {
+		if strings.HasPrefix(c.name, "internal/") && !rc.reached[c.obj] {
+			unreached = append(unreached, fmt.Sprintf("%s: %s", fset.Position(c.pos), c.name))
 		}
 	}
 	sort.Strings(unreached)
 	for _, u := range unreached {
-		t.Errorf("%s has no caller outside the tests: make it a catalogue probe or delete it", u)
+		t.Errorf("%s is reached from no program: delete it, or list it in reachTestOnly with the test that keeps it", u)
 	}
-	if len(exports) == 0 {
-		t.Fatal("found no exported functions in reachPackages; is the test running from the repository root?")
+	if len(candidates) == 0 {
+		t.Fatal("found no declarations; is the test running from the repository root?")
 	}
 }
 
@@ -229,18 +481,23 @@ func TestGoroutineStarts(t *testing.T) {
 	}
 }
 
-// ownerOnlyPackages are the substrate packages on a trial's path. A
-// cluster and everything reachable from it has one owner goroutine at
-// a time (DESIGN.md §7, "One owner per cluster"), so none of them takes
-// a lock: none may import sync, whose Mutex and RWMutex would be the
+// ownerOnlyPackages are the substrate packages: those on a trial's
+// path, and modules, ppsfw and mpicrypt, which E13, E14 and
+// examples/facilitator drive from one goroutine. A cluster and
+// everything reachable from it has one owner goroutine at a time
+// (DESIGN.md §7, "One owner per cluster"), so none of them takes a
+// lock: none may import sync, whose Mutex and RWMutex would be the
 // only way to declare one. sync/atomic stays allowed: netsim's and
 // ubf's exported counters and the cluster clock are atomics.
 var ownerOnlyPackages = []string{
 	"internal/container",
 	"internal/gpu",
 	"internal/ids",
+	"internal/modules",
+	"internal/mpicrypt",
 	"internal/netsim",
 	"internal/portal",
+	"internal/ppsfw",
 	"internal/procfs",
 	"internal/sched",
 	"internal/simos",

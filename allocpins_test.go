@@ -93,8 +93,8 @@ var allocPins = []struct {
 	{"DeniedProbe/portal-forward", perOp(deniedPortalForward), 3},
 	{"DeniedProbe/container-admission", perOp(deniedContainerRun), 1},
 	{"FleetCampaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE4PolicyGrid, 1) }), 2520},
-	{"E16Ablation", perOp(e16Ablation), 12487},
-	{"E17Campaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE17RedTeam, 1) }), 14499},
+	{"E16Ablation", perOp(e16Ablation), 12477},
+	{"E17Campaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE17RedTeam, 1) }), 14473},
 }
 
 // TestAllocPins checks each single-worker benchmark row's allocations

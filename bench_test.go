@@ -122,26 +122,45 @@ func BenchmarkE3Squeue(b *testing.B) {
 }
 
 // drainCluster builds an enhanced cluster under pol with jobs spread
-// over users (one RNG split each) and submitted interleaved, every
-// oomEvery-th job (0 = none) using twice a node's memory. It is the
-// untimed setup of the E4 drain benchmarks.
+// over users and submitted interleaved round-robin, every oomEvery-th
+// job (0 = none) using twice a node's memory. It is the untimed setup
+// of the E4 drain benchmarks. The jobs need not split evenly over the
+// users, so each user's batch is a one-user MixSpec built from the one
+// parent generator.
 func drainCluster(tb testing.TB, pol sched.SharingPolicy, topo core.Topology, users, jobs int, seed uint64, oomEvery int) *core.Cluster {
 	cfg := core.Enhanced()
 	cfg.Policy = pol
 	c := core.MustNew(cfg, topo)
 	rng := metrics.NewRNG(seed)
-	var batches [][]workload.Submission
-	for u := 0; u < users; u++ {
+	batches := make([][]workload.Submission, users)
+	for u := range batches {
 		user, _ := c.AddUser(fmt.Sprintf("user%d", u), "pw")
 		n := jobs / users
 		if u < jobs%users {
 			n++
 		}
-		batches = append(batches, workload.Sweep(rng.Split(), workload.SweepConfig{
-			User: user.Cred, Jobs: n, MinCores: 1, MaxCores: 8, MinDur: 1, MaxDur: 4, MemB: 1 << 20,
-		}))
+		var err error
+		batches[u], err = workload.MixSpec{
+			Users: 1, JobsPerUser: n, MinCores: 1, MaxCores: 8, MinDur: 1, MaxDur: 4, MemB: 1 << 20,
+		}.Build(rng, []ids.Credential{user.Cred})
+		if err != nil {
+			tb.Fatal(err)
+		}
 	}
-	if _, err := workload.SubmitAll(c.Sched, workload.WithOOM(workload.Mix(batches...), oomEvery, 2<<30)); err != nil {
+	mix := make([]workload.Submission, 0, jobs)
+	for i := 0; len(mix) < jobs; i++ {
+		for _, b := range batches {
+			if i < len(b) {
+				mix = append(mix, b[i])
+			}
+		}
+	}
+	for i := range mix {
+		if oomEvery > 0 && i%oomEvery == oomEvery-1 {
+			mix[i].Spec.ActualMemB = 2 << 30
+		}
+	}
+	if _, err := workload.SubmitAll(c.Sched, mix); err != nil {
 		tb.Fatal(err)
 	}
 	return c
@@ -416,7 +435,7 @@ func BenchmarkE11Portal(b *testing.B) { benchOp(b, e11Portal(b)) }
 func e12Read(tb testing.TB, inside bool) func() {
 	c := core.MustNew(core.Enhanced(), benchTopo())
 	user, _ := c.AddUser("user", "pw")
-	c.Containers.ImportImage("img", nil)
+	c.Containers.ImportImage("img")
 	c.Containers.Allow(user.UID)
 	node := c.Compute[0]
 	h, _ := c.Host(node.Name)
@@ -717,7 +736,7 @@ func deniedPortalForward(tb testing.TB) func() {
 func deniedContainerRun(tb testing.TB) func() {
 	c := core.MustNew(core.Enhanced(), benchTopo())
 	stranger, _ := c.AddUser("stranger", "pw")
-	c.Containers.ImportImage("img", nil)
+	c.Containers.ImportImage("img")
 	node := c.Compute[0]
 	h, _ := c.Host(node.Name)
 	ns := c.NS[node.Name]

@@ -61,13 +61,22 @@ func main() {
 		return
 	}
 
+	topo := core.DefaultTopology()
+	topo.ComputeNodes = *nodes
+	spec := workload.MixSpec{
+		Users: *users, JobsPerUser: *jobs, Kind: "montecarlo",
+		MinCores: 1, MaxCores: topo.CoresPerNode / 2,
+		MinDur: 1, MaxDur: 5, MemB: 1 << 20,
+	}
+	if err := spec.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "hpcsim: %v\n", err)
+		os.Exit(2)
+	}
 	profile, err := core.ProfileByName(*profileName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hpcsim: %v\n", err)
 		os.Exit(2)
 	}
-	topo := core.DefaultTopology()
-	topo.ComputeNodes = *nodes
 
 	opts := []core.Option{core.WithTopology(topo)}
 	for _, m := range strings.Split(*ablate, ",") {
@@ -85,23 +94,22 @@ func main() {
 		fmt.Printf("ablated vs %s:\n  %s\n\n", profile.Name, strings.Join(diff, "\n  "))
 	}
 
-	rng := metrics.NewRNG(*seed)
 	var accounts []*core.User
-	var batches [][]workload.Submission
-	for i := 0; i < *users; i++ {
+	creds := make([]ids.Credential, 0, spec.Users)
+	for i := 0; i < spec.Users; i++ {
 		u, err := c.AddUser(fmt.Sprintf("user%d", i), "pw")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hpcsim: %v\n", err)
 			os.Exit(1)
 		}
 		accounts = append(accounts, u)
-		batches = append(batches, workload.MonteCarlo(rng.Split(), workload.SweepConfig{
-			User: u.Cred, Jobs: *jobs,
-			MinCores: 1, MaxCores: topo.CoresPerNode / 2,
-			MinDur: 1, MaxDur: 5, MemB: 1 << 20,
-		}))
+		creds = append(creds, u.Cred)
 	}
-	if _, err := workload.SubmitAll(c.Sched, workload.Mix(batches...)); err != nil {
+	mix, err := spec.Build(metrics.NewRNG(*seed), creds)
+	if err == nil {
+		_, err = workload.SubmitAll(c.Sched, mix)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "hpcsim: submit: %v\n", err)
 		os.Exit(1)
 	}
@@ -175,6 +183,6 @@ func main() {
 	st.AddRow("utilization", c.Sched.Utilization())
 	st.AddRow("node crashes", crashes)
 	st.AddRow("cross-user cofailures", cofail)
-	st.AddRow("max users per node", c.Sched.MaxUsersPerNode())
+	st.AddRow("max users per node", c.Sched.PeakUsersPerNode())
 	fmt.Println(st.Render())
 }

@@ -165,7 +165,7 @@ func TestDenialErrorText(t *testing.T) {
 			return err
 		}, "portal: 502 upstream connection failed: netsim: connection refused: tcp portal:32769 -> c00:8889", portal.ErrBadGateway, as[portal.ForwardError]},
 		{"container/not-granted", func() error {
-			c.Containers.ImportImage("img", nil)
+			c.Containers.ImportImage("img")
 			node := c.Compute[0]
 			_, err := c.Containers.Run(stranger.Cred, node, c.NS[node.Name], h1, container.RunSpec{Image: "img"})
 			return err

@@ -50,37 +50,31 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rng := metrics.NewRNG(*seed)
-		var batches [][]workload.Submission
-		for u := 0; u < 6; u++ {
+		creds := make([]ids.Credential, 6)
+		for u := range creds {
 			user, err := c.AddUser(fmt.Sprintf("user%d", u), "pw")
 			if err != nil {
 				log.Fatal(err)
 			}
-			batches = append(batches, workload.MonteCarlo(rng.Split(), workload.SweepConfig{
-				User: user.Cred, Jobs: 80,
-				MinCores: 1, MaxCores: 8,
-				MinDur: 1, MaxDur: 4,
-				MemB: 1 << 20,
-			}))
+			creds[u] = user.Cred
 		}
-		// Every 75th job exceeds its memory request.
-		mix := workload.WithOOM(workload.Mix(batches...), 75, 2*core.DefaultTopology().MemPerNode)
+		// 80 jobs per user; every 75th job exceeds its memory request.
+		mix, err := workload.MixSpec{
+			Users: 6, JobsPerUser: 80, Kind: "montecarlo",
+			MinCores: 1, MaxCores: 8,
+			MinDur: 1, MaxDur: 4,
+			MemB:     1 << 20,
+			OOMEvery: 75, OOMMemB: 2 * core.DefaultTopology().MemPerNode,
+		}.Build(metrics.NewRNG(*seed), creds)
+		if err != nil {
+			log.Fatal(err)
+		}
 		if _, err := workload.SubmitAll(c.Sched, mix); err != nil {
 			log.Fatal(err)
 		}
-		maxUsers, ticks := 0, 0
-		for ; ticks < 20000; ticks++ {
-			c.Step()
-			if n := c.Sched.MaxUsersPerNode(); n > maxUsers {
-				maxUsers = n
-			}
-			if c.Sched.PendingCount() == 0 && len(c.Sched.Squeue(ids.RootCred())) == 0 {
-				break
-			}
-		}
+		ticks := c.RunAll(20000)
 		crashes, cofail := c.Sched.Crashes()
-		table.AddRow(pol.String(), c.Sched.Utilization(), ticks, crashes, cofail, maxUsers)
+		table.AddRow(pol.String(), c.Sched.Utilization(), ticks, crashes, cofail, c.Sched.PeakUsersPerNode())
 	}
 	table.AddNote("seed %d — rerun with -seed %d to reproduce this exact campaign", *seed, *seed)
 	table.AddNote("the paper's policy (user-wholenode) eliminates cross-user blast radius without exclusive's waste")

@@ -284,7 +284,7 @@ func (ss *session) openSocket() error {
 // image imports the container image attempts run, once.
 func (ss *session) image() string {
 	if !ss.imported {
-		ss.c.Containers.ImportImage(probeImage, nil)
+		ss.c.Containers.ImportImage(probeImage)
 		ss.imported = true
 	}
 	return probeImage

@@ -20,7 +20,6 @@ package container
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"strconv"
 
 	"repro/internal/ids"
@@ -30,11 +29,10 @@ import (
 	"repro/internal/vfs"
 )
 
-// Image is a read-only software environment: a name plus the files
-// (tools, libraries, Python trees) baked in at build time.
+// Image is a read-only software environment (tools, libraries,
+// Python trees) baked in at build time; the runtime knows it by name.
 type Image struct {
-	Name  string
-	Files map[string]string // path inside image -> content
+	Name string
 }
 
 // Container errors.
@@ -53,13 +51,12 @@ type Runtime struct {
 	allowed  map[ids.UID]bool // users granted container privileges; empty = everyone
 	restrict bool
 
-	// imageSlab, runs and gids hold the imported images (each keeping
-	// its Files map across Reset), the running containers and their
-	// credentials' groups. Reset rewinds them, so a pooled trial's
-	// imports and runs reuse the previous trial's storage, and
-	// everything the runtime hands out is valid until the next Reset.
-	// All start empty, and until the first Reset they hand out heap
-	// storage (slab.Alloc).
+	// imageSlab, runs and gids hold the imported images, the running
+	// containers and their credentials' groups. Reset rewinds them, so
+	// a pooled trial's imports and runs reuse the previous trial's
+	// storage, and everything the runtime hands out is valid until the
+	// next Reset. All start empty, and until the first Reset they hand
+	// out heap storage (slab.Alloc).
 	imageSlab slab.Slab[Image]
 	runs      slab.Slab[Container]
 	gids      slab.Slab[ids.GID]
@@ -82,7 +79,7 @@ func NewRuntime(restrict bool) *Runtime {
 func (r *Runtime) Reset() {
 	clear(r.images)
 	clear(r.allowed)
-	r.imageSlab.Rewind()
+	r.imageSlab.Reset()
 	r.runs.Reset()
 	r.gids.Reset()
 }
@@ -114,15 +111,9 @@ func (e *AdmissionError) Unwrap() error { return e.Err }
 
 // ImportImage registers an image built off-system (on the user's own
 // machine where they have admin rights).
-func (r *Runtime) ImportImage(name string, files map[string]string) *Image {
+func (r *Runtime) ImportImage(name string) *Image {
 	img := &r.imageSlab.Alloc(1)[0]
 	img.Name = name
-	if img.Files == nil {
-		img.Files = make(map[string]string, len(files))
-	} else {
-		clear(img.Files)
-	}
-	maps.Copy(img.Files, files)
 	r.images[name] = img
 	return img
 }

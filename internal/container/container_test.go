@@ -35,7 +35,7 @@ func world(t *testing.T) (*Runtime, *simos.Node, *vfs.Namespace, *netsim.Host, *
 	d.InstallOn(h1)
 	d.InstallOn(h2)
 	rt := NewRuntime(false)
-	rt.ImportImage("pytorch", map[string]string{"/opt/conda/bin/python": "#!python3.11"})
+	rt.ImportImage("pytorch")
 	creds := map[string]ids.Credential{}
 	for _, u := range []*ids.User{alice, bob} {
 		c, _ := reg.LoginCredential(u.UID)
@@ -67,7 +67,7 @@ func TestRunAsInvokingUserNoEscalation(t *testing.T) {
 func TestRestrictedRuntimeRequiresGrant(t *testing.T) {
 	rt, node, ns, h1, _, creds := world(t)
 	restricted := NewRuntime(true)
-	restricted.ImportImage("pytorch", nil)
+	restricted.ImportImage("pytorch")
 	if _, err := restricted.Run(creds["alice"], node, ns, h1, RunSpec{Image: "pytorch"}); !errors.Is(err, ErrPrivileged) {
 		t.Errorf("ungranted run err = %v, want ErrPrivileged", err)
 	}
@@ -150,13 +150,13 @@ func TestNetworkControlsPassThrough(t *testing.T) {
 func TestRuntimeReset(t *testing.T) {
 	r := NewRuntime(true)
 	alice := ids.Credential{UID: 1000, EGID: 1000, Groups: []ids.GID{1000}}
-	r.ImportImage("img", map[string]string{"/t": "v"})
+	r.ImportImage("img")
 	r.Allow(alice.UID)
 	r.Reset()
 	if _, ok := r.images["img"]; ok {
 		t.Error("image survived Reset")
 	}
-	r.ImportImage("img", nil)
+	r.ImportImage("img")
 	node := simos.NewNode("c0", simos.Compute, 4, 1<<30, nil)
 	if _, err := r.Run(alice, node, vfs.NewNamespace(), nil, RunSpec{Image: "img"}); err == nil {
 		t.Error("privilege grant survived Reset under restrict")

@@ -96,7 +96,7 @@ func TestProjectCollaborationEndToEnd(t *testing.T) {
 
 	// Containers: the member's containerized tool reads the project
 	// data through the passthrough mount.
-	c.Containers.ImportImage("tools", nil)
+	c.Containers.ImportImage("tools")
 	c.Containers.Allow(member.UID)
 	node := c.Compute[2]
 	nh, _ := c.Host(node.Name)

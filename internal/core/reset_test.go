@@ -143,7 +143,7 @@ func runScript(t *testing.T, c *Cluster, alice, bob *User) map[string]interface{
 	out["seepid"] = seepidErr == nil
 
 	// Containers.
-	c.Containers.ImportImage("img", map[string]string{"/bin/tool": "v1"})
+	c.Containers.ImportImage("img")
 	node := c.Compute[0]
 	_, err = c.Containers.Run(alice.Cred, node, c.NS[node.Name], h0, container.RunSpec{Image: "img"})
 	out["container"] = fmt.Sprint(err)

@@ -19,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/metrics"
-	"repro/internal/workload"
 )
 
 // AblationRow is one Enhanced-minus-one measurement.
@@ -48,21 +47,13 @@ func reopenedChannels(cfg core.Config) ([]string, error) {
 // with OOM faults under cfg and reports utilization and cross-user
 // cofailures.
 func utilizationDrain(cfg core.Config) (util float64, cofail int, err error) {
-	c, err := core.New(cfg, topo())
-	if err != nil {
-		return 0, 0, err
-	}
 	// The mix is the shared fleet.E16DrainMix definition (also the
 	// e16-ablation-drain campaign preset), built with the sweep's
 	// pinned seed.
-	mix, err := fleet.ProvisionMix(c, fleet.E16DrainMix(), metrics.NewRNG(16))
+	c, _, err := drainMix(cfg, fleet.E16DrainMix(), 16)
 	if err != nil {
 		return 0, 0, err
 	}
-	if _, err := workload.SubmitAll(c.Sched, mix); err != nil {
-		return 0, 0, err
-	}
-	c.RunAll(100000)
 	_, cofail = c.Sched.Crashes()
 	return c.Sched.Utilization(), cofail, nil
 }

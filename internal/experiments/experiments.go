@@ -34,6 +34,26 @@ func topo() core.Topology {
 	return fleet.ExperimentTopology()
 }
 
+// drainMix builds a cluster under cfg on the experiment topology,
+// provisions and submits spec's mix drawn from a generator seeded with
+// seed, and drains it — E4's policy drain and E16's ablation drain.
+// It returns the drained cluster and the ticks the drain took, which
+// is the last job's end tick.
+func drainMix(cfg core.Config, spec workload.MixSpec, seed uint64) (*core.Cluster, int, error) {
+	c, err := core.New(cfg, topo())
+	if err != nil {
+		return nil, 0, err
+	}
+	mix, err := fleet.ProvisionMix(c, spec, metrics.NewRNG(seed))
+	if err != nil {
+		return nil, 0, err
+	}
+	if _, err := workload.SubmitAll(c.Sched, mix); err != nil {
+		return nil, 0, err
+	}
+	return c, c.RunAll(100000), nil
+}
+
 // bothConfigs returns the two comparison points, derived from the
 // named profiles (baseline first).
 func bothConfigs() []core.Config {
@@ -164,31 +184,14 @@ func E4SchedulingPolicies() *metrics.Table {
 	for _, pol := range []sched.SharingPolicy{sched.PolicyShared, sched.PolicyExclusive, sched.PolicyUserWholeNode} {
 		cfg := core.Enhanced()
 		cfg.Policy = pol
-		c := core.MustNew(cfg, topo())
 		// The mix is the shared fleet.E4Mix definition, built with the
-		// table's pinned seed (ProvisionMix splits per user in
-		// credential order, the same draws as the historical inline
-		// loop).
-		mix, err := fleet.ProvisionMix(c, fleet.E4Mix(), metrics.NewRNG(4))
+		// table's pinned seed.
+		c, ticks, err := drainMix(cfg, fleet.E4Mix(), 4)
 		if err != nil {
 			panic(err)
 		}
-		if _, err := workload.SubmitAll(c.Sched, mix); err != nil {
-			panic(err)
-		}
-		maxUsers := 0
-		ticks := 0
-		for ; ticks < 5000; ticks++ {
-			c.Step()
-			if n := c.Sched.MaxUsersPerNode(); n > maxUsers {
-				maxUsers = n
-			}
-			if c.Sched.PendingCount() == 0 && len(c.Sched.Squeue(ids.RootCred())) == 0 {
-				break
-			}
-		}
 		crashes, cofail := c.Sched.Crashes()
-		t.AddRow(pol.String(), c.Sched.Utilization(), ticks, crashes, cofail, maxUsers)
+		t.AddRow(pol.String(), c.Sched.Utilization(), ticks, crashes, cofail, c.Sched.PeakUsersPerNode())
 	}
 	t.AddNote("300 short jobs (1-8 cores) from 6 users; every 60th job exceeds its memory request")
 	t.AddNote("expected shape: user-wholenode utilization > exclusive, cofailures 0, max 1 user/node")
@@ -553,7 +556,7 @@ func E12Container() *metrics.Table {
 		c := core.MustNew(cfg, topo())
 		owner, _ := c.AddUser("owner", "pw")
 		runner, _ := c.AddUser("runner", "pw")
-		c.Containers.ImportImage("science", map[string]string{"/opt/tool": "bin"})
+		c.Containers.ImportImage("science")
 		c.Containers.Allow(runner.UID)
 		must(c.SharedFS.WriteFile(vfs.Ctx(owner.Cred), owner.HomePath+"/private.dat", []byte("d"), 0o644))
 		node := c.Compute[0]

@@ -8,7 +8,7 @@ import (
 
 // namePool interns the "u<N>" account names every campaign-shaped
 // workload provisions. A 1M-user scenario used to materialize a fresh
-// million-string slice per compiled scenario (and again per ad-hoc
+// million-string slice per compiled scenario (and again per
 // ProvisionMix call); the pool formats each name once, process-wide,
 // and every trial replication reuses the same string — names are
 // derived purely from the index, so sharing them cannot perturb any

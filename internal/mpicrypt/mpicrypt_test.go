@@ -101,17 +101,18 @@ func TestSecureConnOverNetwork(t *testing.T) {
 	if err := sc.Send([]byte("halo exchange")); err != nil {
 		t.Fatal(err)
 	}
-	// Acceptor side: same conn object, own sealer pair.
+	// Acceptor side: a sealer derived from the same secret opens what
+	// the dialer sealed.
 	acc, ok := l.Accept()
 	if !ok {
 		t.Fatal("no conn accepted")
 	}
-	scAcc, _ := Secure(acc, secret)
+	opener, _ := NewSealer(secret)
 	box, ok := acc.Recv()
 	if !ok {
 		t.Fatal("nothing received")
 	}
-	got, err := scAcc.opener.Open(box)
+	got, err := opener.Open(box)
 	if err != nil {
 		t.Fatal(err)
 	}

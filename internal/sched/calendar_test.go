@@ -181,7 +181,7 @@ func TestRunAllFastForwardBudget(t *testing.T) {
 	if now := s.now; now != 500 {
 		t.Fatalf("now = %d after capped RunAll, want 500", now)
 	}
-	if n := s.PendingCount(); n != 1 {
+	if n := len(s.pending); n != 1 {
 		t.Fatalf("pending = %d, want the starved job", n)
 	}
 }

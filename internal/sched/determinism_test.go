@@ -24,7 +24,7 @@ func e4Campaign(t *testing.T, pol SharingPolicy, seed uint64) *Scheduler {
 	rngs := make([]*metrics.RNG, 6)
 	root := metrics.NewRNG(seed)
 	for u := range rngs {
-		rngs[u] = root.Split()
+		rngs[u] = metrics.NewRNG(root.Uint64())
 	}
 	n := 0
 	for i := 0; i < 50; i++ {

@@ -18,13 +18,18 @@ import (
 // process tables must match a recomputation from scratch, a closed
 // queue gate must hold no job that fits, and the jobs a Step or RunAll
 // completed must be the ones checkCompletions derives from start
-// times and durations alone, in (due, ID) order.
+// times and durations alone, in (due, ID) order. The peak users per
+// node must cover every node's distinct users recomputed from its
+// jobs, never fall, stay at most 1 under user-wholenode, and read 0
+// after the closing Reset.
 func FuzzSchedOps(f *testing.F) {
 	f.Add([]byte{0, 0, 5, 1, 1, 9, 2, 3, 0, 0, 3, 0, 0})
 	f.Add([]byte{1, 0, 44, 6, 0, 1, 3, 3, 0, 0, 4, 1, 0, 3, 0, 0, 5, 1, 0, 3, 0, 0})
 	f.Add([]byte{2, 0, 8, 0, 0, 9, 1, 0, 13, 2, 3, 0, 0, 2, 2, 1, 3, 0, 0, 3, 0, 0})
 	f.Add([]byte{0, 0, 0, 255, 1, 4, 16, 0, 1, 0, 3, 0, 0, 3, 0, 0, 4, 2, 0, 5, 2, 0, 3, 0, 0})
 	f.Add([]byte{1, 0, 7, 3, 1, 2, 1, 0, 1, 2, 6, 0, 3, 2, 1, 0, 6, 0, 15})
+	// Two users' 1-core jobs share a node under the shared policy.
+	f.Add([]byte{0, 0, 0, 7, 0, 70, 7, 3, 0, 0, 3, 0, 0})
 	// Lapped jobs (64 and 65 ticks, then 63 and 1<<30) beside short
 	// ones, drained by RunAll steps that fast-forward to their laps.
 	f.Add([]byte{0, 0, 0, 28, 0, 0, 29, 0, 0, 1, 3, 0, 0, 6, 0, 15, 6, 0, 15, 6, 0, 15, 6, 0, 15, 6, 0, 15,
@@ -36,7 +41,7 @@ func FuzzSchedOps(f *testing.F) {
 		pol := []SharingPolicy{PolicyShared, PolicyExclusive, PolicyUserWholeNode}[int(data[0])%3]
 		nodes := computeNodes(3, 4, 1<<20)
 		s := New(Config{Policy: pol}, nodes, 2)
-		submitted := 0
+		submitted, peak := 0, 0
 		ops := data[1:]
 		if len(ops) > 3*200 {
 			ops = ops[:3*200]
@@ -82,8 +87,39 @@ func FuzzSchedOps(f *testing.F) {
 			checkTaskProcesses(t, s, "after op")
 			checkPassComplete(t, s, "after op")
 			checkCompletions(t, s, before, "after op")
+			peak = checkPeakUsers(t, s, peak, "after op")
+		}
+		s.Reset()
+		if n := s.PeakUsersPerNode(); n != 0 {
+			t.Fatalf("peak users per node = %d after Reset", n)
 		}
 	})
+}
+
+// checkPeakUsers checks PeakUsersPerNode against prev, its reading
+// before the operation, and against every node's distinct users
+// recomputed from the node's jobs; it returns the new reading.
+func checkPeakUsers(t *testing.T, s *Scheduler, prev int, when string) int {
+	t.Helper()
+	peak := s.PeakUsersPerNode()
+	if peak < prev {
+		t.Fatalf("%s: peak users per node fell from %d to %d", when, prev, peak)
+	}
+	if s.Cfg.Policy == PolicyUserWholeNode && peak > 1 {
+		t.Fatalf("%s: peak users per node = %d under user-wholenode", when, peak)
+	}
+	for _, ns := range s.nodes {
+		var users []ids.UID
+		for _, j := range ns.jobs {
+			if !slices.Contains(users, j.User) {
+				users = append(users, j.User)
+			}
+		}
+		if len(users) > peak {
+			t.Fatalf("%s: %s hosts %d users, peak %d", when, ns.node.Name, len(users), peak)
+		}
+	}
+	return peak
 }
 
 // completionRef is what checkCompletions compares against: the clock,

@@ -134,8 +134,8 @@ func TestRunningIndexConsistency(t *testing.T) {
 
 	s.RunAll(100)
 	checkIndexes(t, s, "after drain")
-	if s.PendingCount() != 0 {
-		t.Errorf("queue not drained: %d", s.PendingCount())
+	if len(s.pending) != 0 {
+		t.Errorf("queue not drained: %d", len(s.pending))
 	}
 }
 

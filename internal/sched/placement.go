@@ -240,7 +240,8 @@ func (ps *placeScratch) reset() {
 }
 
 // applyPlace records a job's allocation on one compute node, updating
-// the node, the capacity scope, and the cluster's OOM-armed count.
+// the node, the capacity scope, the peak users per node and the
+// cluster's OOM-armed count.
 func (s *Scheduler) applyPlace(ns *nodeState, j *Job, cores int) {
 	before, wasArmed := ns.share(), ns.oomArmed()
 	ns.usedCores += cores
@@ -248,6 +249,7 @@ func (s *Scheduler) applyPlace(ns *nodeState, j *Job, cores int) {
 	ns.usedGPUs += j.Spec.GPUs
 	ns.jobs = append(ns.jobs, j)
 	ns.addUser(j.User)
+	s.peakUsers = max(s.peakUsers, len(ns.users))
 	ns.memCommit += effMemB(j)
 	if j.Spec.ActualMemB > ns.node.MemB {
 		ns.overCount++

@@ -266,7 +266,7 @@ func TestAggregateInvariants(t *testing.T) {
 			checkAggregates(t, s, "after drain")
 			checkIndexes(t, s, "after drain")
 			checkTaskProcesses(t, s, "after drain")
-			if n := s.PendingCount(); n != 0 {
+			if n := len(s.pending); n != 0 {
 				t.Errorf("queue not drained: %d", n)
 			}
 		})
@@ -304,7 +304,7 @@ func TestProbeNeverRejectsPlaceable(t *testing.T) {
 				}
 				s.Step()
 				checkPassComplete(t, s, fmt.Sprintf("tick %d", tick))
-				if s.PendingCount() == 0 {
+				if len(s.pending) == 0 {
 					break
 				}
 			}
@@ -362,7 +362,7 @@ func TestStepSkipsQueueWhenFull(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("saturated tick allocates %.1f objects, want 0", allocs)
 	}
-	if n := s.PendingCount(); n != 50 {
+	if n := len(s.pending); n != 50 {
 		t.Fatalf("pending = %d, want 50", n)
 	}
 }

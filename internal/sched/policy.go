@@ -74,28 +74,3 @@ func (s *Scheduler) nodeEligible(ns *nodeState, j *Job, policy SharingPolicy) bo
 		return false
 	}
 }
-
-// NodeUsers returns, for every compute node, the set of distinct users
-// currently running on it — the invariant check for experiment E4:
-// under PolicyUserWholeNode this must never exceed 1.
-func (s *Scheduler) NodeUsers() map[string]int {
-	out := make(map[string]int, len(s.nodes))
-	for _, ns := range s.nodes {
-		if ns.node.Kind == simos.Compute {
-			out[ns.node.Name] = len(ns.users)
-		}
-	}
-	return out
-}
-
-// MaxUsersPerNode returns the max over NodeUsers — 1 means perfect
-// user separation on compute nodes.
-func (s *Scheduler) MaxUsersPerNode() int {
-	max := 0
-	for _, n := range s.NodeUsers() {
-		if n > max {
-			max = n
-		}
-	}
-	return max
-}

@@ -53,9 +53,9 @@ func TestSchedulerResetReplaysLikeFresh(t *testing.T) {
 	if c, cf := s.Crashes(); c != 0 || cf != 0 {
 		t.Errorf("crash counters (%d, %d) survived Reset", c, cf)
 	}
-	if s.now != 0 || s.PendingCount() != 0 || s.Utilization() != 0 {
+	if s.now != 0 || len(s.pending) != 0 || s.Utilization() != 0 {
 		t.Errorf("time/queue/utilization state survived Reset: now=%d pending=%d util=%v",
-			s.now, s.PendingCount(), s.Utilization())
+			s.now, len(s.pending), s.Utilization())
 	}
 
 	gotRecords := replayTrace(t, s)

@@ -163,8 +163,8 @@ func TestFIFOWithBackfill(t *testing.T) {
 	if gbl.State != Pending || gs.State != Pending {
 		t.Errorf("blocked=%v small=%v, both should wait (node full)", gbl.State, gs.State)
 	}
-	if s.PendingCount() != 2 {
-		t.Errorf("pending = %d", s.PendingCount())
+	if len(s.pending) != 2 {
+		t.Errorf("pending = %d", len(s.pending))
 	}
 }
 
@@ -278,8 +278,8 @@ func TestRunAllDrains(t *testing.T) {
 	if ticks >= 1000 {
 		t.Fatalf("RunAll did not drain")
 	}
-	if s.PendingCount() != 0 {
-		t.Errorf("pending = %d after RunAll", s.PendingCount())
+	if len(s.pending) != 0 {
+		t.Errorf("pending = %d after RunAll", len(s.pending))
 	}
 	recs := s.Sacct(ids.RootCred())
 	if len(recs) != 20 {

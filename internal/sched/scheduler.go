@@ -178,6 +178,9 @@ type Scheduler struct {
 	// *other* users killed by someone else's OOM (blast radius).
 	crashes    int
 	cofailures int
+	// peakUsers is the most distinct users any node has hosted at
+	// once, raised at placement: E4's one-user-per-node check (§IV-B).
+	peakUsers int
 	// stepCount/ffTicks feed the observability layer: real ticks
 	// executed vs event-free ticks the analytic fast-forward skipped
 	// (stepCount + ffTicks = total logical ticks advanced). Plain
@@ -282,6 +285,7 @@ func (s *Scheduler) Reset() {
 	}
 	s.busyCores, s.busyCoreTicks, s.totalCoreTicks = 0, 0, 0
 	s.crashes, s.cofailures = 0, 0
+	s.peakUsers = 0
 	s.stepCount, s.ffTicks = 0, 0
 	s.defaultScope.reset()
 	for _, ns := range s.nodes {
@@ -620,9 +624,12 @@ func (s *Scheduler) Crashes() (int, int) {
 	return s.crashes, s.cofailures
 }
 
-// PendingCount returns the queue length.
-func (s *Scheduler) PendingCount() int {
-	return len(s.pending)
+// PeakUsersPerNode returns the most distinct users any node has
+// hosted at once since New or the last Reset — the invariant check of
+// experiment E4: under PolicyUserWholeNode it never exceeds 1, i.e.
+// perfect user separation on compute nodes.
+func (s *Scheduler) PeakUsersPerNode() int {
+	return s.peakUsers
 }
 
 // Job returns the job by ID as the *scheduler* sees it (no privacy

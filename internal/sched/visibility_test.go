@@ -151,8 +151,8 @@ func TestQuickPrivateDataExactness(t *testing.T) {
 	}
 }
 
-// Property: under PolicyUserWholeNode, MaxUsersPerNode never exceeds 1
-// regardless of the workload mix.
+// Property: under PolicyUserWholeNode, PeakUsersPerNode never exceeds
+// 1 regardless of the workload mix, and reads 1 once any job ran.
 func TestQuickWholeNodeInvariant(t *testing.T) {
 	f := func(seed uint8, steps uint8) bool {
 		s := New(Config{Policy: PolicyUserWholeNode}, computeNodes(4, 4, 1000), 0)
@@ -165,13 +165,8 @@ func TestQuickWholeNodeInvariant(t *testing.T) {
 				return false
 			}
 		}
-		for st := 0; st < int(steps%10)+1; st++ {
-			s.Step()
-			if s.MaxUsersPerNode() > 1 {
-				return false
-			}
-		}
-		return true
+		s.RunAll(int(steps%10) + 1)
+		return s.PeakUsersPerNode() == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -20,56 +20,6 @@ type Submission struct {
 	Spec sched.JobSpec
 }
 
-// SweepConfig describes a parameter-sweep batch: many small,
-// short, independent jobs from one user.
-type SweepConfig struct {
-	User     ids.Credential
-	Jobs     int
-	MinCores int
-	MaxCores int
-	MinDur   int64
-	MaxDur   int64
-	MemB     int64
-}
-
-// Sweep generates the batch deterministically from rng.
-func Sweep(rng *metrics.RNG, c SweepConfig) []Submission {
-	out := make([]Submission, 0, c.Jobs)
-	for i := 0; i < c.Jobs; i++ {
-		cores := c.MinCores
-		if c.MaxCores > c.MinCores {
-			cores += rng.Intn(c.MaxCores - c.MinCores + 1)
-		}
-		dur := c.MinDur
-		if c.MaxDur > c.MinDur {
-			dur += int64(rng.Intn(int(c.MaxDur - c.MinDur + 1)))
-		}
-		out = append(out, Submission{
-			Cred: c.User,
-			Spec: sched.JobSpec{
-				Name:     fmt.Sprintf("sweep-%d", i),
-				Command:  fmt.Sprintf("simulate --param=%d", i),
-				Cores:    cores,
-				MemB:     c.MemB,
-				Duration: dur,
-			},
-		})
-	}
-	return out
-}
-
-// MonteCarlo is a sweep whose jobs carry a seed parameter — identical
-// scheduling shape, different command lines (more cmdline surface for
-// the hidepid experiments).
-func MonteCarlo(rng *metrics.RNG, c SweepConfig) []Submission {
-	subs := Sweep(rng, c)
-	for i := range subs {
-		subs[i].Spec.Name = fmt.Sprintf("mc-%d", i)
-		subs[i].Spec.Command = fmt.Sprintf("montecarlo --seed=%d --trials=1000000", rng.Uint64())
-	}
-	return subs
-}
-
 // MixSpec declaratively describes a multi-user campaign mix — the
 // contended-scheduler scenario of E4 as data instead of code, so
 // campaign files (internal/fleet) can carry workloads. Build turns
@@ -84,7 +34,8 @@ type MixSpec struct {
 	MaxDur      int64  `json:"max_dur"`
 	MemB        int64  `json:"mem_b"`
 	// OOMEvery > 0 marks every OOMEvery-th job of the interleaved
-	// stream as exceeding its request by OOMMemB (see WithOOM).
+	// stream as exceeding its memory request: its ActualMemB is
+	// OOMMemB, the failure mode whole-node scheduling contains.
 	OOMEvery int   `json:"oom_every,omitempty"`
 	OOMMemB  int64 `json:"oom_mem_b,omitempty"`
 }
@@ -121,13 +72,15 @@ func (m MixSpec) Validate() error {
 }
 
 // Build generates the interleaved stream deterministically from rng:
-// one Split child per user in credential order (the idiom every
-// experiment uses), round-robin Mix, then OOM injection. len(users)
-// must equal m.Users so the spec stays the single source of truth
-// for the mix's shape.
+// one child generator per user in credential order, each seeded by
+// one draw of rng and driving that user's whole batch, the batches
+// interleaved round-robin, then OOM injection. len(users) must equal
+// m.Users so the spec stays the single source of truth for the mix's
+// shape.
 //
-// Build is BuildInto over a throwaway scratch; the two are draw-for-
-// draw identical (pinned by TestBuildIntoMatchesBuild).
+// Build is BuildInto over a throwaway scratch; both match the
+// batch-by-batch reference construction draw for draw (pinned by
+// TestBuildIntoMatchesLegacyConstruction).
 func (m MixSpec) Build(rng *metrics.RNG, users []ids.Credential) ([]Submission, error) {
 	var sc BuildScratch
 	return m.BuildInto(rng, users, &sc)
@@ -181,10 +134,10 @@ func (m MixSpec) BuildInto(rng *metrics.RNG, users []ids.Credential, sc *BuildSc
 	}
 	out := sc.subs[:total]
 
-	// Exactly Build's draw order: one Split per user in credential
-	// order, then that child drives the user's whole batch — cores and
-	// duration per job, then (montecarlo) one seed per job. The batch
-	// interleaving is Mix's round-robin, which for the equal-length
+	// The draw order: one child per user in credential order, seeded
+	// by one draw of rng, then that child drives the user's whole
+	// batch — cores and duration per job, then (montecarlo) one seed
+	// per job. The round-robin interleaving of the equal-length
 	// batches a MixSpec produces puts user u's i-th job at i*Users+u.
 	var child metrics.RNG
 	for u, cred := range users {
@@ -223,38 +176,6 @@ func (m MixSpec) BuildInto(rng *metrics.RNG, users []ids.Credential, sc *BuildSc
 		}
 	}
 	return out, nil
-}
-
-// Mix interleaves batches from several users into one submit-order
-// stream, round-robin, which is the contended-scheduler scenario of
-// experiment E4.
-func Mix(batches ...[]Submission) []Submission {
-	var out []Submission
-	for i := 0; ; i++ {
-		advanced := false
-		for _, b := range batches {
-			if i < len(b) {
-				out = append(out, b[i])
-				advanced = true
-			}
-		}
-		if !advanced {
-			return out
-		}
-	}
-}
-
-// WithOOM marks every k-th job in the stream as exceeding its memory
-// request by factor (ActualMemB = factor × node-memory stand-in),
-// injecting the failure mode whole-node scheduling contains.
-func WithOOM(subs []Submission, every int, actualMemB int64) []Submission {
-	out := append([]Submission(nil), subs...)
-	for i := range out {
-		if every > 0 && i%every == every-1 {
-			out[i].Spec.ActualMemB = actualMemB
-		}
-	}
-	return out
 }
 
 // SubmitAll submits a stream, returning job IDs in submit order.

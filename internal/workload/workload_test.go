@@ -23,6 +23,93 @@ func nodes(n, cores int) []*simos.Node {
 	return out
 }
 
+// The batch builders below are the reference construction
+// TestBuildIntoMatchesLegacyConstruction checks MixSpec against: one
+// RNG child per user drives Sweep or MonteCarlo, Mix interleaves the
+// batches and WithOOM marks the stream.
+
+// SweepConfig describes a parameter-sweep batch: many small,
+// short, independent jobs from one user.
+type SweepConfig struct {
+	User     ids.Credential
+	Jobs     int
+	MinCores int
+	MaxCores int
+	MinDur   int64
+	MaxDur   int64
+	MemB     int64
+}
+
+// Sweep generates the batch deterministically from rng.
+func Sweep(rng *metrics.RNG, c SweepConfig) []Submission {
+	out := make([]Submission, 0, c.Jobs)
+	for i := 0; i < c.Jobs; i++ {
+		cores := c.MinCores
+		if c.MaxCores > c.MinCores {
+			cores += rng.Intn(c.MaxCores - c.MinCores + 1)
+		}
+		dur := c.MinDur
+		if c.MaxDur > c.MinDur {
+			dur += int64(rng.Intn(int(c.MaxDur - c.MinDur + 1)))
+		}
+		out = append(out, Submission{
+			Cred: c.User,
+			Spec: sched.JobSpec{
+				Name:     fmt.Sprintf("sweep-%d", i),
+				Command:  fmt.Sprintf("simulate --param=%d", i),
+				Cores:    cores,
+				MemB:     c.MemB,
+				Duration: dur,
+			},
+		})
+	}
+	return out
+}
+
+// MonteCarlo is a sweep whose jobs carry a seed parameter — identical
+// scheduling shape, different command lines (more cmdline surface for
+// the hidepid experiments).
+func MonteCarlo(rng *metrics.RNG, c SweepConfig) []Submission {
+	subs := Sweep(rng, c)
+	for i := range subs {
+		subs[i].Spec.Name = fmt.Sprintf("mc-%d", i)
+		subs[i].Spec.Command = fmt.Sprintf("montecarlo --seed=%d --trials=1000000", rng.Uint64())
+	}
+	return subs
+}
+
+// Mix interleaves batches from several users into one submit-order
+// stream, round-robin, which is the contended-scheduler scenario of
+// experiment E4.
+func Mix(batches ...[]Submission) []Submission {
+	var out []Submission
+	for i := 0; ; i++ {
+		advanced := false
+		for _, b := range batches {
+			if i < len(b) {
+				out = append(out, b[i])
+				advanced = true
+			}
+		}
+		if !advanced {
+			return out
+		}
+	}
+}
+
+// WithOOM marks every k-th job in the stream as exceeding its memory
+// request by factor (ActualMemB = factor × node-memory stand-in),
+// injecting the failure mode whole-node scheduling contains.
+func WithOOM(subs []Submission, every int, actualMemB int64) []Submission {
+	out := append([]Submission(nil), subs...)
+	for i := range out {
+		if every > 0 && i%every == every-1 {
+			out[i].Spec.ActualMemB = actualMemB
+		}
+	}
+	return out
+}
+
 func TestSweepDeterministic(t *testing.T) {
 	cfg := SweepConfig{User: cred(1000), Jobs: 50, MinCores: 1, MaxCores: 4, MinDur: 1, MaxDur: 5, MemB: 10}
 	a := Sweep(metrics.NewRNG(1), cfg)
@@ -173,13 +260,13 @@ func TestSubmitAllAndDrain(t *testing.T) {
 			t.Errorf("job %d: %v %v", id, j.State, err)
 		}
 	}
-	if s.MaxUsersPerNode() > 1 {
-		t.Errorf("user-wholenode violated")
+	if n := s.PeakUsersPerNode(); n != 1 {
+		t.Errorf("peak users per node = %d under user-wholenode, want 1", n)
 	}
 }
 
 // BuildInto must be draw-for-draw identical to the legacy batch-based
-// construction (Split per user → Sweep/MonteCarlo → Mix → WithOOM),
+// construction (one child RNG per user → Sweep/MonteCarlo → Mix → WithOOM),
 // for every kind and with/without OOM injection — the property the
 // fleet executor's scratch reuse stands on.
 func TestBuildIntoMatchesLegacyConstruction(t *testing.T) {
@@ -198,7 +285,7 @@ func TestBuildIntoMatchesLegacyConstruction(t *testing.T) {
 		}
 		var batches [][]Submission
 		for _, u := range users {
-			batches = append(batches, gen(rng.Split(), SweepConfig{
+			batches = append(batches, gen(metrics.NewRNG(rng.Uint64()), SweepConfig{
 				User: u, Jobs: spec.JobsPerUser,
 				MinCores: spec.MinCores, MaxCores: spec.MaxCores,
 				MinDur: spec.MinDur, MaxDur: spec.MaxDur, MemB: spec.MemB,

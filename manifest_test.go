@@ -19,11 +19,18 @@ import (
 // for the frontier instead of merging in completion order. Each record
 // is compared with its text golden under testdata/results/, and a
 // failure names the golden, the run, the table (benchharness) or
-// scenario (fleet) and the first lines that differ. A change that moves a published byte re-records the goldens
-// with the two commands below and lists the moved cells in CHANGES.md:
+// scenario (fleet) and the first lines that differ. The goldens of
+// cmd/hpcsim's output sit beside them and are compared by the
+// TestResultManifest of that package, which runs its own test binary
+// as hpcsim. A change that moves a published byte re-records the
+// goldens with the commands below and lists the moved cells in
+// CHANGES.md:
 //
 //	go run ./cmd/benchharness > testdata/results/benchharness.txt
 //	for p in smoke e4-policy-grid e16-ablation-drain e17-redteam; do go run ./cmd/fleetrun -preset $p -seed 42 -workers 1 -json > testdata/results/$p.json; done
+//	go run ./cmd/hpcsim > testdata/results/hpcsim.txt
+//	go run ./cmd/hpcsim -profile baseline > testdata/results/hpcsim-baseline.txt
+//	go run ./cmd/hpcsim -attack kill-chain > testdata/results/hpcsim-kill-chain.txt
 func TestResultManifest(t *testing.T) {
 	var b strings.Builder
 	for _, tb := range experiments.All() {

@@ -46,22 +46,24 @@ func TestScaleSoak(t *testing.T) {
 	}
 	c := core.MustNew(core.Enhanced(), topo)
 	const nUsers = 10
-	rng := metrics.NewRNG(99)
-	var batches [][]workload.Submission
 	users := make([]*core.User, nUsers)
-	for i := 0; i < nUsers; i++ {
+	creds := make([]ids.Credential, nUsers)
+	for i := range users {
 		u, err := c.AddUser(fmt.Sprintf("user%02d", i), "pw")
 		if err != nil {
 			t.Fatal(err)
 		}
-		users[i] = u
-		batches = append(batches, workload.MonteCarlo(rng.Split(), workload.SweepConfig{
-			User: u.Cred, Jobs: 100,
-			MinCores: 1, MaxCores: 16,
-			MinDur: 1, MaxDur: 6, MemB: 1 << 24,
-		}))
+		users[i], creds[i] = u, u.Cred
 	}
-	mix := workload.WithOOM(workload.Mix(batches...), 97, 2<<30)
+	mix, err := workload.MixSpec{
+		Users: nUsers, JobsPerUser: 100, Kind: "montecarlo",
+		MinCores: 1, MaxCores: 16,
+		MinDur: 1, MaxDur: 6, MemB: 1 << 24,
+		OOMEvery: 97, OOMMemB: 2 << 30,
+	}.Build(metrics.NewRNG(99), creds)
+	if err != nil {
+		t.Fatal(err)
+	}
 	jids, err := workload.SubmitAll(c.Sched, mix)
 	if err != nil {
 		t.Fatal(err)
@@ -69,18 +71,12 @@ func TestScaleSoak(t *testing.T) {
 	if len(jids) != nUsers*100 {
 		t.Fatalf("submitted %d", len(jids))
 	}
-	ticks := 0
-	for ; ticks < 50000; ticks++ {
-		c.Step()
-		if n := c.Sched.MaxUsersPerNode(); n > 1 {
-			t.Fatalf("tick %d: %d users on one node", ticks, n)
-		}
-		if c.Sched.PendingCount() == 0 && len(c.Sched.Squeue(ids.RootCred())) == 0 {
-			break
-		}
+	c.RunAll(50000)
+	if n := len(c.Sched.Squeue(ids.RootCred())); n != 0 {
+		t.Fatalf("campaign did not drain: %d jobs left", n)
 	}
-	if ticks >= 50000 {
-		t.Fatal("campaign did not drain")
+	if n := c.Sched.PeakUsersPerNode(); n != 1 {
+		t.Fatalf("peak users per node = %d at scale, want 1", n)
 	}
 	// Blast radius stayed per-user despite injected OOMs.
 	crashes, cofail := c.Sched.Crashes()

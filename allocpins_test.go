@@ -92,9 +92,9 @@ var allocPins = []struct {
 	{"DeniedProbe/pam-slurm", perOp(deniedPAMSlurm), 2},
 	{"DeniedProbe/portal-forward", perOp(deniedPortalForward), 3},
 	{"DeniedProbe/container-admission", perOp(deniedContainerRun), 1},
-	{"FleetCampaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE4PolicyGrid, 1) }), 2520},
+	{"FleetCampaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE4PolicyGrid, 1) }), 2504},
 	{"E16Ablation", perOp(e16Ablation), 12477},
-	{"E17Campaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE17RedTeam, 1) }), 14473},
+	{"E17Campaign/1w", perOp(func(tb testing.TB) func() { return fleetCampaign(tb, fleet.PresetE17RedTeam, 1) }), 14395},
 }
 
 // TestAllocPins checks each single-worker benchmark row's allocations

@@ -412,6 +412,10 @@ func (ss *session) portalForward() observation {
 	return leaked(audit.Note("reached victim's web app through portal"))
 }
 
+// tmpNameVisible is tmpNames' leak detail, rendered once: the name it
+// finds is always tmpName.
+var tmpNameVisible = audit.Note(fmt.Sprintf("file name %q visible", tmpName))
+
 func (ss *session) tmpNames() observation {
 	names, err := ss.c.NS[ss.login.Name].ReadDir(ss.actx, "/tmp")
 	if err != nil {
@@ -420,7 +424,7 @@ func (ss *session) tmpNames() observation {
 	// The victim's own file, not a link the attacker planted.
 	for _, n := range names {
 		if n == tmpName {
-			return leaked(audit.Detailf("file name %q visible", n))
+			return leaked(tmpNameVisible)
 		}
 	}
 	return stopped(audit.Note("no victim names in /tmp"))

@@ -38,7 +38,8 @@ func topo() core.Topology {
 // provisions and submits spec's mix drawn from a generator seeded with
 // seed, and drains it — E4's policy drain and E16's ablation drain.
 // It returns the drained cluster and the ticks the drain took, which
-// is the last job's end tick.
+// is the last job's end tick. A drain that reaches its tick cap with a
+// job still pending or running is an error: the cap is not a makespan.
 func drainMix(cfg core.Config, spec workload.MixSpec, seed uint64) (*core.Cluster, int, error) {
 	c, err := core.New(cfg, topo())
 	if err != nil {
@@ -51,7 +52,11 @@ func drainMix(cfg core.Config, spec workload.MixSpec, seed uint64) (*core.Cluste
 	if _, err := workload.SubmitAll(c.Sched, mix); err != nil {
 		return nil, 0, err
 	}
-	return c, c.RunAll(100000), nil
+	ticks := c.RunAll(100000)
+	if n := c.Sched.Unfinished(); n > 0 {
+		return nil, 0, fmt.Errorf("experiments: drain cut off after %d ticks with %d jobs unfinished", ticks, n)
+	}
+	return c, ticks, nil
 }
 
 // bothConfigs returns the two comparison points, derived from the

@@ -4,6 +4,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/workload"
 )
 
 // row helpers
@@ -34,6 +37,22 @@ func atof(t *testing.T, s string) float64 {
 		t.Fatalf("not a float: %q", s)
 	}
 	return f
+}
+
+// A drain that hits its tick cap with jobs left fails instead of
+// reporting the cap as a makespan: one job longer than the cap cannot
+// finish.
+func TestDrainMixFailsWhenCutOff(t *testing.T) {
+	long := workload.MixSpec{Users: 1, JobsPerUser: 1, MinCores: 1, MaxCores: 1, MinDur: 200000, MaxDur: 200000, MemB: 1 << 20}
+	c, ticks, err := drainMix(core.Enhanced(), long, 1)
+	if err == nil || !strings.Contains(err.Error(), "1 jobs unfinished") {
+		t.Fatalf("a drain cut off at its cap returned (%v, %d, %v), want an unfinished-jobs error", c, ticks, err)
+	}
+	short := long
+	short.MinDur, short.MaxDur = 5, 5
+	if _, ticks, err := drainMix(core.Enhanced(), short, 1); err != nil || ticks < 5 || ticks >= 100000 {
+		t.Fatalf("a drain of one 5-tick job returned (%d, %v)", ticks, err)
+	}
 }
 
 func TestE1Shape(t *testing.T) {

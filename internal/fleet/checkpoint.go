@@ -34,8 +34,8 @@ const CheckpointFormat = 2
 // identity (campaign name + canonical-encoding hash + master seed)
 // plus, per scenario, one slot per replication holding that trial's
 // own aggregate, nil while the trial is not done. The executor's trial
-// table is one too: Run's holds the trials that landed ahead of its
-// fold's frontier (tableFold).
+// table is one too: Run's holds the trials that landed ahead of their
+// scenario's fold frontier (tableFold).
 type Checkpoint struct {
 	Campaign     string
 	CampaignHash uint64
@@ -190,49 +190,71 @@ func (f *partialFold) add(p *ScenarioResult) error {
 	return f.agg.Merge(p)
 }
 
-// tableFold reduces a trial table while it fills. Its frontier is the
-// first trial, in trial-index order, whose slot is still empty;
-// advance folds every filled slot before the frontier into its
-// scenario's partialFold and clears the slot. The table therefore holds
-// only the trials that landed ahead of the frontier, and the folds run
-// in MergeCheckpoints' order whatever order the slots fill in. The
-// first fold error stops the frontier for good and is kept for result.
+// tableFold reduces a trial table while it fills. Each scenario has
+// its own frontier, the first replication whose slot is still empty;
+// advance(si) folds every filled slot before scenario si's frontier
+// into its partialFold and clears the slot. The table therefore holds
+// only the trials that landed ahead of their scenario's frontier, each
+// scenario's folds run in MergeCheckpoints' (replication) order
+// whatever order the slots fill in, and a slow scenario holds back no
+// other. The first fold error stops every frontier for good and is
+// kept for result.
 type tableFold struct {
-	ck      *Checkpoint
-	si, rep int // the frontier
-	scen    []partialFold
-	err     error
+	ck     *Checkpoint
+	rep    []int // per scenario, the frontier
+	scen   []partialFold
+	parked int // trials in the table ahead of their frontier
+	peak   int // the most trials parked at once
+	err    error
 }
 
+// newTableFold starts the fold of ck, folding at once the filled slots
+// at the head of every scenario (restored trials, under a resume).
 func newTableFold(ck *Checkpoint) *tableFold {
-	return &tableFold{ck: ck, scen: make([]partialFold, len(ck.Scenarios))}
+	f := &tableFold{ck: ck, rep: make([]int, len(ck.Scenarios)), scen: make([]partialFold, len(ck.Scenarios))}
+	f.parked = ck.Completed()
+	for si := range ck.Scenarios {
+		f.advance(si)
+	}
+	f.peak = f.parked
+	return f
 }
 
-func (f *tableFold) advance() {
-	for f.err == nil && f.si < len(f.ck.Scenarios) {
-		sc := &f.ck.Scenarios[f.si]
-		if f.rep == sc.Replications {
-			f.si, f.rep = f.si+1, 0
-			continue
-		}
-		p := f.ck.Trial(f.si, f.rep)
+// land files trial (si, rep) in the table and advances si's frontier.
+// It reports whether the frontier passed the trial, which the table
+// then no longer holds.
+func (f *tableFold) land(si, rep int, p *ScenarioResult) bool {
+	f.ck.Scenarios[si].Trials[rep] = p
+	f.parked++
+	f.advance(si)
+	f.peak = max(f.peak, f.parked)
+	return f.rep[si] > rep
+}
+
+func (f *tableFold) advance(si int) {
+	sc := &f.ck.Scenarios[si]
+	for f.err == nil && f.rep[si] < sc.Replications {
+		p := f.ck.Trial(si, f.rep[si])
 		if p == nil {
 			return
 		}
-		f.err = f.scen[f.si].add(p)
-		sc.Trials[f.rep] = nil
-		f.rep++
+		f.err = f.scen[si].add(p)
+		sc.Trials[f.rep[si]] = nil
+		f.parked--
+		f.rep[si]++
 	}
 }
 
-// result is the campaign's result, once the frontier has passed every
-// trial of the table.
+// result is the campaign's result, once every frontier has passed
+// every trial of its scenario.
 func (f *tableFold) result(c Campaign, seed uint64) (*CampaignResult, error) {
 	if f.err != nil {
 		return nil, f.err
 	}
-	if f.si < len(c.Scenarios) {
-		return nil, fmt.Errorf("fleet: scenario %q replication %d was never folded", c.Scenarios[f.si].Name, f.rep)
+	for si, rep := range f.rep {
+		if rep < c.Scenarios[si].Replications {
+			return nil, fmt.Errorf("fleet: scenario %q replication %d was never folded", c.Scenarios[si].Name, rep)
+		}
 	}
 	res := &CampaignResult{Campaign: c.Name, Seed: seed, Scenarios: make([]*ScenarioResult, len(f.scen))}
 	for si := range f.scen {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -25,10 +26,13 @@ func foldCampaign() Campaign {
 // FuzzFoldOrder: Run's incremental fold gives MergeCheckpoints' bytes
 // whatever order the trials land in. The input picks, per trial,
 // whether it is restored (as from a resume) and whether it degraded to
-// DegradedTrialResult, then an arrival order for the rest; the
-// partials go into a trial table in that order, the frontier advancing
-// after each. The fold's JSON must equal MergeCheckpoints over the
-// complete table, the table must end empty, and merging again must
+// DegradedTrialResult, then an arrival order for the rest, which
+// interleaves the scenarios freely; the partials land in a trial table
+// in that order. After each landing every scenario's frontier must
+// stand at its first replication not yet landed, whatever the other
+// scenarios hold, and the table must hold exactly the landed trials
+// behind no frontier. The fold's JSON must equal MergeCheckpoints over
+// the complete table, the table must end empty, and merging again must
 // give the same bytes: the fold mutated none of its inputs.
 func FuzzFoldOrder(f *testing.F) {
 	camp := foldCampaign()
@@ -50,6 +54,7 @@ func FuzzFoldOrder(f *testing.F) {
 			if err != nil {
 				f.Fatal(err)
 			}
+			w.keepRecord(si)
 			refs = append(refs, trialRef{scenario: si, rep: rep})
 			partials = append(partials, p)
 		}
@@ -58,13 +63,20 @@ func FuzzFoldOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{1}, n))   // every trial restored
 	f.Add(bytes.Repeat([]byte{2}, 2*n)) // every trial degraded, in a shuffled order
-	// None restored, and the shuffle's k-th swap exchanges positions
-	// n-1-k and k: the trials land in reverse order.
-	reverse := make([]byte, 2*n)
-	for k := range n {
-		reverse[n+k] = byte(min(k, n-1-k))
+	// None restored, the trials landing in a chosen order: in reverse,
+	// scenario by scenario from the last, round robin over the
+	// scenarios, and round robin with each scenario's replications
+	// reversed.
+	reps := camp.Scenarios[0].Replications
+	scens := len(camp.Scenarios)
+	for _, order := range [][]int{
+		permutation(n, func(i int) int { return n - 1 - i }),
+		permutation(n, func(i int) int { return (scens-1-i/reps)*reps + i%reps }),
+		permutation(n, func(i int) int { return i%scens*reps + i/scens }),
+		permutation(n, func(i int) int { return i%scens*reps + reps - 1 - i/scens }),
+	} {
+		f.Add(append(make([]byte, n), shuffleInput(order)...))
 	}
-	f.Add(reverse)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		at := func(i int) byte {
 			if i < len(data) {
@@ -74,6 +86,7 @@ func FuzzFoldOrder(f *testing.F) {
 		}
 		full := newCheckpoint(camp, hash, seed)
 		table := newCheckpoint(camp, hash, seed)
+		landed := newCheckpoint(camp, hash, seed)
 		var arrivals []int
 		for i, ref := range refs {
 			p := partials[i]
@@ -83,6 +96,7 @@ func FuzzFoldOrder(f *testing.F) {
 			full.Scenarios[ref.scenario].Trials[ref.rep] = p
 			if at(i)&1 != 0 {
 				table.Scenarios[ref.scenario].Trials[ref.rep] = p
+				landed.Scenarios[ref.scenario].Trials[ref.rep] = p
 			} else {
 				arrivals = append(arrivals, i)
 			}
@@ -94,11 +108,32 @@ func FuzzFoldOrder(f *testing.F) {
 		want := mergedJSON(t, camp, full)
 
 		fold := newTableFold(table)
-		fold.advance()
+		checkFrontiers := func(after string) {
+			t.Helper()
+			behind := 0
+			for si, sc := range landed.Scenarios {
+				front := 0
+				for front < sc.Replications && landed.Trial(si, front) != nil {
+					front++
+				}
+				if fold.rep[si] != front {
+					t.Fatalf("%s: scenario %d's frontier is at %d, want %d", after, si, fold.rep[si], front)
+				}
+				behind += front
+			}
+			if parked := landed.Completed() - behind; fold.parked != parked || table.Completed() != parked {
+				t.Fatalf("%s: %d trials parked (the table holds %d), want %d", after, fold.parked, table.Completed(), parked)
+			}
+		}
+		checkFrontiers("restored")
 		for _, i := range arrivals {
 			ref := refs[i]
-			table.Scenarios[ref.scenario].Trials[ref.rep] = full.Trial(ref.scenario, ref.rep)
-			fold.advance()
+			p := full.Trial(ref.scenario, ref.rep)
+			landed.Scenarios[ref.scenario].Trials[ref.rep] = p
+			if folded := fold.land(ref.scenario, ref.rep, p); folded != (fold.rep[ref.scenario] > ref.rep) {
+				t.Fatalf("trial %v: land reports folded=%v with the frontier at %d", ref, folded, fold.rep[ref.scenario])
+			}
+			checkFrontiers(fmt.Sprintf("trial %v", ref))
 		}
 		res, err := fold.result(camp, seed)
 		if err != nil {
@@ -118,6 +153,32 @@ func FuzzFoldOrder(f *testing.F) {
 			t.Fatal("the fold mutated a partial it was fed")
 		}
 	})
+}
+
+// permutation lists at(0), …, at(n-1).
+func permutation(n int, at func(int) int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = at(i)
+	}
+	return p
+}
+
+// shuffleInput is the inverse of FuzzFoldOrder's shuffle: the bytes
+// that make its Fisher-Yates pass turn 0, 1, …, n-1 into order.
+func shuffleInput(order []int) []byte {
+	n := len(order)
+	cur := permutation(n, func(i int) int { return i })
+	var data []byte
+	for i := n - 1; i > 0; i-- {
+		j := 0
+		for cur[j] != order[i] {
+			j++
+		}
+		data = append(data, byte(j))
+		cur[i], cur[j] = cur[j], cur[i]
+	}
+	return data
 }
 
 func mergedJSON(t *testing.T, c Campaign, ck *Checkpoint) []byte {
@@ -166,27 +227,62 @@ func TestRunFoldsItsTable(t *testing.T) {
 	}
 }
 
-// A worker releases a scenario's pooled cluster when it takes a trial
-// of a later scenario, and never needs it again: at 200 replications
-// on two workers each worker builds each scenario's cluster at most
-// once, and every other trial is a pool hit.
+// A worker leaves a scenario only when the dispatcher has no trial of
+// it left, so it never needs that slot's pooled cluster again: every
+// scenario's cluster is built by the worker that starts it, plus once
+// by each worker that joins it after every scenario has started. At
+// two workers that is one join in the whole run; at four, each worker
+// joins at most workers-1 others. At 200 replications every other
+// trial is a pool hit.
 func TestPoolReleaseNeverRebuilds(t *testing.T) {
 	camp := e17RedTeamCampaign()
 	for i := range camp.Scenarios {
 		camp.Scenarios[i].Replications = 200
 	}
+	scenarios := len(camp.Scenarios)
+	for _, tc := range []struct{ workers, maxBuilds int }{
+		{2, scenarios + 1},
+		{4, scenarios + 4*3},
+	} {
+		reg := obs.NewRegistry()
+		if _, err := Run(camp, Options{Workers: tc.workers, Seed: 7, Metrics: reg}); err != nil {
+			t.Fatal(err)
+		}
+		snap := reg.Snapshot()
+		builds, hits := counterValue(snap, "fleet_pool_builds_total"), counterValue(snap, "fleet_pool_hits_total")
+		if builds > int64(tc.maxBuilds) {
+			t.Errorf("workers=%d: %d pooled builds for %d scenarios, at most %d", tc.workers, builds, scenarios, tc.maxBuilds)
+		}
+		if builds+hits != int64(camp.Trials()) {
+			t.Errorf("workers=%d: %d builds + %d hits, want %d trials", tc.workers, builds, hits, camp.Trials())
+		}
+	}
+}
+
+// Two workers on their own scenarios each land their trials at their
+// scenario's frontier, so a trial can land ahead of a frontier only in
+// the one scenario they share at the end, which the second worker
+// joins with at most replications-1 of its trials left. With no delay
+// fault, the table of a 2-worker run of the e17 preset (three
+// replications a scenario) never parks more than two partials. A run
+// that folded behind one frontier over the whole trial order would
+// park a scenario's trials until every earlier scenario was in.
+func TestRunParksAtMostWorkers(t *testing.T) {
+	camp := MustPreset(PresetE17RedTeam)
+	all := make([]RepRange, len(camp.Scenarios))
+	for si, s := range camp.Scenarios {
+		if s.Replications != 3 {
+			t.Fatalf("scenario %q has %d replications; the bound assumes 3", s.Name, s.Replications)
+		}
+		all[si] = RepRange{Hi: s.Replications}
+	}
 	const workers = 2
-	reg := obs.NewRegistry()
-	if _, err := Run(camp, Options{Workers: workers, Seed: 7, Metrics: reg}); err != nil {
+	st, err := execute(camp, Options{Workers: workers, Seed: 42}, all, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	snap := reg.Snapshot()
-	builds, hits := counterValue(snap, "fleet_pool_builds_total"), counterValue(snap, "fleet_pool_hits_total")
-	if max := int64(workers * len(camp.Scenarios)); builds > max {
-		t.Errorf("%d pooled builds, at most %d (workers × scenarios)", builds, max)
-	}
-	if builds+hits != int64(camp.Trials()) {
-		t.Errorf("%d builds + %d hits, want %d trials", builds, hits, camp.Trials())
+	if st.fold.peak > workers {
+		t.Errorf("the table parked %d partials at once, at most %d", st.fold.peak, workers)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"repro/internal/attack"
@@ -257,7 +258,7 @@ func (r *CampaignResult) Table() *metrics.Table {
 
 // Run executes every trial of the campaign across a pool of worker
 // goroutines and folds each per-trial result into its scenario's
-// aggregate once every earlier trial of the run is in, the Merge
+// aggregate once every earlier trial of that scenario is in, the Merge
 // sequence MergeCheckpoints runs over the same trials.
 //
 // Determinism contract: for a fixed (campaign, seed) the result —
@@ -268,7 +269,7 @@ func (r *CampaignResult) Table() *metrics.Table {
 // index) rather than from draw order, and the reduction merges
 // fixed-size per-trial aggregates in trial-index order rather than
 // completion order: a trial that lands early waits in the trial table
-// until the frontier reaches it.
+// until its scenario's frontier reaches it.
 //
 // Failure model (see DESIGN.md §8): a panicking trial is retried
 // under the identical stream seed on a quarantined-then-rebuilt
@@ -316,11 +317,77 @@ type trialRef struct {
 }
 
 // trialOutcome is what a worker hands the recording loop for one
-// queued trial.
+// queued trial. res is set only when the run keeps a journal.
 type trialOutcome struct {
 	res   *ScenarioResult
 	fails []TrialFailure
 	err   error
+}
+
+// dispatcher hands out a run's queued trials scenario by scenario.
+// The queue is a prefix of todo, which is in trial-index order, so each
+// scenario's queued trials are one range [next, end) of todo indices.
+// claim keeps a worker on its scenario while that scenario has a trial
+// left; then it starts the lowest-indexed scenario nobody has started,
+// and once every scenario has started it joins the one with the most
+// trials left. A worker therefore leaves a scenario only when no trial
+// of it is left, and each scenario's pooled cluster is built once by
+// the worker that starts it, plus once per worker that joins it. The
+// caller serializes claim and drop.
+type dispatcher struct {
+	next, end []int // per scenario
+	fresh     int   // the scenarios below fresh have started
+}
+
+func newDispatcher(queue []trialRef, scenarios int) *dispatcher {
+	d := &dispatcher{next: make([]int, scenarios), end: make([]int, scenarios)}
+	for k, ref := range queue {
+		if d.next[ref.scenario] == d.end[ref.scenario] {
+			d.next[ref.scenario] = k
+		}
+		d.end[ref.scenario] = k + 1
+	}
+	return d
+}
+
+// claim returns the todo index of the next trial for a worker whose
+// current scenario is cur (-1 before its first trial), or -1 when no
+// trial is left.
+func (d *dispatcher) claim(cur int) int {
+	si := cur
+	if si < 0 || d.next[si] == d.end[si] {
+		si = -1
+		for si < 0 && d.fresh < len(d.next) {
+			if d.next[d.fresh] < d.end[d.fresh] {
+				si = d.fresh
+			}
+			d.fresh++
+		}
+	}
+	if si < 0 {
+		most := 0
+		for s := range d.next {
+			if n := d.end[s] - d.next[s]; n > most {
+				si, most = s, n
+			}
+		}
+		if si < 0 {
+			return -1
+		}
+	}
+	k := d.next[si]
+	d.next[si]++
+	return k
+}
+
+// drop removes every trial not yet claimed and returns how many.
+func (d *dispatcher) drop() int {
+	n := 0
+	for s := range d.next {
+		n += d.end[s] - d.next[s]
+		d.next[s] = d.end[s]
+	}
+	return n
 }
 
 // runState is what execute hands back to Run and RunShard.
@@ -343,16 +410,20 @@ const (
 )
 
 // execute runs the campaign's trials in the per-scenario replication
-// ranges. Under Run (sh nil: it owns every range) it folds each trial
-// into the run's result as the frontier passes it; under RunShard the
-// journal is the result and a trial is dropped once it is encoded
-// there. sh is the shard identity that arms shard-level faults.
+// ranges. Under Run (sh nil: it owns every range) each trial is folded
+// into the run's result as its scenario's frontier passes it; under
+// RunShard the journal is the result and a trial is dropped once it is
+// encoded there. sh is the shard identity that arms shard-level faults.
 //
-// Workers pull trials from a queue filled and closed before they
-// start, and announce each finished trial on done. Everything else —
-// the journal, Progress, the shard faults, the interrupt — happens on
-// the calling goroutine, in one loop that records completions until
-// every queued trial is accounted for.
+// Workers claim trials from a dispatcher that keeps each worker on one
+// scenario until that scenario has no trial left. Under Run the worker
+// that finishes a trial also files it in the table and advances its
+// scenario's frontier; one table lock guards the dispatcher, the table
+// and the fold, and each hold of it is one claim or one landing. The
+// worker then announces the trial on done. Everything else — the
+// journal, Progress, the shard faults, the interrupt — happens on the
+// calling goroutine, in one loop that records completions until every
+// queued trial is accounted for.
 func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runState, error) {
 	comp, err := compileCampaign(c, opt.Seed)
 	if err != nil {
@@ -400,9 +471,9 @@ func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runStat
 		}
 	}
 
-	// The queue holds the todo indices this run starts: none if the
-	// interrupt already fired, the first KillAfterTrials if that fault
-	// is set, otherwise all. A run that queues fewer than todo is
+	// The dispatcher holds the todo indices this run starts: none if
+	// the interrupt already fired, the first KillAfterTrials if that
+	// fault is set, otherwise all. A run that queues fewer than todo is
 	// interrupted from the start.
 	queued := len(todo)
 	select {
@@ -414,11 +485,7 @@ func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runStat
 		queued = k
 	}
 	interrupted := queued < len(todo)
-	queue := make(chan int, queued)
-	for k := range queued {
-		queue <- k
-	}
-	close(queue)
+	disp := newDispatcher(todo[:queued], len(c.Scenarios))
 
 	workers := opt.Workers
 	if workers <= 0 {
@@ -445,13 +512,13 @@ func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runStat
 		defer jw.close()
 	}
 	// Under Run the table is folded as it fills: the restored trials at
-	// the head of the trial order go at once, and each completion
-	// advances the frontier as far as the landed trials reach. Only the
-	// recording loop below touches the table and the fold.
+	// the head of each scenario go at once, and each landing advances
+	// its scenario's frontier as far as the landed trials reach. Once
+	// the workers start, only they touch the table and the fold, under
+	// mu.
 	var fold *tableFold
 	if sh == nil {
 		fold = newTableFold(ck)
-		fold.advance()
 	}
 
 	every := opt.CheckpointEvery
@@ -489,16 +556,23 @@ func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runStat
 	}
 
 	// Each worker writes only its own trial's outcome (outs is indexed
-	// like todo), so it needs no lock; the send of k on done is the
-	// happens-before edge to the loop below, which reads it. Cluster
-	// pooling is strictly per worker (each goroutine owns its pool;
-	// pooled clusters are never handed across goroutines), so trials
-	// stay share-nothing and the determinism argument is untouched by
-	// which worker runs which trial. A worker takes trial indices in
-	// increasing order, so once it takes a trial of a later scenario it
-	// never runs the earlier one again, and it releases that slot's
-	// pooled cluster then. done holds every queued trial, so no worker
-	// ever waits on the loop.
+	// like todo), so it needs no lock for it; the send of k on done is
+	// the happens-before edge to the loop below, which reads it. mu, the
+	// table lock, guards the dispatcher and, under Run, the table and
+	// the fold. Cluster pooling is strictly per worker (each goroutine
+	// owns its pool; pooled clusters are never handed across
+	// goroutines), so trials stay share-nothing and the determinism
+	// argument is untouched by which worker runs which trial. A worker
+	// leaves a scenario only once the dispatcher has no trial of it
+	// left, so it releases that slot's pooled cluster then and never
+	// needs it again. done holds every queued trial, so no worker ever
+	// waits on the loop.
+	//
+	// A trial the frontier folds at once leaves its record in the
+	// worker's slot for the next trial to reuse. One that parks ahead
+	// of the frontier, or that the journal still has to encode, keeps
+	// its record: the slot lets go of it, and the next trial allocates.
+	var mu sync.Mutex
 	outs := make([]trialOutcome, len(todo))
 	done := make(chan int, queued)
 	for w := 0; w < workers; w++ {
@@ -509,19 +583,40 @@ func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runStat
 			if tracing {
 				tw.rec = &obs.Recorder{}
 			}
-			last := -1
-			for k := range queue {
+			cur := -1
+			for {
+				mu.Lock()
+				k := disp.claim(cur)
+				mu.Unlock()
+				if k < 0 {
+					return
+				}
 				inj.delayWorker(worker)
 				inj.delayShardTrial()
 				ref := todo[k]
-				if ref.scenario != last {
-					delete(tw.slots, last)
-					last = ref.scenario
+				if ref.scenario != cur {
+					delete(tw.slots, cur)
+					cur = ref.scenario
 				}
 				o := &outs[k]
-				o.res, o.fails, o.err = tw.runTrialIsolated(ref.scenario, ref.rep, trialAttempts)
+				res, fails, err := tw.runTrialIsolated(ref.scenario, ref.rep, trialAttempts)
+				o.fails, o.err = fails, err
 				if tracing {
 					spanGroups[k] = tw.rec.Take()
+				}
+				if err == nil {
+					folded := false
+					if fold != nil {
+						mu.Lock()
+						folded = fold.land(ref.scenario, ref.rep, res)
+						mu.Unlock()
+					}
+					if jw != nil {
+						o.res = res
+					}
+					if !folded || jw != nil {
+						tw.keepRecord(ref.scenario)
+					}
 				}
 				done <- k
 			}
@@ -530,14 +625,14 @@ func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runStat
 
 	// running counts the queued trials not yet accounted for: each
 	// leaves it by finishing (a receive on done) or by being dropped
-	// from the queue before a worker took it. Emptying the queue races
-	// the workers' receives, but every index goes to exactly one side,
-	// so the loop ends exactly when the last started trial finishes.
+	// from the dispatcher before a worker claimed it. Every index goes
+	// to exactly one side, so the loop ends exactly when the last
+	// started trial finishes.
 	running := queued
 	drop := func() {
-		for range queue {
-			running--
-		}
+		mu.Lock()
+		running -= disp.drop()
+		mu.Unlock()
 	}
 	stop := opt.Interrupt
 	completed := 0 // new completions recorded
@@ -561,8 +656,8 @@ func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runStat
 			continue
 		}
 		running--
-		// The outcome gives up its result here, so from now on only the
-		// table holds it, and only until the frontier folds it.
+		// The outcome gives up its result here: it is set only for the
+		// journal, which encodes it below and then lets it go.
 		o := &outs[k]
 		res := o.res
 		o.res = nil
@@ -576,20 +671,15 @@ func execute(c Campaign, opt Options, ranges []RepRange, sh *ShardRun) (*runStat
 		}
 		m.trialsCompleted.Inc()
 		completed++
-		// The journal encodes the trial before the fold may release it.
 		// A failed periodic write is tolerated — counted, its lines kept
 		// and retried at the next interval: losing one checkpoint must
 		// not kill the campaign the checkpoint exists to protect.
-		ref := todo[k]
 		if jw != nil {
+			ref := todo[k]
 			jw.add(ref.scenario, ref.rep, res)
 			if completed%every == 0 {
 				_ = writeCheckpoint()
 			}
-		}
-		if fold != nil {
-			ck.Scenarios[ref.scenario].Trials[ref.rep] = res
-			fold.advance()
 		}
 		if opt.Progress != nil {
 			opt.Progress(restored + completed)
@@ -770,12 +860,15 @@ type trialWorker struct {
 // to "cluster plus users plus adversary scenery": users holds their
 // login credentials and adversary the bound accounts for every later
 // trial. Nothing writes a credential's Groups: the scheduler copies
-// them at Submit, and seepid clones before it adds a group.
+// them at Submit, and seepid clones before it adds a group. rec is the
+// result record runTrial fills and returns; the next trial of the slot
+// overwrites it unless the caller took it with keepRecord.
 type scenarioSlot struct {
 	cluster   *core.Cluster // retained across trials only when pooling
 	users     []ids.Credential
 	adversary *attack.Adversary // nil for an unattacked scenario
 	scratch   workload.BuildScratch
+	rec       *trialResult
 }
 
 func newTrialWorker(comp []compiledScenario, pooling bool) *trialWorker {
@@ -808,9 +901,28 @@ func newTrialResult(s *Scenario) *trialResult {
 	} else {
 		tr = &trialResult{}
 	}
-	tr.hist = histogramFor(s, tr.counts[:])
-	tr.res.Name, tr.res.MakespanHist = s.Name, &tr.hist
+	tr.reset(s)
 	return tr
+}
+
+// reset empties the record for another trial of s, keeping its attack
+// aggregate's storage.
+func (tr *trialResult) reset(s *Scenario) {
+	agg := tr.res.Attack
+	if agg != nil {
+		*agg = attack.Agg{}
+	}
+	tr.counts = [makespanBuckets]int64{}
+	tr.hist = histogramFor(s, tr.counts[:])
+	tr.res = ScenarioResult{Name: s.Name, MakespanHist: &tr.hist, Attack: agg}
+}
+
+// keepRecord lets the caller keep the record the scenario's last trial
+// returned: the slot lets go of it, and its next trial allocates anew.
+func (w *trialWorker) keepRecord(scenario int) {
+	if slot := w.slots[scenario]; slot != nil {
+		slot.rec = nil
+	}
 }
 
 // runTrialIsolated runs one trial under panic isolation: a panicking
@@ -881,7 +993,9 @@ func histogramFor(s *Scenario, counts []int64) metrics.Histogram {
 // the scenario — pooled and Reset to its provisioned mark, or built
 // fresh and provisioned with the scenario's users — submitted the mix
 // drawn from the trial's own RNG stream, drained up to the horizon,
-// and summarized into a one-trial aggregate.
+// and summarized into a one-trial aggregate. The aggregate is the
+// slot's record: the slot's next trial overwrites it unless the caller
+// takes it with keepRecord first.
 func (w *trialWorker) runTrial(scenario, rep int) (*ScenarioResult, error) {
 	cs := &w.comp[scenario]
 	s := cs.spec
@@ -982,7 +1096,13 @@ func (w *trialWorker) runTrial(scenario, rep int) (*ScenarioResult, error) {
 	w.m.schedFastForwarded.Add(ff)
 
 	w.rec.Begin(c.Now())
-	tr := newTrialResult(s)
+	tr := slot.rec
+	if tr == nil {
+		tr = newTrialResult(s)
+		slot.rec = tr
+	} else {
+		tr.reset(s)
+	}
 	tr.res.Replications = 1
 	tr.res.Crashes, tr.res.Cofailures = crashes, cofail
 	tr.res.Unfinished = c.Sched.Unfinished()

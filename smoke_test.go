@@ -72,7 +72,7 @@ func TestScaleSoak(t *testing.T) {
 		t.Fatalf("submitted %d", len(jids))
 	}
 	c.RunAll(50000)
-	if n := len(c.Sched.Squeue(ids.RootCred())); n != 0 {
+	if n := c.Sched.Unfinished(); n != 0 {
 		t.Fatalf("campaign did not drain: %d jobs left", n)
 	}
 	if n := c.Sched.PeakUsersPerNode(); n != 1 {
